@@ -5,14 +5,12 @@ semi-cross lattice tilings, and executable counting checks."""
 from .groups import Element, FiniteAbelianGroup, factorize, is_prime, p_adic_valuation, unfactor
 from .splitting import (
     MultiplierSet,
-    Orbit,
     SingularityClass,
     SplittingCertificate,
     VerificationFailure,
     VerificationReport,
     classify_multipliers,
     make_certificate,
-    orbit,
     s87_property_check,
     trivial_certificate,
     verify_splitting,

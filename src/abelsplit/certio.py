@@ -14,8 +14,16 @@ import json
 from pathlib import Path
 
 from .groups import FiniteAbelianGroup
-from .scan import CandidateOrder, ScanRecord, ScanReport
-from .search import SearchOutcome, SearchStats
+from .scan import (
+    CONSISTENT,
+    INCONCLUSIVE,
+    TRIVIAL_EXPECTED,
+    VIOLATION,
+    CandidateOrder,
+    ScanRecord,
+    ScanReport,
+)
+from .search import EXHAUSTED, FOUND, SearchOutcome, SearchStats
 from .splitting import (
     EXPLICIT,
     INTERVAL,
@@ -145,24 +153,19 @@ def certificate_from_doc(doc: dict) -> SplittingCertificate:
 
 # -- search documents --------------------------------------------------------
 
-def attestation_doc(order: int, multipliers: MultiplierSet, outcome: SearchOutcome) -> dict:
-    """Nonexistence attestation: the search tree was exhausted."""
+def search_result_doc(order: int, multipliers: MultiplierSet, outcome: SearchOutcome) -> dict:
+    """Document for a search that found nothing.
+
+    An exhausted tree gives a nonexistence attestation, a proof that no
+    splitter set exists; a budget-limited search gives a search_partial
+    document, which records how far the search got and proves nothing. A
+    FOUND outcome is written as a certificate instead and raises ValueError.
+    """
+    if outcome.result == FOUND:
+        raise ValueError("a found splitter set is written as a splitting certificate")
     return {
         "format_version": FORMAT_VERSION,
-        "kind": "nonexistence_attestation",
-        "group_factors": [order],
-        "multipliers": multipliers_to_doc(multipliers),
-        "result": outcome.result,
-        "nodes": outcome.stats.nodes,
-        "max_depth": outcome.stats.max_depth,
-    }
-
-
-def partial_search_doc(order: int, multipliers: MultiplierSet, outcome: SearchOutcome) -> dict:
-    """Budget-limited search: records how far the search got, proves nothing."""
-    return {
-        "format_version": FORMAT_VERSION,
-        "kind": "search_partial",
+        "kind": "nonexistence_attestation" if outcome.result == EXHAUSTED else "search_partial",
         "group_factors": [order],
         "multipliers": multipliers_to_doc(multipliers),
         "result": outcome.result,
@@ -194,10 +197,18 @@ def _record_from_doc(doc) -> ScanRecord:
     _expect(isinstance(doc, dict), "record must be an object")
     for key in ("k", "n", "N", "factorization", "verdict", "result", "nodes", "max_depth"):
         _expect(key in doc, f"record missing {key}")
+    _expect(isinstance(doc["factorization"], list)
+            and all(isinstance(f, list) and len(f) == 2 for f in doc["factorization"]),
+            "record factorization must be a list of [p, e] pairs")
+    _expect(doc["verdict"] in (TRIVIAL_EXPECTED, CONSISTENT, VIOLATION, INCONCLUSIVE),
+            f"unknown record verdict {doc['verdict']!r}")
+    splitters = doc.get("splitters")
+    _expect(splitters is None
+            or isinstance(splitters, list) and all(isinstance(s, int) for s in splitters),
+            "record splitters must be null or a list of integers")
     candidate = CandidateOrder(
         doc["k"], doc["n"], doc["N"], tuple((p, e) for p, e in doc["factorization"])
     )
-    splitters = doc.get("splitters")
     outcome = SearchOutcome(
         doc["result"],
         tuple(splitters) if splitters is not None else None,
@@ -230,7 +241,11 @@ def scan_report_from_doc(doc: dict) -> ScanReport:
     _expect(doc.get("kind") == "scan_report", "not a scan_report")
     config = doc.get("config")
     _expect(isinstance(config, dict), "scan_report missing config")
-    records = tuple(_record_from_doc(r) for r in doc.get("records", []))
+    for key in ("k_min", "k_max", "n_max", "node_limit", "time_limit_s"):
+        _expect(key in config, f"scan_report config missing {key}")
+    raw_records = doc.get("records", [])
+    _expect(isinstance(raw_records, list), "scan_report records must be a list")
+    records = tuple(_record_from_doc(r) for r in raw_records)
     report = ScanReport(
         config["k_min"], config["k_max"], config["n_max"],
         config["node_limit"], config["time_limit_s"], records,

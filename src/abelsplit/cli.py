@@ -116,13 +116,9 @@ def search(order, k, out, node_limit, time_limit_s) -> None:
             f"classification={cert.classification.tag} nodes={outcome.stats.nodes}"
         )
         sys.exit(EXIT_OK)
-    if outcome.result == searchlib.EXHAUSTED:
-        _emit(certio.attestation_doc(order, multipliers, outcome), out)
-        click.echo(f"result=exhausted_no_solution order={order} k={k} nodes={outcome.stats.nodes}")
-        sys.exit(EXIT_NEGATIVE)
-    _emit(certio.partial_search_doc(order, multipliers, outcome), out)
-    click.echo(f"result=resource_limit order={order} k={k} nodes={outcome.stats.nodes}")
-    sys.exit(EXIT_RESOURCE)
+    _emit(certio.search_result_doc(order, multipliers, outcome), out)
+    click.echo(f"result={outcome.result} order={order} k={k} nodes={outcome.stats.nodes}")
+    sys.exit(EXIT_NEGATIVE if outcome.result == searchlib.EXHAUSTED else EXIT_RESOURCE)
 
 
 @main.command()

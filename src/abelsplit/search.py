@@ -3,10 +3,11 @@
 Existence of a splitter set for (Z_N, M) is an exact cover problem: the
 universe is the nonzero residues 1..N-1 and the rows are the product orbits
 {m*s mod N : m in M} of candidate splitters s. Orbits are bitmasks over the
-universe, the search always branches on the smallest uncovered residue, and
-candidates are tried in ascending splitter order, so every outcome is
-deterministic and a found solution is the lexicographically least one under
-that branching. An exhausted tree is a proof that no splitter set exists.
+universe, and one engine, _exact_covers, serves both the first-solution
+search and the all-solutions enumeration. It always branches on the smallest
+uncovered residue and tries candidates in ascending splitter order, so every
+outcome is deterministic and a found solution is the first cover in that
+search order. An exhausted tree is a proof that no splitter set exists.
 """
 
 from __future__ import annotations
@@ -89,6 +90,94 @@ def _candidate_rows(n: int, residues: Sequence[int]) -> list[tuple[int, int]]:
     return rows
 
 
+class _Budget:
+    """Node and time budget of one search, with the nodes and depth it used.
+
+    A node is one row placement, or one enumerated subset in
+    enumerate_all_splittings. The clock is read every _TIME_STRIDE nodes.
+    """
+
+    __slots__ = ("node_limit", "deadline", "nodes", "max_depth")
+
+    def __init__(self, config: SearchConfig, start: float):
+        self.node_limit = config.node_limit
+        self.deadline = None if config.time_limit_s is None else start + config.time_limit_s
+        self.nodes = 0
+        self.max_depth = 0
+
+    def check(self, nodes: int) -> None:
+        if nodes >= self.node_limit:
+            raise BudgetExceeded("node budget exhausted")
+        if (
+            self.deadline is not None
+            and nodes % _TIME_STRIDE == 0
+            and time.monotonic() > self.deadline
+        ):
+            raise BudgetExceeded("time budget exhausted")
+
+    def charge(self) -> None:
+        self.nodes += 1
+        self.check(self.nodes)
+
+
+def _exact_covers(
+    n: int, rows: Sequence[tuple[int, int]], budget: _Budget
+) -> Iterator[tuple[int, ...]]:
+    """Yield the sorted labels of every exact cover of 1..n-1 by (label, mask) rows.
+
+    The search branches on the smallest uncovered residue and tries the rows
+    holding it in the given order, so covers come out in a fixed order. Rows
+    with equal masks but different labels give distinct covers. Each row
+    placement is one node; BudgetExceeded is raised when the budget runs out.
+    """
+    cands: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for row in rows:
+        m = row[1]
+        while m:
+            low = m & -m
+            cands[low.bit_length() - 1].append(row)
+            m ^= low
+    full = (1 << n) - 2
+    if full == 0:  # Z_1: the empty cover
+        yield ()
+        return
+    node_limit = budget.node_limit
+    # The counters live in locals in the loop and go back to the budget on
+    # every yield and on exit: an attribute or method call per node is slow.
+    nodes, max_depth = budget.nodes, budget.max_depth
+    covered = 0
+    path: list[tuple[int, int]] = []
+    stack = [iter(cands[1])]  # residue 1 is the first uncovered one
+    try:
+        while stack:
+            for row in stack[-1]:
+                mask = row[1]
+                if covered & mask:
+                    continue
+                covered |= mask
+                path.append(row)
+                nodes += 1
+                if len(path) > max_depth:
+                    max_depth = len(path)
+                if nodes >= node_limit or nodes % _TIME_STRIDE == 0:
+                    budget.check(nodes)
+                if covered == full:
+                    budget.nodes, budget.max_depth = nodes, max_depth
+                    yield tuple(sorted(label for label, _ in path))
+                    path.pop()
+                    covered ^= mask
+                    continue
+                missing = ~covered & full
+                stack.append(iter(cands[(missing & -missing).bit_length() - 1]))
+                break
+            else:
+                stack.pop()
+                if path:
+                    covered ^= path.pop()[1]
+    finally:
+        budget.nodes, budget.max_depth = nodes, max_depth
+
+
 def search_splitter(
     G: FiniteAbelianGroup, M: MultiplierSet, config: SearchConfig = SearchConfig()
 ) -> SearchOutcome:
@@ -102,119 +191,14 @@ def search_splitter(
     if n > 1 and (n - 1) % len(M) != 0:
         raise ValueError(f"|M| = {len(M)} does not divide |G| - 1 = {n - 1}")
     start = time.monotonic()
-    node_limit = config.node_limit
-    time_limit = config.time_limit_s
-
-    rows = _candidate_rows(n, M.residues(n))
-    cands: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for s, mask in rows:
-        m = mask
-        while m:
-            low = m & -m
-            cands[low.bit_length() - 1].append((s, mask))
-            m ^= low
-
-    full = (1 << n) - 2
-    covered = 0
-    nodes = 0
-    max_depth = 0
-    path: list[tuple[int, int]] = []
-
-    def stats() -> SearchStats:
-        return SearchStats(nodes, max_depth, time.monotonic() - start)
-
-    if covered == full:  # Z_1: the empty splitter set
-        return SearchOutcome(FOUND, (), stats())
-
-    missing = full
-    frames = [[cands[(missing & -missing).bit_length() - 1], 0]]
-    while frames:
-        frame = frames[-1]
-        elist, idx = frame
-        advanced = False
-        while idx < len(elist):
-            s, mask = elist[idx]
-            idx += 1
-            if covered & mask:
-                continue
-            frame[1] = idx
-            covered |= mask
-            path.append((s, mask))
-            nodes += 1
-            if len(path) > max_depth:
-                max_depth = len(path)
-            if nodes >= node_limit:
-                return SearchOutcome(RESOURCE_LIMIT, None, stats())
-            if time_limit is not None and nodes % _TIME_STRIDE == 0:
-                if time.monotonic() - start > time_limit:
-                    return SearchOutcome(RESOURCE_LIMIT, None, stats())
-            if covered == full:
-                found = tuple(sorted(s2 for s2, _ in path))
-                return SearchOutcome(FOUND, found, stats())
-            missing = ~covered & full
-            frames.append([cands[(missing & -missing).bit_length() - 1], 0])
-            advanced = True
-            break
-        if not advanced:
-            frames.pop()
-            if path:
-                _, mask = path.pop()
-                covered ^= mask
-    return SearchOutcome(EXHAUSTED, None, stats())
-
-
-class _Budget:
-    __slots__ = ("remaining", "deadline")
-
-    def __init__(self, config: SearchConfig):
-        self.remaining = config.node_limit
-        self.deadline = (
-            None if config.time_limit_s is None else time.monotonic() + config.time_limit_s
-        )
-
-    def charge(self) -> None:
-        self.remaining -= 1
-        if self.remaining < 0:
-            raise BudgetExceeded("node budget exhausted")
-        if (
-            self.deadline is not None
-            and self.remaining % 1024 == 0
-            and time.monotonic() > self.deadline
-        ):
-            raise BudgetExceeded("time budget exhausted")
-
-
-def _cover_solutions(
-    n: int, rows: list[tuple[int, int]], budget: _Budget
-) -> Iterator[tuple[int, ...]]:
-    """Yield every exact cover of 1..n-1 by the given (label, mask) rows.
-
-    No fingerprint dedup here: rows with equal masks but different labels
-    are distinct covers, which is what full splitting enumeration needs.
-    """
-    cands: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for label, mask in rows:
-        m = mask
-        while m:
-            low = m & -m
-            cands[low.bit_length() - 1].append((label, mask))
-            m ^= low
-    full = (1 << n) - 2
-    chosen: list[int] = []
-
-    def extend(covered: int) -> Iterator[tuple[int, ...]]:
-        if covered == full:
-            yield tuple(sorted(chosen))
-            return
-        budget.charge()
-        missing = ~covered & full
-        for label, mask in cands[(missing & -missing).bit_length() - 1]:
-            if not covered & mask:
-                chosen.append(label)
-                yield from extend(covered | mask)
-                chosen.pop()
-
-    yield from extend(0)
+    budget = _Budget(config, start)
+    try:
+        found = next(_exact_covers(n, _candidate_rows(n, M.residues(n)), budget), None)
+        result = EXHAUSTED if found is None else FOUND
+    except BudgetExceeded:
+        found, result = None, RESOURCE_LIMIT
+    stats = SearchStats(budget.nodes, budget.max_depth, time.monotonic() - start)
+    return SearchOutcome(result, found, stats)
 
 
 def enumerate_all_splittings(
@@ -226,7 +210,8 @@ def enumerate_all_splittings(
     enumerated on whichever side (multiplier or splitter) has the smaller
     binomial count and the other side is solved as exact cover, which keeps
     orders like 27 with |M| = 13 tractable. Raises BudgetExceeded when the
-    node budget runs out; every returned certificate is re-verified.
+    node or time budget runs out; a node is one enumerated subset or one row
+    placement. Every returned certificate is re-verified.
     """
     if n < 2:
         raise ValueError(f"order must be >= 2, got {n}")
@@ -234,32 +219,27 @@ def enumerate_all_splittings(
         raise ValueError(f"|M| = {size_of_m} must divide {n - 1}")
     group = FiniteAbelianGroup.cyclic(n)
     n_splitters = (n - 1) // size_of_m
-    budget = _Budget(config)
+    fix_multipliers = comb(n - 1, size_of_m) <= comb(n - 1, n_splitters)
+    budget = _Budget(config, time.monotonic())
     out: list[SplittingCertificate] = []
-    if comb(n - 1, size_of_m) <= comb(n - 1, n_splitters):
-        for m_vals in combinations(range(1, n), size_of_m):
-            budget.charge()
-            mult = MultiplierSet.explicit(m_vals)
-            rows = []
-            for s in range(1, n):
-                mask = orbit_mask(m_vals, s, n)
-                if mask is not None:
-                    rows.append((s, mask))
-            for labels in _cover_solutions(n, rows, budget):
-                out.append(make_certificate(group, mult, [(s,) for s in labels]))
-    else:
-        for s_vals in combinations(range(1, n), n_splitters):
-            budget.charge()
-            rows = []
-            for m in range(1, n):
-                mask = orbit_mask(s_vals, m, n)
-                if mask is not None:
-                    rows.append((m, mask))
-            for labels in _cover_solutions(n, rows, budget):
-                out.append(
-                    make_certificate(
-                        group, MultiplierSet.explicit(labels), [(s,) for s in s_vals]
-                    )
-                )
+    # orbit_mask(fixed, x, n) is {f*x : f in fixed}, symmetric in the two
+    # sides, so the same rows serve whichever side is enumerated.
+    for fixed in combinations(range(1, n), size_of_m if fix_multipliers else n_splitters):
+        budget.charge()
+        rows = []
+        for x in range(1, n):
+            mask = orbit_mask(fixed, x, n)
+            if mask is not None:
+                rows.append((x, mask))
+        # The covers of one multiplier subset share its MultiplierSet: one
+        # object per certificate would add about 10% to the peak memory of
+        # `check s87 -N 27`.
+        shared = MultiplierSet.explicit(fixed) if fix_multipliers else None
+        for labels in _exact_covers(n, rows, budget):
+            if shared is None:
+                mult, s_vals = MultiplierSet.explicit(labels), fixed
+            else:
+                mult, s_vals = shared, labels
+            out.append(make_certificate(group, mult, [(s,) for s in s_vals]))
     out.sort(key=lambda c: (c.multipliers.values, c.splitters))
     return out

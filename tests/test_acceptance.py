@@ -5,6 +5,7 @@ scan is computed once per session (conftest fixture) and shared by the
 criteria that consume its certificates.
 """
 
+import hashlib
 import os
 import time
 from contextlib import contextmanager
@@ -79,6 +80,18 @@ def test_conjecture_scan_desk_scale(desk_scan):
             else:
                 assert record.outcome.result == EXHAUSTED, (k, order)
         assert desk_scan.overall == "consistent"
+
+
+def test_desk_scan_report_is_pinned(desk_scan):
+    # The canonical report bytes and node totals of the desk scan. A change
+    # to the search order or node definition must update these together
+    # with a format_version bump.
+    text = certio.dumps_document(certio.scan_report_to_doc(desk_scan))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "d09a582d201b90949845b2917adb14e793ed032514499382064d72d1765101f4"
+    )
+    assert sum(r.outcome.stats.nodes for r in desk_scan.records) == 2_662_740
+    assert max(r.outcome.stats.max_depth for r in desk_scan.records) == 15
 
 
 def test_named_nonexistence_instances():

@@ -121,14 +121,18 @@ def test_scan_report_table_shape():
 def test_attestation_and_partial_docs():
     m = MultiplierSet.interval(3)
     outcome = search_splitter(Z(10), m)
-    doc = certio.attestation_doc(10, m, outcome)
+    doc = certio.search_result_doc(10, m, outcome)
     assert doc["kind"] == "nonexistence_attestation"
     assert doc["result"] == "exhausted_no_solution"
     assert doc["nodes"] == outcome.stats.nodes
 
     limited = search_splitter(Z(5), MultiplierSet.interval(2), SearchConfig(node_limit=1))
-    doc = certio.partial_search_doc(5, MultiplierSet.interval(2), limited)
+    doc = certio.search_result_doc(5, MultiplierSet.interval(2), limited)
     assert doc["kind"] == "search_partial" and doc["result"] == "resource_limit"
+
+    found = search_splitter(Z(5), MultiplierSet.interval(2))
+    with pytest.raises(ValueError):
+        certio.search_result_doc(5, MultiplierSet.interval(2), found)
 
 
 def test_check_report_doc():

@@ -128,6 +128,30 @@ def test_scan_resume_matches_uninterrupted(runner, tmp_path):
     assert (b_dir / "scan_k5-9.json").read_text() == (a_dir / "scan_k5-9.json").read_text()
 
 
+@pytest.mark.parametrize("damage", [
+    lambda doc: doc["config"].pop("n_max"),
+    lambda doc: doc["records"][0].pop("verdict"),
+    lambda doc: doc["records"][0].update(factorization=[[3]]),
+    lambda doc: doc["records"][0].update(verdict="bogus"),
+    lambda doc: doc["records"][0].update(splitters=5),
+    lambda doc: doc.update(records=5),
+], ids=["config_key", "record_key", "factorization_pair", "record_verdict",
+        "record_splitters", "records_not_list"])
+def test_scan_resume_malformed_report_is_usage_error(runner, tmp_path, damage):
+    r1 = runner.invoke(main, ["scan", "--k-min", "5", "--k-max", "6", "--out-dir", str(tmp_path)])
+    assert r1.exit_code == 0
+    path = tmp_path / "scan_k5-6.json"
+    doc = certio.read_document(path)
+    damage(doc)
+    certio.write_document(path, doc)
+    r2 = runner.invoke(
+        main,
+        ["scan", "--k-min", "5", "--k-max", "6", "--out-dir", str(tmp_path), "--resume"],
+    )
+    assert r2.exit_code == 2
+    assert "bad resume report" in r2.output
+
+
 def test_scan_resume_mismatch_is_usage_error(runner, tmp_path):
     r1 = runner.invoke(main, ["scan", "--k-min", "5", "--k-max", "6", "--out-dir", str(tmp_path)])
     assert r1.exit_code == 0

@@ -12,7 +12,6 @@ from abelsplit.splitting import (
     MultiplierSet,
     classify_multipliers,
     make_certificate,
-    orbit,
     s87_property_check,
     trivial_certificate,
     verify_splitting,
@@ -35,15 +34,6 @@ def test_multiplier_set_constructors():
         MultiplierSet((2, 3), kind="interval")
     with pytest.raises(ValueError):
         MultiplierSet.interval(0)
-
-
-def test_orbit_examples():
-    pts, size = orbit(MultiplierSet.interval(2), (4,), Z(5))
-    assert pts == frozenset({(4,), (3,)}) and size == 2
-    pts, size = orbit(MultiplierSet.interval(8), (1,), Z(9))
-    assert pts == frozenset({(i,) for i in range(1, 9)}) and size == 8
-    pts, size = orbit(MultiplierSet.interval(3), (5,), Z(10))
-    assert pts == frozenset({(5,), (0,)}) and size == 3  # hits 0 and repeats
 
 
 def test_verify_valid_examples():
