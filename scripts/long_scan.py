@@ -48,7 +48,7 @@ def main() -> int:
         report = scan(lo, hi, config=config, jobs=args.jobs,
                       resume=resume, checkpoint=checkpoint)
         certio.write_document(report_path, certio.scan_report_to_doc(report))
-        (args.out_dir / f"scan_k{lo}-{hi}.csv").write_text(certio.scan_report_table(report))
+        certio.write_text(args.out_dir / f"scan_k{lo}-{hi}.csv", certio.scan_report_table(report))
         print(f"k={lo}..{hi}: overall={report.overall} "
               f"records={report.totals['records']} found={report.totals['found']} "
               f"inconclusive={report.totals['inconclusive']} "

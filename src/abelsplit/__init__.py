@@ -44,7 +44,6 @@ from .tiling import (
     lattice_from_splitting,
     semi_cross,
     verify_lattice_tiling,
-    verify_tiling_by_basis,
 )
 from .counting import (
     AbcdeProfile,

@@ -5,12 +5,14 @@ Every document is canonical JSON (sorted keys, two-space indent, trailing
 newline), so equal objects serialize to identical bytes. Scan report
 documents deliberately exclude wall-clock data; timing appears only in the
 tabular export's millis column, which is diagnostic and carries 0 for
-records restored through a resume.
+records restored through a resume. Every file abelsplit writes goes through
+write_text, which replaces the target atomically.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 from .groups import FiniteAbelianGroup
@@ -58,8 +60,28 @@ def loads_document(text: str) -> dict:
     return doc
 
 
+def write_text(path, text: str) -> None:
+    """Replace the file at path with text, atomically.
+
+    The text goes to a temp file beside the target, which os.replace then
+    moves over it, so a process killed mid-write leaves the old file whole.
+    The temp file is made by open, not tempfile, so its mode follows the
+    umask, and it is removed if the write fails. There is no fsync: this
+    guards against a killed process, not against a power loss.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_document(path, doc: dict) -> None:
-    Path(path).write_text(dumps_document(doc))
+    write_text(path, dumps_document(doc))
 
 
 def read_document(path) -> dict:

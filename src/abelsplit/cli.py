@@ -63,12 +63,11 @@ def _load_certificate(path):
         _fail_usage(f"bad certificate document: {exc}")
 
 
-def _emit(doc: dict, out: str | None) -> None:
-    text = certio.dumps_document(doc)
+def _emit(text: str, out: str | None) -> None:
     if out is None:
         click.echo(text, nl=False)
     else:
-        Path(out).write_text(text)
+        certio.write_text(out, text)
 
 
 @click.group()
@@ -110,13 +109,13 @@ def search(order, k, out, node_limit, time_limit_s) -> None:
     outcome = searchlib.search_splitter(group, multipliers, _config(node_limit, time_limit_s))
     if outcome.result == searchlib.FOUND:
         cert = splitting.make_certificate(group, multipliers, [(s,) for s in outcome.splitters])
-        _emit(certio.certificate_to_doc(cert), out)
+        _emit(certio.dumps_document(certio.certificate_to_doc(cert)), out)
         click.echo(
             f"result=found order={order} k={k} splitters={len(outcome.splitters)} "
             f"classification={cert.classification.tag} nodes={outcome.stats.nodes}"
         )
         sys.exit(EXIT_OK)
-    _emit(certio.search_result_doc(order, multipliers, outcome), out)
+    _emit(certio.dumps_document(certio.search_result_doc(order, multipliers, outcome)), out)
     click.echo(f"result={outcome.result} order={order} k={k} nodes={outcome.stats.nodes}")
     sys.exit(EXIT_NEGATIVE if outcome.result == searchlib.EXHAUSTED else EXIT_RESOURCE)
 
@@ -160,7 +159,7 @@ def scan(k_min, k_max, n_max, jobs, out_dir, resume, node_limit, time_limit_s) -
     except ValueError as exc:
         _fail_usage(str(exc))
     certio.write_document(report_path, certio.scan_report_to_doc(report))
-    table_path.write_text(certio.scan_report_table(report))
+    certio.write_text(table_path, certio.scan_report_table(report))
     totals = report.totals
     click.echo(f"report={report_path}")
     click.echo(f"table={table_path}")
@@ -211,11 +210,7 @@ def tile(cert_path, box_spec, out) -> None:
     except ValueError as exc:
         _fail_usage(f"bad box {box_spec!r}: {exc}")
     translates = tiling.export_translates(lattice, shape, box)
-    text = certio.tiling_export_text(shape, lattice, hom, translates)
-    if out is None:
-        click.echo(text, nl=False)
-    else:
-        Path(out).write_text(text)
+    _emit(certio.tiling_export_text(shape, lattice, hom, translates), out)
     cells = 1
     for lo, hi in box:
         cells *= hi - lo + 1
@@ -356,7 +351,7 @@ def check(name, k, p, primes, cert_path, order, k_max, p_max, out, node_limit, t
     except ValueError as exc:
         _fail_usage(str(exc))
     doc = certio.check_report_doc(name, inputs, checks)
-    _emit(doc, out)
+    _emit(certio.dumps_document(doc), out)
     failures = sum(1 for row in checks if not row["pass"])
     click.echo(f"check={name} checks={len(checks)} failures={failures} verdict={doc['verdict']}")
     sys.exit(EXIT_OK if failures == 0 else EXIT_NEGATIVE)

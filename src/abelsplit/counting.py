@@ -322,7 +322,7 @@ def tw_disjointness_check(cert: SplittingCertificate) -> TwReport:
 
     units = {u[0] for u in G.units()}
     unit_splitters = tuple(s[0] for s in cert.splitters if s[0] in units)
-    card_e = sum(1 for x in range(1, k + 1) if gcd(x, n) == 1)
+    card_e = _coprime_count(k, [q for q, _ in G.order_factorization])
     if not hypothesis_ok:
         return TwReport(
             n, p, alpha, m, k, dec, False, 0, unit_splitters,
@@ -344,10 +344,7 @@ def tw_disjointness_check(cert: SplittingCertificate) -> TwReport:
         for j in range(i + 1, len(tw_sets))
     )
     within = all(tw <= units for tw in tw_sets)
-    m_prime_qs = [q for q, _ in factorize(dec.m_prime)]
-    card_d = sum(
-        1 for x in range(1, k + 1) if x % p and all(x % q for q in m_prime_qs)
-    )
+    card_d = _coprime_count(k, [p] + [q for q, _ in factorize(dec.m_prime)])
     return TwReport(
         n, p, alpha, m, k, dec, True, subgroup_order, unit_splitters,
         tuple(len(w) for w in w_sets),

@@ -57,12 +57,11 @@ class ScanRecord:
     certificate: SplittingCertificate | None = None
 
 
-def _scan_one(task: tuple[int, int, int, int, float | None]) -> ScanRecord:
-    k, n, order, node_limit, time_limit = task
-    candidate = CandidateOrder(k, n, order, factorize(order))
+def _scan_one(task: tuple[CandidateOrder, SearchConfig]) -> ScanRecord:
+    candidate, config = task
+    k, order = candidate.k, candidate.order
     group = FiniteAbelianGroup.cyclic(order)
     multipliers = MultiplierSet.interval(k)
-    config = SearchConfig(node_limit=node_limit, time_limit_s=time_limit)
     outcome = search_splitter(group, multipliers, config)
     certificate = None
     if outcome.result == FOUND:
@@ -136,11 +135,10 @@ def scan(
     if k_min < 1 or k_min > k_max:
         raise ValueError(f"bad k range [{k_min}, {k_max}]")
     started = time.monotonic()
-    tasks = []
+    candidates = []
     for k in range(k_min, k_max + 1):
         bound = n_max if n_max is not None else 2 * k
-        for cand in purely_singular_candidates(k, bound):
-            tasks.append((cand.k, cand.n, cand.order, config.node_limit, config.time_limit_s))
+        candidates.extend(purely_singular_candidates(k, bound))
 
     done: dict[tuple[int, int], ScanRecord] = {}
     if resume is not None:
@@ -149,7 +147,7 @@ def scan(
         if mine != theirs:
             raise ValueError(f"resume parameters {theirs} do not match scan parameters {mine}")
         done = {(r.candidate.k, r.candidate.order): r for r in resume.records}
-    pending = [t for t in tasks if (t[0], t[2]) not in done]
+    pending = [(c, config) for c in candidates if (c.k, c.order) not in done]
 
     def build_report() -> ScanReport:
         records = tuple(sorted(done.values(), key=lambda r: (r.candidate.k, r.candidate.order)))

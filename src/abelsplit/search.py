@@ -29,7 +29,10 @@ _TIME_STRIDE = 4096  # nodes between monotonic-clock reads
 
 
 class BudgetExceeded(RuntimeError):
-    """Raised by enumeration when the node or time budget runs out."""
+    """Raised by enumeration when the node or time budget runs out.
+
+    The message names the budget: "node_limit" or "time_limit".
+    """
 
 
 @dataclass(frozen=True)
@@ -107,13 +110,13 @@ class _Budget:
 
     def check(self, nodes: int) -> None:
         if nodes >= self.node_limit:
-            raise BudgetExceeded("node budget exhausted")
+            raise BudgetExceeded("node_limit")
         if (
             self.deadline is not None
             and nodes % _TIME_STRIDE == 0
             and time.monotonic() > self.deadline
         ):
-            raise BudgetExceeded("time budget exhausted")
+            raise BudgetExceeded("time_limit")
 
     def charge(self) -> None:
         self.nodes += 1

@@ -259,80 +259,6 @@ def verify_lattice_tiling(shape: ErrorBallShape, hom: LatticeHom) -> TilingCerti
     return TilingCertificate(shape, kernel_lattice(hom), hom, verdict)
 
 
-def _diagonalize(matrix: Matrix) -> tuple[list[list[int]], list[int]]:
-    """U*A*V = diag for unimodular U, V; returns (U, positive diagonal).
-
-    V is not tracked: column operations do not change the column lattice,
-    and only U is needed to map points into the quotient.
-    """
-    a = [list(row) for row in matrix]
-    n = len(a)
-    u = [[int(i == j) for j in range(n)] for i in range(n)]
-    for t in range(n):
-        while True:
-            piv = next(
-                ((i, j) for i in range(t, n) for j in range(t, n) if a[i][j]), None
-            )
-            if piv is None:
-                break
-            i0, j0 = piv
-            if i0 != t:
-                a[t], a[i0] = a[i0], a[t]
-                u[t], u[i0] = u[i0], u[t]
-            if j0 != t:
-                for row in a:
-                    row[t], row[j0] = row[j0], row[t]
-            for i in range(t + 1, n):
-                if a[i][t]:
-                    g, x, y = _xgcd(a[t][t], a[i][t])
-                    p_, q_ = a[t][t] // g, a[i][t] // g
-                    for c in range(n):
-                        at, ai = a[t][c], a[i][c]
-                        a[t][c] = x * at + y * ai
-                        a[i][c] = -q_ * at + p_ * ai
-                    for c in range(n):
-                        ut, ui = u[t][c], u[i][c]
-                        u[t][c] = x * ut + y * ui
-                        u[i][c] = -q_ * ut + p_ * ui
-            for j in range(t + 1, n):
-                if a[t][j]:
-                    g, x, y = _xgcd(a[t][t], a[t][j])
-                    p_, q_ = a[t][t] // g, a[t][j] // g
-                    for r in range(n):
-                        rt, rj = a[r][t], a[r][j]
-                        a[r][t] = x * rt + y * rj
-                        a[r][j] = -q_ * rt + p_ * rj
-            if all(a[i][t] == 0 for i in range(t + 1, n)) and all(
-                a[t][j] == 0 for j in range(t + 1, n)
-            ):
-                break
-    diag = [abs(a[i][i]) for i in range(n)]
-    if any(d == 0 for d in diag):
-        raise ValueError("basis is singular")
-    return u, diag
-
-
-def verify_tiling_by_basis(shape: ErrorBallShape, lattice: IntegerLattice) -> TilingCertificate:
-    """Tiling check for a lattice given only by a basis (no weight map).
-
-    Diagonalizes the basis (Smith-style) to realize the quotient group as a
-    product of cyclic factors, maps each shape point through it, and demands
-    a bijection onto the whole quotient.
-    """
-    n = lattice.dimension
-    if shape.dimension != n:
-        raise ValueError(f"shape dimension {shape.dimension} != lattice dimension {n}")
-    u, diag = _diagonalize(lattice.basis)
-    seen = set()
-    for point in shape.points:
-        image = tuple(
-            sum(u[i][j] * point[j] for j in range(n)) % diag[i] for i in range(n)
-        )
-        seen.add(image)
-    verdict = len(seen) == len(shape.points) == lattice.index
-    return TilingCertificate(shape, lattice, None, verdict)
-
-
 def export_translates(
     lattice: IntegerLattice,
     shape: ErrorBallShape,

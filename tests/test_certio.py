@@ -1,3 +1,7 @@
+import builtins
+import errno
+import io
+
 import pytest
 
 from abelsplit import certio
@@ -163,3 +167,40 @@ def test_tiling_export_round_trip():
     assert rows == expected_rows
     with pytest.raises(certio.DocumentError):
         certio.parse_tiling_export("no header\n1,2\n")
+
+
+class _DiskFullFile:
+    """A file that takes half of the text it is given, then fails like a full disk."""
+
+    def __init__(self, handle):
+        self._handle = handle
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._handle.close()
+
+    def write(self, text):
+        self._handle.write(text[: len(text) // 2])
+        self._handle.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def test_interrupted_write_keeps_old_document(tmp_path, monkeypatch):
+    path = tmp_path / "cert.json"
+    old = certio.certificate_to_doc(trivial_certificate(8))
+    certio.write_document(path, old)
+    real_open = builtins.open
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        handle = real_open(file, mode, *args, **kwargs)
+        return _DiskFullFile(handle) if "w" in mode else handle
+
+    with monkeypatch.context() as m:
+        m.setattr(builtins, "open", failing_open)
+        m.setattr(io, "open", failing_open)
+        with pytest.raises(OSError):
+            certio.write_document(path, certio.certificate_to_doc(trivial_certificate(12)))
+    assert certio.read_document(path) == old
+    assert [p.name for p in tmp_path.iterdir()] == ["cert.json"]

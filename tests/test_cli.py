@@ -304,7 +304,14 @@ def test_check_writes_report(runner, tmp_path):
 def test_summary_lines_are_key_value(runner, tmp_path):
     path = tmp_path / "z9.json"
     _write_cert(path, trivial_certificate(8))
-    for args in (["verify", str(path)], ["check", "abcde", "--k", "8", "--p", "3"]):
+    cases = (
+        (["verify", str(path)], 0),
+        (["check", "abcde", "--k", "8", "--p", "3"], 0),
+        (["check", "s87", "-N", "27", "--node-limit", "10"], 3),
+    )
+    for args, code in cases:
         result = runner.invoke(main, args)
+        assert result.exit_code == code
         for token in _summary(result).split():
             assert "=" in token
+    assert _summary(result) == "result=resource_limit reason=node_limit"

@@ -2,6 +2,7 @@ import random
 
 import pytest
 import sympy
+from helpers import verify_tiling_by_basis
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -17,7 +18,6 @@ from abelsplit.tiling import (
     lattice_from_splitting,
     semi_cross,
     verify_lattice_tiling,
-    verify_tiling_by_basis,
 )
 
 Z = FiniteAbelianGroup.cyclic
