@@ -4,6 +4,9 @@
 Not part of the default test suite. Work proceeds in chunks of k so the
 checkpoint file stays useful; re-running with the same arguments resumes
 from the report in the output directory and skips completed (k, N) pairs.
+Exit codes: 0 when every chunk is consistent, 1 when a splitting turns up
+at a nontrivial order, 2 when a chunk report does not load or does not
+belong to its chunk.
 
 Usage: python scripts/long_scan.py --k-max 3000 --out-dir longrun
 """
@@ -37,16 +40,20 @@ def main() -> int:
     for lo in range(args.k_min, args.k_max + 1, args.chunk):
         hi = min(lo + args.chunk - 1, args.k_max)
         report_path = args.out_dir / f"scan_k{lo}-{hi}.json"
-        resume = None
-        if report_path.exists():
-            resume = certio.scan_report_from_doc(certio.read_document(report_path))
 
         def checkpoint(partial):
             certio.write_document(report_path, certio.scan_report_to_doc(partial))
 
         started = time.monotonic()
-        report = scan(lo, hi, config=config, jobs=args.jobs,
-                      resume=resume, checkpoint=checkpoint)
+        try:
+            resume = None
+            if report_path.exists():
+                resume = certio.scan_report_from_doc(certio.read_document(report_path))
+            report = scan(lo, hi, config=config, jobs=args.jobs,
+                          resume=resume, checkpoint=checkpoint)
+        except (OSError, certio.DocumentError, ValueError) as exc:
+            print(f"error: {report_path}: {exc}", file=sys.stderr, flush=True)
+            return 2
         certio.write_document(report_path, certio.scan_report_to_doc(report))
         certio.write_text(args.out_dir / f"scan_k{lo}-{hi}.csv", certio.scan_report_table(report))
         print(f"k={lo}..{hi}: overall={report.overall} "

@@ -7,30 +7,27 @@ documents deliberately exclude wall-clock data; timing appears only in the
 tabular export's millis column, which is diagnostic and carries 0 for
 records restored through a resume. Every file abelsplit writes goes through
 write_text, which replaces the target atomically.
+
+The writers define what a valid document is. Each reader rebuilds its
+object with the library's own constructors and accepts the document only
+if writing that object back gives exactly the same document.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 from pathlib import Path
 
 from .groups import FiniteAbelianGroup
-from .scan import (
-    CONSISTENT,
-    INCONCLUSIVE,
-    TRIVIAL_EXPECTED,
-    VIOLATION,
-    CandidateOrder,
-    ScanRecord,
-    ScanReport,
-)
+from .scan import CandidateOrder, ScanRecord, ScanReport, make_record
 from .search import EXHAUSTED, FOUND, SearchOutcome, SearchStats
 from .splitting import (
-    EXPLICIT,
     INTERVAL,
     MultiplierSet,
     SplittingCertificate,
+    canonical_splitters,
     classify_multipliers,
 )
 from .tiling import ErrorBallShape, IntegerLattice, LatticeHom
@@ -88,9 +85,23 @@ def read_document(path) -> dict:
     return loads_document(Path(path).read_text())
 
 
-def _expect(condition: bool, message: str) -> None:
-    if not condition:
-        raise DocumentError(message)
+@contextmanager
+def _parsing(what: str):
+    """Turn the errors that the constructors and make_record raise on bad
+    input into DocumentError."""
+    try:
+        yield
+    except DocumentError:
+        raise
+    except (KeyError, TypeError, ValueError, RuntimeError) as exc:
+        raise DocumentError(f"malformed {what}: {type(exc).__name__}: {exc}") from exc
+
+
+def _require_written_form(rebuilt: dict, doc: dict, what: str) -> None:
+    """Accept doc only if it is what abelsplit writes for the object rebuilt from it."""
+    if rebuilt != doc:
+        keys = sorted(k for k in rebuilt.keys() | doc.keys() if rebuilt.get(k) != doc.get(k))
+        raise DocumentError(f"{what} differs from what abelsplit writes in {', '.join(keys)}")
 
 
 # -- splitting certificates --------------------------------------------------
@@ -100,25 +111,6 @@ def multipliers_to_doc(m: MultiplierSet) -> dict:
     if m.kind == INTERVAL:
         doc["k"] = len(m)
     return doc
-
-
-def multipliers_from_doc(doc) -> MultiplierSet:
-    _expect(isinstance(doc, dict), "multipliers must be an object")
-    kind = doc.get("kind")
-    values = doc.get("values")
-    _expect(isinstance(values, list) and all(isinstance(v, int) for v in values),
-            "multiplier values must be integers")
-    try:
-        if kind == INTERVAL:
-            m = MultiplierSet.interval(len(values))
-            _expect(list(m.values) == values, "interval values must be exactly 1..k")
-            _expect(doc.get("k") == len(values), "interval k does not match values")
-            return m
-        if kind == EXPLICIT:
-            return MultiplierSet(tuple(values), kind=EXPLICIT)
-    except ValueError as exc:
-        raise DocumentError(str(exc)) from exc
-    raise DocumentError(f"unknown multiplier kind {kind!r}")
 
 
 def certificate_to_doc(cert: SplittingCertificate) -> dict:
@@ -138,39 +130,20 @@ def certificate_to_doc(cert: SplittingCertificate) -> dict:
 def certificate_from_doc(doc: dict) -> SplittingCertificate:
     """Parse a certificate document; structure only, no splitting verification.
 
-    The stored classification must match the one recomputed from the group
-    and multipliers; splitters must be reduced, strictly sorted coordinate
-    tuples. Verifying that the certificate is an actual splitting is the
-    caller's job.
+    The group, multipliers, canonical splitters and classification are
+    rebuilt from the document, which must then be exactly their certificate
+    document. Whether the splitters form a splitting is left to the caller,
+    so that verify can load a bad certificate and report it.
     """
-    _expect(doc.get("kind") == "splitting_certificate", "not a splitting_certificate")
-    factors = doc.get("group_factors")
-    _expect(isinstance(factors, list) and factors, "group_factors must be a nonempty list")
-    try:
-        group = FiniteAbelianGroup(tuple(factors))
-    except (TypeError, ValueError) as exc:
-        raise DocumentError(str(exc)) from exc
-    multipliers = multipliers_from_doc(doc.get("multipliers"))
-    raw = doc.get("splitters")
-    _expect(isinstance(raw, list), "splitters must be a list")
-    splitters = []
-    for entry in raw:
-        _expect(isinstance(entry, list) and all(isinstance(c, int) for c in entry),
-                "each splitter must be a list of integers")
-        _expect(len(entry) == len(group.factors), "splitter arity does not match group")
-        _expect(all(0 <= c < d for c, d in zip(entry, group.factors)),
-                "splitter coordinates must be reduced")
-        splitters.append(tuple(entry))
-    _expect(splitters == sorted(set(splitters)), "splitters must be strictly sorted")
-    classification = classify_multipliers(group, multipliers)
-    stored = doc.get("classification")
-    _expect(isinstance(stored, dict), "classification must be an object")
-    recomputed = {
-        "tag": classification.tag,
-        "witnesses": [[p, m] for p, m in classification.witnesses],
-    }
-    _expect(stored == recomputed, "classification does not match group and multipliers")
-    return SplittingCertificate(group, multipliers, tuple(splitters), classification)
+    with _parsing("splitting_certificate"):
+        group = FiniteAbelianGroup(tuple(doc["group_factors"]))
+        multipliers = MultiplierSet(tuple(doc["multipliers"]["values"]), doc["multipliers"]["kind"])
+        cert = SplittingCertificate(
+            group, multipliers, canonical_splitters(group, doc["splitters"]),
+            classify_multipliers(group, multipliers),
+        )
+    _require_written_form(certificate_to_doc(cert), doc, "splitting_certificate")
+    return cert
 
 
 # -- search documents --------------------------------------------------------
@@ -216,30 +189,18 @@ def _record_to_doc(record: ScanRecord) -> dict:
 
 
 def _record_from_doc(doc) -> ScanRecord:
-    _expect(isinstance(doc, dict), "record must be an object")
-    for key in ("k", "n", "N", "factorization", "verdict", "result", "nodes", "max_depth"):
-        _expect(key in doc, f"record missing {key}")
-    _expect(isinstance(doc["factorization"], list)
-            and all(isinstance(f, list) and len(f) == 2 for f in doc["factorization"]),
-            "record factorization must be a list of [p, e] pairs")
-    _expect(doc["verdict"] in (TRIVIAL_EXPECTED, CONSISTENT, VIOLATION, INCONCLUSIVE),
-            f"unknown record verdict {doc['verdict']!r}")
-    splitters = doc.get("splitters")
-    _expect(splitters is None
-            or isinstance(splitters, list) and all(isinstance(s, int) for s in splitters),
-            "record splitters must be null or a list of integers")
-    candidate = CandidateOrder(
-        doc["k"], doc["n"], doc["N"], tuple((p, e) for p, e in doc["factorization"])
-    )
-    outcome = SearchOutcome(
-        doc["result"],
-        tuple(splitters) if splitters is not None else None,
-        SearchStats(doc["nodes"], doc["max_depth"], 0.0),
-    )
-    certificate = None
-    if "certificate" in doc:
-        certificate = certificate_from_doc(doc["certificate"])
-    return ScanRecord(candidate, outcome, doc["verdict"], certificate)
+    """Rebuild a record through make_record, which re-verifies found splitters."""
+    with _parsing("scan record"):
+        candidate = CandidateOrder(
+            doc["k"], doc["n"], doc["N"], tuple((p, e) for p, e in doc["factorization"])
+        )
+        splitters = tuple(doc["splitters"]) if doc["result"] == FOUND else None
+        outcome = SearchOutcome(
+            doc["result"], splitters, SearchStats(doc["nodes"], doc["max_depth"], 0.0)
+        )
+        record = make_record(candidate, outcome)
+    _require_written_form(_record_to_doc(record), doc, f"record k={doc['k']} N={doc['N']}")
+    return record
 
 
 def scan_report_to_doc(report: ScanReport) -> dict:
@@ -260,20 +221,14 @@ def scan_report_to_doc(report: ScanReport) -> dict:
 
 
 def scan_report_from_doc(doc: dict) -> ScanReport:
-    _expect(doc.get("kind") == "scan_report", "not a scan_report")
-    config = doc.get("config")
-    _expect(isinstance(config, dict), "scan_report missing config")
-    for key in ("k_min", "k_max", "n_max", "node_limit", "time_limit_s"):
-        _expect(key in config, f"scan_report config missing {key}")
-    raw_records = doc.get("records", [])
-    _expect(isinstance(raw_records, list), "scan_report records must be a list")
-    records = tuple(_record_from_doc(r) for r in raw_records)
-    report = ScanReport(
-        config["k_min"], config["k_max"], config["n_max"],
-        config["node_limit"], config["time_limit_s"], records,
-    )
-    _expect(doc.get("totals") == report.totals, "stored totals do not match records")
-    _expect(doc.get("overall") == report.overall, "stored overall does not match records")
+    with _parsing("scan_report"):
+        config = doc["config"]
+        report = ScanReport(
+            config["k_min"], config["k_max"], config["n_max"],
+            config["node_limit"], config["time_limit_s"],
+            tuple(_record_from_doc(r) for r in doc["records"]),
+        )
+    _require_written_form(scan_report_to_doc(report), doc, "scan_report")
     return report
 
 

@@ -174,7 +174,10 @@ def _parse_box(spec: str, dimension: int) -> list[tuple[int, int]]:
     box = []
     for part in spec.split(","):
         lo, _, hi = part.partition(":")
-        box.append((int(lo), int(hi)))
+        lo, hi = int(lo), int(hi)
+        if lo > hi:
+            raise ValueError(f"axis range {part} is empty")
+        box.append((lo, hi))
     if len(box) != dimension:
         raise ValueError(f"box has {len(box)} axes, certificate needs {dimension}")
     return box
@@ -330,8 +333,8 @@ def check(name, k, p, primes, cert_path, order, k_max, p_max, out, node_limit, t
                     prime_rows.append((int(q), int(a), int(b)))
             inputs, checks = _check_abcde(k, p, tuple(prime_rows))
         elif name == "digits":
-            if k is None and k_max is None:
-                _fail_usage("check digits needs --k/--p or --k-max/--p-max")
+            if k_max is None and (k is None or p is None and p_max is None):
+                _fail_usage("check digits needs --k and --p, or --k-max/--p-max")
             inputs, checks = _check_digits(k, p, k_max, p_max)
         elif name == "strata":
             if cert_path is None or p is None:

@@ -187,10 +187,7 @@ def _coprime_count(limit: int, primes: list[int]) -> int:
 def abcde_profile(
     k: int, p: int, prime_data: tuple[tuple[int, int, int], ...] = ()
 ) -> AbcdeProfile:
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    dec = decompose_k(k, p, 1)
     data = tuple((int(q), int(a), int(b)) for q, a, b in prime_data)
     previous = p
     for q, a, b in data:
@@ -201,20 +198,17 @@ def abcde_profile(
         if not 0 <= b <= a or a < 1:
             raise ValueError(f"need 1 <= alpha and 0 <= beta <= alpha for prime {q}")
         previous = q
-    t = k - k // p
-    beta = p_adic_valuation(t, p)
-    d = gcd(t, p - 1)
     m_prime_primes = [(q, b) for q, _, b in data if b >= 1]
     qs = [q for q, _ in m_prime_primes]
     card_a = _coprime_count(k, qs)
     card_b = _coprime_count(k // p, qs)
-    card_c = _coprime_count(t, qs)
+    card_c = _coprime_count(dec.residual, qs)
     card_d = _coprime_count(k, [p] + qs)
     card_e = _coprime_count(k, [p] + [q for q, _, _ in data])
-    closed = p**beta * d * prod(q ** (b - 1) * (q - 1) for q, b in m_prime_primes)
-    hypothesis = t == p**beta * d * prod(q**b for q, b in m_prime_primes)
+    closed = p**dec.beta * dec.d * prod(q ** (b - 1) * (q - 1) for q, b in m_prime_primes)
+    hypothesis = dec.m_prime == prod(q**b for q, b in m_prime_primes)
     return AbcdeProfile(
-        k, p, data, beta, d, card_a, card_b, card_c, card_d, card_e, closed, hypothesis
+        k, p, data, dec.beta, dec.d, card_a, card_b, card_c, card_d, card_e, closed, hypothesis
     )
 
 

@@ -12,12 +12,12 @@ re-verified certificate.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from multiprocessing import Pool
 from typing import Callable
 
 from .groups import FiniteAbelianGroup, PrimePower, factorize
-from .search import EXHAUSTED, FOUND, SearchConfig, SearchOutcome, search_splitter
+from .search import EXHAUSTED, FOUND, RESOURCE_LIMIT, SearchConfig, SearchOutcome, search_splitter
 from .splitting import MultiplierSet, SplittingCertificate, make_certificate
 
 TRIVIAL_EXPECTED = "trivial_expected"
@@ -57,25 +57,38 @@ class ScanRecord:
     certificate: SplittingCertificate | None = None
 
 
+def make_record(candidate: CandidateOrder, outcome: SearchOutcome) -> ScanRecord:
+    """The one verdict rule, for fresh and resumed records alike.
+
+    A found splitter set is re-verified into a certificate, and the record
+    keeps the certificate's canonical splitters. An exhausted search at a
+    trivial order raises RuntimeError: a splitting always exists there, so
+    either the search or the claim is unsound. An unknown result raises
+    ValueError.
+    """
+    k, order = candidate.k, candidate.order
+    if outcome.result == FOUND:
+        certificate = make_certificate(
+            FiniteAbelianGroup.cyclic(order), MultiplierSet.interval(k),
+            [(s,) for s in outcome.splitters],
+        )
+        outcome = replace(outcome, splitters=tuple(s for (s,) in certificate.splitters))
+        verdict = TRIVIAL_EXPECTED if order in (1, k + 1, 2 * k + 1) else VIOLATION
+        return ScanRecord(candidate, outcome, verdict, certificate)
+    if outcome.result == EXHAUSTED:
+        if order in (k + 1, 2 * k + 1):
+            raise RuntimeError(f"no splitting found at trivial order {order} for k={k}")
+        return ScanRecord(candidate, outcome, CONSISTENT)
+    if outcome.result == RESOURCE_LIMIT:
+        return ScanRecord(candidate, outcome, INCONCLUSIVE)
+    raise ValueError(f"unknown search result {outcome.result!r}")
+
+
 def _scan_one(task: tuple[CandidateOrder, SearchConfig]) -> ScanRecord:
     candidate, config = task
-    k, order = candidate.k, candidate.order
-    group = FiniteAbelianGroup.cyclic(order)
-    multipliers = MultiplierSet.interval(k)
-    outcome = search_splitter(group, multipliers, config)
-    certificate = None
-    if outcome.result == FOUND:
-        certificate = make_certificate(group, multipliers, [(s,) for s in outcome.splitters])
-        verdict = TRIVIAL_EXPECTED if order in (1, k + 1, 2 * k + 1) else VIOLATION
-    elif outcome.result == EXHAUSTED:
-        if order in (k + 1, 2 * k + 1):
-            # A trivial splitting always exists at these orders; reaching this
-            # line means the search itself is unsound, so fail loudly.
-            raise RuntimeError(f"no splitting found at trivial order {order} for k={k}")
-        verdict = CONSISTENT
-    else:
-        verdict = INCONCLUSIVE
-    return ScanRecord(candidate, outcome, verdict, certificate)
+    group = FiniteAbelianGroup.cyclic(candidate.order)
+    outcome = search_splitter(group, MultiplierSet.interval(candidate.k), config)
+    return make_record(candidate, outcome)
 
 
 @dataclass(frozen=True)
@@ -129,7 +142,8 @@ def scan(
     Records are independent tasks; with jobs > 1 they run in a process pool
     and are merged in (k, N) order, so parallel and serial runs produce the
     same report. resume takes a previously written (possibly partial)
-    report with identical parameters and skips its completed records.
+    report with identical parameters and skips its completed records; each
+    of them must be a distinct candidate of this scan, else ValueError.
     checkpoint, when given, receives a partial report after every record.
     """
     if k_min < 1 or k_min > k_max:
@@ -147,6 +161,12 @@ def scan(
         if mine != theirs:
             raise ValueError(f"resume parameters {theirs} do not match scan parameters {mine}")
         done = {(r.candidate.k, r.candidate.order): r for r in resume.records}
+        tasks = set(candidates)
+        for c in (r.candidate for r in resume.records):
+            if c not in tasks:
+                raise ValueError(f"resumed record k={c.k} N={c.order} is not a scan candidate")
+        if len(done) < len(resume.records):
+            raise ValueError("resumed report holds a record twice")
     pending = [(c, config) for c in candidates if (c.k, c.order) not in done]
 
     def build_report() -> ScanReport:

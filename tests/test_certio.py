@@ -73,6 +73,11 @@ def test_malformed_documents_rejected():
     with pytest.raises(certio.DocumentError):
         certio.certificate_from_doc(doc)
 
+    doc = _valid_doc()
+    doc["note"] = "extra key"
+    with pytest.raises(certio.DocumentError):
+        certio.certificate_from_doc(doc)
+
 
 def test_tampered_splitters_still_parse():
     # a tampered but well-formed certificate must parse so verification can
@@ -94,6 +99,9 @@ def test_scan_report_round_trip_and_determinism():
     assert [r.outcome.stats.nodes for r in back.records] == [
         r.outcome.stats.nodes for r in report.records
     ]
+    found = [r.certificate for r in report.records if r.outcome.found]
+    assert found and all(found)
+    assert [r.certificate for r in back.records] == [r.certificate for r in report.records]
 
 
 def test_scan_report_doc_excludes_timing():

@@ -128,6 +128,35 @@ def test_scan_resume_matches_uninterrupted(runner, tmp_path):
     assert (b_dir / "scan_k5-9.json").read_text() == (a_dir / "scan_k5-9.json").read_text()
 
 
+def _flip_found_verdict(doc):
+    # records[0] of the k 5..6 report is the found record at N = 6; keep the
+    # totals in step so that only the record itself is wrong
+    doc["records"][0]["verdict"] = "conjecture_consistent"
+    doc["totals"]["trivial_expected"] -= 1
+    doc["totals"]["conjecture_consistent"] += 1
+
+
+def _add_record_n17(doc):
+    extra = dict(doc["records"][1], N=17, factorization=[[17, 1]])
+    doc["records"].insert(2, extra)
+    doc["totals"]["conjecture_consistent"] += 1
+    doc["totals"]["records"] += 1
+
+
+def _damaged_resume(runner, tmp_path, damage):
+    r1 = runner.invoke(main, ["scan", "--k-min", "5", "--k-max", "6", "--out-dir", str(tmp_path)])
+    assert r1.exit_code == 0
+    path = tmp_path / "scan_k5-6.json"
+    doc = certio.read_document(path)
+    assert [r["N"] for r in doc["records"][:2]] == [6, 16]
+    damage(doc)
+    certio.write_document(path, doc)
+    return runner.invoke(
+        main,
+        ["scan", "--k-min", "5", "--k-max", "6", "--out-dir", str(tmp_path), "--resume"],
+    )
+
+
 @pytest.mark.parametrize("damage", [
     lambda doc: doc["config"].pop("n_max"),
     lambda doc: doc["records"][0].pop("verdict"),
@@ -135,21 +164,30 @@ def test_scan_resume_matches_uninterrupted(runner, tmp_path):
     lambda doc: doc["records"][0].update(verdict="bogus"),
     lambda doc: doc["records"][0].update(splitters=5),
     lambda doc: doc.update(records=5),
+    lambda doc: doc["records"][0].update(splitters=[2]),
+    lambda doc: doc["records"][0].update(splitters=[7]),
+    _flip_found_verdict,
+    lambda doc: doc["records"][1].update(splitters=[1]),
+    lambda doc: doc["records"][1].update(result="bogus"),
+    lambda doc: doc.update(note="extra key"),
 ], ids=["config_key", "record_key", "factorization_pair", "record_verdict",
-        "record_splitters", "records_not_list"])
+        "record_splitters", "records_not_list", "found_not_a_splitting", "found_not_reduced",
+        "verdict_flipped",
+        "exhausted_with_splitters", "record_result", "extra_key"])
 def test_scan_resume_malformed_report_is_usage_error(runner, tmp_path, damage):
-    r1 = runner.invoke(main, ["scan", "--k-min", "5", "--k-max", "6", "--out-dir", str(tmp_path)])
-    assert r1.exit_code == 0
-    path = tmp_path / "scan_k5-6.json"
-    doc = certio.read_document(path)
-    damage(doc)
-    certio.write_document(path, doc)
-    r2 = runner.invoke(
-        main,
-        ["scan", "--k-min", "5", "--k-max", "6", "--out-dir", str(tmp_path), "--resume"],
-    )
+    r2 = _damaged_resume(runner, tmp_path, damage)
     assert r2.exit_code == 2
     assert "bad resume report" in r2.output
+
+
+@pytest.mark.parametrize("damage", [
+    _add_record_n17,
+    lambda doc: doc["records"][1].update(factorization=[[2, 3]]),
+], ids=["not_a_candidate", "wrong_factorization"])
+def test_scan_resume_foreign_record_is_usage_error(runner, tmp_path, damage):
+    r2 = _damaged_resume(runner, tmp_path, damage)
+    assert r2.exit_code == 2
+    assert "is not a scan candidate" in r2.output
 
 
 def test_scan_resume_mismatch_is_usage_error(runner, tmp_path):
@@ -225,6 +263,11 @@ def test_tile_bad_box(runner, tmp_path):
     _write_cert(path, trivial_certificate(3))
     result = runner.invoke(main, ["tile", "--cert", str(path), "--box", "0:7,0:7"])
     assert result.exit_code == 2
+    path = tmp_path / "z5.json"  # two splitters, so a box has two axes
+    _write_cert(path, trivial_certificate(2, "order_2k_plus_1"))
+    for box in ("5:0,5:0", "5:0,0:3"):
+        result = runner.invoke(main, ["tile", "--cert", str(path), "--box", box])
+        assert result.exit_code == 2, box
 
 
 def test_check_abcde(runner):
@@ -289,6 +332,7 @@ def test_check_missing_parameters(runner):
     assert runner.invoke(main, ["check", "tw"]).exit_code == 2
     assert runner.invoke(main, ["check", "s87"]).exit_code == 2
     assert runner.invoke(main, ["check", "digits"]).exit_code == 2
+    assert runner.invoke(main, ["check", "digits", "--k", "8"]).exit_code == 2
 
 
 def test_check_writes_report(runner, tmp_path):

@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 from abelsplit import certio
+from abelsplit.scan import scan
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -40,3 +41,11 @@ def test_long_scan_resumes_to_identical_reports(tmp_path):
     assert second.returncode == 0, second.stderr
     assert {p.name: p.read_bytes() for p in sorted(tmp_path.glob("scan_k*.json"))} == before
     assert not list(tmp_path.glob(".*"))
+
+
+def test_long_scan_rejects_unreadable_report(tmp_path):
+    text = certio.dumps_document(certio.scan_report_to_doc(scan(1, 2)))
+    (tmp_path / "scan_k1-2.json").write_text(text[: len(text) // 2])  # a truncated report
+    result = _long_scan(tmp_path)
+    assert result.returncode == 2
+    assert result.stderr.startswith("error: ")

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 import sympy
 
@@ -10,6 +12,7 @@ from abelsplit.scan import (
     ScanReport,
     check_k_ge_n,
     check_k_le_n_minus_2,
+    make_record,
     purely_singular_candidates,
     scan,
 )
@@ -152,6 +155,41 @@ def test_resume_rejects_mismatched_parameters():
         scan(5, 7, resume=full)
     with pytest.raises(ValueError):
         scan(5, 6, config=SearchConfig(node_limit=123), resume=full)
+
+
+def test_resume_rejects_records_outside_the_task_set():
+    full = scan(5, 6)
+
+    def resume_with(records):
+        return ScanReport(full.k_min, full.k_max, full.n_max, full.node_limit,
+                          full.time_limit_s, tuple(records))
+
+    foreign = scan(8, 8, n_max=1).records[0]  # k = 8 lies outside 5..6
+    with pytest.raises(ValueError, match="not a scan candidate"):
+        scan(5, 6, resume=resume_with(full.records + (foreign,)))
+    first = full.records[0]
+    misfactored = dataclasses.replace(
+        first, candidate=dataclasses.replace(first.candidate, smoothness_witness=((2, 3),))
+    )
+    with pytest.raises(ValueError, match="not a scan candidate"):
+        scan(5, 6, resume=resume_with((misfactored,) + full.records[1:]))
+    with pytest.raises(ValueError, match="twice"):
+        scan(5, 6, resume=resume_with(full.records + full.records[:1]))
+
+
+def test_make_record_rules():
+    z6, z16 = CandidateOrder(5, 1, 6, ((2, 1), (3, 1))), CandidateOrder(5, 3, 16, ((2, 4),))
+    stats = SearchStats(1, 1, 0.0)
+    found = make_record(z6, SearchOutcome(FOUND, (1,), stats))
+    assert found.verdict == TRIVIAL_EXPECTED and found.certificate.splitters == ((1,),)
+    exhausted = SearchOutcome(EXHAUSTED, None, stats)
+    assert make_record(z16, exhausted).verdict == CONSISTENT
+    with pytest.raises(RuntimeError):  # a splitting always exists at N = k + 1
+        make_record(z6, exhausted)
+    with pytest.raises(ValueError):  # {1..5} does not split Z6 through {2}
+        make_record(z6, SearchOutcome(FOUND, (2,), stats))
+    with pytest.raises(ValueError):
+        make_record(z16, SearchOutcome("bogus", None, stats))
 
 
 def test_checkpoint_called_per_record():
