@@ -98,9 +98,19 @@ def _parsing(what: str):
 
 
 def _require_written_form(rebuilt: dict, doc: dict, what: str) -> None:
-    """Accept doc only if it is what abelsplit writes for the object rebuilt from it."""
-    if rebuilt != doc:
-        keys = sorted(k for k in rebuilt.keys() | doc.keys() if rebuilt.get(k) != doc.get(k))
+    """Accept doc only if it is what abelsplit writes for the object rebuilt from it.
+
+    Values are compared as JSON text, not as Python objects: True == 1 and
+    5.0 == 5 in Python, but not in the file.
+    """
+    def text(value) -> str:
+        return json.dumps(value, sort_keys=True)
+
+    if text(rebuilt) != text(doc):
+        keys = sorted(
+            key for key in rebuilt.keys() | doc.keys()
+            if key not in rebuilt or key not in doc or text(rebuilt[key]) != text(doc[key])
+        )
         raise DocumentError(f"{what} differs from what abelsplit writes in {', '.join(keys)}")
 
 
@@ -192,11 +202,12 @@ def _record_from_doc(doc) -> ScanRecord:
     """Rebuild a record through make_record, which re-verifies found splitters."""
     with _parsing("scan record"):
         candidate = CandidateOrder(
-            doc["k"], doc["n"], doc["N"], tuple((p, e) for p, e in doc["factorization"])
+            int(doc["k"]), int(doc["n"]), int(doc["N"]),
+            tuple((int(p), int(e)) for p, e in doc["factorization"]),
         )
         splitters = tuple(doc["splitters"]) if doc["result"] == FOUND else None
         outcome = SearchOutcome(
-            doc["result"], splitters, SearchStats(doc["nodes"], doc["max_depth"], 0.0)
+            doc["result"], splitters, SearchStats(int(doc["nodes"]), int(doc["max_depth"]), 0.0)
         )
         record = make_record(candidate, outcome)
     _require_written_form(_record_to_doc(record), doc, f"record k={doc['k']} N={doc['N']}")
@@ -223,10 +234,14 @@ def scan_report_to_doc(report: ScanReport) -> dict:
 def scan_report_from_doc(doc: dict) -> ScanReport:
     with _parsing("scan_report"):
         config = doc["config"]
+        n_max = config["n_max"]
+        records = sorted(
+            (_record_from_doc(r) for r in doc["records"]),
+            key=lambda r: (r.candidate.k, r.candidate.order),
+        )
         report = ScanReport(
-            config["k_min"], config["k_max"], config["n_max"],
-            config["node_limit"], config["time_limit_s"],
-            tuple(_record_from_doc(r) for r in doc["records"]),
+            int(config["k_min"]), int(config["k_max"]), None if n_max is None else int(n_max),
+            int(config["node_limit"]), config["time_limit_s"], tuple(records),
         )
     _require_written_form(scan_report_to_doc(report), doc, "scan_report")
     return report

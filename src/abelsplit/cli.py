@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import os
 import sys
+import time
 from pathlib import Path
 
 import click
@@ -26,6 +27,11 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+
+# A scan checkpoint is skipped until this many times the duration of the
+# previous write has passed since it ended, so checkpoints take at most
+# about 1/(1 + CHECKPOINT_SPACING) of a scan's wall time at any report size.
+CHECKPOINT_SPACING = 9
 
 
 def _fail_usage(message: str) -> None:
@@ -147,8 +153,16 @@ def scan(k_min, k_max, n_max, jobs, out_dir, resume, node_limit, time_limit_s) -
         except certio.DocumentError as exc:
             _fail_usage(f"bad resume report: {exc}")
 
+    next_write = float("-inf")
+
     def checkpoint(partial):
+        nonlocal next_write
+        started = time.monotonic()
+        if started < next_write:
+            return
         certio.write_document(report_path, certio.scan_report_to_doc(partial))
+        ended = time.monotonic()
+        next_write = ended + CHECKPOINT_SPACING * (ended - started)
 
     try:
         report = run_scan(

@@ -11,6 +11,7 @@ translated unit-splitter cosets inside the unit group.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import gcd, prod
 
 from .groups import factorize, is_prime, p_adic_valuation
@@ -103,16 +104,23 @@ class StratificationProfile:
 
 
 def stratify(cert: SplittingCertificate, p: int) -> StratificationProfile:
-    """Count group elements and splitters stratum by stratum, by enumeration."""
+    """Count group elements and splitters stratum by stratum.
+
+    Stratum i holds the elements whose order has p-valuation i. In Z_N with
+    N = p**alpha * m they are counted in closed form: the elements of order
+    prime to p form the subgroup of order m, so |G_0| = m and
+    |G_i| = m * (p**i - p**(i-1)). A group not in cyclic form raises
+    ValueError.
+    """
     G = cert.group
+    n = G.modulus
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if G.order % p != 0:
-        raise ValueError(f"{p} does not divide the group order {G.order}")
-    alpha = p_adic_valuation(G.order, p)
-    g_counts = [0] * (alpha + 1)
-    for g in G.elements():
-        g_counts[p_adic_valuation(G.element_order(g), p)] += 1
+    if n % p != 0:
+        raise ValueError(f"{p} does not divide the group order {n}")
+    alpha = p_adic_valuation(n, p)
+    m = n // p**alpha
+    g_counts = [m] + [m * (p**i - p ** (i - 1)) for i in range(1, alpha + 1)]
     s_counts = [0] * (alpha + 1)
     for s in cert.splitters:
         s_counts[p_adic_valuation(G.element_order(s), p)] += 1
@@ -148,9 +156,9 @@ class AbcdeProfile:
 
     prime_data rows are (q, alpha_q, beta_q): q a prime above p, alpha_q its
     exponent in the coprime part of the group order, beta_q its exponent in
-    m_prime (0 when q does not divide m_prime). Counting is by direct
-    enumeration of the intervals. The two identities and the closed form
-    are guaranteed only when hypothesis_met, i.e. when k - floor(k/p)
+    m_prime (0 when q does not divide m_prime). Counting is by
+    inclusion-exclusion over the primes. The two identities and the closed
+    form are guaranteed only when hypothesis_met, i.e. when k - floor(k/p)
     factors exactly as p**beta * d * prod(q**beta_q).
     """
 
@@ -181,7 +189,13 @@ class AbcdeProfile:
 
 
 def _coprime_count(limit: int, primes: list[int]) -> int:
-    return sum(1 for x in range(1, limit + 1) if all(x % q for q in primes))
+    """#{x in [1, limit] : no q in primes divides x}, by inclusion-exclusion
+    over the distinct primes."""
+    total = 0
+    for size in range(len(primes) + 1):
+        for subset in combinations(primes, size):
+            total += (-1) ** size * (limit // prod(subset))
+    return total
 
 
 def abcde_profile(

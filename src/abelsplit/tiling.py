@@ -238,7 +238,6 @@ def lattice_from_splitting(cert: SplittingCertificate) -> tuple[LatticeHom, Inte
 @dataclass(frozen=True)
 class TilingCertificate:
     shape: ErrorBallShape
-    lattice: IntegerLattice
     hom: LatticeHom | None
     verdict: bool
 
@@ -256,7 +255,7 @@ def verify_lattice_tiling(shape: ErrorBallShape, hom: LatticeHom) -> TilingCerti
         )
     images = {hom.apply(p) for p in shape.points}
     verdict = len(images) == len(shape.points) == hom.modulus
-    return TilingCertificate(shape, kernel_lattice(hom), hom, verdict)
+    return TilingCertificate(shape, hom, verdict)
 
 
 def export_translates(

@@ -2,15 +2,15 @@
 
 These deliberately avoid the library's bitset search and closed forms:
 the splitting oracle works on plain frozensets with no deduplication or
-statistics, the coprime counter uses inclusion-exclusion where the
-library enumerates, and the SNF tiling check diagonalizes a lattice basis
-where the library evaluates a weight map. Agreement between the two routes
-is the point.
+statistics, the coprime counter and the stratification walk every element
+where the library counts in closed form, and the SNF tiling check
+diagonalizes a lattice basis where the library evaluates a weight map.
+Agreement between the two routes is the point.
 """
 
-from itertools import combinations
-from math import prod
-
+from abelsplit.counting import StratificationProfile
+from abelsplit.groups import p_adic_valuation
+from abelsplit.splitting import SplittingCertificate
 from abelsplit.tiling import (
     ErrorBallShape,
     IntegerLattice,
@@ -49,13 +49,23 @@ def naive_splitting_exists(n: int, k: int) -> bool:
     return extend(frozenset())
 
 
-def coprime_count_ie(limit: int, primes: list[int]) -> int:
-    """#{x in [1, limit] : gcd(x, prod(primes)) = 1} by inclusion-exclusion."""
-    total = 0
-    for size in range(len(primes) + 1):
-        for subset in combinations(primes, size):
-            total += (-1) ** size * (limit // prod(subset))
-    return total
+def coprime_count_by_enumeration(limit: int, primes: list[int]) -> int:
+    """#{x in [1, limit] : no q in primes divides x}, by walking the interval."""
+    return sum(1 for x in range(1, limit + 1) if all(x % q for q in primes))
+
+
+def stratify_by_enumeration(cert: SplittingCertificate, p: int) -> StratificationProfile:
+    """Element and splitter counts by p-valuation of element order, by
+    walking every element of the group."""
+    G = cert.group
+    alpha = p_adic_valuation(G.order, p)
+    g_counts = [0] * (alpha + 1)
+    for g in G.elements():
+        g_counts[p_adic_valuation(G.element_order(g), p)] += 1
+    s_counts = [0] * (alpha + 1)
+    for s in cert.splitters:
+        s_counts[p_adic_valuation(G.element_order(s), p)] += 1
+    return StratificationProfile(p, alpha, tuple(g_counts), tuple(s_counts))
 
 
 def smallest_prime_factor_sieve(limit: int) -> list[int]:
@@ -155,4 +165,4 @@ def verify_tiling_by_basis(
         )
         seen.add(image)
     verdict = len(seen) == len(shape.points) == lattice.index
-    return TilingCertificate(shape, lattice, None, verdict)
+    return TilingCertificate(shape, None, verdict)

@@ -78,6 +78,11 @@ def test_malformed_documents_rejected():
     with pytest.raises(certio.DocumentError):
         certio.certificate_from_doc(doc)
 
+    doc = certio.certificate_to_doc(trivial_certificate(24))
+    doc["group_factors"] = [25.0]  # equal to 25 in Python, but not what abelsplit writes
+    with pytest.raises(certio.DocumentError):
+        certio.certificate_from_doc(doc)
+
 
 def test_tampered_splitters_still_parse():
     # a tampered but well-formed certificate must parse so verification can

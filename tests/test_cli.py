@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from click.testing import CliRunner
 
@@ -126,6 +128,28 @@ def test_scan_resume_matches_uninterrupted(runner, tmp_path):
     )
     assert r2.exit_code == 0
     assert (b_dir / "scan_k5-9.json").read_text() == (a_dir / "scan_k5-9.json").read_text()
+    assert not list(b_dir.glob(".*"))  # no temp file left behind
+
+
+def test_scan_checkpoints_are_spaced_by_their_cost(runner, tmp_path, monkeypatch):
+    args = ["scan", "--k-min", "1", "--k-max", "12", "--jobs", "1", "--out-dir"]
+    plain = runner.invoke(main, args + [str(tmp_path / "plain")])
+    assert plain.exit_code == 0
+    write_document = certio.write_document
+    writes = []
+
+    def slow_write(path, doc):
+        writes.append(path)
+        time.sleep(0.02)
+        write_document(path, doc)
+
+    monkeypatch.setattr(certio, "write_document", slow_write)
+    slow = runner.invoke(main, args + [str(tmp_path / "slow")])
+    assert slow.exit_code == 0
+    report = tmp_path / "slow" / "scan_k1-12.json"
+    records = len(certio.read_document(report)["records"])
+    assert 2 <= len(writes) < records / 2  # at least the first checkpoint and the final report
+    assert report.read_bytes() == (tmp_path / "plain" / "scan_k1-12.json").read_bytes()
 
 
 def _flip_found_verdict(doc):
@@ -147,10 +171,13 @@ def _damaged_resume(runner, tmp_path, damage):
     r1 = runner.invoke(main, ["scan", "--k-min", "5", "--k-max", "6", "--out-dir", str(tmp_path)])
     assert r1.exit_code == 0
     path = tmp_path / "scan_k5-6.json"
-    doc = certio.read_document(path)
-    assert [r["N"] for r in doc["records"][:2]] == [6, 16]
-    damage(doc)
-    certio.write_document(path, doc)
+    if isinstance(damage, slice):  # cut the file text itself
+        path.write_text(path.read_text()[damage])
+    else:
+        doc = certio.read_document(path)
+        assert [r["N"] for r in doc["records"][:2]] == [6, 16]
+        damage(doc)
+        certio.write_document(path, doc)
     return runner.invoke(
         main,
         ["scan", "--k-min", "5", "--k-max", "6", "--out-dir", str(tmp_path), "--resume"],
@@ -170,10 +197,15 @@ def _damaged_resume(runner, tmp_path, damage):
     lambda doc: doc["records"][1].update(splitters=[1]),
     lambda doc: doc["records"][1].update(result="bogus"),
     lambda doc: doc.update(note="extra key"),
+    lambda doc: doc["records"][1].update(nodes=True),
+    lambda doc: doc["records"][1].update(k=5.0),
+    lambda doc: doc["records"].reverse(),
+    slice(0, 400),
 ], ids=["config_key", "record_key", "factorization_pair", "record_verdict",
         "record_splitters", "records_not_list", "found_not_a_splitting", "found_not_reduced",
         "verdict_flipped",
-        "exhausted_with_splitters", "record_result", "extra_key"])
+        "exhausted_with_splitters", "record_result", "extra_key",
+        "nodes_bool", "k_float", "records_reversed", "truncated"])
 def test_scan_resume_malformed_report_is_usage_error(runner, tmp_path, damage):
     r2 = _damaged_resume(runner, tmp_path, damage)
     assert r2.exit_code == 2

@@ -1,5 +1,5 @@
 import pytest
-from helpers import coprime_count_ie
+from helpers import coprime_count_by_enumeration, stratify_by_enumeration
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -115,17 +115,26 @@ def test_stratify_rejects_non_divisor():
         stratify(trivial_certificate(8), 5)
 
 
+def test_stratify_rejects_non_cyclic_group():
+    cert = make_certificate(FiniteAbelianGroup((2, 3)), MultiplierSet.interval(5), [(1, 1)])
+    with pytest.raises(ValueError):
+        stratify(cert, 2)
+
+
 def test_stratify_matches_closed_form_on_cyclic_groups():
-    # for Z_{p^alpha * m}: |G_0| = m and |G_i| = p^(i-1) * (p-1) * m
-    for k, which in [(8, "order_k_plus_1"), (24, "order_k_plus_1"),
-                     (12, "order_2k_plus_1"), (40, "order_2k_plus_1")]:
-        cert = trivial_certificate(k, which)
-        for p, alpha in cert.group.order_factorization:
-            m = cert.group.order // p**alpha
-            profile = stratify(cert, p)
-            assert profile.g_counts[0] == m
-            for i in range(1, alpha + 1):
-                assert profile.g_counts[i] == p ** (i - 1) * (p - 1) * m
+    # the library counts in closed form, the oracle walks every element;
+    # S = Z_N minus 0 splits Z_N by M = {1}, so the splitter counts cover
+    # every stratum too
+    certs = [trivial_certificate(k, which) for k, which in [
+        (8, "order_k_plus_1"), (24, "order_k_plus_1"),
+        (12, "order_2k_plus_1"), (40, "order_2k_plus_1"),
+    ]]
+    for n in range(2, 201):
+        certs.append(make_certificate(Z(n), MultiplierSet.explicit([1]),
+                                      [(s,) for s in range(1, n)]))
+    for cert in certs:
+        for p, _ in cert.group.order_factorization:
+            assert stratify(cert, p) == stratify_by_enumeration(cert, p), (cert.group, p)
 
 
 def test_counting_identity_worked_instances():
@@ -191,11 +200,11 @@ def test_abcde_enumeration_matches_inclusion_exclusion():
         profile = abcde_profile(k, p, data)
         qs = [q for q, _, b in data if b >= 1]
         t = k - k // p
-        assert profile.card_a == coprime_count_ie(k, qs)
-        assert profile.card_b == coprime_count_ie(k // p, qs)
-        assert profile.card_c == coprime_count_ie(t, qs)
-        assert profile.card_d == coprime_count_ie(k, [p] + qs)
-        assert profile.card_e == coprime_count_ie(k, [p] + [q for q, _, _ in data])
+        assert profile.card_a == coprime_count_by_enumeration(k, qs)
+        assert profile.card_b == coprime_count_by_enumeration(k // p, qs)
+        assert profile.card_c == coprime_count_by_enumeration(t, qs)
+        assert profile.card_d == coprime_count_by_enumeration(k, [p] + qs)
+        assert profile.card_e == coprime_count_by_enumeration(k, [p] + [q for q, _, _ in data])
 
 
 def test_abcde_validation():
