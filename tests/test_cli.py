@@ -131,6 +131,37 @@ def test_scan_resume_matches_uninterrupted(runner, tmp_path):
     assert not list(b_dir.glob(".*"))  # no temp file left behind
 
 
+def test_scan_killed_after_checkpoint_resumes_to_identical_report(runner, tmp_path, monkeypatch):
+    args = ["scan", "--k-min", "1", "--k-max", "8", "--jobs", "1", "--out-dir"]
+    whole = runner.invoke(main, args + [str(tmp_path / "whole")])
+    assert whole.exit_code == 0
+    expected = (tmp_path / "whole" / "scan_k1-8.json").read_bytes()
+    records = len(certio.read_document(tmp_path / "whole" / "scan_k1-8.json")["records"])
+
+    class Killed(Exception):
+        pass
+
+    write_document = certio.write_document
+
+    def write_then_die(path, doc):
+        write_document(path, doc)
+        raise Killed
+
+    # the first checkpoint lands, then the run dies
+    monkeypatch.setattr(certio, "write_document", write_then_die)
+    cut = runner.invoke(main, args + [str(tmp_path / "cut")])
+    assert isinstance(cut.exception, Killed)
+    report = tmp_path / "cut" / "scan_k1-8.json"
+    checkpoint = certio.scan_report_from_doc(certio.read_document(report))
+    assert 0 < len(checkpoint.records) < records
+
+    monkeypatch.setattr(certio, "write_document", write_document)
+    resumed = runner.invoke(main, args + [str(tmp_path / "cut"), "--resume"])
+    assert resumed.exit_code == 0
+    assert report.read_bytes() == expected
+    assert not list((tmp_path / "cut").glob(".*"))  # no temp file left behind
+
+
 def test_scan_checkpoints_are_spaced_by_their_cost(runner, tmp_path, monkeypatch):
     args = ["scan", "--k-min", "1", "--k-max", "12", "--jobs", "1", "--out-dir"]
     plain = runner.invoke(main, args + [str(tmp_path / "plain")])
