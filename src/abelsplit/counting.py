@@ -11,7 +11,6 @@ translated unit-splitter cosets inside the unit group.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import gcd, prod
 
 from .groups import factorize, is_prime, p_adic_valuation
@@ -190,12 +189,25 @@ class AbcdeProfile:
 
 def _coprime_count(limit: int, primes: list[int]) -> int:
     """#{x in [1, limit] : no q in primes divides x}, by inclusion-exclusion
-    over the distinct primes."""
-    total = 0
-    for size in range(len(primes) + 1):
-        for subset in combinations(primes, size):
-            total += (-1) ** size * (limit // prod(subset))
-    return total
+    over the distinct primes.
+
+    The subsets are walked depth-first in increasing order of their primes,
+    and a branch stops once its product exceeds limit, since every term
+    below it is 0. So the walk visits only products up to limit, however
+    many primes are given.
+    """
+    ordered = sorted(set(primes))
+
+    def terms(start: int, product: int, sign: int) -> int:
+        total = sign * (limit // product)
+        for i in range(start, len(ordered)):
+            extended = product * ordered[i]
+            if extended > limit:
+                break
+            total += terms(i + 1, extended, -sign)
+        return total
+
+    return terms(0, 1, 1)
 
 
 def abcde_profile(

@@ -347,6 +347,18 @@ def test_check_abcde_failing_parameters(runner):
     assert "verdict=fail" in _summary(result)
 
 
+def test_check_abcde_many_primes(runner):
+    # Thirty primes above p: the count must not walk all 2**31 prime subsets.
+    primes = [q for q in range(3, 128) if all(q % d for d in range(2, q))]
+    assert len(primes) == 30
+    result = runner.invoke(
+        main, ["check", "abcde", "--k", "1000", "--p", "2",
+               "--primes", ",".join(f"{q}:1:1" for q in primes)],
+    )
+    assert result.exit_code == 1
+    assert _summary(result) == "check=abcde checks=4 failures=4 verdict=fail"
+
+
 def test_check_digits_single_and_sweep(runner):
     result = runner.invoke(main, ["check", "digits", "--k", "8", "--p", "3"])
     assert result.exit_code == 0

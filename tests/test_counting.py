@@ -196,6 +196,7 @@ def test_abcde_enumeration_matches_inclusion_exclusion():
         (100, 3, ((5, 2, 1), (7, 1, 0))),
         (977, 7, ((11, 3, 2),)),
         (50, 2, ()),
+        (1000, 2, tuple((q, 1, 1) for q in range(3, 128) if is_prime(q))),
     ]:
         profile = abcde_profile(k, p, data)
         qs = [q for q, _, b in data if b >= 1]
