@@ -37,8 +37,6 @@ from .tiling import (
     IntegerLattice,
     LatticeHom,
     TilingCertificate,
-    column_hnf,
-    error_ball,
     export_translates,
     kernel_lattice,
     lattice_from_splitting,

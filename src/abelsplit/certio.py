@@ -30,7 +30,7 @@ from .splitting import (
     canonical_splitters,
     classify_multipliers,
 )
-from .tiling import ErrorBallShape, IntegerLattice, LatticeHom
+from .tiling import ErrorBallShape, IntegerLattice, LatticeHom, kernel_lattice, semi_cross
 
 FORMAT_VERSION = 1
 
@@ -286,7 +286,7 @@ def check_report_doc(check_name: str, inputs: dict, checks: list[dict]) -> dict:
 def tiling_export_text(
     shape: ErrorBallShape,
     lattice: IntegerLattice,
-    hom: LatticeHom | None,
+    hom: LatticeHom,
     translates: list,
 ) -> str:
     """Header line (JSON after '# ') plus one CSV row per translate cell."""
@@ -298,8 +298,8 @@ def tiling_export_text(
         "weight_limit": shape.weight_limit,
         "k_plus": shape.k_plus,
         "k_minus": shape.k_minus,
-        "modulus": hom.modulus if hom is not None else None,
-        "weights": list(hom.weights) if hom is not None else None,
+        "modulus": hom.modulus,
+        "weights": list(hom.weights),
         "basis": [list(row) for row in lattice.basis],
         "index": lattice.index,
         "translates": len(translates),
@@ -314,21 +314,27 @@ def tiling_export_text(
 
 
 def parse_tiling_export(text: str) -> tuple[dict, list[tuple[tuple[int, ...], tuple[int, ...]]]]:
-    """Inverse of tiling_export_text: (header, [(anchor, cell), ...])."""
+    """Inverse of tiling_export_text: (header, [(anchor, cell), ...]).
+
+    The header fixes the semi-cross and the weight map, and so the kernel
+    lattice; each translate's cells follow from its anchor, which must lie
+    in the lattice. The text is accepted only if writing those objects back
+    gives it exactly.
+    """
     lines = text.splitlines()
     if len(lines) < 2 or not lines[0].startswith("# "):
         raise DocumentError("missing tiling export header")
-    try:
+    with _parsing("tiling_export"):
         header = json.loads(lines[0][2:])
-    except json.JSONDecodeError as exc:
-        raise DocumentError(f"bad tiling header: {exc}") from exc
-    if header.get("kind") != "tiling_export":
-        raise DocumentError("not a tiling_export")
-    n = header["dimension"]
-    rows = []
-    for line in lines[2:]:
-        parts = [int(v) for v in line.split(",")]
-        if len(parts) != 2 * n:
-            raise DocumentError(f"bad row width {len(parts)}, expected {2 * n}")
-        rows.append((tuple(parts[:n]), tuple(parts[n:])))
-    return header, rows
+        n = int(header["dimension"])
+        shape = semi_cross(n, int(header["k_plus"]))
+        hom = LatticeHom(int(header["modulus"]), header["weights"])
+        lattice = kernel_lattice(hom)
+        anchors = sorted({tuple(int(v) for v in line.split(",")[:n]) for line in lines[2:]})
+        if not all(lattice.contains(anchor) for anchor in anchors):
+            raise DocumentError("tiling_export has an anchor outside the lattice")
+        translates = [(anchor, shape.at(anchor)) for anchor in anchors]
+        rebuilt = tiling_export_text(shape, lattice, hom, translates)
+    if rebuilt != text:
+        raise DocumentError("tiling_export differs from what abelsplit writes")
+    return header, [(anchor, cell) for anchor, cells in translates for cell in cells]

@@ -209,6 +209,8 @@ def tile(cert_path, box_spec, out) -> None:
         _fail_usage("tiling export needs a certificate over a cyclic group")
     if cert.multipliers.kind != INTERVAL:
         _fail_usage("tiling export needs interval multipliers {1..k}")
+    if not cert.splitters:
+        _fail_usage("tiling export needs at least one splitter; the trivial group has none")
     report = splitting.verify_splitting(cert.group, cert.multipliers, cert.splitters)
     if not report.is_valid:
         click.echo(report.failure.describe())

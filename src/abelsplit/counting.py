@@ -321,15 +321,18 @@ class TwReport:
 def tw_disjointness_check(cert: SplittingCertificate) -> TwReport:
     """Run the coset-packing check on a purely singular interval certificate.
 
-    Requires a cyclic group of order coprime to 6 and multipliers {1..k};
-    anything else is rejected. p is the smallest prime divisor of the
-    order. When m_prime fails to divide m or beta reaches alpha the
-    hypothesis cannot be met and the report says so instead of raising.
+    Requires a nontrivial cyclic group of order coprime to 6 and
+    multipliers {1..k}; anything else is rejected. p is the smallest prime
+    divisor of the order. When m_prime fails to divide m or beta reaches
+    alpha the hypothesis cannot be met and the report says so instead of
+    raising.
     """
     G = cert.group
     n = G.modulus
     if gcd(n, 6) != 1:
         raise ValueError(f"group order {n} is not coprime to 6")
+    if n == 1:
+        raise ValueError("the trivial group has no prime divisor")
     if cert.classification.tag != PURELY_SINGULAR:
         raise ValueError("certificate is not purely singular")
     if cert.multipliers.kind != INTERVAL:

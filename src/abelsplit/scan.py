@@ -139,8 +139,9 @@ def scan(
 ) -> ScanReport:
     """Search every candidate order for every k in [k_min, k_max].
 
-    Records are independent tasks; with jobs > 1 they run in a process pool
-    and are merged in (k, N) order, so parallel and serial runs produce the
+    Records are independent tasks; with jobs > 1 they run in a process pool.
+    Each finished record fills its candidate's slot, and a report lists the
+    filled slots in (k, N) order, so parallel and serial runs produce the
     same report. resume takes a previously written (possibly partial)
     report with identical parameters and skips its completed records; each
     of them must be a distinct candidate of this scan, else ValueError.
@@ -154,30 +155,30 @@ def scan(
         bound = n_max if n_max is not None else 2 * k
         candidates.extend(purely_singular_candidates(k, bound))
 
-    done: dict[tuple[int, int], ScanRecord] = {}
+    slot_of = {c: i for i, c in enumerate(candidates)}
+    slots: list[ScanRecord | None] = [None] * len(candidates)
     if resume is not None:
         mine = (k_min, k_max, n_max, config.node_limit, config.time_limit_s)
         theirs = (resume.k_min, resume.k_max, resume.n_max, resume.node_limit, resume.time_limit_s)
         if mine != theirs:
             raise ValueError(f"resume parameters {theirs} do not match scan parameters {mine}")
-        done = {(r.candidate.k, r.candidate.order): r for r in resume.records}
-        tasks = set(candidates)
-        for c in (r.candidate for r in resume.records):
-            if c not in tasks:
+        for record in resume.records:
+            c = record.candidate
+            if c not in slot_of:
                 raise ValueError(f"resumed record k={c.k} N={c.order} is not a scan candidate")
-        if len(done) < len(resume.records):
-            raise ValueError("resumed report holds a record twice")
-    pending = [(c, config) for c in candidates if (c.k, c.order) not in done]
+            if slots[slot_of[c]] is not None:
+                raise ValueError("resumed report holds a record twice")
+            slots[slot_of[c]] = record
+    pending = [(c, config) for c, record in zip(candidates, slots) if record is None]
 
     def build_report() -> ScanReport:
-        records = tuple(sorted(done.values(), key=lambda r: (r.candidate.k, r.candidate.order)))
         return ScanReport(
             k_min, k_max, n_max, config.node_limit, config.time_limit_s,
-            records, time.monotonic() - started,
+            tuple(r for r in slots if r is not None), time.monotonic() - started,
         )
 
     def take(record: ScanRecord) -> None:
-        done[(record.candidate.k, record.candidate.order)] = record
+        slots[slot_of[record.candidate]] = record
         if checkpoint is not None:
             checkpoint(build_report())
 

@@ -1,18 +1,18 @@
-"""Limited-magnitude error balls, kernel lattices of splittings, and
-verification of the induced lattice tilings of Z^n.
+"""The semi-cross, kernel lattices of splittings, and verification of the
+induced lattice tilings of Z^n.
 
 A splitting of Z_N by {1..k} with splitters s_1..s_n induces the lattice
 L = {x in Z^n : sum x_i s_i = 0 mod N}, and L tiles Z^n by the semi-cross
 with arm length k exactly when the weight map is a bijection from the shape
-onto Z_N. Bases are kept in a fixed column Hermite normal form so equal
-lattices serialize identically.
+onto Z_N. Bases are kept in column Hermite normal form, which is unique, so
+equal lattices serialize identically.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
-from math import comb, prod
+from itertools import product
+from math import prod
 from typing import Sequence
 
 from .splitting import SplittingCertificate
@@ -23,7 +23,11 @@ Matrix = tuple[tuple[int, ...], ...]  # row-major; basis vectors are the columns
 
 @dataclass(frozen=True)
 class ErrorBallShape:
-    """Integer vectors with entries in [-k_minus, k_plus] and bounded support."""
+    """A semi-cross: the origin plus arms 1..k_plus along each positive axis.
+
+    weight_limit (always 1) and k_minus (always 0) name it as the error ball
+    of weight 1 with no negative entries; tiling export headers write them.
+    """
 
     dimension: int
     weight_limit: int
@@ -31,38 +35,23 @@ class ErrorBallShape:
     k_minus: int
     points: tuple[Vector, ...]
 
-
-def error_ball(n: int, t: int, k_plus: int, k_minus: int) -> ErrorBallShape:
-    """The shape of all length-n vectors with entries in [-k_minus, k_plus]
-    and at most t nonzero coordinates, sorted lexicographically."""
-    if not n >= t >= 1:
-        raise ValueError(f"need n >= t >= 1, got n={n}, t={t}")
-    if not k_plus >= k_minus >= 0:
-        raise ValueError(f"need k_plus >= k_minus >= 0, got {k_plus}, {k_minus}")
-    values = [v for v in range(-k_minus, k_plus + 1) if v != 0]
-    points = []
-    for weight in range(t + 1):
-        for support in combinations(range(n), weight):
-            for assign in product(values, repeat=weight):
-                vec = [0] * n
-                for i, v in zip(support, assign):
-                    vec[i] = v
-                points.append(tuple(vec))
-    points.sort()
-    expected = sum(comb(n, j) * (k_plus + k_minus) ** j for j in range(t + 1))
-    assert len(points) == expected
-    return ErrorBallShape(n, t, k_plus, k_minus, tuple(points))
+    def at(self, anchor: Sequence[int]) -> tuple[Vector, ...]:
+        """The cells of the translate anchored at anchor."""
+        return tuple(tuple(a + o for a, o in zip(anchor, p)) for p in self.points)
 
 
 def semi_cross(n: int, k: int) -> ErrorBallShape:
-    """Origin plus arms 1..k along each positive axis; n*k + 1 cells.
+    """Origin plus j*e_i for 1 <= j <= k along each axis i; n*k + 1 cells,
+    sorted lexicographically.
 
     n = 1 gives the degenerate segment {0..k}, the shape matching a
     one-splitter certificate.
     """
     if n < 1 or k < 1:
         raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
-    return error_ball(n, 1, k, 0)
+    origin = (0,) * n
+    arms = [origin[:i] + (j,) + origin[i + 1:] for i in range(n) for j in range(1, k + 1)]
+    return ErrorBallShape(n, 1, k, 0, tuple(sorted([origin] + arms)))
 
 
 @dataclass(frozen=True)
@@ -94,55 +83,6 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     if old_r < 0:
         return -old_r, -old_s, -old_t
     return old_r, old_s, old_t
-
-
-def column_hnf(columns: Sequence[Sequence[int]]) -> Matrix:
-    """Hermite normal form (column style) of the lattice the columns span.
-
-    The result is upper triangular with positive diagonal, and each entry
-    right of the diagonal is reduced modulo the diagonal entry of its row.
-    Requires the columns to span a full-rank lattice.
-    """
-    if not columns:
-        raise ValueError("no columns")
-    n = len(columns[0])
-    cols = [list(c) for c in columns]
-    if any(len(c) != n for c in cols):
-        raise ValueError("ragged columns")
-
-    pivots: list[list[int]] = []
-    work = cols
-    for row in range(n - 1, -1, -1):
-        piv = None
-        rest = []
-        for col in work:
-            if col[row] == 0:
-                rest.append(col)
-            elif piv is None:
-                piv = col
-            else:
-                g, x, y = _xgcd(piv[row], col[row])
-                a, b = piv[row] // g, col[row] // g
-                for r in range(n):
-                    pr, cr = piv[r], col[r]
-                    piv[r] = x * pr + y * cr
-                    col[r] = -b * pr + a * cr
-                rest.append(col)
-        if piv is None:
-            raise ValueError("columns do not span a full-rank lattice")
-        if piv[row] < 0:
-            piv = [-v for v in piv]
-        pivots.append(piv)
-        work = rest
-    pivots.reverse()  # pivots[i] now has its last nonzero entry in row i
-
-    for j in range(n):
-        for i in range(j - 1, -1, -1):
-            q = pivots[j][i] // pivots[i][i]
-            if q:
-                for r in range(i + 1):
-                    pivots[j][r] -= q * pivots[i][r]
-    return tuple(tuple(pivots[j][r] for j in range(n)) for r in range(n))
 
 
 @dataclass(frozen=True)
@@ -191,29 +131,31 @@ class IntegerLattice:
 
 
 def kernel_lattice(hom: LatticeHom) -> IntegerLattice:
-    """HNF basis of {x in Z^n : sum x_i w_i = 0 mod N}.
+    """HNF basis of {x in Z^n : sum x_i w_i = 0 mod N}, built in one pass.
 
-    Appends the modulus as an auxiliary coordinate, computes the integer
-    kernel of the single relation row with unimodular column operations,
-    and drops the auxiliary coordinate; the projection is injective on the
-    kernel, so the n resulting columns generate the lattice exactly.
+    With g_j = gcd(N, w_0..w_j) and g_{-1} = N, column j is a kernel vector
+    supported on coordinates 0..j with the least positive last entry, its
+    diagonal entry g_{j-1} / g_j. The pass keeps coefficients coef with
+    g_{j-1} = sum coef_i w_i (mod N), so -(w_j / g_j) * coef fills the
+    entries above the diagonal, which are then reduced against the earlier
+    columns.
     """
-    n = len(hom.weights)
-    m = n + 1
-    vals = list(hom.weights) + [hom.modulus]
-    u = [[int(i == j) for j in range(m)] for i in range(m)]
-    for j in range(1, m):
-        if vals[j] == 0:
-            continue
-        g, x, y = _xgcd(vals[0], vals[j])
-        a, b = vals[0] // g, vals[j] // g
-        for r in range(m):
-            u0, uj = u[r][0], u[r][j]
-            u[r][0] = x * u0 + y * uj
-            u[r][j] = -b * u0 + a * uj
-        vals[0], vals[j] = g, 0
-    kernel_cols = [[u[r][j] for r in range(n)] for j in range(1, m)]
-    return IntegerLattice(column_hnf(kernel_cols))
+    n, modulus = len(hom.weights), hom.modulus
+    cols: list[list[int]] = []
+    g, coef = modulus, [0] * n
+    for j, w in enumerate(hom.weights):
+        h, x, y = _xgcd(g, w)
+        col = [-(w // h) * c for c in coef[:j]] + [g // h] + [0] * (n - j - 1)
+        for i in range(j - 1, -1, -1):
+            q = col[i] // cols[i][i]
+            if q:
+                for r in range(i + 1):
+                    col[r] -= q * cols[i][r]
+        cols.append(col)
+        coef = [x * c % modulus for c in coef]
+        coef[j] = y % modulus
+        g = h
+    return IntegerLattice(tuple(tuple(col[r] for col in cols) for r in range(n)))
 
 
 def lattice_from_splitting(cert: SplittingCertificate) -> tuple[LatticeHom, IntegerLattice]:
@@ -237,8 +179,6 @@ def lattice_from_splitting(cert: SplittingCertificate) -> tuple[LatticeHom, Inte
 
 @dataclass(frozen=True)
 class TilingCertificate:
-    shape: ErrorBallShape
-    hom: LatticeHom | None
     verdict: bool
 
 
@@ -255,7 +195,7 @@ def verify_lattice_tiling(shape: ErrorBallShape, hom: LatticeHom) -> TilingCerti
         )
     images = {hom.apply(p) for p in shape.points}
     verdict = len(images) == len(shape.points) == hom.modulus
-    return TilingCertificate(shape, hom, verdict)
+    return TilingCertificate(verdict)
 
 
 def export_translates(
@@ -285,7 +225,7 @@ def export_translates(
     for anchor in product(*ranges):
         if not lattice.contains(anchor):
             continue
-        cells = tuple(tuple(a + o for a, o in zip(anchor, p)) for p in shape.points)
+        cells = shape.at(anchor)
         inside = [
             c for c in cells if all(lo <= ci <= hi for ci, (lo, hi) in zip(c, box))
         ]

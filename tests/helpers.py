@@ -165,4 +165,4 @@ def verify_tiling_by_basis(
         )
         seen.add(image)
     verdict = len(seen) == len(shape.points) == lattice.index
-    return TilingCertificate(shape, None, verdict)
+    return TilingCertificate(verdict)

@@ -178,8 +178,21 @@ def test_tiling_export_round_trip():
         (anchor, cell) for anchor, cells in translates for cell in cells
     ]
     assert rows == expected_rows
-    with pytest.raises(certio.DocumentError):
-        certio.parse_tiling_export("no header\n1,2\n")
+    header_line, columns, first, *rest = text.splitlines(keepends=True)
+    no_dimension = header_line.replace('"dimension": 2, ', "")
+    anchor = first.rsplit(",", 2)[0]
+    for bad in (
+        "no header\n1,2\n",
+        no_dimension + columns + first + "".join(rest),  # header lacks dimension
+        "# [1]\n" + columns + first,  # header is not an object
+        header_line + columns + anchor + ",x,0\n" + "".join(rest),  # non-integer cell
+        header_line + columns + anchor + ",7,7\n" + "".join(rest),  # tampered cell
+        certio.tiling_export_text(  # a whole translate off the lattice
+            shape, lattice, hom, sorted(translates + [((0, 1), shape.at((0, 1)))])
+        ),
+    ):
+        with pytest.raises(certio.DocumentError):
+            certio.parse_tiling_export(bad)
 
 
 class _DiskFullFile:

@@ -1,3 +1,4 @@
+import hashlib
 import time
 
 import pytest
@@ -279,16 +280,24 @@ def test_scan_bad_range(runner, tmp_path):
 
 
 def test_tile_export(runner, tmp_path):
-    cert_path = tmp_path / "z5.json"
-    out_path = tmp_path / "tiles.txt"
-    runner.invoke(main, ["search", "-N", "5", "--k", "2", "--out", str(cert_path)])
-    result = runner.invoke(
-        main, ["tile", "--cert", str(cert_path), "--box", "0:9,0:9", "--out", str(out_path)]
-    )
-    assert result.exit_code == 0
-    assert _summary(result) == "verdict=true order=5 anchors=28 cells=100"
-    header, rows = certio.parse_tiling_export(out_path.read_text())
-    assert header["translates"] == 28
+    cases = [  # order, box, anchors, cells, sha256 of the export
+        ("5", "0:9,0:9", 28, 100,
+         "9b9004f4072558c54edc04bb6309c5a7c46b82a1727b1803b07543d3fd48b33e"),
+        ("9", "0:4,0:4,0:4,0:4", 179, 625,  # S = {1, 3, 4, 7}
+         "6034e2e770e90ee09ddc29ff900c9d68d272f1959ba2baa8fb6046b93c350332"),
+    ]
+    for order, box, anchors, cells, digest in cases:
+        cert_path = tmp_path / f"z{order}.json"
+        out_path = tmp_path / f"tiles{order}.txt"
+        runner.invoke(main, ["search", "-N", order, "--k", "2", "--out", str(cert_path)])
+        result = runner.invoke(
+            main, ["tile", "--cert", str(cert_path), "--box", box, "--out", str(out_path)]
+        )
+        assert result.exit_code == 0
+        assert _summary(result) == f"verdict=true order={order} anchors={anchors} cells={cells}"
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
+        header, rows = certio.parse_tiling_export(out_path.read_text())
+        assert header["translates"] == anchors
 
 
 def test_tile_1dim(runner, tmp_path):
@@ -319,6 +328,12 @@ def test_tile_non_cyclic_is_usage_error(runner, tmp_path):
     _write_cert(path, cert)
     result = runner.invoke(main, ["tile", "--cert", str(path), "--box", "0:5,0:5"])
     assert result.exit_code == 2
+    z1 = tmp_path / "z1.json"  # the trivial group: no splitters, no prime divisor
+    assert runner.invoke(main, ["search", "-N", "1", "--k", "1", "--out", str(z1)]).exit_code == 0
+    for args in (["tile", "--cert", str(z1), "--box", "0:3"], ["check", "tw", "--cert", str(z1)]):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: ")
 
 
 def test_tile_bad_box(runner, tmp_path):

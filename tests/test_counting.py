@@ -305,3 +305,5 @@ def test_tw_rejects_outside_hypothesis():
     cert = make_certificate(Z(25), MultiplierSet.explicit(list(range(1, 25))), [(1,)])
     with pytest.raises(ValueError):
         tw_disjointness_check(cert)  # explicit multipliers
+    with pytest.raises(ValueError):
+        tw_disjointness_check(make_certificate(Z(1), MultiplierSet.interval(1), []))  # trivial group

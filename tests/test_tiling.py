@@ -1,7 +1,6 @@
-import random
+from math import gcd
 
 import pytest
-import sympy
 from helpers import verify_tiling_by_basis
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,8 +10,6 @@ from abelsplit.splitting import MultiplierSet, make_certificate, trivial_certifi
 from abelsplit.tiling import (
     IntegerLattice,
     LatticeHom,
-    column_hnf,
-    error_ball,
     export_translates,
     kernel_lattice,
     lattice_from_splitting,
@@ -24,38 +21,23 @@ Z = FiniteAbelianGroup.cyclic
 
 
 def test_error_ball_examples():
-    shape = error_ball(2, 1, 2, 0)
-    assert set(shape.points) == {(0, 0), (1, 0), (2, 0), (0, 1), (0, 2)}
-    cube = error_ball(1, 1, 1, 1)
-    assert set(cube.points) == {(-1,), (0,), (1,)}
-    assert set(error_ball(3, 1, 1, 0).points) == {
+    shape = semi_cross(2, 2)
+    assert shape.points == ((0, 0), (0, 1), (0, 2), (1, 0), (2, 0))
+    assert (shape.weight_limit, shape.k_plus, shape.k_minus) == (1, 2, 0)
+    assert set(semi_cross(3, 1).points) == {
         (0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)
     }
-
-
-def test_error_ball_full_cube_when_t_equals_n():
-    shape = error_ball(2, 2, 1, 1)
-    assert set(shape.points) == {(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)}
-
-
-def test_error_ball_cardinality_formula():
-    from math import comb
-
-    for n, t, kp, km in [(3, 2, 2, 1), (4, 1, 3, 0), (2, 2, 2, 2), (5, 3, 1, 1)]:
-        shape = error_ball(n, t, kp, km)
-        assert len(shape.points) == sum(
-            comb(n, j) * (kp + km) ** j for j in range(t + 1)
-        )
-        assert len(set(shape.points)) == len(shape.points)
+    for n in range(1, 5):
+        for k in range(1, 5):
+            points = semi_cross(n, k).points
+            assert len(set(points)) == len(points) == n * k + 1
+            assert list(points) == sorted(points)
 
 
 def test_error_ball_rejects_bad_parameters():
-    with pytest.raises(ValueError):
-        error_ball(1, 2, 1, 0)
-    with pytest.raises(ValueError):
-        error_ball(2, 1, 0, 1)
-    with pytest.raises(ValueError):
-        error_ball(2, 0, 1, 0)
+    for n, k in [(0, 1), (1, 0), (-1, 2), (2, -1)]:
+        with pytest.raises(ValueError):
+            semi_cross(n, k)
 
 
 def test_semi_cross_sizes():
@@ -96,32 +78,27 @@ def test_integer_lattice_validation():
         IntegerLattice(((0, 1), (0, 1)))  # nonpositive diagonal
 
 
-@given(st.integers(2, 60), st.integers(1, 4), st.data())
+@given(st.integers(1, 10**6), st.integers(1, 6), st.data())
 def test_column_hnf_matches_kernel(n, dim, data):
-    weights = tuple(data.draw(st.integers(0, n - 1)) for _ in range(dim))
+    """The kernel basis is the column HNF of the kernel.
+
+    Its columns lie in the kernel and span a sublattice of index
+    N / gcd(N, w), which is the kernel's own index, so they span the kernel;
+    IntegerLattice accepts only the HNF shape, and the HNF of a lattice is
+    unique.
+    """
+    weights = tuple(data.draw(st.integers(-3 * n, 3 * n)) for _ in range(dim))
     hom = LatticeHom(n, weights)
     lattice = kernel_lattice(hom)
+    assert IntegerLattice(lattice.basis) == lattice
+    for j in range(dim):
+        assert hom.apply([row[j] for row in lattice.basis]) == 0
+    assert lattice.index == n // gcd(n, *weights)
     vectors = [
         tuple(data.draw(st.integers(-100, 100)) for _ in range(dim)) for _ in range(5)
     ]
     for v in vectors:
         assert lattice.contains(v) == (hom.apply(v) == 0)
-
-
-def test_column_hnf_canonical_on_random_bases():
-    rng = random.Random(11)
-    for _ in range(40):
-        dim = rng.randrange(1, 5)
-        while True:
-            cols = [[rng.randrange(-9, 10) for _ in range(dim)] for _ in range(dim)]
-            det = sympy.Matrix(cols).T.det()
-            if det != 0:
-                break
-        basis = column_hnf(cols)
-        lattice = IntegerLattice(basis)  # constructor enforces the HNF shape
-        assert lattice.index == abs(det)
-        for col in cols:
-            assert lattice.contains(col)
 
 
 def test_verify_lattice_tiling_examples():
