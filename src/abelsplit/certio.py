@@ -32,7 +32,7 @@ from .splitting import (
 )
 from .tiling import ErrorBallShape, IntegerLattice, LatticeHom, kernel_lattice, semi_cross
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class DocumentError(ValueError):

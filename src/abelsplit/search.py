@@ -4,10 +4,22 @@ Existence of a splitter set for (Z_N, M) is an exact cover problem: the
 universe is the nonzero residues 1..N-1 and the rows are the product orbits
 {m*s mod N : m in M} of candidate splitters s. Orbits are bitmasks over the
 universe, and one engine, _exact_covers, serves both the first-solution
-search and the all-solutions enumeration. It always branches on the smallest
-uncovered residue and tries candidates in ascending splitter order, so every
-outcome is deterministic and a found solution is the first cover in that
-search order. An exhausted tree is a proof that no splitter set exists.
+search and the all-solutions enumeration. The engine branches on the lowest
+uncovered bit and tries candidates in the given row order, so every outcome
+is deterministic.
+
+search_splitter lays the bits out in branch order: the root residue first,
+which is the first multiplier's (residue 1 for M = {1..k}), then the others
+by descending gcd(x, N), ties by ascending x. A residue with a large gcd
+lies in few clean orbits, so the most constrained residues are decided
+first, the way the counting argument works through the p-strata top-down.
+
+It also fixes 1 in S. If S is a splitter set, residue 1 = m*s for some m
+in M and s in S, so s is a unit and s^-1 * S = m*S is again a splitter set,
+now holding 1. The cover may therefore be taken to hold the row of s = 1,
+the orbit M itself, and that row alone may cover the root residue. A found
+solution is the first cover in this search order (rows by ascending s); an
+exhausted tree is a proof that no splitter set exists.
 """
 
 from __future__ import annotations
@@ -15,7 +27,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
+from math import comb, gcd
 from typing import Iterator, Sequence
 
 from .groups import FiniteAbelianGroup
@@ -77,19 +89,42 @@ def orbit_mask(residues: Sequence[int], s: int, n: int) -> int | None:
     return mask
 
 
-def _candidate_rows(n: int, residues: Sequence[int]) -> list[tuple[int, int]]:
-    """Clean orbit rows (s, mask), ascending s, deduplicated by orbit mask.
+def _candidate_rows(
+    n: int, residues: Sequence[int], budget: _Budget
+) -> list[tuple[int, int]]:
+    """Clean orbit rows (s, mask) in branch-order bits, ascending s.
 
-    Distinct splitters with identical orbits are interchangeable as cover
-    rows; the least one represents the class.
+    Bit 1 is the root residue, the first multiplier's (1 for {1..k}), and
+    bits 2..n-1 are the other residues by descending gcd(x, n), ties by
+    ascending x. Rows are deduplicated by orbit: distinct splitters with
+    identical orbits are interchangeable as cover rows, and the least one
+    represents the class. Only s = 1 may cover the root residue (WLOG 1 in S,
+    see the module docstring). The clock is read about every _TIME_STRIDE
+    orbit elements.
     """
+    if n < 2:
+        return []
+    root = residues[0] or 1  # a multiplier 0 leaves no clean row at all
+    order = sorted((x for x in range(1, n) if x != root), key=lambda x: (-gcd(x, n), x))
+    bit = [0] * n
+    for i, x in enumerate([root] + order, start=1):
+        bit[x] = 1 << i
+    stride = max(1, _TIME_STRIDE // len(residues))
     seen: set[int] = set()
     rows = []
     for s in range(1, n):
-        mask = orbit_mask(residues, s, n)
-        if mask is not None and mask not in seen:
-            seen.add(mask)
-            rows.append((s, mask))
+        if s % stride == 0:
+            budget.check_clock()
+        mask = 0
+        for m in residues:
+            b = bit[m * s % n]
+            if not b or mask & b:  # the orbit hits 0, or repeats
+                break
+            mask |= b
+        else:
+            if mask not in seen and (s == 1 or not mask & 2):
+                seen.add(mask)
+                rows.append((s, mask))
     return rows
 
 
@@ -97,7 +132,8 @@ class _Budget:
     """Node and time budget of one search, with the nodes and depth it used.
 
     A node is one row placement, or one enumerated subset in
-    enumerate_all_splittings. The clock is read every _TIME_STRIDE nodes.
+    enumerate_all_splittings. The clock is read every _TIME_STRIDE nodes, and
+    during setup about every _TIME_STRIDE orbit elements.
     """
 
     __slots__ = ("node_limit", "deadline", "nodes", "max_depth")
@@ -111,11 +147,11 @@ class _Budget:
     def check(self, nodes: int) -> None:
         if nodes >= self.node_limit:
             raise BudgetExceeded("node_limit")
-        if (
-            self.deadline is not None
-            and nodes % _TIME_STRIDE == 0
-            and time.monotonic() > self.deadline
-        ):
+        if nodes % _TIME_STRIDE == 0:
+            self.check_clock()
+
+    def check_clock(self) -> None:
+        if self.deadline is not None and time.monotonic() > self.deadline:
             raise BudgetExceeded("time_limit")
 
     def charge(self) -> None:
@@ -128,13 +164,18 @@ def _exact_covers(
 ) -> Iterator[tuple[int, ...]]:
     """Yield the sorted labels of every exact cover of 1..n-1 by (label, mask) rows.
 
-    The search branches on the smallest uncovered residue and tries the rows
-    holding it in the given order, so covers come out in a fixed order. Rows
+    The search branches on the lowest uncovered bit (the smallest uncovered
+    residue when bit x is residue x) and tries the rows holding it in the
+    given order, so covers come out in a fixed order. Rows
     with equal masks but different labels give distinct covers. Each row
-    placement is one node; BudgetExceeded is raised when the budget runs out.
+    placement is one node; BudgetExceeded is raised when the budget runs out,
+    also while the per-residue index is built.
     """
     cands: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for row in rows:
+    stride = max(1, _TIME_STRIDE // rows[0][1].bit_count()) if rows else 1
+    for i, row in enumerate(rows, start=1):
+        if i % stride == 0:
+            budget.check_clock()
         m = row[1]
         while m:
             low = m & -m
@@ -150,7 +191,7 @@ def _exact_covers(
     nodes, max_depth = budget.nodes, budget.max_depth
     covered = 0
     path: list[tuple[int, int]] = []
-    stack = [iter(cands[1])]  # residue 1 is the first uncovered one
+    stack = [iter(cands[1])]  # bit 1 is the first uncovered one
     try:
         while stack:
             for row in stack[-1]:
@@ -196,7 +237,8 @@ def search_splitter(
     start = time.monotonic()
     budget = _Budget(config, start)
     try:
-        found = next(_exact_covers(n, _candidate_rows(n, M.residues(n)), budget), None)
+        rows = _candidate_rows(n, M.residues(n), budget)
+        found = next(_exact_covers(n, rows, budget), None)
         result = EXHAUSTED if found is None else FOUND
     except BudgetExceeded:
         found, result = None, RESOURCE_LIMIT

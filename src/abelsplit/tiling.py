@@ -11,7 +11,6 @@ equal lattices serialize identically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from math import prod
 from typing import Sequence
 
@@ -129,6 +128,29 @@ class IntegerLattice:
                     v[r] -= q * self.basis[r][i]
         return not any(v)
 
+    def points_in(self, ranges: Sequence[range]) -> list[Vector]:
+        """Lattice points of a box given as one unit-step range per axis, ascending.
+
+        The basis is upper triangular, so the coefficients of the columns
+        after i fix every coordinate after i, and coordinate i then runs
+        through one residue class modulo the diagonal entry d_i: only
+        lattice points are visited.
+        """
+        basis, out = self.basis, []
+
+        def walk(i: int, v: list[int]) -> None:
+            if i < 0:
+                out.append(tuple(v))
+                return
+            d, r = basis[i][i], ranges[i]
+            for x in range(r.start + (v[i] - r.start) % d, r.stop, d):
+                q = (x - v[i]) // d
+                walk(i - 1, [v[j] + q * basis[j][i] for j in range(i)] + [x] + v[i + 1:])
+
+        walk(self.dimension - 1, [0] * self.dimension)
+        out.sort()
+        return out
+
 
 def kernel_lattice(hom: LatticeHom) -> IntegerLattice:
     """HNF basis of {x in Z^n : sum x_i w_i = 0 mod N}, built in one pass.
@@ -222,9 +244,7 @@ def export_translates(
     ]
     out = []
     covered: dict[Vector, Vector] = {}
-    for anchor in product(*ranges):
-        if not lattice.contains(anchor):
-            continue
+    for anchor in lattice.points_in(ranges):
         cells = shape.at(anchor)
         inside = [
             c for c in cells if all(lo <= ci <= hi for ci, (lo, hi) in zip(c, box))

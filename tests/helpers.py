@@ -5,11 +5,15 @@ the splitting oracle works on plain frozensets with no deduplication or
 statistics, the coprime counter and the stratification walk every element
 where the library counts in closed form, and the SNF tiling check
 diagonalizes a lattice basis where the library evaluates a weight map.
+The one exception, the natural-order search, runs the library's engine on
+purpose: it checks the branch order and the rule fixing 1 in S, so it
+keeps everything else and drops those two.
 Agreement between the two routes is the point.
 """
 
 from abelsplit.counting import StratificationProfile
 from abelsplit.groups import p_adic_valuation
+from abelsplit.search import SearchConfig, _Budget, _exact_covers, orbit_mask
 from abelsplit.splitting import SplittingCertificate
 from abelsplit.tiling import (
     ErrorBallShape,
@@ -47,6 +51,24 @@ def naive_splitting_exists(n: int, k: int) -> bool:
         return False
 
     return extend(frozenset())
+
+
+def natural_order_search(n: int, k: int) -> tuple[int, ...] | None:
+    """The first splitter set for {1..k} in natural order, or None when the
+    tree is exhausted.
+
+    Bit x is residue x, so the engine branches on the smallest uncovered
+    residue, and every clean orbit class is a row: no rule fixes 1 in S.
+    """
+    residues = [m % n for m in range(1, k + 1)]
+    seen, rows = set(), []
+    for s in range(1, n):
+        mask = orbit_mask(residues, s, n)
+        if mask is not None and mask not in seen:
+            seen.add(mask)
+            rows.append((s, mask))
+    budget = _Budget(SearchConfig(time_limit_s=None), 0.0)
+    return next(_exact_covers(n, rows, budget), None)
 
 
 def coprime_count_by_enumeration(limit: int, primes: list[int]) -> int:

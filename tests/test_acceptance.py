@@ -88,10 +88,10 @@ def test_desk_scan_report_is_pinned(desk_scan):
     # with a format_version bump.
     text = certio.dumps_document(certio.scan_report_to_doc(desk_scan))
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "d09a582d201b90949845b2917adb14e793ed032514499382064d72d1765101f4"
+        "ae02439f23bfb2e8db178ce204d42002bc1327bd121ced9eaf2702597e06d595"
     )
-    assert sum(r.outcome.stats.nodes for r in desk_scan.records) == 2_662_740
-    assert max(r.outcome.stats.max_depth for r in desk_scan.records) == 15
+    assert sum(r.outcome.stats.nodes for r in desk_scan.records) == 26_671
+    assert max(r.outcome.stats.max_depth for r in desk_scan.records) == 7
 
 
 def test_named_nonexistence_instances():

@@ -1,13 +1,20 @@
+import time
+from itertools import combinations
+
 import pytest
-from helpers import naive_splitting_exists
+from helpers import naive_splitting_exists, natural_order_search
 
 from abelsplit.groups import FiniteAbelianGroup
+from abelsplit.scan import purely_singular_candidates
 from abelsplit.search import (
     EXHAUSTED,
     FOUND,
     RESOURCE_LIMIT,
     BudgetExceeded,
     SearchConfig,
+    _Budget,
+    _candidate_rows,
+    _exact_covers,
     enumerate_all_splittings,
     orbit_mask,
     search_splitter,
@@ -87,6 +94,61 @@ def test_oracle_equivalence_up_to_40():
             engine = run(n, k).result
             assert engine in (FOUND, EXHAUSTED)
             assert (engine == FOUND) == naive_splitting_exists(n, k), (n, k)
+
+
+def test_branch_order_keeps_every_scan_verdict():
+    """Every candidate of scan(1, 20) gets the same verdict from the search
+    with the branch order and 1 fixed in S as from the natural-order search,
+    and every splitter set it finds holds 1."""
+    decided = 0
+    for k in range(1, 21):
+        for cand in purely_singular_candidates(k, 2 * k):
+            out = run(cand.order, k)
+            oracle = natural_order_search(cand.order, k)
+            assert out.result == (EXHAUSTED if oracle is None else FOUND), (k, cand.order)
+            assert out.result != FOUND or 1 in out.splitters, (k, cand.order)
+            decided += 1
+    assert decided == 97
+
+
+def test_explicit_multipliers_agree_with_enumeration():
+    """Fixing 1 in S holds for any M: search finds a splitter set, holding 1,
+    for exactly the multiplier sets enumerate_all_splittings pairs with one."""
+    for n in (9, 13):
+        for size in [d for d in range(1, n) if (n - 1) % d == 0]:
+            with_splitting = {c.multipliers.values for c in enumerate_all_splittings(n, size)}
+            for values in combinations(range(1, n), size):
+                mult = MultiplierSet.explicit(values)
+                out = search_splitter(Z(n), mult)
+                assert out.found == (values in with_splitting), (n, values)
+                if out.found:
+                    assert 1 in out.splitters
+                    assert verify_splitting(Z(n), mult, [(s,) for s in out.splitters]).is_valid
+
+
+def test_deepest_strata_first_node_bound():
+    # 1,055,708 nodes in the natural order with no rule fixing 1 in S
+    out = run(1771, 30)
+    assert out.result == EXHAUSTED
+    assert out.stats.nodes <= 2_000
+
+
+def test_time_limit_holds_during_setup():
+    # building the rows and the index of Z_17956 takes seconds; the clock
+    # must be read while they are built, before the first node
+    t0 = time.monotonic()
+    out = run(17956, 95, time_limit_s=0.05)
+    assert out.result == RESOURCE_LIMIT
+    assert out.stats.nodes == 0
+    assert time.monotonic() - t0 < 2.0
+
+
+def test_time_limit_holds_while_indexing():
+    rows = _candidate_rows(3001, range(1, 31), _Budget(SearchConfig(time_limit_s=None), 0.0))
+    expired = _Budget(SearchConfig(time_limit_s=0.0), time.monotonic() - 1.0)
+    with pytest.raises(BudgetExceeded, match="time_limit"):
+        next(_exact_covers(3001, rows, expired))
+    assert expired.nodes == 0
 
 
 def test_enumerate_examples_n3():

@@ -1,3 +1,4 @@
+from itertools import product
 from math import gcd
 
 import pytest
@@ -99,6 +100,19 @@ def test_column_hnf_matches_kernel(n, dim, data):
     ]
     for v in vectors:
         assert lattice.contains(v) == (hom.apply(v) == 0)
+
+
+@given(st.integers(1, 60), st.integers(1, 4), st.data())
+def test_points_in_matches_membership(n, dim, data):
+    """Stepping the triangular basis visits exactly the lattice points of the
+    box, in ascending order."""
+    weights = tuple(data.draw(st.integers(-3 * n, 3 * n)) for _ in range(dim))
+    lattice = kernel_lattice(LatticeHom(n, weights))
+    ranges = []
+    for _ in range(dim):
+        lo = data.draw(st.integers(-30, 30))
+        ranges.append(range(lo, lo + data.draw(st.integers(0, 12 if dim < 4 else 5))))
+    assert lattice.points_in(ranges) == [p for p in product(*ranges) if lattice.contains(p)]
 
 
 def test_verify_lattice_tiling_examples():
