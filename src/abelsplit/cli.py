@@ -53,6 +53,11 @@ def _budget_options(f):
 
 
 def _config(node_limit, time_limit_s) -> searchlib.SearchConfig:
+    """The search budget; exits 2 unless node_limit >= 1 and time_limit_s >= 0."""
+    if node_limit is not None and node_limit < 1:
+        _fail_usage(f"--node-limit must be >= 1, got {node_limit}")
+    if time_limit_s is not None and not time_limit_s >= 0:  # also rejects nan
+        _fail_usage(f"--time-limit must be >= 0, got {time_limit_s}")
     base = searchlib.SearchConfig()
     return searchlib.SearchConfig(
         node_limit=node_limit if node_limit is not None else base.node_limit,
@@ -139,11 +144,11 @@ def scan(k_min, k_max, n_max, jobs, out_dir, resume, node_limit, time_limit_s) -
     """Scan candidate orders for every k in [k-min, k-max]."""
     if k_min < 1 or k_min > k_max:
         _fail_usage(f"bad k range [{k_min}, {k_max}]")
+    config = _config(node_limit, time_limit_s)
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
     report_path = out_path / f"scan_k{k_min}-{k_max}.json"
     table_path = out_path / f"scan_k{k_min}-{k_max}.csv"
-    config = _config(node_limit, time_limit_s)
     resume_report = None
     if resume:
         try:
@@ -338,6 +343,7 @@ def _check_s87(order, config):
 @_budget_options
 def check(name, k, p, primes, cert_path, order, k_max, p_max, out, node_limit, time_limit_s):
     """Run a named arithmetic check and write its report."""
+    config = _config(node_limit, time_limit_s)
     try:
         if name == "abcde":
             if k is None or p is None:
@@ -363,7 +369,7 @@ def check(name, k, p, primes, cert_path, order, k_max, p_max, out, node_limit, t
         else:  # s87
             if order is None:
                 _fail_usage("check s87 needs --order")
-            inputs, checks = _check_s87(order, _config(node_limit, time_limit_s))
+            inputs, checks = _check_s87(order, config)
     except searchlib.BudgetExceeded as exc:
         click.echo(f"result=resource_limit reason={exc}")
         sys.exit(EXIT_RESOURCE)

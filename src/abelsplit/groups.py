@@ -169,10 +169,13 @@ class FiniteAbelianGroup:
 
     def element(self, coords: Iterable[int]) -> Element:
         """Canonical element: coordinates reduced modulo their factors."""
-        coords = tuple(int(c) for c in coords)
-        if len(coords) != len(self.factors):
-            raise ValueError(f"expected {len(self.factors)} coordinates, got {len(coords)}")
-        return tuple(c % d for c, d in zip(coords, self.factors))
+        coords = tuple(coords)
+        factors = self.factors
+        if len(coords) != len(factors):
+            raise ValueError(f"expected {len(factors)} coordinates, got {len(coords)}")
+        if len(factors) == 1:
+            return (int(coords[0]) % factors[0],)
+        return tuple(int(c) % d for c, d in zip(coords, factors))
 
     def elements(self) -> Iterator[Element]:
         """All elements, in lexicographic coordinate order."""

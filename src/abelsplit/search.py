@@ -31,7 +31,7 @@ from math import comb, gcd
 from typing import Iterator, Sequence
 
 from .groups import FiniteAbelianGroup
-from .splitting import MultiplierSet, SplittingCertificate, make_certificate
+from .splitting import MultiplierSet, SplittingCertificate, classify_multipliers, make_certificate
 
 FOUND = "found"
 EXHAUSTED = "exhausted_no_solution"
@@ -276,15 +276,18 @@ def enumerate_all_splittings(
             mask = orbit_mask(fixed, x, n)
             if mask is not None:
                 rows.append((x, mask))
-        # The covers of one multiplier subset share its MultiplierSet: one
-        # object per certificate would add about 10% to the peak memory of
-        # `check s87 -N 27`.
-        shared = MultiplierSet.explicit(fixed) if fix_multipliers else None
+        # The covers of one multiplier subset share its MultiplierSet and its
+        # classification. In the peak memory of `check s87 -N 27`, one
+        # MultiplierSet per certificate would add about 10%, and one
+        # classification per certificate about 17% (106 MB against 91 MB).
+        if fix_multipliers:
+            mult = MultiplierSet.explicit(fixed)
+            classification = classify_multipliers(group, mult)
         for labels in _exact_covers(n, rows, budget):
-            if shared is None:
-                mult, s_vals = MultiplierSet.explicit(labels), fixed
+            if fix_multipliers:
+                s_vals = labels
             else:
-                mult, s_vals = shared, labels
-            out.append(make_certificate(group, mult, [(s,) for s in s_vals]))
+                mult, classification, s_vals = MultiplierSet.explicit(labels), None, fixed
+            out.append(make_certificate(group, mult, [(s,) for s in s_vals], classification))
     out.sort(key=lambda c: (c.multipliers.values, c.splitters))
     return out

@@ -129,6 +129,9 @@ class VerificationReport:
         return self.verdict == VALID
 
 
+_VALID = VerificationReport(VALID)
+
+
 def canonical_splitters(G: FiniteAbelianGroup, elements: Iterable) -> tuple[Element, ...]:
     """Reduce, sort, and reject duplicate splitters."""
     elems = [G.element(e) for e in elements]
@@ -143,15 +146,41 @@ def verify_splitting(
 ) -> VerificationReport:
     """Check that the products m*s cover every nonzero element exactly once.
 
-    Products are scanned splitter-major, multiplier-minor, both ascending,
-    and the first offending product is reported, so failure reports are
-    reproducible. A size mismatch |M|*|S| != |G|-1 short-circuits. Once the
-    count matches, |G|-1 nonzero products without a collision are every
-    nonzero element, so coverage needs no separate pass.
+    The splitters are canonicalized once. A size mismatch |M|*|S| != |G|-1
+    short-circuits. Otherwise all |M|*|S| products are computed in one pass,
+    on the int residue for a cyclic group, and accepted when none is zero
+    and all are distinct: once the count matches, |G|-1 distinct nonzero
+    products are every nonzero element, so coverage needs no separate pass.
+    Only a rejected set is scanned again, splitter-major, multiplier-minor,
+    both ascending, and the first offending product is reported, so failure
+    reports are reproducible.
     """
-    S = canonical_splitters(G, splitters)
+    return _check_products(G, M, canonical_splitters(G, splitters))
+
+
+def _check_products(
+    G: FiniteAbelianGroup, M: MultiplierSet, S: tuple[Element, ...]
+) -> VerificationReport:
+    """verify_splitting on splitters S that are already canonical."""
     if len(M) * len(S) != G.order - 1:
         return VerificationReport(INVALID, VerificationFailure("count_mismatch"))
+    if G.is_cyclic:
+        n = G.factors[0]
+        xs = [m * s % n for (s,) in S for m in M.values]
+        zero = 0
+    else:
+        xs = [G.scalar_mul(m, s) for s in S for m in M.values]
+        zero = G.identity()
+    if zero not in xs and len(set(xs)) == len(xs):
+        return _VALID
+    return _scan_in_order(G, M, S)
+
+
+def _scan_in_order(
+    G: FiniteAbelianGroup, M: MultiplierSet, S: tuple[Element, ...]
+) -> VerificationReport:
+    """Products splitter-major, multiplier-minor; the first that is zero or
+    repeats an earlier one is reported. Only rejected sets reach it."""
     zero = G.identity()
     seen: dict[Element, tuple[int, Element]] = {}
     for s in S:
@@ -168,7 +197,7 @@ def verify_splitting(
                     VerificationFailure("collision", element=x, first=prev, second=(m, s)),
                 )
             seen[x] = (m, s)
-    return VerificationReport(VALID)
+    return _VALID
 
 
 @dataclass(frozen=True)
@@ -182,15 +211,23 @@ class SplittingCertificate:
 
 
 def make_certificate(
-    G: FiniteAbelianGroup, M: MultiplierSet, splitters: Iterable
+    G: FiniteAbelianGroup, M: MultiplierSet, splitters: Iterable,
+    classification: SingularityClass | None = None,
 ) -> SplittingCertificate:
-    """Verify, classify, and package; raises ValueError on a non-splitting."""
-    report = verify_splitting(G, M, splitters)
+    """Verify, classify, and package; raises ValueError on a non-splitting.
+
+    The splitters are canonicalized once, and that tuple is both verified
+    (by the one-pass check of verify_splitting) and stored. classification,
+    when given, must be classify_multipliers(G, M): it lets a caller that
+    certifies many splitter sets for one M classify M once.
+    """
+    S = canonical_splitters(G, splitters)
+    report = _check_products(G, M, S)
     if not report.is_valid:
         raise ValueError(f"not a splitting of {G}: {report.failure.describe()}")
-    return SplittingCertificate(
-        G, M, canonical_splitters(G, splitters), classify_multipliers(G, M)
-    )
+    if classification is None:
+        classification = classify_multipliers(G, M)
+    return SplittingCertificate(G, M, S, classification)
 
 
 def trivial_certificate(k: int, which: str = ORDER_K_PLUS_1) -> SplittingCertificate:

@@ -5,6 +5,9 @@ the splitting oracle works on plain frozensets with no deduplication or
 statistics, the coprime counter and the stratification walk every element
 where the library counts in closed form, and the SNF tiling check
 diagonalizes a lattice basis where the library evaluates a weight map.
+The element-wise verifier reduces, sorts and checks splitters one tuple
+product at a time, the way verification worked before it accepted a
+splitting in one pass over all products.
 The one exception, the natural-order search, runs the library's engine on
 purpose: it checks the branch order and the rule fixing 1 in S, so it
 keeps everything else and drops those two.
@@ -12,9 +15,16 @@ Agreement between the two routes is the point.
 """
 
 from abelsplit.counting import StratificationProfile
-from abelsplit.groups import p_adic_valuation
+from abelsplit.groups import FiniteAbelianGroup, p_adic_valuation
 from abelsplit.search import SearchConfig, _Budget, _exact_covers, orbit_mask
-from abelsplit.splitting import SplittingCertificate
+from abelsplit.splitting import (
+    INVALID,
+    VALID,
+    MultiplierSet,
+    SplittingCertificate,
+    VerificationFailure,
+    VerificationReport,
+)
 from abelsplit.tiling import (
     ErrorBallShape,
     IntegerLattice,
@@ -69,6 +79,46 @@ def natural_order_search(n: int, k: int) -> tuple[int, ...] | None:
             rows.append((s, mask))
     budget = _Budget(SearchConfig(time_limit_s=None), 0.0)
     return next(_exact_covers(n, rows, budget), None)
+
+
+def verify_splitting_by_elements(
+    G: FiniteAbelianGroup, M: MultiplierSet, splitters
+) -> VerificationReport:
+    """verify_splitting, one element tuple at a time.
+
+    Splitters are reduced coordinate-wise (ValueError on a wrong coordinate
+    count or on duplicates after reduction) and sorted; then every product
+    m*s is built through G.scalar_mul, splitter-major, multiplier-minor,
+    and the first zero or repeated product is reported.
+    """
+    elems = []
+    for e in splitters:
+        coords = tuple(int(c) for c in e)
+        if len(coords) != len(G.factors):
+            raise ValueError(f"expected {len(G.factors)} coordinates, got {len(coords)}")
+        elems.append(tuple(c % d for c, d in zip(coords, G.factors)))
+    S = tuple(sorted(set(elems)))
+    if len(S) != len(elems):
+        raise ValueError("duplicate splitters")
+    if len(M) * len(S) != G.order - 1:
+        return VerificationReport(INVALID, VerificationFailure("count_mismatch"))
+    zero = G.identity()
+    seen = {}
+    for s in S:
+        for m in M:
+            x = G.scalar_mul(m, s)
+            if x == zero:
+                return VerificationReport(
+                    INVALID, VerificationFailure("zero_hit", element=x, first=(m, s))
+                )
+            prev = seen.get(x)
+            if prev is not None:
+                return VerificationReport(
+                    INVALID,
+                    VerificationFailure("collision", element=x, first=prev, second=(m, s)),
+                )
+            seen[x] = (m, s)
+    return VerificationReport(VALID)
 
 
 def coprime_count_by_enumeration(limit: int, primes: list[int]) -> int:

@@ -64,6 +64,16 @@ def test_malformed_documents_rejected():
         certio.certificate_from_doc(doc)
 
     doc = _valid_doc()
+    doc["splitters"] = [[True]]  # reduces to [1], but not what abelsplit writes
+    with pytest.raises(certio.DocumentError):
+        certio.certificate_from_doc(doc)
+
+    doc = _valid_doc()
+    doc["splitters"] = [[1, 2]]  # two coordinates for one factor
+    with pytest.raises(certio.DocumentError):
+        certio.certificate_from_doc(doc)
+
+    doc = _valid_doc()
     doc["classification"]["tag"] = "nonsingular"  # contradicts group and multipliers
     with pytest.raises(certio.DocumentError):
         certio.certificate_from_doc(doc)

@@ -6,7 +6,13 @@ from click.testing import CliRunner
 
 from abelsplit import certio
 from abelsplit.cli import main
-from abelsplit.splitting import trivial_certificate
+from abelsplit.groups import FiniteAbelianGroup
+from abelsplit.splitting import (
+    MultiplierSet,
+    SplittingCertificate,
+    classify_multipliers,
+    trivial_certificate,
+)
 
 
 @pytest.fixture
@@ -39,6 +45,26 @@ def test_verify_tampered(runner, tmp_path):
     result = runner.invoke(main, ["verify", str(path)])
     assert result.exit_code == 1
     assert "verdict=invalid" in result.output
+
+
+@pytest.mark.parametrize("splitters, lines", [
+    (((1,), (4,), (7,)), ["element (2,) reached by both (2, (1,)) and (3, (4,))",
+                          "verdict=invalid failure=collision"]),
+    (((1,), (5,), (7,)), ["product 2 * (5,) is the identity",
+                          "verdict=invalid failure=zero_hit"]),
+    (((1,), (4,)), ["count mismatch: |M| * |S| != |G| - 1",
+                    "verdict=invalid failure=count_mismatch"]),
+])
+def test_verify_failure_lines(runner, tmp_path, splitters, lines):
+    group, multipliers = FiniteAbelianGroup.cyclic(10), MultiplierSet.interval(3)
+    cert = SplittingCertificate(
+        group, multipliers, splitters, classify_multipliers(group, multipliers)
+    )
+    path = tmp_path / "bad.json"
+    _write_cert(path, cert)
+    result = runner.invoke(main, ["verify", str(path)])
+    assert result.exit_code == 1
+    assert result.output.splitlines() == lines
 
 
 def test_verify_empty_file(runner, tmp_path):
@@ -88,6 +114,37 @@ def test_search_budget_exit_code(runner, tmp_path):
 
 
 def test_search_env_budget_override(runner):
+    result = runner.invoke(
+        main, ["search", "-N", "5", "--k", "2"], env={"ABELSPLIT_NODE_LIMIT": "1"}
+    )
+    assert result.exit_code == 3
+
+
+@pytest.mark.parametrize("args, env", [
+    (["--node-limit", "0"], {}),
+    (["--node-limit", "-5"], {}),
+    (["--time-limit", "-1"], {}),
+    (["--time-limit", "nan"], {}),
+    ([], {"ABELSPLIT_NODE_LIMIT": "0"}),
+    ([], {"ABELSPLIT_TIME_LIMIT": "-0.5"}),
+])
+def test_budgets_out_of_range_are_usage_errors(runner, tmp_path, args, env):
+    commands = (
+        ["scan", "--k-min", "1", "--k-max", "4", "--out-dir", str(tmp_path / "scan")],
+        ["search", "-N", "5", "--k", "2"],
+        ["check", "s87", "-N", "9"],
+        ["check", "abcde", "--k", "8", "--p", "3"],
+    )
+    for command in commands:
+        result = runner.invoke(main, command + args, env=env)
+        assert result.exit_code == 2, (command, result.output)
+        assert "error: --" in result.output
+    assert not (tmp_path / "scan").exists()
+
+
+def test_budget_bounds_are_accepted(runner):
+    result = runner.invoke(main, ["search", "-N", "5", "--k", "2", "--time-limit", "0"])
+    assert result.exit_code == 0
     result = runner.invoke(
         main, ["search", "-N", "5", "--k", "2"], env={"ABELSPLIT_NODE_LIMIT": "1"}
     )

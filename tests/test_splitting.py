@@ -1,5 +1,9 @@
+import re
+from math import gcd
+
 import pytest
-from hypothesis import given
+from helpers import verify_splitting_by_elements
+from hypothesis import event, example, given
 from hypothesis import strategies as st
 
 from abelsplit.groups import FiniteAbelianGroup
@@ -65,12 +69,88 @@ def test_verify_count_mismatch():
 def test_verify_rejects_duplicate_splitters():
     with pytest.raises(ValueError):
         verify_splitting(Z(10), MultiplierSet.interval(3), [(1,), (11,), (7,)])
+    m = MultiplierSet.interval(4)
+    for check in (verify_splitting, make_certificate):
+        with pytest.raises(ValueError, match="^duplicate splitters$"):
+            check(Z(9), m, [(1,), (10,)])  # equal only after reduction
+        with pytest.raises(ValueError, match="^expected 1 coordinates, got 2$"):
+            check(Z(9), m, [(1, 2)])
 
 
 def test_verify_non_cyclic_group():
     g = FiniteAbelianGroup((2, 3))
     report = verify_splitting(g, MultiplierSet.interval(5), [(1, 1)])
     assert report.is_valid
+
+
+NON_CYCLIC = [FiniteAbelianGroup(f) for f in ((2, 3), (3, 3), (2, 4))]
+
+
+@st.composite
+def verification_inputs(draw):
+    """A group, explicit multipliers and splitters, unreduced.
+
+    Either a known splitting of Z_n, M = {1..k} and S = {u, -u} for a unit u
+    and k = (n-1)/2, or S = {u} and k = n-1; or a random M with |M| dividing
+    |G| - 1 and |S| mostly the matching count. Both sides use negative
+    representatives and values >= |G|; M sometimes holds a multiple of |G|,
+    and S sometimes holds 0 or repeats an element up to reduction.
+    """
+    G = draw(st.one_of(st.integers(2, 60).map(Z), st.sampled_from(NON_CYCLIC)))
+    n = G.order
+    shift = st.integers(-2, 2)
+    if G.is_cyclic and draw(st.integers(0, 3)) == 0:
+        u = draw(st.sampled_from([x for x in range(1, n) if gcd(x, n) == 1]))
+        k, elements = n - 1, [(u,)]
+        if n % 2 and draw(st.booleans()):
+            k, elements = (n - 1) // 2, [(u,), (n - u,)]
+        values = [r + draw(shift) * n for r in range(1, k + 1)]
+    else:
+        size_m = draw(st.sampled_from([d for d in range(1, n) if (n - 1) % d == 0]))
+        size_s = max(0, (n - 1) // size_m + draw(st.sampled_from([0, 0, 0, 1, -1])))
+        pairs = draw(st.sets(st.tuples(st.integers(1, n - 1), shift),
+                             min_size=size_m, max_size=size_m))
+        values = [r + t * n for r, t in pairs]
+        if draw(st.integers(0, 9)) == 0:
+            values.append(draw(st.sampled_from([-2, -1, 1, 2])) * n)
+        elements = draw(st.permutations(list(G.elements())[1:]))[:size_s]
+        if elements and draw(st.integers(0, 9)) == 0:
+            elements[-1] = G.identity()
+        if elements and draw(st.integers(0, 9)) == 0:
+            elements[-1] = elements[0]
+    splitters = [tuple(c + draw(shift) * d for c, d in zip(e, G.factors)) for e in elements]
+    return G, MultiplierSet.explicit(values), splitters
+
+
+def _fields(report):
+    f = report.failure
+    if f is None:
+        return report.verdict, None
+    return report.verdict, f.kind, f.element, f.first, f.second
+
+
+@given(verification_inputs())
+@example((Z(5), MultiplierSet.explicit([6, -3]), [(-4,), (9,)]))  # valid
+@example((Z(10), MultiplierSet.explicit([1, 12, -7]), [(1,), (4,), (7,)]))  # collision
+@example((Z(10), MultiplierSet.explicit([1, 2, 3]), [(1,), (15,), (-3,)]))  # zero hit
+@example((Z(9), MultiplierSet.explicit([9, 1]), [(1,), (2,), (3,), (4,)]))  # m = |G|
+@example((Z(10), MultiplierSet.interval(3), [(1,), (4,)]))  # count mismatch
+@example((Z(9), MultiplierSet.interval(4), [(1,), (10,)]))  # duplicate after reduction
+@example((FiniteAbelianGroup((2, 3)), MultiplierSet.explicit([7, 2, 3, -2, 5]),
+          [(-1, 4)]))  # valid
+@example((FiniteAbelianGroup((2, 4)), MultiplierSet.explicit([1, -1, 3, 9, 11, 13, 2]),
+          [(1, 1)]))  # collision
+def test_verify_matches_element_oracle(inputs):
+    G, M, splitters = inputs
+    try:
+        expected = verify_splitting_by_elements(G, M, splitters)
+    except ValueError as exc:
+        event("ValueError")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            verify_splitting(G, M, splitters)
+        return
+    event(expected.failure.kind if expected.failure else expected.verdict)
+    assert _fields(verify_splitting(G, M, splitters)) == _fields(expected)
 
 
 def test_trivial_group_certificate():
