@@ -144,6 +144,10 @@ def scan(k_min, k_max, n_max, jobs, out_dir, resume, node_limit, time_limit_s) -
     """Scan candidate orders for every k in [k-min, k-max]."""
     if k_min < 1 or k_min > k_max:
         _fail_usage(f"bad k range [{k_min}, {k_max}]")
+    if jobs is not None and jobs < 1:
+        _fail_usage(f"--jobs must be >= 1, got {jobs}")
+    if n_max is not None and n_max < 1:
+        _fail_usage(f"--n-max must be >= 1, got {n_max}")
     config = _config(node_limit, time_limit_s)
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)

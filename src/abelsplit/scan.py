@@ -139,7 +139,8 @@ def scan(
 ) -> ScanReport:
     """Search every candidate order for every k in [k_min, k_max].
 
-    Records are independent tasks; with jobs > 1 they run in a process pool.
+    Records are independent tasks; with jobs > 1 they run in a process pool
+    of at most one worker per pending record. jobs < 1 raises ValueError.
     Each finished record fills its candidate's slot, and a report lists the
     filled slots in (k, N) order, so parallel and serial runs produce the
     same report. resume takes a previously written (possibly partial)
@@ -149,6 +150,8 @@ def scan(
     """
     if k_min < 1 or k_min > k_max:
         raise ValueError(f"bad k range [{k_min}, {k_max}]")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     started = time.monotonic()
     candidates = []
     for k in range(k_min, k_max + 1):
@@ -183,7 +186,7 @@ def scan(
             checkpoint(build_report())
 
     if jobs > 1 and len(pending) > 1:
-        with Pool(processes=jobs) as pool:
+        with Pool(processes=min(jobs, len(pending))) as pool:
             for record in pool.imap_unordered(_scan_one, pending):
                 take(record)
     else:

@@ -336,6 +336,21 @@ def test_scan_bad_range(runner, tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["--jobs", "0"],
+    ["--jobs", "-4"],
+    ["--n-max", "0"],
+])
+def test_scan_bad_counts_are_usage_errors(runner, tmp_path, args):
+    out_dir = tmp_path / "scan"
+    result = runner.invoke(
+        main, ["scan", "--k-min", "1", "--k-max", "3", "--out-dir", str(out_dir)] + args
+    )
+    assert result.exit_code == 2, result.output
+    assert f"error: {args[0]} must be >= 1" in result.output
+    assert not out_dir.exists()
+
+
 def test_tile_export(runner, tmp_path):
     cases = [  # order, box, anchors, cells, sha256 of the export
         ("5", "0:9,0:9", 28, 100,

@@ -1,8 +1,10 @@
 import dataclasses
+import importlib
 
 import pytest
 import sympy
 
+from abelsplit import certio
 from abelsplit.scan import (
     CONSISTENT,
     TRIVIAL_EXPECTED,
@@ -17,6 +19,8 @@ from abelsplit.scan import (
     scan,
 )
 from abelsplit.search import EXHAUSTED, FOUND, SearchConfig, SearchOutcome, SearchStats
+
+scanlib = importlib.import_module("abelsplit.scan")  # the package re-exports scan()
 
 
 def test_candidates_k8():
@@ -82,6 +86,9 @@ def test_scan_k3():
 def test_scan_rejects_bad_range():
     with pytest.raises(ValueError):
         scan(5, 3)
+    for jobs in (0, -4):
+        with pytest.raises(ValueError, match="jobs"):
+            scan(5, 6, jobs=jobs)
 
 
 def test_found_at_trivial_orders():
@@ -192,10 +199,39 @@ def test_make_record_rules():
         make_record(z16, SearchOutcome("bogus", None, stats))
 
 
-def test_checkpoint_called_per_record():
+def test_pool_is_no_larger_than_the_pending_work(monkeypatch):
+    sizes = []
+
+    class SerialPool:  # records its size and maps in this process
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap_unordered(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(scanlib, "Pool", SerialPool)
+    doc = lambda report: certio.dumps_document(certio.scan_report_to_doc(report))
+    serial = scan(5, 6, jobs=1)
+    assert len(serial.records) == 4 and sizes == []
+    assert doc(scan(5, 6, jobs=64)) == doc(serial)
+    assert sizes == [4]
+    first = dataclasses.replace(serial, records=serial.records[:1])
+    assert doc(scan(5, 6, jobs=64, resume=first)) == doc(serial)
+    assert sizes == [4, 3]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_checkpoint_called_per_record(jobs):
     seen = []
-    scan(8, 8, checkpoint=lambda rep: seen.append(len(rep.records)))
-    assert seen == [1, 2, 3, 4, 5]
+    report = scan(8, 8, jobs=jobs, checkpoint=seen.append)
+    assert [len(partial.records) for partial in seen] == [1, 2, 3, 4, 5]
+    assert seen[-1].records == report.records
 
 
 def test_inconclusive_on_budget():
