@@ -264,8 +264,12 @@ def _check_abcde(k, p, primes):
 
 def _check_digits(k, p, k_max, p_max):
     if k_max is not None or p_max is not None:
-        k_hi = k_max if k_max is not None else (k or 1)
-        p_hi = p_max if p_max is not None else (p or 2)
+        k_flag, k_hi = ("--k-max", k_max) if k_max is not None else ("--k", k)
+        p_flag, p_hi = ("--p-max", p_max) if p_max is not None else ("--p", 2 if p is None else p)
+        if k_hi < 1:
+            _fail_usage(f"{k_flag} must be >= 1, got {k_hi}")
+        if p_hi < 2:
+            _fail_usage(f"{p_flag} must be >= 2, got {p_hi}")
         failures = 0
         for q in range(2, p_hi + 1):
             if not is_prime(q):

@@ -164,23 +164,21 @@ def _exact_covers(
 ) -> Iterator[tuple[int, ...]]:
     """Yield the sorted labels of every exact cover of 1..n-1 by (label, mask) rows.
 
-    The search branches on the lowest uncovered bit (the smallest uncovered
-    residue when bit x is residue x) and tries the rows holding it in the
-    given order, so covers come out in a fixed order. Rows
-    with equal masks but different labels give distinct covers. Each row
-    placement is one node; BudgetExceeded is raised when the budget runs out,
-    also while the per-residue index is built.
+    Masks are nonempty: every caller passes orbits of a nonempty set. The
+    search branches on the lowest uncovered bit (the smallest uncovered
+    residue when bit x is residue x). Every lower bit is covered, so only the
+    rows whose lowest bit it is can be placed: each row is filed once, under
+    its lowest bit, and tried in the given order. Rows with equal masks but
+    different labels give distinct covers. Each row placement is one node;
+    BudgetExceeded is raised when the budget runs out, also while indexing.
     """
     cands: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     stride = max(1, _TIME_STRIDE // rows[0][1].bit_count()) if rows else 1
     for i, row in enumerate(rows, start=1):
         if i % stride == 0:
             budget.check_clock()
-        m = row[1]
-        while m:
-            low = m & -m
-            cands[low.bit_length() - 1].append(row)
-            m ^= low
+        mask = row[1]
+        cands[(mask & -mask).bit_length() - 1].append(row)
     full = (1 << n) - 2
     if full == 0:  # Z_1: the empty cover
         yield ()

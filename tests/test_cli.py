@@ -456,6 +456,21 @@ def test_check_digits_single_and_sweep(runner):
     assert "failures=0" in _summary(result)
 
 
+@pytest.mark.parametrize("args, flag", [
+    (["--k-max", "0", "--p-max", "1"], "--k-max"),
+    (["--k-max", "-5"], "--k-max"),
+    (["--k-max", "10", "--p", "1"], "--p"),
+    (["--k", "-3", "--p-max", "20"], "--k"),
+    (["--k", "0", "--p-max", "20"], "--k"),
+    (["--k-max", "10", "--p-max", "1"], "--p-max"),
+])
+def test_check_digits_empty_sweep_is_usage_error(runner, args, flag):
+    result = runner.invoke(main, ["check", "digits"] + args)
+    assert result.exit_code == 2, result.output
+    assert f"error: {flag} must be >= " in result.output
+    assert "verdict=" not in result.output
+
+
 def test_check_strata(runner, tmp_path):
     path = tmp_path / "z25.json"
     _write_cert(path, trivial_certificate(24))

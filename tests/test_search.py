@@ -1,7 +1,10 @@
 import time
+from collections import Counter
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from helpers import naive_splitting_exists, natural_order_search
 
 from abelsplit.groups import FiniteAbelianGroup
@@ -134,7 +137,7 @@ def test_deepest_strata_first_node_bound():
 
 
 def test_time_limit_holds_during_setup():
-    # building the rows and the index of Z_17956 takes seconds; the clock
+    # building the rows of Z_17956 takes far longer than 0.05 s; the clock
     # must be read while they are built, before the first node
     t0 = time.monotonic()
     out = run(17956, 95, time_limit_s=0.05)
@@ -149,6 +152,49 @@ def test_time_limit_holds_while_indexing():
     with pytest.raises(BudgetExceeded, match="time_limit"):
         next(_exact_covers(3001, rows, expired))
     assert expired.nodes == 0
+
+
+@st.composite
+def cover_rows(draw):
+    """n and (label, mask) rows over bits 1..n-1: distinct labels, nonempty
+    masks, equal masks allowed. A planted partition of the bits, drawn about
+    half the time, makes covers common; the rows come in a drawn order."""
+    n = draw(st.integers(2, 9))
+    masks = []
+    if draw(st.booleans()):
+        bits = draw(st.permutations(range(1, n)))
+        cuts = sorted(draw(st.sets(st.integers(1, n - 2), max_size=n - 2))) if n > 2 else []
+        masks = [sum(1 << b for b in bits[i:j]) for i, j in zip([0] + cuts, cuts + [n - 1])]
+    masks += draw(st.lists(st.integers(1, (1 << (n - 1)) - 1).map(lambda m: m << 1),
+                           min_size=0 if masks else 1, max_size=6))
+    masks += draw(st.lists(st.sampled_from(masks), max_size=3))
+    masks = draw(st.permutations(masks))
+    labels = draw(st.lists(st.integers(0, 99), min_size=len(masks), max_size=len(masks),
+                           unique=True))
+    return n, list(zip(labels, masks))
+
+
+@given(cover_rows())
+# rows 1 and 6 hold the branch bit 2 and the lower bit 1; rows 0 and 5 have equal masks
+@example((4, [(0, 0b0010), (1, 0b0110), (2, 0b1100), (3, 0b1000), (4, 0b0100),
+              (5, 0b0010), (6, 0b0110)]))
+def test_exact_covers_match_brute_force(case):
+    n, rows = case
+    full = (1 << n) - 2
+    expected = Counter()
+    for size in range(1, len(rows) + 1):
+        for subset in combinations(rows, size):
+            union = 0
+            for _, mask in subset:
+                if union & mask:
+                    break
+                union |= mask
+            else:
+                if union == full:
+                    expected[tuple(sorted(label for label, _ in subset))] += 1
+    budget = _Budget(SearchConfig(time_limit_s=None), 0.0)
+    # labels are distinct, so each count in expected is 1
+    assert Counter(_exact_covers(n, rows, budget)) == expected
 
 
 def test_enumerate_examples_n3():
