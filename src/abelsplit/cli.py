@@ -311,6 +311,9 @@ def _check_tw(cert):
          "pass": report.pairwise_disjoint},
         {"name": "within_units", "expected": True, "actual": report.within_units,
          "pass": report.within_units},
+        {"name": "scaling_consistent",
+         "expected": [report.decomposition.d * w for w in report.w_sizes],
+         "actual": list(report.tw_sizes), "pass": report.scaling_consistent},
         {"name": "w_sizes_match_formula", "expected": report.w_size_formula,
          "actual": list(report.w_sizes), "pass": report.formula_consistent},
         {"name": "equality_chain", "expected": [report.card_d, report.card_e, report.unit_count],

@@ -40,43 +40,17 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _brent_rho(n: int) -> int:
-    """Find a nontrivial factor of an odd composite n; deterministic sweep."""
-    for c in range(1, 100):
-        y, r, q, g = 2, 1, 1, 1
-        x = ys = y
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(128, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = math.gcd(q, n)
-                k += 128
-            r <<= 1
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
-        if g != n:
-            return g
-    raise ArithmeticError(f"cycle search failed to split {n}")
-
-
 def factorize(n: int) -> tuple[PrimePower, ...]:
     """Prime factorization of n >= 1 as ((prime, exponent), ...), primes ascending.
 
-    Trial division covers factors up to 10**6; any larger cofactor is split
-    recursively with the rho routine plus the deterministic primality test,
-    so results are reproducible. factorize(1) is the empty product.
+    Trial division covers factors up to 10**6, and a cofactor left above 1
+    is recorded when it is prime. So the domain is every n < 10**12, plus
+    any n whose cofactor after trial division is prime; any other n raises
+    ValueError. factorize(1) is the empty product.
     """
     if n < 1:
         raise ValueError(f"cannot factor {n}: expected a positive integer")
+    whole = n
     counts: dict[int, int] = {}
     for p in (2, 3, 5):
         while n % p == 0:
@@ -90,17 +64,12 @@ def factorize(n: int) -> tuple[PrimePower, ...]:
         f += stride
         stride = 6 - stride
     if n > 1:
-        if f * f > n:
-            counts[n] = counts.get(n, 0) + 1
-        else:
-            stack = [n]
-            while stack:
-                m = stack.pop()
-                if is_prime(m):
-                    counts[m] = counts.get(m, 0) + 1
-                else:
-                    d = _brent_rho(m)
-                    stack += [d, m // d]
+        if f * f <= n and not is_prime(n):
+            raise ValueError(
+                f"cannot factor {whole}: its cofactor {n} has no prime factor "
+                f"up to {_TRIAL_LIMIT} and is not prime"
+            )
+        counts[n] = counts.get(n, 0) + 1
     return tuple(sorted(counts.items()))
 
 

@@ -3,7 +3,8 @@
 Existence of a splitter set for (Z_N, M) is an exact cover problem: the
 universe is the nonzero residues 1..N-1 and the rows are the product orbits
 {m*s mod N : m in M} of candidate splitters s. Orbits are bitmasks over the
-universe, and one engine, _exact_covers, serves both the first-solution
+universe, laid out by a table of one bit per residue. One row builder,
+_orbit_rows, and one engine, _exact_covers, serve both the first-solution
 search and the all-solutions enumeration. The engine branches on the lowest
 uncovered bit and tries candidates in the given row order, so every outcome
 is deterministic.
@@ -71,46 +72,17 @@ class SearchOutcome:
         return self.result == FOUND
 
 
-def orbit_mask(residues: Sequence[int], s: int, n: int) -> int | None:
-    """Bitmask of {m*s mod n}; None when the orbit hits 0 or repeats a value.
-
-    Splitters with such dirty orbits can never appear in a valid splitting,
-    so they are dropped at candidate generation.
-    """
-    mask = 0
-    for m in residues:
-        x = m * s % n
-        if x == 0:
-            return None
-        bit = 1 << x
-        if mask & bit:
-            return None
-        mask |= bit
-    return mask
-
-
-def _candidate_rows(
-    n: int, residues: Sequence[int], budget: _Budget
+def _orbit_rows(
+    n: int, residues: Sequence[int], bit: Sequence[int], budget: _Budget
 ) -> list[tuple[int, int]]:
-    """Clean orbit rows (s, mask) in branch-order bits, ascending s.
+    """Clean orbit rows (s, mask) for s = 1..n-1, ascending s.
 
-    Bit 1 is the root residue, the first multiplier's (1 for {1..k}), and
-    bits 2..n-1 are the other residues by descending gcd(x, n), ties by
-    ascending x. Rows are deduplicated by orbit: distinct splitters with
-    identical orbits are interchangeable as cover rows, and the least one
-    represents the class. Only s = 1 may cover the root residue (WLOG 1 in S,
-    see the module docstring). The clock is read about every _TIME_STRIDE
-    orbit elements.
+    The mask of s is the OR of bit[m*s mod n] over m in residues, so the
+    table bit fixes the layout; bit[0] must be 0. A splitter whose orbit hits
+    0 or repeats a residue can never appear in a splitting and gets no row.
+    The clock is read about every _TIME_STRIDE orbit elements.
     """
-    if n < 2:
-        return []
-    root = residues[0] or 1  # a multiplier 0 leaves no clean row at all
-    order = sorted((x for x in range(1, n) if x != root), key=lambda x: (-gcd(x, n), x))
-    bit = [0] * n
-    for i, x in enumerate([root] + order, start=1):
-        bit[x] = 1 << i
     stride = max(1, _TIME_STRIDE // len(residues))
-    seen: set[int] = set()
     rows = []
     for s in range(1, n):
         if s % stride == 0:
@@ -122,9 +94,35 @@ def _candidate_rows(
                 break
             mask |= b
         else:
-            if mask not in seen and (s == 1 or not mask & 2):
-                seen.add(mask)
-                rows.append((s, mask))
+            rows.append((s, mask))
+    return rows
+
+
+def _candidate_rows(
+    n: int, residues: Sequence[int], budget: _Budget
+) -> list[tuple[int, int]]:
+    """The rows of search_splitter: _orbit_rows in branch-order bits.
+
+    Bit 1 is the root residue, the first multiplier's (1 for {1..k}), and
+    bits 2..n-1 are the other residues by descending gcd(x, n), ties by
+    ascending x. Rows are deduplicated by orbit: distinct splitters with
+    identical orbits are interchangeable as cover rows, and the least one
+    represents the class. Only s = 1 may cover the root residue (WLOG 1 in S,
+    see the module docstring).
+    """
+    if n < 2:
+        return []
+    root = residues[0] or 1  # a multiplier 0 leaves no clean row at all
+    order = sorted((x for x in range(1, n) if x != root), key=lambda x: (-gcd(x, n), x))
+    bit = [0] * n
+    for i, x in enumerate([root] + order, start=1):
+        bit[x] = 1 << i
+    seen: set[int] = set()
+    rows = []
+    for s, mask in _orbit_rows(n, residues, bit, budget):
+        if mask not in seen and (s == 1 or not mask & 2):
+            seen.add(mask)
+            rows.append((s, mask))
     return rows
 
 
@@ -265,15 +263,12 @@ def enumerate_all_splittings(
     fix_multipliers = comb(n - 1, size_of_m) <= comb(n - 1, n_splitters)
     budget = _Budget(config, time.monotonic())
     out: list[SplittingCertificate] = []
-    # orbit_mask(fixed, x, n) is {f*x : f in fixed}, symmetric in the two
-    # sides, so the same rows serve whichever side is enumerated.
+    bit = [0] + [1 << x for x in range(1, n)]  # bit x is residue x
+    # The orbit of x is {f*x : f in fixed}, symmetric in the two sides, so
+    # the same rows serve whichever side is enumerated.
     for fixed in combinations(range(1, n), size_of_m if fix_multipliers else n_splitters):
         budget.charge()
-        rows = []
-        for x in range(1, n):
-            mask = orbit_mask(fixed, x, n)
-            if mask is not None:
-                rows.append((x, mask))
+        rows = _orbit_rows(n, fixed, bit, budget)
         # The covers of one multiplier subset share its MultiplierSet and its
         # classification. In the peak memory of `check s87 -N 27`, one
         # MultiplierSet per certificate would add about 10%, and one

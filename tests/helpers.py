@@ -8,15 +8,16 @@ diagonalizes a lattice basis where the library evaluates a weight map.
 The element-wise verifier reduces, sorts and checks splitters one tuple
 product at a time, the way verification worked before it accepted a
 splitting in one pass over all products.
-The one exception, the natural-order search, runs the library's engine on
-purpose: it checks the branch order and the rule fixing 1 in S, so it
-keeps everything else and drops those two.
+The one exception, the natural-order search, runs the library's row
+builder and engine on purpose: it checks the branch order and the rule
+fixing 1 in S, so it builds the rows with bit x for residue x, keeps its
+own deduplication by orbit, and drops those two.
 Agreement between the two routes is the point.
 """
 
 from abelsplit.counting import StratificationProfile
 from abelsplit.groups import FiniteAbelianGroup, p_adic_valuation
-from abelsplit.search import SearchConfig, _Budget, _exact_covers, orbit_mask
+from abelsplit.search import SearchConfig, _Budget, _exact_covers, _orbit_rows
 from abelsplit.splitting import (
     INVALID,
     VALID,
@@ -71,13 +72,12 @@ def natural_order_search(n: int, k: int) -> tuple[int, ...] | None:
     residue, and every clean orbit class is a row: no rule fixes 1 in S.
     """
     residues = [m % n for m in range(1, k + 1)]
+    budget = _Budget(SearchConfig(time_limit_s=None), 0.0)
     seen, rows = set(), []
-    for s in range(1, n):
-        mask = orbit_mask(residues, s, n)
-        if mask is not None and mask not in seen:
+    for s, mask in _orbit_rows(n, residues, [0] + [1 << x for x in range(1, n)], budget):
+        if mask not in seen:
             seen.add(mask)
             rows.append((s, mask))
-    budget = _Budget(SearchConfig(time_limit_s=None), 0.0)
     return next(_exact_covers(n, rows, budget), None)
 
 

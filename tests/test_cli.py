@@ -1,10 +1,12 @@
 import hashlib
+import json
 import time
+from dataclasses import replace
 
 import pytest
 from click.testing import CliRunner
 
-from abelsplit import certio
+from abelsplit import certio, counting
 from abelsplit.cli import main
 from abelsplit.groups import FiniteAbelianGroup
 from abelsplit.splitting import (
@@ -77,6 +79,31 @@ def test_verify_empty_file(runner, tmp_path):
 def test_verify_missing_file(runner, tmp_path):
     result = runner.invoke(main, ["verify", str(tmp_path / "nope.json")])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["verify"],
+    ["tile", "--box", "0:1", "--cert"],
+    ["check", "tw", "--cert"],
+])
+def test_unfactorable_order_is_bad_document(runner, tmp_path, args):
+    # 1000033**2: after trial division up to 10**6 the cofactor is composite
+    doc = certio.certificate_to_doc(trivial_certificate(8))
+    doc["group_factors"] = [1000066001089]
+    doc["classification"] = {"tag": "nonsingular", "witnesses": [[1000033, None]]}
+    path = tmp_path / "big.json"
+    certio.write_document(path, doc)
+    result = runner.invoke(main, args + [str(path)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "error: bad certificate document" in result.output
+    assert "cannot factor 1000066001089" in result.output
+
+
+def test_check_s87_unfactorable_order_is_usage_error(runner):
+    result = runner.invoke(main, ["check", "s87", "-N", "1000066001089"])
+    assert result.exit_code == 2
+    assert "error: cannot factor 1000066001089" in result.output
 
 
 def test_search_found_writes_certificate(runner, tmp_path):
@@ -485,6 +512,26 @@ def test_check_tw(runner, tmp_path):
     result = runner.invoke(main, ["check", "tw", "--cert", str(path)])
     assert result.exit_code == 0
     assert "verdict=pass" in _summary(result)
+
+
+def test_check_tw_verdict_is_report_passed(runner, tmp_path, monkeypatch):
+    # a report whose only fault is |TW_i| != d * |w_i| must fail the check
+    genuine = counting.tw_disjointness_check
+
+    def scaled(cert):
+        report = genuine(cert)
+        return replace(report, decomposition=replace(report.decomposition,
+                                                     d=report.decomposition.d + 1))
+
+    monkeypatch.setattr(counting, "tw_disjointness_check", scaled)
+    path, out = tmp_path / "z25.json", tmp_path / "tw.json"
+    _write_cert(path, trivial_certificate(24))
+    assert not scaled(trivial_certificate(24)).passed
+    result = runner.invoke(main, ["check", "tw", "--cert", str(path), "--out", str(out)])
+    assert result.exit_code == 1
+    assert _summary(result) == "check=tw checks=6 failures=1 verdict=fail"
+    failed = [row for row in json.loads(out.read_text())["checks"] if not row["pass"]]
+    assert [row["name"] for row in failed] == ["scaling_consistent"]
 
 
 def test_check_s87(runner):

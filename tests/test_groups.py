@@ -31,12 +31,16 @@ def test_factorize_rejects_nonpositive():
 def test_factorize_against_sympy_samples():
     rng = random.Random(7)
     samples = [rng.randrange(2, 10**9) for _ in range(200)]
-    # beyond the trial-division limit, forcing the rho path
-    big = sympy.nextprime(10**6 + 3)
-    samples += [big * big, big * sympy.nextprime(big), 2**40, 3 * big]
+    big = sympy.nextprime(10**6 + 3)  # 1000033
+    huge = 10**12 + 39  # prime, above the trial-division limit squared
+    samples += [2**40, 3 * big, huge, 3 * huge]
     for n in samples:
         expected = tuple(sorted(sympy.factorint(n).items()))
         assert factorize(n) == expected
+    # a composite cofactor above the trial-division limit is not split
+    for n in (big * big, big * sympy.nextprime(big)):
+        with pytest.raises(ValueError, match=f"cannot factor {n}"):
+            factorize(n)
 
 
 def test_factorize_roundtrip_sweep_10_to_6():

@@ -18,8 +18,8 @@ from abelsplit.search import (
     _Budget,
     _candidate_rows,
     _exact_covers,
+    _orbit_rows,
     enumerate_all_splittings,
-    orbit_mask,
     search_splitter,
 )
 from abelsplit.splitting import MultiplierSet, verify_splitting
@@ -57,12 +57,17 @@ def test_search_trivial_group():
     assert out.result == FOUND and out.splitters == ()
 
 
-def test_orbit_mask_dirty_cases():
-    # hits zero
-    assert orbit_mask((1, 2, 3), 5, 10) is None
-    # repeats: 1*5 = 3*5 mod 10 would repeat only via zero; use modulus 8
-    assert orbit_mask((1, 5), 2, 8) is None  # 2 and 10 = 2 mod 8
-    assert orbit_mask((1, 2), 1, 5) == 0b00110
+def test_orbit_rows_dirty_cases():
+    budget = _Budget(SearchConfig(time_limit_s=None), 0.0)
+
+    def rows(residues, n):  # in natural bits: bit x is residue x
+        return dict(_orbit_rows(n, residues, [0] + [1 << x for x in range(1, n)], budget))
+
+    # hits zero: 2*5 = 0 mod 10
+    assert 5 not in rows((1, 2, 3), 10)
+    # repeats: 1*2 = 5*2 = 2 mod 8
+    assert 2 not in rows((1, 5), 8)
+    assert rows((1, 2), 5)[1] == 0b00110
 
 
 def test_found_results_reverify():
