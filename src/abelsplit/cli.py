@@ -123,11 +123,16 @@ def search(order, k, out, node_limit, time_limit_s) -> None:
         _emit(certio.dumps_document(certio.certificate_to_doc(cert)), out)
         click.echo(
             f"result=found order={order} k={k} splitters={len(outcome.splitters)} "
-            f"classification={cert.classification.tag} nodes={outcome.stats.nodes}"
+            f"classification={cert.classification.tag} nodes={outcome.stats.nodes} "
+            f"rows={outcome.stats.rows}"
         )
         sys.exit(EXIT_OK)
     _emit(certio.dumps_document(certio.search_result_doc(order, multipliers, outcome)), out)
-    click.echo(f"result={outcome.result} order={order} k={k} nodes={outcome.stats.nodes}")
+    stats = outcome.stats
+    summary = f"result={outcome.result} order={order} k={k} nodes={stats.nodes} rows={stats.rows}"
+    if outcome.result == searchlib.RESOURCE_LIMIT:
+        summary += f" reason={stats.reason}"
+    click.echo(summary)
     sys.exit(EXIT_NEGATIVE if outcome.result == searchlib.EXHAUSTED else EXIT_RESOURCE)
 
 

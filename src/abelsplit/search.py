@@ -3,11 +3,13 @@
 Existence of a splitter set for (Z_N, M) is an exact cover problem: the
 universe is the nonzero residues 1..N-1 and the rows are the product orbits
 {m*s mod N : m in M} of candidate splitters s. Orbits are bitmasks over the
-universe, laid out by a table of one bit per residue. One row builder,
-_orbit_rows, and one engine, _exact_covers, serve both the first-solution
-search and the all-solutions enumeration. The engine branches on the lowest
-uncovered bit and tries candidates in the given row order, so every outcome
-is deterministic.
+universe, laid out by an order of the residues, one bit each. One row
+source, _row_source, and one engine, _exact_covers, serve both the
+first-solution search and the all-solutions enumeration. The engine branches
+on the lowest uncovered bit and tries candidates in the given row order, so
+every outcome is deterministic. It asks for a bit's rows the first time it
+branches on that bit, and the source builds only the orbits that hold that
+bit's residue.
 
 search_splitter lays the bits out in branch order: the root residue first,
 which is the first multiplier's (residue 1 for M = {1..k}), then the others
@@ -27,9 +29,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb, gcd
-from typing import Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .groups import FiniteAbelianGroup
 from .splitting import MultiplierSet, SplittingCertificate, classify_multipliers, make_certificate
@@ -38,7 +40,7 @@ FOUND = "found"
 EXHAUSTED = "exhausted_no_solution"
 RESOURCE_LIMIT = "resource_limit"
 
-_TIME_STRIDE = 4096  # nodes between monotonic-clock reads
+_TIME_STRIDE = 4096  # nodes, bit-table entries or orbit elements between clock reads
 
 
 class BudgetExceeded(RuntimeError):
@@ -59,6 +61,8 @@ class SearchStats:
     nodes: int
     max_depth: int
     elapsed_s: float
+    rows: int = 0  # rows built
+    reason: str | None = None  # the budget that ended the search: node_limit | time_limit
 
 
 @dataclass(frozen=True)
@@ -72,58 +76,87 @@ class SearchOutcome:
         return self.result == FOUND
 
 
-def _orbit_rows(
-    n: int, residues: Sequence[int], bit: Sequence[int], budget: _Budget
-) -> list[tuple[int, int]]:
-    """Clean orbit rows (s, mask) for s = 1..n-1, ascending s.
+def _row_source(
+    n: int, residues: Sequence[int], order: Sequence[int], budget: _Budget
+) -> Callable[[int], Iterator[tuple[int, int]]]:
+    """rows_at(b) yields the clean orbit rows (s, mask) whose lowest bit is b, ascending s.
 
-    The mask of s is the OR of bit[m*s mod n] over m in residues, so the
-    table bit fixes the layout; bit[0] must be 0. A splitter whose orbit hits
-    0 or repeats a residue can never appear in a splitting and gets no row.
-    The clock is read about every _TIME_STRIDE orbit elements.
+    order[i] is the residue at bit i, with order[0] = 0. The mask of s is
+    the OR of the bits of m*s mod n over m in residues. A splitter whose
+    orbit hits 0 (bit 0 set) or repeats a residue (fewer bits than
+    residues) can never appear in a splitting and gets no row. Only the
+    splitters whose orbit holds x = order[b] are looked at: for m with
+    g = gcd(m, n) < n and g | x, those are the g solutions of m*s = x
+    (mod n), s = (x/g)*(m/g)^-1 (mod n/g), bar s = 0. Each splitter's mask
+    is built once. The clock is read every _TIME_STRIDE entries of the bit
+    table and about every _TIME_STRIDE orbit elements.
     """
-    stride = max(1, _TIME_STRIDE // len(residues))
-    rows = []
-    for s in range(1, n):
-        if s % stride == 0:
+    pos = [0] * n  # the bit table: residue order[i] is at bit i
+    for i in range(1, n):
+        if i % _TIME_STRIDE == 0:
             budget.check_clock()
-        mask = 0
-        for m in residues:
-            b = bit[m * s % n]
-            if not b or mask & b:  # the orbit hits 0, or repeats
-                break
-            mask |= b
-        else:
-            rows.append((s, mask))
-    return rows
+        pos[order[i]] = i
+    steps = []  # (g, n/g, (m/g)^-1 mod n/g) per multiplier with g < n
+    for m in residues:
+        g = gcd(m, n)
+        if g < n:
+            steps.append((g, n // g, pow(m // g, -1, n // g)))
+    k = len(residues)
+    stride = max(1, _TIME_STRIDE // k)
+    masks: dict[int, int] = {}  # splitter -> mask, 0 when the orbit is dirty
+
+    def rows_at(b: int) -> Iterator[tuple[int, int]]:
+        x = order[b]
+        splitters: set[int] = set()
+        for g, q, inv in steps:
+            if x % g == 0:
+                splitters.update(range(x // g * inv % q, n, q))
+        splitters.discard(0)
+        for s in sorted(splitters):
+            mask = masks.get(s)
+            if mask is None:
+                mask = 0
+                for m in residues:
+                    mask |= 1 << pos[m * s % n]
+                if mask & 1 or mask.bit_count() < k:
+                    mask = 0
+                masks[s] = mask
+                if len(masks) % stride == 0:
+                    budget.check_clock()
+            if mask and (mask & -mask) >> b == 1:
+                yield s, mask
+
+    return rows_at
 
 
 def _candidate_rows(
     n: int, residues: Sequence[int], budget: _Budget
-) -> list[tuple[int, int]]:
-    """The rows of search_splitter: _orbit_rows in branch-order bits.
+) -> Callable[[int], Iterator[tuple[int, int]]]:
+    """The rows of search_splitter: _row_source in branch-order bits.
 
     Bit 1 is the root residue, the first multiplier's (1 for {1..k}), and
     bits 2..n-1 are the other residues by descending gcd(x, n), ties by
     ascending x. Rows are deduplicated by orbit: distinct splitters with
     identical orbits are interchangeable as cover rows, and the least one
-    represents the class. Only s = 1 may cover the root residue (WLOG 1 in S,
-    see the module docstring).
+    represents the class. Equal orbits share their lowest bit, so each bit
+    is deduplicated on its own. Only s = 1 may cover the root residue (WLOG
+    1 in S, see the module docstring).
     """
-    if n < 2:
-        return []
     root = residues[0] or 1  # a multiplier 0 leaves no clean row at all
-    order = sorted((x for x in range(1, n) if x != root), key=lambda x: (-gcd(x, n), x))
-    bit = [0] * n
-    for i, x in enumerate([root] + order, start=1):
-        bit[x] = 1 << i
-    seen: set[int] = set()
-    rows = []
-    for s, mask in _orbit_rows(n, residues, bit, budget):
-        if mask not in seen and (s == 1 or not mask & 2):
-            seen.add(mask)
-            rows.append((s, mask))
-    return rows
+    rest = sorted((x for x in range(1, n) if x != root), key=lambda x: (-gcd(x, n), x))
+    source = _row_source(n, residues, [0, root] + rest, budget)
+
+    def rows_at(b: int) -> Iterator[tuple[int, int]]:
+        if b == 1:  # s = 1 holds the root residue, so it comes first if clean
+            yield from (row for row in islice(source(1), 1) if row[0] == 1)
+            return
+        seen: set[int] = set()
+        for s, mask in source(b):
+            if mask not in seen:
+                seen.add(mask)
+                yield s, mask
+
+    return rows_at
 
 
 class _Budget:
@@ -131,16 +164,17 @@ class _Budget:
 
     A node is one row placement, or one enumerated subset in
     enumerate_all_splittings. The clock is read every _TIME_STRIDE nodes, and
-    during setup about every _TIME_STRIDE orbit elements.
+    while rows are built (see _row_source). rows counts the rows built.
     """
 
-    __slots__ = ("node_limit", "deadline", "nodes", "max_depth")
+    __slots__ = ("node_limit", "deadline", "nodes", "max_depth", "rows")
 
     def __init__(self, config: SearchConfig, start: float):
         self.node_limit = config.node_limit
         self.deadline = None if config.time_limit_s is None else start + config.time_limit_s
         self.nodes = 0
         self.max_depth = 0
+        self.rows = 0
 
     def check(self, nodes: int) -> None:
         if nodes >= self.node_limit:
@@ -158,37 +192,34 @@ class _Budget:
 
 
 def _exact_covers(
-    n: int, rows: Sequence[tuple[int, int]], budget: _Budget
+    n: int, rows_at: Callable[[int], Iterable[tuple[int, int]]], budget: _Budget
 ) -> Iterator[tuple[int, ...]]:
     """Yield the sorted labels of every exact cover of 1..n-1 by (label, mask) rows.
 
-    Masks are nonempty: every caller passes orbits of a nonempty set. The
-    search branches on the lowest uncovered bit (the smallest uncovered
-    residue when bit x is residue x). Every lower bit is covered, so only the
-    rows whose lowest bit it is can be placed: each row is filed once, under
-    its lowest bit, and tried in the given order. Rows with equal masks but
-    different labels give distinct covers. Each row placement is one node;
-    BudgetExceeded is raised when the budget runs out, also while indexing.
+    rows_at(b) gives the rows whose lowest bit is b; their masks are
+    nonempty. The search branches on the lowest uncovered bit (the smallest
+    uncovered residue when bit x is residue x). Every lower bit is covered,
+    so only the rows whose lowest bit it is can be placed; they are fetched
+    the first time the search branches on that bit, and tried in the given
+    order. Rows with equal masks but different labels give distinct covers.
+    Each row placement is one node; BudgetExceeded is raised when the budget
+    runs out, also while rows are built.
     """
-    cands: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    stride = max(1, _TIME_STRIDE // rows[0][1].bit_count()) if rows else 1
-    for i, row in enumerate(rows, start=1):
-        if i % stride == 0:
-            budget.check_clock()
-        mask = row[1]
-        cands[(mask & -mask).bit_length() - 1].append(row)
     full = (1 << n) - 2
     if full == 0:  # Z_1: the empty cover
         yield ()
         return
+    cands: list[list[tuple[int, int]] | None] = [None] * n
     node_limit = budget.node_limit
     # The counters live in locals in the loop and go back to the budget on
     # every yield and on exit: an attribute or method call per node is slow.
     nodes, max_depth = budget.nodes, budget.max_depth
     covered = 0
     path: list[tuple[int, int]] = []
-    stack = [iter(cands[1])]  # bit 1 is the first uncovered one
     try:
+        rows = list(rows_at(1))  # bit 1 is the first uncovered one, branched on at the root only
+        budget.rows += len(rows)
+        stack = [iter(rows)]
         while stack:
             for row in stack[-1]:
                 mask = row[1]
@@ -208,7 +239,12 @@ def _exact_covers(
                     covered ^= mask
                     continue
                 missing = ~covered & full
-                stack.append(iter(cands[(missing & -missing).bit_length() - 1]))
+                b = (missing & -missing).bit_length() - 1
+                rows = cands[b]
+                if rows is None:
+                    rows = cands[b] = list(rows_at(b))
+                    budget.rows += len(rows)
+                stack.append(iter(rows))
                 break
             else:
                 stack.pop()
@@ -233,12 +269,14 @@ def search_splitter(
     start = time.monotonic()
     budget = _Budget(config, start)
     try:
-        rows = _candidate_rows(n, M.residues(n), budget)
-        found = next(_exact_covers(n, rows, budget), None)
-        result = EXHAUSTED if found is None else FOUND
-    except BudgetExceeded:
-        found, result = None, RESOURCE_LIMIT
-    stats = SearchStats(budget.nodes, budget.max_depth, time.monotonic() - start)
+        rows_at = _candidate_rows(n, M.residues(n), budget)
+        found = next(_exact_covers(n, rows_at, budget), None)
+        result, reason = (EXHAUSTED if found is None else FOUND), None
+    except BudgetExceeded as exc:
+        found, result, reason = None, RESOURCE_LIMIT, str(exc)
+    stats = SearchStats(
+        budget.nodes, budget.max_depth, time.monotonic() - start, budget.rows, reason
+    )
     return SearchOutcome(result, found, stats)
 
 
@@ -263,12 +301,11 @@ def enumerate_all_splittings(
     fix_multipliers = comb(n - 1, size_of_m) <= comb(n - 1, n_splitters)
     budget = _Budget(config, time.monotonic())
     out: list[SplittingCertificate] = []
-    bit = [0] + [1 << x for x in range(1, n)]  # bit x is residue x
     # The orbit of x is {f*x : f in fixed}, symmetric in the two sides, so
     # the same rows serve whichever side is enumerated.
     for fixed in combinations(range(1, n), size_of_m if fix_multipliers else n_splitters):
         budget.charge()
-        rows = _orbit_rows(n, fixed, bit, budget)
+        rows_at = _row_source(n, fixed, range(n), budget)  # bit x is residue x
         # The covers of one multiplier subset share its MultiplierSet and its
         # classification. In the peak memory of `check s87 -N 27`, one
         # MultiplierSet per certificate would add about 10%, and one
@@ -276,7 +313,7 @@ def enumerate_all_splittings(
         if fix_multipliers:
             mult = MultiplierSet.explicit(fixed)
             classification = classify_multipliers(group, mult)
-        for labels in _exact_covers(n, rows, budget):
+        for labels in _exact_covers(n, rows_at, budget):
             if fix_multipliers:
                 s_vals = labels
             else:

@@ -8,16 +8,18 @@ diagonalizes a lattice basis where the library evaluates a weight map.
 The element-wise verifier reduces, sorts and checks splitters one tuple
 product at a time, the way verification worked before it accepted a
 splitting in one pass over all products.
+The eager row builder builds every splitter's orbit up front, where the
+library builds only the orbits that hold the residue it branches on.
 The one exception, the natural-order search, runs the library's row
-builder and engine on purpose: it checks the branch order and the rule
-fixing 1 in S, so it builds the rows with bit x for residue x, keeps its
-own deduplication by orbit, and drops those two.
+source and engine on purpose: it checks the branch order and the rule
+fixing 1 in S, so it lays bit x out for residue x, keeps its own
+deduplication by orbit, and drops those two.
 Agreement between the two routes is the point.
 """
 
 from abelsplit.counting import StratificationProfile
 from abelsplit.groups import FiniteAbelianGroup, p_adic_valuation
-from abelsplit.search import SearchConfig, _Budget, _exact_covers, _orbit_rows
+from abelsplit.search import SearchConfig, _Budget, _exact_covers, _row_source
 from abelsplit.splitting import (
     INVALID,
     VALID,
@@ -64,6 +66,32 @@ def naive_splitting_exists(n: int, k: int) -> bool:
     return extend(frozenset())
 
 
+def eager_orbit_rows(n: int, residues, bit) -> list[tuple[int, int]]:
+    """Every clean orbit row (s, mask) for s = 1..n-1, ascending s.
+
+    The mask of s is the OR of bit[m*s mod n] over m in residues; bit[0]
+    must be 0. A splitter whose orbit hits 0 or repeats a residue gets no
+    row.
+    """
+    rows = []
+    for s in range(1, n):
+        mask = 0
+        for m in residues:
+            b = bit[m * s % n]
+            if not b or mask & b:  # the orbit hits 0, or repeats
+                break
+            mask |= b
+        else:
+            rows.append((s, mask))
+    return rows
+
+
+def rows_by_lowest_bit(rows):
+    """rows_at for the engine over a fixed row list: rows_at(b) is the rows
+    whose lowest bit is b, in list order."""
+    return lambda b: [row for row in rows if (row[1] & -row[1]) >> b == 1]
+
+
 def natural_order_search(n: int, k: int) -> tuple[int, ...] | None:
     """The first splitter set for {1..k} in natural order, or None when the
     tree is exhausted.
@@ -73,12 +101,17 @@ def natural_order_search(n: int, k: int) -> tuple[int, ...] | None:
     """
     residues = [m % n for m in range(1, k + 1)]
     budget = _Budget(SearchConfig(time_limit_s=None), 0.0)
-    seen, rows = set(), []
-    for s, mask in _orbit_rows(n, residues, [0] + [1 << x for x in range(1, n)], budget):
-        if mask not in seen:
-            seen.add(mask)
-            rows.append((s, mask))
-    return next(_exact_covers(n, rows, budget), None)
+    source = _row_source(n, residues, range(n), budget)
+
+    def rows_at(b):
+        seen, rows = set(), []
+        for s, mask in source(b):
+            if mask not in seen:
+                seen.add(mask)
+                rows.append((s, mask))
+        return rows
+
+    return next(_exact_covers(n, rows_at, budget), None)
 
 
 def verify_splitting_by_elements(

@@ -178,6 +178,20 @@ def test_budget_bounds_are_accepted(runner):
     assert result.exit_code == 3
 
 
+@pytest.mark.parametrize("budget, tail", [
+    (["--node-limit", "1"], "nodes=1 rows=1 reason=node_limit"),
+    (["--time-limit", "0"], "nodes=0 rows=0 reason=time_limit"),
+])
+def test_search_summary_names_budget(runner, tmp_path, budget, tail):
+    # Z_17956's bit table is long enough for a clock read before the first
+    # node; under --node-limit 1 the root row s = 1 is built and placed
+    result = runner.invoke(
+        main, ["search", "-N", "17956", "--k", "95", "--out", str(tmp_path / "p.json"), *budget]
+    )
+    assert result.exit_code == 3
+    assert _summary(result) == f"result=resource_limit order=17956 k=95 {tail}"
+
+
 def test_scan_writes_reports(runner, tmp_path):
     result = runner.invoke(
         main,

@@ -1,11 +1,17 @@
 import time
 from collections import Counter
 from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
-from helpers import naive_splitting_exists, natural_order_search
+from helpers import (
+    eager_orbit_rows,
+    naive_splitting_exists,
+    natural_order_search,
+    rows_by_lowest_bit,
+)
 
 from abelsplit.groups import FiniteAbelianGroup
 from abelsplit.scan import purely_singular_candidates
@@ -13,12 +19,13 @@ from abelsplit.search import (
     EXHAUSTED,
     FOUND,
     RESOURCE_LIMIT,
+    _TIME_STRIDE,
     BudgetExceeded,
     SearchConfig,
     _Budget,
     _candidate_rows,
     _exact_covers,
-    _orbit_rows,
+    _row_source,
     enumerate_all_splittings,
     search_splitter,
 )
@@ -61,7 +68,8 @@ def test_orbit_rows_dirty_cases():
     budget = _Budget(SearchConfig(time_limit_s=None), 0.0)
 
     def rows(residues, n):  # in natural bits: bit x is residue x
-        return dict(_orbit_rows(n, residues, [0] + [1 << x for x in range(1, n)], budget))
+        rows_at = _row_source(n, residues, range(n), budget)
+        return dict(row for b in range(1, n) for row in rows_at(b))
 
     # hits zero: 2*5 = 0 mod 10
     assert 5 not in rows((1, 2, 3), 10)
@@ -142,21 +150,73 @@ def test_deepest_strata_first_node_bound():
 
 
 def test_time_limit_holds_during_setup():
-    # building the rows of Z_17956 takes far longer than 0.05 s; the clock
-    # must be read while they are built, before the first node
+    # the bit table of Z_17956 has more than _TIME_STRIDE entries, and the
+    # clock must be read while it is built, before the first node
     t0 = time.monotonic()
-    out = run(17956, 95, time_limit_s=0.05)
+    out = run(17956, 95, time_limit_s=0.0)
     assert out.result == RESOURCE_LIMIT
     assert out.stats.nodes == 0
+    assert out.stats.reason == "time_limit"
     assert time.monotonic() - t0 < 2.0
 
 
-def test_time_limit_holds_while_indexing():
-    rows = _candidate_rows(3001, range(1, 31), _Budget(SearchConfig(time_limit_s=None), 0.0))
+def test_time_limit_holds_while_building_rows():
+    # Z_3001's bit table is shorter than _TIME_STRIDE, so only the clock
+    # reads of the orbit build can stop the search before the engine's first
+    # read at node _TIME_STRIDE
     expired = _Budget(SearchConfig(time_limit_s=0.0), time.monotonic() - 1.0)
+    rows_at = _candidate_rows(3001, range(1, 31), expired)
     with pytest.raises(BudgetExceeded, match="time_limit"):
-        next(_exact_covers(3001, rows, expired))
-    assert expired.nodes == 0
+        next(_exact_covers(3001, rows_at, expired))
+    assert expired.nodes < _TIME_STRIDE
+
+
+@st.composite
+def row_source_cases(draw):
+    """n, 1..6 residues of 0..n-1 (zeros and repeats allowed) and a bit
+    order: residue 0 at bit 0, the others shuffled."""
+    n = draw(st.integers(2, 60))
+    residues = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=6))
+    order = [0] + draw(st.permutations(range(1, n)))
+    return n, residues, order
+
+
+@given(row_source_cases())
+def test_row_source_matches_eager_rows(case):
+    n, residues, order = case
+    bit = [0] * n
+    for i in range(1, n):
+        bit[order[i]] = 1 << i
+    eager = eager_orbit_rows(n, residues, bit)
+    rows_at = _row_source(n, residues, order, _Budget(SearchConfig(time_limit_s=None), 0.0))
+    for b in range(1, n):
+        assert list(rows_at(b)) == rows_by_lowest_bit(eager)(b), b
+
+
+def test_candidate_rows_match_eager_rows():
+    """On every candidate of scan(1, 20), the search's rows at each bit are
+    the eager rows with that lowest bit, deduplicated by orbit, and only
+    s = 1 at the root bit."""
+    budget = _Budget(SearchConfig(time_limit_s=None), 0.0)
+    checked = 0
+    for k in range(1, 21):
+        for cand in purely_singular_candidates(k, 2 * k):
+            n = cand.order
+            residues = MultiplierSet.interval(k).residues(n)
+            rest = sorted(range(2, n), key=lambda x: (-gcd(x, n), x))
+            bit = [0] * n
+            for i, x in enumerate([1] + rest, start=1):
+                bit[x] = 1 << i
+            seen, expected = set(), []
+            for s, mask in eager_orbit_rows(n, residues, bit):
+                if mask not in seen and (s == 1 or not mask & 2):
+                    seen.add(mask)
+                    expected.append((s, mask))
+            rows_at = _candidate_rows(n, residues, budget)
+            for b in range(1, n):
+                assert list(rows_at(b)) == rows_by_lowest_bit(expected)(b), (k, n, b)
+            checked += 1
+    assert checked == 97
 
 
 @st.composite
@@ -199,7 +259,7 @@ def test_exact_covers_match_brute_force(case):
                     expected[tuple(sorted(label for label, _ in subset))] += 1
     budget = _Budget(SearchConfig(time_limit_s=None), 0.0)
     # labels are distinct, so each count in expected is 1
-    assert Counter(_exact_covers(n, rows, budget)) == expected
+    assert Counter(_exact_covers(n, rows_by_lowest_bit(rows), budget)) == expected
 
 
 def test_enumerate_examples_n3():
