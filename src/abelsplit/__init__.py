@@ -2,7 +2,7 @@
 splitting certificates, exact-cover splitter search, candidate-order scans,
 semi-cross lattice tilings, and executable counting checks."""
 
-from .groups import Element, FiniteAbelianGroup, factorize, is_prime, p_adic_valuation, unfactor
+from .groups import Element, FiniteAbelianGroup, factorize, is_prime, p_adic_valuation
 from .splitting import (
     MultiplierSet,
     SingularityClass,

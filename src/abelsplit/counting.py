@@ -24,10 +24,6 @@ class DigitExpansion:
     base: int
     digits: tuple[int, ...]
 
-    @property
-    def value(self) -> int:
-        return sum(b * self.base**i for i, b in enumerate(self.digits))
-
 
 def base_p_digits(k: int, p: int) -> DigitExpansion:
     if k < 0:

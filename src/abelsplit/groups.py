@@ -73,11 +73,6 @@ def factorize(n: int) -> tuple[PrimePower, ...]:
     return tuple(sorted(counts.items()))
 
 
-def unfactor(pairs: Iterable[PrimePower]) -> int:
-    """Multiply a factorization back together."""
-    return math.prod(p**e for p, e in pairs)
-
-
 def p_adic_valuation(n: int, p: int) -> int:
     """Largest e with p**e dividing n, for n >= 1 and p prime."""
     if n < 1:
@@ -149,9 +144,6 @@ class FiniteAbelianGroup:
     def elements(self) -> Iterator[Element]:
         """All elements, in lexicographic coordinate order."""
         return product(*(range(d) for d in self.factors))
-
-    def add(self, g: Element, h: Element) -> Element:
-        return tuple((a + b) % d for a, b, d in zip(g, h, self.factors))
 
     def scalar_mul(self, m: int, g: Element) -> Element:
         """m*g coordinate-wise; negative m acts through the inverse."""

@@ -40,7 +40,9 @@ FOUND = "found"
 EXHAUSTED = "exhausted_no_solution"
 RESOURCE_LIMIT = "resource_limit"
 
-_TIME_STRIDE = 4096  # nodes, bit-table entries or orbit elements between clock reads
+# The clock is read each time a search's work passes a multiple of this; a unit
+# of work is a bit-table entry, an orbit element, a row to test or a node.
+_TIME_STRIDE = 4096
 
 
 class BudgetExceeded(RuntimeError):
@@ -88,21 +90,19 @@ def _row_source(
     splitters whose orbit holds x = order[b] are looked at: for m with
     g = gcd(m, n) < n and g | x, those are the g solutions of m*s = x
     (mod n), s = (x/g)*(m/g)^-1 (mod n/g), bar s = 0. Each splitter's mask
-    is built once. The clock is read every _TIME_STRIDE entries of the bit
-    table and about every _TIME_STRIDE orbit elements.
+    is built once. Each table entry and orbit element is one unit of work;
+    the clock is read each time the work passes a multiple of _TIME_STRIDE.
     """
     pos = [0] * n  # the bit table: residue order[i] is at bit i
     for i in range(1, n):
-        if i % _TIME_STRIDE == 0:
-            budget.check_clock()
         pos[order[i]] = i
+    budget.spend(n)
     steps = []  # (g, n/g, (m/g)^-1 mod n/g) per multiplier with g < n
     for m in residues:
         g = gcd(m, n)
         if g < n:
             steps.append((g, n // g, pow(m // g, -1, n // g)))
     k = len(residues)
-    stride = max(1, _TIME_STRIDE // k)
     masks: dict[int, int] = {}  # splitter -> mask, 0 when the orbit is dirty
 
     def rows_at(b: int) -> Iterator[tuple[int, int]]:
@@ -121,8 +121,7 @@ def _row_source(
                 if mask & 1 or mask.bit_count() < k:
                     mask = 0
                 masks[s] = mask
-                if len(masks) % stride == 0:
-                    budget.check_clock()
+                budget.spend(k)
             if mask and (mask & -mask) >> b == 1:
                 yield s, mask
 
@@ -163,11 +162,12 @@ class _Budget:
     """Node and time budget of one search, with the nodes and depth it used.
 
     A node is one row placement, or one enumerated subset in
-    enumerate_all_splittings. The clock is read every _TIME_STRIDE nodes, and
-    while rows are built (see _row_source). rows counts the rows built.
+    enumerate_all_splittings. Every phase spends its work, and spend reads
+    the clock each time the total passes a multiple of _TIME_STRIDE (work
+    keeps the remainder). rows counts the rows built.
     """
 
-    __slots__ = ("node_limit", "deadline", "nodes", "max_depth", "rows")
+    __slots__ = ("node_limit", "deadline", "nodes", "max_depth", "rows", "work")
 
     def __init__(self, config: SearchConfig, start: float):
         self.node_limit = config.node_limit
@@ -175,20 +175,20 @@ class _Budget:
         self.nodes = 0
         self.max_depth = 0
         self.rows = 0
+        self.work = 0
 
-    def check(self, nodes: int) -> None:
-        if nodes >= self.node_limit:
-            raise BudgetExceeded("node_limit")
-        if nodes % _TIME_STRIDE == 0:
-            self.check_clock()
-
-    def check_clock(self) -> None:
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise BudgetExceeded("time_limit")
+    def spend(self, work: int) -> None:
+        self.work += work
+        if self.work >= _TIME_STRIDE:
+            self.work %= _TIME_STRIDE
+            if self.deadline is not None and time.monotonic() > self.deadline:
+                raise BudgetExceeded("time_limit")
 
     def charge(self) -> None:
         self.nodes += 1
-        self.check(self.nodes)
+        if self.nodes >= self.node_limit:
+            raise BudgetExceeded("node_limit")
+        self.spend(1)
 
 
 def _exact_covers(
@@ -202,8 +202,8 @@ def _exact_covers(
     so only the rows whose lowest bit it is can be placed; they are fetched
     the first time the search branches on that bit, and tried in the given
     order. Rows with equal masks but different labels give distinct covers.
-    Each row placement is one node; BudgetExceeded is raised when the budget
-    runs out, also while rows are built.
+    Each row placement is one node, and pushing a bit's rows spends their
+    count plus one; BudgetExceeded is raised when the budget runs out.
     """
     full = (1 << n) - 2
     if full == 0:  # Z_1: the empty cover
@@ -211,14 +211,17 @@ def _exact_covers(
         return
     cands: list[list[tuple[int, int]] | None] = [None] * n
     node_limit = budget.node_limit
-    # The counters live in locals in the loop and go back to the budget on
-    # every yield and on exit: an attribute or method call per node is slow.
-    nodes, max_depth = budget.nodes, budget.max_depth
+    # The counters live in locals in the loop: an attribute or method call per
+    # node is slow. nodes and max_depth go back to the budget on every yield
+    # and on exit; work, the work not yet spent, is spent once it reaches
+    # _TIME_STRIDE, and the rest goes back on exit.
+    nodes, max_depth, work = budget.nodes, budget.max_depth, 0
     covered = 0
     path: list[tuple[int, int]] = []
     try:
         rows = list(rows_at(1))  # bit 1 is the first uncovered one, branched on at the root only
         budget.rows += len(rows)
+        work = len(rows)
         stack = [iter(rows)]
         while stack:
             for row in stack[-1]:
@@ -230,8 +233,8 @@ def _exact_covers(
                 nodes += 1
                 if len(path) > max_depth:
                     max_depth = len(path)
-                if nodes >= node_limit or nodes % _TIME_STRIDE == 0:
-                    budget.check(nodes)
+                if nodes >= node_limit:
+                    raise BudgetExceeded("node_limit")
                 if covered == full:
                     budget.nodes, budget.max_depth = nodes, max_depth
                     yield tuple(sorted(label for label, _ in path))
@@ -244,6 +247,10 @@ def _exact_covers(
                 if rows is None:
                     rows = cands[b] = list(rows_at(b))
                     budget.rows += len(rows)
+                work += len(rows) + 1
+                if work >= _TIME_STRIDE:
+                    budget.spend(work)
+                    work = 0
                 stack.append(iter(rows))
                 break
             else:
@@ -252,6 +259,7 @@ def _exact_covers(
                     covered ^= path.pop()[1]
     finally:
         budget.nodes, budget.max_depth = nodes, max_depth
+        budget.work += work
 
 
 def search_splitter(

@@ -8,6 +8,7 @@ nonzero element of G equals m*s for exactly one pair (m, s).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterable
 
 from .groups import Element, FiniteAbelianGroup
@@ -151,9 +152,9 @@ def verify_splitting(
     on the int residue for a cyclic group, and accepted when none is zero
     and all are distinct: once the count matches, |G|-1 distinct nonzero
     products are every nonzero element, so coverage needs no separate pass.
-    Only a rejected set is scanned again, splitter-major, multiplier-minor,
-    both ascending, and the first offending product is reported, so failure
-    reports are reproducible.
+    For a rejected set, the first product of that pass (splitter-major,
+    multiplier-minor, both ascending) that is zero or repeats is reported,
+    so failure reports are reproducible.
     """
     return _check_products(G, M, canonical_splitters(G, splitters))
 
@@ -173,31 +174,15 @@ def _check_products(
         zero = G.identity()
     if zero not in xs and len(set(xs)) == len(xs):
         return _VALID
-    return _scan_in_order(G, M, S)
-
-
-def _scan_in_order(
-    G: FiniteAbelianGroup, M: MultiplierSet, S: tuple[Element, ...]
-) -> VerificationReport:
-    """Products splitter-major, multiplier-minor; the first that is zero or
-    repeats an earlier one is reported. Only rejected sets reach it."""
-    zero = G.identity()
-    seen: dict[Element, tuple[int, Element]] = {}
-    for s in S:
-        for m in M:
-            x = G.scalar_mul(m, s)
-            if x == zero:
-                return VerificationReport(
-                    INVALID, VerificationFailure("zero_hit", element=x, first=(m, s))
-                )
-            prev = seen.get(x)
-            if prev is not None:
-                return VerificationReport(
-                    INVALID,
-                    VerificationFailure("collision", element=x, first=prev, second=(m, s)),
-                )
-            seen[x] = (m, s)
-    return _VALID
+    # A rejected set has a zero or a repeated product, so this walk returns.
+    seen: dict = {}  # product -> its first (m, s)
+    for x, (s, m) in zip(xs, product(S, M.values)):
+        element = (x,) if G.is_cyclic else x
+        if x == zero:
+            return VerificationReport(INVALID, VerificationFailure("zero_hit", element, (m, s)))
+        if x in seen:
+            return VerificationReport(INVALID, VerificationFailure("collision", element, seen[x], (m, s)))
+        seen[x] = (m, s)
 
 
 @dataclass(frozen=True)

@@ -183,13 +183,21 @@ def test_budget_bounds_are_accepted(runner):
     (["--time-limit", "0"], "nodes=0 rows=0 reason=time_limit"),
 ])
 def test_search_summary_names_budget(runner, tmp_path, budget, tail):
-    # Z_17956's bit table is long enough for a clock read before the first
-    # node; under --node-limit 1 the root row s = 1 is built and placed
+    # Z_17956's bit table is more than _TIME_STRIDE units of work, so the
+    # clock is read before the first node; under --node-limit 1 the root row
+    # s = 1 is built and placed
     result = runner.invoke(
         main, ["search", "-N", "17956", "--k", "95", "--out", str(tmp_path / "p.json"), *budget]
     )
     assert result.exit_code == 3
     assert _summary(result) == f"result=resource_limit order=17956 k=95 {tail}"
+
+
+def test_check_s87_names_time_budget(runner):
+    # the enumeration's work passes _TIME_STRIDE within its first subsets
+    result = runner.invoke(main, ["check", "s87", "-N", "27", "--time-limit", "0"])
+    assert result.exit_code == 3
+    assert _summary(result) == "result=resource_limit reason=time_limit"
 
 
 def test_scan_writes_reports(runner, tmp_path):

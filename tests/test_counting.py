@@ -34,7 +34,7 @@ def test_base_p_digits_examples():
 @given(st.integers(0, 10**6), st.sampled_from(SMALL_PRIMES))
 def test_base_p_digits_reconstruct(k, p):
     exp = base_p_digits(k, p)
-    assert exp.value == k
+    assert sum(b * p**i for i, b in enumerate(exp.digits)) == k
     assert all(0 <= b < p for b in exp.digits)
     assert not exp.digits or exp.digits[-1] != 0
 

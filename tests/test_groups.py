@@ -11,7 +11,6 @@ from abelsplit.groups import (
     factorize,
     is_prime,
     p_adic_valuation,
-    unfactor,
 )
 
 
@@ -47,7 +46,7 @@ def test_factorize_roundtrip_sweep_10_to_6():
     # full sweep: refactoring the reassembled product is the identity
     for n in range(1, 10**6 + 1):
         pairs = factorize(n)
-        assert unfactor(pairs) == n
+        assert math.prod(p**e for p, e in pairs) == n
         assert all(e >= 1 for _, e in pairs)
         assert all(p < q for (p, _), (q, _) in zip(pairs, pairs[1:]))
 
@@ -150,7 +149,7 @@ def test_unique_subgroup_cardinality_and_closure(n, data):
     elems = sorted(sub)
     for a in elems[: min(len(elems), 8)]:
         for b in elems[: min(len(elems), 8)]:
-            assert g.add(a, b) in sub
+            assert ((a[0] + b[0]) % n,) in sub
 
 
 def test_units_examples():

@@ -150,8 +150,8 @@ def test_deepest_strata_first_node_bound():
 
 
 def test_time_limit_holds_during_setup():
-    # the bit table of Z_17956 has more than _TIME_STRIDE entries, and the
-    # clock must be read while it is built, before the first node
+    # the bit table of Z_17956 is more than _TIME_STRIDE units of work, so
+    # the clock is read once it is built, before the first node
     t0 = time.monotonic()
     out = run(17956, 95, time_limit_s=0.0)
     assert out.result == RESOURCE_LIMIT
@@ -161,14 +161,25 @@ def test_time_limit_holds_during_setup():
 
 
 def test_time_limit_holds_while_building_rows():
-    # Z_3001's bit table is shorter than _TIME_STRIDE, so only the clock
-    # reads of the orbit build can stop the search before the engine's first
-    # read at node _TIME_STRIDE
+    # Z_3001's bit table is less than _TIME_STRIDE units of work, so only
+    # the work of the orbit build can pass _TIME_STRIDE and stop the search
+    # before the first node
     expired = _Budget(SearchConfig(time_limit_s=0.0), time.monotonic() - 1.0)
     rows_at = _candidate_rows(3001, range(1, 31), expired)
     with pytest.raises(BudgetExceeded, match="time_limit"):
         next(_exact_covers(3001, rows_at, expired))
     assert expired.nodes < _TIME_STRIDE
+
+
+def test_time_limit_holds_in_the_cover_loop():
+    # a node of Z_85849 may test hundreds of rows of 85,849 bits each, so
+    # the clock is read by the rows pushed, not by the nodes placed
+    t0 = time.monotonic()
+    out = run(85849, 294, time_limit_s=2.0)
+    assert out.result == RESOURCE_LIMIT
+    assert out.stats.reason == "time_limit"
+    assert out.stats.nodes > 0
+    assert time.monotonic() - t0 < 2.5
 
 
 @st.composite
