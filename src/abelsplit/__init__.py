@@ -45,7 +45,6 @@ from .tiling import (
 )
 from .counting import (
     AbcdeProfile,
-    DigitExpansion,
     KDecomposition,
     StratificationProfile,
     TwReport,

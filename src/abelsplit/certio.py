@@ -295,9 +295,9 @@ def tiling_export_text(
         "kind": "tiling_export",
         "format_version": FORMAT_VERSION,
         "dimension": n,
-        "weight_limit": shape.weight_limit,
+        "weight_limit": 1,  # the semi-cross is the error ball of weight 1
         "k_plus": shape.k_plus,
-        "k_minus": shape.k_minus,
+        "k_minus": 0,  # with no negative entries
         "modulus": hom.modulus,
         "weights": list(hom.weights),
         "basis": [list(row) for row in lattice.basis],
@@ -318,8 +318,8 @@ def parse_tiling_export(text: str) -> tuple[dict, list[tuple[tuple[int, ...], tu
 
     The header fixes the semi-cross and the weight map, and so the kernel
     lattice; each translate's cells follow from its anchor, which must lie
-    in the lattice. The text is accepted only if writing those objects back
-    gives it exactly.
+    in the lattice, that is, have weight 0 under the weight map. The text
+    is accepted only if writing those objects back gives it exactly.
     """
     lines = text.splitlines()
     if len(lines) < 2 or not lines[0].startswith("# "):
@@ -331,7 +331,7 @@ def parse_tiling_export(text: str) -> tuple[dict, list[tuple[tuple[int, ...], tu
         hom = LatticeHom(int(header["modulus"]), header["weights"])
         lattice = kernel_lattice(hom)
         anchors = sorted({tuple(int(v) for v in line.split(",")[:n]) for line in lines[2:]})
-        if not all(lattice.contains(anchor) for anchor in anchors):
+        if any(hom.apply(anchor) for anchor in anchors):
             raise DocumentError("tiling_export has an anchor outside the lattice")
         translates = [(anchor, shape.at(anchor)) for anchor in anchors]
         rebuilt = tiling_export_text(shape, lattice, hom, translates)

@@ -17,15 +17,8 @@ from .groups import factorize, is_prime, p_adic_valuation
 from .splitting import INTERVAL, PURELY_SINGULAR, SplittingCertificate
 
 
-@dataclass(frozen=True)
-class DigitExpansion:
+def base_p_digits(k: int, p: int) -> tuple[int, ...]:
     """Little-endian base-p digits; empty for zero, no trailing zero digit."""
-
-    base: int
-    digits: tuple[int, ...]
-
-
-def base_p_digits(k: int, p: int) -> DigitExpansion:
     if k < 0:
         raise ValueError(f"k must be nonnegative, got {k}")
     if not is_prime(p):
@@ -34,7 +27,7 @@ def base_p_digits(k: int, p: int) -> DigitExpansion:
     while k:
         k, b = divmod(k, p)
         digits.append(b)
-    return DigitExpansion(p, tuple(digits))
+    return tuple(digits)
 
 
 @dataclass(frozen=True)
@@ -79,7 +72,7 @@ def decompose_k(k: int, p: int, m: int) -> KDecomposition:
 def digit_pattern_check(dec: KDecomposition) -> bool:
     """Digits b_0..b_beta of k in base p all agree, and the next digit
     differs whenever it exists. Holds for every (k, p); a False is a bug."""
-    digits = base_p_digits(dec.k, dec.p).digits
+    digits = base_p_digits(dec.k, dec.p)
     beta = dec.beta
     if any(b != digits[0] for b in digits[1 : beta + 1]):
         return False
@@ -149,19 +142,16 @@ def check_counting_identity(cert: SplittingCertificate, p: int, i: int) -> bool:
 class AbcdeProfile:
     """Cardinalities of the five interval subsets attached to (k, p, primes).
 
-    prime_data rows are (q, alpha_q, beta_q): q a prime above p, alpha_q its
-    exponent in the coprime part of the group order, beta_q its exponent in
-    m_prime (0 when q does not divide m_prime). Counting is by
-    inclusion-exclusion over the primes. The two identities and the closed
-    form are guaranteed only when hypothesis_met, i.e. when k - floor(k/p)
-    factors exactly as p**beta * d * prod(q**beta_q).
+    abcde_profile's prime_data rows are (q, alpha_q, beta_q): q a prime
+    above p, alpha_q its exponent in the coprime part of the group order,
+    beta_q its exponent in m_prime (0 when q does not divide m_prime).
+    Counting is by inclusion-exclusion over the primes. The two identities
+    and the closed form are guaranteed only when hypothesis_met, i.e. when
+    k - floor(k/p) factors exactly as p**beta * d * prod(q**beta_q).
     """
 
     k: int
     p: int
-    prime_data: tuple[tuple[int, int, int], ...]
-    beta: int
-    d: int
     card_a: int
     card_b: int
     card_c: int
@@ -229,9 +219,7 @@ def abcde_profile(
     card_e = _coprime_count(k, [p] + [q for q, _, _ in data])
     closed = p**dec.beta * dec.d * prod(q ** (b - 1) * (q - 1) for q, b in m_prime_primes)
     hypothesis = dec.m_prime == prod(q**b for q, b in m_prime_primes)
-    return AbcdeProfile(
-        k, p, data, dec.beta, dec.d, card_a, card_b, card_c, card_d, card_e, closed, hypothesis
-    )
+    return AbcdeProfile(k, p, card_a, card_b, card_c, card_d, card_e, closed, hypothesis)
 
 
 def unit_coset_intersection_size(n: int, subgroup_order: int) -> int:
@@ -264,14 +252,10 @@ class TwReport:
     r * |E| = phi(N) is forced to hold with equality throughout.
     """
 
-    order: int
     p: int
-    alpha: int
-    m: int
     k: int
     decomposition: KDecomposition
     hypothesis_ok: bool
-    subgroup_order: int
     unit_splitters: tuple[int, ...]
     w_sizes: tuple[int, ...]
     w_size_formula: int
@@ -339,17 +323,17 @@ def tw_disjointness_check(cert: SplittingCertificate) -> TwReport:
     dec = decompose_k(k, p, m)
     hypothesis_ok = dec.m_prime_divides_m and dec.beta <= alpha - 1
 
-    units = {u[0] for u in G.units()}
+    units = {r for r in range(1, n) if gcd(r, n) == 1}
     unit_splitters = tuple(s[0] for s in cert.splitters if s[0] in units)
     card_e = _coprime_count(k, [q for q, _ in G.order_factorization])
     if not hypothesis_ok:
         return TwReport(
-            n, p, alpha, m, k, dec, False, 0, unit_splitters,
+            p, k, dec, False, unit_splitters,
             (), 0, (), False, False, 0, card_e, len(units),
         )
 
     subgroup_order = p**dec.beta * dec.m_prime
-    subgroup = sorted(e[0] for e in G.unique_subgroup_of_order(subgroup_order))
+    subgroup = range(0, n, n // subgroup_order)
     w_sets = [
         frozenset(v for x in subgroup if (v := (s + x) % n) in units)
         for s in unit_splitters
@@ -365,7 +349,7 @@ def tw_disjointness_check(cert: SplittingCertificate) -> TwReport:
     within = all(tw <= units for tw in tw_sets)
     card_d = _coprime_count(k, [p] + [q for q, _ in factorize(dec.m_prime)])
     return TwReport(
-        n, p, alpha, m, k, dec, True, subgroup_order, unit_splitters,
+        p, k, dec, True, unit_splitters,
         tuple(len(w) for w in w_sets),
         unit_coset_intersection_size(n, subgroup_order),
         tuple(len(tw) for tw in tw_sets),

@@ -5,8 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import product
-from typing import Iterable, Iterator
+from typing import Iterable
 
 Element = tuple[int, ...]
 PrimePower = tuple[int, int]
@@ -92,7 +91,7 @@ class FiniteAbelianGroup:
 
     Elements are tuples of reduced coordinates, one per factor, so they hash
     and compare canonically. A single factor (N,) is the cyclic form Z_N;
-    subgroup, unit, and splitter-search operations require that form.
+    the splitter search, the stratification and the tiling require that form.
     """
 
     factors: tuple[int, ...]
@@ -141,10 +140,6 @@ class FiniteAbelianGroup:
             return (int(coords[0]) % factors[0],)
         return tuple(int(c) % d for c, d in zip(coords, factors))
 
-    def elements(self) -> Iterator[Element]:
-        """All elements, in lexicographic coordinate order."""
-        return product(*(range(d) for d in self.factors))
-
     def scalar_mul(self, m: int, g: Element) -> Element:
         """m*g coordinate-wise; negative m acts through the inverse."""
         return tuple(m * c % d for c, d in zip(g, self.factors))
@@ -152,16 +147,3 @@ class FiniteAbelianGroup:
     def element_order(self, g: Element) -> int:
         """Least t >= 1 with t*g = 0: lcm over coordinates of d / gcd(c, d)."""
         return math.lcm(*(d // math.gcd(c, d) for c, d in zip(g, self.factors)))
-
-    def unique_subgroup_of_order(self, d: int) -> frozenset[Element]:
-        """The unique subgroup of order d of a cyclic group; needs d | N."""
-        n = self.modulus
-        if d < 1 or n % d != 0:
-            raise ValueError(f"no subgroup of order {d} in Z{n}")
-        step = n // d
-        return frozenset((step * j,) for j in range(d))
-
-    def units(self) -> frozenset[Element]:
-        """Residues in [1, N) coprime to N, for the cyclic form."""
-        n = self.modulus
-        return frozenset((r,) for r in range(1, n) if math.gcd(r, n) == 1)

@@ -73,10 +73,6 @@ class SearchOutcome:
     splitters: tuple[int, ...] | None
     stats: SearchStats
 
-    @property
-    def found(self) -> bool:
-        return self.result == FOUND
-
 
 def _row_source(
     n: int, residues: Sequence[int], order: Sequence[int], budget: _Budget
@@ -307,25 +303,25 @@ def enumerate_all_splittings(
     group = FiniteAbelianGroup.cyclic(n)
     n_splitters = (n - 1) // size_of_m
     fix_multipliers = comb(n - 1, size_of_m) <= comb(n - 1, n_splitters)
+    side = 1 if fix_multipliers else -1  # (fixed, cover)[::side] is (M values, S values)
     budget = _Budget(config, time.monotonic())
+    # The certificates of one multiplier set share its MultiplierSet and its
+    # classification, whichever side is enumerated. In the peak memory of
+    # `check s87 -N 27`, one MultiplierSet per certificate would add about
+    # 10%, and one classification per certificate about 17%.
+    shared = {}  # M values -> (MultiplierSet, classification)
     out: list[SplittingCertificate] = []
     # The orbit of x is {f*x : f in fixed}, symmetric in the two sides, so
     # the same rows serve whichever side is enumerated.
     for fixed in combinations(range(1, n), size_of_m if fix_multipliers else n_splitters):
         budget.charge()
         rows_at = _row_source(n, fixed, range(n), budget)  # bit x is residue x
-        # The covers of one multiplier subset share its MultiplierSet and its
-        # classification. In the peak memory of `check s87 -N 27`, one
-        # MultiplierSet per certificate would add about 10%, and one
-        # classification per certificate about 17% (106 MB against 91 MB).
-        if fix_multipliers:
-            mult = MultiplierSet.explicit(fixed)
-            classification = classify_multipliers(group, mult)
-        for labels in _exact_covers(n, rows_at, budget):
-            if fix_multipliers:
-                s_vals = labels
-            else:
-                mult, classification, s_vals = MultiplierSet.explicit(labels), None, fixed
+        for cover in _exact_covers(n, rows_at, budget):
+            m_vals, s_vals = (fixed, cover)[::side]
+            if m_vals not in shared:
+                mult = MultiplierSet.explicit(m_vals)
+                shared[m_vals] = mult, classify_multipliers(group, mult)
+            mult, classification = shared[m_vals]
             out.append(make_certificate(group, mult, [(s,) for s in s_vals], classification))
     out.sort(key=lambda c: (c.multipliers.values, c.splitters))
     return out

@@ -22,16 +22,10 @@ Matrix = tuple[tuple[int, ...], ...]  # row-major; basis vectors are the columns
 
 @dataclass(frozen=True)
 class ErrorBallShape:
-    """A semi-cross: the origin plus arms 1..k_plus along each positive axis.
-
-    weight_limit (always 1) and k_minus (always 0) name it as the error ball
-    of weight 1 with no negative entries; tiling export headers write them.
-    """
+    """A semi-cross: the origin plus arms 1..k_plus along each positive axis."""
 
     dimension: int
-    weight_limit: int
     k_plus: int
-    k_minus: int
     points: tuple[Vector, ...]
 
     def at(self, anchor: Sequence[int]) -> tuple[Vector, ...]:
@@ -50,7 +44,7 @@ def semi_cross(n: int, k: int) -> ErrorBallShape:
         raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
     origin = (0,) * n
     arms = [origin[:i] + (j,) + origin[i + 1:] for i in range(n) for j in range(1, k + 1)]
-    return ErrorBallShape(n, 1, k, 0, tuple(sorted([origin] + arms)))
+    return ErrorBallShape(n, k, tuple(sorted([origin] + arms)))
 
 
 @dataclass(frozen=True)
@@ -112,21 +106,6 @@ class IntegerLattice:
     @property
     def index(self) -> int:
         return prod(self.basis[i][i] for i in range(self.dimension))
-
-    def contains(self, vector: Sequence[int]) -> bool:
-        """Membership by reducing against the triangular basis."""
-        v = list(vector)
-        if len(v) != self.dimension:
-            raise ValueError("dimension mismatch")
-        for i in range(self.dimension - 1, -1, -1):
-            d = self.basis[i][i]
-            if v[i] % d:
-                return False
-            q = v[i] // d
-            if q:
-                for r in range(i + 1):
-                    v[r] -= q * self.basis[r][i]
-        return not any(v)
 
     def points_in(self, ranges: Sequence[range]) -> list[Vector]:
         """Lattice points of a box given as one unit-step range per axis, ascending.

@@ -17,6 +17,8 @@ deduplication by orbit, and drops those two.
 Agreement between the two routes is the point.
 """
 
+from itertools import product
+
 from abelsplit.counting import StratificationProfile
 from abelsplit.groups import FiniteAbelianGroup, p_adic_valuation
 from abelsplit.search import SearchConfig, _Budget, _exact_covers, _row_source
@@ -165,7 +167,7 @@ def stratify_by_enumeration(cert: SplittingCertificate, p: int) -> Stratificatio
     G = cert.group
     alpha = p_adic_valuation(G.order, p)
     g_counts = [0] * (alpha + 1)
-    for g in G.elements():
+    for g in product(*(range(d) for d in G.factors)):
         g_counts[p_adic_valuation(G.element_order(g), p)] += 1
     s_counts = [0] * (alpha + 1)
     for s in cert.splitters:

@@ -257,6 +257,9 @@ def test_tiling_round_trip(desk_scan):
 
 
 def test_coprimality_enumeration_9_27():
+    # sha256 over (M, S, classification) of every order-27 certificate, in
+    # the order enumerate_all_splittings returns them, size by size
+    stream = hashlib.sha256()
     with criterion("coprimality-enumeration-9-27"):
         for order in (9, 27):
             sizes = [d for d in range(1, order) if (order - 1) % d == 0]
@@ -267,6 +270,13 @@ def test_coprimality_enumeration_9_27():
                     assert s87_property_check(cert), (
                         order, size, cert.multipliers.values, cert.splitters,
                     )
+                    if order == 27:
+                        c = cert.classification
+                        key = (cert.multipliers.values, cert.splitters, c.tag, c.witnesses)
+                        stream.update(repr(key).encode() + b"\n")
+        assert stream.hexdigest() == (
+            "05c0f81fcf9701af21ae597a843107f346ac92fe044a33b3aa87c5494e5559a6"
+        )
 
 
 def test_scan_determinism_serial_vs_parallel():

@@ -7,7 +7,7 @@ import pytest
 from abelsplit import certio
 from abelsplit.groups import FiniteAbelianGroup
 from abelsplit.scan import scan
-from abelsplit.search import SearchConfig, search_splitter
+from abelsplit.search import FOUND, SearchConfig, search_splitter
 from abelsplit.splitting import MultiplierSet, make_certificate, trivial_certificate
 
 Z = FiniteAbelianGroup.cyclic
@@ -114,7 +114,7 @@ def test_scan_report_round_trip_and_determinism():
     assert [r.outcome.stats.nodes for r in back.records] == [
         r.outcome.stats.nodes for r in report.records
     ]
-    found = [r.certificate for r in report.records if r.outcome.found]
+    found = [r.certificate for r in report.records if r.outcome.result == FOUND]
     assert found and all(found)
     assert [r.certificate for r in back.records] == [r.certificate for r in report.records]
 
@@ -191,12 +191,15 @@ def test_tiling_export_round_trip():
     header_line, columns, first, *rest = text.splitlines(keepends=True)
     no_dimension = header_line.replace('"dimension": 2, ', "")
     anchor = first.rsplit(",", 2)[0]
+    anchors_only = "".join(line.rsplit(",", 2)[0] + "\n" for line in [first, *rest])
     for bad in (
         "no header\n1,2\n",
         no_dimension + columns + first + "".join(rest),  # header lacks dimension
         "# [1]\n" + columns + first,  # header is not an object
         header_line + columns + anchor + ",x,0\n" + "".join(rest),  # non-integer cell
         header_line + columns + anchor + ",7,7\n" + "".join(rest),  # tampered cell
+        header_line + columns + anchors_only,  # rows hold only their anchor columns
+        header_line + columns + "0\n" + first + "".join(rest),  # a row shorter than an anchor
         certio.tiling_export_text(  # a whole translate off the lattice
             shape, lattice, hom, sorted(translates + [((0, 1), shape.at((0, 1)))])
         ),

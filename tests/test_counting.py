@@ -1,4 +1,7 @@
+from math import gcd
+
 import pytest
+import sympy
 from helpers import coprime_count_by_enumeration, stratify_by_enumeration
 from hypothesis import given
 from hypothesis import strategies as st
@@ -15,6 +18,7 @@ from abelsplit.counting import (
 )
 from abelsplit.groups import FiniteAbelianGroup, is_prime
 from abelsplit.splitting import (
+    PURELY_SINGULAR,
     MultiplierSet,
     make_certificate,
     trivial_certificate,
@@ -25,18 +29,18 @@ SMALL_PRIMES = [p for p in range(2, 100) if is_prime(p)]
 
 
 def test_base_p_digits_examples():
-    assert base_p_digits(8, 3).digits == (2, 2)
-    assert base_p_digits(24, 5).digits == (4, 4)
-    assert base_p_digits(1, 7).digits == (1,)
-    assert base_p_digits(0, 7).digits == ()
+    assert base_p_digits(8, 3) == (2, 2)
+    assert base_p_digits(24, 5) == (4, 4)
+    assert base_p_digits(1, 7) == (1,)
+    assert base_p_digits(0, 7) == ()
 
 
 @given(st.integers(0, 10**6), st.sampled_from(SMALL_PRIMES))
 def test_base_p_digits_reconstruct(k, p):
-    exp = base_p_digits(k, p)
-    assert sum(b * p**i for i, b in enumerate(exp.digits)) == k
-    assert all(0 <= b < p for b in exp.digits)
-    assert not exp.digits or exp.digits[-1] != 0
+    digits = base_p_digits(k, p)
+    assert sum(b * p**i for i, b in enumerate(digits)) == k
+    assert all(0 <= b < p for b in digits)
+    assert not digits or digits[-1] != 0
 
 
 def test_base_p_digits_rejects_composite_base():
@@ -253,9 +257,8 @@ def test_unit_coset_size_both_branches():
 
 def test_unit_coset_size_matches_enumeration():
     for n, h in [(5**2 * 7**2, 5 * 7), (5**3, 25), (5**2 * 11, 55), (7**2 * 11**2, 7 * 11**2)]:
-        group = Z(n)
-        units = {u[0] for u in group.units()}
-        subgroup = [e[0] for e in group.unique_subgroup_of_order(h)]
+        units = {r for r in range(1, n) if gcd(r, n) == 1}
+        subgroup = range(0, n, n // h)
         formula = unit_coset_intersection_size(n, h)
         for s in sorted(units)[:6]:
             actual = sum(1 for x in subgroup if (s + x) % n in units)
@@ -271,12 +274,24 @@ def test_tw_z25():
     report = tw_disjointness_check(trivial_certificate(24))
     assert report.passed
     assert report.unit_splitters == (1,)
-    assert report.subgroup_order == 5
     assert report.w_sizes == (5,)
     assert report.tw_sizes == (20,)
     assert report.card_d == report.card_e == 20
     assert report.unit_count == 20
     assert report.r * report.card_e == report.unit_count
+
+
+def test_tw_unit_count_is_totient():
+    checked = 0
+    for k in range(1, 300):
+        for which in ("order_k_plus_1", "order_2k_plus_1"):
+            cert = trivial_certificate(k, which)
+            n = cert.group.modulus
+            if n > 300 or gcd(n, 6) != 1 or cert.classification.tag != PURELY_SINGULAR:
+                continue
+            assert tw_disjointness_check(cert).unit_count == sympy.totient(n), (k, which)
+            checked += 1
+    assert checked > 50
 
 
 def test_tw_z49():

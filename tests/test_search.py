@@ -136,8 +136,8 @@ def test_explicit_multipliers_agree_with_enumeration():
             for values in combinations(range(1, n), size):
                 mult = MultiplierSet.explicit(values)
                 out = search_splitter(Z(n), mult)
-                assert out.found == (values in with_splitting), (n, values)
-                if out.found:
+                assert (out.result == FOUND) == (values in with_splitting), (n, values)
+                if out.result == FOUND:
                     assert 1 in out.splitters
                     assert verify_splitting(Z(n), mult, [(s,) for s in out.splitters]).is_valid
 
@@ -313,6 +313,16 @@ def test_enumerate_sides_agree():
         for c in enumerate_all_splittings(9, 4)
     }
     assert size_2 == transposed_4
+
+
+def test_enumerate_shares_multiplier_sets():
+    # |M| = 4 in Z_9 enumerates the splitter side; every certificate of one
+    # multiplier set still shares one MultiplierSet and one classification
+    certs = enumerate_all_splittings(9, 4)
+    assert len(certs) == 72
+    assert len({c.multipliers.values for c in certs}) == 16
+    assert len({id(c.multipliers) for c in certs}) == 16
+    assert len({id(c.classification) for c in certs}) == 16
 
 
 def test_enumerate_budget():

