@@ -2,7 +2,11 @@
 reports, and tiling exports.
 
 Every document is canonical JSON (sorted keys, two-space indent, trailing
-newline), so equal objects serialize to identical bytes. Scan report
+newline), so equal objects serialize to identical bytes. dumps_document
+writes exactly json.dumps(doc, sort_keys=True, indent=2) plus the newline.
+It is written by hand because json.dumps runs without its C encoder
+whenever indent is set, which made checkpoints most of a desk scan's
+cost; it accepts str keys and exact JSON types only. Scan report
 documents deliberately exclude wall-clock data; timing appears only in the
 tabular export's millis column, which is diagnostic and carries 0 for
 records restored through a resume. Every file abelsplit writes goes through
@@ -18,10 +22,11 @@ from __future__ import annotations
 import json
 import os
 from contextlib import contextmanager
+from functools import cache
 from pathlib import Path
 
 from .groups import FiniteAbelianGroup
-from .scan import CandidateOrder, ScanRecord, ScanReport, make_record
+from .scan import VIOLATION, CandidateOrder, ScanRecord, ScanReport, make_record, overall_verdict
 from .search import EXHAUSTED, FOUND, SearchOutcome, SearchStats
 from .splitting import (
     INTERVAL,
@@ -39,8 +44,72 @@ class DocumentError(ValueError):
     """Malformed or internally inconsistent document."""
 
 
+_escape = json.encoder.encode_basestring_ascii  # the C function json.dumps uses
+
+
+@cache
+def _punctuation(depth: int) -> tuple[str, str, str, str, str]:
+    """Dict open, item separator, dict close, list open and list close for
+    a container at depth."""
+    outer = "\n" + "  " * depth
+    inner = outer + "  "
+    return "{" + inner, "," + inner, outer + "}", "[" + inner, outer + "]"
+
+
+def _write(o, depth: int, append) -> None:
+    t = type(o)
+    if t is int:
+        append(int.__repr__(o))
+    elif t is str:
+        append(_escape(o))
+    elif t is dict:
+        if not o:
+            append("{}")
+            return
+        sep, item_sep, close, _, _ = _punctuation(depth)
+        for key in sorted(o):  # keys of mixed types fail here, naming them
+            if type(key) is not str:
+                raise TypeError(f"document key must be str, not {type(key).__name__}")
+            append(sep)
+            append(_escape(key))
+            append(": ")
+            _write(o[key], depth + 1, append)
+            sep = item_sep
+        append(close)
+    elif t is list or t is tuple:
+        if not o:
+            append("[]")
+            return
+        _, item_sep, _, sep, close = _punctuation(depth)
+        for item in o:
+            append(sep)
+            _write(item, depth + 1, append)
+            sep = item_sep
+        append(close)
+    elif o is None:
+        append("null")
+    elif o is True:
+        append("true")
+    elif o is False:
+        append("false")
+    elif t is float:
+        append(json.dumps(o))  # json's float rule: NaN, Infinity, -0.0
+    else:
+        raise TypeError(f"{t.__name__} is not a document type")
+
+
 def dumps_document(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """The canonical text of doc: json.dumps(doc, sort_keys=True, indent=2)
+    plus a newline.
+
+    A dict key that is not a str, or a value whose type is not exactly
+    dict, list, tuple, str, int, float, bool or None, raises TypeError
+    naming its type.
+    """
+    parts: list[str] = []
+    _write(doc, 0, parts.append)
+    parts.append("\n")
+    return "".join(parts)
 
 
 def loads_document(text: str) -> dict:
@@ -193,7 +262,7 @@ def _record_to_doc(record: ScanRecord) -> dict:
         "max_depth": record.outcome.stats.max_depth,
         "splitters": list(record.outcome.splitters) if record.outcome.splitters is not None else None,
     }
-    if record.verdict == "CONJECTURE_VIOLATION" and record.certificate is not None:
+    if record.verdict == VIOLATION and record.certificate is not None:
         doc["certificate"] = certificate_to_doc(record.certificate)
     return doc
 
@@ -215,6 +284,7 @@ def _record_from_doc(doc) -> ScanRecord:
 
 
 def scan_report_to_doc(report: ScanReport) -> dict:
+    totals = report.totals
     return {
         "format_version": FORMAT_VERSION,
         "kind": "scan_report",
@@ -226,8 +296,8 @@ def scan_report_to_doc(report: ScanReport) -> dict:
             "time_limit_s": report.time_limit_s,
         },
         "records": [_record_to_doc(r) for r in report.records],
-        "totals": report.totals,
-        "overall": report.overall,
+        "totals": totals,
+        "overall": overall_verdict(totals),
     }
 
 

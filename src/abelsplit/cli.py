@@ -20,7 +20,7 @@ import click
 
 from . import certio, counting, search as searchlib, splitting, tiling
 from .groups import FiniteAbelianGroup, is_prime
-from .scan import scan as run_scan
+from .scan import INCONCLUSIVE, VIOLATION, overall_verdict, scan as run_scan
 from .splitting import INTERVAL, MultiplierSet
 
 EXIT_OK = 0
@@ -189,13 +189,14 @@ def scan(k_min, k_max, n_max, jobs, out_dir, resume, node_limit, time_limit_s) -
     certio.write_document(report_path, certio.scan_report_to_doc(report))
     certio.write_text(table_path, certio.scan_report_table(report))
     totals = report.totals
+    overall = overall_verdict(totals)
     click.echo(f"report={report_path}")
     click.echo(f"table={table_path}")
     click.echo(
-        f"overall={report.overall} records={totals['records']} found={totals['found']} "
-        f"violations={totals['CONJECTURE_VIOLATION']} inconclusive={totals['inconclusive']}"
+        f"overall={overall} records={totals['records']} found={totals['found']} "
+        f"violations={totals[VIOLATION]} inconclusive={totals[INCONCLUSIVE]}"
     )
-    sys.exit({"consistent": EXIT_OK, "violation": EXIT_NEGATIVE}.get(report.overall, EXIT_RESOURCE))
+    sys.exit({"consistent": EXIT_OK, "violation": EXIT_NEGATIVE}.get(overall, EXIT_RESOURCE))
 
 
 def _parse_box(spec: str, dimension: int) -> list[tuple[int, int]]:

@@ -120,12 +120,17 @@ class ScanReport:
 
     @property
     def overall(self) -> str:
-        totals = self.totals
-        if totals[VIOLATION]:
-            return "violation"
-        if totals[INCONCLUSIVE]:
-            return "inconclusive"
-        return "consistent"
+        return overall_verdict(self.totals)
+
+
+def overall_verdict(totals: dict[str, int]) -> str:
+    """A scan's verdict from its totals: any violation decides it, then any
+    inconclusive record."""
+    if totals[VIOLATION]:
+        return "violation"
+    if totals[INCONCLUSIVE]:
+        return "inconclusive"
+    return "consistent"
 
 
 def scan(

@@ -14,9 +14,12 @@ The one exception, the natural-order search, runs the library's row
 source and engine on purpose: it checks the branch order and the rule
 fixing 1 in S, so it lays bit x out for residue x, keeps its own
 deduplication by orbit, and drops those two.
+The document oracle is the json.dumps call that certio's hand-written
+writer replaces.
 Agreement between the two routes is the point.
 """
 
+import json
 from itertools import product
 
 from abelsplit.counting import StratificationProfile
@@ -37,6 +40,11 @@ from abelsplit.tiling import (
     TilingCertificate,
     _xgcd,
 )
+
+
+def canonical_json(doc) -> str:
+    """The canonical document text, from json.dumps itself."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def naive_splitting_exists(n: int, k: int) -> bool:

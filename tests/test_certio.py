@@ -3,14 +3,82 @@ import errno
 import io
 
 import pytest
+from helpers import canonical_json
+from hypothesis import given
+from hypothesis import strategies as st
 
 from abelsplit import certio
 from abelsplit.groups import FiniteAbelianGroup
-from abelsplit.scan import scan
+from abelsplit.scan import VIOLATION, CandidateOrder, ScanReport, make_record, scan
 from abelsplit.search import FOUND, SearchConfig, search_splitter
 from abelsplit.splitting import MultiplierSet, make_certificate, trivial_certificate
 
 Z = FiniteAbelianGroup.cyclic
+
+_AWKWARD_TEXT = ["", '"', "\\", 'a"b\\c', "\x00\x1f\x7f", "\n\t\r", "é€😀", "\u2028\ud800"]
+_AWKWARD_NUMBERS = [
+    0, -1, -(2**100), 10**400, 0.1, 1e300, -1e-300, 1e16, -0.0,
+    float("nan"), float("inf"), float("-inf"),
+]
+_keys = st.text() | st.sampled_from(_AWKWARD_TEXT)
+_scalars = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+    | st.sampled_from(_AWKWARD_TEXT + _AWKWARD_NUMBERS)
+)
+_trees = st.recursive(
+    _scalars | st.sampled_from([{}, [], ()]),
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(_keys, children, max_size=4)
+    ),
+    max_leaves=25,
+)
+
+
+@given(_trees)
+def test_dumps_document_matches_json_dumps(tree):
+    assert certio.dumps_document(tree) == canonical_json(tree)
+
+
+def test_dumps_document_awkward_values():
+    values = _AWKWARD_TEXT + _AWKWARD_NUMBERS + [True, False, None]
+    keys = _AWKWARD_TEXT * 3
+    tree = {
+        key + str(i): [value, {key: value}, (value, [], {}), [[{}]]]
+        for i, (key, value) in enumerate(zip(keys, values))
+    }
+    tree["nested"] = {"empty": [{}, [], (), {"a": []}], "flags": (True, False, None)}
+    assert certio.dumps_document(tree) == canonical_json(tree)
+
+
+@pytest.mark.parametrize("doc, type_name", [
+    ({"a": 1, 2: "b"}, "int"),
+    ({(1, 2): "a"}, "tuple"),
+    ({"a": {1, 2}}, "set"),
+    ({"a": [object()]}, "object"),
+    ({"a": b"x"}, "bytes"),
+])
+def test_dumps_document_rejects_non_json_types(doc, type_name):
+    with pytest.raises(TypeError, match=type_name):
+        certio.dumps_document(doc)
+
+
+def test_dumps_document_is_narrower_than_json_dumps():
+    # json.dumps coerces an int key to its text; the writer refuses it
+    assert canonical_json({1: "a"}) == '{\n  "1": "a"\n}\n'
+    with pytest.raises(TypeError, match="int"):
+        certio.dumps_document({1: "a"})
+
+
+def test_violation_record_document_matches_json_dumps():
+    # {1, 2} splits Z_9, an order that is neither k + 1 nor 2k + 1
+    candidate = CandidateOrder(2, 4, 9, ((3, 2),))
+    record = make_record(candidate, search_splitter(Z(9), MultiplierSet.interval(2)))
+    assert record.verdict == VIOLATION
+    doc = certio.scan_report_to_doc(ScanReport(2, 2, 4, 10**8, 60.0, (record,)))
+    assert doc["overall"] == "violation" and "certificate" in doc["records"][0]
+    assert certio.dumps_document(doc) == canonical_json(doc)
 
 
 def test_certificate_round_trip():
@@ -117,6 +185,15 @@ def test_scan_report_round_trip_and_determinism():
     found = [r.certificate for r in report.records if r.outcome.result == FOUND]
     assert found and all(found)
     assert [r.certificate for r in back.records] == [r.certificate for r in report.records]
+
+
+def test_scan_report_doc_counts_totals_once(monkeypatch):
+    calls = []
+    totals = ScanReport.totals.fget
+    monkeypatch.setattr(ScanReport, "totals", property(lambda r: calls.append(r) or totals(r)))
+    doc = certio.scan_report_to_doc(scan(5, 6))
+    assert len(calls) == 1
+    assert doc["overall"] == "consistent" and doc["totals"]["records"] == 4
 
 
 def test_scan_report_doc_excludes_timing():

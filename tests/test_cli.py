@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 from click.testing import CliRunner
+from helpers import canonical_json
 
 from abelsplit import certio, counting
 from abelsplit.cli import main
@@ -589,6 +590,39 @@ def test_check_writes_report(runner, tmp_path):
     assert result.exit_code == 0
     doc = certio.read_document(out)
     assert doc["kind"] == "check_report" and doc["verdict"] == "pass"
+
+
+def test_every_written_document_matches_json_dumps(runner, tmp_path, monkeypatch):
+    z25 = tmp_path / "z25.json"
+    _write_cert(z25, trivial_certificate(24))
+    written = []
+    writer = certio.dumps_document
+
+    def recording(doc):
+        written.append(doc)
+        return writer(doc)
+
+    monkeypatch.setattr(certio, "dumps_document", recording)
+    commands = (
+        (["search", "-N", "5", "--k", "2"], 0),
+        (["search", "-N", "105", "--k", "8"], 1),
+        (["search", "-N", "5", "--k", "2", "--node-limit", "1"], 3),
+        (["scan", "--k-min", "5", "--k-max", "7", "--out-dir", str(tmp_path)], 0),
+        (["check", "abcde", "--k", "20", "--p", "3", "--primes", "5:1:1"], 1),
+        (["check", "digits", "--k", "8", "--p", "3"], 0),
+        (["check", "digits", "--k-max", "20", "--p-max", "7"], 0),
+        (["check", "strata", "--cert", str(z25), "--p", "5"], 0),
+        (["check", "tw", "--cert", str(z25)], 0),
+        (["check", "s87", "-N", "9"], 0),
+    )
+    for args, code in commands:
+        assert runner.invoke(main, args).exit_code == code, args
+    assert {doc["kind"] for doc in written} == {
+        "splitting_certificate", "nonexistence_attestation", "search_partial",
+        "scan_report", "check_report",
+    }
+    for doc in written:
+        assert writer(doc) == canonical_json(doc)
 
 
 def test_summary_lines_are_key_value(runner, tmp_path):
