@@ -151,7 +151,13 @@ def write_document(path, doc: dict) -> None:
 
 
 def read_document(path) -> dict:
-    return loads_document(Path(path).read_text())
+    """The document in the file at path; DocumentError unless it is UTF-8
+    text that loads_document accepts."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DocumentError(f"not UTF-8 text: {exc}") from exc
+    return loads_document(text)
 
 
 @contextmanager

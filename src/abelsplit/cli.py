@@ -5,8 +5,10 @@ Exit codes are uniform across subcommands: 0 for an affirmative result,
 violation, failed check), 2 for usage or input errors, and 3 when a node
 or time budget ran out before an answer was reached. Every command ends
 with one machine-parseable key=value summary line that is stable across
-runs. Budgets come from flags or the ABELSPLIT_NODE_LIMIT and
-ABELSPLIT_TIME_LIMIT environment variables.
+runs, printed by _finish, which also writes the command's document. A file
+that cannot be read or written, or is not UTF-8 text, exits 2 with an
+error: line. Budgets come from --node-limit and --time-limit, whose
+defaults are SearchConfig's.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import os
 import sys
 import time
 from pathlib import Path
+from typing import NoReturn
 
 import click
 
@@ -34,54 +37,72 @@ EXIT_RESOURCE = 3
 CHECKPOINT_SPACING = 9
 
 
-def _fail_usage(message: str) -> None:
+def _fail_usage(message: str) -> NoReturn:
     click.echo(f"error: {message}", err=True)
     sys.exit(EXIT_USAGE)
 
 
+def _finish(code: int, summary: str, text: str | None = None, out: str | None = None) -> NoReturn:
+    """End a command: write text (its document) to out, or to stdout when
+    out is None, then print the key=value summary line and exit with code."""
+    if text is not None:
+        if out is None:
+            click.echo(text, nl=False)
+        else:
+            certio.write_text(out, text)
+    click.echo(summary)
+    sys.exit(code)
+
+
+class _Main(click.Group):
+    """The command group; an OSError in any command, such as a file that
+    cannot be read or written or a closed stdout, exits 2."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except OSError as exc:
+            _fail_usage(str(exc))
+
+
 def _budget_options(f):
+    defaults = searchlib.SearchConfig()
     f = click.option(
-        "--node-limit", type=int, default=None, envvar="ABELSPLIT_NODE_LIMIT",
-        help="search node budget (default 10^8)",
+        "--node-limit", type=int, default=defaults.node_limit, show_default=True,
+        help="search node budget",
     )(f)
     f = click.option(
-        "--time-limit", "time_limit_s", type=float, default=None,
-        envvar="ABELSPLIT_TIME_LIMIT",
-        help="per-instance time budget in seconds (default 60)",
+        "--time-limit", "time_limit_s", type=float, default=defaults.time_limit_s,
+        show_default=True, help="per-instance time budget in seconds",
     )(f)
     return f
 
 
 def _config(node_limit, time_limit_s) -> searchlib.SearchConfig:
     """The search budget; exits 2 unless node_limit >= 1 and time_limit_s >= 0."""
-    if node_limit is not None and node_limit < 1:
+    if node_limit < 1:
         _fail_usage(f"--node-limit must be >= 1, got {node_limit}")
-    if time_limit_s is not None and not time_limit_s >= 0:  # also rejects nan
+    if not time_limit_s >= 0:  # also rejects nan
         _fail_usage(f"--time-limit must be >= 0, got {time_limit_s}")
-    base = searchlib.SearchConfig()
-    return searchlib.SearchConfig(
-        node_limit=node_limit if node_limit is not None else base.node_limit,
-        time_limit_s=time_limit_s if time_limit_s is not None else base.time_limit_s,
-    )
+    return searchlib.SearchConfig(node_limit, time_limit_s)
 
 
 def _load_certificate(path):
     try:
         return certio.certificate_from_doc(certio.read_document(path))
-    except OSError as exc:
-        _fail_usage(f"cannot read {path}: {exc}")
     except certio.DocumentError as exc:
         _fail_usage(f"bad certificate document: {exc}")
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        click.echo(text, nl=False)
-    else:
-        certio.write_text(out, text)
+def _require_valid(cert) -> None:
+    """Ends the command with exit 1 unless cert is a splitting."""
+    report = splitting.verify_splitting(cert.group, cert.multipliers, cert.splitters)
+    if not report.is_valid:
+        _finish(EXIT_NEGATIVE, f"verdict=invalid failure={report.failure.kind}",
+                report.failure.describe() + "\n")
 
 
-@click.group()
+@click.group(cls=_Main)
 def main() -> None:
     """Splittings of finite abelian groups and semi-cross lattice tilings."""
 
@@ -91,16 +112,9 @@ def main() -> None:
 def verify(certificate: str) -> None:
     """Verify a splitting certificate document."""
     cert = _load_certificate(certificate)
-    report = splitting.verify_splitting(cert.group, cert.multipliers, cert.splitters)
-    if report.is_valid:
-        click.echo(
-            f"verdict=valid group={cert.group} multipliers={len(cert.multipliers)} "
-            f"splitters={len(cert.splitters)} classification={cert.classification.tag}"
-        )
-        sys.exit(EXIT_OK)
-    click.echo(report.failure.describe())
-    click.echo(f"verdict=invalid failure={report.failure.kind}")
-    sys.exit(EXIT_NEGATIVE)
+    _require_valid(cert)
+    _finish(EXIT_OK, f"verdict=valid group={cert.group} multipliers={len(cert.multipliers)} "
+            f"splitters={len(cert.splitters)} classification={cert.classification.tag}")
 
 
 @main.command()
@@ -118,22 +132,17 @@ def search(order, k, out, node_limit, time_limit_s) -> None:
     group = FiniteAbelianGroup.cyclic(order)
     multipliers = MultiplierSet.interval(k)
     outcome = searchlib.search_splitter(group, multipliers, _config(node_limit, time_limit_s))
+    stats = outcome.stats
     if outcome.result == searchlib.FOUND:
         cert = splitting.make_certificate(group, multipliers, [(s,) for s in outcome.splitters])
-        _emit(certio.dumps_document(certio.certificate_to_doc(cert)), out)
-        click.echo(
-            f"result=found order={order} k={k} splitters={len(outcome.splitters)} "
-            f"classification={cert.classification.tag} nodes={outcome.stats.nodes} "
-            f"rows={outcome.stats.rows}"
-        )
-        sys.exit(EXIT_OK)
-    _emit(certio.dumps_document(certio.search_result_doc(order, multipliers, outcome)), out)
-    stats = outcome.stats
+        _finish(EXIT_OK, f"result=found order={order} k={k} splitters={len(outcome.splitters)} "
+                f"classification={cert.classification.tag} nodes={stats.nodes} rows={stats.rows}",
+                certio.dumps_document(certio.certificate_to_doc(cert)), out)
     summary = f"result={outcome.result} order={order} k={k} nodes={stats.nodes} rows={stats.rows}"
     if outcome.result == searchlib.RESOURCE_LIMIT:
         summary += f" reason={stats.reason}"
-    click.echo(summary)
-    sys.exit(EXIT_NEGATIVE if outcome.result == searchlib.EXHAUSTED else EXIT_RESOURCE)
+    _finish(EXIT_NEGATIVE if outcome.result == searchlib.EXHAUSTED else EXIT_RESOURCE, summary,
+            certio.dumps_document(certio.search_result_doc(order, multipliers, outcome)), out)
 
 
 @main.command()
@@ -162,8 +171,6 @@ def scan(k_min, k_max, n_max, jobs, out_dir, resume, node_limit, time_limit_s) -
     if resume:
         try:
             resume_report = certio.scan_report_from_doc(certio.read_document(report_path))
-        except OSError as exc:
-            _fail_usage(f"cannot read {report_path}: {exc}")
         except certio.DocumentError as exc:
             _fail_usage(f"bad resume report: {exc}")
 
@@ -190,13 +197,10 @@ def scan(k_min, k_max, n_max, jobs, out_dir, resume, node_limit, time_limit_s) -
     certio.write_text(table_path, certio.scan_report_table(report))
     totals = report.totals
     overall = overall_verdict(totals)
-    click.echo(f"report={report_path}")
-    click.echo(f"table={table_path}")
-    click.echo(
-        f"overall={overall} records={totals['records']} found={totals['found']} "
-        f"violations={totals[VIOLATION]} inconclusive={totals[INCONCLUSIVE]}"
-    )
-    sys.exit({"consistent": EXIT_OK, "violation": EXIT_NEGATIVE}.get(overall, EXIT_RESOURCE))
+    _finish({"consistent": EXIT_OK, "violation": EXIT_NEGATIVE}.get(overall, EXIT_RESOURCE),
+            f"overall={overall} records={totals['records']} found={totals['found']} "
+            f"violations={totals[VIOLATION]} inconclusive={totals[INCONCLUSIVE]}",
+            f"report={report_path}\ntable={table_path}\n")
 
 
 def _parse_box(spec: str, dimension: int) -> list[tuple[int, int]]:
@@ -226,44 +230,41 @@ def tile(cert_path, box_spec, out) -> None:
         _fail_usage("tiling export needs interval multipliers {1..k}")
     if not cert.splitters:
         _fail_usage("tiling export needs at least one splitter; the trivial group has none")
-    report = splitting.verify_splitting(cert.group, cert.multipliers, cert.splitters)
-    if not report.is_valid:
-        click.echo(report.failure.describe())
-        click.echo(f"verdict=invalid failure={report.failure.kind}")
-        sys.exit(EXIT_NEGATIVE)
+    _require_valid(cert)
     n = len(cert.splitters)
     k = len(cert.multipliers)
     shape = tiling.semi_cross(n, k)
     hom, lattice = tiling.lattice_from_splitting(cert)
     tiling_cert = tiling.verify_lattice_tiling(shape, hom)
     if not tiling_cert.verdict:
-        click.echo("verdict=false")
-        sys.exit(EXIT_NEGATIVE)
+        _finish(EXIT_NEGATIVE, "verdict=false")
     try:
         box = _parse_box(box_spec, n)
     except ValueError as exc:
         _fail_usage(f"bad box {box_spec!r}: {exc}")
     translates = tiling.export_translates(lattice, shape, box)
-    _emit(certio.tiling_export_text(shape, lattice, hom, translates), out)
     cells = 1
     for lo, hi in box:
         cells *= hi - lo + 1
-    click.echo(f"verdict=true order={hom.modulus} anchors={len(translates)} cells={cells}")
-    sys.exit(EXIT_OK)
+    _finish(EXIT_OK, f"verdict=true order={hom.modulus} anchors={len(translates)} cells={cells}",
+            certio.tiling_export_text(shape, lattice, hom, translates), out)
+
+
+def _row(name, expected, actual, passed) -> dict:
+    """One row of a check report."""
+    return {"name": name, "expected": expected, "actual": actual, "pass": passed}
 
 
 def _check_abcde(k, p, primes):
     profile = counting.abcde_profile(k, p, primes)
     inputs = {"k": k, "p": p, "primes": [list(row) for row in primes]}
     checks = [
-        {"name": "hypothesis_met", "expected": True,
-         "actual": profile.hypothesis_met, "pass": profile.hypothesis_met},
-        {"name": "card_a_equals_b_plus_c", "expected": profile.card_b + profile.card_c,
-         "actual": profile.card_a, "pass": profile.identity_ab_c},
-        {"name": "card_d_equals_c", "expected": profile.card_c,
-         "actual": profile.card_d, "pass": profile.identity_d_c},
-        {"name": "card_d_closed_form", "expected": profile.closed_form_d,
-         "actual": profile.card_d, "pass": profile.closed_form_matches},
+        _row("hypothesis_met", True, profile.hypothesis_met, profile.hypothesis_met),
+        _row("card_a_equals_b_plus_c", profile.card_b + profile.card_c, profile.card_a,
+             profile.identity_ab_c),
+        _row("card_d_equals_c", profile.card_c, profile.card_d, profile.identity_d_c),
+        _row("card_d_closed_form", profile.closed_form_d, profile.card_d,
+             profile.closed_form_matches),
     ]
     return inputs, checks
 
@@ -284,13 +285,9 @@ def _check_digits(k, p, k_max, p_max):
                 if not counting.digit_pattern_check(counting.decompose_k(kk, q, 1)):
                     failures += 1
         inputs = {"k_max": k_hi, "p_max": p_hi}
-        checks = [{"name": "digit_pattern_failures", "expected": 0,
-                   "actual": failures, "pass": failures == 0}]
-        return inputs, checks
+        return inputs, [_row("digit_pattern_failures", 0, failures, failures == 0)]
     result = counting.digit_pattern_check(counting.decompose_k(k, p, 1))
-    inputs = {"k": k, "p": p}
-    checks = [{"name": "digit_pattern", "expected": True, "actual": result, "pass": result}]
-    return inputs, checks
+    return {"k": k, "p": p}, [_row("digit_pattern", True, result, result)]
 
 
 def _check_strata(cert, p):
@@ -298,8 +295,7 @@ def _check_strata(cert, p):
     checks = []
     for i in range(1, profile.alpha + 1):
         ok = counting.check_counting_identity(cert, p, i)
-        checks.append({"name": f"stratum_{i}_identity", "expected": True,
-                       "actual": ok, "pass": ok})
+        checks.append(_row(f"stratum_{i}_identity", True, ok, ok))
     inputs = {
         "group_factors": list(cert.group.factors), "p": p,
         "g_counts": list(profile.g_counts), "s_counts": list(profile.s_counts),
@@ -311,19 +307,15 @@ def _check_tw(cert):
     report = counting.tw_disjointness_check(cert)
     inputs = {"group_factors": list(cert.group.factors), "k": report.k, "p": report.p}
     checks = [
-        {"name": "hypothesis", "expected": True, "actual": report.hypothesis_ok,
-         "pass": report.hypothesis_ok},
-        {"name": "pairwise_disjoint", "expected": True, "actual": report.pairwise_disjoint,
-         "pass": report.pairwise_disjoint},
-        {"name": "within_units", "expected": True, "actual": report.within_units,
-         "pass": report.within_units},
-        {"name": "scaling_consistent",
-         "expected": [report.decomposition.d * w for w in report.w_sizes],
-         "actual": list(report.tw_sizes), "pass": report.scaling_consistent},
-        {"name": "w_sizes_match_formula", "expected": report.w_size_formula,
-         "actual": list(report.w_sizes), "pass": report.formula_consistent},
-        {"name": "equality_chain", "expected": [report.card_d, report.card_e, report.unit_count],
-         "actual": [list(report.tw_sizes), report.r], "pass": report.equality_chain},
+        _row("hypothesis", True, report.hypothesis_ok, report.hypothesis_ok),
+        _row("pairwise_disjoint", True, report.pairwise_disjoint, report.pairwise_disjoint),
+        _row("within_units", True, report.within_units, report.within_units),
+        _row("scaling_consistent", [report.decomposition.d * w for w in report.w_sizes],
+             list(report.tw_sizes), report.scaling_consistent),
+        _row("w_sizes_match_formula", report.w_size_formula, list(report.w_sizes),
+             report.formula_consistent),
+        _row("equality_chain", [report.card_d, report.card_e, report.unit_count],
+             [list(report.tw_sizes), report.r], report.equality_chain),
     ]
     return inputs, checks
 
@@ -338,10 +330,7 @@ def _check_s87(order, config):
     for size in sizes:
         certs = searchlib.enumerate_all_splittings(order, size, config)
         holds = sum(1 for c in certs if splitting.s87_property_check(c))
-        checks.append({
-            "name": f"multiplier_size_{size}",
-            "expected": len(certs), "actual": holds, "pass": holds == len(certs),
-        })
+        checks.append(_row(f"multiplier_size_{size}", len(certs), holds, holds == len(certs)))
     inputs = {"order": order, "sizes": sizes}
     return inputs, checks
 
@@ -388,15 +377,14 @@ def check(name, k, p, primes, cert_path, order, k_max, p_max, out, node_limit, t
                 _fail_usage("check s87 needs --order")
             inputs, checks = _check_s87(order, config)
     except searchlib.BudgetExceeded as exc:
-        click.echo(f"result=resource_limit reason={exc}")
-        sys.exit(EXIT_RESOURCE)
+        _finish(EXIT_RESOURCE, f"result=resource_limit reason={exc}")
     except ValueError as exc:
         _fail_usage(str(exc))
     doc = certio.check_report_doc(name, inputs, checks)
-    _emit(certio.dumps_document(doc), out)
     failures = sum(1 for row in checks if not row["pass"])
-    click.echo(f"check={name} checks={len(checks)} failures={failures} verdict={doc['verdict']}")
-    sys.exit(EXIT_OK if failures == 0 else EXIT_NEGATIVE)
+    _finish(EXIT_OK if failures == 0 else EXIT_NEGATIVE,
+            f"check={name} checks={len(checks)} failures={failures} verdict={doc['verdict']}",
+            certio.dumps_document(doc), out)
 
 
 if __name__ == "__main__":

@@ -118,10 +118,6 @@ class ScanReport:
         counts["found"] = sum(1 for r in self.records if r.outcome.result == FOUND)
         return counts
 
-    @property
-    def overall(self) -> str:
-        return overall_verdict(self.totals)
-
 
 def overall_verdict(totals: dict[str, int]) -> str:
     """A scan's verdict from its totals: any violation decides it, then any

@@ -26,7 +26,7 @@ from abelsplit.counting import (
     tw_disjointness_check,
 )
 from abelsplit.groups import FiniteAbelianGroup, is_prime, p_adic_valuation
-from abelsplit.scan import check_k_ge_n, check_k_le_n_minus_2, scan
+from abelsplit.scan import check_k_ge_n, check_k_le_n_minus_2, overall_verdict, scan
 from abelsplit.search import EXHAUSTED, FOUND, enumerate_all_splittings, search_splitter
 from abelsplit.splitting import (
     ORDER_2K_PLUS_1,
@@ -79,7 +79,7 @@ def test_conjecture_scan_desk_scale(desk_scan):
                 assert record.outcome.result == FOUND, (k, order)
             else:
                 assert record.outcome.result == EXHAUSTED, (k, order)
-        assert desk_scan.overall == "consistent"
+        assert overall_verdict(desk_scan.totals) == "consistent"
 
 
 def test_desk_scan_report_is_pinned(desk_scan):

@@ -10,6 +10,7 @@ from helpers import canonical_json
 from abelsplit import certio, counting
 from abelsplit.cli import main
 from abelsplit.groups import FiniteAbelianGroup
+from abelsplit.scan import overall_verdict
 from abelsplit.splitting import (
     MultiplierSet,
     SplittingCertificate,
@@ -101,6 +102,21 @@ def test_unfactorable_order_is_bad_document(runner, tmp_path, args):
     assert "cannot factor 1000066001089" in result.output
 
 
+@pytest.mark.parametrize("args", [
+    ["verify"],
+    ["tile", "--box", "0:1", "--cert"],
+    ["check", "tw", "--cert"],
+])
+def test_non_utf8_certificate_is_bad_document(runner, tmp_path, args):
+    path = tmp_path / "z9.json"
+    _write_cert(path, trivial_certificate(8))
+    path.write_bytes(b"\xff\xfe" + path.read_bytes())
+    result = runner.invoke(main, args + [str(path)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "error: bad certificate document: not UTF-8 text" in result.output
+
+
 def test_check_s87_unfactorable_order_is_usage_error(runner):
     result = runner.invoke(main, ["check", "s87", "-N", "1000066001089"])
     assert result.exit_code == 2
@@ -141,22 +157,13 @@ def test_search_budget_exit_code(runner, tmp_path):
     assert certio.read_document(out)["kind"] == "search_partial"
 
 
-def test_search_env_budget_override(runner):
-    result = runner.invoke(
-        main, ["search", "-N", "5", "--k", "2"], env={"ABELSPLIT_NODE_LIMIT": "1"}
-    )
-    assert result.exit_code == 3
-
-
-@pytest.mark.parametrize("args, env", [
-    (["--node-limit", "0"], {}),
-    (["--node-limit", "-5"], {}),
-    (["--time-limit", "-1"], {}),
-    (["--time-limit", "nan"], {}),
-    ([], {"ABELSPLIT_NODE_LIMIT": "0"}),
-    ([], {"ABELSPLIT_TIME_LIMIT": "-0.5"}),
+@pytest.mark.parametrize("args", [
+    ["--node-limit", "0"],
+    ["--node-limit", "-5"],
+    ["--time-limit", "-1"],
+    ["--time-limit", "nan"],
 ])
-def test_budgets_out_of_range_are_usage_errors(runner, tmp_path, args, env):
+def test_budgets_out_of_range_are_usage_errors(runner, tmp_path, args):
     commands = (
         ["scan", "--k-min", "1", "--k-max", "4", "--out-dir", str(tmp_path / "scan")],
         ["search", "-N", "5", "--k", "2"],
@@ -164,7 +171,7 @@ def test_budgets_out_of_range_are_usage_errors(runner, tmp_path, args, env):
         ["check", "abcde", "--k", "8", "--p", "3"],
     )
     for command in commands:
-        result = runner.invoke(main, command + args, env=env)
+        result = runner.invoke(main, command + args)
         assert result.exit_code == 2, (command, result.output)
         assert "error: --" in result.output
     assert not (tmp_path / "scan").exists()
@@ -173,10 +180,6 @@ def test_budgets_out_of_range_are_usage_errors(runner, tmp_path, args, env):
 def test_budget_bounds_are_accepted(runner):
     result = runner.invoke(main, ["search", "-N", "5", "--k", "2", "--time-limit", "0"])
     assert result.exit_code == 0
-    result = runner.invoke(
-        main, ["search", "-N", "5", "--k", "2"], env={"ABELSPLIT_NODE_LIMIT": "1"}
-    )
-    assert result.exit_code == 3
 
 
 @pytest.mark.parametrize("budget, tail", [
@@ -210,7 +213,7 @@ def test_scan_writes_reports(runner, tmp_path):
     summary = _summary(result)
     assert summary.startswith("overall=consistent")
     report = certio.scan_report_from_doc(certio.read_document(tmp_path / "scan_k1-8.json"))
-    assert report.overall == "consistent"
+    assert overall_verdict(report.totals) == "consistent"
     table = (tmp_path / "scan_k1-8.csv").read_text()
     assert table.startswith("k,n,N,factorization,verdict,nodes,millis\n")
 
@@ -312,6 +315,8 @@ def _damaged_resume(runner, tmp_path, damage):
     path = tmp_path / "scan_k5-6.json"
     if isinstance(damage, slice):  # cut the file text itself
         path.write_text(path.read_text()[damage])
+    elif isinstance(damage, bytes):  # put bytes in front of the file text
+        path.write_bytes(damage + path.read_bytes())
     else:
         doc = certio.read_document(path)
         assert [r["N"] for r in doc["records"][:2]] == [6, 16]
@@ -340,11 +345,12 @@ def _damaged_resume(runner, tmp_path, damage):
     lambda doc: doc["records"][1].update(k=5.0),
     lambda doc: doc["records"].reverse(),
     slice(0, 400),
+    b"\xff\xfe",
 ], ids=["config_key", "record_key", "factorization_pair", "record_verdict",
         "record_splitters", "records_not_list", "found_not_a_splitting", "found_not_reduced",
         "verdict_flipped",
         "exhausted_with_splitters", "record_result", "extra_key",
-        "nodes_bool", "k_float", "records_reversed", "truncated"])
+        "nodes_bool", "k_float", "records_reversed", "truncated", "non_utf8"])
 def test_scan_resume_malformed_report_is_usage_error(runner, tmp_path, damage):
     r2 = _damaged_resume(runner, tmp_path, damage)
     assert r2.exit_code == 2
@@ -399,6 +405,24 @@ def test_scan_bad_counts_are_usage_errors(runner, tmp_path, args):
     assert result.exit_code == 2, result.output
     assert f"error: {args[0]} must be >= 1" in result.output
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["search", "-N", "105", "--k", "8", "--out", "F/a.json"],
+    ["check", "abcde", "--k", "8", "--p", "3", "--out", "F/r.json"],
+    ["tile", "--cert", "z5.json", "--box", "0:1,0:1", "--out", "F/t.txt"],
+    ["scan", "--k-min", "5", "--k-max", "6", "--out-dir", "F/sub"],
+], ids=["search", "check", "tile", "scan"])
+def test_file_error_is_usage_error(runner, tmp_path, args):
+    # every output path runs through F, a regular file
+    (tmp_path / "F").write_text("not a directory\n")
+    _write_cert(tmp_path / "z5.json", trivial_certificate(2, "order_2k_plus_1"))
+    args = [str(tmp_path / a) if a.startswith("F/") or a == "z5.json" else a for a in args]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith("error: ")
+    assert "Not a directory" in result.stderr
 
 
 def test_tile_export(runner, tmp_path):

@@ -15,6 +15,7 @@ from abelsplit.scan import (
     check_k_ge_n,
     check_k_le_n_minus_2,
     make_record,
+    overall_verdict,
     purely_singular_candidates,
     scan,
 )
@@ -63,7 +64,7 @@ def test_scan_k8():
     for order in (25, 49, 81, 105):
         assert by_order[order].verdict == CONSISTENT
         assert by_order[order].outcome.result == EXHAUSTED
-    assert report.overall == "consistent"
+    assert overall_verdict(report.totals) == "consistent"
     assert report.totals["found"] == 1
 
 
@@ -236,7 +237,7 @@ def test_checkpoint_called_per_record(jobs):
 
 def test_inconclusive_on_budget():
     report = scan(8, 8, n_max=13, config=SearchConfig(node_limit=5))
-    assert report.overall == "inconclusive"
+    assert overall_verdict(report.totals) == "inconclusive"
     assert report.totals["inconclusive"] >= 1
     assert check_k_ge_n(report)  # resource-limited records are not "found"
 
