@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from functools import cache
 from pathlib import Path
 
@@ -132,17 +132,22 @@ def write_text(path, text: str) -> None:
     The text goes to a temp file beside the target, which os.replace then
     moves over it, so a process killed mid-write leaves the old file whole.
     The temp file is made by open, not tempfile, so its mode follows the
-    umask, and it is removed if the write fails. There is no fsync: this
-    guards against a killed process, not against a power loss.
+    umask, and it is removed if the write fails. An OSError names path, the
+    file asked for, not the temp file. There is no fsync: this guards
+    against a killed process, not against a power loss.
     """
+    target = os.fspath(path)
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w") as handle:
             handle.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
+    except BaseException as exc:
+        with suppress(OSError):
+            tmp.unlink()
+        if isinstance(exc, OSError) and exc.errno is not None:
+            raise type(exc)(exc.errno, exc.strerror, target) from None
         raise
 
 

@@ -165,19 +165,21 @@ def _check_products(
     """verify_splitting on splitters S that are already canonical."""
     if len(M) * len(S) != G.order - 1:
         return VerificationReport(INVALID, VerificationFailure("count_mismatch"))
-    if G.is_cyclic:
+    cyclic = G.is_cyclic
+    if cyclic:
         n = G.factors[0]
         xs = [m * s % n for (s,) in S for m in M.values]
         zero = 0
     else:
         xs = [G.scalar_mul(m, s) for s in S for m in M.values]
         zero = G.identity()
-    if zero not in xs and len(set(xs)) == len(xs):
+    distinct = set(xs)
+    if len(distinct) == len(xs) and zero not in distinct:
         return _VALID
     # A rejected set has a zero or a repeated product, so this walk returns.
     seen: dict = {}  # product -> its first (m, s)
     for x, (s, m) in zip(xs, product(S, M.values)):
-        element = (x,) if G.is_cyclic else x
+        element = (x,) if cyclic else x
         if x == zero:
             return VerificationReport(INVALID, VerificationFailure("zero_hit", element, (m, s)))
         if x in seen:
@@ -196,17 +198,27 @@ class SplittingCertificate:
 
 
 def make_certificate(
-    G: FiniteAbelianGroup, M: MultiplierSet, splitters: Iterable,
-    classification: SingularityClass | None = None,
+    G: FiniteAbelianGroup, M: MultiplierSet, splitters: Iterable
 ) -> SplittingCertificate:
     """Verify, classify, and package; raises ValueError on a non-splitting.
 
-    The splitters are canonicalized once, and that tuple is both verified
-    (by the one-pass check of verify_splitting) and stored. classification,
-    when given, must be classify_multipliers(G, M): it lets a caller that
-    certifies many splitter sets for one M classify M once.
+    The splitters are canonicalized once, and certify verifies and stores
+    that tuple.
     """
-    S = canonical_splitters(G, splitters)
+    return certify(G, M, canonical_splitters(G, splitters))
+
+
+def certify(
+    G: FiniteAbelianGroup, M: MultiplierSet, S: tuple[Element, ...],
+    classification: SingularityClass | None = None,
+) -> SplittingCertificate:
+    """make_certificate on splitters S that are already canonical.
+
+    S is verified by the one-pass check of verify_splitting and stored as
+    given. classification, when given, must be classify_multipliers(G, M):
+    it lets a caller that certifies many splitter sets for one M classify M
+    once.
+    """
     report = _check_products(G, M, S)
     if not report.is_valid:
         raise ValueError(f"not a splitting of {G}: {report.failure.describe()}")
@@ -247,7 +259,5 @@ def s87_property_check(cert: SplittingCertificate) -> bool:
     fac = G.order_factorization
     if len(fac) != 1 or fac[0][0] == 2:
         raise ValueError(f"group order {n} is not an odd prime power")
-    p = fac[0][0]
-    multipliers_coprime = all(r % p != 0 for r in cert.multipliers.residues(n))
-    splitters_coprime = all(s[0] % p != 0 for s in cert.splitters)
-    return multipliers_coprime or splitters_coprime
+    p = fac[0][0]  # p divides n, so v mod p is the residue of v mod n, mod p
+    return all(v % p for v in cert.multipliers.values) or all(s % p for (s,) in cert.splitters)

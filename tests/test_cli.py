@@ -425,6 +425,14 @@ def test_file_error_is_usage_error(runner, tmp_path, args):
     assert "Not a directory" in result.stderr
 
 
+def test_write_error_names_the_given_path(runner, tmp_path):
+    (tmp_path / "F").write_text("not a directory\n")
+    out = str(tmp_path / "F" / "a.json")
+    result = runner.invoke(main, ["search", "-N", "105", "--k", "8", "--out", out])
+    assert result.exit_code == 2, result.output
+    assert result.stderr == f"error: [Errno 20] Not a directory: {out!r}\n"
+
+
 def test_tile_export(runner, tmp_path):
     cases = [  # order, box, anchors, cells, sha256 of the export
         ("5", "0:9,0:9", 28, 100,

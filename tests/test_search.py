@@ -13,6 +13,7 @@ from helpers import (
     rows_by_lowest_bit,
 )
 
+from abelsplit import search
 from abelsplit.groups import FiniteAbelianGroup
 from abelsplit.scan import purely_singular_candidates
 from abelsplit.search import (
@@ -29,7 +30,7 @@ from abelsplit.search import (
     enumerate_all_splittings,
     search_splitter,
 )
-from abelsplit.splitting import MultiplierSet, verify_splitting
+from abelsplit.splitting import MultiplierSet, canonical_splitters, verify_splitting
 
 Z = FiniteAbelianGroup.cyclic
 
@@ -300,6 +301,40 @@ def test_enumerate_output_is_sorted_and_verified():
     assert len(set(keys)) == len(keys)
     for c in certs[:10]:
         assert verify_splitting(c.group, c.multipliers, c.splitters).is_valid
+    for c in certs:
+        assert c.splitters == canonical_splitters(c.group, c.splitters)
+
+
+def test_enumerate_reverifies_every_cover(monkeypatch):
+    # a cover the engine got wrong must not become a certificate
+    real = search._exact_covers
+
+    def with_a_non_cover(n, rows_at, budget):
+        yield (1, 2, 3, 4)  # 1*2 = 2*1, so M = {1, 2} meets 2 twice
+        yield from real(n, rows_at, budget)
+
+    monkeypatch.setattr(search, "_exact_covers", with_a_non_cover)
+    with pytest.raises(ValueError, match="not a splitting"):
+        enumerate_all_splittings(9, 2)
+
+
+def test_enumerate_certification_spends_the_budget(monkeypatch):
+    # the clock jumps past the deadline once the first certificate is made,
+    # after the cover loop has ended, and every later spend reads it
+    real_certify, real_monotonic = search.certify, time.monotonic
+    certified = []
+
+    def certify(*args):
+        certified.append(args)
+        return real_certify(*args)
+
+    monkeypatch.setattr(search, "certify", certify)
+    monkeypatch.setattr(search, "_TIME_STRIDE", 1)
+    monkeypatch.setattr(search.time, "monotonic",
+                        lambda: real_monotonic() + (1e6 if certified else 0.0))
+    with pytest.raises(BudgetExceeded, match="time_limit"):
+        enumerate_all_splittings(9, 2, SearchConfig(time_limit_s=60.0))
+    assert len(certified) == 1
 
 
 def test_enumerate_sides_agree():
