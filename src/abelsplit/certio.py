@@ -168,12 +168,13 @@ def read_document(path) -> dict:
 @contextmanager
 def _parsing(what: str):
     """Turn the errors that the constructors and make_record raise on bad
-    input into DocumentError."""
+    input into DocumentError. OverflowError is among them: JSON reads 1e999
+    as infinity, which int() cannot convert."""
     try:
         yield
     except DocumentError:
         raise
-    except (KeyError, TypeError, ValueError, RuntimeError) as exc:
+    except (KeyError, TypeError, ValueError, RuntimeError, OverflowError) as exc:
         raise DocumentError(f"malformed {what}: {type(exc).__name__}: {exc}") from exc
 
 
@@ -364,34 +365,44 @@ def check_report_doc(check_name: str, inputs: dict, checks: list[dict]) -> dict:
 
 # -- tiling exports ----------------------------------------------------------
 
-def tiling_export_text(
-    shape: ErrorBallShape,
-    lattice: IntegerLattice,
-    hom: LatticeHom,
-    translates: list,
-) -> str:
-    """Header line (JSON after '# ') plus one CSV row per translate cell."""
+def _export_head(k_plus: int, lattice: IntegerLattice, hom: LatticeHom, translates: int) -> str:
+    """The header line (JSON after '# ') and the CSV column line."""
     n = lattice.dimension
     header = {
         "kind": "tiling_export",
         "format_version": FORMAT_VERSION,
         "dimension": n,
         "weight_limit": 1,  # the semi-cross is the error ball of weight 1
-        "k_plus": shape.k_plus,
+        "k_plus": k_plus,
         "k_minus": 0,  # with no negative entries
         "modulus": hom.modulus,
         "weights": list(hom.weights),
         "basis": [list(row) for row in lattice.basis],
         "index": lattice.index,
-        "translates": len(translates),
+        "translates": translates,
     }
     columns = [f"anchor_{i}" for i in range(n)] + [f"cell_{i}" for i in range(n)]
-    lines = ["# " + json.dumps(header, sort_keys=True), ",".join(columns)]
-    for anchor, cells in translates:
-        prefix = ",".join(str(a) for a in anchor)
-        for cell in cells:
-            lines.append(prefix + "," + ",".join(str(c) for c in cell))
-    return "\n".join(lines) + "\n"
+    return "# " + json.dumps(header, sort_keys=True) + "\n" + ",".join(columns) + "\n"
+
+
+def _translate_rows(anchor, cells) -> str:
+    """One translate's block: a row per cell, the anchor's coordinates first."""
+    prefix = ",".join(map(str, anchor)) + ","
+    return "".join([prefix + ",".join(map(str, cell)) + "\n" for cell in cells])
+
+
+def tiling_export_text(
+    shape: ErrorBallShape,
+    lattice: IntegerLattice,
+    hom: LatticeHom,
+    translates: list,
+) -> str:
+    """Header line (JSON after '# '), a CSV column line, then one block of
+    rows per translate, in the order given: a row per cell, anchor
+    coordinates followed by cell coordinates."""
+    blocks = [_export_head(shape.k_plus, lattice, hom, len(translates))]
+    blocks += [_translate_rows(anchor, cells) for anchor, cells in translates]
+    return "".join(blocks)
 
 
 def parse_tiling_export(text: str) -> tuple[dict, list[tuple[tuple[int, ...], tuple[int, ...]]]]:
@@ -401,21 +412,51 @@ def parse_tiling_export(text: str) -> tuple[dict, list[tuple[tuple[int, ...], tu
     lattice; each translate's cells follow from its anchor, which must lie
     in the lattice, that is, have weight 0 under the weight map. The text
     is accepted only if writing those objects back gives it exactly.
+
+    The check runs block by block, in place: each translate's anchor is
+    read from the first row of its block, the anchors must ascend strictly,
+    and the block written for that anchor must stand at that point of the
+    text. The header, rebuilt with the block count, is compared last. No
+    line list or second text is built, and the header's sizes are checked
+    against the text before the shape and lattice it names are built.
     """
-    lines = text.splitlines()
-    if len(lines) < 2 or not lines[0].startswith("# "):
+    header_end = text.find("\n")
+    body = text.find("\n", header_end + 1) + 1
+    if not text.startswith("# ") or header_end < 0 or body == 0:
         raise DocumentError("missing tiling export header")
+    if not text.endswith("\n"):
+        raise DocumentError("tiling_export lacks its final newline")
+    rows: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     with _parsing("tiling_export"):
-        header = json.loads(lines[0][2:])
-        n = int(header["dimension"])
-        shape = semi_cross(n, int(header["k_plus"]))
-        hom = LatticeHom(int(header["modulus"]), header["weights"])
+        header = json.loads(text[2:header_end])
+        n, k = int(header["dimension"]), int(header["k_plus"])
+        weights, basis = header["weights"], header["basis"]
+        if n < 1 or k < 1:
+            raise DocumentError("tiling_export needs dimension and k_plus of at least 1")
+        if len(weights) != n or len(basis) != n or any(len(row) != n for row in basis):
+            raise DocumentError("tiling_export header sizes disagree with its dimension")
+        # a row holds 2n fields of at least one digit, the commas between
+        # them and a newline; one translate has n*k + 1 rows
+        if body < len(text) and (n * k + 1) * 4 * n > len(text) - body:
+            raise DocumentError("tiling_export is too short to hold one translate")
+        hom = LatticeHom(int(header["modulus"]), weights)
         lattice = kernel_lattice(hom)
-        anchors = sorted({tuple(int(v) for v in line.split(",")[:n]) for line in lines[2:]})
-        if any(hom.apply(anchor) for anchor in anchors):
-            raise DocumentError("tiling_export has an anchor outside the lattice")
-        translates = [(anchor, shape.at(anchor)) for anchor in anchors]
-        rebuilt = tiling_export_text(shape, lattice, hom, translates)
-    if rebuilt != text:
-        raise DocumentError("tiling_export differs from what abelsplit writes")
-    return header, [(anchor, cell) for anchor, cells in translates for cell in cells]
+        shape = semi_cross(n, k) if body < len(text) else None
+        pos, last, count = body, (), 0
+        while pos < len(text):
+            anchor = tuple(int(v) for v in text[pos:text.find("\n", pos)].split(",", n)[:n])
+            if len(anchor) != n:
+                raise DocumentError("tiling_export has a row shorter than an anchor")
+            if anchor <= last:
+                raise DocumentError("tiling_export anchors do not ascend strictly")
+            if hom.apply(anchor):
+                raise DocumentError("tiling_export has an anchor outside the lattice")
+            cells = shape.at(anchor)
+            block = _translate_rows(anchor, cells)
+            if not text.startswith(block, pos):
+                raise DocumentError("tiling_export differs from what abelsplit writes")
+            rows += [(anchor, cell) for cell in cells]
+            pos, last, count = pos + len(block), anchor, count + 1
+        if _export_head(k, lattice, hom, count) != text[:body]:
+            raise DocumentError("tiling_export header differs from what abelsplit writes")
+    return header, rows

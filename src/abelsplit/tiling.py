@@ -29,8 +29,16 @@ class ErrorBallShape:
     points: tuple[Vector, ...]
 
     def at(self, anchor: Sequence[int]) -> tuple[Vector, ...]:
-        """The cells of the translate anchored at anchor."""
-        return tuple(tuple(a + o for a, o in zip(anchor, p)) for p in self.points)
+        """The cells of the translate anchored at anchor.
+
+        Where an offset is 0 the cell reuses the anchor's int rather than
+        a new sum. Coordinates beyond CPython's small-int cache (a box
+        thousands of cells from the origin) then cost at most one new int
+        per cell, not one per axis.
+        """
+        if len(anchor) != self.dimension:
+            raise ValueError(f"anchor {tuple(anchor)} does not have dimension {self.dimension}")
+        return tuple(tuple(a + o if o else a for a, o in zip(anchor, p)) for p in self.points)
 
 
 def semi_cross(n: int, k: int) -> ErrorBallShape:
@@ -210,6 +218,7 @@ def export_translates(
     carrying its full cell set. Every cell of the box must be covered by
     exactly one translate; double cover or a gap raises ValueError, so a
     successful export doubles as a finite tiling check over the box.
+    Coverage is one byte per box cell, indexed row-major.
     """
     n = lattice.dimension
     if shape.dimension != n or len(box) != n:
@@ -221,20 +230,28 @@ def export_translates(
     ranges = [
         range(box[i][0] - offset_max[i], box[i][1] - offset_min[i] + 1) for i in range(n)
     ]
+    covered = bytearray(prod(hi - lo + 1 for lo, hi in box))
+    stride, bounds = len(covered), []
+    for lo, hi in box:
+        stride //= hi - lo + 1
+        bounds.append((lo, hi, stride))
     out = []
-    covered: dict[Vector, Vector] = {}
     for anchor in lattice.points_in(ranges):
         cells = shape.at(anchor)
-        inside = [
-            c for c in cells if all(lo <= ci <= hi for ci, (lo, hi) in zip(c, box))
-        ]
-        if not inside:
-            continue
-        out.append((anchor, cells))
-        for cell in inside:
-            if cell in covered:
-                raise ValueError(f"not a tiling: cell {cell} covered twice")
-            covered[cell] = anchor
-    if len(covered) != prod(hi - lo + 1 for lo, hi in box):
+        meets = False
+        for cell in cells:
+            index = 0
+            for c, (lo, hi, stride) in zip(cell, bounds):
+                if not lo <= c <= hi:
+                    break
+                index += (c - lo) * stride
+            else:
+                if covered[index]:
+                    raise ValueError(f"not a tiling: cell {cell} covered twice")
+                covered[index] = 1
+                meets = True
+        if meets:
+            out.append((anchor, cells))
+    if 0 in covered:
         raise ValueError("not a tiling: box has uncovered cells")
     return out

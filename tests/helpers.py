@@ -15,13 +15,16 @@ source and engine on purpose: it checks the branch order and the rule
 fixing 1 in S, so it lays bit x out for residue x, keeps its own
 deduplication by orbit, and drops those two.
 The document oracle is the json.dumps call that certio's hand-written
-writer replaces.
+writer replaces, and the tiling export oracle is the reader that splits
+the text into lines and compares it with a second, rebuilt text, where
+certio checks it block by block in place.
 Agreement between the two routes is the point.
 """
 
 import json
 from itertools import product
 
+from abelsplit.certio import DocumentError, tiling_export_text
 from abelsplit.counting import StratificationProfile
 from abelsplit.groups import FiniteAbelianGroup, p_adic_valuation
 from abelsplit.search import SearchConfig, _Budget, _exact_covers, _row_source
@@ -36,9 +39,12 @@ from abelsplit.splitting import (
 from abelsplit.tiling import (
     ErrorBallShape,
     IntegerLattice,
+    LatticeHom,
     Matrix,
     TilingCertificate,
     _xgcd,
+    kernel_lattice,
+    semi_cross,
 )
 
 
@@ -281,3 +287,35 @@ def verify_tiling_by_basis(
         seen.add(image)
     verdict = len(seen) == len(shape.points) == lattice.index
     return TilingCertificate(verdict)
+
+
+def parse_tiling_export_by_lines(text: str):
+    """The tiling export reader by whole texts: (header, [(anchor, cell), ...]).
+
+    Splits the text into lines, collects the anchors of every row, rebuilds
+    each translate (cutting coordinates to the shorter of anchor and point,
+    as zip does) and the whole text, and accepts the text only if the two
+    are equal. It trusts the header's sizes, so it is for small texts only.
+    """
+    lines = text.splitlines()
+    if len(lines) < 2 or not lines[0].startswith("# "):
+        raise DocumentError("missing tiling export header")
+    try:
+        header = json.loads(lines[0][2:])
+        n = int(header["dimension"])
+        shape = semi_cross(n, int(header["k_plus"]))
+        hom = LatticeHom(int(header["modulus"]), header["weights"])
+        lattice = kernel_lattice(hom)
+        anchors = sorted({tuple(int(v) for v in line.split(",")[:n]) for line in lines[2:]})
+        if any(hom.apply(anchor) for anchor in anchors):
+            raise DocumentError("tiling_export has an anchor outside the lattice")
+        translates = [
+            (anchor, tuple(tuple(a + o for a, o in zip(anchor, p)) for p in shape.points))
+            for anchor in anchors
+        ]
+        rebuilt = tiling_export_text(shape, lattice, hom, translates)
+    except (KeyError, TypeError, ValueError, RuntimeError) as exc:
+        raise DocumentError(f"malformed tiling_export: {exc}") from exc
+    if rebuilt != text:
+        raise DocumentError("tiling_export differs from what abelsplit writes")
+    return header, [(anchor, cell) for anchor, cells in translates for cell in cells]

@@ -1,9 +1,12 @@
 import builtins
 import errno
 import io
+import re
+import tracemalloc
+from itertools import groupby
 
 import pytest
-from helpers import canonical_json
+from helpers import canonical_json, parse_tiling_export_by_lines
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -12,6 +15,7 @@ from abelsplit.groups import FiniteAbelianGroup
 from abelsplit.scan import VIOLATION, CandidateOrder, ScanReport, make_record, scan
 from abelsplit.search import FOUND, SearchConfig, search_splitter
 from abelsplit.splitting import MultiplierSet, make_certificate, trivial_certificate
+from abelsplit.tiling import export_translates, lattice_from_splitting, semi_cross
 
 Z = FiniteAbelianGroup.cyclic
 
@@ -156,6 +160,11 @@ def test_malformed_documents_rejected():
     with pytest.raises(certio.DocumentError):
         certio.certificate_from_doc(doc)
 
+    doc = _valid_doc()
+    doc["group_factors"] = [float("inf")]  # what JSON makes of 1e999
+    with pytest.raises(certio.DocumentError):
+        certio.certificate_from_doc(doc)
+
     doc = certio.certificate_to_doc(trivial_certificate(24))
     doc["group_factors"] = [25.0]  # equal to 25 in Python, but not what abelsplit writes
     with pytest.raises(certio.DocumentError):
@@ -250,8 +259,6 @@ def test_check_report_doc():
 
 
 def test_tiling_export_round_trip():
-    from abelsplit.tiling import export_translates, lattice_from_splitting, semi_cross
-
     cert = make_certificate(Z(5), MultiplierSet.interval(2), [(1,), (4,)])
     hom, lattice = lattice_from_splitting(cert)
     shape = semi_cross(2, 2)
@@ -283,6 +290,129 @@ def test_tiling_export_round_trip():
     ):
         with pytest.raises(certio.DocumentError):
             certio.parse_tiling_export(bad)
+
+
+def _export(cert, k: int, box) -> tuple:
+    """The arguments of tiling_export_text for cert's semi-cross over box."""
+    hom, lattice = lattice_from_splitting(cert)
+    shape = semi_cross(len(cert.splitters), k)
+    return shape, lattice, hom, export_translates(lattice, shape, box)
+
+
+_WRITTEN_EXPORTS = [
+    certio.tiling_export_text(*_export(cert, k, box))
+    for cert, k, box in [
+        (make_certificate(Z(5), MultiplierSet.interval(2), [(1,), (4,)]), 2, [(0, 4), (0, 4)]),
+        (trivial_certificate(3), 3, [(0, 7)]),
+        (trivial_certificate(3), 3, [(3, 2)]),  # an empty box
+    ]
+]
+
+
+def _read_with(reader, text):
+    """What reader makes of text: its (header, rows), or None if it rejects it."""
+    try:
+        return reader(text)
+    except certio.DocumentError:
+        return None
+
+
+@st.composite
+def _mutated_exports(draw):
+    """A written export with one row, block, character or header value
+    changed, trailing text, or no final newline."""
+    text = draw(st.sampled_from(_WRITTEN_EXPORTS))
+    head, columns, *rows = text.splitlines(keepends=True)
+    row = st.integers(0, max(len(rows) - 1, 0))
+    kind = draw(st.sampled_from(
+        ["drop", "duplicate", "swap rows", "swap blocks", "edit", "count", "trailing", "newline"]
+    ))
+    if kind == "edit" or not rows and kind in ("drop", "duplicate", "swap rows", "swap blocks"):
+        at = draw(st.integers(0, len(text) - 1))
+        return text[:at] + draw(st.sampled_from('0123456789,-\n #:"{}a')) + text[at + 1:]
+    if kind == "trailing":
+        return text + draw(st.text(alphabet="0123456789,-\n", min_size=1, max_size=12))
+    if kind == "newline":
+        return text[:-1]
+    if kind == "count":
+        count = re.search(r'"translates": (\d+)', head)[1]
+        value = draw(st.sampled_from([f'"{count}"', "true", f"{count}.0"]))
+        head = head.replace(f'"translates": {count}', f'"translates": {value}')
+    elif kind == "swap blocks":
+        n = (columns.count(",") + 1) // 2
+        rows = ["".join(block) for _, block in groupby(rows, lambda r: r.split(",")[:n])]
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+        rows[i], rows[j] = rows[j], rows[i]
+    else:
+        i, j = draw(row), draw(row)
+        if kind == "drop":
+            del rows[i]
+        elif kind == "duplicate":
+            rows.insert(i, rows[i])
+        else:
+            rows[i], rows[j] = rows[j], rows[i]
+    return "".join([head, columns, *rows])
+
+
+def test_tiling_export_readers_accept_written_exports():
+    for text in _WRITTEN_EXPORTS:
+        header, rows = certio.parse_tiling_export(text)
+        assert parse_tiling_export_by_lines(text) == (header, rows)
+        assert len(rows) == text.count("\n") - 2
+
+
+@given(_mutated_exports())
+def test_tiling_export_reader_agrees_with_line_reader(text):
+    expected = _read_with(parse_tiling_export_by_lines, text)
+    assert _read_with(certio.parse_tiling_export, text) == expected
+
+
+def _traced_peak(fn, *args):
+    """fn(*args) and the bytes it allocated at its peak, beyond what was
+    allocated before the call."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def export_250():
+    """The 250 x 250 box under the order-13 certificate with k = 6: 5,038
+    translates, 65,494 rows."""
+    return _export(trivial_certificate(6, "order_2k_plus_1"), 6, [(0, 249), (0, 249)])
+
+
+def test_tiling_export_writer_peak_is_within_3x_its_text(export_250):
+    text, peak = _traced_peak(certio.tiling_export_text, *export_250)
+    assert text.count("\n") == 65_494 + 2
+    assert peak <= 3 * len(text)
+
+
+def test_tiling_export_reader_holds_no_second_copy(export_250):
+    text = certio.tiling_export_text(*export_250)
+    read, peak = _traced_peak(certio.parse_tiling_export, text)
+    oracle, oracle_peak = _traced_peak(parse_tiling_export_by_lines, text)
+    assert read == oracle
+    assert peak <= 0.7 * oracle_peak
+
+
+def test_tiling_export_reader_checks_header_sizes_before_building():
+    text = _WRITTEN_EXPORTS[0]
+    claims = [("dimension", 4000), ("dimension", 2000), ("k_plus", 10**7), ("dimension", "1e999")]
+    for claim, size in claims:
+        bad = re.sub(f'"{claim}": \\d+', f'"{claim}": {size}', text)
+        assert len(bad) < 1000
+        tracemalloc.start()
+        try:
+            with pytest.raises(certio.DocumentError):
+                certio.parse_tiling_export(bad)
+            assert tracemalloc.get_traced_memory()[1] < 1_000_000
+        finally:
+            tracemalloc.stop()
 
 
 class _DiskFullFile:

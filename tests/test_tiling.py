@@ -1,3 +1,4 @@
+import re
 from itertools import product
 from math import gcd
 
@@ -201,3 +202,33 @@ def test_export_translates_rejects_non_tiling():
     lattice = IntegerLattice(((3,),))  # period 3 cannot carry a 4-cell segment
     with pytest.raises(ValueError):
         export_translates(lattice, semi_cross(1, 3), [(0, 5)])
+
+
+def test_export_translates_names_a_double_cover():
+    lattice = IntegerLattice(((4, 1), (0, 1)))  # index 4 under a 5-cell shape
+    shape = semi_cross(2, 2)
+    with pytest.raises(ValueError, match="covered twice") as info:
+        export_translates(lattice, shape, [(0, 5), (0, 5)])
+    cell = tuple(int(v) for v in re.search(r"cell \((.*)\)", str(info.value))[1].split(","))
+    anchors = [tuple(c - o for c, o in zip(cell, p)) for p in shape.points]
+    owners = [a for a in anchors if lattice.points_in([range(x, x + 1) for x in a])]
+    assert all(0 <= c <= 5 for c in cell) and len(owners) >= 2
+
+
+def test_export_translates_rejects_a_gap():
+    lattice = IntegerLattice(((5,),))  # period 5 under a 4-cell segment
+    with pytest.raises(ValueError, match="uncovered"):
+        export_translates(lattice, semi_cross(1, 3), [(0, 9)])
+    lattice = IntegerLattice(((2, 0), (0, 2)))  # misses the cells with both coordinates odd
+    with pytest.raises(ValueError, match="uncovered"):
+        export_translates(lattice, semi_cross(2, 1), [(0, 5), (0, 5)])
+
+
+def test_translate_cells_check_the_anchor_length():
+    shape = semi_cross(3, 2)
+    anchor = (10**20, -(10**20), 3)
+    cells = shape.at(anchor)
+    assert cells == tuple(tuple(a + o for a, o in zip(anchor, p)) for p in shape.points)
+    assert shape.at(list(anchor)) == cells
+    with pytest.raises(ValueError):
+        shape.at((0, 0))
