@@ -5,6 +5,7 @@ semi-cross lattice tilings, and executable counting checks."""
 from .groups import Element, FiniteAbelianGroup, factorize, is_prime, p_adic_valuation
 from .splitting import (
     MultiplierSet,
+    NotASplitting,
     SingularityClass,
     SplittingCertificate,
     VerificationFailure,

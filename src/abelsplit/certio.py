@@ -204,37 +204,36 @@ def multipliers_to_doc(m: MultiplierSet) -> dict:
     return doc
 
 
-def certificate_to_doc(cert: SplittingCertificate) -> dict:
+def _certificate_doc(group: FiniteAbelianGroup, multipliers: MultiplierSet, splitters) -> dict:
+    classification = classify_multipliers(group, multipliers)
     return {
         "format_version": FORMAT_VERSION,
         "kind": "splitting_certificate",
-        "group_factors": list(cert.group.factors),
-        "multipliers": multipliers_to_doc(cert.multipliers),
-        "splitters": [list(s) for s in cert.splitters],
+        "group_factors": list(group.factors),
+        "multipliers": multipliers_to_doc(multipliers),
+        "splitters": [list(s) for s in splitters],
         "classification": {
-            "tag": cert.classification.tag,
-            "witnesses": [[p, m] for p, m in cert.classification.witnesses],
+            "tag": classification.tag,
+            "witnesses": [[p, m] for p, m in classification.witnesses],
         },
     }
 
 
-def certificate_from_doc(doc: dict) -> SplittingCertificate:
-    """Parse a certificate document; structure only, no splitting verification.
+def certificate_to_doc(cert: SplittingCertificate) -> dict:
+    return _certificate_doc(cert.group, cert.multipliers, cert.splitters)
 
-    The group, multipliers, canonical splitters and classification are
-    rebuilt from the document, which must then be exactly their certificate
-    document. Whether the splitters form a splitting is left to the caller,
-    so that verify can load a bad certificate and report it.
-    """
+
+def certificate_from_doc(doc: dict) -> SplittingCertificate:
+    """Parse and verify a certificate document: DocumentError unless it is
+    exactly what abelsplit writes for the group, multipliers and canonical
+    splitters read from it, then NotASplitting if they are not a splitting."""
     with _parsing("splitting_certificate"):
         group = FiniteAbelianGroup(tuple(doc["group_factors"]))
         multipliers = MultiplierSet(tuple(doc["multipliers"]["values"]), doc["multipliers"]["kind"])
-        cert = SplittingCertificate(
-            group, multipliers, canonical_splitters(group, doc["splitters"]),
-            classify_multipliers(group, multipliers),
-        )
-    _require_written_form(certificate_to_doc(cert), doc, "splitting_certificate")
-    return cert
+        splitters = canonical_splitters(group, doc["splitters"])
+        rebuilt = _certificate_doc(group, multipliers, splitters)
+    _require_written_form(rebuilt, doc, "splitting_certificate")
+    return SplittingCertificate(group, multipliers, splitters)
 
 
 # -- search documents --------------------------------------------------------

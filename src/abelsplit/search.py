@@ -34,9 +34,8 @@ from math import comb, gcd
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .groups import FiniteAbelianGroup
-from .splitting import (  # noqa: F401  make_certificate: perfbench traces it under this module
-    MultiplierSet, SplittingCertificate, certify, classify_multipliers, make_certificate,
-)
+# make_certificate is unused here, but perfbench traces it under this module
+from .splitting import MultiplierSet, SplittingCertificate, make_certificate  # noqa: F401
 
 FOUND = "found"
 EXHAUSTED = "exhausted_no_solution"
@@ -56,8 +55,16 @@ class BudgetExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class SearchConfig:
+    """A search budget: node_limit >= 1, and time_limit_s >= 0 or None for no limit."""
+
     node_limit: int = 100_000_000
     time_limit_s: float | None = 60.0
+
+    def __post_init__(self) -> None:
+        if not self.node_limit >= 1:
+            raise ValueError(f"node_limit must be >= 1, got {self.node_limit}")
+        if self.time_limit_s is not None and not self.time_limit_s >= 0:  # also rejects nan
+            raise ValueError(f"time_limit_s must be >= 0 or None, got {self.time_limit_s}")
 
 
 @dataclass(frozen=True)
@@ -297,8 +304,8 @@ def enumerate_all_splittings(
     orders like 27 with |M| = 13 tractable. Raises BudgetExceeded when the
     node or time budget runs out; a node is one enumerated subset or one row
     placement. The covers are collected as int tuples and sorted, and then
-    every pair is re-verified by certify from M and S alone, spending
-    |M|*|S| units of work.
+    each pair becomes a SplittingCertificate, which re-verifies it from M
+    and S alone; that spends |M|*|S| units of work.
     """
     if n < 2:
         raise ValueError(f"order must be >= 2, got {n}")
@@ -321,19 +328,18 @@ def enumerate_all_splittings(
     # The pairs are sorted descending and popped, so each is freed once certified.
     pairs.sort(reverse=True)
     # The certificates of one call share one element tuple per residue, and
-    # those of one multiplier set share its MultiplierSet and classification,
-    # whichever side is enumerated. `check s87 -N 27` peaks at 63 MB; a fresh
-    # tuple per splitter would make that 115 MB, and keeping every pair to
-    # the end 72 MB.
+    # those of one multiplier set share its MultiplierSet, whichever side is
+    # enumerated. `check s87 -N 27` peaks at 61 MB; a fresh tuple per
+    # splitter would make that 112 MB, and keeping every pair to the end
+    # 70 MB.
     elements = [(x,) for x in range(n)]
-    shared = {}  # M values -> (MultiplierSet, classification)
+    shared: dict[tuple[int, ...], MultiplierSet] = {}
     out: list[SplittingCertificate] = []
     while pairs:
         m_vals, s_vals = pairs.pop()
-        budget.spend(n - 1)  # the |M|*|S| = n-1 products certify checks
+        budget.spend(n - 1)  # the |M|*|S| = n-1 products the certificate checks
         if m_vals not in shared:
-            mult = MultiplierSet.explicit(m_vals)
-            shared[m_vals] = mult, classify_multipliers(group, mult)
-        mult, classification = shared[m_vals]
-        out.append(certify(group, mult, tuple([elements[s] for s in s_vals]), classification))
+            shared[m_vals] = MultiplierSet.explicit(m_vals)
+        splitters = tuple([elements[s] for s in s_vals])
+        out.append(SplittingCertificate(group, shared[m_vals], splitters))
     return out

@@ -2,12 +2,14 @@
 
 A splitting of a finite abelian group G is a set M of nonzero integers (the
 multipliers) together with a subset S of G (the splitters) such that every
-nonzero element of G equals m*s for exactly one pair (m, s).
+nonzero element of G equals m*s for exactly one pair (m, s). A
+SplittingCertificate is verified when it is made, so it always holds one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Iterable
 
@@ -187,44 +189,39 @@ def _check_products(
         seen[x] = (m, s)
 
 
+class NotASplitting(ValueError):
+    """A certificate was made from a non-splitting; report says why."""
+
+    def __init__(self, G: FiniteAbelianGroup, report: VerificationReport):
+        super().__init__(f"not a splitting of {G}: {report.failure.describe()}")
+        self.report = report
+
+
 @dataclass(frozen=True)
 class SplittingCertificate:
-    """A verified splitting: the portable proof object."""
+    """A splitting, the portable proof object: the splitters must be canonical,
+    are stored as given, and are verified here (NotASplitting if they fail)."""
 
     group: FiniteAbelianGroup
     multipliers: MultiplierSet
     splitters: tuple[Element, ...]
-    classification: SingularityClass
+
+    def __post_init__(self) -> None:
+        report = _check_products(self.group, self.multipliers, self.splitters)
+        if not report.is_valid:
+            raise NotASplitting(self.group, report)
+
+    @cached_property
+    def classification(self) -> SingularityClass:
+        """classify_multipliers(group, multipliers), computed on first read."""
+        return classify_multipliers(self.group, self.multipliers)
 
 
 def make_certificate(
     G: FiniteAbelianGroup, M: MultiplierSet, splitters: Iterable
 ) -> SplittingCertificate:
-    """Verify, classify, and package; raises ValueError on a non-splitting.
-
-    The splitters are canonicalized once, and certify verifies and stores
-    that tuple.
-    """
-    return certify(G, M, canonical_splitters(G, splitters))
-
-
-def certify(
-    G: FiniteAbelianGroup, M: MultiplierSet, S: tuple[Element, ...],
-    classification: SingularityClass | None = None,
-) -> SplittingCertificate:
-    """make_certificate on splitters S that are already canonical.
-
-    S is verified by the one-pass check of verify_splitting and stored as
-    given. classification, when given, must be classify_multipliers(G, M):
-    it lets a caller that certifies many splitter sets for one M classify M
-    once.
-    """
-    report = _check_products(G, M, S)
-    if not report.is_valid:
-        raise ValueError(f"not a splitting of {G}: {report.failure.describe()}")
-    if classification is None:
-        classification = classify_multipliers(G, M)
-    return SplittingCertificate(G, M, S, classification)
+    """Canonicalize the splitters, then verify them; NotASplitting if they fail."""
+    return SplittingCertificate(G, M, canonical_splitters(G, splitters))
 
 
 def trivial_certificate(k: int, which: str = ORDER_K_PLUS_1) -> SplittingCertificate:

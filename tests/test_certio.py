@@ -14,7 +14,9 @@ from abelsplit import certio
 from abelsplit.groups import FiniteAbelianGroup
 from abelsplit.scan import VIOLATION, CandidateOrder, ScanReport, make_record, scan
 from abelsplit.search import FOUND, SearchConfig, search_splitter
-from abelsplit.splitting import MultiplierSet, make_certificate, trivial_certificate
+from abelsplit.splitting import (
+    MultiplierSet, NotASplitting, make_certificate, trivial_certificate,
+)
 from abelsplit.tiling import export_translates, lattice_from_splitting, semi_cross
 
 Z = FiniteAbelianGroup.cyclic
@@ -172,12 +174,15 @@ def test_malformed_documents_rejected():
 
 
 def test_tampered_splitters_still_parse():
-    # a tampered but well-formed certificate must parse so verification can
-    # report invalid rather than the parser reporting malformed
+    # a tampered but well-formed certificate parses, and then fails as a
+    # non-splitting, not as a DocumentError, so the CLI reports it invalid
+    # rather than malformed
     doc = _valid_doc()
     doc["splitters"] = [[3]]
-    cert = certio.certificate_from_doc(doc)
-    assert cert.splitters == ((3,),)
+    with pytest.raises(NotASplitting) as info:
+        certio.certificate_from_doc(doc)
+    assert not isinstance(info.value, certio.DocumentError)
+    assert info.value.report.failure.kind == "zero_hit"  # 3 * 3 = 0 in Z_9
 
 
 def test_scan_report_round_trip_and_determinism():

@@ -11,12 +11,7 @@ from abelsplit import certio, counting
 from abelsplit.cli import main
 from abelsplit.groups import FiniteAbelianGroup
 from abelsplit.scan import overall_verdict
-from abelsplit.splitting import (
-    MultiplierSet,
-    SplittingCertificate,
-    classify_multipliers,
-    trivial_certificate,
-)
+from abelsplit.splitting import MultiplierSet, make_certificate, trivial_certificate
 
 
 @pytest.fixture
@@ -60,12 +55,16 @@ def test_verify_tampered(runner, tmp_path):
                     "verdict=invalid failure=count_mismatch"]),
 ])
 def test_verify_failure_lines(runner, tmp_path, splitters, lines):
-    group, multipliers = FiniteAbelianGroup.cyclic(10), MultiplierSet.interval(3)
-    cert = SplittingCertificate(
-        group, multipliers, splitters, classify_multipliers(group, multipliers)
-    )
+    doc = {
+        "format_version": 2,
+        "kind": "splitting_certificate",
+        "group_factors": [10],
+        "multipliers": {"k": 3, "kind": "interval", "values": [1, 2, 3]},
+        "splitters": [list(s) for s in splitters],
+        "classification": {"tag": "mixed_singular", "witnesses": [[2, 2], [5, None]]},
+    }
     path = tmp_path / "bad.json"
-    _write_cert(path, cert)
+    certio.write_document(path, doc)
     result = runner.invoke(main, ["verify", str(path)])
     assert result.exit_code == 1
     assert result.output.splitlines() == lines
@@ -469,6 +468,40 @@ def test_tile_invalid_certificate(runner, tmp_path):
     certio.write_document(path, doc)
     result = runner.invoke(main, ["tile", "--cert", str(path), "--box", "0:8"])
     assert result.exit_code == 1
+
+
+@pytest.mark.parametrize("args", [
+    ["verify"],
+    ["tile", "--box", "0:1,0:1", "--cert"],
+    ["check", "strata", "--p", "7", "--cert"],
+    ["check", "tw", "--cert"],
+])
+def test_invalid_certificate_ends_every_command(runner, tmp_path, args):
+    # well formed, but 3 = 3 * 1 = 1 * 3 in Z_49 with M = {1..24}
+    doc = certio.certificate_to_doc(trivial_certificate(24, "order_2k_plus_1"))
+    doc["splitters"] = [[1], [3]]
+    path = tmp_path / "z49.json"
+    certio.write_document(path, doc)
+    result = runner.invoke(main, args + [str(path)])
+    assert result.exit_code == 1, result.output
+    assert _summary(result) == "verdict=invalid failure=collision"
+
+
+@pytest.mark.parametrize("args, message", [
+    (["search", "-N", "0", "--k", "2"], "order and k must be >= 1"),
+    (["tile", "--box", "0:1,0:1", "--cert", "z5.json"],
+     "tiling export needs interval multipliers {1..k}"),
+    (["check", "strata", "--cert", "z5.json"], "check strata needs --cert and --p"),
+])
+def test_usage_branches(runner, tmp_path, args, message):
+    # z5.json is the splitting of Z_5 by the explicit multipliers {1, 2}
+    cert = make_certificate(FiniteAbelianGroup.cyclic(5), MultiplierSet.explicit([1, 2]),
+                            [(1,), (4,)])
+    _write_cert(tmp_path / "z5.json", cert)
+    args = [str(tmp_path / a) if a == "z5.json" else a for a in args]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert result.stderr == f"error: {message}\n"
 
 
 def test_tile_non_cyclic_is_usage_error(runner, tmp_path):

@@ -321,14 +321,14 @@ def test_enumerate_reverifies_every_cover(monkeypatch):
 def test_enumerate_certification_spends_the_budget(monkeypatch):
     # the clock jumps past the deadline once the first certificate is made,
     # after the cover loop has ended, and every later spend reads it
-    real_certify, real_monotonic = search.certify, time.monotonic
+    real_certificate, real_monotonic = search.SplittingCertificate, time.monotonic
     certified = []
 
-    def certify(*args):
+    def certificate(*args):
         certified.append(args)
-        return real_certify(*args)
+        return real_certificate(*args)
 
-    monkeypatch.setattr(search, "certify", certify)
+    monkeypatch.setattr(search, "SplittingCertificate", certificate)
     monkeypatch.setattr(search, "_TIME_STRIDE", 1)
     monkeypatch.setattr(search.time, "monotonic",
                         lambda: real_monotonic() + (1e6 if certified else 0.0))
@@ -352,17 +352,43 @@ def test_enumerate_sides_agree():
 
 def test_enumerate_shares_multiplier_sets():
     # |M| = 4 in Z_9 enumerates the splitter side; every certificate of one
-    # multiplier set still shares one MultiplierSet and one classification
+    # multiplier set still shares one MultiplierSet, and none has computed
+    # its classification
     certs = enumerate_all_splittings(9, 4)
     assert len(certs) == 72
     assert len({c.multipliers.values for c in certs}) == 16
     assert len({id(c.multipliers) for c in certs}) == 16
-    assert len({id(c.classification) for c in certs}) == 16
+    assert all("classification" not in vars(c) for c in certs)
 
 
 def test_enumerate_budget():
     with pytest.raises(BudgetExceeded):
         enumerate_all_splittings(27, 2, SearchConfig(node_limit=10))
+
+
+def test_enumerate_node_limit_stops_at_the_first_subset(monkeypatch):
+    # the first enumerated subset is the first node, so a limit of 1 ends the
+    # enumeration before any rows are built for it
+    def no_rows(*args):
+        raise AssertionError("rows built past the node limit")
+
+    monkeypatch.setattr(search, "_row_source", no_rows)
+    with pytest.raises(BudgetExceeded, match="^node_limit$"):
+        enumerate_all_splittings(27, 2, SearchConfig(node_limit=1))
+
+
+@pytest.mark.parametrize("node_limit, time_limit_s", [
+    (0, 60.0), (-1, None), (1, -0.5), (1, float("nan")), (1, float("-inf")),
+])
+def test_search_config_rejects_bad_budgets(node_limit, time_limit_s):
+    with pytest.raises(ValueError):
+        SearchConfig(node_limit, time_limit_s)
+
+
+def test_search_config_accepts_its_edges():
+    assert SearchConfig(node_limit=1, time_limit_s=None).time_limit_s is None
+    assert SearchConfig(node_limit=1, time_limit_s=0.0).node_limit == 1
+    assert SearchConfig(time_limit_s=float("inf")).time_limit_s == float("inf")
 
 
 def test_enumerate_preconditions():

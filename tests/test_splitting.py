@@ -15,6 +15,9 @@ from abelsplit.splitting import (
     ORDER_K_PLUS_1,
     PURELY_SINGULAR,
     MultiplierSet,
+    NotASplitting,
+    SplittingCertificate,
+    canonical_splitters,
     classify_multipliers,
     make_certificate,
     s87_property_check,
@@ -153,6 +156,32 @@ def test_verify_matches_element_oracle(inputs):
         return
     event(expected.failure.kind if expected.failure else expected.verdict)
     assert _fields(verify_splitting(G, M, splitters)) == _fields(expected)
+
+
+@given(verification_inputs())
+@example((Z(5), MultiplierSet.explicit([6, -3]), [(-4,), (9,)]))  # valid
+@example((Z(10), MultiplierSet.explicit([1, 12, -7]), [(1,), (4,), (7,)]))  # collision
+@example((Z(10), MultiplierSet.explicit([1, 2, 3]), [(1,), (15,), (-3,)]))  # zero hit
+@example((Z(10), MultiplierSet.interval(3), [(1,), (4,)]))  # count mismatch
+def test_certificate_is_made_exactly_from_splittings(inputs):
+    G, M, splitters = inputs
+    try:
+        S = canonical_splitters(G, splitters)
+    except ValueError:
+        event("duplicate splitters")
+        return
+    report = verify_splitting(G, M, splitters)
+    event(report.failure.kind if report.failure else report.verdict)
+    try:
+        cert = SplittingCertificate(G, M, S)
+    except NotASplitting as exc:
+        assert not report.is_valid
+        assert exc.report == report
+        assert str(exc) == f"not a splitting of {G}: {report.failure.describe()}"
+        return
+    assert report.is_valid
+    assert cert.splitters is S
+    assert cert.classification == classify_multipliers(G, M)
 
 
 def test_trivial_group_certificate():
