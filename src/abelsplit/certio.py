@@ -115,7 +115,7 @@ def dumps_document(doc: dict) -> str:
 def loads_document(text: str) -> dict:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # too deep, or an int over the digit limit
         raise DocumentError(f"not a JSON document: {exc}") from exc
     if not isinstance(doc, dict):
         raise DocumentError("document root must be an object")

@@ -5,10 +5,12 @@ Exit codes are uniform across subcommands: 0 for an affirmative result,
 violation, failed check), 2 for usage or input errors, and 3 when a node
 or time budget ran out before an answer was reached. Every command ends
 with one machine-parseable key=value summary line that is stable across
-runs, printed by _finish, which also writes the command's document. A file
-that cannot be read or written, or is not UTF-8 text, exits 2 with an
-error: line. Budgets come from --node-limit and --time-limit, whose
-defaults are SearchConfig's.
+runs, printed by _finish, which also writes the command's document; exit 1
+only ever follows such a verdict line. _Main.invoke ends the rest: a file
+error, bad input or running out of memory exits 2 with an error: line, as
+does an internal error, after its traceback on stderr; an interrupt exits 3
+with result=interrupted, and an interrupted scan resumes from its last
+checkpoint. Budgets are --node-limit and --time-limit (SearchConfig's).
 """
 
 from __future__ import annotations
@@ -55,14 +57,24 @@ def _finish(code: int, summary: str, text: str | None = None, out: str | None = 
 
 
 class _Main(click.Group):
-    """The command group; an OSError in any command, such as a file that
-    cannot be read or written or a closed stdout, exits 2."""
+    """The command group. Its invoke is the one table from an exception that
+    ends a command to an exit code; commands catch only to name bad input."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except OSError as exc:
-            _fail_usage(str(exc))
+        except (click.ClickException, click.exceptions.Exit, click.exceptions.Abort):
+            raise  # click's own endings; Exit and Abort are RuntimeErrors
+        except searchlib.BudgetExceeded as exc:
+            _finish(EXIT_RESOURCE, f"result=resource_limit reason={exc}")
+        except KeyboardInterrupt:
+            _finish(EXIT_RESOURCE, "result=interrupted")
+        except (OSError, MemoryError, ValueError) as exc:
+            _fail_usage(str(exc) or "out of memory")
+        except Exception as exc:
+            import traceback  # only here, so importing the CLI stays cheap
+            traceback.print_exc()
+            _fail_usage(f"internal error: {type(exc).__name__}: {exc}")
 
 
 def _budget_options(f):
@@ -121,8 +133,6 @@ def search(order, k, out, node_limit, time_limit_s) -> None:
     """Search for a splitter set for (Z_N, {1..k})."""
     if order < 1 or k < 1:
         _fail_usage("order and k must be >= 1")
-    if order > 1 and (order - 1) % k != 0:
-        _fail_usage(f"k={k} does not divide N-1={order - 1}")
     group = FiniteAbelianGroup.cyclic(order)
     multipliers = MultiplierSet.interval(k)
     outcome = searchlib.search_splitter(group, multipliers, _config(node_limit, time_limit_s))
@@ -179,14 +189,11 @@ def scan(k_min, k_max, n_max, jobs, out_dir, resume, node_limit, time_limit_s) -
         ended = time.monotonic()
         next_write = ended + CHECKPOINT_SPACING * (ended - started)
 
-    try:
-        report = run_scan(
-            k_min, k_max, n_max, config=config,
-            jobs=jobs if jobs is not None else (os.cpu_count() or 1),
-            resume=resume_report, checkpoint=checkpoint,
-        )
-    except ValueError as exc:
-        _fail_usage(str(exc))
+    report = run_scan(
+        k_min, k_max, n_max, config=config,
+        jobs=jobs if jobs is not None else (os.cpu_count() or 1),
+        resume=resume_report, checkpoint=checkpoint,
+    )
     certio.write_document(report_path, certio.scan_report_to_doc(report))
     certio.write_text(table_path, certio.scan_report_table(report))
     totals = report.totals
@@ -343,36 +350,31 @@ def _check_s87(order, config):
 def check(name, k, p, primes, cert_path, order, k_max, p_max, out, node_limit, time_limit_s):
     """Run a named arithmetic check and write its report."""
     config = _config(node_limit, time_limit_s)
-    try:
-        if name == "abcde":
-            if k is None or p is None:
-                _fail_usage("check abcde needs --k and --p")
-            prime_rows = []
-            if primes:
-                for part in primes.split(","):
-                    q, a, b = part.split(":")
-                    prime_rows.append((int(q), int(a), int(b)))
-            inputs, checks = _check_abcde(k, p, tuple(prime_rows))
-        elif name == "digits":
-            if k_max is None and (k is None or p is None and p_max is None):
-                _fail_usage("check digits needs --k and --p, or --k-max/--p-max")
-            inputs, checks = _check_digits(k, p, k_max, p_max)
-        elif name == "strata":
-            if cert_path is None or p is None:
-                _fail_usage("check strata needs --cert and --p")
-            inputs, checks = _check_strata(_load_certificate(cert_path), p)
-        elif name == "tw":
-            if cert_path is None:
-                _fail_usage("check tw needs --cert")
-            inputs, checks = _check_tw(_load_certificate(cert_path))
-        else:  # s87
-            if order is None:
-                _fail_usage("check s87 needs --order")
-            inputs, checks = _check_s87(order, config)
-    except searchlib.BudgetExceeded as exc:
-        _finish(EXIT_RESOURCE, f"result=resource_limit reason={exc}")
-    except ValueError as exc:
-        _fail_usage(str(exc))
+    if name == "abcde":
+        if k is None or p is None:
+            _fail_usage("check abcde needs --k and --p")
+        prime_rows = []
+        if primes:
+            for part in primes.split(","):
+                q, a, b = part.split(":")
+                prime_rows.append((int(q), int(a), int(b)))
+        inputs, checks = _check_abcde(k, p, tuple(prime_rows))
+    elif name == "digits":
+        if k_max is None and (k is None or p is None and p_max is None):
+            _fail_usage("check digits needs --k and --p, or --k-max/--p-max")
+        inputs, checks = _check_digits(k, p, k_max, p_max)
+    elif name == "strata":
+        if cert_path is None or p is None:
+            _fail_usage("check strata needs --cert and --p")
+        inputs, checks = _check_strata(_load_certificate(cert_path), p)
+    elif name == "tw":
+        if cert_path is None:
+            _fail_usage("check tw needs --cert")
+        inputs, checks = _check_tw(_load_certificate(cert_path))
+    else:  # s87
+        if order is None:
+            _fail_usage("check s87 needs --order")
+        inputs, checks = _check_s87(order, config)
     doc = certio.check_report_doc(name, inputs, checks)
     failures = sum(1 for row in checks if not row["pass"])
     _finish(EXIT_OK if failures == 0 else EXIT_NEGATIVE,

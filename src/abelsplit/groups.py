@@ -136,8 +136,6 @@ class FiniteAbelianGroup:
         factors = self.factors
         if len(coords) != len(factors):
             raise ValueError(f"expected {len(factors)} coordinates, got {len(coords)}")
-        if len(factors) == 1:
-            return (int(coords[0]) % factors[0],)
         return tuple(int(c) % d for c, d in zip(coords, factors))
 
     def scalar_mul(self, m: int, g: Element) -> Element:

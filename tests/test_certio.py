@@ -121,6 +121,12 @@ def test_malformed_documents_rejected():
         certio.loads_document("[1, 2]")
     with pytest.raises(certio.DocumentError):
         certio.loads_document('{"kind": "splitting_certificate"}')  # no version
+    with pytest.raises(certio.DocumentError, match="no kind"):
+        certio.loads_document(f'{{"format_version": {certio.FORMAT_VERSION}}}')
+    with pytest.raises(certio.DocumentError, match="recursion"):  # deeper than the stack
+        certio.loads_document('{"a": ' + "[" * 10_000 + "]" * 10_000 + "}")
+    with pytest.raises(certio.DocumentError, match="4300 digits"):  # over the int digit limit
+        certio.loads_document('{"n": ' + "1" * 5_000 + "}")
 
     doc = _valid_doc()
     doc["format_version"] = 99
@@ -407,7 +413,8 @@ def test_tiling_export_reader_holds_no_second_copy(export_250):
 
 def test_tiling_export_reader_checks_header_sizes_before_building():
     text = _WRITTEN_EXPORTS[0]
-    claims = [("dimension", 4000), ("dimension", 2000), ("k_plus", 10**7), ("dimension", "1e999")]
+    claims = [("dimension", 4000), ("dimension", 2000), ("k_plus", 10**7), ("dimension", "1e999"),
+              ("dimension", 0), ("k_plus", 0)]
     for claim, size in claims:
         bad = re.sub(f'"{claim}": \\d+', f'"{claim}": {size}', text)
         assert len(bad) < 1000

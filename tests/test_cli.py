@@ -7,7 +7,8 @@ import pytest
 from click.testing import CliRunner
 from helpers import canonical_json
 
-from abelsplit import certio, counting
+from abelsplit import certio, cli, counting
+from abelsplit import search as searchlib
 from abelsplit.cli import main
 from abelsplit.groups import FiniteAbelianGroup
 from abelsplit.scan import overall_verdict
@@ -114,6 +115,21 @@ def test_non_utf8_certificate_is_bad_document(runner, tmp_path, args):
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit)
     assert "error: bad certificate document: not UTF-8 text" in result.output
+
+
+# JSON texts that json.loads itself rejects with something other than a
+# JSONDecodeError: a RecursionError, and a ValueError from the int digit limit
+_DEEP_TEXT = '{"a": ' + "[" * 10_000 + "]" * 10_000 + "}"
+_LONG_INT_TEXT = '{"format_version": 2, "group_factors": [' + "7" * 5_000 + "]}"
+
+
+@pytest.mark.parametrize("text", [_DEEP_TEXT, _LONG_INT_TEXT], ids=["nested", "long_int"])
+def test_unparsable_certificate_is_bad_document(runner, tmp_path, text):
+    path = tmp_path / "cert.json"
+    path.write_text(text)
+    result = runner.invoke(main, ["verify", str(path)])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error: bad certificate document: not a JSON document")
 
 
 def test_check_s87_unfactorable_order_is_usage_error(runner):
@@ -260,7 +276,8 @@ def test_scan_killed_after_checkpoint_resumes_to_identical_report(runner, tmp_pa
     # the first checkpoint lands, then the run dies
     monkeypatch.setattr(certio, "write_document", write_then_die)
     cut = runner.invoke(main, args + [str(tmp_path / "cut")])
-    assert isinstance(cut.exception, Killed)
+    assert cut.exit_code == 2
+    assert cut.stderr.splitlines()[-1].startswith("error: internal error: Killed")
     report = tmp_path / "cut" / "scan_k1-8.json"
     checkpoint = certio.scan_report_from_doc(certio.read_document(report))
     assert 0 < len(checkpoint.records) < records
@@ -316,6 +333,8 @@ def _damaged_resume(runner, tmp_path, damage):
         path.write_text(path.read_text()[damage])
     elif isinstance(damage, bytes):  # put bytes in front of the file text
         path.write_bytes(damage + path.read_bytes())
+    elif isinstance(damage, str):  # replace the file text
+        path.write_text(damage)
     else:
         doc = certio.read_document(path)
         assert [r["N"] for r in doc["records"][:2]] == [6, 16]
@@ -345,11 +364,14 @@ def _damaged_resume(runner, tmp_path, damage):
     lambda doc: doc["records"].reverse(),
     slice(0, 400),
     b"\xff\xfe",
+    _DEEP_TEXT,
+    _LONG_INT_TEXT,
 ], ids=["config_key", "record_key", "factorization_pair", "record_verdict",
         "record_splitters", "records_not_list", "found_not_a_splitting", "found_not_reduced",
         "verdict_flipped",
         "exhausted_with_splitters", "record_result", "extra_key",
-        "nodes_bool", "k_float", "records_reversed", "truncated", "non_utf8"])
+        "nodes_bool", "k_float", "records_reversed", "truncated", "non_utf8",
+        "nested", "long_int"])
 def test_scan_resume_malformed_report_is_usage_error(runner, tmp_path, damage):
     r2 = _damaged_resume(runner, tmp_path, damage)
     assert r2.exit_code == 2
@@ -422,6 +444,39 @@ def test_file_error_is_usage_error(runner, tmp_path, args):
     assert isinstance(result.exception, SystemExit)
     assert result.stderr.startswith("error: ")
     assert "Not a directory" in result.stderr
+
+
+@pytest.mark.parametrize("args, module, name", [
+    (["search", "-N", "5", "--k", "2"], searchlib, "search_splitter"),
+    (["scan", "--k-min", "1", "--k-max", "2", "--jobs", "1", "--out-dir", "OUT"], cli, "run_scan"),
+    (["check", "s87", "-N", "9"], searchlib, "enumerate_all_splittings"),
+], ids=["search", "scan", "check_s87"])
+@pytest.mark.parametrize("exc, code, line", [
+    (MemoryError(), 2, "error: out of memory"),
+    (KeyboardInterrupt(), 3, "result=interrupted"),
+    (RuntimeError("boom"), 2, "error: internal error: RuntimeError: boom"),
+    (ValueError("bad"), 2, "error: bad"),
+], ids=["memory", "interrupt", "internal", "value"])
+def test_every_exception_ends_through_one_table(
+    runner, tmp_path, monkeypatch, args, module, name, exc, code, line
+):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(module, name, fail)
+    result = runner.invoke(main, [str(tmp_path) if a == "OUT" else a for a in args])
+    assert result.exit_code == code, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.splitlines()[-1] == line
+    assert ("Traceback" in result.stderr) == isinstance(exc, RuntimeError)
+
+
+def test_click_endings_pass_through_the_table(runner):
+    for args in (["--help"], ["search", "--help"]):
+        assert runner.invoke(main, args).exit_code == 0
+    result = runner.invoke(main, ["check", "abcde", "--k", "x"])
+    assert result.exit_code == 2
+    assert "Invalid value" in result.stderr
 
 
 def test_write_error_names_the_given_path(runner, tmp_path):

@@ -46,6 +46,8 @@ def test_base_p_digits_reconstruct(k, p):
 def test_base_p_digits_rejects_composite_base():
     with pytest.raises(ValueError):
         base_p_digits(10, 6)
+    with pytest.raises(ValueError, match="nonnegative"):
+        base_p_digits(-1, 3)
 
 
 def test_decompose_examples():
@@ -117,6 +119,8 @@ def test_stratify_counts_sum():
 def test_stratify_rejects_non_divisor():
     with pytest.raises(ValueError):
         stratify(trivial_certificate(8), 5)
+    with pytest.raises(ValueError, match="not prime"):
+        stratify(trivial_certificate(8), 9)
 
 
 def test_stratify_rejects_non_cyclic_group():
@@ -219,6 +223,8 @@ def test_abcde_validation():
         abcde_profile(8, 3, ((5, 1, 2),))  # beta > alpha
     with pytest.raises(ValueError):
         abcde_profile(8, 4)
+    with pytest.raises(ValueError, match="9 is not prime"):
+        abcde_profile(8, 3, ((9, 1, 1),))
 
 
 def test_abcde_identities_hold_whenever_hypothesis_met():

@@ -42,6 +42,10 @@ def test_multiplier_set_constructors():
         MultiplierSet((2, 3), kind="interval")
     with pytest.raises(ValueError):
         MultiplierSet.interval(0)
+    with pytest.raises(ValueError, match="nonempty"):
+        MultiplierSet(())
+    with pytest.raises(ValueError, match="unknown multiplier kind"):
+        MultiplierSet((1,), kind="bogus")
 
 
 def test_verify_valid_examples():

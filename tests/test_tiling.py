@@ -78,6 +78,10 @@ def test_integer_lattice_validation():
         IntegerLattice(((5, 1), (1, 1)))  # not upper triangular
     with pytest.raises(ValueError):
         IntegerLattice(((0, 1), (0, 1)))  # nonpositive diagonal
+    with pytest.raises(ValueError, match="square"):
+        IntegerLattice(((1, 0),))
+    with pytest.raises(ValueError, match="modulus"):
+        LatticeHom(0, (1,))
 
 
 @given(st.integers(1, 10**6), st.integers(1, 6), st.data())
@@ -202,6 +206,8 @@ def test_export_translates_rejects_non_tiling():
     lattice = IntegerLattice(((3,),))  # period 3 cannot carry a 4-cell segment
     with pytest.raises(ValueError):
         export_translates(lattice, semi_cross(1, 3), [(0, 5)])
+    with pytest.raises(ValueError, match="dimensions must agree"):
+        export_translates(lattice, semi_cross(2, 1), [(0, 5)])
 
 
 def test_export_translates_names_a_double_cover():
