@@ -52,9 +52,11 @@ from .counting import (
     abcde_profile,
     base_p_digits,
     check_counting_identity,
+    counting_witness,
     decompose_k,
     digit_pattern_check,
     stratify,
+    stratum_sizes,
     tw_disjointness_check,
     unit_coset_intersection_size,
 )

@@ -9,8 +9,9 @@ whenever indent is set, which made checkpoints most of a desk scan's
 cost; it accepts str keys and exact JSON types only. Scan report
 documents deliberately exclude wall-clock data; timing appears only in the
 tabular export's millis column, which is diagnostic and carries 0 for
-records restored through a resume. Every file abelsplit writes goes through
-write_text, which replaces the target atomically.
+records restored through a resume and for records the counting sieve
+decided. Every file abelsplit writes goes through write_text, which
+replaces the target atomically.
 
 The writers define what a valid document is. Each reader rebuilds its
 object with the library's own constructors and accepts the document only
@@ -26,7 +27,15 @@ from functools import cache
 from pathlib import Path
 
 from .groups import FiniteAbelianGroup
-from .scan import VIOLATION, CandidateOrder, ScanRecord, ScanReport, make_record, overall_verdict
+from .scan import (
+    VIOLATION,
+    CandidateOrder,
+    ScanRecord,
+    ScanReport,
+    counted_record,
+    make_record,
+    overall_verdict,
+)
 from .search import EXHAUSTED, FOUND, SearchOutcome, SearchStats
 from .splitting import (
     INTERVAL,
@@ -37,7 +46,7 @@ from .splitting import (
 )
 from .tiling import ErrorBallShape, IntegerLattice, LatticeHom, kernel_lattice, semi_cross
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 class DocumentError(ValueError):
@@ -272,24 +281,31 @@ def _record_to_doc(record: ScanRecord) -> dict:
         "nodes": record.outcome.stats.nodes,
         "max_depth": record.outcome.stats.max_depth,
         "splitters": list(record.outcome.splitters) if record.outcome.splitters is not None else None,
+        "route": record.route,
     }
+    if record.witness is not None:
+        doc["counting"] = {"p": record.witness[0], "stratum": record.witness[1]}
     if record.verdict == VIOLATION and record.certificate is not None:
         doc["certificate"] = certificate_to_doc(record.certificate)
     return doc
 
 
 def _record_from_doc(doc) -> ScanRecord:
-    """Rebuild a record through make_record, which re-verifies found splitters."""
+    """Rebuild a record the way the scan makes it: the counting sieve runs
+    again, and a candidate it does not refute goes through make_record,
+    which re-verifies found splitters."""
     with _parsing("scan record"):
         candidate = CandidateOrder(
             int(doc["k"]), int(doc["n"]), int(doc["N"]),
             tuple((int(p), int(e)) for p, e in doc["factorization"]),
         )
-        splitters = tuple(doc["splitters"]) if doc["result"] == FOUND else None
-        outcome = SearchOutcome(
-            doc["result"], splitters, SearchStats(int(doc["nodes"]), int(doc["max_depth"]), 0.0)
-        )
-        record = make_record(candidate, outcome)
+        record = counted_record(candidate)
+        if record is None:
+            splitters = tuple(doc["splitters"]) if doc["result"] == FOUND else None
+            outcome = SearchOutcome(
+                doc["result"], splitters, SearchStats(int(doc["nodes"]), int(doc["max_depth"]), 0.0)
+            )
+            record = make_record(candidate, outcome)
     _require_written_form(_record_to_doc(record), doc, f"record k={doc['k']} N={doc['N']}")
     return record
 
@@ -331,7 +347,7 @@ def scan_report_from_doc(doc: dict) -> ScanReport:
 def scan_report_table(report: ScanReport) -> str:
     """Flat tabular export. millis is wall-clock per record and diagnostic;
     it is the one column not covered by the byte-identity guarantee."""
-    lines = ["k,n,N,factorization,verdict,nodes,millis"]
+    lines = ["k,n,N,factorization,verdict,route,nodes,millis"]
     for r in report.records:
         fac = "*".join(
             f"{p}^{e}" if e > 1 else f"{p}" for p, e in r.candidate.smoothness_witness
@@ -339,7 +355,7 @@ def scan_report_table(report: ScanReport) -> str:
         millis = round(r.outcome.stats.elapsed_s * 1000)
         lines.append(
             f"{r.candidate.k},{r.candidate.n},{r.candidate.order},"
-            f"{fac},{r.verdict},{r.outcome.stats.nodes},{millis}"
+            f"{fac},{r.verdict},{r.route},{r.outcome.stats.nodes},{millis}"
         )
     return "\n".join(lines) + "\n"
 

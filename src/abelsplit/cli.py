@@ -69,12 +69,15 @@ class _Main(click.Group):
             _finish(EXIT_RESOURCE, f"result=resource_limit reason={exc}")
         except KeyboardInterrupt:
             _finish(EXIT_RESOURCE, "result=interrupted")
-        except (OSError, MemoryError, ValueError) as exc:
+        except MemoryError as exc:
             _fail_usage(str(exc) or "out of memory")
+        except (OSError, ValueError) as exc:
+            _fail_usage(str(exc) or type(exc).__name__)
         except Exception as exc:
             import traceback  # only here, so importing the CLI stays cheap
             traceback.print_exc()
-            _fail_usage(f"internal error: {type(exc).__name__}: {exc}")
+            message = f"{type(exc).__name__}: {exc}" if str(exc) else type(exc).__name__
+            _fail_usage(f"internal error: {message}")
 
 
 def _budget_options(f):

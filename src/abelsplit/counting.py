@@ -5,7 +5,9 @@ finite computation over a given certificate or parameter set: base-p digit
 patterns of k, the decomposition of k - floor(k/p), stratification of a
 group by the p-valuation of element orders, the per-stratum counting
 identities, the five interval cardinalities A..E, and the packing of
-translated unit-splitter cosets inside the unit group.
+translated unit-splitter cosets inside the unit group. counting_witness
+solves the stratum identities from (k, N) alone, with no certificate: the
+scan's counting sieve.
 """
 
 from __future__ import annotations
@@ -91,28 +93,78 @@ class StratificationProfile:
     s_counts: tuple[int, ...]
 
 
-def stratify(cert: SplittingCertificate, p: int) -> StratificationProfile:
-    """Count group elements and splitters stratum by stratum.
+def stratum_sizes(order: int, p: int) -> tuple[int, ...]:
+    """|G_0|, ..., |G_alpha| for Z_order with order = p**alpha * m, p not dividing m.
 
-    Stratum i holds the elements whose order has p-valuation i. In Z_N with
-    N = p**alpha * m they are counted in closed form: the elements of order
-    prime to p form the subgroup of order m, so |G_0| = m and
-    |G_i| = m * (p**i - p**(i-1)). A group not in cyclic form raises
-    ValueError.
+    Stratum i holds the elements whose order has p-valuation i. The
+    elements of order prime to p form the subgroup of order m, so
+    |G_0| = m and |G_i| = m * (p**i - p**(i-1)).
     """
+    alpha = p_adic_valuation(order, p)
+    m = order // p**alpha
+    return (m,) + tuple(m * (p**i - p ** (i - 1)) for i in range(1, alpha + 1))
+
+
+def stratify(cert: SplittingCertificate, p: int) -> StratificationProfile:
+    """Count group elements (by stratum_sizes) and splitters stratum by
+    stratum. A group not in cyclic form raises ValueError."""
     G = cert.group
     n = G.modulus
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if n % p != 0:
         raise ValueError(f"{p} does not divide the group order {n}")
-    alpha = p_adic_valuation(n, p)
-    m = n // p**alpha
-    g_counts = [m] + [m * (p**i - p ** (i - 1)) for i in range(1, alpha + 1)]
+    g_counts = stratum_sizes(n, p)
+    alpha = len(g_counts) - 1
     s_counts = [0] * (alpha + 1)
     for s in cert.splitters:
         s_counts[p_adic_valuation(G.element_order(s), p)] += 1
-    return StratificationProfile(p, alpha, tuple(g_counts), tuple(s_counts))
+    return StratificationProfile(p, alpha, g_counts, tuple(s_counts))
+
+
+def counting_witness(
+    k: int, order: int, factorization: tuple[tuple[int, int], ...]
+) -> tuple[int, int] | None:
+    """The first (p, j) at which the counting identities refute a splitting
+    of Z_order by {1..k}, or None when none does.
+
+    For each prime p of the factorization, ascending, with
+    order = p**alpha * m: a splitter set S has |S_j| members in stratum j,
+    and with c_t = #{r <= k : v_p(r) = t} the products in stratum i >= 1
+    satisfy (see check_counting_identity)
+
+        sum over j >= i of c_(j-i) * |S_j|  ==  |G_i|.
+
+    Solved for i = alpha..1 top down, each step divides by c_0. A product
+    r*s with s in S_j lands in stratum 0 exactly when v_p(r) >= j, and
+    #{r <= k : v_p(r) >= j} = k // p**j, so the nonzero elements of
+    stratum 0 close the system:
+
+        k*|S_0| + sum over j >= 1 of (k // p**j) * |S_j|  ==  m - 1.
+
+    A count |S_j| that is negative or not an integer proves that no
+    splitter set exists, and (p, j) names it. None proves nothing. k < 1
+    raises ValueError.
+    """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    for p, _ in factorization:
+        sizes = stratum_sizes(order, p)
+        alpha = len(sizes) - 1
+        at_least = [k]  # #{r <= k : v_p(r) >= t} = k // p**t, while it is nonzero
+        while at_least[-1] >= p:
+            at_least.append(at_least[-1] // p)
+        c = [a - b for a, b in zip(at_least, at_least[1:] + [0])]
+        s = [0] * (alpha + 1)
+        for i in range(alpha, 0, -1):
+            rest = sizes[i] - sum(c[t] * s[i + t] for t in range(1, min(len(c), alpha - i + 1)))
+            if rest < 0 or rest % c[0]:
+                return p, i
+            s[i] = rest // c[0]
+        rest = sizes[0] - 1 - sum(at_least[j] * s[j] for j in range(1, min(len(c), alpha + 1)))
+        if rest < 0 or rest % k:
+            return p, 0
+    return None
 
 
 def check_counting_identity(cert: SplittingCertificate, p: int, i: int) -> bool:

@@ -3,10 +3,13 @@
 For M = {1..k} a purely singular splitting can only live in a group whose
 order is k-smooth: every prime divisor p of |G| must divide some m <= k,
 which for an interval just means p <= k. Candidate orders are therefore
-N = n*k + 1 with all prime factors <= k. The scan searches every candidate
-and expects splittings exactly at the trivial orders k+1 and 2k+1; a
-splitting found anywhere else is recorded as a violation together with a
-re-verified certificate.
+N = n*k + 1 with all prime factors <= k. The scan decides every candidate
+by one of two proof routes, recorded on its record. The counting sieve
+(counting.counting_witness) refutes a candidate whose stratum identities
+have no nonnegative integer solution, with no search; every other
+candidate goes to the exact-cover search. The scan expects splittings
+exactly at the trivial orders k+1 and 2k+1; a splitting found anywhere else
+is recorded as a violation together with a re-verified certificate.
 """
 
 from __future__ import annotations
@@ -16,14 +19,26 @@ from dataclasses import dataclass, replace
 from multiprocessing import Pool
 from typing import Callable
 
+from .counting import counting_witness
 from .groups import FiniteAbelianGroup, PrimePower, factorize
-from .search import EXHAUSTED, FOUND, RESOURCE_LIMIT, SearchConfig, SearchOutcome, search_splitter
+from .search import (
+    EXHAUSTED,
+    FOUND,
+    RESOURCE_LIMIT,
+    SearchConfig,
+    SearchOutcome,
+    SearchStats,
+    search_splitter,
+)
 from .splitting import MultiplierSet, SplittingCertificate, make_certificate
 
 TRIVIAL_EXPECTED = "trivial_expected"
 CONSISTENT = "conjecture_consistent"
 VIOLATION = "CONJECTURE_VIOLATION"
 INCONCLUSIVE = "inconclusive"
+
+COUNTING = "counting"
+SEARCH = "search"
 
 
 @dataclass(frozen=True)
@@ -51,10 +66,19 @@ def purely_singular_candidates(k: int, n_max: int) -> list[CandidateOrder]:
 
 @dataclass(frozen=True)
 class ScanRecord:
+    """One candidate's verdict. witness is the (p, stratum) of the counting
+    identity that refuted the candidate, or None when the search decided it."""
+
     candidate: CandidateOrder
     outcome: SearchOutcome
     verdict: str
     certificate: SplittingCertificate | None = None
+    witness: tuple[int, int] | None = None
+
+    @property
+    def route(self) -> str:
+        """The proof route of the verdict: counting or search."""
+        return SEARCH if self.witness is None else COUNTING
 
 
 def make_record(candidate: CandidateOrder, outcome: SearchOutcome) -> ScanRecord:
@@ -84,11 +108,29 @@ def make_record(candidate: CandidateOrder, outcome: SearchOutcome) -> ScanRecord
     raise ValueError(f"unknown search result {outcome.result!r}")
 
 
+_COUNTED = SearchOutcome(EXHAUSTED, None, SearchStats(0, 0, 0.0))
+
+
+def counted_record(candidate: CandidateOrder) -> ScanRecord | None:
+    """The record of a candidate that the counting sieve refutes, or None.
+
+    A refuted candidate reads like an exhausted search of no nodes, and
+    make_record checks it as one: a trivial order raises RuntimeError.
+    """
+    witness = counting_witness(candidate.k, candidate.order, candidate.smoothness_witness)
+    if witness is None:
+        return None
+    return replace(make_record(candidate, _COUNTED), witness=witness)
+
+
 def _scan_one(task: tuple[CandidateOrder, SearchConfig]) -> ScanRecord:
     candidate, config = task
-    group = FiniteAbelianGroup.cyclic(candidate.order)
-    outcome = search_splitter(group, MultiplierSet.interval(candidate.k), config)
-    return make_record(candidate, outcome)
+    record = counted_record(candidate)
+    if record is None:
+        group = FiniteAbelianGroup.cyclic(candidate.order)
+        outcome = search_splitter(group, MultiplierSet.interval(candidate.k), config)
+        record = make_record(candidate, outcome)
+    return record
 
 
 @dataclass(frozen=True)
@@ -138,7 +180,8 @@ def scan(
     resume: ScanReport | None = None,
     checkpoint: Callable[[ScanReport], None] | None = None,
 ) -> ScanReport:
-    """Search every candidate order for every k in [k_min, k_max].
+    """Decide every candidate order for every k in [k_min, k_max]: by the
+    counting sieve when it refutes the candidate, else by the search.
 
     Records are independent tasks; with jobs > 1 they run in a process pool
     of at most one worker per pending record. jobs < 1 raises ValueError.

@@ -3,7 +3,9 @@
 These deliberately avoid the library's bitset search and closed forms:
 the splitting oracle works on plain frozensets with no deduplication or
 statistics, the coprime counter and the stratification walk every element
-where the library counts in closed form, and the SNF tiling check
+where the library counts in closed form, the counting sieve's oracle solves
+the whole strata system in Fractions from those walked counts where the
+library solves it top down in ints, and the SNF tiling check
 diagonalizes a lattice basis where the library evaluates a weight map.
 The element-wise verifier reduces, sorts and checks splitters one tuple
 product at a time, the way verification worked before it accepted a
@@ -22,11 +24,12 @@ Agreement between the two routes is the point.
 """
 
 import json
+from fractions import Fraction
 from itertools import product
 
 from abelsplit.certio import DocumentError, tiling_export_text
 from abelsplit.counting import StratificationProfile
-from abelsplit.groups import FiniteAbelianGroup, p_adic_valuation
+from abelsplit.groups import FiniteAbelianGroup, is_prime, p_adic_valuation
 from abelsplit.search import SearchConfig, _Budget, _exact_covers, _row_source
 from abelsplit.splitting import (
     INVALID,
@@ -175,18 +178,71 @@ def coprime_count_by_enumeration(limit: int, primes: list[int]) -> int:
     return sum(1 for x in range(1, limit + 1) if all(x % q for q in primes))
 
 
-def stratify_by_enumeration(cert: SplittingCertificate, p: int) -> StratificationProfile:
-    """Element and splitter counts by p-valuation of element order, by
-    walking every element of the group."""
-    G = cert.group
+def element_strata_by_enumeration(G: FiniteAbelianGroup, p: int) -> tuple[int, ...]:
+    """Element counts by p-valuation of element order, by walking every
+    element of the group."""
     alpha = p_adic_valuation(G.order, p)
     g_counts = [0] * (alpha + 1)
     for g in product(*(range(d) for d in G.factors)):
         g_counts[p_adic_valuation(G.element_order(g), p)] += 1
-    s_counts = [0] * (alpha + 1)
+    return tuple(g_counts)
+
+
+def stratify_by_enumeration(cert: SplittingCertificate, p: int) -> StratificationProfile:
+    """Element and splitter counts by p-valuation of element order, by
+    walking every element of the group."""
+    G = cert.group
+    g_counts = element_strata_by_enumeration(G, p)
+    s_counts = [0] * len(g_counts)
     for s in cert.splitters:
         s_counts[p_adic_valuation(G.element_order(s), p)] += 1
-    return StratificationProfile(p, alpha, tuple(g_counts), tuple(s_counts))
+    return StratificationProfile(p, len(g_counts) - 1, g_counts, tuple(s_counts))
+
+
+def _solve_by_fractions(a: list[list[int]], b: list[int]) -> list[Fraction]:
+    """x with a x = b for a square nonsingular a, by Gauss-Jordan
+    elimination in Fractions."""
+    n = len(a)
+    rows = [[Fraction(v) for v in row] + [Fraction(rhs)] for row, rhs in zip(a, b)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if rows[r][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        lead = rows[col][col]
+        rows[col] = [v / lead for v in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [v - f * w for v, w in zip(rows[r], rows[col])]
+    return [row[n] for row in rows]
+
+
+def counting_witness_by_fractions(k: int, order: int) -> tuple[int, int] | None:
+    """counting_witness, from the whole strata system solved in Fractions.
+
+    Element counts come from walking Z_order, and multiplier counts from
+    walking 1..k. For each prime p of order, ascending, the unknowns are
+    |S_0|..|S_alpha|: stratum i >= 1 gives the row
+    #{r : v_p(r) = j - i} for each j >= i, with |G_i| on the right, and the
+    nonzero elements of stratum 0 the row #{r : v_p(r) >= j} for every j,
+    with |G_0| - 1. The first (p, j), strata from the top, whose solution
+    is negative or not an integer is returned.
+    """
+    G = FiniteAbelianGroup.cyclic(order)
+    for p in sorted(q for q in range(2, order + 1) if order % q == 0 and is_prime(q)):
+        g_counts = element_strata_by_enumeration(G, p)
+        alpha = len(g_counts) - 1
+        vals = [p_adic_valuation(r, p) for r in range(1, k + 1)]
+        a = [[sum(1 for v in vals if v >= j) for j in range(alpha + 1)]]
+        b = [g_counts[0] - 1]
+        for i in range(1, alpha + 1):
+            a.append([sum(1 for v in vals if v == j - i) if j >= i else 0
+                      for j in range(alpha + 1)])
+            b.append(g_counts[i])
+        x = _solve_by_fractions(a, b)
+        for j in range(alpha, -1, -1):
+            if x[j] < 0 or x[j].denominator != 1:
+                return p, j
+    return None
 
 
 def smallest_prime_factor_sieve(limit: int) -> list[int]:

@@ -84,14 +84,14 @@ def test_conjecture_scan_desk_scale(desk_scan):
 
 def test_desk_scan_report_is_pinned(desk_scan):
     # The canonical report bytes and node totals of the desk scan. A change
-    # to the search order or node definition must update these together
-    # with a format_version bump.
+    # to the proof routes, the search order or the node definition must
+    # update these together with a format_version bump.
     text = certio.dumps_document(certio.scan_report_to_doc(desk_scan))
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "ae02439f23bfb2e8db178ce204d42002bc1327bd121ced9eaf2702597e06d595"
+        "629deae53a82b37078e2eb47649798972636c1dc509b4483f7c57b4090783255"
     )
-    assert sum(r.outcome.stats.nodes for r in desk_scan.records) == 26_671
-    assert max(r.outcome.stats.max_depth for r in desk_scan.records) == 7
+    assert sum(r.outcome.stats.nodes for r in desk_scan.records) == 573
+    assert max(r.outcome.stats.max_depth for r in desk_scan.records) == 6
 
 
 def test_named_nonexistence_instances():

@@ -233,7 +233,7 @@ def test_scan_report_table_shape():
     report = scan(8, 8, n_max=13)
     table = certio.scan_report_table(report)
     lines = table.strip().splitlines()
-    assert lines[0] == "k,n,N,factorization,verdict,nodes,millis"
+    assert lines[0] == "k,n,N,factorization,verdict,route,nodes,millis"
     assert len(lines) == 1 + len(report.records)
     first = lines[1].split(",")
     assert first[:4] == ["8", "1", "9", "3^2"]

@@ -57,7 +57,7 @@ def test_verify_tampered(runner, tmp_path):
 ])
 def test_verify_failure_lines(runner, tmp_path, splitters, lines):
     doc = {
-        "format_version": 2,
+        "format_version": 3,
         "kind": "splitting_certificate",
         "group_factors": [10],
         "multipliers": {"k": 3, "kind": "interval", "values": [1, 2, 3]},
@@ -120,7 +120,7 @@ def test_non_utf8_certificate_is_bad_document(runner, tmp_path, args):
 # JSON texts that json.loads itself rejects with something other than a
 # JSONDecodeError: a RecursionError, and a ValueError from the int digit limit
 _DEEP_TEXT = '{"a": ' + "[" * 10_000 + "]" * 10_000 + "}"
-_LONG_INT_TEXT = '{"format_version": 2, "group_factors": [' + "7" * 5_000 + "]}"
+_LONG_INT_TEXT = '{"format_version": 3, "group_factors": [' + "7" * 5_000 + "]}"
 
 
 @pytest.mark.parametrize("text", [_DEEP_TEXT, _LONG_INT_TEXT], ids=["nested", "long_int"])
@@ -230,7 +230,7 @@ def test_scan_writes_reports(runner, tmp_path):
     report = certio.scan_report_from_doc(certio.read_document(tmp_path / "scan_k1-8.json"))
     assert overall_verdict(report.totals) == "consistent"
     table = (tmp_path / "scan_k1-8.csv").read_text()
-    assert table.startswith("k,n,N,factorization,verdict,nodes,millis\n")
+    assert table.startswith("k,n,N,factorization,verdict,route,nodes,millis\n")
 
 
 def test_scan_resume_matches_uninterrupted(runner, tmp_path):
@@ -277,7 +277,7 @@ def test_scan_killed_after_checkpoint_resumes_to_identical_report(runner, tmp_pa
     monkeypatch.setattr(certio, "write_document", write_then_die)
     cut = runner.invoke(main, args + [str(tmp_path / "cut")])
     assert cut.exit_code == 2
-    assert cut.stderr.splitlines()[-1].startswith("error: internal error: Killed")
+    assert cut.stderr.splitlines()[-1] == "error: internal error: Killed"
     report = tmp_path / "cut" / "scan_k1-8.json"
     checkpoint = certio.scan_report_from_doc(certio.read_document(report))
     assert 0 < len(checkpoint.records) < records
@@ -319,10 +319,51 @@ def _flip_found_verdict(doc):
 
 
 def _add_record_n17(doc):
-    extra = dict(doc["records"][1], N=17, factorization=[[17, 1]])
+    # the N = 16 record moved to N = 17, with the counting witness the sieve
+    # gives there, so that only its candidacy is wrong
+    extra = dict(doc["records"][1], N=17, factorization=[[17, 1]],
+                 counting={"p": 17, "stratum": 1})
     doc["records"].insert(2, extra)
     doc["totals"]["conjecture_consistent"] += 1
     doc["totals"]["records"] += 1
+
+
+# The k 5..6 report holds four records: N = 6 (found), 16 and 36 (refuted by
+# the counting sieve) for k = 5, and N = 25 (exhausted by the search) for k = 6.
+
+def _search_record_claims_counting(doc):
+    record = doc["records"][3]
+    assert (record["N"], record["route"]) == (25, "search")
+    record.update(route="counting", counting={"p": 5, "stratum": 2}, nodes=0, max_depth=0)
+
+
+def _counting_record_claims_search(doc):
+    record = doc["records"][1]
+    assert record.pop("counting") == {"p": 2, "stratum": 4}
+    record["route"] = "search"
+
+
+def _counting_witness(p, stratum):
+    def damage(doc):
+        record = doc["records"][2]
+        assert (record["N"], record["counting"]) == (36, {"p": 3, "stratum": 1})
+        record["counting"] = {"p": p, "stratum": stratum}
+
+    return damage
+
+
+def _counting_record_with_nodes(doc):
+    record = doc["records"][1]
+    assert record["route"] == "counting"
+    record.update(nodes=5, max_depth=2)
+
+
+def _v2_report(doc):
+    # what format_version 2 wrote: the same records without their routes
+    doc["format_version"] = 2
+    for record in doc["records"]:
+        del record["route"]
+        record.pop("counting", None)
 
 
 def _damaged_resume(runner, tmp_path, damage):
@@ -366,12 +407,19 @@ def _damaged_resume(runner, tmp_path, damage):
     b"\xff\xfe",
     _DEEP_TEXT,
     _LONG_INT_TEXT,
+    _search_record_claims_counting,
+    _counting_record_claims_search,
+    _counting_witness(2, 1),
+    _counting_witness(3, 2),
+    _counting_record_with_nodes,
+    _v2_report,
 ], ids=["config_key", "record_key", "factorization_pair", "record_verdict",
         "record_splitters", "records_not_list", "found_not_a_splitting", "found_not_reduced",
         "verdict_flipped",
         "exhausted_with_splitters", "record_result", "extra_key",
         "nodes_bool", "k_float", "records_reversed", "truncated", "non_utf8",
-        "nested", "long_int"])
+        "nested", "long_int", "search_claims_counting", "counting_claims_search",
+        "witness_wrong_p", "witness_wrong_stratum", "counting_with_nodes", "format_v2"])
 def test_scan_resume_malformed_report_is_usage_error(runner, tmp_path, damage):
     r2 = _damaged_resume(runner, tmp_path, damage)
     assert r2.exit_code == 2
@@ -456,7 +504,11 @@ def test_file_error_is_usage_error(runner, tmp_path, args):
     (KeyboardInterrupt(), 3, "result=interrupted"),
     (RuntimeError("boom"), 2, "error: internal error: RuntimeError: boom"),
     (ValueError("bad"), 2, "error: bad"),
-], ids=["memory", "interrupt", "internal", "value"])
+    (RuntimeError(), 2, "error: internal error: RuntimeError"),
+    (ValueError(), 2, "error: ValueError"),
+    (OSError(), 2, "error: OSError"),
+], ids=["memory", "interrupt", "internal", "value", "internal_no_message",
+        "value_no_message", "os_no_message"])
 def test_every_exception_ends_through_one_table(
     runner, tmp_path, monkeypatch, args, module, name, exc, code, line
 ):
@@ -490,9 +542,9 @@ def test_write_error_names_the_given_path(runner, tmp_path):
 def test_tile_export(runner, tmp_path):
     cases = [  # order, box, anchors, cells, sha256 of the export
         ("5", "0:9,0:9", 28, 100,
-         "f94f30f41a151170d9273452e7b23f01917fa2e22fb90b6dde82c2dda1b822ff"),
+         "94f2b2794b4f950f59a8a6f5166aad40dd1c39d8b61d336a1152cf463a862e24"),
         ("9", "0:4,0:4,0:4,0:4", 179, 625,  # S = {1, 3, 4, 7}
-         "1fc48a2c219861a7a8fa65abc34d2775569211460a6bdb0ba487f532c2388756"),
+         "2651c046803332b771c88c6158a0dbd2980674da39aea6fe904e876ba6f1bef0"),
     ]
     for order, box, anchors, cells, digest in cases:
         cert_path = tmp_path / f"z{order}.json"

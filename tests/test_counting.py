@@ -2,7 +2,12 @@ from math import gcd
 
 import pytest
 import sympy
-from helpers import coprime_count_by_enumeration, stratify_by_enumeration
+from helpers import (
+    coprime_count_by_enumeration,
+    counting_witness_by_fractions,
+    naive_splitting_exists,
+    stratify_by_enumeration,
+)
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -10,13 +15,15 @@ from abelsplit.counting import (
     abcde_profile,
     base_p_digits,
     check_counting_identity,
+    counting_witness,
     decompose_k,
     digit_pattern_check,
     stratify,
     tw_disjointness_check,
     unit_coset_intersection_size,
 )
-from abelsplit.groups import FiniteAbelianGroup, is_prime
+from abelsplit.groups import FiniteAbelianGroup, factorize, is_prime
+from abelsplit.scan import purely_singular_candidates
 from abelsplit.splitting import (
     PURELY_SINGULAR,
     MultiplierSet,
@@ -143,6 +150,47 @@ def test_stratify_matches_closed_form_on_cyclic_groups():
     for cert in certs:
         for p, _ in cert.group.order_factorization:
             assert stratify(cert, p) == stratify_by_enumeration(cert, p), (cert.group, p)
+
+
+def test_counting_witness_worked_instances():
+    # Z_25, k = 8: c_0 = 8 - 1 = 7 and |G_2| = 20, so |S_2| = 20/7
+    assert counting_witness(8, 25, ((5, 2),)) == (5, 2)
+    assert counting_witness(5, 16, ((2, 4),)) == (2, 4)  # |S_4| = 8/3
+    # Z_36, k = 5: p = 2 passes; at p = 3, |S_2| = 24/4 = 6 and |S_1| = (8 - 6)/4
+    assert counting_witness(5, 36, ((2, 2), (3, 2))) == (3, 1)
+    # Z_49, k = 8: |S_2| = 42/7 = 6, |S_1| = (6 - 6)/7 = 0 and |S_0| = 0/8
+    assert counting_witness(8, 49, ((7, 2),)) is None
+    with pytest.raises(ValueError, match="k must be"):
+        counting_witness(0, 25, ((5, 2),))
+
+
+def test_counting_witness_matches_fraction_oracle():
+    # every scan candidate with N <= 200, against the whole system solved
+    # in Fractions from walked element and multiplier counts
+    checked = refuted = 0
+    for k in range(1, 200):
+        for c in purely_singular_candidates(k, 199 // k):
+            witness = counting_witness(k, c.order, c.smoothness_witness)
+            assert witness == counting_witness_by_fractions(k, c.order), (k, c.order)
+            checked += 1
+            refuted += witness is not None
+    assert (checked, refuted) == (314, 83)
+
+
+def test_counting_witness_refutes_only_orders_without_splittings():
+    refuted = 0
+    for order in range(2, 41):
+        for k in range(1, order):
+            if (order - 1) % k == 0 and counting_witness(k, order, factorize(order)):
+                assert not naive_splitting_exists(order, k), (order, k)
+                refuted += 1
+    assert refuted == 18
+
+
+def test_counting_witness_never_refutes_a_trivial_order():
+    for k in range(1, 301):
+        for order in (k + 1, 2 * k + 1):
+            assert counting_witness(k, order, factorize(order)) is None, (k, order)
 
 
 def test_counting_identity_worked_instances():

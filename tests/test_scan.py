@@ -5,8 +5,11 @@ import pytest
 import sympy
 
 from abelsplit import certio
+from abelsplit.groups import FiniteAbelianGroup
 from abelsplit.scan import (
     CONSISTENT,
+    COUNTING,
+    SEARCH,
     TRIVIAL_EXPECTED,
     VIOLATION,
     CandidateOrder,
@@ -19,7 +22,15 @@ from abelsplit.scan import (
     purely_singular_candidates,
     scan,
 )
-from abelsplit.search import EXHAUSTED, FOUND, SearchConfig, SearchOutcome, SearchStats
+from abelsplit.search import (
+    EXHAUSTED,
+    FOUND,
+    SearchConfig,
+    SearchOutcome,
+    SearchStats,
+    search_splitter,
+)
+from abelsplit.splitting import MultiplierSet
 
 scanlib = importlib.import_module("abelsplit.scan")  # the package re-exports scan()
 
@@ -99,6 +110,23 @@ def test_found_at_trivial_orders():
         if order in (k + 1, 2 * k + 1):
             assert record.outcome.result == FOUND
             assert record.verdict == TRIVIAL_EXPECTED
+
+
+def test_counting_records_are_exhausted_by_the_search(desk_scan):
+    # the sieve's refutations of scan(1, 30), re-decided by plain search
+    counted = [r for r in desk_scan.records if r.route == COUNTING]
+    searched = [r for r in desk_scan.records if r.route == SEARCH]
+    assert (len(counted), len(searched)) == (155, 55)
+    assert sum(1 for r in searched if r.outcome.result == FOUND) == 32
+    nodes = 0
+    for record in counted:
+        k, order = record.candidate.k, record.candidate.order
+        assert record.witness is not None and record.verdict == CONSISTENT
+        assert record.outcome.stats.nodes == record.outcome.stats.max_depth == 0
+        outcome = search_splitter(FiniteAbelianGroup.cyclic(order), MultiplierSet.interval(k))
+        assert outcome.result == EXHAUSTED, (k, order)
+        nodes += outcome.stats.nodes
+    assert nodes == 26_098
 
 
 def _synthetic_found(k, n, verdict=VIOLATION):
