@@ -32,8 +32,7 @@ from .scan import (
     CandidateOrder,
     ScanRecord,
     ScanReport,
-    counted_record,
-    make_record,
+    decide,
     overall_verdict,
 )
 from .search import EXHAUSTED, FOUND, SearchOutcome, SearchStats
@@ -291,21 +290,21 @@ def _record_to_doc(record: ScanRecord) -> dict:
 
 
 def _record_from_doc(doc) -> ScanRecord:
-    """Rebuild a record the way the scan makes it: the counting sieve runs
-    again, and a candidate it does not refute goes through make_record,
-    which re-verifies found splitters."""
+    """Rebuild a record the way the scan makes it: decide runs the counting
+    sieve again, and a candidate it does not refute gets the search outcome
+    read from doc, whose found splitters make_record re-verifies."""
+    def read_outcome() -> SearchOutcome:
+        splitters = tuple(doc["splitters"]) if doc["result"] == FOUND else None
+        return SearchOutcome(
+            doc["result"], splitters, SearchStats(int(doc["nodes"]), int(doc["max_depth"]), 0.0)
+        )
+
     with _parsing("scan record"):
         candidate = CandidateOrder(
             int(doc["k"]), int(doc["n"]), int(doc["N"]),
             tuple((int(p), int(e)) for p, e in doc["factorization"]),
         )
-        record = counted_record(candidate)
-        if record is None:
-            splitters = tuple(doc["splitters"]) if doc["result"] == FOUND else None
-            outcome = SearchOutcome(
-                doc["result"], splitters, SearchStats(int(doc["nodes"]), int(doc["max_depth"]), 0.0)
-            )
-            record = make_record(candidate, outcome)
+        record = decide(candidate, read_outcome)
     _require_written_form(_record_to_doc(record), doc, f"record k={doc['k']} N={doc['N']}")
     return record
 

@@ -10,7 +10,9 @@ only ever follows such a verdict line. _Main.invoke ends the rest: a file
 error, bad input or running out of memory exits 2 with an error: line, as
 does an internal error, after its traceback on stderr; an interrupt exits 3
 with result=interrupted, and an interrupted scan resumes from its last
-checkpoint. Budgets are --node-limit and --time-limit (SearchConfig's).
+checkpoint. Only search, scan and check s87 take budgets: --node-limit and
+--time-limit (SearchConfig's). Each check is its own subcommand and takes
+only the options it reads.
 """
 
 from __future__ import annotations
@@ -258,42 +260,83 @@ def _row(name, expected, actual, passed) -> dict:
     return {"name": name, "expected": expected, "actual": actual, "pass": passed}
 
 
-def _check_abcde(k, p, primes):
-    profile = counting.abcde_profile(k, p, primes)
-    inputs = {"k": k, "p": p, "primes": [list(row) for row in primes]}
-    checks = [
+def _report(name, inputs, rows, out) -> NoReturn:
+    """End a check: write its report and exit 1 if any row failed."""
+    doc = certio.check_report_doc(name, inputs, rows)
+    failures = sum(1 for row in rows if not row["pass"])
+    _finish(EXIT_OK if failures == 0 else EXIT_NEGATIVE,
+            f"check={name} checks={len(rows)} failures={failures} verdict={doc['verdict']}",
+            certio.dumps_document(doc), out)
+
+
+@main.group()
+def check() -> None:
+    """Run an arithmetic check of the nonexistence argument and write its report."""
+
+
+@check.command()
+@click.option("--k", type=int, required=True)
+@click.option("--p", type=int, required=True)
+@click.option("--primes", type=str, default="", help="q:alpha:beta triples, comma separated")
+@click.option("--out", type=click.Path(dir_okay=False), default=None)
+def abcde(k, p, primes, out) -> None:
+    """The interval cardinalities A..E for k and p."""
+    prime_rows = []
+    for part in primes.split(",") if primes else ():
+        try:
+            q, a, b = (int(v) for v in part.split(":"))
+        except ValueError:
+            _fail_usage(f"bad --primes {part!r}: expected q:alpha:beta")
+        prime_rows.append((q, a, b))
+    profile = counting.abcde_profile(k, p, tuple(prime_rows))
+    inputs = {"k": k, "p": p, "primes": [list(row) for row in prime_rows]}
+    _report("abcde", inputs, [
         _row("hypothesis_met", True, profile.hypothesis_met, profile.hypothesis_met),
         _row("card_a_equals_b_plus_c", profile.card_b + profile.card_c, profile.card_a,
              profile.identity_ab_c),
         _row("card_d_equals_c", profile.card_c, profile.card_d, profile.identity_d_c),
         _row("card_d_closed_form", profile.closed_form_d, profile.card_d,
              profile.closed_form_matches),
-    ]
-    return inputs, checks
+    ], out)
 
 
-def _check_digits(k, p, k_max, p_max):
-    if k_max is not None or p_max is not None:
-        k_flag, k_hi = ("--k-max", k_max) if k_max is not None else ("--k", k)
-        p_flag, p_hi = ("--p-max", p_max) if p_max is not None else ("--p", 2 if p is None else p)
-        if k_hi < 1:
-            _fail_usage(f"{k_flag} must be >= 1, got {k_hi}")
-        if p_hi < 2:
-            _fail_usage(f"{p_flag} must be >= 2, got {p_hi}")
-        failures = 0
-        for q in range(2, p_hi + 1):
-            if not is_prime(q):
-                continue
-            for kk in range(1, k_hi + 1):
-                if not counting.digit_pattern_check(counting.decompose_k(kk, q, 1)):
-                    failures += 1
-        inputs = {"k_max": k_hi, "p_max": p_hi}
-        return inputs, [_row("digit_pattern_failures", 0, failures, failures == 0)]
-    result = counting.digit_pattern_check(counting.decompose_k(k, p, 1))
-    return {"k": k, "p": p}, [_row("digit_pattern", True, result, result)]
+@check.command()
+@click.option("--k", type=int, default=None)
+@click.option("--p", type=int, default=None)
+@click.option("--k-max", type=int, default=None, help="sweep bound")
+@click.option("--p-max", type=int, default=None, help="sweep bound")
+@click.option("--out", type=click.Path(dir_okay=False), default=None)
+def digits(k, p, k_max, p_max, out) -> None:
+    """The base-p digit pattern of k, or of every k and p up to bounds."""
+    if k_max is None and (k is None or p is None and p_max is None):
+        _fail_usage("check digits needs --k and --p, or --k-max/--p-max")
+    if k_max is None and p_max is None:
+        result = counting.digit_pattern_check(counting.decompose_k(k, p, 1))
+        _report("digits", {"k": k, "p": p}, [_row("digit_pattern", True, result, result)], out)
+    k_flag, k_hi = ("--k-max", k_max) if k_max is not None else ("--k", k)
+    p_flag, p_hi = ("--p-max", p_max) if p_max is not None else ("--p", 2 if p is None else p)
+    if k_hi < 1:
+        _fail_usage(f"{k_flag} must be >= 1, got {k_hi}")
+    if p_hi < 2:
+        _fail_usage(f"{p_flag} must be >= 2, got {p_hi}")
+    failures = 0
+    for q in range(2, p_hi + 1):
+        if not is_prime(q):
+            continue
+        for kk in range(1, k_hi + 1):
+            if not counting.digit_pattern_check(counting.decompose_k(kk, q, 1)):
+                failures += 1
+    _report("digits", {"k_max": k_hi, "p_max": p_hi},
+            [_row("digit_pattern_failures", 0, failures, failures == 0)], out)
 
 
-def _check_strata(cert, p):
+@check.command()
+@click.option("--cert", "cert_path", type=click.Path(exists=True, dir_okay=False), required=True)
+@click.option("--p", type=int, required=True)
+@click.option("--out", type=click.Path(dir_okay=False), default=None)
+def strata(cert_path, p, out) -> None:
+    """The counting identity of each p-stratum of a certificate."""
+    cert = _load_certificate(cert_path)
     profile = counting.stratify(cert, p)
     checks = []
     for i in range(1, profile.alpha + 1):
@@ -303,13 +346,18 @@ def _check_strata(cert, p):
         "group_factors": list(cert.group.factors), "p": p,
         "g_counts": list(profile.g_counts), "s_counts": list(profile.s_counts),
     }
-    return inputs, checks
+    _report("strata", inputs, checks, out)
 
 
-def _check_tw(cert):
+@check.command()
+@click.option("--cert", "cert_path", type=click.Path(exists=True, dir_okay=False), required=True)
+@click.option("--out", type=click.Path(dir_okay=False), default=None)
+def tw(cert_path, out) -> None:
+    """The packing of scaled unit-splitter cosets in the units."""
+    cert = _load_certificate(cert_path)
     report = counting.tw_disjointness_check(cert)
     inputs = {"group_factors": list(cert.group.factors), "k": report.k, "p": report.p}
-    checks = [
+    _report("tw", inputs, [
         _row("hypothesis", True, report.hypothesis_ok, report.hypothesis_ok),
         _row("pairwise_disjoint", True, report.pairwise_disjoint, report.pairwise_disjoint),
         _row("within_units", True, report.within_units, report.within_units),
@@ -319,13 +367,17 @@ def _check_tw(cert):
              report.formula_consistent),
         _row("equality_chain", [report.card_d, report.card_e, report.unit_count],
              [list(report.tw_sizes), report.r], report.equality_chain),
-    ]
-    return inputs, checks
+    ], out)
 
 
-def _check_s87(order, config):
-    group = FiniteAbelianGroup.cyclic(order)
-    fac = group.order_factorization
+@check.command()
+@click.option("--order", "-N", "order", type=int, required=True, help="odd prime power N")
+@click.option("--out", type=click.Path(dir_okay=False), default=None)
+@_budget_options
+def s87(order, out, node_limit, time_limit_s) -> None:
+    """The s87 property of every splitting of Z_N."""
+    config = _config(node_limit, time_limit_s)
+    fac = FiniteAbelianGroup.cyclic(order).order_factorization
     if len(fac) != 1 or fac[0][0] == 2:
         _fail_usage(f"order {order} is not an odd prime power")
     sizes = [d for d in range(1, order) if (order - 1) % d == 0]
@@ -334,55 +386,7 @@ def _check_s87(order, config):
         certs = searchlib.enumerate_all_splittings(order, size, config)
         holds = sum(1 for c in certs if splitting.s87_property_check(c))
         checks.append(_row(f"multiplier_size_{size}", len(certs), holds, holds == len(certs)))
-    inputs = {"order": order, "sizes": sizes}
-    return inputs, checks
-
-
-@main.command()
-@click.argument("name", type=click.Choice(["abcde", "digits", "strata", "tw", "s87"]))
-@click.option("--k", type=int, default=None)
-@click.option("--p", type=int, default=None)
-@click.option("--primes", type=str, default="",
-              help="q:alpha:beta triples, comma separated (abcde only)")
-@click.option("--cert", "cert_path", type=click.Path(exists=True, dir_okay=False), default=None)
-@click.option("--order", "-N", "order", type=int, default=None)
-@click.option("--k-max", type=int, default=None, help="sweep bound for digits")
-@click.option("--p-max", type=int, default=None, help="sweep bound for digits")
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
-@_budget_options
-def check(name, k, p, primes, cert_path, order, k_max, p_max, out, node_limit, time_limit_s):
-    """Run a named arithmetic check and write its report."""
-    config = _config(node_limit, time_limit_s)
-    if name == "abcde":
-        if k is None or p is None:
-            _fail_usage("check abcde needs --k and --p")
-        prime_rows = []
-        if primes:
-            for part in primes.split(","):
-                q, a, b = part.split(":")
-                prime_rows.append((int(q), int(a), int(b)))
-        inputs, checks = _check_abcde(k, p, tuple(prime_rows))
-    elif name == "digits":
-        if k_max is None and (k is None or p is None and p_max is None):
-            _fail_usage("check digits needs --k and --p, or --k-max/--p-max")
-        inputs, checks = _check_digits(k, p, k_max, p_max)
-    elif name == "strata":
-        if cert_path is None or p is None:
-            _fail_usage("check strata needs --cert and --p")
-        inputs, checks = _check_strata(_load_certificate(cert_path), p)
-    elif name == "tw":
-        if cert_path is None:
-            _fail_usage("check tw needs --cert")
-        inputs, checks = _check_tw(_load_certificate(cert_path))
-    else:  # s87
-        if order is None:
-            _fail_usage("check s87 needs --order")
-        inputs, checks = _check_s87(order, config)
-    doc = certio.check_report_doc(name, inputs, checks)
-    failures = sum(1 for row in checks if not row["pass"])
-    _finish(EXIT_OK if failures == 0 else EXIT_NEGATIVE,
-            f"check={name} checks={len(checks)} failures={failures} verdict={doc['verdict']}",
-            certio.dumps_document(doc), out)
+    _report("s87", {"order": order, "sizes": sizes}, checks, out)
 
 
 if __name__ == "__main__":

@@ -111,26 +111,21 @@ def make_record(candidate: CandidateOrder, outcome: SearchOutcome) -> ScanRecord
 _COUNTED = SearchOutcome(EXHAUSTED, None, SearchStats(0, 0, 0.0))
 
 
-def counted_record(candidate: CandidateOrder) -> ScanRecord | None:
-    """The record of a candidate that the counting sieve refutes, or None.
-
-    A refuted candidate reads like an exhausted search of no nodes, and
-    make_record checks it as one: a trivial order raises RuntimeError.
-    """
+def decide(candidate: CandidateOrder, search: Callable[[], SearchOutcome]) -> ScanRecord:
+    """A candidate's record from the first proof route that decides it: the
+    counting sieve's when counting_witness refutes the candidate, which reads
+    like an exhausted search of no nodes (so a trivial order raises
+    RuntimeError), else make_record(candidate, search())."""
     witness = counting_witness(candidate.k, candidate.order, candidate.smoothness_witness)
-    if witness is None:
-        return None
-    return replace(make_record(candidate, _COUNTED), witness=witness)
+    if witness is not None:
+        return replace(make_record(candidate, _COUNTED), witness=witness)
+    return make_record(candidate, search())
 
 
 def _scan_one(task: tuple[CandidateOrder, SearchConfig]) -> ScanRecord:
     candidate, config = task
-    record = counted_record(candidate)
-    if record is None:
-        group = FiniteAbelianGroup.cyclic(candidate.order)
-        outcome = search_splitter(group, MultiplierSet.interval(candidate.k), config)
-        record = make_record(candidate, outcome)
-    return record
+    return decide(candidate, lambda: search_splitter(
+        FiniteAbelianGroup.cyclic(candidate.order), MultiplierSet.interval(candidate.k), config))
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ import json
 import time
 from dataclasses import replace
 
+import click
 import pytest
 from click.testing import CliRunner
 from helpers import canonical_json
@@ -183,7 +184,6 @@ def test_budgets_out_of_range_are_usage_errors(runner, tmp_path, args):
         ["scan", "--k-min", "1", "--k-max", "4", "--out-dir", str(tmp_path / "scan")],
         ["search", "-N", "5", "--k", "2"],
         ["check", "s87", "-N", "9"],
-        ["check", "abcde", "--k", "8", "--p", "3"],
     )
     for command in commands:
         result = runner.invoke(main, command + args)
@@ -598,7 +598,6 @@ def test_invalid_certificate_ends_every_command(runner, tmp_path, args):
     (["search", "-N", "0", "--k", "2"], "order and k must be >= 1"),
     (["tile", "--box", "0:1,0:1", "--cert", "z5.json"],
      "tiling export needs interval multipliers {1..k}"),
-    (["check", "strata", "--cert", "z5.json"], "check strata needs --cert and --p"),
 ])
 def test_usage_branches(runner, tmp_path, args, message):
     # z5.json is the splitting of Z_5 by the explicit multipliers {1, 2}
@@ -666,6 +665,19 @@ def test_check_abcde_many_primes(runner):
     )
     assert result.exit_code == 1
     assert _summary(result) == "check=abcde checks=4 failures=4 verdict=fail"
+
+
+@pytest.mark.parametrize("primes, part", [
+    ("5:1", "5:1"),
+    ("5:1:1:1", "5:1:1:1"),
+    ("5:x:1", "5:x:1"),
+    ("5:1:1,7:1", "7:1"),
+    ("5:1:1,", ""),
+])
+def test_check_abcde_bad_primes_names_the_flag(runner, primes, part):
+    result = runner.invoke(main, ["check", "abcde", "--k", "8", "--p", "3", "--primes", primes])
+    assert result.exit_code == 2, result.output
+    assert result.stderr == f"error: bad --primes {part!r}: expected q:alpha:beta\n"
 
 
 def test_check_digits_single_and_sweep(runner):
@@ -743,15 +755,74 @@ def test_check_s87_rejects_non_prime_power(runner):
 def test_check_unknown_name(runner):
     result = runner.invoke(main, ["check", "frobnicate"])
     assert result.exit_code == 2
-    assert "abcde" in result.output  # usage error lists the valid names
+    assert "No such command 'frobnicate'" in result.stderr
+    listed = runner.invoke(main, ["check", "--help"])
+    assert listed.exit_code == 0
+    commands = listed.output.split("Commands:\n")[1].splitlines()
+    assert [line.split()[0] for line in commands] == ["abcde", "digits", "s87", "strata", "tw"]
 
 
-def test_check_missing_parameters(runner):
+def test_check_missing_parameters(runner, tmp_path):
     assert runner.invoke(main, ["check", "abcde"]).exit_code == 2
     assert runner.invoke(main, ["check", "tw"]).exit_code == 2
     assert runner.invoke(main, ["check", "s87"]).exit_code == 2
     assert runner.invoke(main, ["check", "digits"]).exit_code == 2
     assert runner.invoke(main, ["check", "digits", "--k", "8"]).exit_code == 2
+    path = tmp_path / "z25.json"
+    _write_cert(path, trivial_certificate(24))
+    result = runner.invoke(main, ["check", "strata", "--cert", str(path)])
+    assert result.exit_code == 2
+    assert result.stderr.splitlines()[-1] == "Error: Missing option '--p'."
+
+
+@pytest.mark.parametrize("args", [
+    ["tw", "--cert", "z25.json", "--p", "7"],
+    ["abcde", "--k", "8", "--p", "3", "--node-limit", "10"],
+    ["strata", "--cert", "z25.json", "--p", "5", "--order", "9"],
+    ["digits", "--k", "8", "--p", "3", "--cert", "z25.json"],
+], ids=["tw", "abcde", "strata", "digits"])
+def test_check_rejects_options_it_does_not_read(runner, tmp_path, args):
+    # each command line is valid but for its last option, which another check reads
+    _write_cert(tmp_path / "z25.json", trivial_certificate(24))
+    args = [str(tmp_path / a) if a == "z25.json" else a for a in args]
+    result = runner.invoke(main, ["check"] + args)
+    assert result.exit_code == 2, result.output
+    assert f"No such option '{args[-2]}'" in result.stderr
+    assert "verdict=" not in result.output
+
+
+# Every leaf command and the options it takes, each mapped to whether it is required.
+_BUDGETS = {"--node-limit": False, "--time-limit": False}
+_OPTION_SURFACE = {
+    "verify": {},
+    "search": {"--order": True, "--k": True, "--out": False, **_BUDGETS},
+    "scan": {"--k-min": True, "--k-max": True, "--n-max": False, "--jobs": False,
+             "--out-dir": False, "--resume": False, **_BUDGETS},
+    "tile": {"--cert": True, "--box": True, "--out": False},
+    "check abcde": {"--k": True, "--p": True, "--primes": False, "--out": False},
+    "check digits": {"--k": False, "--p": False, "--k-max": False, "--p-max": False,
+                     "--out": False},
+    "check strata": {"--cert": True, "--p": True, "--out": False},
+    "check tw": {"--cert": True, "--out": False},
+    "check s87": {"--order": True, "--out": False, **_BUDGETS},
+}
+
+
+def test_every_command_takes_exactly_its_options():
+    def leaves(command, path):
+        if isinstance(command, click.Group):
+            for name, sub in command.commands.items():
+                yield from leaves(sub, path + [name])
+        else:
+            yield " ".join(path), command
+
+    surface = {
+        path: {max(param.opts, key=len): param.required
+               for param in command.params if isinstance(param, click.Option)}
+        for path, command in leaves(main, [])
+    }
+    assert surface == _OPTION_SURFACE
+    assert sum(len(options) for path, options in surface.items() if path.startswith("check")) == 18
 
 
 def test_check_writes_report(runner, tmp_path):
