@@ -331,11 +331,13 @@ def digits(k, p, k_max, p_max, out) -> None:
 
 
 @check.command()
-@click.option("--cert", "cert_path", type=click.Path(exists=True, dir_okay=False), required=True)
-@click.option("--p", type=int, required=True)
+@click.option("--cert", "cert_path", type=click.Path(exists=True, dir_okay=False), default=None)
+@click.option("--p", type=int, default=None)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def strata(cert_path, p, out) -> None:
     """The counting identity of each p-stratum of a certificate."""
+    if cert_path is None or p is None:
+        _fail_usage("check strata needs --cert and --p")
     cert = _load_certificate(cert_path)
     profile = counting.stratify(cert, p)
     checks = []

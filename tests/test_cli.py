@@ -598,6 +598,7 @@ def test_invalid_certificate_ends_every_command(runner, tmp_path, args):
     (["search", "-N", "0", "--k", "2"], "order and k must be >= 1"),
     (["tile", "--box", "0:1,0:1", "--cert", "z5.json"],
      "tiling export needs interval multipliers {1..k}"),
+    (["check", "strata", "--cert", "z5.json"], "check strata needs --cert and --p"),
 ])
 def test_usage_branches(runner, tmp_path, args, message):
     # z5.json is the splitting of Z_5 by the explicit multipliers {1, 2}
@@ -768,11 +769,7 @@ def test_check_missing_parameters(runner, tmp_path):
     assert runner.invoke(main, ["check", "s87"]).exit_code == 2
     assert runner.invoke(main, ["check", "digits"]).exit_code == 2
     assert runner.invoke(main, ["check", "digits", "--k", "8"]).exit_code == 2
-    path = tmp_path / "z25.json"
-    _write_cert(path, trivial_certificate(24))
-    result = runner.invoke(main, ["check", "strata", "--cert", str(path)])
-    assert result.exit_code == 2
-    assert result.stderr.splitlines()[-1] == "Error: Missing option '--p'."
+    assert runner.invoke(main, ["check", "strata", "--p", "5"]).exit_code == 2
 
 
 @pytest.mark.parametrize("args", [
@@ -802,7 +799,7 @@ _OPTION_SURFACE = {
     "check abcde": {"--k": True, "--p": True, "--primes": False, "--out": False},
     "check digits": {"--k": False, "--p": False, "--k-max": False, "--p-max": False,
                      "--out": False},
-    "check strata": {"--cert": True, "--p": True, "--out": False},
+    "check strata": {"--cert": False, "--p": False, "--out": False},
     "check tw": {"--cert": True, "--out": False},
     "check s87": {"--order": True, "--out": False, **_BUDGETS},
 }
