@@ -5,13 +5,15 @@ Every document is canonical JSON (sorted keys, two-space indent, trailing
 newline), so equal objects serialize to identical bytes. dumps_document
 writes exactly json.dumps(doc, sort_keys=True, indent=2) plus the newline.
 It is written by hand because json.dumps runs without its C encoder
-whenever indent is set, which made checkpoints most of a desk scan's
-cost; it accepts str keys and exact JSON types only. Scan report
-documents deliberately exclude wall-clock data; timing appears only in the
-tabular export's millis column, which is diagnostic and carries 0 for
-records restored through a resume and for records the counting sieve
-decided. Every file abelsplit writes goes through write_text, which
-replaces the target atomically.
+whenever indent is set; it accepts str keys and exact JSON types only.
+A scan record's document is a FrozenDocument: read-only all the way down,
+made once per record and rendered once, at the depth it always stands at,
+so a checkpoint encodes only the records no earlier checkpoint wrote.
+Scan report documents deliberately exclude wall-clock data; timing
+appears only in the tabular export's millis column, which is diagnostic
+and carries 0 for records restored through a resume and for records the
+counting sieve decided. Every file abelsplit writes goes through
+write_text, which replaces the target atomically.
 
 The writers define what a valid document is. Each reader rebuilds its
 object with the library's own constructors and accepts the document only
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import json
 import os
+import weakref
 from contextlib import contextmanager, suppress
 from functools import cache
 from pathlib import Path
@@ -64,6 +67,40 @@ def _punctuation(depth: int) -> tuple[str, str, str, str, str]:
     return "{" + inner, "," + inner, outer + "}", "[" + inner, outer + "]"
 
 
+def _read_only(self, *args, **kwargs):
+    raise TypeError("a FrozenDocument is read-only")
+
+
+class FrozenDocument(dict):
+    """A read-only document dict whose values are frozen all the way down:
+    lists become tuples and dicts become FrozenDocuments. It keeps its
+    canonical text with the indent depth it was rendered at, so a document
+    that stays at one depth, as a scan record does, is encoded once."""
+
+    __slots__ = ("_depth", "_text")
+
+    def __init__(self, doc=()):
+        if hasattr(self, "_depth"):  # dict.__init__ would update it
+            raise TypeError("a FrozenDocument is read-only")
+        dict.__init__(self, {key: _freeze(value) for key, value in dict(doc).items()})
+        self._depth = self._text = None
+
+    def __reduce__(self):  # copy and pickle would set its items one by one
+        return FrozenDocument, (dict(self),)
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+
+def _freeze(value):
+    t = type(value)
+    if t is dict:
+        return FrozenDocument(value)
+    if t is list or t is tuple:
+        return tuple(_freeze(item) for item in value)
+    return value
+
+
 def _write(o, depth: int, append) -> None:
     t = type(o)
     if t is int:
@@ -94,6 +131,12 @@ def _write(o, depth: int, append) -> None:
             _write(item, depth + 1, append)
             sep = item_sep
         append(close)
+    elif t is FrozenDocument:
+        if o._depth != depth:
+            parts: list[str] = []
+            _write(dict(o), depth, parts.append)
+            o._depth, o._text = depth, "".join(parts)
+        append(o._text)
     elif o is None:
         append("null")
     elif o is True:
@@ -111,8 +154,8 @@ def dumps_document(doc: dict) -> str:
     plus a newline.
 
     A dict key that is not a str, or a value whose type is not exactly
-    dict, list, tuple, str, int, float, bool or None, raises TypeError
-    naming its type.
+    dict, FrozenDocument, list, tuple, str, int, float, bool or None,
+    raises TypeError naming its type.
     """
     parts: list[str] = []
     _write(doc, 0, parts.append)
@@ -309,7 +352,21 @@ def _record_from_doc(doc) -> ScanRecord:
     return record
 
 
+# Each record's FrozenDocument, made on first use; an entry goes with its record.
+_record_docs: weakref.WeakKeyDictionary[ScanRecord, FrozenDocument] = weakref.WeakKeyDictionary()
+
+
+def _frozen_record_doc(record: ScanRecord) -> FrozenDocument:
+    doc = _record_docs.get(record)
+    if doc is None:
+        doc = _record_docs[record] = FrozenDocument(_record_to_doc(record))
+    return doc
+
+
 def scan_report_to_doc(report: ScanReport) -> dict:
+    """The report's document. The records are read-only FrozenDocuments,
+    shared by every report that holds the same record; the rest is built
+    fresh."""
     totals = report.totals
     return {
         "format_version": FORMAT_VERSION,
@@ -321,7 +378,7 @@ def scan_report_to_doc(report: ScanReport) -> dict:
             "node_limit": report.node_limit,
             "time_limit_s": report.time_limit_s,
         },
-        "records": [_record_to_doc(r) for r in report.records],
+        "records": [_frozen_record_doc(r) for r in report.records],
         "totals": totals,
         "overall": overall_verdict(totals),
     }

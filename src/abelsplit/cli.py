@@ -288,7 +288,11 @@ def abcde(k, p, primes, out) -> None:
         except ValueError:
             _fail_usage(f"bad --primes {part!r}: expected q:alpha:beta")
         prime_rows.append((q, a, b))
-    profile = counting.abcde_profile(k, p, tuple(prime_rows))
+    counting.decompose_k(k, p, 1)  # a bad --k or --p fails here, as itself
+    try:
+        profile = counting.abcde_profile(k, p, tuple(prime_rows))
+    except ValueError as exc:  # so this one is a prime row's
+        _fail_usage(f"bad --primes {primes!r}: {exc}")
     inputs = {"k": k, "p": p, "primes": [list(row) for row in prime_rows]}
     _report("abcde", inputs, [
         _row("hypothesis_met", True, profile.hypothesis_met, profile.hypothesis_met),
@@ -308,6 +312,10 @@ def abcde(k, p, primes, out) -> None:
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 def digits(k, p, k_max, p_max, out) -> None:
     """The base-p digit pattern of k, or of every k and p up to bounds."""
+    pairs = (("--k", k, "--k-max", k_max), ("--p", p, "--p-max", p_max))
+    for flag, value, bound_flag, bound in pairs:
+        if value is not None and bound is not None:
+            _fail_usage(f"check digits takes {flag} or {bound_flag}, not both")
     if k_max is None and (k is None or p is None and p_max is None):
         _fail_usage("check digits needs --k and --p, or --k-max/--p-max")
     if k_max is None and p_max is None:

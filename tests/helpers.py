@@ -51,6 +51,10 @@ from abelsplit.tiling import (
 )
 
 
+# sha256 of the canonical scan(1, 30) report text
+DESK_SCAN_SHA256 = "629deae53a82b37078e2eb47649798972636c1dc509b4483f7c57b4090783255"
+
+
 def canonical_json(doc) -> str:
     """The canonical document text, from json.dumps itself."""
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"

@@ -12,6 +12,7 @@ from contextlib import contextmanager
 from math import gcd
 
 from helpers import (
+    DESK_SCAN_SHA256,
     factor_with_sieve,
     naive_splitting_exists,
     smallest_prime_factor_sieve,
@@ -87,9 +88,7 @@ def test_desk_scan_report_is_pinned(desk_scan):
     # to the proof routes, the search order or the node definition must
     # update these together with a format_version bump.
     text = certio.dumps_document(certio.scan_report_to_doc(desk_scan))
-    assert hashlib.sha256(text.encode()).hexdigest() == (
-        "629deae53a82b37078e2eb47649798972636c1dc509b4483f7c57b4090783255"
-    )
+    assert hashlib.sha256(text.encode()).hexdigest() == DESK_SCAN_SHA256
     assert sum(r.outcome.stats.nodes for r in desk_scan.records) == 573
     assert max(r.outcome.stats.max_depth for r in desk_scan.records) == 6
 

@@ -1,12 +1,18 @@
 import builtins
+import copy
 import errno
+import gc
+import hashlib
 import io
+import json
+import pickle
 import re
 import tracemalloc
+from collections import Counter
 from itertools import groupby
 
 import pytest
-from helpers import canonical_json, parse_tiling_export_by_lines
+from helpers import DESK_SCAN_SHA256, canonical_json, parse_tiling_export_by_lines
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -75,6 +81,118 @@ def test_dumps_document_is_narrower_than_json_dumps():
     assert canonical_json({1: "a"}) == '{\n  "1": "a"\n}\n'
     with pytest.raises(TypeError, match="int"):
         certio.dumps_document({1: "a"})
+
+
+@given(_trees)
+def test_frozen_document_renders_as_the_plain_tree(tree):
+    plain = {"tree": tree}
+    frozen = certio.FrozenDocument(plain)
+    text = certio.dumps_document(plain)
+    assert text == canonical_json(plain)
+    assert certio.dumps_document(frozen) == text
+    assert certio.dumps_document(frozen) == text  # from the cached text
+
+
+def test_frozen_document_renders_at_each_depth():
+    node = certio.FrozenDocument({"a": [1, {"b": (2, [])}], "c": {}})
+    plain = json.loads(json.dumps(node))
+    for doc in (node, {"x": node}, {"x": [[node]], "y": node}, [node, {"z": [node]}]):
+        like = json.loads(json.dumps(doc))  # the same tree, without the node
+        assert certio.dumps_document(doc) == canonical_json(like)
+    assert certio.dumps_document(node) == canonical_json(plain)
+
+
+def _k5_6_record_doc(doc):
+    # records[1] of scan(5, 6) is N = 16, refuted by the counting sieve
+    record = doc["records"][1]
+    assert record["N"] == 16 and record["counting"] == {"p": 2, "stratum": 4}
+    return record
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda d: d.__setitem__("k", 1),
+    lambda d: d.__delitem__("k"),
+    lambda d: d.clear(),
+    lambda d: d.pop("k"),
+    lambda d: d.pop("missing", None),
+    lambda d: d.popitem(),
+    lambda d: d.setdefault("note", 1),
+    lambda d: d.update(k=1),
+    lambda d: d.update(),
+    lambda d: d.__ior__({"k": 1}),
+    lambda d: d.__init__({"k": 1}),
+], ids=["setitem", "delitem", "clear", "pop", "pop_missing", "popitem", "setdefault",
+        "update", "update_nothing", "ior", "init"])
+@pytest.mark.parametrize("part", ["record", "counting"])
+def test_record_documents_are_read_only(mutate, part):
+    doc = certio.scan_report_to_doc(scan(5, 6))
+    record = _k5_6_record_doc(doc)
+    target = record if part == "record" else record["counting"]
+    before = dict(target)
+    with pytest.raises(TypeError, match="read-only"):
+        mutate(target)
+    assert target == before
+    assert isinstance(record["factorization"], tuple)
+
+
+def test_empty_frozen_document_stays_empty():
+    empty = certio.FrozenDocument()
+    with pytest.raises(TypeError, match="read-only"):
+        empty.__init__({"k": 1})
+    assert empty == {} and certio.dumps_document(empty) == "{}\n"
+
+
+def test_frozen_documents_copy_and_pickle():
+    record = _k5_6_record_doc(certio.scan_report_to_doc(scan(5, 6)))
+    for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(twin) is certio.FrozenDocument and twin == record
+        assert type(twin["counting"]) is certio.FrozenDocument
+
+
+def test_frozen_and_plain_report_documents_agree_as_json():
+    # a violation record carries the nested certificate document
+    candidate = CandidateOrder(2, 4, 9, ((3, 2),))
+    violation = make_record(candidate, search_splitter(Z(9), MultiplierSet.interval(2)))
+    for report in (scan(5, 6), ScanReport(2, 2, 4, 10**8, 60.0, (violation,))):
+        doc = certio.scan_report_to_doc(report)
+        plain = dict(doc, records=[certio._record_to_doc(r) for r in report.records])
+        assert all(type(r) is certio.FrozenDocument for r in doc["records"])
+        assert type(plain["records"][0]) is dict
+        assert json.dumps(doc, sort_keys=True) == json.dumps(plain, sort_keys=True)
+        assert certio.dumps_document(doc) == certio.dumps_document(plain)
+
+
+def test_checkpoints_render_each_record_once(tmp_path, monkeypatch):
+    # an empty cache of the same kind: equal records that other tests keep
+    # alive would share their documents with this scan's records
+    monkeypatch.setattr(certio, "_record_docs", cache := type(certio._record_docs)())
+    rendered = Counter()
+    record_to_doc = certio._record_to_doc
+
+    def counting(record):
+        rendered[record.candidate] += 1  # the candidate, so the record itself is not kept
+        return record_to_doc(record)
+
+    monkeypatch.setattr(certio, "_record_to_doc", counting)
+    path = tmp_path / "scan.json"
+    report = scan(1, 8, checkpoint=lambda p: certio.write_document(
+        path, certio.scan_report_to_doc(p)))
+    assert len(report.records) == 17  # so 17 checkpoints, holding 153 records in all
+    assert rendered == Counter(r.candidate for r in report.records)
+    assert set(rendered.values()) == {1}
+    assert len(cache) == 17
+    # the final report renders no record again, and reads like the last checkpoint
+    assert path.read_text() == certio.dumps_document(certio.scan_report_to_doc(report))
+    assert set(rendered.values()) == {1}
+    del report
+    gc.collect()
+    assert len(cache) == 0
+
+
+def test_last_checkpoint_of_the_desk_scan_is_pinned(tmp_path):
+    path = tmp_path / "scan.json"
+    scan(1, 30, checkpoint=lambda p: certio.write_document(path, certio.scan_report_to_doc(p)))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == DESK_SCAN_SHA256
 
 
 def test_violation_record_document_matches_json_dumps():

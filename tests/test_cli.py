@@ -681,6 +681,42 @@ def test_check_abcde_bad_primes_names_the_flag(runner, primes, part):
     assert result.stderr == f"error: bad --primes {part!r}: expected q:alpha:beta\n"
 
 
+@pytest.mark.parametrize("primes, message", [
+    ("3:1:1", "primes must be strictly increasing and exceed p"),
+    ("5:1:1,5:1:1", "primes must be strictly increasing and exceed p"),
+    ("4:1:1", "4 is not prime"),
+    ("5:1:2", "need 1 <= alpha and 0 <= beta <= alpha for prime 5"),
+    ("5:0:0", "need 1 <= alpha and 0 <= beta <= alpha for prime 5"),
+], ids=["not_above_p", "out_of_order", "not_prime", "beta_above_alpha", "alpha_zero"])
+def test_check_abcde_bad_prime_row_names_the_flag(runner, primes, message):
+    result = runner.invoke(main, ["check", "abcde", "--k", "8", "--p", "3", "--primes", primes])
+    assert result.exit_code == 2, result.output
+    assert result.stderr == f"error: bad --primes {primes!r}: {message}\n"
+
+
+@pytest.mark.parametrize("k, p, message", [
+    ("0", "3", "k must be >= 1, got 0"),
+    ("8", "4", "4 is not prime"),
+])
+def test_check_abcde_bad_k_or_p_is_not_blamed_on_primes(runner, k, p, message):
+    # with p = 4 the row 3:1:1 is out of order too, but --p is reported first
+    result = runner.invoke(main, ["check", "abcde", "--k", k, "--p", p, "--primes", "3:1:1"])
+    assert result.exit_code == 2, result.output
+    assert result.stderr == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("args, flags", [
+    (["--k", "8", "--k-max", "20", "--p-max", "7"], "--k or --k-max"),
+    (["--k-max", "20", "--p", "3", "--p-max", "7"], "--p or --p-max"),
+    (["--k", "8", "--p", "3", "--k-max", "20", "--p-max", "7"], "--k or --k-max"),
+], ids=["k_and_k_max", "p_and_p_max", "both_pairs"])
+def test_check_digits_rejects_a_value_next_to_its_bound(runner, args, flags):
+    result = runner.invoke(main, ["check", "digits"] + args)
+    assert result.exit_code == 2, result.output
+    assert result.stderr == f"error: check digits takes {flags}, not both\n"
+    assert "verdict=" not in result.output
+
+
 def test_check_digits_single_and_sweep(runner):
     result = runner.invoke(main, ["check", "digits", "--k", "8", "--p", "3"])
     assert result.exit_code == 0
@@ -689,6 +725,13 @@ def test_check_digits_single_and_sweep(runner):
     )
     assert result.exit_code == 0
     assert "failures=0" in _summary(result)
+    # --k with --p-max, and --k-max with --p: each value is the sweep bound
+    for args, inputs in [(["--k", "8", "--p-max", "7"], {"k_max": 8, "p_max": 7}),
+                         (["--k-max", "20", "--p", "5"], {"k_max": 20, "p_max": 5})]:
+        result = runner.invoke(main, ["check", "digits"] + args)
+        assert result.exit_code == 0, result.output
+        report = json.loads(result.stdout.rsplit("check=", 1)[0])  # the text before the summary
+        assert report["inputs"] == inputs
 
 
 @pytest.mark.parametrize("args, flag", [
