@@ -7,8 +7,8 @@ writes exactly json.dumps(doc, sort_keys=True, indent=2) plus the newline.
 It is written by hand because json.dumps runs without its C encoder
 whenever indent is set; it accepts str keys and exact JSON types only.
 A scan record's document is a FrozenDocument: read-only all the way down,
-made once per record and rendered once, at the depth it always stands at,
-so a checkpoint encodes only the records no earlier checkpoint wrote.
+kept on the record from first use and rendered once, at the depth it always
+stands at, so a checkpoint encodes only the records no earlier one wrote.
 Scan report documents deliberately exclude wall-clock data; timing
 appears only in the tabular export's millis column, which is diagnostic
 and carries 0 for records restored through a resume and for records the
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 import os
-import weakref
 from contextlib import contextmanager, suppress
 from functools import cache
 from pathlib import Path
@@ -312,30 +311,38 @@ def search_result_doc(order: int, multipliers: MultiplierSet, outcome: SearchOut
 
 # -- scan reports ------------------------------------------------------------
 
-def _record_to_doc(record: ScanRecord) -> dict:
-    doc = {
-        "k": record.candidate.k,
-        "n": record.candidate.n,
-        "N": record.candidate.order,
-        "factorization": [[p, e] for p, e in record.candidate.smoothness_witness],
-        "verdict": record.verdict,
-        "result": record.outcome.result,
-        "nodes": record.outcome.stats.nodes,
-        "max_depth": record.outcome.stats.max_depth,
-        "splitters": list(record.outcome.splitters) if record.outcome.splitters is not None else None,
-        "route": record.route,
-    }
-    if record.witness is not None:
-        doc["counting"] = {"p": record.witness[0], "stratum": record.witness[1]}
-    if record.verdict == VIOLATION and record.certificate is not None:
-        doc["certificate"] = certificate_to_doc(record.certificate)
-    return doc
+def _record_doc(record: ScanRecord) -> FrozenDocument:
+    """The record's document, built on first use and kept in the record's
+    instance dict, as functools.cached_property does: the record's fields,
+    ==, hash and repr do not see it, and it goes with the record."""
+    kept = vars(record)
+    if "_doc" not in kept:
+        c, outcome = record.candidate, record.outcome
+        doc = {
+            "k": c.k,
+            "n": c.n,
+            "N": c.order,
+            "factorization": [[p, e] for p, e in c.smoothness_witness],
+            "verdict": record.verdict,
+            "result": outcome.result,
+            "nodes": outcome.stats.nodes,
+            "max_depth": outcome.stats.max_depth,
+            "splitters": None if outcome.splitters is None else list(outcome.splitters),
+            "route": record.route,
+        }
+        if record.witness is not None:
+            doc["counting"] = {"p": record.witness[0], "stratum": record.witness[1]}
+        if record.verdict == VIOLATION and record.certificate is not None:
+            doc["certificate"] = certificate_to_doc(record.certificate)
+        kept["_doc"] = FrozenDocument(doc)
+    return kept["_doc"]
 
 
 def _record_from_doc(doc) -> ScanRecord:
     """Rebuild a record the way the scan makes it: decide runs the counting
     sieve again, and a candidate it does not refute gets the search outcome
-    read from doc, whose found splitters make_record re-verifies."""
+    read from doc, whose found splitters make_record re-verifies. The record
+    is checked against its own document, so it carries what a write emits."""
     def read_outcome() -> SearchOutcome:
         splitters = tuple(doc["splitters"]) if doc["result"] == FOUND else None
         return SearchOutcome(
@@ -348,25 +355,14 @@ def _record_from_doc(doc) -> ScanRecord:
             tuple((int(p), int(e)) for p, e in doc["factorization"]),
         )
         record = decide(candidate, read_outcome)
-    _require_written_form(_record_to_doc(record), doc, f"record k={doc['k']} N={doc['N']}")
+    _require_written_form(_record_doc(record), doc, f"record k={doc['k']} N={doc['N']}")
     return record
 
 
-# Each record's FrozenDocument, made on first use; an entry goes with its record.
-_record_docs: weakref.WeakKeyDictionary[ScanRecord, FrozenDocument] = weakref.WeakKeyDictionary()
-
-
-def _frozen_record_doc(record: ScanRecord) -> FrozenDocument:
-    doc = _record_docs.get(record)
-    if doc is None:
-        doc = _record_docs[record] = FrozenDocument(_record_to_doc(record))
-    return doc
-
-
 def scan_report_to_doc(report: ScanReport) -> dict:
-    """The report's document. The records are read-only FrozenDocuments,
-    shared by every report that holds the same record; the rest is built
-    fresh."""
+    """The report's document. Each record is its own read-only
+    FrozenDocument, kept on the record object, so every report that holds
+    that object shares it; the rest is built fresh."""
     totals = report.totals
     return {
         "format_version": FORMAT_VERSION,
@@ -378,7 +374,7 @@ def scan_report_to_doc(report: ScanReport) -> dict:
             "node_limit": report.node_limit,
             "time_limit_s": report.time_limit_s,
         },
-        "records": [_frozen_record_doc(r) for r in report.records],
+        "records": [_record_doc(r) for r in report.records],
         "totals": totals,
         "overall": overall_verdict(totals),
     }

@@ -35,9 +35,10 @@ EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
-# A scan checkpoint is skipped until this many times the duration of the
-# previous write has passed since it ended, so checkpoints take at most
-# about 1/(1 + CHECKPOINT_SPACING) of a scan's wall time at any report size.
+# The first scan checkpoint is always written. Each later one is skipped
+# until this many times the duration of the previous write has passed since
+# it ended, so after the first write checkpoints take at most about
+# 1/(1 + CHECKPOINT_SPACING) of a scan's wall time at any report size.
 CHECKPOINT_SPACING = 9
 
 

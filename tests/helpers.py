@@ -17,7 +17,9 @@ source and engine on purpose: it checks the branch order and the rule
 fixing 1 in S, so it lays bit x out for residue x, keeps its own
 deduplication by orbit, and drops those two.
 The document oracle is the json.dumps call that certio's hand-written
-writer replaces, and the tiling export oracle is the reader that splits
+writer replaces, the record document oracle builds a scan record's
+document from its fields with plain dicts and lists where certio keeps a
+read-only document on the record, and the tiling export oracle is the reader that splits
 the text into lines and compares it with a second, rebuilt text, where
 certio checks it block by block in place.
 Agreement between the two routes is the point.
@@ -379,3 +381,46 @@ def parse_tiling_export_by_lines(text: str):
     if rebuilt != text:
         raise DocumentError("tiling_export differs from what abelsplit writes")
     return header, [(anchor, cell) for anchor, cells in translates for cell in cells]
+
+
+def record_document_by_hand(record) -> dict:
+    """A scan record's document, built from the record's fields as README's
+    File formats section describes it. A violation record embeds its
+    certificate, whose classification is worked out here by trial division:
+    for each prime p of |G|, the first multiplier that p divides, if any."""
+    c, outcome = record.candidate, record.outcome
+    doc = {
+        "k": c.k,
+        "n": c.n,
+        "N": c.order,
+        "factorization": [[p, e] for p, e in c.smoothness_witness],
+        "verdict": record.verdict,
+        "result": outcome.result,
+        "nodes": outcome.stats.nodes,
+        "max_depth": outcome.stats.max_depth,
+        "splitters": None if outcome.splitters is None else list(outcome.splitters),
+        "route": "search" if record.witness is None else "counting",
+    }
+    if record.witness is not None:
+        doc["counting"] = {"p": record.witness[0], "stratum": record.witness[1]}
+    if record.verdict == "CONJECTURE_VIOLATION":
+        cert = record.certificate
+        order, values = cert.group.order, list(cert.multipliers.values)
+        witnesses = [
+            [p, next((v for v in values if v % order % p == 0), None)]
+            for p in range(2, order + 1) if order % p == 0 and is_prime(p)
+        ]
+        hits = [m is not None for _, m in witnesses]
+        tag = "purely_singular" if all(hits) else "mixed_singular" if any(hits) else "nonsingular"
+        multipliers = {"kind": cert.multipliers.kind, "values": values}
+        if cert.multipliers.kind == "interval":
+            multipliers["k"] = len(values)
+        doc["certificate"] = {
+            "format_version": 3,
+            "kind": "splitting_certificate",
+            "group_factors": list(cert.group.factors),
+            "multipliers": multipliers,
+            "splitters": [list(s) for s in cert.splitters],
+            "classification": {"tag": tag, "witnesses": witnesses},
+        }
+    return doc

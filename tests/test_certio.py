@@ -8,11 +8,15 @@ import json
 import pickle
 import re
 import tracemalloc
+import weakref
 from collections import Counter
+from dataclasses import replace
 from itertools import groupby
 
 import pytest
-from helpers import DESK_SCAN_SHA256, canonical_json, parse_tiling_export_by_lines
+from helpers import (
+    DESK_SCAN_SHA256, canonical_json, parse_tiling_export_by_lines, record_document_by_hand,
+)
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -150,43 +154,69 @@ def test_frozen_documents_copy_and_pickle():
 
 
 def test_frozen_and_plain_report_documents_agree_as_json():
-    # a violation record carries the nested certificate document
+    # the desk scan holds sieved, searched and found records; {1, 2}
+    # splitting Z_9 is a violation, which embeds the certificate document
     candidate = CandidateOrder(2, 4, 9, ((3, 2),))
     violation = make_record(candidate, search_splitter(Z(9), MultiplierSet.interval(2)))
-    for report in (scan(5, 6), ScanReport(2, 2, 4, 10**8, 60.0, (violation,))):
+    desk = scan(1, 30)
+    assert len(desk.records) == 210
+    assert {r.route for r in desk.records} == {"counting", "search"}
+    assert any(r.outcome.result == FOUND for r in desk.records)
+    for report in (desk, ScanReport(2, 2, 4, 10**8, 60.0, (violation,))):
         doc = certio.scan_report_to_doc(report)
-        plain = dict(doc, records=[certio._record_to_doc(r) for r in report.records])
+        plain = dict(doc, records=[record_document_by_hand(r) for r in report.records])
         assert all(type(r) is certio.FrozenDocument for r in doc["records"])
-        assert type(plain["records"][0]) is dict
         assert json.dumps(doc, sort_keys=True) == json.dumps(plain, sort_keys=True)
-        assert certio.dumps_document(doc) == certio.dumps_document(plain)
+        assert certio.dumps_document(doc) == canonical_json(plain)
+        # each record keeps its own document; an equal record has another
+        again = certio.scan_report_to_doc(report)["records"]
+        assert all(a is b for a, b in zip(again, doc["records"]))
+        twin = replace(report.records[0])
+        assert twin == report.records[0]
+        assert certio._record_doc(twin) == doc["records"][0]
+        assert certio._record_doc(twin) is not doc["records"][0]
 
 
 def test_checkpoints_render_each_record_once(tmp_path, monkeypatch):
-    # an empty cache of the same kind: equal records that other tests keep
-    # alive would share their documents with this scan's records
-    monkeypatch.setattr(certio, "_record_docs", cache := type(certio._record_docs)())
-    rendered = Counter()
-    record_to_doc = certio._record_to_doc
+    built = Counter()  # record documents built, by (k, N)
+    refs = []  # a weak reference to each of them
 
-    def counting(record):
-        rendered[record.candidate] += 1  # the candidate, so the record itself is not kept
-        return record_to_doc(record)
+    class Counted(certio.FrozenDocument):
+        __slots__ = ("__weakref__",)
 
-    monkeypatch.setattr(certio, "_record_to_doc", counting)
+        def __init__(self, doc=()):
+            super().__init__(doc)
+            if "route" in self:  # a record's document, not one nested in it
+                built[self["k"], self["N"]] += 1
+                refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(certio, "FrozenDocument", Counted)
     path = tmp_path / "scan.json"
-    report = scan(1, 8, checkpoint=lambda p: certio.write_document(
-        path, certio.scan_report_to_doc(p)))
+
+    def write(report):
+        certio.write_document(path, certio.scan_report_to_doc(report))
+
+    report = scan(1, 8, checkpoint=write)
     assert len(report.records) == 17  # so 17 checkpoints, holding 153 records in all
-    assert rendered == Counter(r.candidate for r in report.records)
-    assert set(rendered.values()) == {1}
-    assert len(cache) == 17
-    # the final report renders no record again, and reads like the last checkpoint
-    assert path.read_text() == certio.dumps_document(certio.scan_report_to_doc(report))
-    assert set(rendered.values()) == {1}
-    del report
+    each_once = Counter((r.candidate.k, r.candidate.order) for r in report.records)
+    assert built == each_once
+    # the final report builds no document again, and reads like the last checkpoint
+    text = path.read_text()
+    assert text == certio.dumps_document(certio.scan_report_to_doc(report))
+    assert built == each_once
+    # reading the last checkpoint back builds each record's document once,
+    # and the resumed scan and its write reuse them
+    built.clear()
+    resumed = scan(1, 8, resume=certio.scan_report_from_doc(certio.read_document(path)),
+                   checkpoint=write)
+    write(resumed)
+    assert path.read_text() == text
+    assert built == each_once
+    # a record's document goes with its record
+    assert len(refs) == 34 and all(ref() is not None for ref in refs)
+    del report, resumed
     gc.collect()
-    assert len(cache) == 0
+    assert all(ref() is None for ref in refs)
 
 
 def test_last_checkpoint_of_the_desk_scan_is_pinned(tmp_path):
