@@ -301,11 +301,16 @@ def enumerate_all_splittings(
     M ranges over subsets of the canonical residues 1..n-1. Subsets are
     enumerated on whichever side (multiplier or splitter) has the smaller
     binomial count and the other side is solved as exact cover, which keeps
-    orders like 27 with |M| = 13 tractable. Raises BudgetExceeded when the
+    orders like 27 with |M| = 13 tractable. The covers of a fixed side F are
+    those of u*F for every unit u, since (u*M)*S = u*(M*S) and multiplying
+    by u permutes the nonzero residues. So the engine runs once per unit
+    orbit, on its least member, which combinations() meets first, and every
+    other member reuses that list of covers. Raises BudgetExceeded when the
     node or time budget runs out; a node is one enumerated subset or one row
-    placement. The covers are collected as int tuples and sorted, and then
-    each pair becomes a SplittingCertificate, which re-verifies it from M
-    and S alone; that spends |M|*|S| units of work.
+    placement for an orbit's least member. The covers are collected as int
+    tuples and sorted, and then each pair becomes a SplittingCertificate,
+    which re-verifies it from M and S alone; that spends |M|*|S| units of
+    work.
     """
     if n < 2:
         raise ValueError(f"order must be >= 2, got {n}")
@@ -316,30 +321,43 @@ def enumerate_all_splittings(
     fix_multipliers = comb(n - 1, size_of_m) <= comb(n - 1, n_splitters)
     side = 1 if fix_multipliers else -1  # (fixed, cover)[::side] is (M values, S values)
     budget = _Budget(config, time.monotonic())
+    units = [u for u in range(1, n) if gcd(u, n) == 1]
     pairs: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    # The orbit of x is {f*x : f in fixed}, symmetric in the two sides, so
-    # the same rows serve whichever side is enumerated.
+    # The covers of each orbit member not yet enumerated; members are popped
+    # as they come, so the dict holds only the orbits under way.
+    pending: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for fixed in combinations(range(1, n), size_of_m if fix_multipliers else n_splitters):
         budget.charge()
-        rows_at = _row_source(n, fixed, range(n), budget)  # bit x is residue x
-        for cover in _exact_covers(n, rows_at, budget):
+        covers = pending.pop(fixed, None)
+        if covers is None:  # the least member of a new orbit
+            # The orbit of x is {f*x : f in fixed}, symmetric in the two
+            # sides, so the same rows serve whichever side is enumerated.
+            rows_at = _row_source(n, fixed, range(n), budget)  # bit x is residue x
+            covers = list(_exact_covers(n, rows_at, budget))
+            budget.spend(len(units) * len(fixed))
+            for u in units:
+                pending[tuple(sorted([u * f % n for f in fixed]))] = covers
+            del pending[fixed]
+        for cover in covers:
             pairs.append((fixed, cover)[::side])
     # Both sides are ascending residues, so the int order is the (M, S) order.
     # The pairs are sorted descending and popped, so each is freed once certified.
     pairs.sort(reverse=True)
-    # The certificates of one call share one element tuple per residue, and
-    # those of one multiplier set share its MultiplierSet, whichever side is
-    # enumerated. `check s87 -N 27` peaks at 61 MB; a fresh tuple per
-    # splitter would make that 112 MB, and keeping every pair to the end
-    # 70 MB.
+    # The certificates of one call share one element tuple per residue and
+    # one splitters tuple per splitter set, and those of one multiplier set
+    # share its MultiplierSet, whichever side is enumerated. `check s87 -N 27`
+    # peaks at 41 MB of RSS; a fresh splitters tuple per certificate would
+    # make that 55 MB.
     elements = [(x,) for x in range(n)]
     shared: dict[tuple[int, ...], MultiplierSet] = {}
+    shared_splitters: dict[tuple[int, ...], tuple[tuple[int], ...]] = {}
     out: list[SplittingCertificate] = []
     while pairs:
         m_vals, s_vals = pairs.pop()
         budget.spend(n - 1)  # the |M|*|S| = n-1 products the certificate checks
         if m_vals not in shared:
             shared[m_vals] = MultiplierSet.explicit(m_vals)
-        splitters = tuple([elements[s] for s in s_vals])
-        out.append(SplittingCertificate(group, shared[m_vals], splitters))
+        if s_vals not in shared_splitters:
+            shared_splitters[s_vals] = tuple([elements[s] for s in s_vals])
+        out.append(SplittingCertificate(group, shared[m_vals], shared_splitters[s_vals]))
     return out

@@ -12,6 +12,9 @@ product at a time, the way verification worked before it accepted a
 splitting in one pass over all products.
 The eager row builder builds every splitter's orbit up front, where the
 library builds only the orbits that hold the residue it branches on.
+The all-splittings oracle tries every multiplier set against every
+splitter set with plain sets, where the library solves one side as exact
+cover once per unit orbit of the other.
 The one exception, the natural-order search, runs the library's row
 source and engine on purpose: it checks the branch order and the rule
 fixing 1 in S, so it lays bit x out for residue x, keeps its own
@@ -27,7 +30,7 @@ Agreement between the two routes is the point.
 
 import json
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 from abelsplit.certio import DocumentError, tiling_export_text
 from abelsplit.counting import StratificationProfile
@@ -89,6 +92,22 @@ def naive_splitting_exists(n: int, k: int) -> bool:
         return False
 
     return extend(frozenset())
+
+
+def all_splittings_by_subsets(n: int, size: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every (M, S) with |M| = size and M*S = Z_n minus 0, sorted by (M, S).
+
+    M and S range over all subsets of 1..n-1 of sizes size and (n-1)/size;
+    a pair splits when its products are exactly the nonzero residues, which
+    with |M|*|S| = n-1 products means each one once.
+    """
+    nonzero = set(range(1, n))
+    return [
+        (M, S)
+        for M in combinations(range(1, n), size)
+        for S in combinations(range(1, n), (n - 1) // size)
+        if {m * s % n for m in M for s in S} == nonzero
+    ]
 
 
 def eager_orbit_rows(n: int, residues, bit) -> list[tuple[int, int]]:

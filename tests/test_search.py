@@ -1,12 +1,13 @@
 import time
 from collections import Counter
 from itertools import combinations
-from math import gcd
+from math import comb, gcd
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 from helpers import (
+    all_splittings_by_subsets,
     eager_orbit_rows,
     naive_splitting_exists,
     natural_order_search,
@@ -352,13 +353,63 @@ def test_enumerate_sides_agree():
 
 def test_enumerate_shares_multiplier_sets():
     # |M| = 4 in Z_9 enumerates the splitter side; every certificate of one
-    # multiplier set still shares one MultiplierSet, and none has computed
-    # its classification
+    # multiplier set still shares one MultiplierSet, those of one splitter
+    # set share one splitters tuple, and none has computed its classification
     certs = enumerate_all_splittings(9, 4)
     assert len(certs) == 72
     assert len({c.multipliers.values for c in certs}) == 16
     assert len({id(c.multipliers) for c in certs}) == 16
+    assert len({id(c.splitters) for c in certs}) == len({c.splitters for c in certs})
     assert all("classification" not in vars(c) for c in certs)
+
+
+def _pairs(certs):
+    return [(c.multipliers.values, tuple(s for (s,) in c.splitters)) for c in certs]
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 9, 11, 13])
+def test_enumerate_matches_brute_force(n):
+    for size in [d for d in range(1, n) if (n - 1) % d == 0]:
+        assert _pairs(enumerate_all_splittings(n, size)) == all_splittings_by_subsets(n, size)
+
+
+@pytest.mark.parametrize("n", [15, 21])
+def test_enumerate_off_prime_powers_matches_every_subset(n):
+    # the engine on every fixed subset, no orbit shared, and the unit-orbit
+    # lemma itself: covers(F) == covers(u*F) for every unit u
+    units = [u for u in range(1, n) if gcd(u, n) == 1]
+    for size in [d for d in range(2, n - 1) if (n - 1) % d == 0]:
+        n_splitters = (n - 1) // size
+        fix_multipliers = comb(n - 1, size) <= comb(n - 1, n_splitters)
+        covers = {}
+        for fixed in combinations(range(1, n), size if fix_multipliers else n_splitters):
+            budget = _Budget(SearchConfig(time_limit_s=None), 0.0)
+            rows_at = _row_source(n, fixed, range(n), budget)
+            covers[fixed] = sorted(_exact_covers(n, rows_at, budget))
+        pairs = sorted(
+            (fixed, cover) if fix_multipliers else (cover, fixed)
+            for fixed, found in covers.items() for cover in found
+        )
+        assert _pairs(enumerate_all_splittings(n, size)) == pairs, (n, size)
+        for fixed, found in covers.items():
+            for u in units:
+                assert covers[tuple(sorted(u * f % n for f in fixed))] == found, (fixed, u)
+
+
+@pytest.mark.parametrize("size", [2, 13])
+def test_enumerate_builds_rows_once_per_unit_orbit(monkeypatch, size):
+    # the 325 two-element subsets of 1..26 fall into 23 orbits of the units
+    # of Z_27; |M| = 2 fixes the multipliers, |M| = 13 the two splitters
+    real, calls = search._row_source, []
+
+    def counting(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(search, "_row_source", counting)
+    certs = enumerate_all_splittings(27, size)
+    assert len(calls) == len(set(calls)) == 23
+    assert len(certs) == 76464
 
 
 def test_enumerate_budget():
