@@ -1,19 +1,19 @@
-"""Structured documents: certificates, scan reports, attestations, check
-reports, and tiling exports.
+"""Structured documents: certificates, scan reports and journals,
+attestations, check reports, and tiling exports.
 
 Every document is canonical JSON (sorted keys, two-space indent, trailing
 newline), so equal objects serialize to identical bytes. dumps_document
 writes exactly json.dumps(doc, sort_keys=True, indent=2) plus the newline.
 It is written by hand because json.dumps runs without its C encoder
 whenever indent is set; it accepts str keys and exact JSON types only.
-A scan record's document is a FrozenDocument: read-only all the way down,
-kept on the record from first use and rendered once, at the depth it always
-stands at, so a checkpoint encodes only the records no earlier one wrote.
-Scan report documents deliberately exclude wall-clock data; timing
-appears only in the tabular export's millis column, which is diagnostic
-and carries 0 for records restored through a resume and for records the
-counting sieve decided. Every file abelsplit writes goes through
-write_text, which replaces the target atomically.
+A scan journal is a scan's checkpoint: one line per finished record, the
+compact JSON of the report that holds that record alone, so a checkpoint
+costs one record whatever the size of the scan. Scan report documents
+deliberately exclude wall-clock data; timing appears only in the tabular
+export's millis column, which is diagnostic and carries 0 for records
+restored through a resume and for records the counting sieve decided.
+Every file abelsplit writes goes through write_text, which replaces the
+target atomically, except the lines appended to a scan journal.
 
 The writers define what a valid document is. Each reader rebuilds its
 object with the library's own constructors and accepts the document only
@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import os
 from contextlib import contextmanager, suppress
+from dataclasses import replace
 from functools import cache
 from pathlib import Path
 
@@ -34,10 +35,12 @@ from .scan import (
     CandidateOrder,
     ScanRecord,
     ScanReport,
+    candidate_order,
+    check_scan_range,
     decide,
     overall_verdict,
 )
-from .search import EXHAUSTED, FOUND, SearchOutcome, SearchStats
+from .search import EXHAUSTED, FOUND, SearchConfig, SearchOutcome, SearchStats
 from .splitting import (
     INTERVAL,
     MultiplierSet,
@@ -64,40 +67,6 @@ def _punctuation(depth: int) -> tuple[str, str, str, str, str]:
     outer = "\n" + "  " * depth
     inner = outer + "  "
     return "{" + inner, "," + inner, outer + "}", "[" + inner, outer + "]"
-
-
-def _read_only(self, *args, **kwargs):
-    raise TypeError("a FrozenDocument is read-only")
-
-
-class FrozenDocument(dict):
-    """A read-only document dict whose values are frozen all the way down:
-    lists become tuples and dicts become FrozenDocuments. It keeps its
-    canonical text with the indent depth it was rendered at, so a document
-    that stays at one depth, as a scan record does, is encoded once."""
-
-    __slots__ = ("_depth", "_text")
-
-    def __init__(self, doc=()):
-        if hasattr(self, "_depth"):  # dict.__init__ would update it
-            raise TypeError("a FrozenDocument is read-only")
-        dict.__init__(self, {key: _freeze(value) for key, value in dict(doc).items()})
-        self._depth = self._text = None
-
-    def __reduce__(self):  # copy and pickle would set its items one by one
-        return FrozenDocument, (dict(self),)
-
-    __setitem__ = __delitem__ = __ior__ = _read_only
-    clear = pop = popitem = setdefault = update = _read_only
-
-
-def _freeze(value):
-    t = type(value)
-    if t is dict:
-        return FrozenDocument(value)
-    if t is list or t is tuple:
-        return tuple(_freeze(item) for item in value)
-    return value
 
 
 def _write(o, depth: int, append) -> None:
@@ -127,15 +96,14 @@ def _write(o, depth: int, append) -> None:
         _, item_sep, _, sep, close = _punctuation(depth)
         for item in o:
             append(sep)
-            _write(item, depth + 1, append)
+            if type(item) is dict:  # one string per item, not its many parts
+                parts: list[str] = []
+                _write(item, depth + 1, parts.append)
+                append("".join(parts))
+            else:
+                _write(item, depth + 1, append)
             sep = item_sep
         append(close)
-    elif t is FrozenDocument:
-        if o._depth != depth:
-            parts: list[str] = []
-            _write(dict(o), depth, parts.append)
-            o._depth, o._text = depth, "".join(parts)
-        append(o._text)
     elif o is None:
         append("null")
     elif o is True:
@@ -153,8 +121,8 @@ def dumps_document(doc: dict) -> str:
     plus a newline.
 
     A dict key that is not a str, or a value whose type is not exactly
-    dict, FrozenDocument, list, tuple, str, int, float, bool or None,
-    raises TypeError naming its type.
+    dict, list, tuple, str, int, float, bool or None, raises TypeError
+    naming its type.
     """
     parts: list[str] = []
     _write(doc, 0, parts.append)
@@ -311,35 +279,30 @@ def search_result_doc(order: int, multipliers: MultiplierSet, outcome: SearchOut
 
 # -- scan reports ------------------------------------------------------------
 
-def _record_doc(record: ScanRecord) -> FrozenDocument:
-    """The record's document, built on first use and kept in the record's
-    instance dict, as functools.cached_property does: the record's fields,
-    ==, hash and repr do not see it, and it goes with the record."""
-    kept = vars(record)
-    if "_doc" not in kept:
-        c, outcome = record.candidate, record.outcome
-        doc = {
-            "k": c.k,
-            "n": c.n,
-            "N": c.order,
-            "factorization": [[p, e] for p, e in c.smoothness_witness],
-            "verdict": record.verdict,
-            "result": outcome.result,
-            "nodes": outcome.stats.nodes,
-            "max_depth": outcome.stats.max_depth,
-            "splitters": None if outcome.splitters is None else list(outcome.splitters),
-            "route": record.route,
-        }
-        if record.witness is not None:
-            doc["counting"] = {"p": record.witness[0], "stratum": record.witness[1]}
-        if record.verdict == VIOLATION and record.certificate is not None:
-            doc["certificate"] = certificate_to_doc(record.certificate)
-        kept["_doc"] = FrozenDocument(doc)
-    return kept["_doc"]
+def _record_doc(record: ScanRecord) -> dict:
+    c, outcome = record.candidate, record.outcome
+    doc = {
+        "k": c.k,
+        "n": c.n,
+        "N": c.order,
+        "factorization": [[p, e] for p, e in c.smoothness_witness],
+        "verdict": record.verdict,
+        "result": outcome.result,
+        "nodes": outcome.stats.nodes,
+        "max_depth": outcome.stats.max_depth,
+        "splitters": None if outcome.splitters is None else list(outcome.splitters),
+        "route": record.route,
+    }
+    if record.witness is not None:
+        doc["counting"] = {"p": record.witness[0], "stratum": record.witness[1]}
+    if record.verdict == VIOLATION and record.certificate is not None:
+        doc["certificate"] = certificate_to_doc(record.certificate)
+    return doc
 
 
-def _record_from_doc(doc) -> ScanRecord:
-    """Rebuild a record the way the scan makes it: decide runs the counting
+def _record_from_doc(doc, k_min: int, k_max: int, n_max: int | None) -> ScanRecord:
+    """Rebuild a record the way the scan makes it: its candidate from k and
+    n, which must lie in the report's range, then decide runs the counting
     sieve again, and a candidate it does not refute gets the search outcome
     read from doc, whose found splitters make_record re-verifies. The record
     is checked against its own document, so it carries what a write emits."""
@@ -350,19 +313,18 @@ def _record_from_doc(doc) -> ScanRecord:
         )
 
     with _parsing("scan record"):
-        candidate = CandidateOrder(
-            int(doc["k"]), int(doc["n"]), int(doc["N"]),
-            tuple((int(p), int(e)) for p, e in doc["factorization"]),
-        )
+        k, n = int(doc["k"]), int(doc["n"])
+        in_range = k_min <= k <= k_max and 1 <= n <= (2 * k if n_max is None else n_max)
+        candidate = candidate_order(k, n) if in_range else None
+        if candidate is None or (candidate.order, candidate.smoothness_witness) != (
+                doc["N"], tuple(map(tuple, doc["factorization"]))):
+            raise DocumentError(f"record k={doc['k']} N={doc['N']} is not a scan candidate")
         record = decide(candidate, read_outcome)
     _require_written_form(_record_doc(record), doc, f"record k={doc['k']} N={doc['N']}")
     return record
 
 
 def scan_report_to_doc(report: ScanReport) -> dict:
-    """The report's document. Each record is its own read-only
-    FrozenDocument, kept on the record object, so every report that holds
-    that object shares it; the rest is built fresh."""
     totals = report.totals
     return {
         "format_version": FORMAT_VERSION,
@@ -381,19 +343,59 @@ def scan_report_to_doc(report: ScanReport) -> dict:
 
 
 def scan_report_from_doc(doc: dict) -> ScanReport:
+    """Parse a scan report: DocumentError unless its config passes
+    check_scan_range and SearchConfig, each record is a candidate of that
+    range, and abelsplit writes exactly doc for the records rebuilt from it."""
     with _parsing("scan_report"):
         config = doc["config"]
-        n_max = config["n_max"]
-        records = sorted(
-            (_record_from_doc(r) for r in doc["records"]),
+        k_min, k_max, n_max = int(config["k_min"]), int(config["k_max"]), config["n_max"]
+        n_max = None if n_max is None else int(n_max)
+        check_scan_range(k_min, k_max, n_max)
+        if type(config["time_limit_s"]) is bool:
+            raise TypeError("time_limit_s must be a number or null, not bool")
+        budget = SearchConfig(int(config["node_limit"]), config["time_limit_s"])
+        records = tuple(sorted(
+            (_record_from_doc(r, k_min, k_max, n_max) for r in doc["records"]),
             key=lambda r: (r.candidate.k, r.candidate.order),
-        )
-        report = ScanReport(
-            int(config["k_min"]), int(config["k_max"]), None if n_max is None else int(n_max),
-            int(config["node_limit"]), config["time_limit_s"], tuple(records),
-        )
+        ))
+        report = ScanReport(k_min, k_max, n_max, budget.node_limit, budget.time_limit_s, records)
     _require_written_form(scan_report_to_doc(report), doc, "scan_report")
     return report
+
+
+def journal_text(report: ScanReport) -> str:
+    """A journal line per record of report, in its order: the compact JSON
+    (sort_keys=True) of the report that holds that record alone."""
+    return "".join(
+        json.dumps(scan_report_to_doc(replace(report, records=(r,))), sort_keys=True) + "\n"
+        for r in report.records
+    )
+
+
+def read_journal(path) -> ScanReport | None:
+    """The first line's config and every line's records, in (k, N) order, or
+    None for a journal with no whole line. A last line without its newline
+    was cut short by a kill and is dropped. Each other line must pass
+    scan_report_from_doc (json decodes its bytes) with the first line's
+    config, else DocumentError naming the line."""
+    config, records = None, []
+    with open(path, "rb") as handle:
+        for number, line in enumerate(handle, 1):
+            if not line.endswith(b"\n"):
+                break
+            try:
+                report = scan_report_from_doc(loads_document(line))
+                if config is None:
+                    config = replace(report, records=())
+                elif replace(report, records=()) != config:
+                    raise DocumentError("config differs from line 1's")
+            except DocumentError as exc:
+                raise DocumentError(f"line {number}: {exc}") from exc
+            records += report.records
+    if config is None:
+        return None
+    records.sort(key=lambda r: (r.candidate.k, r.candidate.order))
+    return replace(config, records=tuple(records))
 
 
 def scan_report_table(report: ScanReport) -> str:

@@ -9,8 +9,8 @@ runs, printed by _finish, which also writes the command's document; exit 1
 only ever follows such a verdict line. _Main.invoke ends the rest: a file
 error, bad input or running out of memory exits 2 with an error: line, as
 does an internal error, after its traceback on stderr; an interrupt exits 3
-with result=interrupted, and an interrupted scan resumes from its last
-checkpoint. Only search, scan and check s87 take budgets: --node-limit and
+with result=interrupted, and an interrupted scan resumes from its
+journal. Only search, scan and check s87 take budgets: --node-limit and
 --time-limit (SearchConfig's). Each check is its own subcommand and takes
 only the options it reads.
 """
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import os
 import sys
-import time
 from pathlib import Path
 from typing import NoReturn
 
@@ -34,12 +33,6 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
-
-# The first scan checkpoint is always written. Each later one is skipped
-# until this many times the duration of the previous write has passed since
-# it ended, so after the first write checkpoints take at most about
-# 1/(1 + CHECKPOINT_SPACING) of a scan's wall time at any report size.
-CHECKPOINT_SPACING = 9
 
 
 def _fail_usage(message: str) -> NoReturn:
@@ -162,10 +155,11 @@ def search(order, k, out, node_limit, time_limit_s) -> None:
               help="candidate bound n <= n-max (default: 2k per k)")
 @click.option("--jobs", type=int, default=None, help="worker processes (default: all cores)")
 @click.option("--out-dir", type=click.Path(file_okay=False), default=".")
-@click.option("--resume", is_flag=True, help="continue from the report file in out-dir")
+@click.option("--resume", is_flag=True, help="continue from the journal file in out-dir")
 @_budget_options
 def scan(k_min, k_max, n_max, jobs, out_dir, resume, node_limit, time_limit_s) -> None:
-    """Scan candidate orders for every k in [k-min, k-max]."""
+    """Scan candidate orders for every k in [k-min, k-max], journaling each
+    record as it finishes; --resume continues from the journal (.jsonl)."""
     if k_min < 1 or k_min > k_max:
         _fail_usage(f"bad k range [{k_min}, {k_max}]")
     if jobs is not None and jobs < 1:
@@ -175,31 +169,28 @@ def scan(k_min, k_max, n_max, jobs, out_dir, resume, node_limit, time_limit_s) -
     config = _config(node_limit, time_limit_s)
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
-    report_path = out_path / f"scan_k{k_min}-{k_max}.json"
-    table_path = out_path / f"scan_k{k_min}-{k_max}.csv"
+    stem = out_path / f"scan_k{k_min}-{k_max}"
+    report_path, table_path, journal_path = map(stem.with_suffix, (".json", ".csv", ".jsonl"))
     resume_report = None
     if resume:
         try:
-            resume_report = certio.scan_report_from_doc(certio.read_document(report_path))
+            resume_report = certio.read_journal(journal_path)
         except certio.DocumentError as exc:
-            _fail_usage(f"bad resume report: {exc}")
+            _fail_usage(f"bad resume report {journal_path}: {exc}")
+    # a fresh run empties the journal; a resumed one rewrites the lines it
+    # accepted, so that no append follows a line cut short by a kill
+    certio.write_text(journal_path, certio.journal_text(resume_report) if resume_report else "")
 
-    next_write = float("-inf")
+    with open(journal_path, "a", encoding="utf-8") as journal:
+        def checkpoint(one):
+            journal.write(certio.journal_text(one))
+            journal.flush()
 
-    def checkpoint(partial):
-        nonlocal next_write
-        started = time.monotonic()
-        if started < next_write:
-            return
-        certio.write_document(report_path, certio.scan_report_to_doc(partial))
-        ended = time.monotonic()
-        next_write = ended + CHECKPOINT_SPACING * (ended - started)
-
-    report = run_scan(
-        k_min, k_max, n_max, config=config,
-        jobs=jobs if jobs is not None else (os.cpu_count() or 1),
-        resume=resume_report, checkpoint=checkpoint,
-    )
+        report = run_scan(
+            k_min, k_max, n_max, config=config,
+            jobs=jobs if jobs is not None else (os.cpu_count() or 1),
+            resume=resume_report, checkpoint=checkpoint,
+        )
     certio.write_document(report_path, certio.scan_report_to_doc(report))
     certio.write_text(table_path, certio.scan_report_table(report))
     totals = report.totals

@@ -51,17 +51,26 @@ class CandidateOrder:
     smoothness_witness: tuple[PrimePower, ...]
 
 
+def candidate_order(k: int, n: int) -> CandidateOrder | None:
+    """The candidate order N = n*k + 1, or None when a prime factor of N exceeds k."""
+    order = n * k + 1
+    fac = factorize(order)
+    return CandidateOrder(k, n, order, fac) if all(p <= k for p, _ in fac) else None
+
+
 def purely_singular_candidates(k: int, n_max: int) -> list[CandidateOrder]:
     """All candidate orders N = n*k + 1 with 1 <= n <= n_max, ascending."""
     if k < 1 or n_max < 1:
         raise ValueError("k and n_max must be >= 1")
-    out = []
-    for n in range(1, n_max + 1):
-        order = n * k + 1
-        fac = factorize(order)
-        if all(p <= k for p, _ in fac):
-            out.append(CandidateOrder(k, n, order, fac))
-    return out
+    return [c for n in range(1, n_max + 1) if (c := candidate_order(k, n)) is not None]
+
+
+def check_scan_range(k_min: int, k_max: int, n_max: int | None) -> None:
+    """The parameter rule of a scan: 1 <= k_min <= k_max, and n_max >= 1 or None."""
+    if k_min < 1 or k_min > k_max:
+        raise ValueError(f"bad k range [{k_min}, {k_max}]")
+    if n_max is not None and n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
 
 
 @dataclass(frozen=True)
@@ -179,31 +188,32 @@ def scan(
     counting sieve when it refutes the candidate, else by the search.
 
     Records are independent tasks; with jobs > 1 they run in a process pool
-    of at most one worker per pending record. jobs < 1 raises ValueError.
-    Each finished record fills its candidate's slot, and a report lists the
-    filled slots in (k, N) order, so parallel and serial runs produce the
-    same report. resume takes a previously written (possibly partial)
-    report with identical parameters and skips its completed records; each
-    of them must be a distinct candidate of this scan, else ValueError.
-    checkpoint, when given, receives a partial report after every record.
+    of at most one worker per pending record. Parameters that break
+    check_scan_range, or jobs < 1, raise ValueError. Each finished record
+    fills its candidate's slot, and the report lists the filled slots in
+    (k, N) order, so parallel and serial runs produce the same report.
+    resume takes a previously written (possibly partial) report with
+    identical parameters and skips its completed records; each of them must
+    be a distinct candidate of this scan, else ValueError. checkpoint, when
+    given, is called once per finished record, in the order records finish,
+    with a report of these parameters that holds that record alone; the
+    resumed records and those reports together make up the returned report.
     """
-    if k_min < 1 or k_min > k_max:
-        raise ValueError(f"bad k range [{k_min}, {k_max}]")
+    check_scan_range(k_min, k_max, n_max)
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     started = time.monotonic()
     candidates = []
     for k in range(k_min, k_max + 1):
-        bound = n_max if n_max is not None else 2 * k
-        candidates.extend(purely_singular_candidates(k, bound))
+        candidates.extend(purely_singular_candidates(k, 2 * k if n_max is None else n_max))
 
     slot_of = {c: i for i, c in enumerate(candidates)}
     slots: list[ScanRecord | None] = [None] * len(candidates)
+    params = (k_min, k_max, n_max, config.node_limit, config.time_limit_s)
     if resume is not None:
-        mine = (k_min, k_max, n_max, config.node_limit, config.time_limit_s)
         theirs = (resume.k_min, resume.k_max, resume.n_max, resume.node_limit, resume.time_limit_s)
-        if mine != theirs:
-            raise ValueError(f"resume parameters {theirs} do not match scan parameters {mine}")
+        if params != theirs:
+            raise ValueError(f"resume parameters {theirs} do not match scan parameters {params}")
         for record in resume.records:
             c = record.candidate
             if c not in slot_of:
@@ -213,16 +223,10 @@ def scan(
             slots[slot_of[c]] = record
     pending = [(c, config) for c, record in zip(candidates, slots) if record is None]
 
-    def build_report() -> ScanReport:
-        return ScanReport(
-            k_min, k_max, n_max, config.node_limit, config.time_limit_s,
-            tuple(r for r in slots if r is not None), time.monotonic() - started,
-        )
-
     def take(record: ScanRecord) -> None:
         slots[slot_of[record.candidate]] = record
         if checkpoint is not None:
-            checkpoint(build_report())
+            checkpoint(ScanReport(*params, (record,)))
 
     if jobs > 1 and len(pending) > 1:
         with Pool(processes=min(jobs, len(pending))) as pool:
@@ -231,7 +235,7 @@ def scan(
     else:
         for task in pending:
             take(_scan_one(task))
-    return build_report()
+    return ScanReport(*params, tuple(r for r in slots if r is not None), time.monotonic() - started)
 
 
 def check_k_le_n_minus_2(report: ScanReport) -> bool:

@@ -21,8 +21,9 @@ fixing 1 in S, so it lays bit x out for residue x, keeps its own
 deduplication by orbit, and drops those two.
 The document oracle is the json.dumps call that certio's hand-written
 writer replaces, the record document oracle builds a scan record's
-document from its fields with plain dicts and lists where certio keeps a
-read-only document on the record, and the tiling export oracle is the reader that splits
+document from its fields as README describes it and classifies a
+violation's certificate by trial division where certio calls the library's
+classifier, and the tiling export oracle is the reader that splits
 the text into lines and compares it with a second, rebuilt text, where
 certio checks it block by block in place.
 Agreement between the two routes is the point.

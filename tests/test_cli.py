@@ -1,18 +1,17 @@
 import hashlib
 import json
-import time
 from dataclasses import replace
 
 import click
 import pytest
 from click.testing import CliRunner
-from helpers import canonical_json
+from helpers import DESK_SCAN_SHA256, canonical_json
 
 from abelsplit import certio, cli, counting
 from abelsplit import search as searchlib
 from abelsplit.cli import main
 from abelsplit.groups import FiniteAbelianGroup
-from abelsplit.scan import overall_verdict
+from abelsplit.scan import overall_verdict, scan
 from abelsplit.splitting import MultiplierSet, make_certificate, trivial_certificate
 
 
@@ -242,13 +241,13 @@ def test_scan_resume_matches_uninterrupted(runner, tmp_path):
     assert r1.exit_code == 0
     full = certio.scan_report_from_doc(certio.read_document(a_dir / "scan_k5-9.json"))
 
-    # fabricate an interrupted run: keep only the first records, rewrite, resume
+    # fabricate an interrupted run: a journal of only the first records, resume
     partial = ScanReport(
         full.k_min, full.k_max, full.n_max, full.node_limit, full.time_limit_s,
         full.records[:3],
     )
     b_dir.mkdir()
-    certio.write_document(b_dir / "scan_k5-9.json", certio.scan_report_to_doc(partial))
+    (b_dir / "scan_k5-9.jsonl").write_text(certio.journal_text(partial))
     r2 = runner.invoke(
         main, ["scan", "--k-min", "5", "--k-max", "9", "--out-dir", str(b_dir), "--resume"]
     )
@@ -257,57 +256,135 @@ def test_scan_resume_matches_uninterrupted(runner, tmp_path):
     assert not list(b_dir.glob(".*"))  # no temp file left behind
 
 
+class Killed(Exception):
+    pass
+
+
+def _kill_at_checkpoint(monkeypatch, call, torn=False):
+    """Make the scan's journal append die at checkpoint number call, before
+    it writes anything; with torn, the checkpoint before it writes only the
+    first half of its line."""
+    journal_text = certio.journal_text
+    calls = []
+
+    def dying(report):
+        calls.append(report)
+        if len(calls) == call:
+            raise Killed
+        text = journal_text(report)
+        return text[:len(text) // 2] if torn and len(calls) == call - 1 else text
+
+    monkeypatch.setattr(certio, "journal_text", dying)
+
+
 def test_scan_killed_after_checkpoint_resumes_to_identical_report(runner, tmp_path, monkeypatch):
     args = ["scan", "--k-min", "1", "--k-max", "8", "--jobs", "1", "--out-dir"]
     whole = runner.invoke(main, args + [str(tmp_path / "whole")])
     assert whole.exit_code == 0
     expected = (tmp_path / "whole" / "scan_k1-8.json").read_bytes()
-    records = len(certio.read_document(tmp_path / "whole" / "scan_k1-8.json")["records"])
+    expected_journal = (tmp_path / "whole" / "scan_k1-8.jsonl").read_text()
 
-    class Killed(Exception):
-        pass
-
-    write_document = certio.write_document
-
-    def write_then_die(path, doc):
-        write_document(path, doc)
-        raise Killed
-
-    # the first checkpoint lands, then the run dies
-    monkeypatch.setattr(certio, "write_document", write_then_die)
-    cut = runner.invoke(main, args + [str(tmp_path / "cut")])
+    # the run dies inside its fifth checkpoint: four whole lines, then a cut one
+    with monkeypatch.context() as patch:
+        _kill_at_checkpoint(patch, 6, torn=True)
+        cut = runner.invoke(main, args + [str(tmp_path / "cut")])
     assert cut.exit_code == 2
     assert cut.stderr.splitlines()[-1] == "error: internal error: Killed"
-    report = tmp_path / "cut" / "scan_k1-8.json"
-    checkpoint = certio.scan_report_from_doc(certio.read_document(report))
-    assert 0 < len(checkpoint.records) < records
+    journal = tmp_path / "cut" / "scan_k1-8.jsonl"
+    lines = journal.read_text().split("\n")
+    assert len(lines) == 5 and lines[:4] == expected_journal.split("\n")[:4]
+    assert 0 < len(lines[4]) < len(expected_journal.split("\n")[4])
+    assert not (tmp_path / "cut" / "scan_k1-8.json").exists()
 
-    monkeypatch.setattr(certio, "write_document", write_document)
     resumed = runner.invoke(main, args + [str(tmp_path / "cut"), "--resume"])
     assert resumed.exit_code == 0
-    assert report.read_bytes() == expected
+    assert (tmp_path / "cut" / "scan_k1-8.json").read_bytes() == expected
+    assert journal.read_text() == expected_journal
     assert not list((tmp_path / "cut").glob(".*"))  # no temp file left behind
 
 
-def test_scan_checkpoints_are_spaced_by_their_cost(runner, tmp_path, monkeypatch):
-    args = ["scan", "--k-min", "1", "--k-max", "12", "--jobs", "1", "--out-dir"]
-    plain = runner.invoke(main, args + [str(tmp_path / "plain")])
-    assert plain.exit_code == 0
-    write_document = certio.write_document
-    writes = []
+@pytest.mark.parametrize("cut", [1, 105, 209])
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_scan_killed_after_a_record_resumes_to_the_pinned_report(
+        runner, tmp_path, monkeypatch, jobs, cut):
+    args = ["scan", "--k-min", "1", "--k-max", "30", "--jobs", jobs, "--out-dir", str(tmp_path)]
+    with monkeypatch.context() as patch:
+        _kill_at_checkpoint(patch, cut + 1)
+        killed = runner.invoke(main, args)
+    assert killed.exit_code == 2
+    journal = tmp_path / "scan_k1-30.jsonl"
+    assert len(journal.read_text().splitlines()) == cut
 
-    def slow_write(path, doc):
-        writes.append(path)
-        time.sleep(0.02)
-        write_document(path, doc)
+    resumed = runner.invoke(main, args + ["--resume"])
+    assert resumed.exit_code == 0
+    assert hashlib.sha256((tmp_path / "scan_k1-30.json").read_bytes()).hexdigest() == (
+        DESK_SCAN_SHA256)
+    merged = certio.dumps_document(certio.scan_report_to_doc(certio.read_journal(journal)))
+    assert hashlib.sha256(merged.encode()).hexdigest() == DESK_SCAN_SHA256
 
-    monkeypatch.setattr(certio, "write_document", slow_write)
-    slow = runner.invoke(main, args + [str(tmp_path / "slow")])
-    assert slow.exit_code == 0
-    report = tmp_path / "slow" / "scan_k1-12.json"
-    records = len(certio.read_document(report)["records"])
-    assert 2 <= len(writes) < records / 2  # at least the first checkpoint and the final report
-    assert report.read_bytes() == (tmp_path / "plain" / "scan_k1-12.json").read_bytes()
+
+def test_scan_resume_of_a_complete_journal_rewrites_identical_bytes(runner, tmp_path):
+    args = ["scan", "--k-min", "1", "--k-max", "30", "--jobs", "1", "--out-dir", str(tmp_path)]
+    assert runner.invoke(main, args).exit_code == 0
+    files = {path.name: path.read_bytes() for path in tmp_path.glob("*.json*")}
+    assert hashlib.sha256(files["scan_k1-30.json"]).hexdigest() == DESK_SCAN_SHA256
+    resumed = runner.invoke(main, args + ["--resume"])
+    assert resumed.exit_code == 0
+    assert {path.name: path.read_bytes() for path in tmp_path.glob("*.json*")} == files
+
+
+def test_scan_resume_from_an_empty_or_cut_journal_starts_over(runner, tmp_path):
+    args = ["scan", "--k-min", "5", "--k-max", "6", "--out-dir", str(tmp_path)]
+    assert runner.invoke(main, args).exit_code == 0
+    report = (tmp_path / "scan_k5-6.json").read_bytes()
+    journal = tmp_path / "scan_k5-6.jsonl"
+    first_line = journal.read_text().split("\n")[0]
+    for text in ("", first_line[:100]):  # killed before its first line, or inside it
+        journal.write_text(text)
+        assert runner.invoke(main, args + ["--resume"]).exit_code == 0
+        assert (tmp_path / "scan_k5-6.json").read_bytes() == report
+        assert len(journal.read_text().splitlines()) == 4
+
+
+def test_fresh_scan_truncates_an_old_journal(runner, tmp_path):
+    journal = tmp_path / "scan_k5-6.jsonl"
+    journal.write_text("not a journal line\n" * 3)
+    result = runner.invoke(
+        main, ["scan", "--k-min", "5", "--k-max", "6", "--out-dir", str(tmp_path)]
+    )
+    assert result.exit_code == 0
+    assert len(journal.read_text().splitlines()) == 4
+    assert len(certio.read_journal(journal).records) == 4
+
+
+def _journal_lines(runner, out_dir, k_max=6, options=()):
+    result = runner.invoke(main, ["scan", "--k-min", "5", "--k-max", str(k_max), "--jobs", "1",
+                                  "--out-dir", str(out_dir), *options])
+    assert result.exit_code == 0
+    return (out_dir / f"scan_k5-{k_max}.jsonl").read_text().splitlines(keepends=True)
+
+
+@pytest.mark.parametrize("damage, message", [
+    (lambda lines, other: lines.__setitem__(1, lines[1].replace('"nodes": 0', '"nodes": 1')),
+     "line 2: "),
+    (lambda lines, other: lines.__setitem__(1, "{}\n"), "line 2: "),
+    (lambda lines, other: lines.__setitem__(2, other["range"][-1]), "line 3: config differs"),
+    (lambda lines, other: lines.__setitem__(2, other["budget"][2]), "line 3: config differs"),
+    (lambda lines, other: lines.append(lines[0]), "holds a record twice"),
+], ids=["bad_record", "bad_document", "other_range", "other_budget", "duplicate"])
+def test_scan_resume_bad_journal_line_is_usage_error(runner, tmp_path, damage, message):
+    lines = _journal_lines(runner, tmp_path / "scan")
+    other = {
+        "range": _journal_lines(runner, tmp_path / "range", k_max=7),
+        "budget": _journal_lines(runner, tmp_path / "budget", options=["--node-limit", "1000"]),
+    }
+    damage(lines, other)
+    lines.append(lines[0][:50])  # a cut last line is dropped, whatever it holds
+    (tmp_path / "scan" / "scan_k5-6.jsonl").write_text("".join(lines))
+    result = runner.invoke(main, ["scan", "--k-min", "5", "--k-max", "6", "--jobs", "1",
+                                  "--out-dir", str(tmp_path / "scan"), "--resume"])
+    assert result.exit_code == 2
+    assert message in result.output
 
 
 def _flip_found_verdict(doc):
@@ -366,21 +443,45 @@ def _v2_report(doc):
         record.pop("counting", None)
 
 
+def _add_record(k, n_max, at):
+    """Put the record at index at of scan(k, k, n_max) into the k 5..6 report,
+    totals kept in step, so that only where it lies is wrong."""
+    def damage(doc):
+        extra = certio.scan_report_to_doc(scan(k, k, n_max))["records"][at]
+        doc["records"] = sorted(doc["records"] + [extra], key=lambda r: (r["k"], r["N"]))
+        doc["totals"][extra["verdict"]] += 1
+        doc["totals"]["records"] += 1
+        doc["totals"]["found"] += int(extra["result"] == "found")
+
+    return damage
+
+
+def _empty_range(doc):
+    # k_min above k_max, with no records and totals to match
+    doc["config"]["k_min"] = 7
+    doc["records"] = []
+    doc["totals"] = dict.fromkeys(doc["totals"], 0)
+
+
 def _damaged_resume(runner, tmp_path, damage):
+    """Resume the k 5..6 scan from a journal of one line: the whole report's
+    document, damaged. A report of several records is a valid journal line,
+    so each damage meets the report reader."""
     r1 = runner.invoke(main, ["scan", "--k-min", "5", "--k-max", "6", "--out-dir", str(tmp_path)])
     assert r1.exit_code == 0
-    path = tmp_path / "scan_k5-6.json"
-    if isinstance(damage, slice):  # cut the file text itself
-        path.write_text(path.read_text()[damage])
-    elif isinstance(damage, bytes):  # put bytes in front of the file text
-        path.write_bytes(damage + path.read_bytes())
-    elif isinstance(damage, str):  # replace the file text
-        path.write_text(damage)
+    doc = certio.read_document(tmp_path / "scan_k5-6.json")
+    line = json.dumps(doc, sort_keys=True).encode()
+    if isinstance(damage, slice):  # cut the line itself
+        line = line[damage]
+    elif isinstance(damage, bytes):  # put bytes in front of the line
+        line = damage + line
+    elif isinstance(damage, str):  # replace the line
+        line = damage.encode()
     else:
-        doc = certio.read_document(path)
         assert [r["N"] for r in doc["records"][:2]] == [6, 16]
         damage(doc)
-        certio.write_document(path, doc)
+        line = json.dumps(doc, sort_keys=True).encode()
+    (tmp_path / "scan_k5-6.jsonl").write_bytes(line + b"\n")
     return runner.invoke(
         main,
         ["scan", "--k-min", "5", "--k-max", "6", "--out-dir", str(tmp_path), "--resume"],
@@ -413,13 +514,27 @@ def _damaged_resume(runner, tmp_path, damage):
     _counting_witness(3, 2),
     _counting_record_with_nodes,
     _v2_report,
+    lambda doc: doc["records"][1].update(n=4),
+    lambda doc: doc["records"][1].update(factorization=[[2, 4], [7, 1]]),
+    _add_record(8, 1, 0),
+    _add_record(5, 16, -1),
+    lambda doc: doc["config"].update(time_limit_s="60"),
+    lambda doc: doc["config"].update(time_limit_s=[1]),
+    lambda doc: doc["config"].update(time_limit_s={"a": 1}),
+    lambda doc: doc["config"].update(time_limit_s=-5.0),
+    lambda doc: doc["config"].update(time_limit_s=True),
+    lambda doc: doc["config"].update(node_limit=0),
+    _empty_range,
 ], ids=["config_key", "record_key", "factorization_pair", "record_verdict",
         "record_splitters", "records_not_list", "found_not_a_splitting", "found_not_reduced",
         "verdict_flipped",
         "exhausted_with_splitters", "record_result", "extra_key",
         "nodes_bool", "k_float", "records_reversed", "truncated", "non_utf8",
         "nested", "long_int", "search_claims_counting", "counting_claims_search",
-        "witness_wrong_p", "witness_wrong_stratum", "counting_with_nodes", "format_v2"])
+        "witness_wrong_p", "witness_wrong_stratum", "counting_with_nodes", "format_v2",
+        "n_not_of_N", "factorization_extra_prime", "k_outside_range", "n_past_bound",
+        "time_limit_str", "time_limit_list", "time_limit_dict", "time_limit_negative",
+        "time_limit_bool", "node_limit_zero", "k_min_above_k_max"])
 def test_scan_resume_malformed_report_is_usage_error(runner, tmp_path, damage):
     r2 = _damaged_resume(runner, tmp_path, damage)
     assert r2.exit_code == 2
@@ -439,7 +554,7 @@ def test_scan_resume_foreign_record_is_usage_error(runner, tmp_path, damage):
 def test_scan_resume_mismatch_is_usage_error(runner, tmp_path):
     r1 = runner.invoke(main, ["scan", "--k-min", "5", "--k-max", "6", "--out-dir", str(tmp_path)])
     assert r1.exit_code == 0
-    (tmp_path / "scan_k5-7.json").write_text((tmp_path / "scan_k5-6.json").read_text())
+    (tmp_path / "scan_k5-7.jsonl").write_text((tmp_path / "scan_k5-6.jsonl").read_text())
     r2 = runner.invoke(
         main,
         ["scan", "--k-min", "5", "--k-max", "7", "--out-dir", str(tmp_path), "--resume"],
@@ -452,6 +567,7 @@ def test_scan_resume_without_report(runner, tmp_path):
         main, ["scan", "--k-min", "5", "--k-max", "6", "--out-dir", str(tmp_path), "--resume"]
     )
     assert result.exit_code == 2
+    assert "No such file or directory" in result.output and "scan_k5-6.jsonl" in result.output
 
 
 def test_scan_bad_range(runner, tmp_path):

@@ -1,0 +1,55 @@
+"""The library surface the benchmark drives.
+
+perfbench/workloads.py is imported as it stands, never edited: every name
+its traced run patches must exist, and its desk scan body must pass its own
+gate, cutting one benchmark phase per scan record.
+"""
+
+import hashlib
+import importlib
+from pathlib import Path
+
+import pytest
+from helpers import DESK_SCAN_SHA256
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    return importlib.import_module("workloads")
+
+
+def test_tracing_finds_and_restores_every_patched_name(workloads):
+    modules = [importlib.import_module(f"abelsplit.{name}") for name in (
+        "certio", "counting", "scan", "search", "splitting", "tiling")] + [workloads]
+    before = [dict(vars(module)) for module in modules]
+    with workloads.traced(workloads.Tracer()):
+        swapped = sum(
+            vars(module)[name] is not value
+            for module, names in zip(modules, before) for name, value in names.items()
+        )
+    assert swapped > 0
+    for module, names in zip(modules, before):
+        assert all(vars(module)[name] is value for name, value in names.items())
+
+
+def test_desk_scan_body_passes_its_gate_with_a_phase_per_record(workloads, tmp_path):
+    gate, marks = workloads.Gate(), []
+    inputs = workloads.make_inputs("desk_scan", 2)
+    tracer = workloads.Tracer()
+    (tmp_path / "traced").mkdir()
+    with workloads.traced(tracer):
+        workloads.scan_body("desk_scan", inputs, 1, tmp_path / "traced", gate, lambda: None)
+    metrics = workloads.layer_metrics(tracer)
+    assert metrics["scan.records"] == metrics["certio.checkpoint_writes"] == 210
+
+    (tmp_path / "plain").mkdir()
+    result = workloads.scan_body(
+        "desk_scan", inputs, 1, tmp_path / "plain", gate, lambda: marks.append(None))
+    assert gate.failures == [] and gate.attempted > 2 * 210
+    assert len(marks) == workloads.DESK_RECORDS == 210
+    report = (tmp_path / "plain" / "scan_k1-30.json").read_bytes()
+    assert hashlib.sha256(report).hexdigest() == DESK_SCAN_SHA256
+    assert result["digest"] == hashlib.sha256(b"scan_k1-30.json\0" + report).hexdigest()

@@ -259,8 +259,19 @@ def test_pool_is_no_larger_than_the_pending_work(monkeypatch):
 def test_checkpoint_called_per_record(jobs):
     seen = []
     report = scan(8, 8, jobs=jobs, checkpoint=seen.append)
-    assert [len(partial.records) for partial in seen] == [1, 2, 3, 4, 5]
-    assert seen[-1].records == report.records
+    assert [len(one.records) for one in seen] == [1, 1, 1, 1, 1]
+    params = lambda rep: (rep.k_min, rep.k_max, rep.n_max, rep.node_limit, rep.time_limit_s)
+    assert all(params(one) == params(report) for one in seen)
+    in_order = lambda r: (r.candidate.k, r.candidate.order)
+    assert sorted((r for one in seen for r in one.records), key=in_order) == list(report.records)
+    # a resumed scan checkpoints only the records it decides
+    seen.clear()
+    resumed = scan(8, 8, jobs=jobs, checkpoint=seen.append,
+                   resume=dataclasses.replace(report, records=report.records[:2]))
+    assert [len(one.records) for one in seen] == [1, 1, 1]
+    assert sorted(r.candidate.order for one in seen for r in one.records) == [
+        r.candidate.order for r in resumed.records[2:]
+    ]
 
 
 def test_inconclusive_on_budget():
