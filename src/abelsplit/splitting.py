@@ -4,14 +4,19 @@ A splitting of a finite abelian group G is a set M of nonzero integers (the
 multipliers) together with a subset S of G (the splitters) such that every
 nonzero element of G equals m*s for exactly one pair (m, s). A
 SplittingCertificate is verified when it is made, so it always holds one.
+Both of its constructors verify: the dataclass constructor checks one
+certificate's products, and SplittingCertificate.batch checks many pairs of
+one cyclic group against per-tuple orbit-mask tables. Neither yields a
+certificate for a pair that is not a splitting.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import reduce
 from itertools import product
-from typing import Iterable
+from operator import or_
+from typing import Iterable, Iterator, Sequence
 
 from .groups import Element, FiniteAbelianGroup
 
@@ -170,14 +175,17 @@ def _check_products(
     cyclic = G.is_cyclic
     if cyclic:
         n = G.factors[0]
+        distinct = {m * s % n for (s,) in S for m in M.values}
+        if len(distinct) == n - 1 and 0 not in distinct:
+            return _VALID
         xs = [m * s % n for (s,) in S for m in M.values]
         zero = 0
     else:
         xs = [G.scalar_mul(m, s) for s in S for m in M.values]
         zero = G.identity()
-    distinct = set(xs)
-    if len(distinct) == len(xs) and zero not in distinct:
-        return _VALID
+        distinct = set(xs)
+        if len(distinct) == len(xs) and zero not in distinct:
+            return _VALID
     # A rejected set has a zero or a repeated product, so this walk returns.
     seen: dict = {}  # product -> its first (m, s)
     for x, (s, m) in zip(xs, product(S, M.values)):
@@ -197,7 +205,7 @@ class NotASplitting(ValueError):
         self.report = report
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SplittingCertificate:
     """A splitting, the portable proof object: the splitters must be canonical,
     are stored as given, and are verified here (NotASplitting if they fail)."""
@@ -211,10 +219,72 @@ class SplittingCertificate:
         if not report.is_valid:
             raise NotASplitting(self.group, report)
 
-    @cached_property
+    @property
     def classification(self) -> SingularityClass:
-        """classify_multipliers(group, multipliers), computed on first read."""
+        """classify_multipliers(group, multipliers), computed on every read."""
         return classify_multipliers(self.group, self.multipliers)
+
+    @classmethod
+    def batch(
+        cls, group: FiniteAbelianGroup, pairs: list[tuple[tuple[int, ...], tuple[int, ...]]]
+    ) -> Iterator[SplittingCertificate]:
+        """Certificates for the (M values, S residues) pairs of a cyclic group, in order.
+
+        M values are what MultiplierSet takes (strictly increasing, nonzero)
+        and S residues lie in 0..n-1. The list is emptied from the front as
+        the certificates are made, so each pair is freed once certified. The
+        certificates share one MultiplierSet per M, one splitters tuple per S
+        and one element tuple per residue.
+
+        The side with fewer distinct tuples is the fixed side. For each fixed
+        tuple T, one table gives, for every residue x, the bitmask of
+        {t*x mod n : t in T}. A pair is accepted exactly when |M|*|S| = n-1
+        and the entries at the other side's residues OR to exactly the
+        nonzero residues. n-1 products that reach all n-1 nonzero residues
+        reach each once and never 0, so this accepts exactly the pairs the
+        dataclass constructor accepts. A rejected pair raises NotASplitting
+        with the report that constructor gives, and no later certificate is
+        made.
+        """
+        n = group.modulus
+        full = (1 << n) - 2
+        elements = [(x,) for x in range(n)]
+        multipliers = dict.fromkeys(m for m, _ in pairs)
+        splitters = dict.fromkeys(s for _, s in pairs)
+        fix_multipliers = len(multipliers) <= len(splitters)
+        # Each side's tuple maps to its field value and its key: the orbit-mask
+        # table on the fixed side, the residues that index it on the other.
+        for m_vals in multipliers:
+            M = MultiplierSet(m_vals)
+            residues = M.residues(n)
+            multipliers[m_vals] = M, _orbit_masks(n, residues) if fix_multipliers else residues
+        for s_vals in splitters:
+            if not all(0 <= s < n for s in s_vals):
+                raise ValueError(f"splitter residues must lie in 0..{n - 1}, got {s_vals}")
+            S = tuple([elements[s] for s in s_vals])
+            splitters[s_vals] = S, s_vals if fix_multipliers else _orbit_masks(n, s_vals)
+        # The slot descriptors fill a frozen certificate without __init__,
+        # whose __post_init__ would check the products again.
+        set_group, set_m, set_s = cls.group.__set__, cls.multipliers.__set__, cls.splitters.__set__
+        pairs.reverse()
+        while pairs:
+            m_vals, s_vals = pairs.pop()
+            M, m_key = multipliers[m_vals]
+            S, s_key = splitters[s_vals]
+            table, other = (m_key, s_key) if fix_multipliers else (s_key, m_key)
+            covered = reduce(or_, map(table.__getitem__, other), 0)
+            if len(m_vals) * len(s_vals) != n - 1 or covered != full:
+                raise NotASplitting(group, _check_products(group, M, S))
+            cert = cls.__new__(cls)
+            set_group(cert, group)
+            set_m(cert, M)
+            set_s(cert, S)
+            yield cert
+
+
+def _orbit_masks(n: int, values: Sequence[int]) -> list[int]:
+    """Per residue x of Z_n, the bitmask of {v*x mod n : v in values}; bit r is residue r."""
+    return [reduce(or_, [1 << (v * x % n) for v in values], 0) for x in range(n)]
 
 
 def make_certificate(
@@ -249,12 +319,14 @@ def s87_property_check(cert: SplittingCertificate) -> bool:
     """For cyclic groups of odd prime-power order p^t: true iff all multiplier
     residues are coprime to p or all splitters are coprime to p.
 
-    Groups whose order is not an odd prime power are rejected.
+    Groups not in cyclic form, and those whose order is not an odd prime
+    power, are rejected.
     """
     G = cert.group
-    n = G.modulus
+    if len(G.factors) != 1:
+        raise ValueError(f"{G} is not in cyclic form")
     fac = G.order_factorization
     if len(fac) != 1 or fac[0][0] == 2:
-        raise ValueError(f"group order {n} is not an odd prime power")
+        raise ValueError(f"group order {G.factors[0]} is not an odd prime power")
     p = fac[0][0]  # p divides n, so v mod p is the residue of v mod n, mod p
     return all(v % p for v in cert.multipliers.values) or all(s % p for (s,) in cert.splitters)

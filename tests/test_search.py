@@ -31,7 +31,12 @@ from abelsplit.search import (
     enumerate_all_splittings,
     search_splitter,
 )
-from abelsplit.splitting import MultiplierSet, canonical_splitters, verify_splitting
+from abelsplit.splitting import (
+    MultiplierSet,
+    canonical_splitters,
+    classify_multipliers,
+    verify_splitting,
+)
 
 Z = FiniteAbelianGroup.cyclic
 
@@ -322,14 +327,15 @@ def test_enumerate_reverifies_every_cover(monkeypatch):
 def test_enumerate_certification_spends_the_budget(monkeypatch):
     # the clock jumps past the deadline once the first certificate is made,
     # after the cover loop has ended, and every later spend reads it
-    real_certificate, real_monotonic = search.SplittingCertificate, time.monotonic
+    real_batch, real_monotonic = search.SplittingCertificate.batch, time.monotonic
     certified = []
 
-    def certificate(*args):
-        certified.append(args)
-        return real_certificate(*args)
+    def batch(group, pairs):
+        for cert in real_batch(group, pairs):
+            certified.append(cert)
+            yield cert
 
-    monkeypatch.setattr(search, "SplittingCertificate", certificate)
+    monkeypatch.setattr(search.SplittingCertificate, "batch", batch)
     monkeypatch.setattr(search, "_TIME_STRIDE", 1)
     monkeypatch.setattr(search.time, "monotonic",
                         lambda: real_monotonic() + (1e6 if certified else 0.0))
@@ -354,13 +360,15 @@ def test_enumerate_sides_agree():
 def test_enumerate_shares_multiplier_sets():
     # |M| = 4 in Z_9 enumerates the splitter side; every certificate of one
     # multiplier set still shares one MultiplierSet, those of one splitter
-    # set share one splitters tuple, and none has computed its classification
+    # set share one splitters tuple; a certificate is slotted, so it keeps no
+    # instance dict, and its classification is computed on each read
     certs = enumerate_all_splittings(9, 4)
     assert len(certs) == 72
     assert len({c.multipliers.values for c in certs}) == 16
     assert len({id(c.multipliers) for c in certs}) == 16
     assert len({id(c.splitters) for c in certs}) == len({c.splitters for c in certs})
-    assert all("classification" not in vars(c) for c in certs)
+    assert not any(hasattr(c, "__dict__") for c in certs)
+    assert all(c.classification == classify_multipliers(c.group, c.multipliers) for c in certs)
 
 
 def _pairs(certs):

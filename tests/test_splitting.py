@@ -1,13 +1,15 @@
 import re
+from functools import lru_cache
 from itertools import product
 from math import gcd
 
 import pytest
 from helpers import verify_splitting_by_elements
-from hypothesis import event, example, given
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from abelsplit.groups import FiniteAbelianGroup
+from abelsplit.search import FOUND, SearchConfig, enumerate_all_splittings, search_splitter
 from abelsplit.splitting import (
     MIXED_SINGULAR,
     NONSINGULAR,
@@ -17,6 +19,7 @@ from abelsplit.splitting import (
     MultiplierSet,
     NotASplitting,
     SplittingCertificate,
+    _check_products,
     canonical_splitters,
     classify_multipliers,
     make_certificate,
@@ -253,7 +256,142 @@ def test_s87_examples():
         s87_property_check(trivial_certificate(1))  # order 2: even prime power
 
 
+def test_s87_rejects_non_cyclic_prime_power_order():
+    # Z_3 x Z_3 has odd prime-power order 9, and this is one of its splittings
+    G = FiniteAbelianGroup((3, 3))
+    cert = make_certificate(G, MultiplierSet.explicit([1, 2]), [(1, 0), (0, 1), (1, 1), (1, 2)])
+    with pytest.raises(ValueError, match=re.escape(str(G))):
+        s87_property_check(cert)
+
+
 def test_counting_condition_of_certificates():
     for k, which in [(5, ORDER_K_PLUS_1), (5, ORDER_2K_PLUS_1), (12, ORDER_2K_PLUS_1)]:
         cert = trivial_certificate(k, which)
         assert len(cert.multipliers) * len(cert.splitters) == cert.group.order - 1
+
+
+# -- SplittingCertificate.batch against the one-certificate check ----------------
+
+_SMALL = 21  # every enumeration of an order up to this takes 0.3 s in all
+
+
+@lru_cache(maxsize=None)
+def _enumerated_pairs(n, size):
+    return [(c.multipliers.values, tuple(s for (s,) in c.splitters))
+            for c in enumerate_all_splittings(n, size)]
+
+
+@lru_cache(maxsize=None)
+def _found_pairs(n, m_vals):
+    """The splitter set search_splitter finds for M, and its unit multiples."""
+    out = search_splitter(Z(n), MultiplierSet(m_vals), SearchConfig(10_000, None))
+    if out.result != FOUND:
+        return []
+    units = [u for u in range(1, n) if gcd(u, n) == 1]
+    return [(m_vals, tuple(sorted(u * s % n for s in out.splitters))) for u in units]
+
+
+@st.composite
+def batch_inputs(draw):
+    """Z_n for n <= 40, |M| dividing n-1, and a list of (M values, S residues).
+
+    The pairs are splittings that enumerate_all_splittings yields (orders up
+    to _SMALL) or that search_splitter finds for a drawn M, else a drawn S
+    of the matching size. Up to two of them are mutated: a residue of either
+    side replaced (M by values up to 2n, so multiples of n occur), a
+    splitter repeated or replaced by 0, or either side one element too
+    large or too small.
+    """
+    n = draw(st.integers(2, 40))
+    size = draw(st.sampled_from([d for d in range(1, n) if (n - 1) % d == 0]))
+    if n <= _SMALL:
+        pool = _enumerated_pairs(n, size)
+    else:
+        m_vals = tuple(sorted(draw(st.sets(st.integers(1, n - 1), min_size=size, max_size=size))))
+        pool = _found_pairs(n, m_vals)
+    residue = st.integers(0, n - 1)
+    count = draw(st.integers(1, 6))
+    mutated = draw(st.sets(st.integers(0, count - 1), max_size=2))
+    pairs = []
+    for i in range(count):
+        if pool:
+            m, s = draw(st.sampled_from(pool))
+            m, s = list(m), list(s)
+        else:
+            m = sorted(draw(st.sets(st.integers(1, n - 1), min_size=size, max_size=size)))
+            s = draw(st.permutations(range(1, n)))[:(n - 1) // size]
+        mutation = draw(st.sampled_from(["m", "s", "repeat", "zero", "m_size", "s_size"])) \
+            if i in mutated else None
+        if mutation == "m":
+            m[draw(st.integers(0, len(m) - 1))] = draw(st.integers(1, 2 * n))
+        elif mutation == "m_size":
+            if len(m) > 1 and draw(st.booleans()):
+                m.pop(draw(st.integers(0, len(m) - 1)))
+            else:
+                m.append(draw(st.integers(1, 2 * n)))
+        elif mutation == "s" and s:
+            s[draw(st.integers(0, len(s) - 1))] = draw(residue)
+        elif mutation == "repeat" and s:
+            s.append(s[draw(st.integers(0, len(s) - 1))])
+            if draw(st.booleans()):  # keep the size
+                s.pop(draw(st.integers(0, len(s) - 2)))
+        elif mutation == "zero" and s:
+            s[draw(st.integers(0, len(s) - 1))] = 0
+        elif mutation == "s_size":
+            if s and draw(st.booleans()):
+                s.pop()
+            else:
+                s.append(draw(residue))
+        pairs.append((tuple(sorted(set(m))), tuple(s)))
+    return n, pairs
+
+
+@settings(max_examples=150)
+@given(batch_inputs())
+@example((27, [((1, 2), (1, 3, 4, 7, 9, 10, 12, 13, 16, 19, 21, 22, 25)),
+               (tuple(range(1, 14)), (1, 26)),
+               ((1, 2), (1, 3, 4, 7, 9, 10, 12, 13, 16, 19, 21, 22, 0))]))  # zero hit
+@example((9, [((1, 2), (1, 3, 4, 7)), ((1, 2), (1, 3, 4, 4))]))  # collision
+@example((9, [((1, 2, 3, 4), (1, 8)), ((1, 2, 3, 6), (1, 8))]))  # collision, S fixed
+@example((9, [((1, 2), (1, 3, 4, 7)), ((2, 4, 7, 8), (1, 3))]))  # count mismatch
+@example((1, []))  # an empty batch
+def test_batch_accepts_exactly_what_the_constructor_accepts(inputs):
+    n, pairs = inputs
+    G = Z(n)
+    accepted, rejected = [], None
+    for m, s in pairs:
+        report = _check_products(G, MultiplierSet(m), tuple((x,) for x in s))
+        if not report.is_valid:
+            rejected = report
+            break
+        accepted.append((m, s))
+    event("rejected" if rejected else "accepted")
+    made = []
+    try:
+        for cert in SplittingCertificate.batch(G, list(pairs)):
+            assert cert.group is G
+            made.append((cert.multipliers.values, tuple(x for (x,) in cert.splitters)))
+    except NotASplitting as exc:
+        assert rejected is not None and exc.report == rejected
+        event(rejected.failure.kind)
+    else:
+        assert rejected is None
+    assert made == accepted
+
+
+def test_batch_shares_fields_and_empties_its_list():
+    pairs = [((1, 2), (1, 3, 4, 7)), ((1, 2), (1, 4, 6, 7)), ((1, 8), (1, 2, 3, 4))]
+    given_pairs = list(pairs)
+    certs = list(SplittingCertificate.batch(Z(9), given_pairs))
+    assert given_pairs == []
+    assert [(c.multipliers.values, c.splitters) for c in certs] == [
+        (m, tuple((x,) for x in s)) for m, s in pairs]
+    assert certs[0].multipliers is certs[1].multipliers
+    assert certs[0].splitters[0] is certs[1].splitters[0] is certs[2].splitters[0]
+
+
+def test_batch_rejects_out_of_range_splitters_and_non_cyclic_groups():
+    with pytest.raises(ValueError, match="0..8"):
+        list(SplittingCertificate.batch(Z(9), [((1, 2), (1, 3, 4, 16))]))
+    with pytest.raises(ValueError, match="cyclic"):
+        list(SplittingCertificate.batch(FiniteAbelianGroup((3, 3)), []))
