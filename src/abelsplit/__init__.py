@@ -50,7 +50,6 @@ from .counting import (
     StratificationProfile,
     TwReport,
     abcde_profile,
-    base_p_digits,
     check_counting_identity,
     counting_witness,
     decompose_k,

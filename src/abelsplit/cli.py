@@ -385,10 +385,17 @@ def s87(order, out, node_limit, time_limit_s) -> None:
     sizes = [d for d in range(1, order) if (order - 1) % d == 0]
     checks = []
     for size in sizes:
-        certs = searchlib.enumerate_all_splittings(order, size, config)
-        holds = sum(1 for c in certs if splitting.s87_property_check(c))
-        checks.append(_row(f"multiplier_size_{size}", len(certs), holds, holds == len(certs)))
+        count, holds = _s87_counts(order, size, config)
+        checks.append(_row(f"multiplier_size_{size}", count, holds, holds == count))
     _report("s87", {"order": order, "sizes": sizes}, checks, out)
+
+
+def _s87_counts(order: int, size: int, config: searchlib.SearchConfig) -> tuple[int, int]:
+    """How many splittings of Z_order have |M| = size, and how many of them
+    have the s87 property. The certificates die on return, so the next
+    size's enumeration does not run while they are held."""
+    certs = searchlib.enumerate_all_splittings(order, size, config)
+    return len(certs), sum(map(splitting.s87_property_check, certs))
 
 
 if __name__ == "__main__":

@@ -12,24 +12,13 @@ scan's counting sieve.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from math import gcd, prod
 
 from .groups import factorize, is_prime, p_adic_valuation
 from .splitting import INTERVAL, PURELY_SINGULAR, SplittingCertificate
-
-
-def base_p_digits(k: int, p: int) -> tuple[int, ...]:
-    """Little-endian base-p digits; empty for zero, no trailing zero digit."""
-    if k < 0:
-        raise ValueError(f"k must be nonnegative, got {k}")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    digits = []
-    while k:
-        k, b = divmod(k, p)
-        digits.append(b)
-    return tuple(digits)
 
 
 @dataclass(frozen=True)
@@ -65,22 +54,32 @@ def decompose_k(k: int, p: int, m: int) -> KDecomposition:
         raise ValueError(f"{p} is not prime")
     if m < 1 or m % p == 0:
         raise ValueError(f"m must be positive and coprime to {p}, got {m}")
-    t = k - k // p
-    beta = p_adic_valuation(t, p)
-    d = gcd(t, p - 1)
-    return KDecomposition(k, p, m, beta, d, t // (p**beta * d))
+    r, beta = k - k // p, 0
+    while not r % p:  # k - k // p >= 1, so this ends
+        r //= p
+        beta += 1
+    d = gcd(r, p - 1)  # p**beta is prime to p - 1, so this is gcd(k - k // p, p - 1)
+    return KDecomposition(k, p, m, beta, d, r // d)
 
 
 def digit_pattern_check(dec: KDecomposition) -> bool:
     """Digits b_0..b_beta of k in base p all agree, and the next digit
-    differs whenever it exists. Holds for every (k, p); a False is a bug."""
-    digits = base_p_digits(dec.k, dec.p)
-    beta = dec.beta
-    if any(b != digits[0] for b in digits[1 : beta + 1]):
-        return False
-    if len(digits) > beta + 1 and digits[beta + 1] == digits[beta]:
-        return False
-    return True
+    differs whenever it exists. Holds for every (k, p); a False is a bug.
+
+    Read off the number: with q = p**(beta + 1) and b = k mod p, the low
+    digits agree exactly when k mod q == b * (q - 1) / (p - 1), and digit
+    beta + 1 is floor(k / q) mod p. When k has fewer than beta + 1 digits,
+    which decompose_k never gives, only the digits k has must agree, so q
+    drops to the least power of p above k.
+    """
+    k, p = dec.k, dec.p
+    q = p ** (dec.beta + 1)
+    if k < q:
+        q = p
+        while q <= k:
+            q *= p
+    b = k % p
+    return k % q == b * (q - 1) // (p - 1) and (k < q or k // q % p != b)
 
 
 @dataclass(frozen=True)
@@ -182,11 +181,14 @@ def check_counting_identity(cert: SplittingCertificate, p: int, i: int) -> bool:
     profile = stratify(cert, p)
     if not 1 <= i <= profile.alpha:
         raise ValueError(f"stratum index {i} outside 1..{profile.alpha}")
-    residues = cert.multipliers.residues(n)
-    lhs = 0
-    for j in range(i, profile.alpha + 1):
-        count = sum(1 for r in residues if p_adic_valuation(r, p) == j - i)
-        lhs += count * profile.s_counts[j]
+    values = cert.multipliers.values
+    if not all(map(n.__rmod__, values)):
+        raise ValueError("valuation needs a positive integer, got 0")
+    # p**alpha divides n, so gcd(v, p**alpha) = gcd(v mod n, p**alpha) =
+    # p**min(val_p(v mod n), alpha): one tally of every residue's
+    # valuation, in which alpha and above never count
+    tally = Counter(map(partial(gcd, p**profile.alpha), values))
+    lhs = sum(tally[p ** (j - i)] * profile.s_counts[j] for j in range(i, profile.alpha + 1))
     return lhs == profile.g_counts[i]
 
 

@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import product
-from operator import or_
+from math import prod
+from operator import itemgetter, or_
 from typing import Iterable, Iterator, Sequence
 
 from .groups import Element, FiniteAbelianGroup
@@ -328,5 +329,7 @@ def s87_property_check(cert: SplittingCertificate) -> bool:
     fac = G.order_factorization
     if len(fac) != 1 or fac[0][0] == 2:
         raise ValueError(f"group order {G.factors[0]} is not an odd prime power")
-    p = fac[0][0]  # p divides n, so v mod p is the residue of v mod n, mod p
-    return all(v % p for v in cert.multipliers.values) or all(s % p for (s,) in cert.splitters)
+    # p divides n, so v mod p is the residue of v mod n, mod p; and a prime
+    # divides a product exactly when it divides one of its factors
+    p = fac[0][0]
+    return bool(prod(cert.multipliers.values) % p or prod(map(itemgetter(0), cert.splitters)) % p)

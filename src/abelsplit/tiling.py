@@ -10,7 +10,7 @@ equal lattices serialize identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import prod
 from typing import Sequence
 
@@ -27,18 +27,42 @@ class ErrorBallShape:
     dimension: int
     k_plus: int
     points: tuple[Vector, ...]
+    # per point, (axis, offset) of its one nonzero coordinate; (None, 0) for
+    # the origin and (None, point) for a point off the axes
+    _arms: tuple[tuple, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        arms = []
+        for p in self.points:
+            nonzero = [(i, o) for i, o in enumerate(p) if o]
+            if len(nonzero) == 1:
+                arms.append(nonzero[0])
+            else:
+                arms.append((None, tuple(p) if nonzero else 0))
+        object.__setattr__(self, "_arms", tuple(arms))
 
     def at(self, anchor: Sequence[int]) -> tuple[Vector, ...]:
         """The cells of the translate anchored at anchor.
 
-        Where an offset is 0 the cell reuses the anchor's int rather than
-        a new sum. Coordinates beyond CPython's small-int cache (a box
-        thousands of cells from the origin) then cost at most one new int
-        per cell, not one per axis.
+        A cell on an arm is the anchor with one coordinate replaced, and
+        the origin's cell is the anchor tuple itself, so every other
+        coordinate reuses the anchor's int rather than a new sum.
+        Coordinates beyond CPython's small-int cache (a box thousands of
+        cells from the origin) then cost at most one new int per cell,
+        not one per axis.
         """
         if len(anchor) != self.dimension:
             raise ValueError(f"anchor {tuple(anchor)} does not have dimension {self.dimension}")
-        return tuple(tuple(a + o if o else a for a, o in zip(anchor, p)) for p in self.points)
+        anchor = tuple(anchor)
+        cells = []
+        for i, o in self._arms:
+            if not o:
+                cells.append(anchor)
+            elif i is None:
+                cells.append(tuple(a + c if c else a for a, c in zip(anchor, o)))
+            else:
+                cells.append(anchor[:i] + (anchor[i] + o,) + anchor[i + 1:])
+        return tuple(cells)
 
 
 def semi_cross(n: int, k: int) -> ErrorBallShape:
@@ -235,9 +259,28 @@ def export_translates(
     for lo, hi in box:
         stride //= hi - lo + 1
         bounds.append((lo, hi, stride))
+    # an anchor in the box shrunk by the shape's extent has its whole
+    # translate inside, so its cells sit at fixed offsets from its own index
+    interior = [
+        (lo - offset_min[i], hi - offset_max[i], lo, stride)
+        for i, (lo, hi, stride) in enumerate(bounds)
+    ]
+    linear = [sum(c * s for c, (_, _, s) in zip(p, bounds)) for p in shape.points]
     out = []
     for anchor in lattice.points_in(ranges):
         cells = shape.at(anchor)
+        base = 0
+        for a, (inner_lo, inner_hi, lo, stride) in zip(anchor, interior):
+            if not inner_lo <= a <= inner_hi:
+                break
+            base += (a - lo) * stride
+        else:
+            for cell, offset in zip(cells, linear):
+                if covered[base + offset]:
+                    raise ValueError(f"not a tiling: cell {cell} covered twice")
+                covered[base + offset] = 1
+            out.append((anchor, cells))
+            continue
         meets = False
         for cell in cells:
             index = 0

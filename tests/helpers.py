@@ -26,15 +26,22 @@ violation's certificate by trial division where certio calls the library's
 classifier, and the tiling export oracle is the reader that splits
 the text into lines and compares it with a second, rebuilt text, where
 certio checks it block by block in place.
+The digit-pattern oracle reads k's digit tuple where the library tests
+two congruences; the counting-identity oracle takes one valuation per
+residue and stratum where the library tallies gcds once; the s87 oracle
+tests every residue where the library reduces two products; and the
+export oracle bounds-checks every cell of every translate into a set where
+the library marks whole interior translates at precomputed offsets.
 Agreement between the two routes is the point.
 """
 
 import json
 from fractions import Fraction
 from itertools import combinations, product
+from math import prod
 
 from abelsplit.certio import DocumentError, tiling_export_text
-from abelsplit.counting import StratificationProfile
+from abelsplit.counting import KDecomposition, StratificationProfile
 from abelsplit.groups import FiniteAbelianGroup, is_prime, p_adic_valuation
 from abelsplit.search import SearchConfig, _Budget, _exact_covers, _row_source
 from abelsplit.splitting import (
@@ -225,6 +232,52 @@ def stratify_by_enumeration(cert: SplittingCertificate, p: int) -> Stratificatio
     return StratificationProfile(p, len(g_counts) - 1, g_counts, tuple(s_counts))
 
 
+def base_p_digits(k: int, p: int) -> tuple[int, ...]:
+    """Little-endian base-p digits; empty for zero, no trailing zero digit."""
+    if k < 0:
+        raise ValueError(f"k must be nonnegative, got {k}")
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    digits = []
+    while k:
+        k, b = divmod(k, p)
+        digits.append(b)
+    return tuple(digits)
+
+
+def digit_pattern_by_digits(dec: KDecomposition) -> bool:
+    """The digit pattern of dec.k read from its digit tuple: digits
+    b_0..b_beta that k has all agree, and digit beta + 1, when k has it,
+    differs from digit beta."""
+    digits = base_p_digits(dec.k, dec.p)
+    beta = dec.beta
+    if any(b != digits[0] for b in digits[1 : beta + 1]):
+        return False
+    if len(digits) > beta + 1 and digits[beta + 1] == digits[beta]:
+        return False
+    return True
+
+
+def counting_identity_by_valuations(cert: SplittingCertificate, p: int, i: int) -> bool:
+    """The stratum-i counting identity, counting for each stratum j >= i
+    the multiplier residues of p-valuation j - i one valuation at a time."""
+    n = cert.group.modulus
+    profile = stratify_by_enumeration(cert, p)
+    residues = cert.multipliers.residues(n)
+    lhs = 0
+    for j in range(i, profile.alpha + 1):
+        count = sum(1 for r in residues if p_adic_valuation(r, p) == j - i)
+        lhs += count * profile.s_counts[j]
+    return lhs == profile.g_counts[i]
+
+
+def s87_by_residues(cert: SplittingCertificate) -> bool:
+    """The s87 property of a certificate of Z_(p**t), p the group order's
+    one prime: every multiplier, or every splitter, is prime to p."""
+    (p, _), = cert.group.order_factorization
+    return all(v % p for v in cert.multipliers.values) or all(s % p for (s,) in cert.splitters)
+
+
 def _solve_by_fractions(a: list[list[int]], b: list[int]) -> list[Fraction]:
     """x with a x = b for a square nonsingular a, by Gauss-Jordan
     elimination in Fractions."""
@@ -369,6 +422,37 @@ def verify_tiling_by_basis(
         seen.add(image)
     verdict = len(seen) == len(shape.points) == lattice.index
     return TilingCertificate(verdict)
+
+
+def cells_by_coordinates(shape: ErrorBallShape, anchor) -> tuple[tuple[int, ...], ...]:
+    """The cells of the translate at anchor, one coordinate sum at a time;
+    a zero offset keeps the anchor's int."""
+    return tuple(tuple(a + o if o else a for a, o in zip(anchor, p)) for p in shape.points)
+
+
+def export_translates_by_cells(lattice: IntegerLattice, shape: ErrorBallShape, box):
+    """export_translates with every cell of every translate bounds-checked
+    against the box, anchor by anchor in ascending order, and with the same
+    errors: the first cell covered a second time, then any uncovered cell."""
+    if any(lo > hi for lo, hi in box):
+        return []
+    ranges = [
+        range(lo - max(p[i] for p in shape.points), hi - min(p[i] for p in shape.points) + 1)
+        for i, (lo, hi) in enumerate(box)
+    ]
+    covered, out = set(), []
+    for anchor in lattice.points_in(ranges):
+        cells = cells_by_coordinates(shape, anchor)
+        inside = [c for c in cells if all(lo <= x <= hi for x, (lo, hi) in zip(c, box))]
+        for cell in inside:
+            if cell in covered:
+                raise ValueError(f"not a tiling: cell {cell} covered twice")
+            covered.add(cell)
+        if inside:
+            out.append((anchor, cells))
+    if len(covered) != prod(hi - lo + 1 for lo, hi in box):
+        raise ValueError("not a tiling: box has uncovered cells")
+    return out
 
 
 def parse_tiling_export_by_lines(text: str):

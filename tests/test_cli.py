@@ -1,5 +1,6 @@
 import hashlib
 import json
+import weakref
 from dataclasses import replace
 
 import click
@@ -905,6 +906,25 @@ def test_check_s87(runner):
     result = runner.invoke(main, ["check", "s87", "-N", "9"])
     assert result.exit_code == 0
     assert _summary(result) == "check=s87 checks=4 failures=0 verdict=pass"
+
+
+def test_check_s87_frees_each_size_before_the_next(runner, monkeypatch):
+    class Certificates(list):  # a list that a weak reference can watch
+        pass
+
+    enumerate_all = searchlib.enumerate_all_splittings
+    lists, alive_at_call = [], []
+
+    def enumerate_watched(order, size, config=None):
+        alive_at_call.append([ref() is not None for ref in lists])
+        certs = Certificates(enumerate_all(order, size, config))
+        lists.append(weakref.ref(certs))
+        return certs
+
+    monkeypatch.setattr(searchlib, "enumerate_all_splittings", enumerate_watched)
+    result = runner.invoke(main, ["check", "s87", "-N", "9"])
+    assert result.exit_code == 0, result.output
+    assert alive_at_call == [[], [False], [False, False], [False, False, False]]
 
 
 def test_check_s87_rejects_non_prime_power(runner):

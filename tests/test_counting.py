@@ -3,17 +3,21 @@ from math import gcd
 import pytest
 import sympy
 from helpers import (
+    base_p_digits,
     coprime_count_by_enumeration,
+    counting_identity_by_valuations,
     counting_witness_by_fractions,
+    digit_pattern_by_digits,
     naive_splitting_exists,
     stratify_by_enumeration,
 )
 from hypothesis import given
 from hypothesis import strategies as st
 
+from abelsplit import splitting
 from abelsplit.counting import (
+    KDecomposition,
     abcde_profile,
-    base_p_digits,
     check_counting_identity,
     counting_witness,
     decompose_k,
@@ -26,7 +30,9 @@ from abelsplit.groups import FiniteAbelianGroup, factorize, is_prime
 from abelsplit.scan import purely_singular_candidates
 from abelsplit.splitting import (
     PURELY_SINGULAR,
+    VALID,
     MultiplierSet,
+    VerificationReport,
     make_certificate,
     trivial_certificate,
 )
@@ -94,6 +100,46 @@ def test_digit_pattern_small_sweep():
     for p in (2, 3, 5, 7, 11, 13):
         for k in range(1, 3000):
             assert digit_pattern_check(decompose_k(k, p, 1)), (k, p)
+
+
+@given(st.integers(1, 10**6), st.sampled_from(SMALL_PRIMES))
+def test_digit_pattern_agrees_with_the_digit_tuple(k, p):
+    dec = decompose_k(k, p, 1)
+    assert digit_pattern_check(dec) is digit_pattern_by_digits(dec) is True
+
+
+def _hand_built(k, p, beta):
+    return KDecomposition(k, p, 1, beta, 1, 1)
+
+
+@st.composite
+def hand_built_decompositions(draw):
+    """k from up to eight drawn base-p digits, and any beta up to three past
+    k's digit count, so both ways the pattern fails come up often."""
+    p = draw(st.sampled_from(SMALL_PRIMES[:6]))
+    digits = draw(st.lists(st.integers(0, p - 1), max_size=8))
+    beta = draw(st.integers(0, len(digits) + 3))
+    return _hand_built(sum(b * p**i for i, b in enumerate(digits)), p, beta)
+
+
+@given(hand_built_decompositions())
+def test_digit_pattern_agrees_on_hand_built_decompositions(dec):
+    assert digit_pattern_check(dec) is digit_pattern_by_digits(dec)
+
+
+def test_digit_pattern_hand_built_shapes():
+    cases = [
+        ((4, 3, 5), True),  # 4 = (1, 1) in base 3: beta past the digits, all of them agree
+        ((5, 3, 5), False),  # 5 = (2, 1): beta past the digits, which disagree
+        ((0, 3, 2), True),  # no digits at all
+        ((5, 3, 1), False),  # low digits b_0 = 2, b_1 = 1 disagree
+        ((8, 3, 0), False),  # 8 = (2, 2): digit beta + 1 equals digit beta
+        ((26, 3, 1), False),  # 26 = (2, 2, 2)
+        ((26, 3, 2), True),
+    ]
+    for (k, p, beta), expected in cases:
+        dec = _hand_built(k, p, beta)
+        assert digit_pattern_check(dec) is digit_pattern_by_digits(dec) is expected, dec
 
 
 def test_stratify_z9():
@@ -214,6 +260,36 @@ def test_counting_identity_explicit_multipliers():
     cert = make_certificate(Z(9), MultiplierSet.explicit([1, 2]), [(1,), (3,), (4,), (7,)])
     for i in (1, 2):
         assert check_counting_identity(cert, 3, i)
+
+
+def test_counting_identity_agrees_with_per_stratum_valuations():
+    # in Z_45, alpha = 2 at p = 3, and the multiplier 27 (or 72, or -18)
+    # has 3-valuation 3: above alpha, so it counts in no stratum
+    cert45 = trivial_certificate(44)
+    certs = [cert45, trivial_certificate(24), trivial_certificate(13, "order_2k_plus_1")]
+    for twin in (72, -18):
+        values = [twin if v == 27 else v for v in cert45.multipliers.values]
+        certs.append(make_certificate(Z(45), MultiplierSet.explicit(values), [(1,)]))
+    certs.append(make_certificate(Z(9), MultiplierSet.explicit([1, 2]), [(1,), (3,), (4,), (7,)]))
+    checked = 0
+    for cert in certs:
+        for p, alpha in cert.group.order_factorization:
+            for i in range(1, alpha + 1):
+                assert check_counting_identity(cert, p, i) is counting_identity_by_valuations(
+                    cert, p, i
+                ), (cert.group, cert.multipliers.values, p, i)
+                checked += 1
+    assert checked == 16
+
+
+def test_counting_identity_refuses_a_zero_residue(monkeypatch):
+    # a verified certificate has no multiplier divisible by the group order,
+    # so the check sees one only when verification is bypassed
+    monkeypatch.setattr(splitting, "_check_products", lambda *args: VerificationReport(VALID))
+    cert = splitting.SplittingCertificate(Z(9), MultiplierSet.explicit([1, 18]), ((1,), (2,)))
+    for check in (check_counting_identity, counting_identity_by_valuations):
+        with pytest.raises(ValueError, match="got 0"):
+            check(cert, 3, 1)
 
 
 def test_counting_identity_stratum_range():

@@ -4,7 +4,7 @@ from itertools import product
 from math import gcd
 
 import pytest
-from helpers import verify_splitting_by_elements
+from helpers import s87_by_residues, verify_splitting_by_elements
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
@@ -262,6 +262,28 @@ def test_s87_rejects_non_cyclic_prime_power_order():
     cert = make_certificate(G, MultiplierSet.explicit([1, 2]), [(1, 0), (0, 1), (1, 1), (1, 2)])
     with pytest.raises(ValueError, match=re.escape(str(G))):
         s87_property_check(cert)
+
+
+def test_s87_product_agrees_with_every_residue():
+    checked = negated = 0
+    for n in (9, 25, 27):
+        p = 5 if n == 25 else 3
+        for size in (d for d in range(1, n) if (n - 1) % d == 0):
+            for cert in enumerate_all_splittings(n, size):
+                assert s87_property_check(cert) is s87_by_residues(cert), (n, cert)
+                checked += 1
+                if n == 9 and any(v % p == 0 for v in cert.multipliers.values):
+                    # v - n has v's residue, so this is still a splitting,
+                    # and its multiplier product is negative
+                    values = [v - n if v % p == 0 else v for v in cert.multipliers.values]
+                    cert = SplittingCertificate(
+                        cert.group, MultiplierSet.explicit(values), cert.splitters
+                    )
+                    assert s87_property_check(cert) is s87_by_residues(cert) is True
+                    negated += 1
+    assert (checked, negated) == (156 + 156_840 + 152_964, 78)
+    cert = make_certificate(Z(27), MultiplierSet.explicit([-1, 1]), [(s,) for s in range(1, 14)])
+    assert s87_property_check(cert) is s87_by_residues(cert) is True
 
 
 def test_counting_condition_of_certificates():

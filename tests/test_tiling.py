@@ -3,13 +3,14 @@ from itertools import product
 from math import gcd
 
 import pytest
-from helpers import verify_tiling_by_basis
+from helpers import cells_by_coordinates, export_translates_by_cells, verify_tiling_by_basis
 from hypothesis import given
 from hypothesis import strategies as st
 
 from abelsplit.groups import FiniteAbelianGroup
 from abelsplit.splitting import MultiplierSet, make_certificate, trivial_certificate
 from abelsplit.tiling import (
+    ErrorBallShape,
     IntegerLattice,
     LatticeHom,
     export_translates,
@@ -238,3 +239,87 @@ def test_translate_cells_check_the_anchor_length():
     assert shape.at(list(anchor)) == cells
     with pytest.raises(ValueError):
         shape.at((0, 0))
+
+
+def _export_or_error(export, lattice, shape, box):
+    try:
+        return export(lattice, shape, box)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _interior(anchor, shape, box):
+    """Whether the whole translate at anchor lies inside the box."""
+    return all(
+        lo - min(p[i] for p in shape.points) <= a <= hi - max(p[i] for p in shape.points)
+        for i, (a, (lo, hi)) in enumerate(zip(anchor, box))
+    )
+
+
+def test_export_of_a_box_smaller_than_the_shape_has_no_interior_anchor():
+    _, lattice = lattice_from_splitting(trivial_certificate(6, "order_2k_plus_1"))
+    shape, box = semi_cross(2, 6), [(3, 6), (-2, 1)]
+    translates = export_translates(lattice, shape, box)
+    assert translates == export_translates_by_cells(lattice, shape, box)
+    assert translates and not any(_interior(a, shape, box) for a, _ in translates)
+
+
+def test_export_where_every_anchor_is_interior():
+    lattice, shape, box = IntegerLattice(((4,),)), semi_cross(1, 3), [(-8, 11)]
+    translates = export_translates(lattice, shape, box)
+    assert translates == export_translates_by_cells(lattice, shape, box)
+    anchors = lattice.points_in([range(-11, 12)])
+    assert [a for a, _ in translates] == anchors == [(-8,), (-4,), (0,), (4,), (8,)]
+    assert all(_interior(a, shape, box) for a in anchors)
+    lattice = IntegerLattice(((5,),))  # a gap after every translate
+    assert "uncovered" in _export_or_error(export_translates, lattice, shape, box)
+    assert _export_or_error(export_translates_by_cells, lattice, shape, box) == (
+        "not a tiling: box has uncovered cells"
+    )
+
+
+def test_export_names_a_double_cover_at_an_interior_anchor():
+    lattice = IntegerLattice(((4, 1), (0, 1)))  # index 4 under a 5-cell shape
+    shape, box = semi_cross(2, 2), [(-4, 5), (-4, 5)]
+    error = _export_or_error(export_translates, lattice, shape, box)
+    assert error == _export_or_error(export_translates_by_cells, lattice, shape, box)
+    cell = tuple(int(v) for v in re.search(r"cell \((.*)\) covered twice", error)[1].split(","))
+    # anchors are visited in ascending order, so the second owner of the
+    # cell is the anchor whose translate found it covered
+    owners = sorted(
+        a for a in (tuple(c - o for c, o in zip(cell, p)) for p in shape.points)
+        if lattice.points_in([range(x, x + 1) for x in a])
+    )
+    assert _interior(owners[1], shape, box)
+
+
+@st.composite
+def export_cases(draw):
+    """A 2-dimensional upper-triangular lattice, a semi-cross and a box,
+    which may be smaller than the shape. Half the lattices have the shape's
+    index 2k + 1, and the kernel of the weights (1, -1) among them tiles."""
+    k = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        d0, d1 = 2 * k + 1, 1
+    else:
+        d0, d1 = draw(st.integers(1, 9)), draw(st.integers(1, 5))
+    lattice = IntegerLattice(((d0, draw(st.integers(0, d0 - 1))), (0, d1)))
+    lo = draw(st.tuples(st.integers(-6, 6), st.integers(-6, 6)))
+    size = draw(st.tuples(st.integers(1, 12), st.integers(1, 12)))
+    return lattice, semi_cross(2, k), [(a, a + s - 1) for a, s in zip(lo, size)]
+
+
+@given(export_cases())
+def test_export_agrees_with_the_per_cell_loop(case):
+    expected = _export_or_error(export_translates_by_cells, *case)
+    assert _export_or_error(export_translates, *case) == expected
+
+
+def test_translate_cells_of_a_point_off_the_axes():
+    shape = ErrorBallShape(2, 1, ((0, 0), (0, 1), (1, 0), (1, 1), (-2, 3)))
+    for anchor in [(0, 0), (10**20, -(10**20)), [5, 7]]:
+        cells = shape.at(anchor)
+        assert cells == cells_by_coordinates(shape, anchor)
+        assert cells[0] == tuple(anchor)
+    assert shape == ErrorBallShape(2, 1, shape.points)
+    assert "_arms" not in repr(shape)
