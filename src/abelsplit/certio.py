@@ -454,10 +454,25 @@ def _export_head(k_plus: int, lattice: IntegerLattice, hom: LatticeHom, translat
     return "# " + json.dumps(header, sort_keys=True) + "\n" + ",".join(columns) + "\n"
 
 
-def _translate_rows(anchor, cells) -> str:
-    """One translate's block: a row per cell, the anchor's coordinates first."""
-    prefix = ",".join(map(str, anchor)) + ","
-    return "".join([prefix + ",".join(map(str, cell)) + "\n" for cell in cells])
+def _block_template(shape: ErrorBallShape) -> tuple[str, list[tuple[int, int]]]:
+    """One translate's block as a str.format template, and its fields.
+
+    The block has a row per point p of the shape: the anchor's coordinates,
+    then the cell's, anchor + p. Field j of the template is the string of
+    anchor[i] + o for the j-th distinct (axis i, offset o) of the rows, so
+    a block costs one str() per distinct coordinate, not one per entry.
+    """
+    fields: dict[tuple[int, int], int] = {}
+    rows = []
+    for p in shape.points:
+        keys = [(i, 0) for i in range(len(p))] + list(enumerate(p))
+        rows.append(",".join(f"{{{fields.setdefault(key, len(fields))}}}" for key in keys) + "\n")
+    return "".join(rows), list(fields)
+
+
+def _translate_rows(template: str, fields: list[tuple[int, int]], anchor) -> str:
+    """The block of the translate anchored at anchor, from _block_template."""
+    return template.format(*[str(anchor[i] + o) for i, o in fields])
 
 
 def tiling_export_text(
@@ -468,9 +483,18 @@ def tiling_export_text(
 ) -> str:
     """Header line (JSON after '# '), a CSV column line, then one block of
     rows per translate, in the order given: a row per cell, anchor
-    coordinates followed by cell coordinates."""
+    coordinates followed by cell coordinates.
+
+    The translates are export_translates' (anchor, cells) pairs, whose
+    cells are shape.at(anchor), so each block is written from its anchor
+    through the shape's one template. An anchor of another dimension than
+    the shape's raises ValueError."""
+    for anchor, _ in translates:
+        if len(anchor) != shape.dimension:
+            raise ValueError(f"anchor {tuple(anchor)} does not have dimension {shape.dimension}")
+    template, fields = _block_template(shape)
     blocks = [_export_head(shape.k_plus, lattice, hom, len(translates))]
-    blocks += [_translate_rows(anchor, cells) for anchor, cells in translates]
+    blocks += [_translate_rows(template, fields, anchor) for anchor, _ in translates]
     return "".join(blocks)
 
 
@@ -511,6 +535,7 @@ def parse_tiling_export(text: str) -> tuple[dict, list[tuple[tuple[int, ...], tu
         hom = LatticeHom(int(header["modulus"]), weights)
         lattice = kernel_lattice(hom)
         shape = semi_cross(n, k) if body < len(text) else None
+        template, fields = _block_template(shape) if shape else ("", [])
         pos, last, count = body, (), 0
         while pos < len(text):
             anchor = tuple(int(v) for v in text[pos:text.find("\n", pos)].split(",", n)[:n])
@@ -520,11 +545,10 @@ def parse_tiling_export(text: str) -> tuple[dict, list[tuple[tuple[int, ...], tu
                 raise DocumentError("tiling_export anchors do not ascend strictly")
             if hom.apply(anchor):
                 raise DocumentError("tiling_export has an anchor outside the lattice")
-            cells = shape.at(anchor)
-            block = _translate_rows(anchor, cells)
+            block = _translate_rows(template, fields, anchor)
             if not text.startswith(block, pos):
                 raise DocumentError("tiling_export differs from what abelsplit writes")
-            rows += [(anchor, cell) for cell in cells]
+            rows += [(anchor, cell) for cell in shape.at(anchor)]
             pos, last, count = pos + len(block), anchor, count + 1
         if _export_head(k, lattice, hom, count) != text[:body]:
             raise DocumentError("tiling_export header differs from what abelsplit writes")

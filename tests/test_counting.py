@@ -1,3 +1,4 @@
+from dataclasses import FrozenInstanceError
 from math import gcd
 
 import pytest
@@ -72,6 +73,17 @@ def test_decompose_examples():
     dec = decompose_k(5, 11, 1)
     assert (dec.beta, dec.d, dec.m_prime) == (0, 5, 1)
     assert dec.m_prime_divides_m
+
+
+def test_decompose_builds_a_frozen_dataclass():
+    dec = decompose_k(8, 3, 1)
+    built = KDecomposition(8, 3, 1, beta=1, d=2, m_prime=1)
+    assert dec == built and hash(dec) == hash(built) and repr(dec) == repr(built)
+    assert repr(dec) == "KDecomposition(k=8, p=3, m=1, beta=1, d=2, m_prime=1)"
+    assert dec != KDecomposition(8, 3, 1, 1, 2, 2)
+    with pytest.raises(FrozenInstanceError):
+        dec.beta = 0
+    assert dec.beta == 1
 
 
 def test_decompose_validation():

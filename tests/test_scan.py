@@ -1,5 +1,10 @@
 import dataclasses
 import importlib
+import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import sympy
@@ -244,7 +249,7 @@ def test_pool_is_no_larger_than_the_pending_work(monkeypatch):
         def imap_unordered(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(scanlib, "Pool", SerialPool)
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
     doc = lambda report: certio.dumps_document(certio.scan_report_to_doc(report))
     serial = scan(5, 6, jobs=1)
     assert len(serial.records) == 4 and sizes == []
@@ -253,6 +258,15 @@ def test_pool_is_no_larger_than_the_pending_work(monkeypatch):
     first = dataclasses.replace(serial, records=serial.records[:1])
     assert doc(scan(5, 6, jobs=64, resume=first)) == doc(serial)
     assert sizes == [4, 3]
+
+
+def test_importing_the_cli_leaves_multiprocessing_unloaded():
+    # scan() imports the pool on its parallel path only
+    code = "import sys, abelsplit.cli; print(sorted(m for m in sys.modules if 'multiprocessing' in m))"
+    env = {**os.environ, "PYTHONPATH": str(Path(scanlib.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

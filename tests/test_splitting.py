@@ -313,84 +313,125 @@ def _found_pairs(n, m_vals):
     return [(m_vals, tuple(sorted(u * s % n for s in out.splitters))) for u in units]
 
 
+def _mutate(draw, m: list, s: list, n: int) -> None:
+    """One drawn mutation of M or S, in place: a residue of either side
+    replaced (M by values up to 2n, so multiples of n occur), a splitter
+    repeated or replaced by 0, or either side one element too large or too
+    small."""
+    residue = st.integers(0, n - 1)
+    mutation = draw(st.sampled_from(["m", "s", "repeat", "zero", "m_size", "s_size"]))
+    if mutation == "m":
+        m[draw(st.integers(0, len(m) - 1))] = draw(st.integers(1, 2 * n))
+    elif mutation == "m_size":
+        if len(m) > 1 and draw(st.booleans()):
+            m.pop(draw(st.integers(0, len(m) - 1)))
+        else:
+            m.append(draw(st.integers(1, 2 * n)))
+    elif mutation == "s" and s:
+        s[draw(st.integers(0, len(s) - 1))] = draw(residue)
+    elif mutation == "repeat" and s:
+        s.append(s[draw(st.integers(0, len(s) - 1))])
+        if draw(st.booleans()):  # keep the size
+            s.pop(draw(st.integers(0, len(s) - 2)))
+    elif mutation == "zero" and s:
+        s[draw(st.integers(0, len(s) - 1))] = 0
+    elif mutation == "s_size":
+        if s and draw(st.booleans()):
+            s.pop()
+        else:
+            s.append(draw(residue))
+
+
 @st.composite
 def batch_inputs(draw):
-    """Z_n for n <= 40, |M| dividing n-1, and a list of (M values, S residues).
+    """Z_n for n <= 40, |M| dividing n-1, the fixed side, and batch items.
 
-    The pairs are splittings that enumerate_all_splittings yields (orders up
-    to _SMALL) or that search_splitter finds for a drawn M, else a drawn S
-    of the matching size. Up to two of them are mutated: a residue of either
-    side replaced (M by values up to 2n, so multiples of n occur), a
-    splitter repeated or replaced by 0, or either side one element too
-    large or too small.
+    An item is a fixed tuple and its list of covers, M values and S
+    residues on their sides. The items hold splittings that
+    enumerate_all_splittings yields (orders up to _SMALL) or that
+    search_splitter finds for a drawn M, each item's covers drawn among
+    those of its fixed tuple; else drawn tuples of the matching sizes. Up
+    to two pairs are mutated (see _mutate); a mutated fixed tuple changes
+    every pair of its item. An item may be followed by a unit multiple of
+    its fixed tuple that shares its list object, as the members of one
+    unit orbit do in enumerate_all_splittings.
     """
     n = draw(st.integers(2, 40))
     size = draw(st.sampled_from([d for d in range(1, n) if (n - 1) % d == 0]))
+    fix_multipliers = draw(st.booleans())
     if n <= _SMALL:
         pool = _enumerated_pairs(n, size)
     else:
         m_vals = tuple(sorted(draw(st.sets(st.integers(1, n - 1), min_size=size, max_size=size))))
         pool = _found_pairs(n, m_vals)
-    residue = st.integers(0, n - 1)
-    count = draw(st.integers(1, 6))
-    mutated = draw(st.sets(st.integers(0, count - 1), max_size=2))
-    pairs = []
-    for i in range(count):
-        if pool:
-            m, s = draw(st.sampled_from(pool))
-            m, s = list(m), list(s)
+    by_fixed: dict = {}
+    for m, s in pool:
+        fixed, cover = (m, s) if fix_multipliers else (s, m)
+        by_fixed.setdefault(fixed, []).append(cover)
+
+    def drawn_m():
+        return sorted(draw(st.sets(st.integers(1, n - 1), min_size=size, max_size=size)))
+
+    def drawn_s():
+        return draw(st.permutations(range(1, n)))[:(n - 1) // size]
+
+    items = []  # [fixed, [cover, ...]], as lists to mutate
+    for _ in range(draw(st.integers(1, 4))):
+        if by_fixed:
+            fixed = draw(st.sampled_from(sorted(by_fixed)))
+            covers = draw(st.lists(st.sampled_from(by_fixed[fixed]), min_size=1, max_size=4))
         else:
-            m = sorted(draw(st.sets(st.integers(1, n - 1), min_size=size, max_size=size)))
-            s = draw(st.permutations(range(1, n)))[:(n - 1) // size]
-        mutation = draw(st.sampled_from(["m", "s", "repeat", "zero", "m_size", "s_size"])) \
-            if i in mutated else None
-        if mutation == "m":
-            m[draw(st.integers(0, len(m) - 1))] = draw(st.integers(1, 2 * n))
-        elif mutation == "m_size":
-            if len(m) > 1 and draw(st.booleans()):
-                m.pop(draw(st.integers(0, len(m) - 1)))
-            else:
-                m.append(draw(st.integers(1, 2 * n)))
-        elif mutation == "s" and s:
-            s[draw(st.integers(0, len(s) - 1))] = draw(residue)
-        elif mutation == "repeat" and s:
-            s.append(s[draw(st.integers(0, len(s) - 1))])
-            if draw(st.booleans()):  # keep the size
-                s.pop(draw(st.integers(0, len(s) - 2)))
-        elif mutation == "zero" and s:
-            s[draw(st.integers(0, len(s) - 1))] = 0
-        elif mutation == "s_size":
-            if s and draw(st.booleans()):
-                s.pop()
-            else:
-                s.append(draw(residue))
-        pairs.append((tuple(sorted(set(m))), tuple(s)))
-    return n, pairs
+            fixed = drawn_m() if fix_multipliers else drawn_s()
+            covers = [drawn_s() if fix_multipliers else drawn_m()
+                      for _ in range(draw(st.integers(1, 4)))]
+        items.append([list(fixed), [list(c) for c in covers]])
+    for _ in range(draw(st.integers(0, 2))):
+        fixed, covers = draw(st.sampled_from(items))
+        cover = draw(st.sampled_from(covers))
+        _mutate(draw, *((fixed, cover) if fix_multipliers else (cover, fixed)), n)
+
+    def canonical(values, multipliers):
+        return tuple(sorted(set(values))) if multipliers else tuple(values)
+
+    out = []
+    units = [u for u in range(1, n) if gcd(u, n) == 1]
+    for fixed, covers in items:
+        covers = [canonical(c, not fix_multipliers) for c in covers]
+        out.append((canonical(fixed, fix_multipliers), covers))
+        if draw(st.booleans()):
+            u = draw(st.sampled_from(units))
+            out.append((canonical([u * v % n or n for v in fixed], fix_multipliers), covers))
+    return n, fix_multipliers, out
 
 
 @settings(max_examples=150)
 @given(batch_inputs())
-@example((27, [((1, 2), (1, 3, 4, 7, 9, 10, 12, 13, 16, 19, 21, 22, 25)),
-               (tuple(range(1, 14)), (1, 26)),
-               ((1, 2), (1, 3, 4, 7, 9, 10, 12, 13, 16, 19, 21, 22, 0))]))  # zero hit
-@example((9, [((1, 2), (1, 3, 4, 7)), ((1, 2), (1, 3, 4, 4))]))  # collision
-@example((9, [((1, 2, 3, 4), (1, 8)), ((1, 2, 3, 6), (1, 8))]))  # collision, S fixed
-@example((9, [((1, 2), (1, 3, 4, 7)), ((2, 4, 7, 8), (1, 3))]))  # count mismatch
-@example((1, []))  # an empty batch
+@example((27, True, [((1, 2), [(1, 3, 4, 7, 9, 10, 12, 13, 16, 19, 21, 22, 25)]),
+                     (tuple(range(1, 14)), [(1, 26)]),
+                     ((1, 2), [(1, 3, 4, 7, 9, 10, 12, 13, 16, 19, 21, 22, 0)])]))  # zero hit
+@example((9, True, [((1, 2), [(1, 3, 4, 7), (1, 3, 4, 4)])]))  # collision
+@example((9, False, [((1, 8), [(1, 2, 3, 4), (1, 2, 3, 6)])]))  # collision, S fixed
+@example((9, True, [((1, 2), [(1, 3, 4, 7), (1, 3, 4, 5, 7)]),
+                    ((2, 4, 7, 8), [(1, 3)])]))  # count mismatch, every residue reached
+@example((1, True, []))  # an empty batch
 def test_batch_accepts_exactly_what_the_constructor_accepts(inputs):
-    n, pairs = inputs
+    n, fix_multipliers, items = inputs
     G = Z(n)
     accepted, rejected = [], None
-    for m, s in pairs:
-        report = _check_products(G, MultiplierSet(m), tuple((x,) for x in s))
-        if not report.is_valid:
-            rejected = report
+    for fixed, covers in items:
+        for cover in covers:
+            m, s = (fixed, cover) if fix_multipliers else (cover, fixed)
+            report = _check_products(G, MultiplierSet(m), tuple((x,) for x in s))
+            if not report.is_valid:
+                rejected = report
+                break
+            accepted.append((m, s))
+        if rejected:
             break
-        accepted.append((m, s))
     event("rejected" if rejected else "accepted")
     made = []
     try:
-        for cert in SplittingCertificate.batch(G, list(pairs)):
+        for cert in SplittingCertificate.batch(G, fix_multipliers, items):
             assert cert.group is G
             made.append((cert.multipliers.values, tuple(x for (x,) in cert.splitters)))
     except NotASplitting as exc:
@@ -401,19 +442,38 @@ def test_batch_accepts_exactly_what_the_constructor_accepts(inputs):
     assert made == accepted
 
 
-def test_batch_shares_fields_and_empties_its_list():
-    pairs = [((1, 2), (1, 3, 4, 7)), ((1, 2), (1, 4, 6, 7)), ((1, 8), (1, 2, 3, 4))]
-    given_pairs = list(pairs)
-    certs = list(SplittingCertificate.batch(Z(9), given_pairs))
-    assert given_pairs == []
+@pytest.mark.parametrize("n", [2, 3, 9, 16])
+def test_batch_needs_every_nonzero_residue(n):
+    # M = {1} and S = the nonzero residues but r, with a repeat in r's place:
+    # n-1 products that miss r alone; on either side, each r is rejected
+    for r in range(1, n):
+        s = tuple(x for x in range(1, n) if x != r) + ((r % (n - 1)) + 1,) * (n > 2)
+        for fix_multipliers, item in [(True, ((1,), [s])), (False, (s, [(1,)]))]:
+            with pytest.raises(NotASplitting):
+                list(SplittingCertificate.batch(Z(n), fix_multipliers, [item]))
+
+
+def test_batch_shares_fields():
+    # M fixed: one MultiplierSet per M and one element tuple per residue
+    items = [((1, 2), [(1, 3, 4, 7), (1, 4, 6, 7)]), ((1, 8), [(1, 2, 3, 4)])]
+    certs = list(SplittingCertificate.batch(Z(9), True, items))
     assert [(c.multipliers.values, c.splitters) for c in certs] == [
-        (m, tuple((x,) for x in s)) for m, s in pairs]
+        (m, tuple((x,) for x in s)) for m, covers in items for s in covers]
     assert certs[0].multipliers is certs[1].multipliers
     assert certs[0].splitters[0] is certs[1].splitters[0] is certs[2].splitters[0]
+    # S fixed: equal covers in two lists are one MultiplierSet, and a list
+    # shared by two fixed tuples gives each the same cover objects
+    shared = [(1, 2, 3, 4)]
+    items = [((1, 8), shared), ((2, 7), shared), ((4, 5), [(1, 2, 3, 4)])]
+    certs = list(SplittingCertificate.batch(Z(9), False, items))
+    assert [c.splitters for c in certs] == [((1,), (8,)), ((2,), (7,)), ((4,), (5,))]
+    assert certs[0].multipliers is certs[1].multipliers is certs[2].multipliers
 
 
 def test_batch_rejects_out_of_range_splitters_and_non_cyclic_groups():
     with pytest.raises(ValueError, match="0..8"):
-        list(SplittingCertificate.batch(Z(9), [((1, 2), (1, 3, 4, 16))]))
+        list(SplittingCertificate.batch(Z(9), True, [((1, 2), [(1, 3, 4, 16)])]))
+    with pytest.raises(ValueError, match="0..8"):
+        list(SplittingCertificate.batch(Z(9), False, [((1, 3, 4, 16), [(1, 2)])]))
     with pytest.raises(ValueError, match="cyclic"):
-        list(SplittingCertificate.batch(FiniteAbelianGroup((3, 3)), []))
+        list(SplittingCertificate.batch(FiniteAbelianGroup((3, 3)), True, []))
