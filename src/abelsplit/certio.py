@@ -13,11 +13,14 @@ deliberately exclude wall-clock data; timing appears only in the tabular
 export's millis column, which is diagnostic and carries 0 for records
 restored through a resume and for records the counting sieve decided.
 Every file abelsplit writes goes through write_text, which replaces the
-target atomically, except the lines appended to a scan journal.
+target atomically through a temp file written with os.open and os.write,
+except the lines appended to a scan journal.
 
 The writers define what a valid document is. Each reader rebuilds its
 object with the library's own constructors and accepts the document only
-if writing that object back gives exactly the same document.
+if writing that object back gives exactly the same document. A scan report
+is compared whole, once; its records are compared one by one only to name
+the first that differs.
 """
 
 from __future__ import annotations
@@ -145,25 +148,32 @@ def loads_document(text: str) -> dict:
 
 
 def write_text(path, text: str) -> None:
-    """Replace the file at path with text, atomically.
+    """Replace the file at path with text, as UTF-8, atomically.
 
     The text goes to a temp file beside the target, which os.replace then
     moves over it, so a process killed mid-write leaves the old file whole.
-    The temp file is made by open, not tempfile, so its mode follows the
-    umask, and it is removed if the write fails. An OSError names path, the
-    file asked for, not the temp file. There is no fsync: this guards
-    against a killed process, not against a power loss.
+    The temp file is made by os.open with mode 0o666, not by tempfile, so
+    its mode follows the umask, and it is removed if the write fails. The
+    bytes go out through os.write, repeated until all are written, with no
+    Path, buffer or text layer in between. An OSError names path, the file
+    asked for, not the temp file. There is no fsync: this guards against a
+    killed process, not against a power loss.
     """
     target = os.fspath(path)
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    folder, name = os.path.split(target)
+    tmp = os.path.join(folder, f".{name}.{os.getpid()}.tmp")
+    data = memoryview(text.encode())
     try:
-        with open(tmp, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+        try:
+            while data:
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
+        os.replace(tmp, target)
     except BaseException as exc:
         with suppress(OSError):
-            tmp.unlink()
+            os.unlink(tmp)
         if isinstance(exc, OSError) and exc.errno is not None:
             raise type(exc)(exc.errno, exc.strerror, target) from None
         raise
@@ -304,8 +314,8 @@ def _record_from_doc(doc, k_min: int, k_max: int, n_max: int | None) -> ScanReco
     """Rebuild a record the way the scan makes it: its candidate from k and
     n, which must lie in the report's range, then decide runs the counting
     sieve again, and a candidate it does not refute gets the search outcome
-    read from doc, whose found splitters make_record re-verifies. The record
-    is checked against its own document, so it carries what a write emits."""
+    read from doc, whose found splitters make_record re-verifies. The caller
+    checks the record against doc, as part of the report that holds it."""
     def read_outcome() -> SearchOutcome:
         splitters = tuple(doc["splitters"]) if doc["result"] == FOUND else None
         return SearchOutcome(
@@ -319,9 +329,7 @@ def _record_from_doc(doc, k_min: int, k_max: int, n_max: int | None) -> ScanReco
         if candidate is None or (candidate.order, candidate.smoothness_witness) != (
                 doc["N"], tuple(map(tuple, doc["factorization"]))):
             raise DocumentError(f"record k={doc['k']} N={doc['N']} is not a scan candidate")
-        record = decide(candidate, read_outcome)
-    _require_written_form(_record_doc(record), doc, f"record k={doc['k']} N={doc['N']}")
-    return record
+        return decide(candidate, read_outcome)
 
 
 def scan_report_to_doc(report: ScanReport) -> dict:
@@ -345,7 +353,11 @@ def scan_report_to_doc(report: ScanReport) -> dict:
 def scan_report_from_doc(doc: dict) -> ScanReport:
     """Parse a scan report: DocumentError unless its config passes
     check_scan_range and SearchConfig, each record is a candidate of that
-    range, and abelsplit writes exactly doc for the records rebuilt from it."""
+    range, and abelsplit writes exactly doc for the records rebuilt from it.
+
+    The whole report is compared once. Only when that fails are the records
+    compared one by one, so that the error names the first record that
+    differs, and its keys; when none does, it names the report's keys."""
     with _parsing("scan_report"):
         config = doc["config"]
         k_min, k_max, n_max = int(config["k_min"]), int(config["k_max"]), config["n_max"]
@@ -354,12 +366,15 @@ def scan_report_from_doc(doc: dict) -> ScanReport:
         if type(config["time_limit_s"]) is bool:
             raise TypeError("time_limit_s must be a number or null, not bool")
         budget = SearchConfig(int(config["node_limit"]), config["time_limit_s"])
-        records = tuple(sorted(
-            (_record_from_doc(r, k_min, k_max, n_max) for r in doc["records"]),
-            key=lambda r: (r.candidate.k, r.candidate.order),
-        ))
+        read = [_record_from_doc(r, k_min, k_max, n_max) for r in doc["records"]]
+        records = tuple(sorted(read, key=lambda r: (r.candidate.k, r.candidate.order)))
         report = ScanReport(k_min, k_max, n_max, budget.node_limit, budget.time_limit_s, records)
-    _require_written_form(scan_report_to_doc(report), doc, "scan_report")
+    try:
+        _require_written_form(scan_report_to_doc(report), doc, "scan_report")
+    except DocumentError:
+        for record, r in zip(read, doc["records"]):
+            _require_written_form(_record_doc(record), r, f"record k={r['k']} N={r['N']}")
+        raise
     return report
 
 

@@ -10,12 +10,23 @@ have no nonnegative integer solution, with no search; every other
 candidate goes to the exact-cover search. The scan expects splittings
 exactly at the trivial orders k+1 and 2k+1; a splitting found anywhere else
 is recorded as a violation together with a re-verified certificate.
+
+A scan enumerates its candidates from one table of largest prime factors,
+built once up to its largest order k_max*n_max + 1 (n_max = 2*k_max by
+default): an order is a candidate when its entry is at most k, and it
+factors by dividing out entries. The table costs 4 bytes per integer up to
+that order, 8 MB at k_max = 1000 and 72 MB at k_max = 3000, and building it
+3 bytes more for a moment. candidate_order factors a single order by trial
+division instead, for readers that rebuild one record at a time.
 """
 
 from __future__ import annotations
 
 import time
+from array import array
 from dataclasses import dataclass, replace
+from itertools import compress, count
+from math import isqrt
 from typing import Callable
 
 from .counting import counting_witness
@@ -57,11 +68,52 @@ def candidate_order(k: int, n: int) -> CandidateOrder | None:
     return CandidateOrder(k, n, order, fac) if all(p <= k for p, _ in fac) else None
 
 
+def largest_prime_factors(limit: int) -> array:
+    """The table lpf with lpf[x] the largest prime factor of x, for
+    2 <= x <= limit, and lpf[0] = lpf[1] = 0.
+
+    The primes come from a bytearray sieve; each prime p, ascending, is
+    written over every multiple of p by one slice assignment, so the last
+    prime written to an entry is its largest.
+    """
+    prime = bytearray([1]) * (limit + 1)
+    prime[:2] = b"\0\0"
+    for p in range(2, isqrt(limit) + 1):
+        if prime[p]:
+            prime[p * p::p] = bytes(len(range(p * p, limit + 1, p)))
+    lpf = array("i", [0]) * (limit + 1)
+    for p in compress(range(limit + 1), prime):
+        lpf[p::p] = array("i", [p]) * len(range(p, limit + 1, p))
+    return lpf
+
+
+def _factor_by_table(x: int, lpf: array) -> tuple[PrimePower, ...]:
+    """factorize(x) for x in the table: divide out the largest prime factor
+    p, whose multiples are exactly the entries left that still read p."""
+    fac = []
+    while x > 1:
+        p = lpf[x]
+        x //= p
+        e = 1
+        while lpf[x] == p:
+            x //= p
+            e += 1
+        fac.append((p, e))
+    fac.reverse()
+    return tuple(fac)
+
+
+def _candidates_by_table(k: int, n_max: int, lpf: array) -> list[CandidateOrder]:
+    """The candidates N = n*k + 1 with n <= n_max; lpf must reach n_max*k + 1."""
+    smooth = compress(count(1), map(k.__ge__, lpf[k + 1:n_max * k + 2:k]))
+    return [CandidateOrder(k, n, n * k + 1, _factor_by_table(n * k + 1, lpf)) for n in smooth]
+
+
 def purely_singular_candidates(k: int, n_max: int) -> list[CandidateOrder]:
     """All candidate orders N = n*k + 1 with 1 <= n <= n_max, ascending."""
     if k < 1 or n_max < 1:
         raise ValueError("k and n_max must be >= 1")
-    return [c for n in range(1, n_max + 1) if (c := candidate_order(k, n)) is not None]
+    return _candidates_by_table(k, n_max, largest_prime_factors(n_max * k + 1))
 
 
 def check_scan_range(k_min: int, k_max: int, n_max: int | None) -> None:
@@ -70,6 +122,18 @@ def check_scan_range(k_min: int, k_max: int, n_max: int | None) -> None:
         raise ValueError(f"bad k range [{k_min}, {k_max}]")
     if n_max is not None and n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
+
+
+def scan_candidates(k_min: int, k_max: int, n_max: int | None = None) -> list[CandidateOrder]:
+    """Every candidate of a scan, in (k, N) order, from one table of largest
+    prime factors; n_max of None means 2k for each k. Parameters that break
+    check_scan_range raise ValueError."""
+    check_scan_range(k_min, k_max, n_max)
+    lpf = largest_prime_factors(k_max * (2 * k_max if n_max is None else n_max) + 1)
+    return [
+        c for k in range(k_min, k_max + 1)
+        for c in _candidates_by_table(k, 2 * k if n_max is None else n_max, lpf)
+    ]
 
 
 @dataclass(frozen=True)
@@ -202,9 +266,7 @@ def scan(
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     started = time.monotonic()
-    candidates = []
-    for k in range(k_min, k_max + 1):
-        candidates.extend(purely_singular_candidates(k, 2 * k if n_max is None else n_max))
+    candidates = scan_candidates(k_min, k_max, n_max)
 
     slot_of = {c: i for i, c in enumerate(candidates)}
     slots: list[ScanRecord | None] = [None] * len(candidates)

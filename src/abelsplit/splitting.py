@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from math import prod
-from operator import itemgetter
+from operator import itemgetter, lt
 from typing import Iterable, Iterator
 
 from .groups import Element, FiniteAbelianGroup
@@ -42,12 +42,12 @@ class MultiplierSet:
     kind: str = EXPLICIT
 
     def __post_init__(self) -> None:
-        values = tuple(int(v) for v in self.values)
+        values = tuple(map(int, self.values))
         if not values:
             raise ValueError("multiplier set must be nonempty")
-        if any(v == 0 for v in values):
+        if 0 in values:
             raise ValueError("0 is not a valid multiplier")
-        if any(b <= a for a, b in zip(values, values[1:])):
+        if not all(map(lt, values, values[1:])):
             raise ValueError("multiplier values must be strictly increasing")
         if self.kind == INTERVAL:
             if values != tuple(range(1, len(values) + 1)):

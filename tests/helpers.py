@@ -26,6 +26,8 @@ violation's certificate by trial division where certio calls the library's
 classifier, and the tiling export oracle is the reader that splits
 the text into lines and compares it with a second, rebuilt text, where
 certio checks it block by block in place.
+The candidate oracle tries every N = n*k + 1 by trial division, where the
+library reads one table of largest prime factors built for the whole scan.
 The digit-pattern oracle reads k's digit tuple where the library tests
 two congruences; the counting-identity oracle takes one valuation per
 residue and stratum where the library tallies gcds once; the s87 oracle
@@ -43,6 +45,7 @@ from math import prod
 from abelsplit.certio import DocumentError, tiling_export_text
 from abelsplit.counting import KDecomposition, StratificationProfile
 from abelsplit.groups import FiniteAbelianGroup, is_prime, p_adic_valuation
+from abelsplit.scan import CandidateOrder, candidate_order
 from abelsplit.search import SearchConfig, _Budget, _exact_covers, _row_source
 from abelsplit.splitting import (
     INVALID,
@@ -322,6 +325,12 @@ def counting_witness_by_fractions(k: int, order: int) -> tuple[int, int] | None:
             if x[j] < 0 or x[j].denominator != 1:
                 return p, j
     return None
+
+
+def candidates_by_trial_division(k: int, n_max: int) -> list[CandidateOrder]:
+    """The candidate orders N = n*k + 1, n <= n_max, each factored by
+    trial division on its own."""
+    return [c for n in range(1, n_max + 1) if (c := candidate_order(k, n)) is not None]
 
 
 def smallest_prime_factor_sieve(limit: int) -> list[int]:

@@ -1,8 +1,7 @@
-import builtins
 import errno
 import hashlib
-import io
 import json
+import os
 import re
 import tracemalloc
 from collections import Counter
@@ -291,6 +290,49 @@ def test_scan_report_rejects_inconsistent_totals():
         certio.scan_report_from_doc(doc)
 
 
+# The k 5..6 report holds four records: N = 6 (found), 16 and 36 (refuted by
+# the counting sieve) for k = 5, and N = 25 (exhausted by the search) for k = 6.
+
+@pytest.mark.parametrize("damage, message", [
+    # a searched record's nodes are read from it, but the sieve's are 0
+    (lambda records: records[2].update(nodes=1),
+     "record k=5 N=36 differs from what abelsplit writes in nodes"),
+    (lambda records: records[1].update(note="extra key"),
+     "record k=5 N=16 differs from what abelsplit writes in note"),
+    (lambda records: records[0].update(verdict="conjecture_consistent"),
+     "record k=5 N=6 differs from what abelsplit writes in verdict"),
+    (lambda records: records.reverse(), "scan_report differs from what abelsplit writes in records"),
+], ids=["nodes", "extra_key", "verdict", "order"])
+def test_scan_report_names_the_record_that_differs(damage, message):
+    doc = certio.scan_report_to_doc(scan(5, 6))
+    assert [(r["k"], r["N"]) for r in doc["records"]] == [(5, 6), (5, 16), (5, 36), (6, 25)]
+    damage(doc["records"])
+    with pytest.raises(certio.DocumentError, match=f"^{message}$"):
+        certio.scan_report_from_doc(doc)
+
+
+def test_journal_names_the_line_and_record_that_differ(tmp_path):
+    lines = certio.journal_text(scan(5, 6)).splitlines(keepends=True)
+    lines[1] = lines[1].replace('"nodes": 0', '"nodes": 1')
+    path = tmp_path / "scan.jsonl"
+    path.write_text("".join(lines))
+    message = "line 2: record k=5 N=16 differs from what abelsplit writes in nodes"
+    with pytest.raises(certio.DocumentError, match=f"^{message}$"):
+        certio.read_journal(path)
+
+
+def test_scan_report_is_compared_once(monkeypatch):
+    compared = []
+    require = certio._require_written_form
+    monkeypatch.setattr(certio, "_require_written_form",
+                        lambda rebuilt, doc, what: compared.append(what) or require(
+                            rebuilt, doc, what))
+    doc = certio.scan_report_to_doc(scan(5, 9))
+    assert len(doc["records"]) > 1
+    certio.scan_report_from_doc(doc)
+    assert compared == ["scan_report"]
+
+
 def test_scan_report_table_shape():
     report = scan(8, 8, n_max=13)
     table = certio.scan_report_table(report)
@@ -490,38 +532,51 @@ def test_tiling_export_reader_checks_header_sizes_before_building():
             tracemalloc.stop()
 
 
-class _DiskFullFile:
-    """A file that takes half of the text it is given, then fails like a full disk."""
-
-    def __init__(self, handle):
-        self._handle = handle
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self._handle.close()
-
-    def write(self, text):
-        self._handle.write(text[: len(text) // 2])
-        self._handle.flush()
-        raise OSError(errno.ENOSPC, "No space left on device")
-
-
 def test_interrupted_write_keeps_old_document(tmp_path, monkeypatch):
     path = tmp_path / "cert.json"
     old = certio.certificate_to_doc(trivial_certificate(8))
     certio.write_document(path, old)
-    real_open = builtins.open
+    real_write = os.write
 
-    def failing_open(file, mode="r", *args, **kwargs):
-        handle = real_open(file, mode, *args, **kwargs)
-        return _DiskFullFile(handle) if "w" in mode else handle
+    def disk_full(fd, data):
+        # take half of the bytes given, then fail like a full disk
+        real_write(fd, bytes(data[: len(data) // 2]))
+        raise OSError(errno.ENOSPC, "No space left on device")
 
     with monkeypatch.context() as m:
-        m.setattr(builtins, "open", failing_open)
-        m.setattr(io, "open", failing_open)
-        with pytest.raises(OSError):
+        m.setattr(os, "write", disk_full)
+        with pytest.raises(OSError) as info:
             certio.write_document(path, certio.certificate_to_doc(trivial_certificate(12)))
+    assert info.value.errno == errno.ENOSPC and info.value.filename == str(path)
     assert certio.read_document(path) == old
     assert [p.name for p in tmp_path.iterdir()] == ["cert.json"]
+
+
+def test_write_text_mode_follows_the_umask(tmp_path):
+    path = tmp_path / "report.json"
+    previous = os.umask(0o022)
+    try:
+        certio.write_text(path, "old\n")
+        path.chmod(0o600)  # a replaced file takes the temp file's mode, not its own
+        certio.write_text(path, "é€😀\n")
+    finally:
+        os.umask(previous)
+    assert path.stat().st_mode & 0o777 == 0o644
+    assert path.read_bytes() == "é€😀\n".encode()
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
+def test_write_text_finishes_short_writes(tmp_path, monkeypatch):
+    real_write = os.write
+    sizes = []
+
+    def short(fd, data):
+        sizes.append(len(data))
+        return real_write(fd, bytes(data[:100]))
+
+    text = certio.dumps_document(certio.certificate_to_doc(trivial_certificate(40)))
+    monkeypatch.setattr(os, "write", short)
+    certio.write_text(tmp_path / "cert.json", text)
+    assert (tmp_path / "cert.json").read_text() == text
+    assert sizes == list(range(len(text.encode()), 0, -100))
+

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 import sympy
+from helpers import candidates_by_trial_division
 
 from abelsplit import certio
 from abelsplit.groups import FiniteAbelianGroup
@@ -24,8 +25,10 @@ from abelsplit.scan import (
     check_k_le_n_minus_2,
     make_record,
     overall_verdict,
+    largest_prime_factors,
     purely_singular_candidates,
     scan,
+    scan_candidates,
 )
 from abelsplit.search import (
     EXHAUSTED,
@@ -69,6 +72,33 @@ def test_candidate_completeness_oracle():
             if max(sympy.factorint(order)) <= k:
                 expected.append(order)
         assert [c.order for c in purely_singular_candidates(k, 100)] == expected
+
+
+def test_largest_prime_factor_table():
+    lpf = largest_prime_factors(10_000)
+    assert len(lpf) == 10_001 and lpf[0] == lpf[1] == 0
+    assert all(lpf[x] == max(sympy.factorint(x)) for x in range(2, 10_001))
+    assert list(largest_prime_factors(1)) == [0, 0]
+
+
+def test_scan_candidates_agree_with_trial_division():
+    # the default bound n <= 2k for every k <= 300: 21,040 candidates
+    expected = [c for k in range(1, 301) for c in candidates_by_trial_division(k, 2 * k)]
+    assert len(expected) == 21_040
+    assert scan_candidates(1, 300) == expected
+    assert scan_candidates(171, 300) == [c for c in expected if c.k >= 171]
+    for k in range(1, 41):
+        for n_max in (1, 13, 3 * k):
+            assert purely_singular_candidates(k, n_max) == candidates_by_trial_division(k, n_max)
+    for n_max in (1, 13, 120):
+        assert scan_candidates(1, 40, n_max) == [
+            c for k in range(1, 41) for c in candidates_by_trial_division(k, n_max)]
+
+
+def test_scan_candidates_rejects_bad_ranges():
+    for bad in ((0, 5, None), (6, 5, None), (1, 5, 0)):
+        with pytest.raises(ValueError):
+            scan_candidates(*bad)
 
 
 def test_scan_k8():

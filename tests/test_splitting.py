@@ -37,18 +37,26 @@ def test_multiplier_set_constructors():
     e = MultiplierSet.explicit([7, -2, 1])
     assert e.values == (-2, 1, 7) and e.kind == "explicit"
     assert e.residues(5) == (3, 1, 2)
-    with pytest.raises(ValueError):
+    assert MultiplierSet((-2.0, 7)).values == (-2, 7)  # values are converted to int
+    with pytest.raises(ValueError, match="^0 is not a valid multiplier$"):
         MultiplierSet.explicit([0, 1])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^multiplier values must be strictly increasing$"):
         MultiplierSet((2, 1), kind="explicit")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^multiplier values must be strictly increasing$"):
+        MultiplierSet((1, 3, 3))
+    with pytest.raises(ValueError, match=r"^interval multiplier set must be exactly \{1\.\.k\}$"):
         MultiplierSet((2, 3), kind="interval")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^interval bound must be >= 1, got 0$"):
         MultiplierSet.interval(0)
-    with pytest.raises(ValueError, match="nonempty"):
+    with pytest.raises(ValueError, match="^multiplier set must be nonempty$"):
         MultiplierSet(())
-    with pytest.raises(ValueError, match="unknown multiplier kind"):
+    with pytest.raises(ValueError, match="^unknown multiplier kind 'bogus'$"):
         MultiplierSet((1,), kind="bogus")
+    # the checks run in this order: nonempty, 0, increasing, then the kind
+    with pytest.raises(ValueError, match="^0 is not a valid multiplier$"):
+        MultiplierSet((2, 0), kind="bogus")
+    with pytest.raises(ValueError, match="strictly increasing"):
+        MultiplierSet((2, 1), kind="bogus")
 
 
 def test_verify_valid_examples():
