@@ -355,6 +355,12 @@ def scan_report_from_doc(doc: dict) -> ScanReport:
     check_scan_range and SearchConfig, each record is a candidate of that
     range, and abelsplit writes exactly doc for the records rebuilt from it.
 
+    Each record's candidate, route, sieve witness and verdict are derived
+    again, found splitters are re-verified, and a sieve record must read 0
+    nodes. A searched record's nodes, max_depth and exhausted or
+    resource_limit result are taken as written: only running its search
+    again could check them, which would undo the point of resuming.
+
     The whole report is compared once. Only when that fails are the records
     compared one by one, so that the error names the first record that
     differs, and its keys; when none does, it names the report's keys."""

@@ -17,7 +17,10 @@ default): an order is a candidate when its entry is at most k, and it
 factors by dividing out entries. The table costs 4 bytes per integer up to
 that order, 8 MB at k_max = 1000 and 72 MB at k_max = 3000, and building it
 3 bytes more for a moment. candidate_order factors a single order by trial
-division instead, for readers that rebuild one record at a time.
+division instead, for the report and journal readers, which rebuild one
+record at a time: their cost follows the records they read, while a table
+follows the config's k_max, and for a document claiming k_max = 10^9 it
+would ask for about 8*10^18 bytes.
 """
 
 from __future__ import annotations
@@ -103,19 +106,6 @@ def _factor_by_table(x: int, lpf: array) -> tuple[PrimePower, ...]:
     return tuple(fac)
 
 
-def _candidates_by_table(k: int, n_max: int, lpf: array) -> list[CandidateOrder]:
-    """The candidates N = n*k + 1 with n <= n_max; lpf must reach n_max*k + 1."""
-    smooth = compress(count(1), map(k.__ge__, lpf[k + 1:n_max * k + 2:k]))
-    return [CandidateOrder(k, n, n * k + 1, _factor_by_table(n * k + 1, lpf)) for n in smooth]
-
-
-def purely_singular_candidates(k: int, n_max: int) -> list[CandidateOrder]:
-    """All candidate orders N = n*k + 1 with 1 <= n <= n_max, ascending."""
-    if k < 1 or n_max < 1:
-        raise ValueError("k and n_max must be >= 1")
-    return _candidates_by_table(k, n_max, largest_prime_factors(n_max * k + 1))
-
-
 def check_scan_range(k_min: int, k_max: int, n_max: int | None) -> None:
     """The parameter rule of a scan: 1 <= k_min <= k_max, and n_max >= 1 or None."""
     if k_min < 1 or k_min > k_max:
@@ -130,10 +120,18 @@ def scan_candidates(k_min: int, k_max: int, n_max: int | None = None) -> list[Ca
     check_scan_range raise ValueError."""
     check_scan_range(k_min, k_max, n_max)
     lpf = largest_prime_factors(k_max * (2 * k_max if n_max is None else n_max) + 1)
-    return [
-        c for k in range(k_min, k_max + 1)
-        for c in _candidates_by_table(k, 2 * k if n_max is None else n_max, lpf)
-    ]
+    out = []
+    for k in range(k_min, k_max + 1):
+        top = 2 * k if n_max is None else n_max
+        smooth = compress(count(1), map(k.__ge__, lpf[k + 1:top * k + 2:k]))
+        out += [CandidateOrder(k, n, n * k + 1, _factor_by_table(n * k + 1, lpf)) for n in smooth]
+    return out
+
+
+def purely_singular_candidates(k: int, n_max: int) -> list[CandidateOrder]:
+    """All candidate orders N = n*k + 1 with 1 <= n <= n_max, ascending:
+    scan_candidates(k, k, n_max)."""
+    return scan_candidates(k, k, n_max)
 
 
 @dataclass(frozen=True)

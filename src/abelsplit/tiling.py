@@ -4,8 +4,10 @@ induced lattice tilings of Z^n.
 A splitting of Z_N by {1..k} with splitters s_1..s_n induces the lattice
 L = {x in Z^n : sum x_i s_i = 0 mod N}, and L tiles Z^n by the semi-cross
 with arm length k exactly when the weight map is a bijection from the shape
-onto Z_N. Bases are kept in column Hermite normal form, which is unique, so
-equal lattices serialize identically.
+onto Z_N. The semi-cross is the one shape: ErrorBallShape(n, k) is built
+from its dimension and arm length alone, and semi_cross(n, k) is the same
+shape under the paper's name. Bases are kept in column Hermite normal
+form, which is unique, so equal lattices serialize identically.
 """
 
 from __future__ import annotations
@@ -22,24 +24,30 @@ Matrix = tuple[tuple[int, ...], ...]  # row-major; basis vectors are the columns
 
 @dataclass(frozen=True)
 class ErrorBallShape:
-    """A semi-cross: the origin plus arms 1..k_plus along each positive axis."""
+    """The semi-cross of arm k_plus in Z^dimension: the origin plus j*e_i
+    for 1 <= j <= k_plus along each axis i, dimension*k_plus + 1 points,
+    sorted lexicographically. Both parameters must be at least 1.
+
+    dimension = 1 gives the degenerate segment {0..k_plus}, the shape
+    matching a one-splitter certificate.
+    """
 
     dimension: int
     k_plus: int
-    points: tuple[Vector, ...]
-    # per point, (axis, offset) of its one nonzero coordinate; (None, 0) for
-    # the origin and (None, point) for a point off the axes
-    _arms: tuple[tuple, ...] = field(init=False, repr=False, compare=False)
+    points: tuple[Vector, ...] = field(init=False)
+    # per point, (axis, offset) of its one nonzero coordinate; (0, 0) for the origin
+    _arms: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        arms = []
-        for p in self.points:
-            nonzero = [(i, o) for i, o in enumerate(p) if o]
-            if len(nonzero) == 1:
-                arms.append(nonzero[0])
-            else:
-                arms.append((None, tuple(p) if nonzero else 0))
-        object.__setattr__(self, "_arms", tuple(arms))
+        n, k = self.dimension, self.k_plus
+        if n < 1 or k < 1:
+            raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
+        # the origin, then each axis's arm from the last axis down, sorts the points
+        arms = ((0, 0),) + tuple((i, o) for i in range(n - 1, -1, -1) for o in range(1, k + 1))
+        origin = (0,) * n
+        object.__setattr__(self, "_arms", arms)
+        object.__setattr__(
+            self, "points", tuple(origin[:i] + (o,) + origin[i + 1:] for i, o in arms))
 
     def at(self, anchor: Sequence[int]) -> tuple[Vector, ...]:
         """The cells of the translate anchored at anchor.
@@ -56,27 +64,16 @@ class ErrorBallShape:
         anchor = tuple(anchor)
         cells = []
         for i, o in self._arms:
-            if not o:
-                cells.append(anchor)
-            elif i is None:
-                cells.append(tuple(a + c if c else a for a, c in zip(anchor, o)))
-            else:
+            if o:
                 cells.append(anchor[:i] + (anchor[i] + o,) + anchor[i + 1:])
+            else:
+                cells.append(anchor)
         return tuple(cells)
 
 
 def semi_cross(n: int, k: int) -> ErrorBallShape:
-    """Origin plus j*e_i for 1 <= j <= k along each axis i; n*k + 1 cells,
-    sorted lexicographically.
-
-    n = 1 gives the degenerate segment {0..k}, the shape matching a
-    one-splitter certificate.
-    """
-    if n < 1 or k < 1:
-        raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
-    origin = (0,) * n
-    arms = [origin[:i] + (j,) + origin[i + 1:] for i in range(n) for j in range(1, k + 1)]
-    return ErrorBallShape(n, k, tuple(sorted([origin] + arms)))
+    """The semi-cross of arm k in Z^n under the paper's name: ErrorBallShape(n, k)."""
+    return ErrorBallShape(n, k)
 
 
 @dataclass(frozen=True)
@@ -249,29 +246,22 @@ def export_translates(
         raise ValueError("box, shape, and lattice dimensions must agree")
     if any(lo > hi for lo, hi in box):
         return []
-    offset_min = [min(p[i] for p in shape.points) for i in range(n)]
-    offset_max = [max(p[i] for p in shape.points) for i in range(n)]
-    ranges = [
-        range(box[i][0] - offset_max[i], box[i][1] - offset_min[i] + 1) for i in range(n)
-    ]
+    k = shape.k_plus  # each axis's extent runs from 0 to k_plus
+    ranges = [range(lo - k, hi + 1) for lo, hi in box]
     covered = bytearray(prod(hi - lo + 1 for lo, hi in box))
     stride, bounds = len(covered), []
     for lo, hi in box:
         stride //= hi - lo + 1
         bounds.append((lo, hi, stride))
-    # an anchor in the box shrunk by the shape's extent has its whole
-    # translate inside, so its cells sit at fixed offsets from its own index
-    interior = [
-        (lo - offset_min[i], hi - offset_max[i], lo, stride)
-        for i, (lo, hi, stride) in enumerate(bounds)
-    ]
     linear = [sum(c * s for c, (_, _, s) in zip(p, bounds)) for p in shape.points]
     out = []
     for anchor in lattice.points_in(ranges):
         cells = shape.at(anchor)
+        # an anchor in the box shrunk by the shape's extent has its whole
+        # translate inside, so its cells sit at fixed offsets from its index
         base = 0
-        for a, (inner_lo, inner_hi, lo, stride) in zip(anchor, interior):
-            if not inner_lo <= a <= inner_hi:
+        for a, (lo, hi, stride) in zip(anchor, bounds):
+            if not lo <= a <= hi - k:
                 break
             base += (a - lo) * stride
         else:

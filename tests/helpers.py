@@ -70,6 +70,13 @@ from abelsplit.tiling import (
 # sha256 of the canonical scan(1, 30) report text
 DESK_SCAN_SHA256 = "629deae53a82b37078e2eb47649798972636c1dc509b4483f7c57b4090783255"
 
+# sha256 digest of the benchmark's `checks` body output (tiles.txt and its
+# check reports), by the seed of its inputs
+CHECKS_SHA256 = {
+    1: "9eb58412fc74bfb1b608d5ebcc632cef08763d6882ac79d38072012fbd5aa96a",
+    2: "94dfa9bfc765a2dcd3080193913f3560420826437d723e3aa784c9b41c21364d",
+}
+
 
 def canonical_json(doc) -> str:
     """The canonical document text, from json.dumps itself."""
@@ -431,6 +438,14 @@ def verify_tiling_by_basis(
         seen.add(image)
     verdict = len(seen) == len(shape.points) == lattice.index
     return TilingCertificate(verdict)
+
+
+def semi_cross_by_sorting(n: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """The points of the semi-cross: the origin plus every j*e_i, 1 <= j <= k,
+    sorted lexicographically."""
+    origin = (0,) * n
+    arms = [origin[:i] + (j,) + origin[i + 1:] for i in range(n) for j in range(1, k + 1)]
+    return tuple(sorted([origin] + arms))
 
 
 def cells_by_coordinates(shape: ErrorBallShape, anchor) -> tuple[tuple[int, ...], ...]:

@@ -414,6 +414,18 @@ def _export(cert, k: int, box) -> tuple:
     return shape, lattice, hom, export_translates(lattice, shape, box)
 
 
+def test_every_written_semi_cross_export_reads_back():
+    for k in range(1, 7):
+        for form, box in [("order_k_plus_1", [(-7, 20)]), ("order_2k_plus_1", [(-3, 9), (5, 14)])]:
+            shape, lattice, hom, translates = _export(trivial_certificate(k, form), k, box)
+            assert shape == semi_cross(len(box), k)
+            text = certio.tiling_export_text(shape, lattice, hom, translates)
+            header, rows = certio.parse_tiling_export(text)
+            assert (header["dimension"], header["k_plus"]) == (len(box), k)
+            assert header["translates"] == len(translates)
+            assert rows == [(anchor, cell) for anchor, cells in translates for cell in cells]
+
+
 _WRITTEN_EXPORTS = [
     certio.tiling_export_text(*_export(cert, k, box))
     for cert, k, box in [
@@ -493,6 +505,19 @@ def _traced_peak(fn, *args):
         return result, tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
+
+
+def test_report_reader_cost_follows_its_records():
+    # a reader that built a table of the config's k_max would ask for
+    # about 8 * 10**18 bytes here
+    report = scan(5, 6)
+    doc = certio.scan_report_to_doc(report)
+    doc["config"]["k_max"] = 10**9
+    read, peak = _traced_peak(certio.scan_report_from_doc, doc)
+    assert read.k_max == 10**9
+    assert [r.candidate for r in read.records] == [r.candidate for r in report.records]
+    assert certio.scan_report_to_doc(read)["records"] == doc["records"]
+    assert peak < 1_000_000
 
 
 @pytest.fixture(scope="module")

@@ -1,8 +1,9 @@
 """The library surface the benchmark drives.
 
 perfbench/workloads.py is imported as it stands, never edited: every name
-its traced run patches must exist, and its desk scan body must pass its own
-gate, cutting one benchmark phase per scan record.
+its traced run patches must exist, its desk scan body must pass its own
+gate, cutting one benchmark phase per scan record, and its checks body must
+pass its gate and write the pinned bytes.
 """
 
 import hashlib
@@ -10,7 +11,7 @@ import importlib
 from pathlib import Path
 
 import pytest
-from helpers import DESK_SCAN_SHA256
+from helpers import CHECKS_SHA256, DESK_SCAN_SHA256
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -53,3 +54,14 @@ def test_desk_scan_body_passes_its_gate_with_a_phase_per_record(workloads, tmp_p
     report = (tmp_path / "plain" / "scan_k1-30.json").read_bytes()
     assert hashlib.sha256(report).hexdigest() == DESK_SCAN_SHA256
     assert result["digest"] == hashlib.sha256(b"scan_k1-30.json\0" + report).hexdigest()
+
+
+@pytest.mark.parametrize("seed", sorted(CHECKS_SHA256))
+def test_checks_body_passes_its_gate_with_pinned_bytes(workloads, tmp_path, seed):
+    gate, marks = workloads.Gate(), []
+    inputs = workloads.make_inputs("checks", seed)
+    result = workloads.checks_body(
+        "checks", inputs, 1, tmp_path, gate, lambda: marks.append(None))
+    assert gate.failures == []
+    assert len(marks) == 9  # the four s87 sizes of N = 27, then five checks
+    assert result["digest"] == CHECKS_SHA256[seed]

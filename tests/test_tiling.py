@@ -3,7 +3,9 @@ from itertools import product
 from math import gcd
 
 import pytest
-from helpers import cells_by_coordinates, export_translates_by_cells, verify_tiling_by_basis
+from helpers import (
+    cells_by_coordinates, export_translates_by_cells, semi_cross_by_sorting, verify_tiling_by_basis,
+)
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -31,16 +33,20 @@ def test_error_ball_examples():
         (0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)
     }
     for n in range(1, 5):
-        for k in range(1, 5):
-            points = semi_cross(n, k).points
+        for k in range(1, 6):
+            shape, points = ErrorBallShape(n, k), semi_cross_by_sorting(n, k)
             assert len(set(points)) == len(points) == n * k + 1
-            assert list(points) == sorted(points)
+            assert shape.points == points
+            assert shape == semi_cross(n, k) != ErrorBallShape(n, k + 1)
+            assert hash(shape) == hash(semi_cross(n, k)) == hash((n, k, points))
+            assert repr(shape) == f"ErrorBallShape(dimension={n}, k_plus={k}, points={points!r})"
 
 
 def test_error_ball_rejects_bad_parameters():
     for n, k in [(0, 1), (1, 0), (-1, 2), (2, -1)]:
-        with pytest.raises(ValueError):
-            semi_cross(n, k)
+        for build in (ErrorBallShape, semi_cross):
+            with pytest.raises(ValueError, match="need n >= 1 and k >= 1"):
+                build(n, k)
 
 
 def test_semi_cross_sizes():
@@ -233,10 +239,12 @@ def test_export_translates_rejects_a_gap():
 
 def test_translate_cells_check_the_anchor_length():
     shape = semi_cross(3, 2)
-    anchor = (10**20, -(10**20), 3)
-    cells = shape.at(anchor)
-    assert cells == tuple(tuple(a + o for a, o in zip(anchor, p)) for p in shape.points)
-    assert shape.at(list(anchor)) == cells
+    for anchor in [(0, 0, 0), (10**20, -(10**20), 3), [5, 7, -(10**20)]]:
+        cells = shape.at(anchor)
+        assert cells == cells_by_coordinates(shape, anchor)
+        assert cells[0] == tuple(anchor)
+        assert shape.at(list(anchor)) == cells
+    assert "_arms" not in repr(shape)
     with pytest.raises(ValueError):
         shape.at((0, 0))
 
@@ -313,13 +321,3 @@ def export_cases(draw):
 def test_export_agrees_with_the_per_cell_loop(case):
     expected = _export_or_error(export_translates_by_cells, *case)
     assert _export_or_error(export_translates, *case) == expected
-
-
-def test_translate_cells_of_a_point_off_the_axes():
-    shape = ErrorBallShape(2, 1, ((0, 0), (0, 1), (1, 0), (1, 1), (-2, 3)))
-    for anchor in [(0, 0), (10**20, -(10**20)), [5, 7]]:
-        cells = shape.at(anchor)
-        assert cells == cells_by_coordinates(shape, anchor)
-        assert cells[0] == tuple(anchor)
-    assert shape == ErrorBallShape(2, 1, shape.points)
-    assert "_arms" not in repr(shape)
