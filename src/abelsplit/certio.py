@@ -51,7 +51,15 @@ from .splitting import (
     canonical_splitters,
     classify_multipliers,
 )
-from .tiling import ErrorBallShape, IntegerLattice, LatticeHom, kernel_lattice, semi_cross
+from .tiling import (
+    CellRowView,
+    ErrorBallShape,
+    IntegerLattice,
+    LatticeHom,
+    TranslateView,
+    kernel_lattice,
+    semi_cross,
+)
 
 FORMAT_VERSION = 3
 
@@ -500,27 +508,29 @@ def tiling_export_text(
     shape: ErrorBallShape,
     lattice: IntegerLattice,
     hom: LatticeHom,
-    translates: list,
+    translates: TranslateView,
 ) -> str:
     """Header line (JSON after '# '), a CSV column line, then one block of
     rows per translate, in the order given: a row per cell, anchor
     coordinates followed by cell coordinates.
 
-    The translates are export_translates' (anchor, cells) pairs, whose
-    cells are shape.at(anchor), so each block is written from its anchor
-    through the shape's one template. An anchor of another dimension than
-    the shape's raises ValueError."""
-    for anchor, _ in translates:
+    The translates are export_translates' view, and only its anchors are
+    read: each block is written from its anchor through the shape's one
+    template, so no cell is built. An anchor of another dimension than the
+    shape's raises ValueError."""
+    anchors = translates.anchors
+    for anchor in anchors:
         if len(anchor) != shape.dimension:
             raise ValueError(f"anchor {tuple(anchor)} does not have dimension {shape.dimension}")
     template, fields = _block_template(shape)
-    blocks = [_export_head(shape.k_plus, lattice, hom, len(translates))]
-    blocks += [_translate_rows(template, fields, anchor) for anchor, _ in translates]
+    blocks = [_export_head(shape.k_plus, lattice, hom, len(anchors))]
+    blocks += [_translate_rows(template, fields, anchor) for anchor in anchors]
     return "".join(blocks)
 
 
-def parse_tiling_export(text: str) -> tuple[dict, list[tuple[tuple[int, ...], tuple[int, ...]]]]:
-    """Inverse of tiling_export_text: (header, [(anchor, cell), ...]).
+def parse_tiling_export(text: str) -> tuple[dict, CellRowView]:
+    """Inverse of tiling_export_text: (header, rows), the rows a view of
+    (anchor, cell) pairs, one per row of the text, over the anchors read.
 
     The header fixes the semi-cross and the weight map, and so the kernel
     lattice; each translate's cells follow from its anchor, which must lie
@@ -532,7 +542,9 @@ def parse_tiling_export(text: str) -> tuple[dict, list[tuple[tuple[int, ...], tu
     and the block written for that anchor must stand at that point of the
     text. The header, rebuilt with the block count, is compared last. No
     line list or second text is built, and the header's sizes are checked
-    against the text before the shape and lattice it names are built.
+    against the text before the shape and lattice it names are built. The
+    reader keeps one tuple per translate, its anchor; the rows view builds
+    the cells on access.
     """
     header_end = text.find("\n")
     body = text.find("\n", header_end + 1) + 1
@@ -540,7 +552,7 @@ def parse_tiling_export(text: str) -> tuple[dict, list[tuple[tuple[int, ...], tu
         raise DocumentError("missing tiling export header")
     if not text.endswith("\n"):
         raise DocumentError("tiling_export lacks its final newline")
-    rows: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    anchors: list[tuple[int, ...]] = []
     with _parsing("tiling_export"):
         header = json.loads(text[2:header_end])
         n, k = int(header["dimension"]), int(header["k_plus"])
@@ -557,7 +569,7 @@ def parse_tiling_export(text: str) -> tuple[dict, list[tuple[tuple[int, ...], tu
         lattice = kernel_lattice(hom)
         shape = semi_cross(n, k) if body < len(text) else None
         template, fields = _block_template(shape) if shape else ("", [])
-        pos, last, count = body, (), 0
+        pos, last = body, ()
         while pos < len(text):
             anchor = tuple(int(v) for v in text[pos:text.find("\n", pos)].split(",", n)[:n])
             if len(anchor) != n:
@@ -569,8 +581,8 @@ def parse_tiling_export(text: str) -> tuple[dict, list[tuple[tuple[int, ...], tu
             block = _translate_rows(template, fields, anchor)
             if not text.startswith(block, pos):
                 raise DocumentError("tiling_export differs from what abelsplit writes")
-            rows += [(anchor, cell) for cell in shape.at(anchor)]
-            pos, last, count = pos + len(block), anchor, count + 1
-        if _export_head(k, lattice, hom, count) != text[:body]:
+            anchors.append(anchor)
+            pos, last = pos + len(block), anchor
+        if _export_head(k, lattice, hom, len(anchors)) != text[:body]:
             raise DocumentError("tiling_export header differs from what abelsplit writes")
-    return header, rows
+    return header, CellRowView(n, k, anchors)

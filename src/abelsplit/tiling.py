@@ -8,13 +8,19 @@ onto Z_N. The semi-cross is the one shape: ErrorBallShape(n, k) is built
 from its dimension and arm length alone, and semi_cross(n, k) is the same
 shape under the paper's name. Bases are kept in column Hermite normal
 form, which is unique, so equal lattices serialize identically.
+
+A tiling export over a box keeps one tuple per translate, its anchor:
+export_translates returns a TranslateView and the export reader a
+CellRowView, read-only sequences that build each translate's cells from
+its anchor on access, so their memory follows the anchor count.
 """
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from math import prod
-from typing import Sequence
 
 from .splitting import SplittingCertificate
 
@@ -228,24 +234,112 @@ def verify_lattice_tiling(shape: ErrorBallShape, hom: LatticeHom) -> TilingCerti
     return TilingCertificate(verdict)
 
 
+class _AnchorView(Sequence):
+    """A read-only sequence whose items are made from its anchors on access,
+    one tuple held per anchor. A slice is a list of items; a view equals any
+    list or view holding equal items, in order, and is unhashable."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
+        return self._item(index)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (list, _AnchorView)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __repr__(self) -> str:
+        return f"<{type(self).__name__} of {len(self)} items over {len(self.anchors)} anchors>"
+
+
+class TranslateView(_AnchorView):
+    """export_translates' result: a pair (anchor, shape.at(anchor)) per
+    anchor, in the order of anchors; the cells are built on access."""
+
+    __slots__ = ("shape", "anchors")
+
+    def __init__(self, shape: ErrorBallShape, anchors: Sequence[Vector]) -> None:
+        self.shape, self.anchors = shape, tuple(anchors)
+
+    def __len__(self) -> int:
+        return len(self.anchors)
+
+    def __iter__(self) -> Iterator[tuple[Vector, tuple[Vector, ...]]]:
+        at = self.shape.at
+        for anchor in self.anchors:
+            yield anchor, at(anchor)
+
+    def _item(self, index: int) -> tuple[Vector, tuple[Vector, ...]]:
+        anchor = self.anchors[index]
+        return anchor, self.shape.at(anchor)
+
+
+class CellRowView(_AnchorView):
+    """parse_tiling_export's rows: a pair (anchor, cell) per cell of the
+    translate of semi_cross(dimension, k_plus) at each anchor, translate by
+    translate, each in the shape's point order; the cells are built on access.
+
+    The shape itself is built on first access: an export without translates
+    may name one far too large to build.
+    """
+
+    __slots__ = ("dimension", "k_plus", "anchors", "_shape")
+
+    def __init__(self, dimension: int, k_plus: int, anchors: Sequence[Vector]) -> None:
+        self.dimension, self.k_plus, self.anchors = dimension, k_plus, tuple(anchors)
+        self._shape: ErrorBallShape | None = None
+
+    def _at(self, anchor: Vector) -> tuple[Vector, ...]:
+        if self._shape is None:
+            self._shape = ErrorBallShape(self.dimension, self.k_plus)
+        return self._shape.at(anchor)
+
+    def __len__(self) -> int:
+        return len(self.anchors) * (self.dimension * self.k_plus + 1)
+
+    def __iter__(self) -> Iterator[tuple[Vector, Vector]]:
+        for anchor in self.anchors:
+            for cell in self._at(anchor):
+                yield anchor, cell
+
+    def _item(self, index: int) -> tuple[Vector, Vector]:
+        index = operator.index(index)
+        if index < 0:
+            index += len(self)
+        if not 0 <= index < len(self):
+            raise IndexError("row index out of range")
+        translate, point = divmod(index, self.dimension * self.k_plus + 1)
+        anchor = self.anchors[translate]
+        return anchor, self._at(anchor)[point]
+
+
 def export_translates(
     lattice: IntegerLattice,
     shape: ErrorBallShape,
     box: Sequence[tuple[int, int]],
-) -> list[tuple[Vector, tuple[Vector, ...]]]:
+) -> TranslateView:
     """Lattice translates of the shape that meet an inclusive integer box.
 
-    Returns (anchor, cells) pairs in ascending anchor order, each translate
-    carrying its full cell set. Every cell of the box must be covered by
+    Returns a view of (anchor, cells) pairs in ascending anchor order, with
+    cells = shape.at(anchor); it holds the anchors alone and builds each
+    translate's cells on access. Every cell of the box must be covered by
     exactly one translate; double cover or a gap raises ValueError, so a
     successful export doubles as a finite tiling check over the box.
-    Coverage is one byte per box cell, indexed row-major.
+    Coverage is one byte per box cell, indexed row-major. A translate
+    inside the box is marked through the shape's fixed offsets from its
+    anchor's index without building its cells; only a translate that
+    crosses the box boundary, and the cell named in a double-cover error,
+    are built as tuples.
     """
     n = lattice.dimension
     if shape.dimension != n or len(box) != n:
         raise ValueError("box, shape, and lattice dimensions must agree")
     if any(lo > hi for lo, hi in box):
-        return []
+        return TranslateView(shape, ())
     k = shape.k_plus  # each axis's extent runs from 0 to k_plus
     ranges = [range(lo - k, hi + 1) for lo, hi in box]
     covered = bytearray(prod(hi - lo + 1 for lo, hi in box))
@@ -254,9 +348,8 @@ def export_translates(
         stride //= hi - lo + 1
         bounds.append((lo, hi, stride))
     linear = [sum(c * s for c, (_, _, s) in zip(p, bounds)) for p in shape.points]
-    out = []
+    anchors = []
     for anchor in lattice.points_in(ranges):
-        cells = shape.at(anchor)
         # an anchor in the box shrunk by the shape's extent has its whole
         # translate inside, so its cells sit at fixed offsets from its index
         base = 0
@@ -265,14 +358,14 @@ def export_translates(
                 break
             base += (a - lo) * stride
         else:
-            for cell, offset in zip(cells, linear):
+            for point, offset in enumerate(linear):
                 if covered[base + offset]:
-                    raise ValueError(f"not a tiling: cell {cell} covered twice")
+                    raise ValueError(f"not a tiling: cell {shape.at(anchor)[point]} covered twice")
                 covered[base + offset] = 1
-            out.append((anchor, cells))
+            anchors.append(anchor)
             continue
         meets = False
-        for cell in cells:
+        for cell in shape.at(anchor):
             index = 0
             for c, (lo, hi, stride) in zip(cell, bounds):
                 if not lo <= c <= hi:
@@ -284,7 +377,7 @@ def export_translates(
                 covered[index] = 1
                 meets = True
         if meets:
-            out.append((anchor, cells))
+            anchors.append(anchor)
     if 0 in covered:
         raise ValueError("not a tiling: box has uncovered cells")
-    return out
+    return TranslateView(shape, anchors)

@@ -33,7 +33,9 @@ two congruences; the counting-identity oracle takes one valuation per
 residue and stratum where the library tallies gcds once; the s87 oracle
 tests every residue where the library reduces two products; and the
 export oracle bounds-checks every cell of every translate into a set where
-the library marks whole interior translates at precomputed offsets.
+the library marks whole interior translates at precomputed offsets. The
+list-building export builds every translate's cells and keeps them in a
+list of pairs, where the library keeps only anchors behind a view.
 Agreement between the two routes is the point.
 """
 
@@ -61,6 +63,7 @@ from abelsplit.tiling import (
     LatticeHom,
     Matrix,
     TilingCertificate,
+    TranslateView,
     _xgcd,
     kernel_lattice,
     semi_cross,
@@ -479,6 +482,58 @@ def export_translates_by_cells(lattice: IntegerLattice, shape: ErrorBallShape, b
     return out
 
 
+def translates_by_cells(lattice: IntegerLattice, shape: ErrorBallShape, box):
+    """export_translates as a list of (anchor, cells) pairs, every translate
+    built: the same pass over one coverage byte per box cell, interior
+    translates marked at fixed offsets, but each translate's cells made
+    through shape.at and kept."""
+    n = lattice.dimension
+    if shape.dimension != n or len(box) != n:
+        raise ValueError("box, shape, and lattice dimensions must agree")
+    if any(lo > hi for lo, hi in box):
+        return []
+    k = shape.k_plus
+    ranges = [range(lo - k, hi + 1) for lo, hi in box]
+    covered = bytearray(prod(hi - lo + 1 for lo, hi in box))
+    stride, bounds = len(covered), []
+    for lo, hi in box:
+        stride //= hi - lo + 1
+        bounds.append((lo, hi, stride))
+    linear = [sum(c * s for c, (_, _, s) in zip(p, bounds)) for p in shape.points]
+    out = []
+    for anchor in lattice.points_in(ranges):
+        cells = shape.at(anchor)
+        base = 0
+        for a, (lo, hi, stride) in zip(anchor, bounds):
+            if not lo <= a <= hi - k:
+                break
+            base += (a - lo) * stride
+        else:
+            for cell, offset in zip(cells, linear):
+                if covered[base + offset]:
+                    raise ValueError(f"not a tiling: cell {cell} covered twice")
+                covered[base + offset] = 1
+            out.append((anchor, cells))
+            continue
+        meets = False
+        for cell in cells:
+            index = 0
+            for c, (lo, hi, stride) in zip(cell, bounds):
+                if not lo <= c <= hi:
+                    break
+                index += (c - lo) * stride
+            else:
+                if covered[index]:
+                    raise ValueError(f"not a tiling: cell {cell} covered twice")
+                covered[index] = 1
+                meets = True
+        if meets:
+            out.append((anchor, cells))
+    if 0 in covered:
+        raise ValueError("not a tiling: box has uncovered cells")
+    return out
+
+
 def parse_tiling_export_by_lines(text: str):
     """The tiling export reader by whole texts: (header, [(anchor, cell), ...]).
 
@@ -503,7 +558,7 @@ def parse_tiling_export_by_lines(text: str):
             (anchor, tuple(tuple(a + o for a, o in zip(anchor, p)) for p in shape.points))
             for anchor in anchors
         ]
-        rebuilt = tiling_export_text(shape, lattice, hom, translates)
+        rebuilt = tiling_export_text(shape, lattice, hom, TranslateView(shape, anchors))
     except (KeyError, TypeError, ValueError, RuntimeError) as exc:
         raise DocumentError(f"malformed tiling_export: {exc}") from exc
     if rebuilt != text:

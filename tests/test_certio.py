@@ -21,7 +21,7 @@ from abelsplit.search import FOUND, SearchConfig, search_splitter
 from abelsplit.splitting import (
     MultiplierSet, NotASplitting, make_certificate, trivial_certificate,
 )
-from abelsplit.tiling import export_translates, lattice_from_splitting, semi_cross
+from abelsplit.tiling import TranslateView, export_translates, lattice_from_splitting, semi_cross
 
 Z = FiniteAbelianGroup.cyclic
 
@@ -400,7 +400,7 @@ def test_tiling_export_round_trip():
         header_line + columns + anchors_only,  # rows hold only their anchor columns
         header_line + columns + "0\n" + first + "".join(rest),  # a row shorter than an anchor
         certio.tiling_export_text(  # a whole translate off the lattice
-            shape, lattice, hom, sorted(translates + [((0, 1), shape.at((0, 1)))])
+            shape, lattice, hom, TranslateView(shape, sorted([*translates.anchors, (0, 1)]))
         ),
     ):
         with pytest.raises(certio.DocumentError):
@@ -520,11 +520,31 @@ def test_report_reader_cost_follows_its_records():
     assert peak < 1_000_000
 
 
+_BOX_250 = [(0, 249), (0, 249)]
+
+
 @pytest.fixture(scope="module")
 def export_250():
     """The 250 x 250 box under the order-13 certificate with k = 6: 5,038
     translates, 65,494 rows."""
-    return _export(trivial_certificate(6, "order_2k_plus_1"), 6, [(0, 249), (0, 249)])
+    return _export(trivial_certificate(6, "order_2k_plus_1"), 6, _BOX_250)
+
+
+def _round_trip(shape, lattice, hom, box):
+    """export_translates, tiling_export_text and parse_tiling_export in turn."""
+    translates = export_translates(lattice, shape, box)
+    text = certio.tiling_export_text(shape, lattice, hom, translates)
+    return translates, text, certio.parse_tiling_export(text)
+
+
+def test_tiling_export_round_trip_peak_is_within_3x_its_text(export_250):
+    # the export and the reader hold one anchor per translate, so the text
+    # and the writer's blocks set the peak; a cell tuple per row would not fit
+    shape, lattice, hom, _ = export_250
+    (translates, text, (header, rows)), peak = _traced_peak(
+        _round_trip, shape, lattice, hom, _BOX_250)
+    assert header["translates"] == len(translates) == 5_038 and len(rows) == 65_494
+    assert peak <= 3 * len(text)
 
 
 def test_tiling_export_writer_peak_is_within_3x_its_text(export_250):
@@ -539,6 +559,16 @@ def test_tiling_export_reader_holds_no_second_copy(export_250):
     oracle, oracle_peak = _traced_peak(parse_tiling_export_by_lines, text)
     assert read == oracle
     assert peak <= 0.7 * oracle_peak
+
+
+def test_tiling_export_reader_builds_no_shape_for_an_empty_export():
+    # an export without translates is valid for any k_plus; its rows view
+    # must not build the semi-cross its header names
+    text = _WRITTEN_EXPORTS[2].replace('"k_plus": 3', '"k_plus": 10000000')
+    (header, rows), peak = _traced_peak(certio.parse_tiling_export, text)
+    assert header["k_plus"] == 10**7 and header["translates"] == 0
+    assert rows == [] and len(rows) == 0 and list(rows) == []
+    assert peak < 1_000_000
 
 
 def test_tiling_export_reader_checks_header_sizes_before_building():

@@ -677,6 +677,19 @@ def test_tile_export(runner, tmp_path):
         assert header["translates"] == anchors
 
 
+def test_tile_output_is_pinned(runner, tmp_path):
+    # the order-13 certificate with k = 6 over a box whose second axis lies
+    # beyond CPython's small-int cache; sha256 of the export and summary line
+    cert_path = tmp_path / "z13.json"
+    _write_cert(cert_path, trivial_certificate(6, "order_2k_plus_1"))
+    result = runner.invoke(main, ["tile", "--cert", str(cert_path), "--box", "-60:59,990:1079"])
+    assert result.exit_code == 0
+    assert _summary(result) == "verdict=true order=13 anchors=926 cells=10800"
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == (
+        "74102fbf7b74857b94718006fe5d5dcd9868b6d2cf1ae95d40e27fc8cc11f3a8"
+    )
+
+
 def test_tile_1dim(runner, tmp_path):
     cert_path = tmp_path / "z4.json"
     _write_cert(cert_path, trivial_certificate(3))

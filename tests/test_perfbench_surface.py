@@ -8,6 +8,7 @@ pass its gate and write the pinned bytes.
 
 import hashlib
 import importlib
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -65,3 +66,19 @@ def test_checks_body_passes_its_gate_with_pinned_bytes(workloads, tmp_path, seed
     assert gate.failures == []
     assert len(marks) == 9  # the four s87 sizes of N = 27, then five checks
     assert result["digest"] == CHECKS_SHA256[seed]
+
+
+def test_check_export_peak_follows_the_anchors(workloads, tmp_path):
+    # the 250 x 250 export of seed 2 holds 5,039 translates of 13 cells;
+    # the export and the reader keep their anchors, not one tuple per cell
+    box = workloads.make_inputs("checks", 2)["box"]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        name, rows, counts = workloads.check_export(workloads.EXPORT_K, box, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert name == "export" and all(row["pass"] for row in rows)
+    assert counts == {"export_cells": 5_039 * 13}
+    assert peak < 12_000_000

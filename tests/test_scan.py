@@ -2,6 +2,7 @@ import dataclasses
 import importlib
 import multiprocessing
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -49,6 +50,21 @@ def test_candidates_k8():
     assert [c.n for c in cands] == [1, 3, 6, 10, 13]
     witness = dict(cands[-1].smoothness_witness)
     assert witness == {3: 1, 5: 1, 7: 1}
+
+
+def test_candidate_order_is_a_frozen_slotted_dataclass():
+    built = CandidateOrder(5, 3, 16, ((2, 4),))
+    named = CandidateOrder(k=5, n=3, order=16, smoothness_witness=((2, 4),))
+    assert built == named == scan_candidates(5, 5)[1] and hash(built) == hash(named)
+    assert built != CandidateOrder(5, 3, 16, ((2, 3),)) and built != (5, 3, 16, ((2, 4),))
+    assert repr(built) == "CandidateOrder(k=5, n=3, order=16, smoothness_witness=((2, 4),))"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        built.k = 6
+    assert built.k == 5 and not hasattr(built, "__dict__")
+    assert pickle.loads(pickle.dumps(built)) == built  # pool workers receive candidates
+    assert dataclasses.replace(built, n=1, order=6, smoothness_witness=((2, 1), (3, 1))) == (
+        scan_candidates(5, 5)[0]
+    )
 
 
 def test_candidates_small_k_empty():

@@ -1,20 +1,24 @@
 import re
+from collections.abc import Sequence
 from itertools import product
 from math import gcd
 
 import pytest
 from helpers import (
-    cells_by_coordinates, export_translates_by_cells, semi_cross_by_sorting, verify_tiling_by_basis,
+    cells_by_coordinates, export_translates_by_cells, semi_cross_by_sorting, translates_by_cells,
+    verify_tiling_by_basis,
 )
 from hypothesis import given
 from hypothesis import strategies as st
 
+from abelsplit.certio import parse_tiling_export, tiling_export_text
 from abelsplit.groups import FiniteAbelianGroup
 from abelsplit.splitting import MultiplierSet, make_certificate, trivial_certificate
 from abelsplit.tiling import (
     ErrorBallShape,
     IntegerLattice,
     LatticeHom,
+    TranslateView,
     export_translates,
     kernel_lattice,
     lattice_from_splitting,
@@ -321,3 +325,109 @@ def export_cases(draw):
 def test_export_agrees_with_the_per_cell_loop(case):
     expected = _export_or_error(export_translates_by_cells, *case)
     assert _export_or_error(export_translates, *case) == expected
+    assert _export_or_error(translates_by_cells, *case) == expected
+
+
+def _lattice(cert):
+    return lattice_from_splitting(cert)[1]
+
+
+_Z5 = make_certificate(Z(5), MultiplierSet.interval(2), [(1,), (4,)])
+
+# (lattice, shape, box) of every export above, tilings and failures alike,
+# then the semi-cross exports of both trivial certificates for k <= 6
+_EXPORT_CASES = [
+    (_lattice(_Z5), semi_cross(2, 2), [(0, 9), (0, 9)]),
+    (_lattice(_Z5), semi_cross(2, 2), [(0, 19), (0, 19)]),
+    (_lattice(trivial_certificate(3)), semi_cross(1, 3), [(0, 7)]),
+    (_lattice(trivial_certificate(3)), semi_cross(1, 3), [(3, 2)]),
+    (IntegerLattice(((3,),)), semi_cross(1, 3), [(0, 5)]),
+    (IntegerLattice(((4, 1), (0, 1))), semi_cross(2, 2), [(0, 5), (0, 5)]),
+    (IntegerLattice(((4, 1), (0, 1))), semi_cross(2, 2), [(-4, 5), (-4, 5)]),
+    (IntegerLattice(((5,),)), semi_cross(1, 3), [(0, 9)]),
+    (IntegerLattice(((2, 0), (0, 2))), semi_cross(2, 1), [(0, 5), (0, 5)]),
+    (_lattice(trivial_certificate(6, "order_2k_plus_1")), semi_cross(2, 6), [(3, 6), (-2, 1)]),
+    (IntegerLattice(((4,),)), semi_cross(1, 3), [(-8, 11)]),
+    (IntegerLattice(((5,),)), semi_cross(1, 3), [(-8, 11)]),
+] + [
+    (_lattice(trivial_certificate(k, form)), semi_cross(len(box), k), box)
+    for k in range(1, 7)
+    for form, box in [("order_k_plus_1", [(-7, 20)]), ("order_2k_plus_1", [(-3, 9), (5, 14)]),
+                      ("order_2k_plus_1", [(-300, -251), (1000, 1030)])]
+]
+
+
+@pytest.mark.parametrize("case", _EXPORT_CASES)
+def test_export_view_equals_the_list_building_export(case):
+    expected = _export_or_error(translates_by_cells, *case)
+    got = _export_or_error(export_translates, *case)
+    assert got == expected
+    if isinstance(got, TranslateView):
+        assert expected == got and list(got) == expected
+        assert got.anchors == tuple(anchor for anchor, _ in expected)
+
+
+def test_translate_view_reads_like_a_list():
+    lattice, shape, box = _lattice(_Z5), semi_cross(2, 2), [(0, 9), (0, 9)]
+    view, listed = export_translates(lattice, shape, box), translates_by_cells(lattice, shape, box)
+    assert isinstance(view, Sequence) and not isinstance(view, list)
+    assert len(view) == len(listed) == 28
+    assert view == listed and listed == view and not view != listed
+    assert [pair for pair in view] == listed
+    assert view[0] == listed[0] and view[5] == listed[5]
+    assert view[-1] == listed[-1] and view[-28] == listed[0]
+    for index in (28, -29):
+        with pytest.raises(IndexError):
+            view[index]
+    with pytest.raises(TypeError):
+        view[1.0]
+    for cut in (slice(3, 9), slice(None, None, -5), slice(-4, None), slice(40, None)):
+        assert view[cut] == listed[cut]
+        assert isinstance(view[cut], list)
+    assert view != listed[:-1] and view != [*listed, listed[0]] and view != listed[::-1]
+    assert view != tuple(listed)  # as a list equals no tuple
+    assert list(reversed(view)) == listed[::-1]
+    assert listed[7] in view and view.index(listed[7]) == 7 and view.count(listed[7]) == 1
+    assert view == export_translates(lattice, shape, box)
+    assert view != export_translates(lattice, shape, [(0, 9), (0, 8)])
+    for empty in ([(3, 2), (0, 1)], [(0, 1), (5, 4)]):
+        nothing = export_translates(lattice, shape, empty)
+        assert nothing == [] and [] == nothing and len(nothing) == 0 and list(nothing) == []
+    with pytest.raises(TypeError):
+        hash(view)
+    with pytest.raises(TypeError):
+        {view}
+
+
+def test_cell_row_view_reads_like_a_list():
+    lattice, shape, box = _lattice(_Z5), semi_cross(2, 2), [(0, 9), (0, 9)]
+    hom = lattice_from_splitting(_Z5)[0]
+    text = tiling_export_text(shape, lattice, hom, export_translates(lattice, shape, box))
+    _, rows = parse_tiling_export(text)
+    listed = [(anchor, cell) for anchor, cells in translates_by_cells(lattice, shape, box)
+              for cell in cells]
+    assert isinstance(rows, Sequence) and not isinstance(rows, list)
+    assert len(rows) == len(listed) == 28 * 5 == text.count("\n") - 2
+    assert rows == listed and listed == rows and not rows != listed
+    assert [row for row in rows] == listed
+    assert [rows[i] for i in range(len(rows))] == listed
+    assert [rows[i] for i in range(-len(rows), 0)] == listed
+    for index in (140, -141):
+        with pytest.raises(IndexError):
+            rows[index]
+    with pytest.raises(TypeError):
+        rows["0"]
+    for cut in (slice(3, 17), slice(None, None, -3), slice(-7, None), slice(200, None)):
+        assert rows[cut] == listed[cut]
+        assert isinstance(rows[cut], list)
+    assert rows != listed[1:] and rows != tuple(listed)
+    assert rows == parse_tiling_export(text)[1]
+    assert rows != export_translates(lattice, shape, box)  # translates, not rows
+    with pytest.raises(TypeError):
+        hash(rows)
+    nothing = export_translates(lattice, shape, [(0, -1), (0, 0)])
+    header, empty = parse_tiling_export(tiling_export_text(shape, lattice, hom, nothing))
+    assert header["translates"] == 0 and len(empty) == 0
+    assert empty == [] and [] == empty and list(empty) == [] and empty[:] == []
+    with pytest.raises(IndexError):
+        empty[0]
