@@ -339,11 +339,8 @@ def strata(cert_path, p, out) -> None:
     if cert_path is None or p is None:
         _fail_usage("check strata needs --cert and --p")
     cert = _load_certificate(cert_path)
-    profile = counting.stratify(cert, p)
-    checks = []
-    for i in range(1, profile.alpha + 1):
-        ok = counting.check_counting_identity(cert, p, i)
-        checks.append(_row(f"stratum_{i}_identity", True, ok, ok))
+    profile, holds = counting.counting_identities(cert, p)
+    checks = [_row(f"stratum_{i}_identity", True, ok, ok) for i, ok in enumerate(holds, 1)]
     inputs = {
         "group_factors": list(cert.group.factors), "p": p,
         "g_counts": list(profile.g_counts), "s_counts": list(profile.s_counts),
@@ -392,8 +389,10 @@ def s87(order, out, node_limit, time_limit_s) -> None:
 
 def _s87_counts(order: int, size: int, config: searchlib.SearchConfig) -> tuple[int, int]:
     """How many splittings of Z_order have |M| = size, and how many of them
-    have the s87 property. The certificates die on return, so the next
-    size's enumeration does not run while they are held."""
+    have the s87 property. The enumeration certifies every pair before it
+    returns its view, and the view builds each certificate as the check
+    reads it, so one certificate is alive at a time. The view dies on
+    return, so the next size's enumeration does not run while it is held."""
     certs = searchlib.enumerate_all_splittings(order, size, config)
     return len(certs), sum(map(splitting.s87_property_check, certs))
 

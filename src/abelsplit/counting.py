@@ -184,19 +184,41 @@ def check_counting_identity(cert: SplittingCertificate, p: int, i: int) -> bool:
 
     must hold for every valid certificate. The left side counts multiplier
     residues directly, so explicit multiplier sets work as well as {1..k}.
+    counting_identities checks every stratum of (cert, p) at once.
     """
-    n = cert.group.modulus
     profile = stratify(cert, p)
     if not 1 <= i <= profile.alpha:
         raise ValueError(f"stratum index {i} outside 1..{profile.alpha}")
+    return _identity_holds(profile, _valuation_tally(cert, profile), i)
+
+
+def counting_identities(
+    cert: SplittingCertificate, p: int
+) -> tuple[StratificationProfile, tuple[bool, ...]]:
+    """stratify(cert, p) and check_counting_identity(cert, p, i) for
+    i = 1..alpha, from one stratification and one valuation tally."""
+    profile = stratify(cert, p)
+    tally = _valuation_tally(cert, profile)
+    return profile, tuple(_identity_holds(profile, tally, i) for i in range(1, profile.alpha + 1))
+
+
+def _valuation_tally(cert: SplittingCertificate, profile: StratificationProfile) -> Counter:
+    """gcd(v, p**alpha) -> how many multiplier values v have it.
+
+    p**alpha divides n, so gcd(v, p**alpha) = gcd(v mod n, p**alpha) =
+    p**min(val_p(v mod n), alpha): one tally of every residue's valuation,
+    in which alpha and above never count.
+    """
+    n = cert.group.modulus
     values = cert.multipliers.values
     if not all(map(n.__rmod__, values)):
         raise ValueError("valuation needs a positive integer, got 0")
-    # p**alpha divides n, so gcd(v, p**alpha) = gcd(v mod n, p**alpha) =
-    # p**min(val_p(v mod n), alpha): one tally of every residue's
-    # valuation, in which alpha and above never count
-    tally = Counter(map(partial(gcd, p**profile.alpha), values))
-    lhs = sum(tally[p ** (j - i)] * profile.s_counts[j] for j in range(i, profile.alpha + 1))
+    return Counter(map(partial(gcd, profile.p**profile.alpha), values))
+
+
+def _identity_holds(profile: StratificationProfile, tally: Counter, i: int) -> bool:
+    p, s_counts = profile.p, profile.s_counts
+    lhs = sum(tally[p ** (j - i)] * s_counts[j] for j in range(i, profile.alpha + 1))
     return lhs == profile.g_counts[i]
 
 

@@ -31,12 +31,12 @@ import time
 from dataclasses import dataclass
 from itertools import combinations, islice
 from math import comb, gcd
-from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .groups import FiniteAbelianGroup
 # make_certificate is unused here, but perfbench traces it under this module
-from .splitting import MultiplierSet, SplittingCertificate, make_certificate  # noqa: F401
+from .splitting import (  # noqa: F401
+    CertificateView, MultiplierSet, SplittingCertificate, make_certificate)
 
 FOUND = "found"
 EXHAUSTED = "exhausted_no_solution"
@@ -296,8 +296,9 @@ def search_splitter(
 
 def enumerate_all_splittings(
     n: int, size_of_m: int, config: SearchConfig = SearchConfig()
-) -> list[SplittingCertificate]:
-    """All pairs (M, S) with |M| = size_of_m splitting Z_n, sorted by (M, S).
+) -> CertificateView:
+    """All pairs (M, S) with |M| = size_of_m splitting Z_n, sorted by (M, S),
+    as a read-only view of verified certificates.
 
     M ranges over subsets of the canonical residues 1..n-1. Subsets are
     enumerated on whichever side (multiplier or splitter) has the smaller
@@ -311,10 +312,15 @@ def enumerate_all_splittings(
     placement for an orbit's least member. Each fixed tuple goes to
     SplittingCertificate.batch with its orbit's list of covers, and the
     batch certifies all of them in one bitset pass, each from M and S
-    alone; each certificate spends |M|*|S| units of work. The certificates
-    of one call share one element tuple per residue, one MultiplierSet per
-    multiplier set and one splitters tuple per splitter set: `check s87 -N
-    27` peaks at 29 MB of RSS.
+    alone; each certificate spends |M|*|S| = n-1 units of work as the batch
+    takes its item. Every pair is certified before this returns, and the
+    result is the batch's CertificateView: one row per multiplier set, in
+    ascending order, grouped by M while certifying when the splitters are
+    the fixed side, and a certificate built on each read. The rows share
+    one element tuple per residue, one MultiplierSet per multiplier set and
+    one splitters tuple per splitter set. For Z_27 the view of |M| = 2 holds
+    1.6 MB and that of |M| = 13 4.2 MB (tracemalloc); `check s87 -N 27`
+    peaks at 23.4 MB of RSS.
     """
     if n < 2:
         raise ValueError(f"order must be >= 2, got {n}")
@@ -342,12 +348,10 @@ def enumerate_all_splittings(
                 pending[tuple(sorted([u * f % n for f in fixed]))] = covers
             del pending[fixed]
         fixed_covers.append((fixed, covers))
-    out: list[SplittingCertificate] = []
-    for cert in SplittingCertificate.batch(group, fix_multipliers, fixed_covers):
-        budget.spend(n - 1)  # the |M|*|S| = n-1 products the certificate covers
-        out.append(cert)
-    if not fix_multipliers:
-        # The fixed tuples ascend and each is one S, so a stable sort by M
-        # gives the (M, S) order; with M fixed the batch's order is already it.
-        out.sort(key=attrgetter("multipliers.values"))
-    return out
+
+    def spending(items):
+        for fixed, covers in items:
+            budget.spend(len(covers) * (n - 1))  # n-1 products per certificate
+            yield fixed, covers
+
+    return SplittingCertificate.batch(group, fix_multipliers, spending(fixed_covers))

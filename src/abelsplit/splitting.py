@@ -7,11 +7,15 @@ SplittingCertificate is verified when it is made, so it always holds one.
 Both of its constructors verify: the dataclass constructor checks one
 certificate's products, and SplittingCertificate.batch checks, for each
 fixed tuple of one cyclic group, all the covers it pairs with in one bitset
-pass. Neither yields a certificate for a pair that is not a splitting.
+pass. The batch certifies every pair before it returns a CertificateView,
+which holds the pairs as one row of splitters tuples per multiplier set and
+builds each certificate when it is read. Neither constructor yields a
+certificate for a pair that is not a splitting.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import product
 from math import prod
@@ -19,6 +23,7 @@ from operator import itemgetter, lt
 from typing import Iterable, Iterator
 
 from .groups import Element, FiniteAbelianGroup
+from .views import ReadOnlyView
 
 INTERVAL = "interval"
 EXPLICIT = "explicit"
@@ -42,7 +47,9 @@ class MultiplierSet:
     kind: str = EXPLICIT
 
     def __post_init__(self) -> None:
-        values = tuple(map(int, self.values))
+        values = self.values
+        if type(values) is not tuple or not all(type(v) is int for v in values):
+            values = tuple(map(int, values))
         if not values:
             raise ValueError("multiplier set must be nonempty")
         if 0 in values:
@@ -68,8 +75,12 @@ class MultiplierSet:
         return cls(tuple(sorted({int(v) for v in values})), kind=EXPLICIT)
 
     def residues(self, modulus: int) -> tuple[int, ...]:
-        """Values reduced mod the group order, in value order (may repeat)."""
-        return tuple(v % modulus for v in self.values)
+        """Values reduced mod the group order, in value order (may repeat):
+        the values tuple itself when they all lie in 1..modulus-1."""
+        values = self.values
+        if 0 < values[0] and values[-1] < modulus:  # the values increase
+            return values
+        return tuple(v % modulus for v in values)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -230,15 +241,19 @@ class SplittingCertificate:
         group: FiniteAbelianGroup,
         fix_multipliers: bool,
         fixed_covers: Iterable[tuple[tuple[int, ...], list[tuple[int, ...]]]],
-    ) -> Iterator[SplittingCertificate]:
-        """Certificates for the (fixed tuple, cover list) items of a cyclic group.
+    ) -> CertificateView:
+        """The certificates of the (fixed tuple, cover list) items of a cyclic
+        group, every pair certified before this returns.
 
         Each fixed tuple F pairs with every cover C in its list: F is the M
         values and C the S residues when fix_multipliers, the other way
         round otherwise. M values are what MultiplierSet takes (strictly
-        increasing, nonzero) and S residues lie in 0..n-1. Certificates come
-        in item order, then cover order. They share one MultiplierSet per
-        M, one splitters tuple per S and one element tuple per residue.
+        increasing, nonzero) and S residues lie in 0..n-1. The result is a
+        CertificateView with one row per multiplier set, by ascending M
+        values, each row's splitters in item order, then cover order. The
+        rows share one MultiplierSet per M, one splitters tuple per S and
+        one element tuple per residue; with M fixed, the fixed tuples that
+        share a cover list share one list of its splitters tuples.
 
         All covers of one F are checked at once. For each distinct list
         object, col[x] has bit j set when residue x is in cover j; it is
@@ -249,8 +264,8 @@ class SplittingCertificate:
         nonzero r: n-1 products that reach all n-1 nonzero residues reach
         each once and never 0, so this accepts exactly the pairs the
         dataclass constructor accepts. The first rejected pair raises
-        NotASplitting with the report that constructor gives, after the
-        certificates before it are yielded and before any later one is made.
+        NotASplitting with the report that constructor gives, and no
+        certificate of the batch is handed out.
         """
         n = group.modulus
         elements = [(x,) for x in range(n)]
@@ -272,10 +287,8 @@ class SplittingCertificate:
         # id(cover list) -> (the list, its fields, col, the mask of covers per size);
         # holding the list keeps its id from being reused while the batch runs
         tables: dict[int, tuple] = {}
-        # The slot descriptors fill a frozen certificate without __init__,
-        # whose __post_init__ would check the products again.
-        set_group, set_m, set_s = cls.group.__set__, cls.multipliers.__set__, cls.splitters.__set__
-        set_fixed, set_cover = (set_m, set_s) if fix_multipliers else (set_s, set_m)
+        # id(M) -> (M, the list of its splitters tuples); field makes one M per values
+        rows: dict[int, tuple] = {}
         for fixed, covers in fixed_covers:
             table = tables.get(id(covers))
             if table is None:
@@ -297,18 +310,72 @@ class SplittingCertificate:
             accepted = sum(mask for size, mask in by_size.items() if len(fixed) * size == n - 1)
             for r in range(1, n):
                 accepted &= acc[r]
-            # the lowest clear bit of accepted; len(covers) when all are set
-            first_rejected = ((accepted + 1) & ~accepted).bit_length() - 1
-            for other in cover_fields[:first_rejected]:
-                cert = cls.__new__(cls)
-                set_group(cert, group)
-                set_fixed(cert, value)
-                set_cover(cert, other)
-                yield cert
-            if first_rejected < len(covers):
-                other = cover_fields[first_rejected]
+            if accepted != (1 << len(covers)) - 1:
+                # the lowest clear bit of accepted
+                other = cover_fields[((accepted + 1) & ~accepted).bit_length() - 1]
                 M, S = (value, other) if fix_multipliers else (other, value)
                 raise NotASplitting(group, _check_products(group, M, S))
+            if not fix_multipliers:
+                for M in cover_fields:
+                    row = rows.get(id(M))
+                    if row is None:
+                        row = rows[id(M)] = M, []
+                    row[1].append(value)
+            elif cover_fields:
+                row = rows.get(id(value))
+                rows[id(value)] = value, cover_fields if row is None else row[1] + cover_fields
+        return CertificateView(group, sorted(rows.values(), key=lambda row: row[0].values))
+
+
+def _certificate(group: FiniteAbelianGroup, M: MultiplierSet, S: tuple[Element, ...]):
+    """A SplittingCertificate of a pair already certified, made through the
+    slot descriptors, without __init__, whose __post_init__ would check the
+    products again."""
+    cert = _new(SplittingCertificate)
+    _set_group(cert, group)
+    _set_multipliers(cert, M)
+    _set_splitters(cert, S)
+    return cert
+
+
+_new = SplittingCertificate.__new__
+_set_group = SplittingCertificate.group.__set__
+_set_multipliers = SplittingCertificate.multipliers.__set__
+_set_splitters = SplittingCertificate.splitters.__set__
+
+
+class CertificateView(ReadOnlyView):
+    """SplittingCertificate.batch's result: a certificate per certified
+    (M, S) pair, built on access through the slot descriptors.
+
+    rows holds one (M, list of splitters tuples) row per multiplier set, and
+    the view lists the pairs row by row; the rows and their lists are read
+    only. Every certificate the view hands out is one the batch certified,
+    so only SplittingCertificate.batch makes a view.
+    """
+
+    __slots__ = ("group", "rows", "_ends")
+
+    def __init__(self, group: FiniteAbelianGroup, rows: list[tuple]) -> None:
+        self.group, self.rows = group, tuple(rows)
+        self._ends, end = [], 0  # per row, the index past its last pair
+        for _, splitters in self.rows:
+            end += len(splitters)
+            self._ends.append(end)
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def __iter__(self) -> Iterator[SplittingCertificate]:
+        group = self.group
+        for M, splitters in self.rows:
+            for S in splitters:
+                yield _certificate(group, M, S)
+
+    def _item(self, index: int) -> SplittingCertificate:
+        row = bisect_right(self._ends, index)
+        M, splitters = self.rows[row]
+        return _certificate(self.group, M, splitters[index - self._ends[row] + len(splitters)])
 
 
 def make_certificate(

@@ -17,12 +17,12 @@ its anchor on access, so their memory follows the anchor count.
 
 from __future__ import annotations
 
-import operator
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from math import prod
 
 from .splitting import SplittingCertificate
+from .views import ReadOnlyView
 
 Vector = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]  # row-major; basis vectors are the columns
@@ -234,29 +234,7 @@ def verify_lattice_tiling(shape: ErrorBallShape, hom: LatticeHom) -> TilingCerti
     return TilingCertificate(verdict)
 
 
-class _AnchorView(Sequence):
-    """A read-only sequence whose items are made from its anchors on access,
-    one tuple held per anchor. A slice is a list of items; a view equals any
-    list or view holding equal items, in order, and is unhashable."""
-
-    __slots__ = ()
-    __hash__ = None
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(len(self))[index]]
-        return self._item(index)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, (list, _AnchorView)):
-            return NotImplemented
-        return len(self) == len(other) and all(map(operator.eq, self, other))
-
-    def __repr__(self) -> str:
-        return f"<{type(self).__name__} of {len(self)} items over {len(self.anchors)} anchors>"
-
-
-class TranslateView(_AnchorView):
+class TranslateView(ReadOnlyView):
     """export_translates' result: a pair (anchor, shape.at(anchor)) per
     anchor, in the order of anchors; the cells are built on access."""
 
@@ -278,7 +256,7 @@ class TranslateView(_AnchorView):
         return anchor, self.shape.at(anchor)
 
 
-class CellRowView(_AnchorView):
+class CellRowView(ReadOnlyView):
     """parse_tiling_export's rows: a pair (anchor, cell) per cell of the
     translate of semi_cross(dimension, k_plus) at each anchor, translate by
     translate, each in the shape's point order; the cells are built on access.
@@ -307,11 +285,6 @@ class CellRowView(_AnchorView):
                 yield anchor, cell
 
     def _item(self, index: int) -> tuple[Vector, Vector]:
-        index = operator.index(index)
-        if index < 0:
-            index += len(self)
-        if not 0 <= index < len(self):
-            raise IndexError("row index out of range")
         translate, point = divmod(index, self.dimension * self.k_plus + 1)
         anchor = self.anchors[translate]
         return anchor, self._at(anchor)[point]

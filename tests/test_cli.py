@@ -887,6 +887,23 @@ def test_check_strata(runner, tmp_path):
     assert "checks=2 failures=0" in _summary(result)
 
 
+def test_check_strata_stratifies_once(runner, tmp_path, monkeypatch):
+    # Z_27 and p = 3: alpha = 3 identities from one stratification
+    path = tmp_path / "z27.json"
+    _write_cert(path, trivial_certificate(13, "order_2k_plus_1"))
+    real, calls = counting.stratify, []
+
+    def stratify(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(counting, "stratify", stratify)
+    result = runner.invoke(main, ["check", "strata", "--cert", str(path), "--p", "3"])
+    assert result.exit_code == 0, result.output
+    assert "checks=3 failures=0" in _summary(result)
+    assert len(calls) == 1
+
+
 def test_check_tw(runner, tmp_path):
     path = tmp_path / "z25.json"
     _write_cert(path, trivial_certificate(24))

@@ -20,6 +20,7 @@ from abelsplit.counting import (
     KDecomposition,
     abcde_profile,
     check_counting_identity,
+    counting_identities,
     counting_witness,
     decompose_k,
     digit_pattern_check,
@@ -302,6 +303,26 @@ def test_counting_identity_refuses_a_zero_residue(monkeypatch):
     for check in (check_counting_identity, counting_identity_by_valuations):
         with pytest.raises(ValueError, match="got 0"):
             check(cert, 3, 1)
+
+
+def test_counting_identities_match_the_per_stratum_check(monkeypatch):
+    # a certificate made with verification bypassed fails some identities:
+    # in Z_27, M = {1, 3} and S = {1, 9} reach one element of stratum 3, not 18
+    certs = [trivial_certificate(k, which)
+             for k in range(1, 41) for which in ("order_k_plus_1", "order_2k_plus_1")]
+    monkeypatch.setattr(splitting, "_check_products", lambda *args: VerificationReport(VALID))
+    certs.append(splitting.SplittingCertificate(Z(27), MultiplierSet.explicit([1, 3]), ((1,), (9,))))
+    failing = 0
+    for cert in certs:
+        for p, alpha in cert.group.order_factorization:
+            profile, holds = counting_identities(cert, p)
+            assert profile == stratify(cert, p)
+            assert holds == tuple(check_counting_identity(cert, p, i) for i in range(1, alpha + 1))
+            failing += not all(holds)
+    assert failing == 1
+    zero = splitting.SplittingCertificate(Z(9), MultiplierSet.explicit([1, 18]), ((1,), (2,)))
+    with pytest.raises(ValueError, match="got 0"):
+        counting_identities(zero, 3)
 
 
 def test_counting_identity_stratum_range():

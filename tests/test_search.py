@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 from math import comb, gcd
@@ -325,23 +326,25 @@ def test_enumerate_reverifies_every_cover(monkeypatch):
 
 
 def test_enumerate_certification_spends_the_budget(monkeypatch):
-    # the clock jumps past the deadline once the first certificate is made,
-    # after the cover loop has ended, and every later spend reads it
+    # the clock jumps past the deadline once certification starts, after the
+    # cover loop has ended, and every later spend reads it: the batch must
+    # stop before it returns a view
     real_batch, real_monotonic = search.SplittingCertificate.batch, time.monotonic
-    certified = []
+    calls = []
 
     def batch(*args):
-        for cert in real_batch(*args):
-            certified.append(cert)
-            yield cert
+        calls.append("started")
+        view = real_batch(*args)
+        calls.append("returned")
+        return view
 
     monkeypatch.setattr(search.SplittingCertificate, "batch", batch)
     monkeypatch.setattr(search, "_TIME_STRIDE", 1)
     monkeypatch.setattr(search.time, "monotonic",
-                        lambda: real_monotonic() + (1e6 if certified else 0.0))
+                        lambda: real_monotonic() + (1e6 if calls else 0.0))
     with pytest.raises(BudgetExceeded, match="time_limit"):
         enumerate_all_splittings(9, 2, SearchConfig(time_limit_s=60.0))
-    assert len(certified) == 1
+    assert calls == ["started"]
 
 
 def test_enumerate_sides_agree():
@@ -402,6 +405,21 @@ def test_enumerate_off_prime_powers_matches_every_subset(n):
         for fixed, found in covers.items():
             for u in units:
                 assert covers[tuple(sorted(u * f % n for f in fixed))] == found, (fixed, u)
+
+
+def test_enumeration_holds_pairs_not_certificates():
+    # the 76,464 certificates of Z_27 with |M| = 2 are built on access from
+    # 81 rows; a list of them held 6.5 million bytes
+    enumerate_all_splittings(9, 2)  # module-level caches are not the result's
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        certs = enumerate_all_splittings(27, 2)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(certs) == 76464
+    assert held < 3_000_000
 
 
 @pytest.mark.parametrize("size", [2, 13])

@@ -1,10 +1,11 @@
 import re
+from collections.abc import Sequence
 from functools import lru_cache
 from itertools import product
 from math import gcd
 
 import pytest
-from helpers import s87_by_residues, verify_splitting_by_elements
+from helpers import all_splittings_by_subsets, s87_by_residues, verify_splitting_by_elements
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
@@ -38,6 +39,7 @@ def test_multiplier_set_constructors():
     assert e.values == (-2, 1, 7) and e.kind == "explicit"
     assert e.residues(5) == (3, 1, 2)
     assert MultiplierSet((-2.0, 7)).values == (-2, 7)  # values are converted to int
+    assert type(MultiplierSet((True, 2)).values[0]) is int
     with pytest.raises(ValueError, match="^0 is not a valid multiplier$"):
         MultiplierSet.explicit([0, 1])
     with pytest.raises(ValueError, match="^multiplier values must be strictly increasing$"):
@@ -57,6 +59,16 @@ def test_multiplier_set_constructors():
         MultiplierSet((2, 0), kind="bogus")
     with pytest.raises(ValueError, match="strictly increasing"):
         MultiplierSet((2, 1), kind="bogus")
+
+
+def test_multiplier_set_shares_a_tuple_of_ints():
+    # an enumeration keeps one tuple per multiplier set, not three
+    values = (1, 3, 5)
+    M = MultiplierSet(values)
+    assert M.values is values and M.residues(6) is values and M.residues(7) is values
+    assert M.residues(5) == (1, 3, 0) and M.residues(2) == (1, 1, 1)
+    assert MultiplierSet((-1, 3)).residues(9) == (8, 3)
+    assert MultiplierSet([1, 3]).values == (1, 3)
 
 
 def test_verify_valid_examples():
@@ -422,6 +434,7 @@ def batch_inputs(draw):
 @example((9, True, [((1, 2), [(1, 3, 4, 7), (1, 3, 4, 5, 7)]),
                     ((2, 4, 7, 8), [(1, 3)])]))  # count mismatch, every residue reached
 @example((1, True, []))  # an empty batch
+@example((9, True, [((1, 2), [(1, 3, 4, 7)]), ((1, 2), [(1, 4, 6, 7)])]))  # one M, two items
 def test_batch_accepts_exactly_what_the_constructor_accepts(inputs):
     n, fix_multipliers, items = inputs
     G = Z(n)
@@ -437,17 +450,19 @@ def test_batch_accepts_exactly_what_the_constructor_accepts(inputs):
         if rejected:
             break
     event("rejected" if rejected else "accepted")
-    made = []
     try:
-        for cert in SplittingCertificate.batch(G, fix_multipliers, items):
-            assert cert.group is G
-            made.append((cert.multipliers.values, tuple(x for (x,) in cert.splitters)))
+        view = SplittingCertificate.batch(G, fix_multipliers, items)
     except NotASplitting as exc:
+        # raised, so the batch handed out no certificate at all
         assert rejected is not None and exc.report == rejected
         event(rejected.failure.kind)
-    else:
-        assert rejected is None
-    assert made == accepted
+        return
+    assert rejected is None
+    # by multiplier set, ascending, and each set's pairs in batch order
+    accepted.sort(key=lambda pair: pair[0])
+    assert list(view) == [
+        SplittingCertificate(G, MultiplierSet(m), tuple((x,) for x in s)) for m, s in accepted]
+    assert all(cert.group is G for cert in view)
 
 
 @pytest.mark.parametrize("n", [2, 3, 9, 16])
@@ -476,6 +491,43 @@ def test_batch_shares_fields():
     certs = list(SplittingCertificate.batch(Z(9), False, items))
     assert [c.splitters for c in certs] == [((1,), (8,)), ((2,), (7,)), ((4,), (5,))]
     assert certs[0].multipliers is certs[1].multipliers is certs[2].multipliers
+
+
+def test_certificate_view_reads_like_a_list():
+    # |M| = 4 in Z_9 fixes the splitters, so the batch groups the pairs by M
+    view = enumerate_all_splittings(9, 4)
+    listed = [SplittingCertificate(Z(9), MultiplierSet(m), tuple((x,) for x in s))
+              for m, s in all_splittings_by_subsets(9, 4)]
+    assert isinstance(view, Sequence) and not isinstance(view, list)
+    assert len(view) == len(listed) == 72
+    assert len(view.rows) == 16 and [M.values for M, _ in view.rows] == sorted(
+        {c.multipliers.values for c in listed})
+    assert view == listed and listed == view and not view != listed
+    assert [cert for cert in view] == listed
+    assert [view[i] for i in range(72)] == listed  # across every row boundary
+    assert view[-1] == listed[-1] and view[-72] == listed[0]
+    for index in (72, -73):
+        with pytest.raises(IndexError):
+            view[index]
+    with pytest.raises(TypeError):
+        view[1.0]
+    for cut in (slice(3, 9), slice(None, None, -5), slice(-4, None), slice(80, None)):
+        assert view[cut] == listed[cut]
+        assert isinstance(view[cut], list)
+    assert view != listed[:-1] and view != [*listed, listed[0]] and view != listed[::-1]
+    assert view != tuple(listed)  # as a list equals no tuple
+    assert list(reversed(view)) == listed[::-1]
+    assert listed[7] in view and view.index(listed[7]) == 7 and view.count(listed[7]) == 1
+    assert view == enumerate_all_splittings(9, 4)
+    assert view != enumerate_all_splittings(9, 2)  # 72 certificates too
+    for empty in ([], [((1, 2), [])]):
+        nothing = SplittingCertificate.batch(Z(9), True, empty)
+        assert nothing == [] and [] == nothing and len(nothing) == 0 and list(nothing) == []
+        assert nothing.rows == ()
+    with pytest.raises(TypeError):
+        hash(view)
+    with pytest.raises(TypeError):
+        {view}
 
 
 def test_batch_rejects_out_of_range_splitters_and_non_cyclic_groups():
