@@ -12,24 +12,31 @@ costs one record whatever the size of the scan. Scan report documents
 deliberately exclude wall-clock data; timing appears only in the tabular
 export's millis column, which is diagnostic and carries 0 for records
 restored through a resume and for records the counting sieve decided.
-Every file abelsplit writes goes through write_text, which replaces the
+Every file abelsplit writes goes through write_chunks, which replaces the
 target atomically through a temp file written with os.open and os.write,
-except the lines appended to a scan journal.
+except the lines appended to a scan journal. It takes the text as an
+iterable of str and writes it about WRITE_CHUNK bytes at a time, so a
+large document is written from a stream: a scan report record by record
+(scan_report_chunks), a journal line by line, a tiling export block by
+block (tiling_export_chunks), each byte-identical to the joined text.
 
 The writers define what a valid document is. Each reader rebuilds its
 object with the library's own constructors and accepts the document only
 if writing that object back gives exactly the same document. A scan report
-is compared whole, once; its records are compared one by one only to name
-the first that differs.
+is checked record by record as it is rebuilt, each record against its
+written form, and its own keys are compared once, with a stand-in for the
+records; the first record that differs is named only after that fails.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from collections.abc import Iterable, Iterator
 from contextlib import contextmanager, suppress
 from dataclasses import replace
 from functools import cache
+from operator import is_
 from pathlib import Path
 
 from .groups import FiniteAbelianGroup
@@ -62,6 +69,7 @@ from .tiling import (
 )
 
 FORMAT_VERSION = 3
+WRITE_CHUNK = 1 << 20  # the bytes write_chunks gathers before each write
 
 
 class DocumentError(ValueError):
@@ -155,27 +163,51 @@ def loads_document(text: str) -> dict:
     return doc
 
 
-def write_text(path, text: str) -> None:
-    """Replace the file at path with text, as UTF-8, atomically.
+def _write_all(fd: int, data) -> None:
+    """os.write data to fd, again and again until all of it is written."""
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def write_chunks(path, chunks: Iterable[str]) -> None:
+    """Replace the file at path with the text of chunks, joined, as UTF-8,
+    atomically.
 
     The text goes to a temp file beside the target, which os.replace then
     moves over it, so a process killed mid-write leaves the old file whole.
     The temp file is made by os.open with mode 0o666, not by tempfile, so
-    its mode follows the umask, and it is removed if the write fails. The
-    bytes go out through os.write, repeated until all are written, with no
-    Path, buffer or text layer in between. An OSError names path, the file
-    asked for, not the temp file. There is no fsync: this guards against a
-    killed process, not against a power loss.
+    its mode follows the umask, and it is removed if the write fails, also
+    when the error comes from chunks. Each chunk is encoded, a longer one
+    WRITE_CHUNK characters at a time, and held until the bytes held reach
+    WRITE_CHUNK, and at the end; then they go out through os.write,
+    repeated until all are written. So a document of fewer bytes takes one
+    os.write, and at most WRITE_CHUNK bytes plus one chunk's are held. A
+    lone piece is written as it was encoded; a bytearray gathers several.
+    An OSError names path, the file asked for, not the temp file. There is
+    no fsync: this guards against a killed process, not against a power
+    loss.
     """
     target = os.fspath(path)
     folder, name = os.path.split(target)
     tmp = os.path.join(folder, f".{name}.{os.getpid()}.tmp")
-    data = memoryview(text.encode())
     try:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
         try:
-            while data:
-                data = data[os.write(fd, data):]
+            held = b""  # encoded, not yet written: one piece, or a bytearray of several
+            for chunk in chunks:
+                for start in range(0, len(chunk), WRITE_CHUNK):
+                    data = chunk[start:start + WRITE_CHUNK].encode()
+                    if not held:
+                        held = data
+                    else:
+                        if type(held) is bytes:
+                            held = bytearray(held)
+                        held += data
+                    if len(held) >= WRITE_CHUNK:
+                        _write_all(fd, held)
+                        held = b""
+            _write_all(fd, held)
         finally:
             os.close(fd)
         os.replace(tmp, target)
@@ -185,6 +217,11 @@ def write_text(path, text: str) -> None:
         if isinstance(exc, OSError) and exc.errno is not None:
             raise type(exc)(exc.errno, exc.strerror, target) from None
         raise
+
+
+def write_text(path, text: str) -> None:
+    """Replace the file at path with text, as UTF-8, atomically: write_chunks."""
+    write_chunks(path, (text,))
 
 
 def write_document(path, doc: dict) -> None:
@@ -214,19 +251,19 @@ def _parsing(what: str):
         raise DocumentError(f"malformed {what}: {type(exc).__name__}: {exc}") from exc
 
 
+def _text(value) -> str:
+    """The compact JSON text by which a rebuilt value is compared with the
+    one read: True == 1 and 5.0 == 5 in Python, but not in the file."""
+    return json.dumps(value, sort_keys=True)
+
+
 def _require_written_form(rebuilt: dict, doc: dict, what: str) -> None:
-    """Accept doc only if it is what abelsplit writes for the object rebuilt from it.
-
-    Values are compared as JSON text, not as Python objects: True == 1 and
-    5.0 == 5 in Python, but not in the file.
-    """
-    def text(value) -> str:
-        return json.dumps(value, sort_keys=True)
-
-    if text(rebuilt) != text(doc):
+    """Accept doc only if it is what abelsplit writes for the object rebuilt
+    from it, comparing values as JSON text (_text)."""
+    if _text(rebuilt) != _text(doc):
         keys = sorted(
             key for key in rebuilt.keys() | doc.keys()
-            if key not in rebuilt or key not in doc or text(rebuilt[key]) != text(doc[key])
+            if key not in rebuilt or key not in doc or _text(rebuilt[key]) != _text(doc[key])
         )
         raise DocumentError(f"{what} differs from what abelsplit writes in {', '.join(keys)}")
 
@@ -340,7 +377,8 @@ def _record_from_doc(doc, k_min: int, k_max: int, n_max: int | None) -> ScanReco
         return decide(candidate, read_outcome)
 
 
-def scan_report_to_doc(report: ScanReport) -> dict:
+def _scan_report_doc(report: ScanReport, records) -> dict:
+    """The document of report, with records standing for its records."""
     totals = report.totals
     return {
         "format_version": FORMAT_VERSION,
@@ -352,10 +390,38 @@ def scan_report_to_doc(report: ScanReport) -> dict:
             "node_limit": report.node_limit,
             "time_limit_s": report.time_limit_s,
         },
-        "records": [_record_doc(r) for r in report.records],
+        "records": records,
         "totals": totals,
         "overall": overall_verdict(totals),
     }
+
+
+def scan_report_to_doc(report: ScanReport) -> dict:
+    return _scan_report_doc(report, [_record_doc(r) for r in report.records])
+
+
+_BATCH = 16  # records the report reader compares with their written form at once
+_RECORDS = "\0records"  # the one item of the records list while the envelope is rendered
+
+
+def scan_report_chunks(report: ScanReport) -> Iterator[str]:
+    """dumps_document(scan_report_to_doc(report)) in pieces, one record's
+    document alive at a time: the text before and after the records, cut
+    from the document rendered with the one item _RECORDS in their place,
+    and between them each record's text as _write renders it there."""
+    if not report.records:
+        yield dumps_document(scan_report_to_doc(report))
+        return
+    head, tail = dumps_document(_scan_report_doc(report, [_RECORDS])).split(_escape(_RECORDS))
+    item_sep = _punctuation(1)[1]  # the records list sits at depth 1
+    yield head
+    sep = ""
+    for record in report.records:
+        parts = [sep]
+        _write(_record_doc(record), 2, parts.append)
+        yield "".join(parts)
+        sep = item_sep
+    yield tail
 
 
 def scan_report_from_doc(doc: dict) -> ScanReport:
@@ -369,9 +435,13 @@ def scan_report_from_doc(doc: dict) -> ScanReport:
     resource_limit result are taken as written: only running its search
     again could check them, which would undo the point of resuming.
 
-    The whole report is compared once. Only when that fails are the records
-    compared one by one, so that the error names the first record that
-    differs, and its keys; when none does, it names the report's keys."""
+    The records are compared with their written form as they are rebuilt,
+    _BATCH at a time, so no document of the whole report is built, and the
+    report's own keys are compared once, with a stand-in for records that
+    matches only when every record does and they ascend by (k, N). Only
+    when that comparison fails are the records of the first batch that
+    differs compared one by one, so that the error names the first record
+    that differs, and its keys; when none does, it names the report's keys."""
     with _parsing("scan_report"):
         config = doc["config"]
         k_min, k_max, n_max = int(config["k_min"]), int(config["k_max"]), config["n_max"]
@@ -380,25 +450,41 @@ def scan_report_from_doc(doc: dict) -> ScanReport:
         if type(config["time_limit_s"]) is bool:
             raise TypeError("time_limit_s must be a number or null, not bool")
         budget = SearchConfig(int(config["node_limit"]), config["time_limit_s"])
-        read = [_record_from_doc(r, k_min, k_max, n_max) for r in doc["records"]]
+        given, read = doc["records"], []
+        differs = None  # where the first batch unlike its written form starts
+        for start in range(0, len(given), _BATCH):
+            batch, rebuilt = given[start:start + _BATCH], []
+            for r in batch:
+                read.append(_record_from_doc(r, k_min, k_max, n_max))
+                rebuilt.append(_record_doc(read[-1]))
+            if differs is None and _text(rebuilt) != _text(batch):
+                differs = start
         records = tuple(sorted(read, key=lambda r: (r.candidate.k, r.candidate.order)))
         report = ScanReport(k_min, k_max, n_max, budget.node_limit, budget.time_limit_s, records)
+        written = differs is None and all(map(is_, records, read))  # and in (k, N) order
     try:
-        _require_written_form(scan_report_to_doc(report), doc, "scan_report")
+        # None stands for records as written; a JSON list never reads as null
+        _require_written_form(_scan_report_doc(report, None),
+                              {**doc, "records": None if written else doc["records"]},
+                              "scan_report")
     except DocumentError:
-        for record, r in zip(read, doc["records"]):
-            _require_written_form(_record_doc(record), r, f"record k={r['k']} N={r['N']}")
+        if differs is not None:
+            for record, r in zip(read[differs:], given[differs:]):
+                _require_written_form(_record_doc(record), r, f"record k={r['k']} N={r['N']}")
         raise
     return report
 
 
-def journal_text(report: ScanReport) -> str:
+def journal_lines(report: ScanReport) -> Iterator[str]:
     """A journal line per record of report, in its order: the compact JSON
     (sort_keys=True) of the report that holds that record alone."""
-    return "".join(
-        json.dumps(scan_report_to_doc(replace(report, records=(r,))), sort_keys=True) + "\n"
-        for r in report.records
-    )
+    for r in report.records:
+        yield json.dumps(scan_report_to_doc(replace(report, records=(r,))), sort_keys=True) + "\n"
+
+
+def journal_text(report: ScanReport) -> str:
+    """The lines of journal_lines(report), joined."""
+    return "".join(journal_lines(report))
 
 
 def read_journal(path) -> ScanReport | None:
@@ -504,28 +590,39 @@ def _translate_rows(template: str, fields: list[tuple[int, int]], anchor) -> str
     return template.format(*[str(anchor[i] + o) for i, o in fields])
 
 
+def tiling_export_chunks(
+    shape: ErrorBallShape,
+    lattice: IntegerLattice,
+    hom: LatticeHom,
+    translates: TranslateView,
+) -> Iterator[str]:
+    """The export, block by block: the header line (JSON after '# ') and a
+    CSV column line, then one block of rows per translate, in the order
+    given: a row per cell, anchor coordinates followed by cell coordinates.
+
+    The translates are export_translates' view, and only its anchors are
+    read: each block is written from its anchor through the shape's one
+    template, so no cell is built. An anchor of another dimension than the
+    shape's raises ValueError before the header is yielded."""
+    anchors = translates.anchors
+    for anchor in anchors:
+        if len(anchor) != shape.dimension:
+            raise ValueError(f"anchor {tuple(anchor)} does not have dimension {shape.dimension}")
+    template, fields = _block_template(shape)
+    yield _export_head(shape.k_plus, lattice, hom, len(anchors))
+    for anchor in anchors:
+        yield _translate_rows(template, fields, anchor)
+
+
 def tiling_export_text(
     shape: ErrorBallShape,
     lattice: IntegerLattice,
     hom: LatticeHom,
     translates: TranslateView,
 ) -> str:
-    """Header line (JSON after '# '), a CSV column line, then one block of
-    rows per translate, in the order given: a row per cell, anchor
-    coordinates followed by cell coordinates.
-
-    The translates are export_translates' view, and only its anchors are
-    read: each block is written from its anchor through the shape's one
-    template, so no cell is built. An anchor of another dimension than the
-    shape's raises ValueError."""
-    anchors = translates.anchors
-    for anchor in anchors:
-        if len(anchor) != shape.dimension:
-            raise ValueError(f"anchor {tuple(anchor)} does not have dimension {shape.dimension}")
-    template, fields = _block_template(shape)
-    blocks = [_export_head(shape.k_plus, lattice, hom, len(anchors))]
-    blocks += [_translate_rows(template, fields, anchor) for anchor in anchors]
-    return "".join(blocks)
+    """The blocks of tiling_export_chunks joined into one str, which holds
+    them and the text at once; abelsplit tile streams the blocks instead."""
+    return "".join(tiling_export_chunks(shape, lattice, hom, translates))
 
 
 def parse_tiling_export(text: str) -> tuple[dict, CellRowView]:
@@ -543,8 +640,9 @@ def parse_tiling_export(text: str) -> tuple[dict, CellRowView]:
     text. The header, rebuilt with the block count, is compared last. No
     line list or second text is built, and the header's sizes are checked
     against the text before the shape and lattice it names are built. The
-    reader keeps one tuple per translate, its anchor; the rows view builds
-    the cells on access.
+    reader keeps one tuple per translate, its anchor, whose coordinates it
+    interns as it parses them, so equal values share one int; the rows view
+    builds the cells on access.
     """
     header_end = text.find("\n")
     body = text.find("\n", header_end + 1) + 1
@@ -553,6 +651,7 @@ def parse_tiling_export(text: str) -> tuple[dict, CellRowView]:
     if not text.endswith("\n"):
         raise DocumentError("tiling_export lacks its final newline")
     anchors: list[tuple[int, ...]] = []
+    intern = {}.setdefault
     with _parsing("tiling_export"):
         header = json.loads(text[2:header_end])
         n, k = int(header["dimension"]), int(header["k_plus"])
@@ -571,7 +670,8 @@ def parse_tiling_export(text: str) -> tuple[dict, CellRowView]:
         template, fields = _block_template(shape) if shape else ("", [])
         pos, last = body, ()
         while pos < len(text):
-            anchor = tuple(int(v) for v in text[pos:text.find("\n", pos)].split(",", n)[:n])
+            anchor = tuple([intern(c, c) for c in map(
+                int, text[pos:text.find("\n", pos)].split(",", n)[:n])])
             if len(anchor) != n:
                 raise DocumentError("tiling_export has a row shorter than an anchor")
             if anchor <= last:

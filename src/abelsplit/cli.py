@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import os
 import sys
+from collections.abc import Iterable
 from pathlib import Path
 from typing import NoReturn
 
@@ -40,14 +41,16 @@ def _fail_usage(message: str) -> NoReturn:
     sys.exit(EXIT_USAGE)
 
 
-def _finish(code: int, summary: str, text: str | None = None, out: str | None = None) -> NoReturn:
-    """End a command: write text (its document) to out, or to stdout when
-    out is None, then print the key=value summary line and exit with code."""
-    if text is not None:
+def _finish(code: int, summary: str, chunks: Iterable[str] | None = None,
+            out: str | None = None) -> NoReturn:
+    """End a command: write chunks, the pieces of its document's text, to
+    out through certio.write_chunks, or to stdout when out is None, then
+    print the key=value summary line and exit with code."""
+    if chunks is not None:
         if out is None:
-            click.echo(text, nl=False)
+            sys.stdout.writelines(chunks)
         else:
-            certio.write_text(out, text)
+            certio.write_chunks(out, chunks)
     click.echo(summary)
     sys.exit(code)
 
@@ -105,7 +108,8 @@ def _load_certificate(path) -> splitting.SplittingCertificate:
         _fail_usage(f"bad certificate document: {exc}")
     except splitting.NotASplitting as exc:
         failure = exc.report.failure
-        _finish(EXIT_NEGATIVE, f"verdict=invalid failure={failure.kind}", failure.describe() + "\n")
+        _finish(EXIT_NEGATIVE, f"verdict=invalid failure={failure.kind}",
+                [failure.describe() + "\n"])
 
 
 @click.group(cls=_Main)
@@ -140,12 +144,12 @@ def search(order, k, out, node_limit, time_limit_s) -> None:
         cert = splitting.make_certificate(group, multipliers, [(s,) for s in outcome.splitters])
         _finish(EXIT_OK, f"result=found order={order} k={k} splitters={len(outcome.splitters)} "
                 f"classification={cert.classification.tag} nodes={stats.nodes} rows={stats.rows}",
-                certio.dumps_document(certio.certificate_to_doc(cert)), out)
+                [certio.dumps_document(certio.certificate_to_doc(cert))], out)
     summary = f"result={outcome.result} order={order} k={k} nodes={stats.nodes} rows={stats.rows}"
     if outcome.result == searchlib.RESOURCE_LIMIT:
         summary += f" reason={stats.reason}"
     _finish(EXIT_NEGATIVE if outcome.result == searchlib.EXHAUSTED else EXIT_RESOURCE, summary,
-            certio.dumps_document(certio.search_result_doc(order, multipliers, outcome)), out)
+            [certio.dumps_document(certio.search_result_doc(order, multipliers, outcome))], out)
 
 
 @main.command()
@@ -179,7 +183,7 @@ def scan(k_min, k_max, n_max, jobs, out_dir, resume, node_limit, time_limit_s) -
             _fail_usage(f"bad resume report {journal_path}: {exc}")
     # a fresh run empties the journal; a resumed one rewrites the lines it
     # accepted, so that no append follows a line cut short by a kill
-    certio.write_text(journal_path, certio.journal_text(resume_report) if resume_report else "")
+    certio.write_chunks(journal_path, certio.journal_lines(resume_report) if resume_report else ())
 
     with open(journal_path, "a", encoding="utf-8") as journal:
         def checkpoint(one):
@@ -191,14 +195,14 @@ def scan(k_min, k_max, n_max, jobs, out_dir, resume, node_limit, time_limit_s) -
             jobs=jobs if jobs is not None else (os.cpu_count() or 1),
             resume=resume_report, checkpoint=checkpoint,
         )
-    certio.write_document(report_path, certio.scan_report_to_doc(report))
+    certio.write_chunks(report_path, certio.scan_report_chunks(report))
     certio.write_text(table_path, certio.scan_report_table(report))
     totals = report.totals
     overall = overall_verdict(totals)
     _finish({"consistent": EXIT_OK, "violation": EXIT_NEGATIVE}.get(overall, EXIT_RESOURCE),
             f"overall={overall} records={totals['records']} found={totals['found']} "
             f"violations={totals[VIOLATION]} inconclusive={totals[INCONCLUSIVE]}",
-            f"report={report_path}\ntable={table_path}\n")
+            [f"report={report_path}\ntable={table_path}\n"])
 
 
 def _parse_box(spec: str, dimension: int) -> list[tuple[int, int]]:
@@ -244,7 +248,7 @@ def tile(cert_path, box_spec, out) -> None:
     for lo, hi in box:
         cells *= hi - lo + 1
     _finish(EXIT_OK, f"verdict=true order={hom.modulus} anchors={len(translates)} cells={cells}",
-            certio.tiling_export_text(shape, lattice, hom, translates), out)
+            certio.tiling_export_chunks(shape, lattice, hom, translates), out)
 
 
 def _row(name, expected, actual, passed) -> dict:
@@ -258,7 +262,7 @@ def _report(name, inputs, rows, out) -> NoReturn:
     failures = sum(1 for row in rows if not row["pass"])
     _finish(EXIT_OK if failures == 0 else EXIT_NEGATIVE,
             f"check={name} checks={len(rows)} failures={failures} verdict={doc['verdict']}",
-            certio.dumps_document(doc), out)
+            [certio.dumps_document(doc)], out)
 
 
 @main.group()

@@ -25,6 +25,7 @@ would ask for about 8*10^18 bytes.
 
 from __future__ import annotations
 
+import gc
 import time
 from array import array
 from dataclasses import dataclass, replace
@@ -121,14 +122,27 @@ def check_scan_range(k_min: int, k_max: int, n_max: int | None) -> None:
 def scan_candidates(k_min: int, k_max: int, n_max: int | None = None) -> list[CandidateOrder]:
     """Every candidate of a scan, in (k, N) order, from one table of largest
     prime factors; n_max of None means 2k for each k. Parameters that break
-    check_scan_range raise ValueError."""
+    check_scan_range raise ValueError.
+
+    The cyclic garbage collector is paused while the list grows, since each
+    of its older-generation passes would walk every candidate held so far
+    (close to half of scan_candidates(1, 1000) went to them), and the
+    caller's collector state is restored on the way out, also on an error.
+    """
     check_scan_range(k_min, k_max, n_max)
     lpf = largest_prime_factors(k_max * (2 * k_max if n_max is None else n_max) + 1)
     out = []
-    for k in range(k_min, k_max + 1):
-        top = 2 * k if n_max is None else n_max
-        smooth = compress(count(1), map(k.__ge__, lpf[k + 1:top * k + 2:k]))
-        out += [CandidateOrder(k, n, n * k + 1, _factor_by_table(n * k + 1, lpf)) for n in smooth]
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for k in range(k_min, k_max + 1):
+            top = 2 * k if n_max is None else n_max
+            smooth = compress(count(1), map(k.__ge__, lpf[k + 1:top * k + 2:k]))
+            out += [CandidateOrder(k, n, n * k + 1, _factor_by_table(n * k + 1, lpf))
+                    for n in smooth]
+    finally:
+        if collecting:
+            gc.enable()
     return out
 
 

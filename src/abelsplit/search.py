@@ -319,8 +319,8 @@ def enumerate_all_splittings(
     the fixed side, and a certificate built on each read. The rows share
     one element tuple per residue, one MultiplierSet per multiplier set and
     one splitters tuple per splitter set. For Z_27 the view of |M| = 2 holds
-    1.6 MB and that of |M| = 13 4.2 MB (tracemalloc); `check s87 -N 27`
-    peaks at 23.4 MB of RSS.
+    1.6 MB and that of |M| = 13 4.0 MB (tracemalloc); `check s87 -N 27`
+    peaks at 23.0 MB of RSS.
     """
     if n < 2:
         raise ValueError(f"order must be >= 2, got {n}")

@@ -39,9 +39,13 @@ ORDER_K_PLUS_1 = "order_k_plus_1"
 ORDER_2K_PLUS_1 = "order_2k_plus_1"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MultiplierSet:
-    """Strictly increasing nonzero integers, optionally tagged as {1..k}."""
+    """Strictly increasing nonzero integers, optionally tagged as {1..k}.
+
+    Its fields live in slots, so an instance carries no dict: an
+    enumeration holds one per multiplier set.
+    """
 
     values: tuple[int, ...]
     kind: str = EXPLICIT

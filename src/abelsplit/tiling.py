@@ -12,7 +12,12 @@ form, which is unique, so equal lattices serialize identically.
 A tiling export over a box keeps one tuple per translate, its anchor:
 export_translates returns a TranslateView and the export reader a
 CellRowView, read-only sequences that build each translate's cells from
-its anchor on access, so their memory follows the anchor count.
+its anchor on access, so their memory follows the anchor count. It also
+keeps one int per coordinate value: the anchors take their coordinates
+from one list of ints per axis (or, read back, from the reader's interning
+table), and a view takes the arm coordinates of the cells it builds from
+one table per view, keyed by value, so it grows with the distinct values
+met, never with a span the input controls.
 """
 
 from __future__ import annotations
@@ -55,23 +60,27 @@ class ErrorBallShape:
         object.__setattr__(
             self, "points", tuple(origin[:i] + (o,) + origin[i + 1:] for i, o in arms))
 
-    def at(self, anchor: Sequence[int]) -> tuple[Vector, ...]:
+    def at(self, anchor: Sequence[int], coords: dict[int, int] | None = None) -> tuple[Vector, ...]:
         """The cells of the translate anchored at anchor.
 
         A cell on an arm is the anchor with one coordinate replaced, and
         the origin's cell is the anchor tuple itself, so every other
-        coordinate reuses the anchor's int rather than a new sum.
-        Coordinates beyond CPython's small-int cache (a box thousands of
-        cells from the origin) then cost at most one new int per cell,
-        not one per axis.
+        coordinate reuses the anchor's int rather than a new sum. The
+        replaced coordinate is taken from coords, a table of ints keyed by
+        value, and added to it when new: the views pass one table each, so
+        the cells of all their translates share one int per coordinate
+        value, even beyond CPython's small-int cache. Without a table the
+        cells of this one translate share theirs.
         """
         if len(anchor) != self.dimension:
             raise ValueError(f"anchor {tuple(anchor)} does not have dimension {self.dimension}")
         anchor = tuple(anchor)
+        share = ({} if coords is None else coords).setdefault
         cells = []
         for i, o in self._arms:
             if o:
-                cells.append(anchor[:i] + (anchor[i] + o,) + anchor[i + 1:])
+                c = anchor[i] + o
+                cells.append(anchor[:i] + (share(c, c),) + anchor[i + 1:])
             else:
                 cells.append(anchor)
         return tuple(cells)
@@ -148,16 +157,19 @@ class IntegerLattice:
         The basis is upper triangular, so the coefficients of the columns
         after i fix every coordinate after i, and coordinate i then runs
         through one residue class modulo the diagonal entry d_i: only
-        lattice points are visited.
+        lattice points are visited. Coordinate i is read from one list of
+        the axis's ints, as a slice of that class, so the points share one
+        int per coordinate value.
         """
         basis, out = self.basis, []
+        axes = [list(r) for r in ranges]
 
         def walk(i: int, v: list[int]) -> None:
             if i < 0:
                 out.append(tuple(v))
                 return
-            d, r = basis[i][i], ranges[i]
-            for x in range(r.start + (v[i] - r.start) % d, r.stop, d):
+            d = basis[i][i]
+            for x in axes[i][(v[i] - ranges[i].start) % d::d]:
                 q = (x - v[i]) // d
                 walk(i - 1, [v[j] + q * basis[j][i] for j in range(i)] + [x] + v[i + 1:])
 
@@ -234,47 +246,62 @@ def verify_lattice_tiling(shape: ErrorBallShape, hom: LatticeHom) -> TilingCerti
     return TilingCertificate(verdict)
 
 
+def _coordinate_table(anchors: Sequence[Vector]) -> dict[int, int]:
+    """A view's interning table: each coordinate value of the anchors,
+    keyed by itself, to which the view's cells add their arm coordinates."""
+    return {c: c for anchor in anchors for c in anchor}
+
+
 class TranslateView(ReadOnlyView):
     """export_translates' result: a pair (anchor, shape.at(anchor)) per
-    anchor, in the order of anchors; the cells are built on access."""
+    anchor, in the order of anchors; the cells are built on access, their
+    coordinates taken from the view's one table."""
 
-    __slots__ = ("shape", "anchors")
+    __slots__ = ("shape", "anchors", "_coords")
 
     def __init__(self, shape: ErrorBallShape, anchors: Sequence[Vector]) -> None:
         self.shape, self.anchors = shape, tuple(anchors)
+        self._coords: dict[int, int] | None = None
+
+    def _at(self, anchor: Vector) -> tuple[Vector, ...]:
+        if self._coords is None:
+            self._coords = _coordinate_table(self.anchors)
+        return self.shape.at(anchor, self._coords)
 
     def __len__(self) -> int:
         return len(self.anchors)
 
     def __iter__(self) -> Iterator[tuple[Vector, tuple[Vector, ...]]]:
-        at = self.shape.at
         for anchor in self.anchors:
-            yield anchor, at(anchor)
+            yield anchor, self._at(anchor)
 
     def _item(self, index: int) -> tuple[Vector, tuple[Vector, ...]]:
         anchor = self.anchors[index]
-        return anchor, self.shape.at(anchor)
+        return anchor, self._at(anchor)
 
 
 class CellRowView(ReadOnlyView):
     """parse_tiling_export's rows: a pair (anchor, cell) per cell of the
     translate of semi_cross(dimension, k_plus) at each anchor, translate by
-    translate, each in the shape's point order; the cells are built on access.
+    translate, each in the shape's point order; the cells are built on
+    access, their coordinates taken from the view's one table.
 
     The shape itself is built on first access: an export without translates
     may name one far too large to build.
     """
 
-    __slots__ = ("dimension", "k_plus", "anchors", "_shape")
+    __slots__ = ("dimension", "k_plus", "anchors", "_shape", "_coords")
 
     def __init__(self, dimension: int, k_plus: int, anchors: Sequence[Vector]) -> None:
         self.dimension, self.k_plus, self.anchors = dimension, k_plus, tuple(anchors)
         self._shape: ErrorBallShape | None = None
+        self._coords: dict[int, int] | None = None
 
     def _at(self, anchor: Vector) -> tuple[Vector, ...]:
         if self._shape is None:
             self._shape = ErrorBallShape(self.dimension, self.k_plus)
-        return self._shape.at(anchor)
+            self._coords = _coordinate_table(self.anchors)
+        return self._shape.at(anchor, self._coords)
 
     def __len__(self) -> int:
         return len(self.anchors) * (self.dimension * self.k_plus + 1)

@@ -148,6 +148,26 @@ def test_violation_record_document_matches_json_dumps():
     assert certio.dumps_document(doc) == canonical_json(doc)
 
 
+def test_streamed_report_is_the_document_text(tmp_path, monkeypatch):
+    # the desk report, one with no records, an n_max report and one whose
+    # violation record embeds its certificate
+    candidate = CandidateOrder(2, 4, 9, ((3, 2),))
+    violation = make_record(candidate, search_splitter(Z(9), MultiplierSet.interval(2)))
+    reports = [scan(1, 30), ScanReport(3, 7, None, 10**8, 60.0, ()), scan(8, 8, n_max=13),
+               ScanReport(2, 2, 4, 10**8, 60.0, (violation,))]
+    monkeypatch.setattr(certio, "WRITE_CHUNK", 1 << 12)  # so the desk report takes many writes
+    for i, report in enumerate(reports):
+        text = certio.dumps_document(certio.scan_report_to_doc(report))
+        assert "".join(certio.scan_report_chunks(report)) == text
+        certio.write_chunks(tmp_path / f"{i}.json", certio.scan_report_chunks(report))
+        assert (tmp_path / f"{i}.json").read_bytes() == text.encode()
+    desk = (tmp_path / "0.json").read_bytes()
+    assert hashlib.sha256(desk).hexdigest() == DESK_SCAN_SHA256
+    assert '"records": []' in (tmp_path / "1.json").read_text()
+    assert '"n_max": 13' in (tmp_path / "2.json").read_text()
+    assert '"certificate": {' in (tmp_path / "3.json").read_text()
+
+
 def test_certificate_round_trip():
     certs = [
         trivial_certificate(8),
@@ -520,6 +540,35 @@ def test_report_reader_cost_follows_its_records():
     assert peak < 1_000_000
 
 
+@pytest.fixture(scope="module")
+def report_45():
+    """scan(1, 45): 467 records, a 198,038-byte report."""
+    return scan(1, 45)
+
+
+def test_report_reader_builds_no_second_document(report_45):
+    # the records are compared with their written form as they are rebuilt,
+    # a few at a time, so no document tree or text of the whole report is
+    # built beside them: the peak was 8.9 times the text when the report
+    # was compared whole, and is 1.4 times it, mostly the records themselves
+    doc = certio.scan_report_to_doc(report_45)
+    text = certio.dumps_document(doc)
+    read, peak = _traced_peak(certio.scan_report_from_doc, doc)
+    assert certio.dumps_document(certio.scan_report_to_doc(read)) == text
+    assert peak <= 3 * len(text)
+
+
+def test_streamed_report_holds_one_record_beside_the_buffer(report_45, tmp_path, monkeypatch):
+    # the buffer holds at most WRITE_CHUNK bytes plus one record's, and one
+    # record's document and text are alive beside it; rendering the whole
+    # document first took four times the text, 0.8 MB here
+    monkeypatch.setattr(certio, "WRITE_CHUNK", 1 << 14)
+    path = tmp_path / "report.json"
+    _, peak = _traced_peak(certio.write_chunks, path, certio.scan_report_chunks(report_45))
+    assert path.read_text() == certio.dumps_document(certio.scan_report_to_doc(report_45))
+    assert peak <= 2 * certio.WRITE_CHUNK
+
+
 _BOX_250 = [(0, 249), (0, 249)]
 
 
@@ -559,6 +608,27 @@ def test_tiling_export_reader_holds_no_second_copy(export_250):
     oracle, oracle_peak = _traced_peak(parse_tiling_export_by_lines, text)
     assert read == oracle
     assert peak <= 0.7 * oracle_peak
+
+
+def test_streamed_export_holds_one_block_beside_the_buffer(export_250, tmp_path, monkeypatch):
+    # the 930,537-byte export, block by block: the buffer and one block
+    monkeypatch.setattr(certio, "WRITE_CHUNK", 1 << 14)
+    path = tmp_path / "tiles.txt"
+    _, peak = _traced_peak(certio.write_chunks, path, certio.tiling_export_chunks(*export_250))
+    assert path.read_text() == certio.tiling_export_text(*export_250)
+    assert peak <= 2 * certio.WRITE_CHUNK
+
+
+def test_export_views_share_one_int_per_coordinate_value():
+    # coordinates far beyond CPython's small-int cache; all cells stay alive,
+    # so distinct ids are distinct objects
+    box = [(10**4, 10**4 + 59), (-(10**4), -(10**4) + 59)]
+    shape, lattice, hom, translates = _export(trivial_certificate(6, "order_2k_plus_1"), 6, box)
+    _, rows = certio.parse_tiling_export(certio.tiling_export_text(shape, lattice, hom, translates))
+    for cells in ([cell for _, cell in rows], [cell for _, cs in translates for cell in cs]):
+        assert len(cells) == len(rows) > 60 * 60
+        values = [c for cell in cells for c in cell]
+        assert len(set(map(id, values))) == len(set(values))
 
 
 def test_tiling_export_reader_builds_no_shape_for_an_empty_export():
@@ -605,6 +675,39 @@ def test_interrupted_write_keeps_old_document(tmp_path, monkeypatch):
     assert info.value.errno == errno.ENOSPC and info.value.filename == str(path)
     assert certio.read_document(path) == old
     assert [p.name for p in tmp_path.iterdir()] == ["cert.json"]
+
+
+def test_write_chunks_keeps_the_old_file_when_its_chunks_fail(tmp_path):
+    path = tmp_path / "report.json"
+    certio.write_text(path, "old\n")
+
+    def chunks():
+        yield "x" * (certio.WRITE_CHUNK + 1)  # a whole write reaches the temp file
+        raise RuntimeError("renderer failed")
+
+    with pytest.raises(RuntimeError, match="^renderer failed$"):
+        certio.write_chunks(path, chunks())
+    assert path.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
+def test_write_chunks_round_trips_long_non_ascii_text(tmp_path, monkeypatch):
+    # characters of one to four bytes, cut across WRITE_CHUNK boundaries
+    text = "aé€😀\n" * (certio.WRITE_CHUNK // 4)
+    assert len(text) > certio.WRITE_CHUNK
+    real_write, sizes = os.write, []
+
+    def counted(fd, data):
+        sizes.append(len(data))
+        return real_write(fd, data)
+
+    monkeypatch.setattr(os, "write", counted)
+    path = tmp_path / "text.txt"
+    certio.write_text(path, text)
+    assert path.read_bytes() == text.encode()
+    assert len(sizes) == 2 and sum(sizes) == len(text.encode())
+    certio.write_chunks(path, [text[:3], "", text[3:], "tail"])
+    assert path.read_bytes() == (text + "tail").encode()
 
 
 def test_write_text_mode_follows_the_umask(tmp_path):

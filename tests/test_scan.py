@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import importlib
 import multiprocessing
 import os
@@ -109,6 +110,37 @@ def test_scan_candidates_agree_with_trial_division():
     for n_max in (1, 13, 120):
         assert scan_candidates(1, 40, n_max) == [
             c for k in range(1, 41) for c in candidates_by_trial_division(k, n_max)]
+
+
+def test_scan_candidates_restores_the_collector_state(monkeypatch):
+    # the collector is paused while the list grows, then left as found,
+    # after a return and after an error alike
+    factor, during = scanlib._factor_by_table, []
+
+    def observed(x, lpf):
+        during.append(gc.isenabled())
+        return factor(x, lpf)
+
+    def fail(x, lpf):
+        raise RuntimeError("factoring failed")
+
+    was = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            with monkeypatch.context() as m:
+                m.setattr(scanlib, "_factor_by_table", observed)
+                assert len(scan_candidates(1, 30)) == 210
+            assert len(during) == 210 and not any(during)
+            during.clear()
+            assert gc.isenabled() is enabled
+            with monkeypatch.context() as m:
+                m.setattr(scanlib, "_factor_by_table", fail)
+                with pytest.raises(RuntimeError, match="^factoring failed$"):
+                    scan_candidates(1, 30)
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_scan_candidates_rejects_bad_ranges():

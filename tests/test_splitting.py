@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 import re
 from collections.abc import Sequence
 from functools import lru_cache
@@ -69,6 +71,23 @@ def test_multiplier_set_shares_a_tuple_of_ints():
     assert M.residues(5) == (1, 3, 0) and M.residues(2) == (1, 1, 1)
     assert MultiplierSet((-1, 3)).residues(9) == (8, 3)
     assert MultiplierSet([1, 3]).values == (1, 3)
+
+
+def test_multiplier_set_is_slotted_frozen_and_picklable():
+    # an enumeration holds one per multiplier set, so no instance dict; the
+    # scan pool pickles found certificates, which hold one
+    m = MultiplierSet.interval(4)
+    assert not hasattr(m, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        m.values = (1,)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        m.kind = "explicit"
+    same = MultiplierSet((1, 2, 3, 4), kind="interval")
+    assert m == same and hash(m) == hash(same)
+    assert m != MultiplierSet((1, 2, 3, 4)) and len({m, same}) == 1
+    for back in (pickle.loads(pickle.dumps(m)), pickle.loads(pickle.dumps(trivial_certificate(4)))):
+        back = getattr(back, "multipliers", back)
+        assert back == m and hash(back) == hash(m) and back.kind == "interval"
 
 
 def test_verify_valid_examples():
