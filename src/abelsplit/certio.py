@@ -59,11 +59,11 @@ from .splitting import (
     classify_multipliers,
 )
 from .tiling import (
-    CellRowView,
     ErrorBallShape,
     IntegerLattice,
     LatticeHom,
     TranslateView,
+    Vector,
     kernel_lattice,
     semi_cross,
 )
@@ -482,11 +482,6 @@ def journal_lines(report: ScanReport) -> Iterator[str]:
         yield json.dumps(scan_report_to_doc(replace(report, records=(r,))), sort_keys=True) + "\n"
 
 
-def journal_text(report: ScanReport) -> str:
-    """The lines of journal_lines(report), joined."""
-    return "".join(journal_lines(report))
-
-
 def read_journal(path) -> ScanReport | None:
     """The first line's config and every line's records, in (k, N) order, or
     None for a journal with no whole line. A last line without its newline
@@ -625,9 +620,10 @@ def tiling_export_text(
     return "".join(tiling_export_chunks(shape, lattice, hom, translates))
 
 
-def parse_tiling_export(text: str) -> tuple[dict, CellRowView]:
-    """Inverse of tiling_export_text: (header, rows), the rows a view of
-    (anchor, cell) pairs, one per row of the text, over the anchors read.
+def parse_tiling_export(text: str) -> tuple[dict, Iterator[tuple[Vector, Vector]]]:
+    """Inverse of tiling_export_text: (header, rows), the rows a one-pass
+    generator of (anchor, cell) pairs, one per row of the text, over a
+    TranslateView of the anchors read.
 
     The header fixes the semi-cross and the weight map, and so the kernel
     lattice; each translate's cells follow from its anchor, which must lie
@@ -641,8 +637,10 @@ def parse_tiling_export(text: str) -> tuple[dict, CellRowView]:
     line list or second text is built, and the header's sizes are checked
     against the text before the shape and lattice it names are built. The
     reader keeps one tuple per translate, its anchor, whose coordinates it
-    interns as it parses them, so equal values share one int; the rows view
-    builds the cells on access.
+    interns as it parses them, so equal values share one int; the rows
+    build each translate's cells as they reach it, from the view's one
+    coordinate table, so the cells share those ints too. An export without
+    translates builds no shape: it may name one far too large to build.
     """
     header_end = text.find("\n")
     body = text.find("\n", header_end + 1) + 1
@@ -685,4 +683,6 @@ def parse_tiling_export(text: str) -> tuple[dict, CellRowView]:
             pos, last = pos + len(block), anchor
         if _export_head(k, lattice, hom, len(anchors)) != text[:body]:
             raise DocumentError("tiling_export header differs from what abelsplit writes")
-    return header, CellRowView(n, k, anchors)
+    # shape is None only when there are no anchors, and then nothing is built
+    translates = TranslateView(shape, anchors)
+    return header, ((anchor, cell) for anchor, cells in translates for cell in cells)

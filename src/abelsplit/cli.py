@@ -187,7 +187,7 @@ def scan(k_min, k_max, n_max, jobs, out_dir, resume, node_limit, time_limit_s) -
 
     with open(journal_path, "a", encoding="utf-8") as journal:
         def checkpoint(one):
-            journal.write(certio.journal_text(one))
+            journal.writelines(certio.journal_lines(one))
             journal.flush()
 
         report = run_scan(
@@ -394,8 +394,9 @@ def s87(order, out, node_limit, time_limit_s) -> None:
 def _s87_counts(order: int, size: int, config: searchlib.SearchConfig) -> tuple[int, int]:
     """How many splittings of Z_order have |M| = size, and how many of them
     have the s87 property. The enumeration certifies every pair before it
-    returns its view, and the view builds each certificate as the check
-    reads it, so one certificate is alive at a time. The view dies on
+    returns its view, whose len was counted when it was made; the check
+    iterates the view once, and the view builds each certificate as it is
+    reached, so one certificate is alive at a time. The view dies on
     return, so the next size's enumeration does not run while it is held."""
     certs = searchlib.enumerate_all_splittings(order, size, config)
     return len(certs), sum(map(splitting.s87_property_check, certs))

@@ -152,7 +152,7 @@ def purely_singular_candidates(k: int, n_max: int) -> list[CandidateOrder]:
     return scan_candidates(k, k, n_max)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScanRecord:
     """One candidate's verdict. witness is the (p, stratum) of the counting
     identity that refuted the candidate, or None when the search decided it."""

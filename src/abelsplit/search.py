@@ -298,7 +298,7 @@ def enumerate_all_splittings(
     n: int, size_of_m: int, config: SearchConfig = SearchConfig()
 ) -> CertificateView:
     """All pairs (M, S) with |M| = size_of_m splitting Z_n, sorted by (M, S),
-    as a read-only view of verified certificates.
+    as an iterable with len of verified certificates.
 
     M ranges over subsets of the canonical residues 1..n-1. Subsets are
     enumerated on whichever side (multiplier or splitter) has the smaller
@@ -316,11 +316,11 @@ def enumerate_all_splittings(
     takes its item. Every pair is certified before this returns, and the
     result is the batch's CertificateView: one row per multiplier set, in
     ascending order, grouped by M while certifying when the splitters are
-    the fixed side, and a certificate built on each read. The rows share
-    one element tuple per residue, one MultiplierSet per multiplier set and
-    one splitters tuple per splitter set. For Z_27 the view of |M| = 2 holds
-    1.6 MB and that of |M| = 13 4.0 MB (tracemalloc); `check s87 -N 27`
-    peaks at 23.0 MB of RSS.
+    the fixed side, a certificate built per pair as it is iterated and its
+    len counted when it is made. The rows share one element tuple per
+    residue, one MultiplierSet per multiplier set and one splitters tuple
+    per splitter set. For Z_27 the view of |M| = 2 holds 1.6 MB and that of
+    |M| = 13 4.0 MB (tracemalloc); `check s87 -N 27` peaks at 23.0 MB of RSS.
     """
     if n < 2:
         raise ValueError(f"order must be >= 2, got {n}")

@@ -8,14 +8,13 @@ Both of its constructors verify: the dataclass constructor checks one
 certificate's products, and SplittingCertificate.batch checks, for each
 fixed tuple of one cyclic group, all the covers it pairs with in one bitset
 pass. The batch certifies every pair before it returns a CertificateView,
-which holds the pairs as one row of splitters tuples per multiplier set and
-builds each certificate when it is read. Neither constructor yields a
-certificate for a pair that is not a splitting.
+an iterable with len that holds the pairs as one row of splitters tuples
+per multiplier set and builds each certificate as it is iterated. Neither
+constructor yields a certificate for a pair that is not a splitting.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import product
 from math import prod
@@ -23,7 +22,6 @@ from operator import itemgetter, lt
 from typing import Iterable, Iterator
 
 from .groups import Element, FiniteAbelianGroup
-from .views import ReadOnlyView
 
 INTERVAL = "interval"
 EXPLICIT = "explicit"
@@ -348,9 +346,10 @@ _set_multipliers = SplittingCertificate.multipliers.__set__
 _set_splitters = SplittingCertificate.splitters.__set__
 
 
-class CertificateView(ReadOnlyView):
-    """SplittingCertificate.batch's result: a certificate per certified
-    (M, S) pair, built on access through the slot descriptors.
+class CertificateView:
+    """SplittingCertificate.batch's result: an iterable with len of a
+    certificate per certified (M, S) pair, each built through the slot
+    descriptors as it is iterated.
 
     rows holds one (M, list of splitters tuples) row per multiplier set, and
     the view lists the pairs row by row; the rows and their lists are read
@@ -358,28 +357,20 @@ class CertificateView(ReadOnlyView):
     so only SplittingCertificate.batch makes a view.
     """
 
-    __slots__ = ("group", "rows", "_ends")
+    __slots__ = ("group", "rows", "_len")
 
     def __init__(self, group: FiniteAbelianGroup, rows: list[tuple]) -> None:
         self.group, self.rows = group, tuple(rows)
-        self._ends, end = [], 0  # per row, the index past its last pair
-        for _, splitters in self.rows:
-            end += len(splitters)
-            self._ends.append(end)
+        self._len = sum(len(splitters) for _, splitters in self.rows)
 
     def __len__(self) -> int:
-        return self._ends[-1] if self._ends else 0
+        return self._len
 
     def __iter__(self) -> Iterator[SplittingCertificate]:
         group = self.group
         for M, splitters in self.rows:
             for S in splitters:
                 yield _certificate(group, M, S)
-
-    def _item(self, index: int) -> SplittingCertificate:
-        row = bisect_right(self._ends, index)
-        M, splitters = self.rows[row]
-        return _certificate(self.group, M, splitters[index - self._ends[row] + len(splitters)])
 
 
 def make_certificate(

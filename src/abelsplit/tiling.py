@@ -10,14 +10,14 @@ shape under the paper's name. Bases are kept in column Hermite normal
 form, which is unique, so equal lattices serialize identically.
 
 A tiling export over a box keeps one tuple per translate, its anchor:
-export_translates returns a TranslateView and the export reader a
-CellRowView, read-only sequences that build each translate's cells from
-its anchor on access, so their memory follows the anchor count. It also
-keeps one int per coordinate value: the anchors take their coordinates
-from one list of ints per axis (or, read back, from the reader's interning
-table), and a view takes the arm coordinates of the cells it builds from
-one table per view, keyed by value, so it grows with the distinct values
-met, never with a span the input controls.
+export_translates returns a TranslateView, an iterable with len that
+builds each translate's cells from its anchor as it is iterated, so its
+memory follows the anchor count; the export reader's rows are one pass
+over such a view. It also keeps one int per coordinate value: the anchors
+take their coordinates from one list of ints per axis (or, read back, from
+the reader's interning table), and a view takes the arm coordinates of the
+cells it builds from one table, keyed by value, so it grows with the
+distinct values met, never with a span the input controls.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from math import prod
 
 from .splitting import SplittingCertificate
-from .views import ReadOnlyView
 
 Vector = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]  # row-major; basis vectors are the columns
@@ -67,10 +66,10 @@ class ErrorBallShape:
         the origin's cell is the anchor tuple itself, so every other
         coordinate reuses the anchor's int rather than a new sum. The
         replaced coordinate is taken from coords, a table of ints keyed by
-        value, and added to it when new: the views pass one table each, so
-        the cells of all their translates share one int per coordinate
-        value, even beyond CPython's small-int cache. Without a table the
-        cells of this one translate share theirs.
+        value, and added to it when new: a TranslateView passes its one
+        table, so the cells of all its translates share one int per
+        coordinate value, even beyond CPython's small-int cache. Without a
+        table the cells of this one translate share theirs.
         """
         if len(anchor) != self.dimension:
             raise ValueError(f"anchor {tuple(anchor)} does not have dimension {self.dimension}")
@@ -246,16 +245,11 @@ def verify_lattice_tiling(shape: ErrorBallShape, hom: LatticeHom) -> TilingCerti
     return TilingCertificate(verdict)
 
 
-def _coordinate_table(anchors: Sequence[Vector]) -> dict[int, int]:
-    """A view's interning table: each coordinate value of the anchors,
-    keyed by itself, to which the view's cells add their arm coordinates."""
-    return {c: c for anchor in anchors for c in anchor}
-
-
-class TranslateView(ReadOnlyView):
-    """export_translates' result: a pair (anchor, shape.at(anchor)) per
-    anchor, in the order of anchors; the cells are built on access, their
-    coordinates taken from the view's one table."""
+class TranslateView:
+    """export_translates' result: an iterable with len of a pair
+    (anchor, shape.at(anchor)) per anchor, in the order of anchors; the
+    cells are built as it is iterated, their coordinates taken from the
+    view's one table, made on first use from the anchors' values."""
 
     __slots__ = ("shape", "anchors", "_coords")
 
@@ -263,58 +257,14 @@ class TranslateView(ReadOnlyView):
         self.shape, self.anchors = shape, tuple(anchors)
         self._coords: dict[int, int] | None = None
 
-    def _at(self, anchor: Vector) -> tuple[Vector, ...]:
-        if self._coords is None:
-            self._coords = _coordinate_table(self.anchors)
-        return self.shape.at(anchor, self._coords)
-
     def __len__(self) -> int:
         return len(self.anchors)
 
     def __iter__(self) -> Iterator[tuple[Vector, tuple[Vector, ...]]]:
+        if self._coords is None:
+            self._coords = {c: c for anchor in self.anchors for c in anchor}
         for anchor in self.anchors:
-            yield anchor, self._at(anchor)
-
-    def _item(self, index: int) -> tuple[Vector, tuple[Vector, ...]]:
-        anchor = self.anchors[index]
-        return anchor, self._at(anchor)
-
-
-class CellRowView(ReadOnlyView):
-    """parse_tiling_export's rows: a pair (anchor, cell) per cell of the
-    translate of semi_cross(dimension, k_plus) at each anchor, translate by
-    translate, each in the shape's point order; the cells are built on
-    access, their coordinates taken from the view's one table.
-
-    The shape itself is built on first access: an export without translates
-    may name one far too large to build.
-    """
-
-    __slots__ = ("dimension", "k_plus", "anchors", "_shape", "_coords")
-
-    def __init__(self, dimension: int, k_plus: int, anchors: Sequence[Vector]) -> None:
-        self.dimension, self.k_plus, self.anchors = dimension, k_plus, tuple(anchors)
-        self._shape: ErrorBallShape | None = None
-        self._coords: dict[int, int] | None = None
-
-    def _at(self, anchor: Vector) -> tuple[Vector, ...]:
-        if self._shape is None:
-            self._shape = ErrorBallShape(self.dimension, self.k_plus)
-            self._coords = _coordinate_table(self.anchors)
-        return self._shape.at(anchor, self._coords)
-
-    def __len__(self) -> int:
-        return len(self.anchors) * (self.dimension * self.k_plus + 1)
-
-    def __iter__(self) -> Iterator[tuple[Vector, Vector]]:
-        for anchor in self.anchors:
-            for cell in self._at(anchor):
-                yield anchor, cell
-
-    def _item(self, index: int) -> tuple[Vector, Vector]:
-        translate, point = divmod(index, self.dimension * self.k_plus + 1)
-        anchor = self.anchors[translate]
-        return anchor, self._at(anchor)[point]
+            yield anchor, self.shape.at(anchor, self._coords)
 
 
 def export_translates(
@@ -326,7 +276,7 @@ def export_translates(
 
     Returns a view of (anchor, cells) pairs in ascending anchor order, with
     cells = shape.at(anchor); it holds the anchors alone and builds each
-    translate's cells on access. Every cell of the box must be covered by
+    translate's cells as it is iterated. Every cell of the box must be covered by
     exactly one translate; double cover or a gap raises ValueError, so a
     successful export doubles as a finite tiling check over the box.
     Coverage is one byte per box cell, indexed row-major. A translate

@@ -248,7 +248,7 @@ def test_scan_resume_matches_uninterrupted(runner, tmp_path):
         full.records[:3],
     )
     b_dir.mkdir()
-    (b_dir / "scan_k5-9.jsonl").write_text(certio.journal_text(partial))
+    (b_dir / "scan_k5-9.jsonl").write_text("".join(certio.journal_lines(partial)))
     r2 = runner.invoke(
         main, ["scan", "--k-min", "5", "--k-max", "9", "--out-dir", str(b_dir), "--resume"]
     )
@@ -265,17 +265,17 @@ def _kill_at_checkpoint(monkeypatch, call, torn=False):
     """Make the scan's journal append die at checkpoint number call, before
     it writes anything; with torn, the checkpoint before it writes only the
     first half of its line."""
-    journal_text = certio.journal_text
+    journal_lines = certio.journal_lines
     calls = []
 
     def dying(report):
         calls.append(report)
         if len(calls) == call:
             raise Killed
-        text = journal_text(report)
-        return text[:len(text) // 2] if torn and len(calls) == call - 1 else text
+        text = "".join(journal_lines(report))
+        return [text[:len(text) // 2] if torn and len(calls) == call - 1 else text]
 
-    monkeypatch.setattr(certio, "journal_text", dying)
+    monkeypatch.setattr(certio, "journal_lines", dying)
 
 
 def test_scan_killed_after_checkpoint_resumes_to_identical_report(runner, tmp_path, monkeypatch):

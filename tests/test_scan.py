@@ -68,6 +68,22 @@ def test_candidate_order_is_a_frozen_slotted_dataclass():
     )
 
 
+def test_scan_record_is_a_frozen_slotted_dataclass():
+    records = scan(1, 8).records
+    routes = {(r.route, r.certificate is not None) for r in records}
+    assert {(COUNTING, False), (SEARCH, True), (SEARCH, False)} <= routes
+    for record in records:
+        assert not hasattr(record, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.verdict = VIOLATION
+        assert pickle.loads(pickle.dumps(record)) == record  # pool workers return records
+    counted = next(r for r in records if r.route == COUNTING)
+    # decide marks a counting verdict through dataclasses.replace
+    searched = dataclasses.replace(counted, witness=None)
+    assert searched.route == SEARCH and searched.candidate is counted.candidate
+    assert dataclasses.replace(searched, witness=counted.witness) == counted
+
+
 def test_candidates_small_k_empty():
     assert purely_singular_candidates(1, 5) == []
     assert purely_singular_candidates(2, 5) == []

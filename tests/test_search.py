@@ -306,7 +306,7 @@ def test_enumerate_output_is_sorted_and_verified():
     keys = [(c.multipliers.values, c.splitters) for c in certs]
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys)
-    for c in certs[:10]:
+    for c in list(certs)[:10]:
         assert verify_splitting(c.group, c.multipliers, c.splitters).is_valid
     for c in certs:
         assert c.splitters == canonical_splitters(c.group, c.splitters)

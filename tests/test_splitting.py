@@ -1,7 +1,6 @@
 import dataclasses
 import pickle
 import re
-from collections.abc import Sequence
 from functools import lru_cache
 from itertools import product
 from math import gcd
@@ -513,40 +512,20 @@ def test_batch_shares_fields():
 
 
 def test_certificate_view_reads_like_a_list():
-    # |M| = 4 in Z_9 fixes the splitters, so the batch groups the pairs by M
+    # a list's len and iteration, no more: each iteration builds the
+    # certificates again, equal to the last, and the view does not index
     view = enumerate_all_splittings(9, 4)
     listed = [SplittingCertificate(Z(9), MultiplierSet(m), tuple((x,) for x in s))
               for m, s in all_splittings_by_subsets(9, 4)]
-    assert isinstance(view, Sequence) and not isinstance(view, list)
-    assert len(view) == len(listed) == 72
+    assert list(view) == list(view) == listed and len(view) == len(listed) == 72
+    # |M| = 4 in Z_9 fixes the splitters, so the batch groups the pairs by M
     assert len(view.rows) == 16 and [M.values for M, _ in view.rows] == sorted(
         {c.multipliers.values for c in listed})
-    assert view == listed and listed == view and not view != listed
-    assert [cert for cert in view] == listed
-    assert [view[i] for i in range(72)] == listed  # across every row boundary
-    assert view[-1] == listed[-1] and view[-72] == listed[0]
-    for index in (72, -73):
-        with pytest.raises(IndexError):
-            view[index]
     with pytest.raises(TypeError):
-        view[1.0]
-    for cut in (slice(3, 9), slice(None, None, -5), slice(-4, None), slice(80, None)):
-        assert view[cut] == listed[cut]
-        assert isinstance(view[cut], list)
-    assert view != listed[:-1] and view != [*listed, listed[0]] and view != listed[::-1]
-    assert view != tuple(listed)  # as a list equals no tuple
-    assert list(reversed(view)) == listed[::-1]
-    assert listed[7] in view and view.index(listed[7]) == 7 and view.count(listed[7]) == 1
-    assert view == enumerate_all_splittings(9, 4)
-    assert view != enumerate_all_splittings(9, 2)  # 72 certificates too
+        view[0]
     for empty in ([], [((1, 2), [])]):
         nothing = SplittingCertificate.batch(Z(9), True, empty)
-        assert nothing == [] and [] == nothing and len(nothing) == 0 and list(nothing) == []
-        assert nothing.rows == ()
-    with pytest.raises(TypeError):
-        hash(view)
-    with pytest.raises(TypeError):
-        {view}
+        assert len(nothing) == 0 and list(nothing) == [] and nothing.rows == ()
 
 
 def test_batch_rejects_out_of_range_splitters_and_non_cyclic_groups():
