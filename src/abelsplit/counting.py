@@ -5,17 +5,18 @@ finite computation over a given certificate or parameter set: base-p digit
 patterns of k, the decomposition of k - floor(k/p), stratification of a
 group by the p-valuation of element orders, the per-stratum counting
 identities, the five interval cardinalities A..E, and the packing of
-translated unit-splitter cosets inside the unit group. counting_witness
-solves the stratum identities from (k, N) alone, with no certificate: the
-scan's counting sieve.
+translated unit-splitter cosets inside the unit group. The stratum
+equations are written once, in _shortfall: counting_identities evaluates
+them on a certificate's counts (check strata), and counting_witness solves
+them from (k, N) alone, with no certificate (the scan's counting sieve).
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import partial
 from math import gcd, prod
+from operator import mul, sub
 
 from .groups import factorize, is_prime, p_adic_valuation
 from .splitting import INTERVAL, PURELY_SINGULAR, SplittingCertificate
@@ -129,97 +130,78 @@ def stratify(cert: SplittingCertificate, p: int) -> StratificationProfile:
     return StratificationProfile(p, alpha, g_counts, tuple(s_counts))
 
 
+def _shortfall(sizes: Sequence[int], at_least: list[int], s_counts: Sequence[int], i: int) -> int:
+    """What stratum i lacks: its nonzero elements less the products r*s
+    that land in it, so 0 in every stratum of a splitting.
+
+    sizes are |G_0|..|G_alpha|, at_least[t] = #{r in M : p**t divides r}
+    for t = 0..alpha, and s_counts are |S_0|..|S_alpha|. A product r*s with
+    s in stratum j lands in stratum j - v_p(r) when v_p(r) < j, else in
+    stratum 0. So stratum i >= 1 gets
+
+        sum over j >= i of (at_least[j-i] - at_least[j-i+1]) * |S_j|
+
+    of its |G_i| elements, and stratum 0 gets sum over j of
+    at_least[j] * |S_j| of its |G_0| - 1 nonzero ones.
+    """
+    if i:
+        return sizes[i] - sum(map(mul, map(sub, at_least, at_least[1:]), s_counts[i:]))
+    return sizes[0] - 1 - sum(map(mul, at_least, s_counts))
+
+
 def counting_witness(
     k: int, order: int, factorization: tuple[tuple[int, int], ...]
 ) -> tuple[int, int] | None:
-    """The first (p, j) at which the counting identities refute a splitting
+    """The first (p, i) at which the stratum equations refute a splitting
     of Z_order by {1..k}, or None when none does.
 
-    For each prime p of the factorization, ascending, with
-    order = p**alpha * m: a splitter set S has |S_j| members in stratum j,
-    and with c_t = #{r <= k : v_p(r) = t} the products in stratum i >= 1
-    satisfy (see check_counting_identity)
-
-        sum over j >= i of c_(j-i) * |S_j|  ==  |G_i|.
-
-    Solved for i = alpha..1 top down, each step divides by c_0. A product
-    r*s with s in S_j lands in stratum 0 exactly when v_p(r) >= j, and
-    #{r <= k : v_p(r) >= j} = k // p**j, so the nonzero elements of
-    stratum 0 close the system:
-
-        k*|S_0| + sum over j >= 1 of (k // p**j) * |S_j|  ==  m - 1.
-
-    A count |S_j| that is negative or not an integer proves that no
-    splitter set exists, and (p, j) names it. None proves nothing. k < 1
-    raises ValueError.
+    Per prime power p**alpha of the factorization, ascending, the unknowns
+    are |S_0|..|S_alpha| and at_least[t] = k // p**t. Stratum i's equation
+    (_shortfall == 0) holds |S_i| with the coefficient k - k // p, or k
+    when i = 0, and no |S_j| with j < i, so the strata are solved top down
+    from alpha to 0. A count that is negative or not an integer proves
+    that no splitter set exists, and (p, i) names it. None proves nothing.
+    k < 1 raises ValueError.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    for p, _ in factorization:
+    for p, alpha in factorization:
         sizes = stratum_sizes(order, p)
-        alpha = len(sizes) - 1
-        at_least = [k]  # #{r <= k : v_p(r) >= t} = k // p**t, while it is nonzero
-        while at_least[-1] >= p:
-            at_least.append(at_least[-1] // p)
-        c = [a - b for a, b in zip(at_least, at_least[1:] + [0])]
-        s = [0] * (alpha + 1)
-        for i in range(alpha, 0, -1):
-            rest = sizes[i] - sum(c[t] * s[i + t] for t in range(1, min(len(c), alpha - i + 1)))
-            if rest < 0 or rest % c[0]:
+        at_least = [k // p**t for t in range(alpha + 1)]
+        s_counts, step = [0] * (alpha + 1), k - at_least[1]
+        for i in range(alpha, -1, -1):
+            rest, coefficient = _shortfall(sizes, at_least, s_counts, i), step if i else k
+            if rest < 0 or rest % coefficient:
                 return p, i
-            s[i] = rest // c[0]
-        rest = sizes[0] - 1 - sum(at_least[j] * s[j] for j in range(1, min(len(c), alpha + 1)))
-        if rest < 0 or rest % k:
-            return p, 0
+            s_counts[i] = rest // coefficient
     return None
-
-
-def check_counting_identity(cert: SplittingCertificate, p: int, i: int) -> bool:
-    """Stratum-i count of nonzero elements, tallied through the splitting.
-
-    A product m*s lands in stratum i >= 1 exactly when s sits in some
-    stratum j >= i and the multiplier residue has p-valuation j - i, so
-
-        sum over j >= i of #{m : val_p(m) = j - i} * |S_j|  ==  |G_i|
-
-    must hold for every valid certificate. The left side counts multiplier
-    residues directly, so explicit multiplier sets work as well as {1..k}.
-    counting_identities checks every stratum of (cert, p) at once.
-    """
-    profile = stratify(cert, p)
-    if not 1 <= i <= profile.alpha:
-        raise ValueError(f"stratum index {i} outside 1..{profile.alpha}")
-    return _identity_holds(profile, _valuation_tally(cert, profile), i)
 
 
 def counting_identities(
     cert: SplittingCertificate, p: int
 ) -> tuple[StratificationProfile, tuple[bool, ...]]:
-    """stratify(cert, p) and check_counting_identity(cert, p, i) for
-    i = 1..alpha, from one stratification and one valuation tally."""
+    """stratify(cert, p), and whether stratum i's equation (_shortfall == 0)
+    holds for i = 1..alpha, with at_least counted from the multiplier
+    values. For t <= alpha, p**t divides v exactly when it divides v mod n,
+    so explicit multiplier sets work as well as {1..k}; a value with
+    v mod n = 0 raises ValueError, and a verified certificate has none."""
     profile = stratify(cert, p)
-    tally = _valuation_tally(cert, profile)
-    return profile, tuple(_identity_holds(profile, tally, i) for i in range(1, profile.alpha + 1))
-
-
-def _valuation_tally(cert: SplittingCertificate, profile: StratificationProfile) -> Counter:
-    """gcd(v, p**alpha) -> how many multiplier values v have it.
-
-    p**alpha divides n, so gcd(v, p**alpha) = gcd(v mod n, p**alpha) =
-    p**min(val_p(v mod n), alpha): one tally of every residue's valuation,
-    in which alpha and above never count.
-    """
-    n = cert.group.modulus
-    values = cert.multipliers.values
+    n, values, alpha = cert.group.modulus, cert.multipliers.values, profile.alpha
     if not all(map(n.__rmod__, values)):
         raise ValueError("valuation needs a positive integer, got 0")
-    return Counter(map(partial(gcd, profile.p**profile.alpha), values))
+    at_least = [len(values)]  # and then #{v : p**t divides v} for t = 1..alpha
+    at_least += [list(map((p**t).__rmod__, values)).count(0) for t in range(1, alpha + 1)]
+    sizes, s_counts = profile.g_counts, profile.s_counts
+    return profile, tuple(not _shortfall(sizes, at_least, s_counts, i) for i in range(1, alpha + 1))
 
 
-def _identity_holds(profile: StratificationProfile, tally: Counter, i: int) -> bool:
-    p, s_counts = profile.p, profile.s_counts
-    lhs = sum(tally[p ** (j - i)] * s_counts[j] for j in range(i, profile.alpha + 1))
-    return lhs == profile.g_counts[i]
+def check_counting_identity(cert: SplittingCertificate, p: int, i: int) -> bool:
+    """Whether stratum i's equation holds: counting_identities(cert, p) at
+    stratum i, for 1 <= i <= alpha; any other i raises ValueError."""
+    profile, holds = counting_identities(cert, p)
+    if not 1 <= i <= profile.alpha:
+        raise ValueError(f"stratum index {i} outside 1..{profile.alpha}")
+    return holds[i - 1]
 
 
 @dataclass(frozen=True)

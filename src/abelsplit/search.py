@@ -30,7 +30,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import combinations, islice
-from math import comb, gcd
+from math import comb, gcd, inf
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .groups import FiniteAbelianGroup
@@ -56,7 +56,8 @@ class BudgetExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """A search budget: node_limit >= 1, and time_limit_s >= 0 or None for no limit."""
+    """A search budget: node_limit >= 1, and time_limit_s >= 0 or None for no
+    limit. +inf is stored as None, as JSON, and so a report, has no Infinity."""
 
     node_limit: int = 100_000_000
     time_limit_s: float | None = 60.0
@@ -66,6 +67,8 @@ class SearchConfig:
             raise ValueError(f"node_limit must be >= 1, got {self.node_limit}")
         if self.time_limit_s is not None and not self.time_limit_s >= 0:  # also rejects nan
             raise ValueError(f"time_limit_s must be >= 0 or None, got {self.time_limit_s}")
+        if self.time_limit_s == inf:
+            object.__setattr__(self, "time_limit_s", None)
 
 
 @dataclass(frozen=True)

@@ -310,6 +310,15 @@ def test_scan_report_rejects_inconsistent_totals():
         certio.scan_report_from_doc(doc)
 
 
+def test_scan_report_rejects_an_infinite_time_limit():
+    # SearchConfig stores +inf as None, so abelsplit writes null, never Infinity
+    doc = certio.scan_report_to_doc(scan(8, 8, config=SearchConfig(time_limit_s=float("inf"))))
+    assert doc["config"]["time_limit_s"] is None
+    doc["config"]["time_limit_s"] = float("inf")
+    with pytest.raises(certio.DocumentError, match="config"):
+        certio.scan_report_from_doc(doc)
+
+
 # The k 5..6 report holds four records: N = 6 (found), 16 and 36 (refuted by
 # the counting sieve) for k = 5, and N = 25 (exhausted by the search) for k = 6.
 

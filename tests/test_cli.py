@@ -257,6 +257,22 @@ def test_scan_resume_matches_uninterrupted(runner, tmp_path):
     assert not list(b_dir.glob(".*"))  # no temp file left behind
 
 
+def test_scan_without_a_time_limit_writes_json(runner, tmp_path):
+    # --time-limit inf is no limit, written as null: JSON has no Infinity
+    def not_json(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    args = ["scan", "--k-min", "1", "--k-max", "3", "--time-limit", "inf", "--out-dir", str(tmp_path)]
+    assert runner.invoke(main, args).exit_code == 0
+    report = json.loads((tmp_path / "scan_k1-3.json").read_text(), parse_constant=not_json)
+    assert report["config"]["time_limit_s"] is None
+    lines = (tmp_path / "scan_k1-3.jsonl").read_text().splitlines()
+    assert len(lines) == len(report["records"]) > 0
+    for line in lines:
+        assert json.loads(line, parse_constant=not_json)["config"]["time_limit_s"] is None
+    assert runner.invoke(main, args + ["--resume"]).exit_code == 0
+
+
 class Killed(Exception):
     pass
 

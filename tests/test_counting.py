@@ -12,10 +12,10 @@ from helpers import (
     naive_splitting_exists,
     stratify_by_enumeration,
 )
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from abelsplit import splitting
+from abelsplit import counting, splitting
 from abelsplit.counting import (
     KDecomposition,
     abcde_profile,
@@ -30,6 +30,7 @@ from abelsplit.counting import (
 )
 from abelsplit.groups import FiniteAbelianGroup, factorize, is_prime
 from abelsplit.scan import purely_singular_candidates
+from abelsplit.search import enumerate_all_splittings
 from abelsplit.splitting import (
     PURELY_SINGULAR,
     VALID,
@@ -323,6 +324,61 @@ def test_counting_identities_match_the_per_stratum_check(monkeypatch):
     zero = splitting.SplittingCertificate(Z(9), MultiplierSet.explicit([1, 18]), ((1,), (2,)))
     with pytest.raises(ValueError, match="got 0"):
         counting_identities(zero, 3)
+
+
+def _counted_at_least(values, n, p, alpha):
+    """#{v : p**t divides v mod n} for t = 0..alpha, one value at a time."""
+    return tuple(sum(1 for v in values if v % n % p**t == 0) for t in range(alpha + 1))
+
+
+def _assert_every_stratum_holds(profile, at_least):
+    for i in range(profile.alpha + 1):
+        assert counting._shortfall(profile.g_counts, list(at_least), profile.s_counts, i) == 0, (
+            profile, at_least, i)
+
+
+def test_real_splittings_satisfy_every_stratum_equation():
+    # the sieve's equations, stratum 0 included, with the multipliers counted
+    for k in range(1, 201):
+        for which in ("order_k_plus_1", "order_2k_plus_1"):
+            cert = trivial_certificate(k, which)
+            for p, alpha in cert.group.order_factorization:
+                at_least = _counted_at_least(cert.multipliers.values, cert.group.modulus, p, alpha)
+                assert at_least == tuple(k // p**t for t in range(alpha + 1))  # the sieve's
+                _assert_every_stratum_holds(stratify(cert, p), at_least)
+    # every |M| = 2 splitting of Z_25 and Z_27: the equations read only the
+    # counted multipliers and the splitters' profile, so each distinct pair
+    # of those is checked once
+    for n, p, alpha, total in ((25, 5, 2, 43200), (27, 3, 3, 76464)):
+        counted, profiles, systems = {}, {}, set()
+        certs = enumerate_all_splittings(n, 2)
+        for cert in certs:
+            m, s = cert.multipliers.values, cert.splitters
+            if m not in counted:
+                counted[m] = _counted_at_least(m, n, p, alpha)
+            if s not in profiles:
+                profiles[s] = stratify(cert, p)
+            systems.add((counted[m], profiles[s]))
+        assert len(certs) == total
+        for at_least, profile in systems:
+            _assert_every_stratum_holds(profile, at_least)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 60), st.data())
+def test_counting_identities_agree_with_the_oracle_on_random_systems(n, data):
+    # verification bypassed, so most strata fail; every one must agree
+    values = data.draw(st.sets(st.integers(-3 * n, 3 * n).filter(n.__rmod__), min_size=1,
+                               max_size=8))
+    splitters = data.draw(st.sets(st.integers(0, n - 1), max_size=n))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(splitting, "_check_products", lambda *args: VerificationReport(VALID))
+        cert = splitting.SplittingCertificate(
+            Z(n), MultiplierSet.explicit(sorted(values)), tuple((s,) for s in sorted(splitters)))
+    for p, alpha in cert.group.order_factorization:
+        _, holds = counting_identities(cert, p)
+        assert holds == tuple(counting_identity_by_valuations(cert, p, i)
+                              for i in range(1, alpha + 1)), (n, values, splitters, p)
 
 
 def test_counting_identity_stratum_range():
