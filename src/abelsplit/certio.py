@@ -508,20 +508,21 @@ def read_journal(path) -> ScanReport | None:
     return replace(config, records=tuple(records))
 
 
-def scan_report_table(report: ScanReport) -> str:
-    """Flat tabular export. millis is wall-clock per record and diagnostic;
-    it is the one column not covered by the byte-identity guarantee."""
-    lines = ["k,n,N,factorization,verdict,route,nodes,millis"]
+def scan_report_table_lines(report: ScanReport) -> Iterator[str]:
+    """Flat tabular export, one CSV line at a time. millis is wall-clock per record
+    and diagnostic; it is the one column not covered by the byte-identity guarantee."""
+    yield "k,n,N,factorization,verdict,route,nodes,millis\n"
     for r in report.records:
         fac = "*".join(
             f"{p}^{e}" if e > 1 else f"{p}" for p, e in r.candidate.smoothness_witness
         ) or "1"
         millis = round(r.outcome.stats.elapsed_s * 1000)
-        lines.append(
-            f"{r.candidate.k},{r.candidate.n},{r.candidate.order},"
-            f"{fac},{r.verdict},{r.route},{r.outcome.stats.nodes},{millis}"
-        )
-    return "\n".join(lines) + "\n"
+        yield (f"{r.candidate.k},{r.candidate.n},{r.candidate.order},"
+               f"{fac},{r.verdict},{r.route},{r.outcome.stats.nodes},{millis}\n")
+
+
+def scan_report_table(report: ScanReport) -> str:
+    return "".join(scan_report_table_lines(report))
 
 
 # -- check reports -----------------------------------------------------------

@@ -6,24 +6,25 @@ violation, failed check), 2 for usage or input errors, and 3 when a node
 or time budget ran out before an answer was reached. Every command ends
 with one machine-parseable key=value summary line that is stable across
 runs, printed by _finish, which also writes the command's document; exit 1
-only ever follows such a verdict line. _Main.invoke ends the rest: a file
-error, bad input or running out of memory exits 2 with an error: line, as
-does an internal error, after its traceback on stderr; an interrupt exits 3
-with result=interrupted, and an interrupted scan resumes from its
-journal. Only search, scan and check s87 take budgets: --node-limit and
---time-limit (SearchConfig's). Each check is its own subcommand and takes
-only the options it reads.
+only ever follows such a verdict line. main ends the rest: a bad command
+line exits 2 with argparse's usage and error lines; a file error, bad
+input or running out of memory exits 2 with an error: line, as does an
+internal error, after its traceback on stderr; an interrupt exits 3 with
+result=interrupted, and an interrupted scan resumes from its journal. Only
+search, scan and check s87 take budgets: --node-limit and --time-limit
+(SearchConfig's). Each check is its own subcommand and takes only the
+options it reads. Besides this package, only the standard library is used.
 """
 
 from __future__ import annotations
 
+import argparse
 import os
 import sys
 from collections.abc import Iterable
+from math import prod
 from pathlib import Path
 from typing import NoReturn
-
-import click
 
 from . import certio, counting, search as searchlib, splitting, tiling
 from .groups import FiniteAbelianGroup, is_prime
@@ -37,7 +38,7 @@ EXIT_RESOURCE = 3
 
 
 def _fail_usage(message: str) -> NoReturn:
-    click.echo(f"error: {message}", err=True)
+    print(f"error: {message}", file=sys.stderr)
     sys.exit(EXIT_USAGE)
 
 
@@ -51,45 +52,8 @@ def _finish(code: int, summary: str, chunks: Iterable[str] | None = None,
             sys.stdout.writelines(chunks)
         else:
             certio.write_chunks(out, chunks)
-    click.echo(summary)
+    print(summary, flush=True)
     sys.exit(code)
-
-
-class _Main(click.Group):
-    """The command group. Its invoke is the one table from an exception that
-    ends a command to an exit code; commands catch only to name bad input."""
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except (click.ClickException, click.exceptions.Exit, click.exceptions.Abort):
-            raise  # click's own endings; Exit and Abort are RuntimeErrors
-        except searchlib.BudgetExceeded as exc:
-            _finish(EXIT_RESOURCE, f"result=resource_limit reason={exc}")
-        except KeyboardInterrupt:
-            _finish(EXIT_RESOURCE, "result=interrupted")
-        except MemoryError as exc:
-            _fail_usage(str(exc) or "out of memory")
-        except (OSError, ValueError) as exc:
-            _fail_usage(str(exc) or type(exc).__name__)
-        except Exception as exc:
-            import traceback  # only here, so importing the CLI stays cheap
-            traceback.print_exc()
-            message = f"{type(exc).__name__}: {exc}" if str(exc) else type(exc).__name__
-            _fail_usage(f"internal error: {message}")
-
-
-def _budget_options(f):
-    defaults = searchlib.SearchConfig()
-    f = click.option(
-        "--node-limit", type=int, default=defaults.node_limit, show_default=True,
-        help="search node budget",
-    )(f)
-    f = click.option(
-        "--time-limit", "time_limit_s", type=float, default=defaults.time_limit_s,
-        show_default=True, help="per-instance time budget in seconds",
-    )(f)
-    return f
 
 
 def _config(node_limit, time_limit_s) -> searchlib.SearchConfig:
@@ -112,13 +76,6 @@ def _load_certificate(path) -> splitting.SplittingCertificate:
                 [failure.describe() + "\n"])
 
 
-@click.group(cls=_Main)
-def main() -> None:
-    """Splittings of finite abelian groups and semi-cross lattice tilings."""
-
-
-@main.command()
-@click.argument("certificate", type=click.Path(exists=True, dir_okay=False))
 def verify(certificate: str) -> None:
     """Verify a splitting certificate document."""
     cert = _load_certificate(certificate)
@@ -126,12 +83,6 @@ def verify(certificate: str) -> None:
             f"splitters={len(cert.splitters)} classification={cert.classification.tag}")
 
 
-@main.command()
-@click.option("--order", "-N", "order", type=int, required=True, help="cyclic group order N")
-@click.option("--k", type=int, required=True, help="multiplier interval bound: M = {1..k}")
-@click.option("--out", type=click.Path(dir_okay=False), default=None,
-              help="write the result document here instead of stdout")
-@_budget_options
 def search(order, k, out, node_limit, time_limit_s) -> None:
     """Search for a splitter set for (Z_N, {1..k})."""
     if order < 1 or k < 1:
@@ -152,15 +103,6 @@ def search(order, k, out, node_limit, time_limit_s) -> None:
             [certio.dumps_document(certio.search_result_doc(order, multipliers, outcome))], out)
 
 
-@main.command()
-@click.option("--k-min", type=int, required=True)
-@click.option("--k-max", type=int, required=True)
-@click.option("--n-max", type=int, default=None,
-              help="candidate bound n <= n-max (default: 2k per k)")
-@click.option("--jobs", type=int, default=None, help="worker processes (default: all cores)")
-@click.option("--out-dir", type=click.Path(file_okay=False), default=".")
-@click.option("--resume", is_flag=True, help="continue from the journal file in out-dir")
-@_budget_options
 def scan(k_min, k_max, n_max, jobs, out_dir, resume, node_limit, time_limit_s) -> None:
     """Scan candidate orders for every k in [k-min, k-max], journaling each
     record as it finishes; --resume continues from the journal (.jsonl)."""
@@ -190,13 +132,10 @@ def scan(k_min, k_max, n_max, jobs, out_dir, resume, node_limit, time_limit_s) -
             journal.writelines(certio.journal_lines(one))
             journal.flush()
 
-        report = run_scan(
-            k_min, k_max, n_max, config=config,
-            jobs=jobs if jobs is not None else (os.cpu_count() or 1),
-            resume=resume_report, checkpoint=checkpoint,
-        )
+        report = run_scan(k_min, k_max, n_max, config=config, jobs=jobs or os.cpu_count() or 1,
+                          resume=resume_report, checkpoint=checkpoint)
     certio.write_chunks(report_path, certio.scan_report_chunks(report))
-    certio.write_text(table_path, certio.scan_report_table(report))
+    certio.write_chunks(table_path, certio.scan_report_table_lines(report))
     totals = report.totals
     overall = overall_verdict(totals)
     _finish({"consistent": EXIT_OK, "violation": EXIT_NEGATIVE}.get(overall, EXIT_RESOURCE),
@@ -218,11 +157,6 @@ def _parse_box(spec: str, dimension: int) -> list[tuple[int, int]]:
     return box
 
 
-@main.command()
-@click.option("--cert", "cert_path", type=click.Path(exists=True, dir_okay=False), required=True)
-@click.option("--box", "box_spec", type=str, required=True,
-              help="inclusive ranges lo:hi per axis, comma separated, e.g. 0:9,0:9")
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
 def tile(cert_path, box_spec, out) -> None:
     """Export the semi-cross lattice tiling induced by a cyclic certificate."""
     cert = _load_certificate(cert_path)
@@ -233,20 +167,16 @@ def tile(cert_path, box_spec, out) -> None:
     if not cert.splitters:
         _fail_usage("tiling export needs at least one splitter; the trivial group has none")
     n = len(cert.splitters)
-    k = len(cert.multipliers)
-    shape = tiling.semi_cross(n, k)
+    shape = tiling.semi_cross(n, len(cert.multipliers))
     hom, lattice = tiling.lattice_from_splitting(cert)
-    tiling_cert = tiling.verify_lattice_tiling(shape, hom)
-    if not tiling_cert.verdict:
+    if not tiling.verify_lattice_tiling(shape, hom).verdict:
         _finish(EXIT_NEGATIVE, "verdict=false")
     try:
         box = _parse_box(box_spec, n)
     except ValueError as exc:
         _fail_usage(f"bad box {box_spec!r}: {exc}")
     translates = tiling.export_translates(lattice, shape, box)
-    cells = 1
-    for lo, hi in box:
-        cells *= hi - lo + 1
+    cells = prod(hi - lo + 1 for lo, hi in box)
     _finish(EXIT_OK, f"verdict=true order={hom.modulus} anchors={len(translates)} cells={cells}",
             certio.tiling_export_chunks(shape, lattice, hom, translates), out)
 
@@ -265,16 +195,6 @@ def _report(name, inputs, rows, out) -> NoReturn:
             [certio.dumps_document(doc)], out)
 
 
-@main.group()
-def check() -> None:
-    """Run an arithmetic check of the nonexistence argument and write its report."""
-
-
-@check.command()
-@click.option("--k", type=int, required=True)
-@click.option("--p", type=int, required=True)
-@click.option("--primes", type=str, default="", help="q:alpha:beta triples, comma separated")
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
 def abcde(k, p, primes, out) -> None:
     """The interval cardinalities A..E for k and p."""
     prime_rows = []
@@ -300,12 +220,6 @@ def abcde(k, p, primes, out) -> None:
     ], out)
 
 
-@check.command()
-@click.option("--k", type=int, default=None)
-@click.option("--p", type=int, default=None)
-@click.option("--k-max", type=int, default=None, help="sweep bound")
-@click.option("--p-max", type=int, default=None, help="sweep bound")
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
 def digits(k, p, k_max, p_max, out) -> None:
     """The base-p digit pattern of k, or of every k and p up to bounds."""
     pairs = (("--k", k, "--k-max", k_max), ("--p", p, "--p-max", p_max))
@@ -323,21 +237,12 @@ def digits(k, p, k_max, p_max, out) -> None:
         _fail_usage(f"{k_flag} must be >= 1, got {k_hi}")
     if p_hi < 2:
         _fail_usage(f"{p_flag} must be >= 2, got {p_hi}")
-    failures = 0
-    for q in range(2, p_hi + 1):
-        if not is_prime(q):
-            continue
-        for kk in range(1, k_hi + 1):
-            if not counting.digit_pattern_check(counting.decompose_k(kk, q, 1)):
-                failures += 1
+    failures = sum(not counting.digit_pattern_check(counting.decompose_k(kk, q, 1))
+                   for q in range(2, p_hi + 1) if is_prime(q) for kk in range(1, k_hi + 1))
     _report("digits", {"k_max": k_hi, "p_max": p_hi},
             [_row("digit_pattern_failures", 0, failures, failures == 0)], out)
 
 
-@check.command()
-@click.option("--cert", "cert_path", type=click.Path(exists=True, dir_okay=False), default=None)
-@click.option("--p", type=int, default=None)
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
 def strata(cert_path, p, out) -> None:
     """The counting identity of each p-stratum of a certificate."""
     if cert_path is None or p is None:
@@ -352,9 +257,6 @@ def strata(cert_path, p, out) -> None:
     _report("strata", inputs, checks, out)
 
 
-@check.command()
-@click.option("--cert", "cert_path", type=click.Path(exists=True, dir_okay=False), required=True)
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
 def tw(cert_path, out) -> None:
     """The packing of scaled unit-splitter cosets in the units."""
     cert = _load_certificate(cert_path)
@@ -373,10 +275,6 @@ def tw(cert_path, out) -> None:
     ], out)
 
 
-@check.command()
-@click.option("--order", "-N", "order", type=int, required=True, help="odd prime power N")
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
-@_budget_options
 def s87(order, out, node_limit, time_limit_s) -> None:
     """The s87 property of every splitting of Z_N."""
     config = _config(node_limit, time_limit_s)
@@ -384,22 +282,123 @@ def s87(order, out, node_limit, time_limit_s) -> None:
     if len(fac) != 1 or fac[0][0] == 2:
         _fail_usage(f"order {order} is not an odd prime power")
     sizes = [d for d in range(1, order) if (order - 1) % d == 0]
-    checks = []
-    for size in sizes:
-        count, holds = _s87_counts(order, size, config)
-        checks.append(_row(f"multiplier_size_{size}", count, holds, holds == count))
-    _report("s87", {"order": order, "sizes": sizes}, checks, out)
+    _report("s87", {"order": order, "sizes": sizes},
+            [_s87_row(order, size, config) for size in sizes], out)
 
 
-def _s87_counts(order: int, size: int, config: searchlib.SearchConfig) -> tuple[int, int]:
-    """How many splittings of Z_order have |M| = size, and how many of them
-    have the s87 property. The enumeration certifies every pair before it
-    returns its view, whose len was counted when it was made; the check
-    iterates the view once, and the view builds each certificate as it is
+def _s87_row(order: int, size: int, config: searchlib.SearchConfig) -> dict:
+    """The row of |M| = size: how many splittings of Z_order have it, and
+    how many of them the s87 property. The enumeration certifies every pair
+    before it returns its view, whose len was counted when it was made; the
+    check iterates the view once, building each certificate as it is
     reached, so one certificate is alive at a time. The view dies on
     return, so the next size's enumeration does not run while it is held."""
     certs = searchlib.enumerate_all_splittings(order, size, config)
-    return len(certs), sum(map(splitting.s87_property_check, certs))
+    count, holds = len(certs), sum(map(splitting.s87_property_check, certs))
+    return _row(f"multiplier_size_{size}", count, holds, holds == count)
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser that takes --help (no -h) and no abbreviated option, and reads
+    the word after an option that takes a value as that value even when it
+    starts with '-' (`tile --box -3:3,-3:3`, `--time-limit -inf`)."""
+
+    def __init__(self, **kwargs):
+        super().__init__(add_help=False, allow_abbrev=False, **kwargs)
+        self.add_argument("--help", action="help", help="show this message and exit")
+
+    def parse_known_args(self, args=None, namespace=None):
+        valued = {name for a in self._actions if a.nargs is None for name in a.option_strings}
+        words, glued = iter(sys.argv[1:] if args is None else args), []
+        for word in words:
+            value = next(words, None) if word in valued else None
+            glued.append(word if value is None else f"{word}={value}")
+        return super().parse_known_args(glued, namespace)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The command line; each leaf parser sets run, its command, and leaf, itself."""
+    about = "Splittings of finite abelian groups and semi-cross lattice tilings."
+    main_parser = _Parser(prog="abelsplit", description=about)
+    commands = main_parser.add_subparsers(title="commands", metavar="COMMAND", required=True)
+    defaults = searchlib.SearchConfig()
+
+    def command(group, run, out=True, budgets=False):
+        leaf = group.add_parser(run.__name__, help=run.__doc__, description=run.__doc__)
+        leaf.set_defaults(run=run, leaf=leaf)
+        if out:
+            leaf.add_argument("--out", help="write the document here instead of stdout")
+        if budgets:
+            leaf.add_argument("--node-limit", type=int, default=defaults.node_limit,
+                              help="search node budget (default: %(default)s)")
+            leaf.add_argument("--time-limit", dest="time_limit_s", metavar="SECONDS", type=float,
+                              default=defaults.time_limit_s,
+                              help="per-instance time budget in seconds (default: %(default)s)")
+        return leaf
+
+    command(commands, verify, out=False).add_argument("certificate")
+    leaf = command(commands, search, budgets=True)
+    leaf.add_argument("--order", "-N", type=int, required=True, help="cyclic group order N")
+    leaf.add_argument("--k", type=int, required=True, help="multiplier interval bound: M = {1..k}")
+    leaf = command(commands, scan, out=False, budgets=True)
+    leaf.add_argument("--k-min", type=int, required=True)
+    leaf.add_argument("--k-max", type=int, required=True)
+    leaf.add_argument("--n-max", type=int, help="candidate bound n <= n-max (default: 2k per k)")
+    leaf.add_argument("--jobs", type=int, help="worker processes (default: all cores)")
+    leaf.add_argument("--out-dir", default=".")
+    leaf.add_argument("--resume", action="store_true",
+                      help="continue from the journal file in out-dir")
+    leaf = command(commands, tile)
+    leaf.add_argument("--cert", dest="cert_path", required=True)
+    leaf.add_argument("--box", dest="box_spec", required=True,
+                      help="inclusive ranges lo:hi per axis, comma separated, e.g. 0:9,0:9")
+
+    about = "Run an arithmetic check of the nonexistence argument and write its report."
+    checks = commands.add_parser("check", help=about, description=about).add_subparsers(
+        title="commands", metavar="COMMAND", required=True)
+
+    leaf = command(checks, abcde)
+    leaf.add_argument("--k", type=int, required=True)
+    leaf.add_argument("--p", type=int, required=True)
+    leaf.add_argument("--primes", default="", help="q:alpha:beta triples, comma separated")
+    leaf = command(checks, digits)
+    leaf.add_argument("--k", type=int)
+    leaf.add_argument("--p", type=int)
+    leaf.add_argument("--k-max", type=int, help="sweep bound")
+    leaf.add_argument("--p-max", type=int, help="sweep bound")
+    leaf = command(checks, s87, budgets=True)
+    leaf.add_argument("--order", "-N", type=int, required=True, help="odd prime power N")
+    leaf = command(checks, strata)
+    leaf.add_argument("--cert", dest="cert_path")
+    leaf.add_argument("--p", type=int)
+    command(checks, tw).add_argument("--cert", dest="cert_path", required=True)
+    return main_parser
+
+
+def main(argv: list[str] | None = None) -> NoReturn:
+    """Run the command line argv (sys.argv[1:] when None) and exit. This is
+    the one table from an exception that ends a command to an exit code;
+    commands catch only to name bad input."""
+    namespace, extra = build_parser().parse_known_args(argv)
+    options = vars(namespace)
+    run, leaf = options.pop("run"), options.pop("leaf")
+    if extra:
+        leaf.error(f"unrecognized arguments: {' '.join(extra)}")
+    try:
+        run(**options)
+    except searchlib.BudgetExceeded as exc:
+        _finish(EXIT_RESOURCE, f"result=resource_limit reason={exc}")
+    except KeyboardInterrupt:
+        _finish(EXIT_RESOURCE, "result=interrupted")
+    except MemoryError as exc:
+        _fail_usage(str(exc) or "out of memory")
+    except (OSError, ValueError) as exc:
+        _fail_usage(str(exc) or type(exc).__name__)
+    except Exception as exc:
+        import traceback  # only here, so importing the CLI stays cheap
+        traceback.print_exc()
+        message = f"{type(exc).__name__}: {exc}" if str(exc) else type(exc).__name__
+        _fail_usage(f"internal error: {message}")
 
 
 if __name__ == "__main__":

@@ -323,7 +323,7 @@ def enumerate_all_splittings(
     len counted when it is made. The rows share one element tuple per
     residue, one MultiplierSet per multiplier set and one splitters tuple
     per splitter set. For Z_27 the view of |M| = 2 holds 1.6 MB and that of
-    |M| = 13 4.0 MB (tracemalloc); `check s87 -N 27` peaks at 23.0 MB of RSS.
+    |M| = 13 4.0 MB (tracemalloc); `check s87 -N 27` peaks at 21.6 MB of RSS.
     """
     if n < 2:
         raise ValueError(f"order must be >= 2, got {n}")

@@ -37,9 +37,15 @@ the library marks whole interior translates at precomputed offsets. The
 list-building export builds every translate's cells and keeps them in a
 list of pairs, where the library keeps only anchors behind a view.
 Agreement between the two routes is the point.
+
+Apart from the oracles, CommandRunner runs a command line function in this
+process and records what it wrote and how it exited.
 """
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import prod
@@ -79,6 +85,44 @@ CHECKS_SHA256 = {
     1: "9eb58412fc74bfb1b608d5ebcc632cef08763d6882ac79d38072012fbd5aa96a",
     2: "94dfa9bfc765a2dcd3080193913f3560420826437d723e3aa784c9b41c21364d",
 }
+
+
+class _Copying(io.StringIO):
+    """A captured stream that also writes each piece to copy, so that the
+    pieces of stdout and stderr interleave there in write order."""
+
+    def __init__(self, copy: io.StringIO):
+        super().__init__()
+        self.copy = copy
+
+    def write(self, text: str) -> int:
+        self.copy.write(text)
+        return super().write(text)
+
+
+@dataclass(frozen=True)
+class CommandResult:
+    exit_code: int
+    stdout: str
+    stderr: str
+    output: str  # stdout and stderr interleaved in write order
+    exception: SystemExit | None  # the SystemExit of a nonzero exit
+
+
+class CommandRunner:
+    def invoke(self, main, args) -> CommandResult:
+        """Run main(args) with stdout and stderr captured."""
+        output = io.StringIO()
+        stdout, stderr = _Copying(output), _Copying(output)
+        code, exception = 0, None
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            try:
+                main(args)
+            except SystemExit as exc:
+                code = exc.code or 0
+                exception = exc if code else None
+        return CommandResult(code, stdout.getvalue(), stderr.getvalue(), output.getvalue(),
+                             exception)
 
 
 def canonical_json(doc) -> str:

@@ -1,12 +1,15 @@
+import argparse
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
-import click
 import pytest
-from click.testing import CliRunner
-from helpers import DESK_SCAN_SHA256, canonical_json
+from helpers import DESK_SCAN_SHA256, CommandRunner, canonical_json
 
 from abelsplit import certio, cli, counting
 from abelsplit import search as searchlib
@@ -18,7 +21,7 @@ from abelsplit.splitting import MultiplierSet, make_certificate, trivial_certifi
 
 @pytest.fixture
 def runner():
-    return CliRunner()
+    return CommandRunner()
 
 
 def _write_cert(path, cert):
@@ -656,12 +659,12 @@ def test_every_exception_ends_through_one_table(
     assert ("Traceback" in result.stderr) == isinstance(exc, RuntimeError)
 
 
-def test_click_endings_pass_through_the_table(runner):
+def test_usage_endings_pass_through_the_table(runner):
     for args in (["--help"], ["search", "--help"]):
         assert runner.invoke(main, args).exit_code == 0
     result = runner.invoke(main, ["check", "abcde", "--k", "x"])
     assert result.exit_code == 2
-    assert "Invalid value" in result.stderr
+    assert "invalid int value" in result.stderr
 
 
 def test_write_error_names_the_given_path(runner, tmp_path):
@@ -701,7 +704,7 @@ def test_tile_output_is_pinned(runner, tmp_path):
     result = runner.invoke(main, ["tile", "--cert", str(cert_path), "--box", "-60:59,990:1079"])
     assert result.exit_code == 0
     assert _summary(result) == "verdict=true order=13 anchors=926 cells=10800"
-    assert hashlib.sha256(result.stdout_bytes).hexdigest() == (
+    assert hashlib.sha256(result.stdout.encode()).hexdigest() == (
         "74102fbf7b74857b94718006fe5d5dcd9868b6d2cf1ae95d40e27fc8cc11f3a8"
     )
 
@@ -981,11 +984,13 @@ def test_check_s87_rejects_non_prime_power(runner):
 def test_check_unknown_name(runner):
     result = runner.invoke(main, ["check", "frobnicate"])
     assert result.exit_code == 2
-    assert "No such command 'frobnicate'" in result.stderr
+    assert "invalid choice: 'frobnicate'" in result.stderr
     listed = runner.invoke(main, ["check", "--help"])
     assert listed.exit_code == 0
-    commands = listed.output.split("Commands:\n")[1].splitlines()
-    assert [line.split()[0] for line in commands] == ["abcde", "digits", "s87", "strata", "tw"]
+    # under the choices line, each name is indented 4, a wrapped help line more
+    commands = listed.output.split("commands:\n")[1].splitlines()[1:]
+    names = [line.split()[0] for line in commands if line[4] != " "]
+    assert names == ["abcde", "digits", "s87", "strata", "tw"]
 
 
 def test_check_missing_parameters(runner, tmp_path):
@@ -1009,7 +1014,7 @@ def test_check_rejects_options_it_does_not_read(runner, tmp_path, args):
     args = [str(tmp_path / a) if a == "z25.json" else a for a in args]
     result = runner.invoke(main, ["check"] + args)
     assert result.exit_code == 2, result.output
-    assert f"No such option '{args[-2]}'" in result.stderr
+    assert f"unrecognized arguments: {args[-2]}" in result.stderr
     assert "verdict=" not in result.output
 
 
@@ -1031,20 +1036,110 @@ _OPTION_SURFACE = {
 
 
 def test_every_command_takes_exactly_its_options():
-    def leaves(command, path):
-        if isinstance(command, click.Group):
-            for name, sub in command.commands.items():
-                yield from leaves(sub, path + [name])
-        else:
-            yield " ".join(path), command
+    def leaves(parser, path):
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for name, sub in action.choices.items():
+                    yield from leaves(sub, path + [name])
+                return
+        yield " ".join(path), parser
 
     surface = {
-        path: {max(param.opts, key=len): param.required
-               for param in command.params if isinstance(param, click.Option)}
-        for path, command in leaves(main, [])
+        path: {max(action.option_strings, key=len): action.required
+               for action in parser._actions
+               if action.option_strings and not isinstance(action, argparse._HelpAction)}
+        for path, parser in leaves(cli.build_parser(), [])
     }
     assert surface == _OPTION_SURFACE
     assert sum(len(options) for path, options in surface.items() if path.startswith("check")) == 18
+
+
+@pytest.mark.parametrize("path", list(_OPTION_SURFACE))
+def test_every_command_prints_its_help(runner, path):
+    result = runner.invoke(main, path.split() + ["--help"])
+    assert result.exit_code == 0
+    assert result.stdout.startswith(f"usage: abelsplit {path} [--help]")
+
+
+@pytest.mark.parametrize("args", [
+    ["scan", "--k-m", "1", "--k-max", "2"],
+    ["search", "-N", "5", "--k", "2", "--node", "9"],
+], ids=["scan", "search"])
+def test_abbreviated_options_are_usage_errors(runner, tmp_path, monkeypatch, args):
+    monkeypatch.chdir(tmp_path)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert result.stderr.startswith(f"usage: abelsplit {args[0]} ")
+    assert "result=" not in result.output and "overall=" not in result.output
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", [["search", "--k", "2"], ["check", "s87"]])
+def test_order_takes_its_short_name(runner, command):
+    summaries = {_summary(runner.invoke(main, command + [flag, "9"])) for flag in ("-N", "--order")}
+    assert len(summaries) == 1
+    assert summaries.pop().startswith(("result=found order=9", "check=s87"))
+
+
+def test_tile_box_may_start_with_a_minus(runner, tmp_path):
+    cert_path = tmp_path / "z5.json"
+    _write_cert(cert_path, trivial_certificate(2, "order_2k_plus_1"))
+    out = tmp_path / "tiles.txt"
+    result = runner.invoke(
+        main, ["tile", "--cert", str(cert_path), "--box", "-3:3,-3:3", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert _summary(result).endswith(" cells=49")
+    header, _ = certio.parse_tiling_export(out.read_text())
+    assert header["translates"] == int(_summary(result).split("anchors=")[1].split()[0])
+
+
+@pytest.mark.parametrize("value", ["nan", "-inf"])
+def test_time_limit_rejects_nan_and_minus_infinity(runner, tmp_path, value):
+    commands = (
+        ["scan", "--k-min", "1", "--k-max", "4", "--out-dir", str(tmp_path / "scan")],
+        ["search", "-N", "5", "--k", "2"],
+        ["check", "s87", "-N", "9"],
+    )
+    for command in commands:
+        result = runner.invoke(main, command + ["--time-limit", value])
+        assert result.exit_code == 2, (command, result.output)
+        assert result.stderr == f"error: --time-limit must be >= 0, got {value}\n"
+    assert not (tmp_path / "scan").exists()
+
+
+def test_importing_the_cli_loads_only_the_standard_library():
+    code = ("import sys; before = set(sys.modules); import abelsplit.cli; "
+            "print(*set(sys.modules) - before)")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    loaded = {name.partition(".")[0] for name in out.stdout.split()}
+    assert "abelsplit" in loaded
+    assert loaded - set(sys.stdlib_module_names) == {"abelsplit"}
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(cli.__file__).parents[2] / "pyproject.toml"
+    assert tomllib.loads(pyproject.read_text())["project"]["dependencies"] == []
+
+
+def test_scan_table_is_the_reports_table(runner, tmp_path, monkeypatch):
+    reports = []
+
+    def recording(*args, **kwargs):
+        reports.append(cli_scan(*args, **kwargs))
+        return reports[-1]
+
+    cli_scan = cli.run_scan
+    monkeypatch.setattr(cli, "run_scan", recording)
+    args = ["scan", "--k-min", "1", "--k-max", "12", "--jobs", "1", "--out-dir", str(tmp_path)]
+    assert runner.invoke(main, args).exit_code == 0
+    table = tmp_path / "scan_k1-12.csv"
+    assert table.read_bytes() == certio.scan_report_table(reports[-1]).encode()
+
+    journal = tmp_path / "scan_k1-12.jsonl"
+    journal.write_text("".join(journal.read_text().splitlines(keepends=True)[:7]))
+    assert runner.invoke(main, args + ["--resume"]).exit_code == 0
+    assert len(reports) == 2 and len(reports[1].records) == len(reports[0].records)
+    assert table.read_bytes() == certio.scan_report_table(reports[1]).encode()
 
 
 def test_check_writes_report(runner, tmp_path):
