@@ -10,8 +10,9 @@ A scan journal is a scan's checkpoint: one line per finished record, the
 compact JSON of the report that holds that record alone, so a checkpoint
 costs one record whatever the size of the scan. Scan report documents
 deliberately exclude wall-clock data; timing appears only in the tabular
-export's millis column, which is diagnostic and carries 0 for records
-restored through a resume and for records the counting sieve decided.
+export's millis column, which is diagnostic: it is empty for a searched
+record restored through a resume, and 0 for a record the counting sieve
+decided.
 Every file abelsplit writes goes through write_chunks, which replaces the
 target atomically through a temp file written with os.open and os.write,
 except the lines appended to a scan journal. It takes the text as an
@@ -23,9 +24,9 @@ block (tiling_export_chunks), each byte-identical to the joined text.
 The writers define what a valid document is. Each reader rebuilds its
 object with the library's own constructors and accepts the document only
 if writing that object back gives exactly the same document. A scan report
-is checked record by record as it is rebuilt, each record against its
-written form, and its own keys are compared once, with a stand-in for the
-records; the first record that differs is named only after that fails.
+is checked in one pass, a batch of records at a time as they are rebuilt,
+each batch against its written form, and its own keys are compared once,
+with a stand-in for the records.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from collections.abc import Iterable, Iterator
 from contextlib import contextmanager, suppress
 from dataclasses import replace
 from functools import cache
-from operator import is_
 from pathlib import Path
 
 from .groups import FiniteAbelianGroup
@@ -48,7 +48,9 @@ from .scan import (
     candidate_order,
     check_scan_range,
     decide,
+    n_limit,
     overall_verdict,
+    scan_order,
 )
 from .search import EXHAUSTED, FOUND, SearchConfig, SearchOutcome, SearchStats
 from .splitting import (
@@ -179,14 +181,13 @@ def write_chunks(path, chunks: Iterable[str]) -> None:
     The temp file is made by os.open with mode 0o666, not by tempfile, so
     its mode follows the umask, and it is removed if the write fails, also
     when the error comes from chunks. Each chunk is encoded, a longer one
-    WRITE_CHUNK characters at a time, and held until the bytes held reach
-    WRITE_CHUNK, and at the end; then they go out through os.write,
-    repeated until all are written. So a document of fewer bytes takes one
-    os.write, and at most WRITE_CHUNK bytes plus one chunk's are held. A
-    lone piece is written as it was encoded; a bytearray gathers several.
-    An OSError names path, the file asked for, not the temp file. There is
-    no fsync: this guards against a killed process, not against a power
-    loss.
+    WRITE_CHUNK characters at a time, into one bytearray, which goes out
+    through os.write, repeated until all is written, whenever it holds
+    WRITE_CHUNK bytes or more, and at the end. So a document of fewer bytes
+    takes one os.write, and at most WRITE_CHUNK bytes plus one piece's are
+    held. An OSError names path, the file asked for, not the temp file.
+    There is no fsync: this guards against a killed process, not against a
+    power loss.
     """
     target = os.fspath(path)
     folder, name = os.path.split(target)
@@ -194,19 +195,13 @@ def write_chunks(path, chunks: Iterable[str]) -> None:
     try:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
         try:
-            held = b""  # encoded, not yet written: one piece, or a bytearray of several
+            held = bytearray()  # encoded, not yet written
             for chunk in chunks:
                 for start in range(0, len(chunk), WRITE_CHUNK):
-                    data = chunk[start:start + WRITE_CHUNK].encode()
-                    if not held:
-                        held = data
-                    else:
-                        if type(held) is bytes:
-                            held = bytearray(held)
-                        held += data
+                    held += chunk[start:start + WRITE_CHUNK].encode()
                     if len(held) >= WRITE_CHUNK:
                         _write_all(fd, held)
-                        held = b""
+                        held = bytearray()
             _write_all(fd, held)
         finally:
             os.close(fd)
@@ -359,17 +354,18 @@ def _record_from_doc(doc, k_min: int, k_max: int, n_max: int | None) -> ScanReco
     """Rebuild a record the way the scan makes it: its candidate from k and
     n, which must lie in the report's range, then decide runs the counting
     sieve again, and a candidate it does not refute gets the search outcome
-    read from doc, whose found splitters make_record re-verifies. The caller
-    checks the record against doc, as part of the report that holds it."""
+    read from doc, whose found splitters make_record re-verifies; a document
+    keeps no time, so that outcome's elapsed_s is None. The caller checks
+    the record against doc, as part of the report that holds it."""
     def read_outcome() -> SearchOutcome:
         splitters = tuple(doc["splitters"]) if doc["result"] == FOUND else None
         return SearchOutcome(
-            doc["result"], splitters, SearchStats(int(doc["nodes"]), int(doc["max_depth"]), 0.0)
+            doc["result"], splitters, SearchStats(int(doc["nodes"]), int(doc["max_depth"]), None)
         )
 
     with _parsing("scan record"):
         k, n = int(doc["k"]), int(doc["n"])
-        in_range = k_min <= k <= k_max and 1 <= n <= (2 * k if n_max is None else n_max)
+        in_range = k_min <= k <= k_max and 1 <= n <= n_limit(k, n_max)
         candidate = candidate_order(k, n) if in_range else None
         if candidate is None or (candidate.order, candidate.smoothness_witness) != (
                 doc["N"], tuple(map(tuple, doc["factorization"]))):
@@ -435,13 +431,13 @@ def scan_report_from_doc(doc: dict) -> ScanReport:
     resource_limit result are taken as written: only running its search
     again could check them, which would undo the point of resuming.
 
-    The records are compared with their written form as they are rebuilt,
-    _BATCH at a time, so no document of the whole report is built, and the
-    report's own keys are compared once, with a stand-in for records that
-    matches only when every record does and they ascend by (k, N). Only
-    when that comparison fails are the records of the first batch that
-    differs compared one by one, so that the error names the first record
-    that differs, and its keys; when none does, it names the report's keys."""
+    The records are read in one pass, _BATCH at a time, so no document of
+    the whole report is built: each batch is rebuilt and compared with its
+    written form, and a batch that differs is compared record by record,
+    so that the error names the first record that differs, and its keys.
+    The records must ascend strictly by (k, N). The report's own keys are
+    compared once, with a stand-in for records that matches only when they
+    do; when they do not, the error names records among the report's keys."""
     with _parsing("scan_report"):
         config = doc["config"]
         k_min, k_max, n_max = int(config["k_min"]), int(config["k_max"]), config["n_max"]
@@ -450,28 +446,22 @@ def scan_report_from_doc(doc: dict) -> ScanReport:
         if type(config["time_limit_s"]) is bool:
             raise TypeError("time_limit_s must be a number or null, not bool")
         budget = SearchConfig(int(config["node_limit"]), config["time_limit_s"])
-        given, read = doc["records"], []
-        differs = None  # where the first batch unlike its written form starts
+        given, records, ascending, last = doc["records"], [], True, (0, 0)
         for start in range(0, len(given), _BATCH):
-            batch, rebuilt = given[start:start + _BATCH], []
-            for r in batch:
-                read.append(_record_from_doc(r, k_min, k_max, n_max))
-                rebuilt.append(_record_doc(read[-1]))
-            if differs is None and _text(rebuilt) != _text(batch):
-                differs = start
-        records = tuple(sorted(read, key=lambda r: (r.candidate.k, r.candidate.order)))
-        report = ScanReport(k_min, k_max, n_max, budget.node_limit, budget.time_limit_s, records)
-        written = differs is None and all(map(is_, records, read))  # and in (k, N) order
-    try:
-        # None stands for records as written; a JSON list never reads as null
-        _require_written_form(_scan_report_doc(report, None),
-                              {**doc, "records": None if written else doc["records"]},
-                              "scan_report")
-    except DocumentError:
-        if differs is not None:
-            for record, r in zip(read[differs:], given[differs:]):
-                _require_written_form(_record_doc(record), r, f"record k={r['k']} N={r['N']}")
-        raise
+            batch = given[start:start + _BATCH]
+            read = [_record_from_doc(r, k_min, k_max, n_max) for r in batch]
+            if _text([_record_doc(record) for record in read]) != _text(batch):
+                for record, r in zip(read, batch):
+                    _require_written_form(_record_doc(record), r, f"record k={r['k']} N={r['N']}")
+            for record in read:
+                key = scan_order(record)
+                ascending, last = ascending and last < key, key
+            records += read
+        report = ScanReport(
+            k_min, k_max, n_max, budget.node_limit, budget.time_limit_s, tuple(records))
+    # None stands for records as written; a JSON list never reads as null
+    _require_written_form(_scan_report_doc(report, None),
+                          {**doc, "records": None if ascending else given}, "scan_report")
     return report
 
 
@@ -504,19 +494,22 @@ def read_journal(path) -> ScanReport | None:
             records += report.records
     if config is None:
         return None
-    records.sort(key=lambda r: (r.candidate.k, r.candidate.order))
+    records.sort(key=scan_order)
     return replace(config, records=tuple(records))
 
 
 def scan_report_table_lines(report: ScanReport) -> Iterator[str]:
-    """Flat tabular export, one CSV line at a time. millis is wall-clock per record
-    and diagnostic; it is the one column not covered by the byte-identity guarantee."""
+    """Flat tabular export, one CSV line at a time. millis is wall-clock per
+    record and diagnostic; it is the one column not covered by the
+    byte-identity guarantee, and it is empty for a searched record read back
+    from a document, which keeps no time."""
     yield "k,n,N,factorization,verdict,route,nodes,millis\n"
     for r in report.records:
         fac = "*".join(
             f"{p}^{e}" if e > 1 else f"{p}" for p, e in r.candidate.smoothness_witness
         ) or "1"
-        millis = round(r.outcome.stats.elapsed_s * 1000)
+        elapsed_s = r.outcome.stats.elapsed_s
+        millis = "" if elapsed_s is None else round(elapsed_s * 1000)
         yield (f"{r.candidate.k},{r.candidate.n},{r.candidate.order},"
                f"{fac},{r.verdict},{r.route},{r.outcome.stats.nodes},{millis}\n")
 

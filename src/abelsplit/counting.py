@@ -352,17 +352,6 @@ class TwReport:
             and self.r * self.card_e == self.unit_count
         )
 
-    @property
-    def passed(self) -> bool:
-        return (
-            self.hypothesis_ok
-            and self.pairwise_disjoint
-            and self.within_units
-            and self.scaling_consistent
-            and self.formula_consistent
-            and self.equality_chain
-        )
-
 
 def tw_disjointness_check(cert: SplittingCertificate) -> TwReport:
     """Run the coset-packing check on a purely singular interval certificate.

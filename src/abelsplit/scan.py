@@ -26,7 +26,6 @@ would ask for about 8*10^18 bytes.
 from __future__ import annotations
 
 import gc
-import time
 from array import array
 from dataclasses import dataclass, replace
 from itertools import compress, count
@@ -119,6 +118,12 @@ def check_scan_range(k_min: int, k_max: int, n_max: int | None) -> None:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
 
 
+def n_limit(k: int, n_max: int | None) -> int:
+    """The largest n of a scan's candidates N = n*k + 1 at k: n_max, or 2k
+    when n_max is None."""
+    return 2 * k if n_max is None else n_max
+
+
 def scan_candidates(k_min: int, k_max: int, n_max: int | None = None) -> list[CandidateOrder]:
     """Every candidate of a scan, in (k, N) order, from one table of largest
     prime factors; n_max of None means 2k for each k. Parameters that break
@@ -130,14 +135,13 @@ def scan_candidates(k_min: int, k_max: int, n_max: int | None = None) -> list[Ca
     caller's collector state is restored on the way out, also on an error.
     """
     check_scan_range(k_min, k_max, n_max)
-    lpf = largest_prime_factors(k_max * (2 * k_max if n_max is None else n_max) + 1)
+    lpf = largest_prime_factors(k_max * n_limit(k_max, n_max) + 1)
     out = []
     collecting = gc.isenabled()
     gc.disable()
     try:
         for k in range(k_min, k_max + 1):
-            top = 2 * k if n_max is None else n_max
-            smooth = compress(count(1), map(k.__ge__, lpf[k + 1:top * k + 2:k]))
+            smooth = compress(count(1), map(k.__ge__, lpf[k + 1:n_limit(k, n_max) * k + 2:k]))
             out += [CandidateOrder(k, n, n * k + 1, _factor_by_table(n * k + 1, lpf))
                     for n in smooth]
     finally:
@@ -167,6 +171,11 @@ class ScanRecord:
     def route(self) -> str:
         """The proof route of the verdict: counting or search."""
         return SEARCH if self.witness is None else COUNTING
+
+
+def scan_order(record: ScanRecord) -> tuple[int, int]:
+    """The key of the order a scan's records are listed in: (k, N)."""
+    return record.candidate.k, record.candidate.order
 
 
 def make_record(candidate: CandidateOrder, outcome: SearchOutcome) -> ScanRecord:
@@ -222,8 +231,7 @@ class ScanReport:
 
     records are sorted by (k, N). n_max of None means the per-k default
     bound of 2k, which already over-covers the range where purely singular
-    splittings can exist. wall_clock_s is diagnostic and excluded from the
-    canonical serialized form.
+    splittings can exist.
     """
 
     k_min: int
@@ -232,7 +240,6 @@ class ScanReport:
     node_limit: int
     time_limit_s: float | None
     records: tuple[ScanRecord, ...]
-    wall_clock_s: float = 0.0
 
     @property
     def totals(self) -> dict[str, int]:
@@ -281,7 +288,6 @@ def scan(
     check_scan_range(k_min, k_max, n_max)
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    started = time.monotonic()
     candidates = scan_candidates(k_min, k_max, n_max)
 
     slot_of = {c: i for i, c in enumerate(candidates)}
@@ -314,7 +320,7 @@ def scan(
     else:
         for task in pending:
             take(_scan_one(task))
-    return ScanReport(*params, tuple(r for r in slots if r is not None), time.monotonic() - started)
+    return ScanReport(*params, tuple(r for r in slots if r is not None))
 
 
 def check_k_le_n_minus_2(report: ScanReport) -> bool:

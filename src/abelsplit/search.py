@@ -75,7 +75,7 @@ class SearchConfig:
 class SearchStats:
     nodes: int
     max_depth: int
-    elapsed_s: float
+    elapsed_s: float | None  # None for a search read back from a document
     rows: int = 0  # rows built
     reason: str | None = None  # the budget that ended the search: node_limit | time_limit
 

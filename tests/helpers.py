@@ -39,7 +39,8 @@ list of pairs, where the library keeps only anchors behind a view.
 Agreement between the two routes is the point.
 
 Apart from the oracles, CommandRunner runs a command line function in this
-process and records what it wrote and how it exited.
+process and records what it wrote and how it exited, and tw_passed reads
+a coset-packing report's checks as one verdict.
 """
 
 import io
@@ -51,7 +52,7 @@ from itertools import combinations, product
 from math import prod
 
 from abelsplit.certio import DocumentError, tiling_export_text
-from abelsplit.counting import KDecomposition, StratificationProfile
+from abelsplit.counting import KDecomposition, StratificationProfile, TwReport
 from abelsplit.groups import FiniteAbelianGroup, is_prime, p_adic_valuation
 from abelsplit.scan import CandidateOrder, candidate_order
 from abelsplit.search import SearchConfig, _Budget, _exact_covers, _row_source
@@ -123,6 +124,18 @@ class CommandRunner:
                 exception = exc if code else None
         return CommandResult(code, stdout.getvalue(), stderr.getvalue(), output.getvalue(),
                              exception)
+
+
+def tw_passed(report: TwReport) -> bool:
+    """Whether every check of a tw_disjointness_check report holds."""
+    return (
+        report.hypothesis_ok
+        and report.pairwise_disjoint
+        and report.within_units
+        and report.scaling_consistent
+        and report.formula_consistent
+        and report.equality_chain
+    )
 
 
 def canonical_json(doc) -> str:

@@ -5,6 +5,7 @@ import os
 import re
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 from itertools import groupby
 
 import pytest
@@ -331,12 +332,26 @@ def test_scan_report_rejects_an_infinite_time_limit():
     (lambda records: records[0].update(verdict="conjecture_consistent"),
      "record k=5 N=6 differs from what abelsplit writes in verdict"),
     (lambda records: records.reverse(), "scan_report differs from what abelsplit writes in records"),
-], ids=["nodes", "extra_key", "verdict", "order"])
+    (lambda records: records.insert(2, records[1]),
+     "scan_report differs from what abelsplit writes in records, totals"),
+], ids=["nodes", "extra_key", "verdict", "order", "repeated"])
 def test_scan_report_names_the_record_that_differs(damage, message):
     doc = certio.scan_report_to_doc(scan(5, 6))
     assert [(r["k"], r["N"]) for r in doc["records"]] == [(5, 6), (5, 16), (5, 36), (6, 25)]
     damage(doc["records"])
     with pytest.raises(certio.DocumentError, match=f"^{message}$"):
+        certio.scan_report_from_doc(doc)
+
+
+def test_scan_report_rejects_a_repeated_record():
+    # scan() never writes one; its totals count the record twice, as the
+    # writer does, so only the records can tell
+    report = scan(5, 6)
+    records = report.records
+    doc = certio.scan_report_to_doc(replace(report, records=records[:2] + records[1:]))
+    assert doc["totals"]["records"] == 5
+    with pytest.raises(certio.DocumentError,
+                       match="^scan_report differs from what abelsplit writes in records$"):
         certio.scan_report_from_doc(doc)
 
 
@@ -568,6 +583,16 @@ def test_report_reader_builds_no_second_document(report_45):
     read, peak = _traced_peak(certio.scan_report_from_doc, doc)
     assert certio.dumps_document(certio.scan_report_to_doc(read)) == text
     assert peak <= 3 * len(text)
+
+
+@pytest.mark.parametrize("index", [16, 466])  # the first of the second batch, the last
+def test_report_reader_names_a_record_past_the_first_batch(report_45, index):
+    doc = certio.scan_report_to_doc(report_45)
+    record = doc["records"][index]
+    record["verdict"] = VIOLATION
+    message = f"record k={record['k']} N={record['N']} differs from what abelsplit writes"
+    with pytest.raises(certio.DocumentError, match=f"^{message} in verdict$"):
+        certio.scan_report_from_doc(doc)
 
 
 def test_streamed_report_holds_one_record_beside_the_buffer(report_45, tmp_path, monkeypatch):

@@ -9,7 +9,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from helpers import DESK_SCAN_SHA256, CommandRunner, canonical_json
+from helpers import DESK_SCAN_SHA256, CommandRunner, canonical_json, tw_passed
 
 from abelsplit import certio, cli, counting
 from abelsplit import search as searchlib
@@ -943,7 +943,7 @@ def test_check_tw_verdict_is_report_passed(runner, tmp_path, monkeypatch):
     monkeypatch.setattr(counting, "tw_disjointness_check", scaled)
     path, out = tmp_path / "z25.json", tmp_path / "tw.json"
     _write_cert(path, trivial_certificate(24))
-    assert not scaled(trivial_certificate(24)).passed
+    assert not tw_passed(scaled(trivial_certificate(24)))
     result = runner.invoke(main, ["check", "tw", "--cert", str(path), "--out", str(out)])
     assert result.exit_code == 1
     assert _summary(result) == "check=tw checks=6 failures=1 verdict=fail"
@@ -1140,6 +1140,28 @@ def test_scan_table_is_the_reports_table(runner, tmp_path, monkeypatch):
     assert runner.invoke(main, args + ["--resume"]).exit_code == 0
     assert len(reports) == 2 and len(reports[1].records) == len(reports[0].records)
     assert table.read_bytes() == certio.scan_report_table(reports[1]).encode()
+
+
+def test_resumed_scan_table_leaves_restored_search_millis_empty(runner, tmp_path):
+    # a report keeps no time, so a restored search record has none to show,
+    # while the sieve spends none, restored or not
+    args = ["scan", "--k-min", "20", "--k-max", "30", "--jobs", "1", "--out-dir", str(tmp_path)]
+    assert runner.invoke(main, args).exit_code == 0
+    journal = tmp_path / "scan_k20-30.jsonl"
+    lines = journal.read_text().splitlines(keepends=True)
+    journal.write_text("".join(lines[:-3]))
+    rerun = {(r["k"], r["N"]) for line in lines[-3:] for r in json.loads(line)["records"]}
+    assert runner.invoke(main, args + ["--resume"]).exit_code == 0
+    rows = (tmp_path / "scan_k20-30.csv").read_text().splitlines()[1:]
+    restored = {"search": set(), "counting": set()}
+    for row in rows:
+        k, _, order, _, _, route, _, millis = row.split(",")
+        if (int(k), int(order)) in rerun:
+            assert millis.isdigit(), row
+        else:
+            restored[route].add(millis)
+    assert len(rows) == 121 and len(rerun) == 3
+    assert restored == {"search": {""}, "counting": {"0"}}
 
 
 def test_check_writes_report(runner, tmp_path):

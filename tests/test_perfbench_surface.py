@@ -3,13 +3,16 @@
 perfbench/workloads.py is imported as it stands, never edited: every name
 it reads from an abelsplit module must exist, whichever branch reads it,
 every name its traced run patches must exist, its desk scan body must pass
-its own gate, cutting one benchmark phase per scan record, and its checks
-body must pass its gate and write the pinned bytes.
+its own gate, cutting one benchmark phase per scan record, its checks
+body must pass its gate and write the pinned bytes, and perfbench/selfcheck.py
+must pass.
 """
 
 import ast
 import hashlib
 import importlib
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -49,6 +52,14 @@ def test_every_library_name_the_workloads_read_exists():
     missing = sorted(f"{module}.{name}" for module, name in reads
                      if not hasattr(importlib.import_module(module), name))
     assert missing == []
+
+
+def test_benchmark_selfcheck_passes():
+    result = subprocess.run([sys.executable, str(PERFBENCH / "selfcheck.py")],
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [f"ok check_{name}" for name in (
+        "spans", "patched", "phase_clock", "inputs", "benchmark_json", "rounds")]
 
 
 def test_tracing_finds_and_restores_every_patched_name(workloads):
