@@ -35,11 +35,11 @@ import json
 import os
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager, suppress
-from dataclasses import replace
 from functools import cache
 from pathlib import Path
 
 from .groups import FiniteAbelianGroup
+from .record import replace
 from .scan import (
     VIOLATION,
     CandidateOrder,

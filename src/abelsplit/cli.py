@@ -28,7 +28,7 @@ from typing import NoReturn
 
 from . import certio, counting, search as searchlib, splitting, tiling
 from .groups import FiniteAbelianGroup, is_prime
-from .scan import INCONCLUSIVE, VIOLATION, overall_verdict, scan as run_scan
+from .scan import INCONCLUSIVE, VIOLATION, check_scan_range, overall_verdict, scan as run_scan
 from .splitting import INTERVAL, MultiplierSet
 
 EXIT_OK = 0
@@ -106,12 +106,12 @@ def search(order, k, out, node_limit, time_limit_s) -> None:
 def scan(k_min, k_max, n_max, jobs, out_dir, resume, node_limit, time_limit_s) -> None:
     """Scan candidate orders for every k in [k-min, k-max], journaling each
     record as it finishes; --resume continues from the journal (.jsonl)."""
-    if k_min < 1 or k_min > k_max:
-        _fail_usage(f"bad k range [{k_min}, {k_max}]")
-    if jobs is not None and jobs < 1:
+    try:
+        check_scan_range(k_min, k_max, n_max)
+    except ValueError as exc:
+        _fail_usage(str(exc))
+    if jobs is not None and jobs < 1:  # checked here, as jobs or os.cpu_count() would hide a 0
         _fail_usage(f"--jobs must be >= 1, got {jobs}")
-    if n_max is not None and n_max < 1:
-        _fail_usage(f"--n-max must be >= 1, got {n_max}")
     config = _config(node_limit, time_limit_s)
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)

@@ -14,16 +14,15 @@ them from (k, N) alone, with no certificate (the scan's counting sieve).
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from math import gcd, prod
 from operator import mul, sub
 
 from .groups import factorize, is_prime, p_adic_valuation
+from .record import Record, setters
 from .splitting import INTERVAL, PURELY_SINGULAR, SplittingCertificate
 
 
-@dataclass(frozen=True, init=False)
-class KDecomposition:
+class KDecomposition(Record):
     """k - floor(k/p) written as p**beta * d * m_prime.
 
     beta is the exact p-valuation of the difference and d its gcd with
@@ -32,20 +31,16 @@ class KDecomposition:
     parameters can exist, which is reported rather than raised.
     """
 
-    k: int
-    p: int
-    m: int
-    beta: int
-    d: int
-    m_prime: int
+    __slots__ = ("k", "p", "m", "beta", "d", "m_prime")
 
     def __init__(self, k: int, p: int, m: int, beta: int, d: int, m_prime: int) -> None:
-        # Filling the instance dict skips the frozen dataclass's generated
-        # __init__, which sets each field through object.__setattr__ and
-        # costs twice as much; equality, hash, repr and frozenness stay.
-        fields = self.__dict__
-        fields["k"], fields["p"], fields["m"] = k, p, m
-        fields["beta"], fields["d"], fields["m_prime"] = beta, d, m_prime
+        # the digit sweep builds one per (k, p), so through the slot descriptors
+        _set_k(self, k)
+        _set_p(self, p)
+        _set_m(self, m)
+        _set_beta(self, beta)
+        _set_d(self, d)
+        _set_m_prime(self, m_prime)
 
     @property
     def residual(self) -> int:
@@ -54,6 +49,9 @@ class KDecomposition:
     @property
     def m_prime_divides_m(self) -> bool:
         return self.m % self.m_prime == 0
+
+
+_set_k, _set_p, _set_m, _set_beta, _set_d, _set_m_prime = setters(KDecomposition)
 
 
 def decompose_k(k: int, p: int, m: int) -> KDecomposition:
@@ -91,14 +89,14 @@ def digit_pattern_check(dec: KDecomposition) -> bool:
     return k % q == b * (q - 1) // (p - 1) and (k < q or k // q % p != b)
 
 
-@dataclass(frozen=True)
-class StratificationProfile:
+class StratificationProfile(Record):
     """Element and splitter counts by exact p-valuation of element order."""
 
-    p: int
-    alpha: int
-    g_counts: tuple[int, ...]
-    s_counts: tuple[int, ...]
+    __slots__ = ("p", "alpha", "g_counts", "s_counts")
+
+    def __init__(self, p: int, alpha: int, g_counts: tuple[int, ...],
+                 s_counts: tuple[int, ...]) -> None:
+        self._fill(p, alpha, g_counts, s_counts)
 
 
 def stratum_sizes(order: int, p: int) -> tuple[int, ...]:
@@ -204,8 +202,7 @@ def check_counting_identity(cert: SplittingCertificate, p: int, i: int) -> bool:
     return holds[i - 1]
 
 
-@dataclass(frozen=True)
-class AbcdeProfile:
+class AbcdeProfile(Record):
     """Cardinalities of the five interval subsets attached to (k, p, primes).
 
     abcde_profile's prime_data rows are (q, alpha_q, beta_q): q a prime
@@ -216,15 +213,12 @@ class AbcdeProfile:
     k - floor(k/p) factors exactly as p**beta * d * prod(q**beta_q).
     """
 
-    k: int
-    p: int
-    card_a: int
-    card_b: int
-    card_c: int
-    card_d: int
-    card_e: int
-    closed_form_d: int
-    hypothesis_met: bool
+    __slots__ = ("k", "p", "card_a", "card_b", "card_c", "card_d", "card_e", "closed_form_d",
+                 "hypothesis_met")
+
+    def __init__(self, k: int, p: int, card_a: int, card_b: int, card_c: int, card_d: int,
+                 card_e: int, closed_form_d: int, hypothesis_met: bool) -> None:
+        self._fill(k, p, card_a, card_b, card_c, card_d, card_e, closed_form_d, hypothesis_met)
 
     @property
     def identity_ab_c(self) -> bool:
@@ -307,8 +301,7 @@ def unit_coset_intersection_size(n: int, subgroup_order: int) -> int:
     return size
 
 
-@dataclass(frozen=True)
-class TwReport:
+class TwReport(Record):
     """Packing of scaled unit-splitter cosets inside the unit group.
 
     For each unit splitter s_i, w_i is (s_i + H) ∩ units with H the unique
@@ -318,19 +311,16 @@ class TwReport:
     r * |E| = phi(N) is forced to hold with equality throughout.
     """
 
-    p: int
-    k: int
-    decomposition: KDecomposition
-    hypothesis_ok: bool
-    unit_splitters: tuple[int, ...]
-    w_sizes: tuple[int, ...]
-    w_size_formula: int
-    tw_sizes: tuple[int, ...]
-    pairwise_disjoint: bool
-    within_units: bool
-    card_d: int
-    card_e: int
-    unit_count: int
+    __slots__ = ("p", "k", "decomposition", "hypothesis_ok", "unit_splitters", "w_sizes",
+                 "w_size_formula", "tw_sizes", "pairwise_disjoint", "within_units", "card_d",
+                 "card_e", "unit_count")
+
+    def __init__(self, p: int, k: int, decomposition: KDecomposition, hypothesis_ok: bool,
+                 unit_splitters: tuple[int, ...], w_sizes: tuple[int, ...], w_size_formula: int,
+                 tw_sizes: tuple[int, ...], pairwise_disjoint: bool, within_units: bool,
+                 card_d: int, card_e: int, unit_count: int) -> None:
+        self._fill(p, k, decomposition, hypothesis_ok, unit_splitters, w_sizes, w_size_formula,
+                   tw_sizes, pairwise_disjoint, within_units, card_d, card_e, unit_count)
 
     @property
     def r(self) -> int:

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable
+
+from .record import Record
 
 Element = tuple[int, ...]
 PrimePower = tuple[int, int]
@@ -85,22 +86,22 @@ def p_adic_valuation(n: int, p: int) -> int:
     return e
 
 
-@dataclass(frozen=True)
-class FiniteAbelianGroup:
+class FiniteAbelianGroup(Record):
     """Direct product Z_{d_1} x ... x Z_{d_r}, written additively.
 
     Elements are tuples of reduced coordinates, one per factor, so they hash
     and compare canonically. A single factor (N,) is the cyclic form Z_N;
     the splitter search, the stratification and the tiling require that form.
+    The __dict__ holds only the cached order and its factorization.
     """
 
-    factors: tuple[int, ...]
+    __slots__ = ("factors", "__dict__")
 
-    def __post_init__(self) -> None:
-        factors = tuple(int(d) for d in self.factors)
-        if not factors or any(d < 1 for d in factors):
-            raise ValueError(f"group factors must be positive integers, got {self.factors!r}")
-        object.__setattr__(self, "factors", factors)
+    def __init__(self, factors: tuple[int, ...]) -> None:
+        checked = tuple(map(int, factors))
+        if not checked or any(d < 1 for d in checked):
+            raise ValueError(f"group factors must be positive integers, got {factors!r}")
+        self._fill(checked)
 
     @classmethod
     def cyclic(cls, n: int) -> "FiniteAbelianGroup":

@@ -27,13 +27,13 @@ from __future__ import annotations
 
 import gc
 from array import array
-from dataclasses import dataclass, replace
 from itertools import compress, count
 from math import isqrt
 from typing import Callable
 
 from .counting import counting_witness
 from .groups import FiniteAbelianGroup, PrimePower, factorize
+from .record import Record, replace, setters
 from .search import (
     EXHAUSTED,
     FOUND,
@@ -54,18 +54,34 @@ COUNTING = "counting"
 SEARCH = "search"
 
 
-@dataclass(frozen=True, slots=True)
-class CandidateOrder:
+class CandidateOrder(Record):
     """An order N = n*k + 1 whose prime divisors all lie at or below k.
 
-    A scan holds one per candidate, so its fields live in slots, which
-    make each instance smaller and quicker to build than a dict-backed one.
+    A scan holds one per candidate, and keys a dict by them, so it is built
+    through the slot descriptors and compares and hashes its fields' tuple
+    directly, which is quicker than the Record methods.
     """
 
-    k: int
-    n: int
-    order: int
-    smoothness_witness: tuple[PrimePower, ...]
+    __slots__ = ("k", "n", "order", "smoothness_witness")
+
+    def __init__(self, k: int, n: int, order: int,
+                 smoothness_witness: tuple[PrimePower, ...]) -> None:
+        _set_k(self, k)
+        _set_n(self, n)
+        _set_order(self, order)
+        _set_smoothness(self, smoothness_witness)
+
+    def __eq__(self, other):
+        if other.__class__ is CandidateOrder:
+            return ((self.k, self.n, self.order, self.smoothness_witness)
+                    == (other.k, other.n, other.order, other.smoothness_witness))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.k, self.n, self.order, self.smoothness_witness))
+
+
+_set_k, _set_n, _set_order, _set_smoothness = setters(CandidateOrder)
 
 
 def candidate_order(k: int, n: int) -> CandidateOrder | None:
@@ -156,21 +172,28 @@ def purely_singular_candidates(k: int, n_max: int) -> list[CandidateOrder]:
     return scan_candidates(k, k, n_max)
 
 
-@dataclass(frozen=True, slots=True)
-class ScanRecord:
+class ScanRecord(Record):
     """One candidate's verdict. witness is the (p, stratum) of the counting
     identity that refuted the candidate, or None when the search decided it."""
 
-    candidate: CandidateOrder
-    outcome: SearchOutcome
-    verdict: str
-    certificate: SplittingCertificate | None = None
-    witness: tuple[int, int] | None = None
+    __slots__ = ("candidate", "outcome", "verdict", "certificate", "witness")
+
+    def __init__(self, candidate: CandidateOrder, outcome: SearchOutcome, verdict: str,
+                 certificate: SplittingCertificate | None = None,
+                 witness: tuple[int, int] | None = None) -> None:
+        _set_candidate(self, candidate)
+        _set_outcome(self, outcome)
+        _set_verdict(self, verdict)
+        _set_certificate(self, certificate)
+        _set_witness(self, witness)
 
     @property
     def route(self) -> str:
         """The proof route of the verdict: counting or search."""
         return SEARCH if self.witness is None else COUNTING
+
+
+_set_candidate, _set_outcome, _set_verdict, _set_certificate, _set_witness = setters(ScanRecord)
 
 
 def scan_order(record: ScanRecord) -> tuple[int, int]:
@@ -225,8 +248,7 @@ def _scan_one(task: tuple[CandidateOrder, SearchConfig]) -> ScanRecord:
         FiniteAbelianGroup.cyclic(candidate.order), MultiplierSet.interval(candidate.k), config))
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(Record):
     """Scan results plus the configuration that produced them.
 
     records are sorted by (k, N). n_max of None means the per-k default
@@ -234,12 +256,11 @@ class ScanReport:
     splittings can exist.
     """
 
-    k_min: int
-    k_max: int
-    n_max: int | None
-    node_limit: int
-    time_limit_s: float | None
-    records: tuple[ScanRecord, ...]
+    __slots__ = ("k_min", "k_max", "n_max", "node_limit", "time_limit_s", "records")
+
+    def __init__(self, k_min: int, k_max: int, n_max: int | None, node_limit: int,
+                 time_limit_s: float | None, records: tuple[ScanRecord, ...]) -> None:
+        self._fill(k_min, k_max, n_max, node_limit, time_limit_s, records)
 
     @property
     def totals(self) -> dict[str, int]:

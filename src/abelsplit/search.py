@@ -28,12 +28,12 @@ exhausted tree is a proof that no splitter set exists.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from itertools import combinations, islice
 from math import comb, gcd, inf
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .groups import FiniteAbelianGroup
+from .record import Record, setters
 # make_certificate is unused here, but perfbench traces it under this module
 from .splitting import (  # noqa: F401
     CertificateView, MultiplierSet, SplittingCertificate, make_certificate)
@@ -54,37 +54,44 @@ class BudgetExceeded(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
-class SearchConfig:
+class SearchConfig(Record):
     """A search budget: node_limit >= 1, and time_limit_s >= 0 or None for no
     limit. +inf is stored as None, as JSON, and so a report, has no Infinity."""
 
-    node_limit: int = 100_000_000
-    time_limit_s: float | None = 60.0
+    __slots__ = ("node_limit", "time_limit_s")
 
-    def __post_init__(self) -> None:
-        if not self.node_limit >= 1:
-            raise ValueError(f"node_limit must be >= 1, got {self.node_limit}")
-        if self.time_limit_s is not None and not self.time_limit_s >= 0:  # also rejects nan
-            raise ValueError(f"time_limit_s must be >= 0 or None, got {self.time_limit_s}")
-        if self.time_limit_s == inf:
-            object.__setattr__(self, "time_limit_s", None)
+    def __init__(self, node_limit: int = 100_000_000, time_limit_s: float | None = 60.0) -> None:
+        if not node_limit >= 1:
+            raise ValueError(f"node_limit must be >= 1, got {node_limit}")
+        if time_limit_s is not None and not time_limit_s >= 0:  # also rejects nan
+            raise ValueError(f"time_limit_s must be >= 0 or None, got {time_limit_s}")
+        self._fill(node_limit, None if time_limit_s == inf else time_limit_s)
 
 
-@dataclass(frozen=True)
-class SearchStats:
-    nodes: int
-    max_depth: int
-    elapsed_s: float | None  # None for a search read back from a document
-    rows: int = 0  # rows built
-    reason: str | None = None  # the budget that ended the search: node_limit | time_limit
+class SearchStats(Record):
+    """A search's nodes and max_depth, and the rows it built. elapsed_s is
+    None for a search read back from a document; reason is the budget that
+    ended the search: node_limit | time_limit."""
+
+    __slots__ = ("nodes", "max_depth", "elapsed_s", "rows", "reason")
+
+    def __init__(self, nodes: int, max_depth: int, elapsed_s: float | None, rows: int = 0,
+                 reason: str | None = None) -> None:
+        self._fill(nodes, max_depth, elapsed_s, rows, reason)
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
-    result: str  # found | exhausted_no_solution | resource_limit
-    splitters: tuple[int, ...] | None
-    stats: SearchStats
+class SearchOutcome(Record):
+    """result is found | exhausted_no_solution | resource_limit."""
+
+    __slots__ = ("result", "splitters", "stats")
+
+    def __init__(self, result: str, splitters: tuple[int, ...] | None, stats: SearchStats) -> None:
+        _set_result(self, result)
+        _set_splitters(self, splitters)
+        _set_stats(self, stats)
+
+
+_set_result, _set_splitters, _set_stats = setters(SearchOutcome)
 
 
 def _row_source(
@@ -323,7 +330,7 @@ def enumerate_all_splittings(
     len counted when it is made. The rows share one element tuple per
     residue, one MultiplierSet per multiplier set and one splitters tuple
     per splitter set. For Z_27 the view of |M| = 2 holds 1.6 MB and that of
-    |M| = 13 4.0 MB (tracemalloc); `check s87 -N 27` peaks at 21.6 MB of RSS.
+    |M| = 13 4.0 MB (tracemalloc); `check s87 -N 27` peaks at 20.5 MB of RSS.
     """
     if n < 2:
         raise ValueError(f"order must be >= 2, got {n}")

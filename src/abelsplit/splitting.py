@@ -4,7 +4,7 @@ A splitting of a finite abelian group G is a set M of nonzero integers (the
 multipliers) together with a subset S of G (the splitters) such that every
 nonzero element of G equals m*s for exactly one pair (m, s). A
 SplittingCertificate is verified when it is made, so it always holds one.
-Both of its constructors verify: the dataclass constructor checks one
+Both of its constructors verify: SplittingCertificate(...) checks one
 certificate's products, and SplittingCertificate.batch checks, for each
 fixed tuple of one cyclic group, all the covers it pairs with in one bitset
 pass. The batch certifies every pair before it returns a CertificateView,
@@ -15,13 +15,13 @@ constructor yields a certificate for a pair that is not a splitting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from math import prod
 from operator import itemgetter, lt
 from typing import Iterable, Iterator
 
 from .groups import Element, FiniteAbelianGroup
+from .record import Record, setters
 
 INTERVAL = "interval"
 EXPLICIT = "explicit"
@@ -37,19 +37,16 @@ ORDER_K_PLUS_1 = "order_k_plus_1"
 ORDER_2K_PLUS_1 = "order_2k_plus_1"
 
 
-@dataclass(frozen=True, slots=True)
-class MultiplierSet:
+class MultiplierSet(Record):
     """Strictly increasing nonzero integers, optionally tagged as {1..k}.
 
     Its fields live in slots, so an instance carries no dict: an
     enumeration holds one per multiplier set.
     """
 
-    values: tuple[int, ...]
-    kind: str = EXPLICIT
+    __slots__ = ("values", "kind")
 
-    def __post_init__(self) -> None:
-        values = self.values
+    def __init__(self, values: tuple[int, ...], kind: str = EXPLICIT) -> None:
         if type(values) is not tuple or not all(type(v) is int for v in values):
             values = tuple(map(int, values))
         if not values:
@@ -58,12 +55,13 @@ class MultiplierSet:
             raise ValueError("0 is not a valid multiplier")
         if not all(map(lt, values, values[1:])):
             raise ValueError("multiplier values must be strictly increasing")
-        if self.kind == INTERVAL:
+        if kind == INTERVAL:
             if values != tuple(range(1, len(values) + 1)):
                 raise ValueError("interval multiplier set must be exactly {1..k}")
-        elif self.kind != EXPLICIT:
-            raise ValueError(f"unknown multiplier kind {self.kind!r}")
-        object.__setattr__(self, "values", values)
+        elif kind != EXPLICIT:
+            raise ValueError(f"unknown multiplier kind {kind!r}")
+        _set_values(self, values)
+        _set_kind(self, kind)
 
     @classmethod
     def interval(cls, k: int) -> "MultiplierSet":
@@ -91,16 +89,20 @@ class MultiplierSet:
         return iter(self.values)
 
 
-@dataclass(frozen=True)
-class SingularityClass:
+_set_values, _set_kind = setters(MultiplierSet)
+
+
+class SingularityClass(Record):
     """Which prime divisors of |G| divide some multiplier.
 
     witnesses pairs each prime divisor of |G| with the least multiplier it
     divides, or None when no multiplier works.
     """
 
-    tag: str
-    witnesses: tuple[tuple[int, int | None], ...]
+    __slots__ = ("tag", "witnesses")
+
+    def __init__(self, tag: str, witnesses: tuple[tuple[int, int | None], ...]) -> None:
+        self._fill(tag, witnesses)
 
 
 def classify_multipliers(G: FiniteAbelianGroup, M: MultiplierSet) -> SingularityClass:
@@ -124,12 +126,15 @@ def classify_multipliers(G: FiniteAbelianGroup, M: MultiplierSet) -> Singularity
     return SingularityClass(tag, tuple(witnesses))
 
 
-@dataclass(frozen=True)
-class VerificationFailure:
-    kind: str  # count_mismatch | zero_hit | collision
-    element: Element | None = None
-    first: tuple[int, Element] | None = None
-    second: tuple[int, Element] | None = None
+class VerificationFailure(Record):
+    """kind is count_mismatch | zero_hit | collision."""
+
+    __slots__ = ("kind", "element", "first", "second")
+
+    def __init__(self, kind: str, element: Element | None = None,
+                 first: tuple[int, Element] | None = None,
+                 second: tuple[int, Element] | None = None) -> None:
+        self._fill(kind, element, first, second)
 
     def describe(self) -> str:
         if self.kind == "count_mismatch":
@@ -140,10 +145,11 @@ class VerificationFailure:
         return f"element {self.element} reached by both {self.first} and {self.second}"
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    verdict: str
-    failure: VerificationFailure | None = None
+class VerificationReport(Record):
+    __slots__ = ("verdict", "failure")
+
+    def __init__(self, verdict: str, failure: VerificationFailure | None = None) -> None:
+        self._fill(verdict, failure)
 
     @property
     def is_valid(self) -> bool:
@@ -218,19 +224,20 @@ class NotASplitting(ValueError):
         self.report = report
 
 
-@dataclass(frozen=True, slots=True)
-class SplittingCertificate:
+class SplittingCertificate(Record):
     """A splitting, the portable proof object: the splitters must be canonical,
     are stored as given, and are verified here (NotASplitting if they fail)."""
 
-    group: FiniteAbelianGroup
-    multipliers: MultiplierSet
-    splitters: tuple[Element, ...]
+    __slots__ = ("group", "multipliers", "splitters")
 
-    def __post_init__(self) -> None:
-        report = _check_products(self.group, self.multipliers, self.splitters)
+    def __init__(self, group: FiniteAbelianGroup, multipliers: MultiplierSet,
+                 splitters: tuple[Element, ...]) -> None:
+        report = _check_products(group, multipliers, splitters)
         if not report.is_valid:
-            raise NotASplitting(self.group, report)
+            raise NotASplitting(group, report)
+        _set_group(self, group)
+        _set_multipliers(self, multipliers)
+        _set_splitters(self, splitters)
 
     @property
     def classification(self) -> SingularityClass:
@@ -265,7 +272,7 @@ class SplittingCertificate:
         exactly when |F|*|C_j| = n-1 and bit j is set in acc[r] for every
         nonzero r: n-1 products that reach all n-1 nonzero residues reach
         each once and never 0, so this accepts exactly the pairs the
-        dataclass constructor accepts. The first rejected pair raises
+        SplittingCertificate constructor accepts. The first rejected pair raises
         NotASplitting with the report that constructor gives, and no
         certificate of the batch is handed out.
         """
@@ -331,8 +338,8 @@ class SplittingCertificate:
 
 def _certificate(group: FiniteAbelianGroup, M: MultiplierSet, S: tuple[Element, ...]):
     """A SplittingCertificate of a pair already certified, made through the
-    slot descriptors, without __init__, whose __post_init__ would check the
-    products again."""
+    slot descriptors, without __init__, which would check the products
+    again."""
     cert = _new(SplittingCertificate)
     _set_group(cert, group)
     _set_multipliers(cert, M)
@@ -341,9 +348,7 @@ def _certificate(group: FiniteAbelianGroup, M: MultiplierSet, S: tuple[Element, 
 
 
 _new = SplittingCertificate.__new__
-_set_group = SplittingCertificate.group.__set__
-_set_multipliers = SplittingCertificate.multipliers.__set__
-_set_splitters = SplittingCertificate.splitters.__set__
+_set_group, _set_multipliers, _set_splitters = setters(SplittingCertificate)
 
 
 class CertificateView:

@@ -23,41 +23,35 @@ distinct values met, never with a span the input controls.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field
 from math import prod
 
+from .record import Record
 from .splitting import SplittingCertificate
 
 Vector = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]  # row-major; basis vectors are the columns
 
 
-@dataclass(frozen=True)
-class ErrorBallShape:
+class ErrorBallShape(Record):
     """The semi-cross of arm k_plus in Z^dimension: the origin plus j*e_i
     for 1 <= j <= k_plus along each axis i, dimension*k_plus + 1 points,
     sorted lexicographically. Both parameters must be at least 1.
 
     dimension = 1 gives the degenerate segment {0..k_plus}, the shape
-    matching a one-splitter certificate.
+    matching a one-splitter certificate. _arms holds, per point, (axis,
+    offset) of its one nonzero coordinate, and (0, 0) for the origin.
     """
 
-    dimension: int
-    k_plus: int
-    points: tuple[Vector, ...] = field(init=False)
-    # per point, (axis, offset) of its one nonzero coordinate; (0, 0) for the origin
-    _arms: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("dimension", "k_plus", "points", "_arms")
 
-    def __post_init__(self) -> None:
-        n, k = self.dimension, self.k_plus
+    def __init__(self, dimension: int, k_plus: int) -> None:
+        n, k = dimension, k_plus
         if n < 1 or k < 1:
             raise ValueError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
         # the origin, then each axis's arm from the last axis down, sorts the points
         arms = ((0, 0),) + tuple((i, o) for i in range(n - 1, -1, -1) for o in range(1, k + 1))
         origin = (0,) * n
-        object.__setattr__(self, "_arms", arms)
-        object.__setattr__(
-            self, "points", tuple(origin[:i] + (o,) + origin[i + 1:] for i, o in arms))
+        self._fill(n, k, tuple(origin[:i] + (o,) + origin[i + 1:] for i, o in arms), arms)
 
     def at(self, anchor: Sequence[int], coords: dict[int, int] | None = None) -> tuple[Vector, ...]:
         """The cells of the translate anchored at anchor.
@@ -90,17 +84,15 @@ def semi_cross(n: int, k: int) -> ErrorBallShape:
     return ErrorBallShape(n, k)
 
 
-@dataclass(frozen=True)
-class LatticeHom:
+class LatticeHom(Record):
     """The weight map x -> sum(x_i * w_i) mod N from Z^n onto Z_N."""
 
-    modulus: int
-    weights: tuple[int, ...]
+    __slots__ = ("modulus", "weights")
 
-    def __post_init__(self) -> None:
-        if self.modulus < 1:
-            raise ValueError(f"modulus must be >= 1, got {self.modulus}")
-        object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
+    def __init__(self, modulus: int, weights: tuple[int, ...]) -> None:
+        if modulus < 1:
+            raise ValueError(f"modulus must be >= 1, got {modulus}")
+        self._fill(modulus, tuple(int(w) for w in weights))
 
     def apply(self, point: Sequence[int]) -> int:
         return sum(c * w for c, w in zip(point, self.weights)) % self.modulus
@@ -121,14 +113,13 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-@dataclass(frozen=True)
-class IntegerLattice:
+class IntegerLattice(Record):
     """Full-rank sublattice of Z^n held as a column-HNF basis matrix."""
 
-    basis: Matrix
+    __slots__ = ("basis",)
 
-    def __post_init__(self) -> None:
-        basis = tuple(tuple(int(v) for v in row) for row in self.basis)
+    def __init__(self, basis: Matrix) -> None:
+        basis = tuple(tuple(int(v) for v in row) for row in basis)
         n = len(basis)
         if any(len(row) != n for row in basis):
             raise ValueError("basis must be square")
@@ -140,7 +131,7 @@ class IntegerLattice:
                     raise ValueError("basis must be upper triangular")
                 if j > i and not 0 <= basis[i][j] < basis[i][i]:
                     raise ValueError("entries right of the diagonal must be reduced")
-        object.__setattr__(self, "basis", basis)
+        self._fill(basis)
 
     @property
     def dimension(self) -> int:
@@ -224,9 +215,11 @@ def lattice_from_splitting(cert: SplittingCertificate) -> tuple[LatticeHom, Inte
     return hom, lattice
 
 
-@dataclass(frozen=True)
-class TilingCertificate:
-    verdict: bool
+class TilingCertificate(Record):
+    __slots__ = ("verdict",)
+
+    def __init__(self, verdict: bool) -> None:
+        self._fill(verdict)
 
 
 def verify_lattice_tiling(shape: ErrorBallShape, hom: LatticeHom) -> TilingCertificate:

@@ -5,7 +5,6 @@ import os
 import re
 import tracemalloc
 from collections import Counter
-from dataclasses import replace
 from itertools import groupby
 
 import pytest
@@ -17,6 +16,7 @@ from hypothesis import strategies as st
 
 from abelsplit import certio
 from abelsplit.groups import FiniteAbelianGroup
+from abelsplit.record import replace
 from abelsplit.scan import VIOLATION, CandidateOrder, ScanReport, make_record, scan
 from abelsplit.search import FOUND, SearchConfig, search_splitter
 from abelsplit.splitting import (

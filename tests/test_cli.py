@@ -5,7 +5,6 @@ import os
 import subprocess
 import sys
 import weakref
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -14,8 +13,9 @@ from helpers import DESK_SCAN_SHA256, CommandRunner, canonical_json, tw_passed
 from abelsplit import certio, cli, counting
 from abelsplit import search as searchlib
 from abelsplit.cli import main
+from abelsplit.record import replace
 from abelsplit.groups import FiniteAbelianGroup
-from abelsplit.scan import overall_verdict, scan
+from abelsplit.scan import check_scan_range, overall_verdict, scan
 from abelsplit.splitting import MultiplierSet, make_certificate, trivial_certificate
 
 
@@ -600,7 +600,6 @@ def test_scan_bad_range(runner, tmp_path):
 @pytest.mark.parametrize("args", [
     ["--jobs", "0"],
     ["--jobs", "-4"],
-    ["--n-max", "0"],
 ])
 def test_scan_bad_counts_are_usage_errors(runner, tmp_path, args):
     out_dir = tmp_path / "scan"
@@ -609,6 +608,22 @@ def test_scan_bad_counts_are_usage_errors(runner, tmp_path, args):
     )
     assert result.exit_code == 2, result.output
     assert f"error: {args[0]} must be >= 1" in result.output
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("args, params", [
+    (["--k-min", "0", "--k-max", "3"], (0, 3, None)),
+    (["--k-min", "5", "--k-max", "4"], (5, 4, None)),
+    (["--k-min", "1", "--k-max", "3", "--n-max", "0"], (1, 3, 0)),
+], ids=["k_min_zero", "k_min_above_k_max", "n_max_zero"])
+def test_scan_bad_range_is_the_librarys_usage_error(runner, tmp_path, args, params):
+    # the CLI checks the range with scan.check_scan_range, before it makes the directory
+    with pytest.raises(ValueError) as raised:
+        check_scan_range(*params)
+    out_dir = tmp_path / "scan"
+    result = runner.invoke(main, ["scan", *args, "--out-dir", str(out_dir)])
+    assert result.exit_code == 2, result.output
+    assert result.stderr == f"error: {raised.value}\n"
     assert not out_dir.exists()
 
 
@@ -1116,6 +1131,8 @@ def test_importing_the_cli_loads_only_the_standard_library():
     loaded = {name.partition(".")[0] for name in out.stdout.split()}
     assert "abelsplit" in loaded
     assert loaded - set(sys.stdlib_module_names) == {"abelsplit"}
+    # the records are built without dataclasses, which would load inspect, ast and dis
+    assert not {"dataclasses", "inspect"} & loaded
     tomllib = pytest.importorskip("tomllib")
     pyproject = Path(cli.__file__).parents[2] / "pyproject.toml"
     assert tomllib.loads(pyproject.read_text())["project"]["dependencies"] == []

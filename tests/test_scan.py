@@ -14,6 +14,7 @@ from helpers import candidates_by_trial_division
 
 from abelsplit import certio
 from abelsplit.groups import FiniteAbelianGroup
+from abelsplit.record import replace
 from abelsplit.scan import (
     CONSISTENT,
     COUNTING,
@@ -63,7 +64,7 @@ def test_candidate_order_is_a_frozen_slotted_dataclass():
         built.k = 6
     assert built.k == 5 and not hasattr(built, "__dict__")
     assert pickle.loads(pickle.dumps(built)) == built  # pool workers receive candidates
-    assert dataclasses.replace(built, n=1, order=6, smoothness_witness=((2, 1), (3, 1))) == (
+    assert replace(built, n=1, order=6, smoothness_witness=((2, 1), (3, 1))) == (
         scan_candidates(5, 5)[0]
     )
 
@@ -78,10 +79,10 @@ def test_scan_record_is_a_frozen_slotted_dataclass():
             record.verdict = VIOLATION
         assert pickle.loads(pickle.dumps(record)) == record  # pool workers return records
     counted = next(r for r in records if r.route == COUNTING)
-    # decide marks a counting verdict through dataclasses.replace
-    searched = dataclasses.replace(counted, witness=None)
+    # decide marks a counting verdict through replace
+    searched = replace(counted, witness=None)
     assert searched.route == SEARCH and searched.candidate is counted.candidate
-    assert dataclasses.replace(searched, witness=counted.witness) == counted
+    assert replace(searched, witness=counted.witness) == counted
 
 
 def test_candidates_small_k_empty():
@@ -303,8 +304,8 @@ def test_resume_rejects_records_outside_the_task_set():
     with pytest.raises(ValueError, match="not a scan candidate"):
         scan(5, 6, resume=resume_with(full.records + (foreign,)))
     first = full.records[0]
-    misfactored = dataclasses.replace(
-        first, candidate=dataclasses.replace(first.candidate, smoothness_witness=((2, 3),))
+    misfactored = replace(
+        first, candidate=replace(first.candidate, smoothness_witness=((2, 3),))
     )
     with pytest.raises(ValueError, match="not a scan candidate"):
         scan(5, 6, resume=resume_with((misfactored,) + full.records[1:]))
@@ -349,7 +350,7 @@ def test_pool_is_no_larger_than_the_pending_work(monkeypatch):
     assert len(serial.records) == 4 and sizes == []
     assert doc(scan(5, 6, jobs=64)) == doc(serial)
     assert sizes == [4]
-    first = dataclasses.replace(serial, records=serial.records[:1])
+    first = replace(serial, records=serial.records[:1])
     assert doc(scan(5, 6, jobs=64, resume=first)) == doc(serial)
     assert sizes == [4, 3]
 
@@ -375,7 +376,7 @@ def test_checkpoint_called_per_record(jobs):
     # a resumed scan checkpoints only the records it decides
     seen.clear()
     resumed = scan(8, 8, jobs=jobs, checkpoint=seen.append,
-                   resume=dataclasses.replace(report, records=report.records[:2]))
+                   resume=replace(report, records=report.records[:2]))
     assert [len(one.records) for one in seen] == [1, 1, 1]
     assert sorted(r.candidate.order for one in seen for r in one.records) == [
         r.candidate.order for r in resumed.records[2:]
