@@ -14,12 +14,12 @@ export's millis column, which is diagnostic: it is empty for a searched
 record restored through a resume, and 0 for a record the counting sieve
 decided.
 Every file abelsplit writes goes through write_chunks, which replaces the
-target atomically through a temp file written with os.open and os.write,
-except the lines appended to a scan journal. It takes the text as an
-iterable of str and writes it about WRITE_CHUNK bytes at a time, so a
-large document is written from a stream: a scan report record by record
-(scan_report_chunks), a journal line by line, a tiling export block by
-block (tiling_export_chunks), each byte-identical to the joined text.
+target atomically through a temp file, except the lines appended to a scan
+journal. It takes the text as an iterable of str, which the file object
+buffers and encodes, so a large document is written from a stream: a scan
+report record by record (scan_report_chunks), a journal line by line, a
+tiling export block by block (tiling_export_chunks), each byte-identical
+to the joined text.
 
 The writers define what a valid document is. Each reader rebuilds its
 object with the library's own constructors and accepts the document only
@@ -71,7 +71,6 @@ from .tiling import (
 )
 
 FORMAT_VERSION = 3
-WRITE_CHUNK = 1 << 20  # the bytes write_chunks gathers before each write
 
 
 class DocumentError(ValueError):
@@ -165,46 +164,25 @@ def loads_document(text: str) -> dict:
     return doc
 
 
-def _write_all(fd: int, data) -> None:
-    """os.write data to fd, again and again until all of it is written."""
-    view = memoryview(data)
-    while view:
-        view = view[os.write(fd, view):]
-
-
 def write_chunks(path, chunks: Iterable[str]) -> None:
     """Replace the file at path with the text of chunks, joined, as UTF-8,
     atomically.
 
-    The text goes to a temp file beside the target, which os.replace then
-    moves over it, so a process killed mid-write leaves the old file whole.
-    The temp file is made by os.open with mode 0o666, not by tempfile, so
-    its mode follows the umask, and it is removed if the write fails, also
-    when the error comes from chunks. Each chunk is encoded, a longer one
-    WRITE_CHUNK characters at a time, into one bytearray, which goes out
-    through os.write, repeated until all is written, whenever it holds
-    WRITE_CHUNK bytes or more, and at the end. So a document of fewer bytes
-    takes one os.write, and at most WRITE_CHUNK bytes plus one piece's are
-    held. An OSError names path, the file asked for, not the temp file.
-    There is no fsync: this guards against a killed process, not against a
-    power loss.
+    The text goes through open() to a temp file beside the target, which
+    os.replace then moves over it, so a process killed mid-write leaves the
+    old file whole. open() makes the temp file with mode 0o666, so its mode
+    follows the umask; beside chunks, only its buffer and the encoding of
+    the chunk in hand are held. The temp file is removed if the write fails,
+    also when the error comes from chunks, and an OSError names path, the
+    file asked for, not the temp file. There is no fsync: this guards
+    against a killed process, not against a power loss.
     """
     target = os.fspath(path)
     folder, name = os.path.split(target)
     tmp = os.path.join(folder, f".{name}.{os.getpid()}.tmp")
     try:
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
-        try:
-            held = bytearray()  # encoded, not yet written
-            for chunk in chunks:
-                for start in range(0, len(chunk), WRITE_CHUNK):
-                    held += chunk[start:start + WRITE_CHUNK].encode()
-                    if len(held) >= WRITE_CHUNK:
-                        _write_all(fd, held)
-                        held = bytearray()
-            _write_all(fd, held)
-        finally:
-            os.close(fd)
+        with open(tmp, "w", encoding="utf-8", newline="") as handle:
+            handle.writelines(chunks)
         os.replace(tmp, target)
     except BaseException as exc:
         with suppress(OSError):

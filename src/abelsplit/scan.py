@@ -57,9 +57,8 @@ SEARCH = "search"
 class CandidateOrder(Record):
     """An order N = n*k + 1 whose prime divisors all lie at or below k.
 
-    A scan holds one per candidate, and keys a dict by them, so it is built
-    through the slot descriptors and compares and hashes its fields' tuple
-    directly, which is quicker than the Record methods.
+    A scan holds one per candidate, so it is built through the slot
+    descriptors, which is quicker than Record._fill.
     """
 
     __slots__ = ("k", "n", "order", "smoothness_witness")
@@ -70,15 +69,6 @@ class CandidateOrder(Record):
         _set_n(self, n)
         _set_order(self, order)
         _set_smoothness(self, smoothness_witness)
-
-    def __eq__(self, other):
-        if other.__class__ is CandidateOrder:
-            return ((self.k, self.n, self.order, self.smoothness_witness)
-                    == (other.k, other.n, other.order, other.smoothness_witness))
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.k, self.n, self.order, self.smoothness_witness))
 
 
 _set_k, _set_n, _set_order, _set_smoothness = setters(CandidateOrder)
@@ -201,8 +191,10 @@ def scan_order(record: ScanRecord) -> tuple[int, int]:
     return record.candidate.k, record.candidate.order
 
 
-def make_record(candidate: CandidateOrder, outcome: SearchOutcome) -> ScanRecord:
-    """The one verdict rule, for fresh and resumed records alike.
+def make_record(candidate: CandidateOrder, outcome: SearchOutcome,
+                witness: tuple[int, int] | None = None) -> ScanRecord:
+    """The one verdict rule, for fresh and resumed records alike; witness is
+    the counting sieve's, for a record the sieve decided.
 
     A found splitter set is re-verified into a certificate, and the record
     keeps the certificate's canonical splitters. An exhausted search at a
@@ -218,13 +210,13 @@ def make_record(candidate: CandidateOrder, outcome: SearchOutcome) -> ScanRecord
         )
         outcome = replace(outcome, splitters=tuple(s for (s,) in certificate.splitters))
         verdict = TRIVIAL_EXPECTED if order in (1, k + 1, 2 * k + 1) else VIOLATION
-        return ScanRecord(candidate, outcome, verdict, certificate)
+        return ScanRecord(candidate, outcome, verdict, certificate, witness)
     if outcome.result == EXHAUSTED:
         if order in (k + 1, 2 * k + 1):
             raise RuntimeError(f"no splitting found at trivial order {order} for k={k}")
-        return ScanRecord(candidate, outcome, CONSISTENT)
+        return ScanRecord(candidate, outcome, CONSISTENT, witness=witness)
     if outcome.result == RESOURCE_LIMIT:
-        return ScanRecord(candidate, outcome, INCONCLUSIVE)
+        return ScanRecord(candidate, outcome, INCONCLUSIVE, witness=witness)
     raise ValueError(f"unknown search result {outcome.result!r}")
 
 
@@ -238,7 +230,7 @@ def decide(candidate: CandidateOrder, search: Callable[[], SearchOutcome]) -> Sc
     RuntimeError), else make_record(candidate, search())."""
     witness = counting_witness(candidate.k, candidate.order, candidate.smoothness_witness)
     if witness is not None:
-        return replace(make_record(candidate, _COUNTED), witness=witness)
+        return make_record(candidate, _COUNTED, witness)
     return make_record(candidate, search())
 
 
@@ -311,7 +303,7 @@ def scan(
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     candidates = scan_candidates(k_min, k_max, n_max)
 
-    slot_of = {c: i for i, c in enumerate(candidates)}
+    slot_of = {(c.k, c.n): i for i, c in enumerate(candidates)}
     slots: list[ScanRecord | None] = [None] * len(candidates)
     params = (k_min, k_max, n_max, config.node_limit, config.time_limit_s)
     if resume is not None:
@@ -320,15 +312,16 @@ def scan(
             raise ValueError(f"resume parameters {theirs} do not match scan parameters {params}")
         for record in resume.records:
             c = record.candidate
-            if c not in slot_of:
+            i = slot_of.get((c.k, c.n))
+            if i is None or candidates[i] != c:
                 raise ValueError(f"resumed record k={c.k} N={c.order} is not a scan candidate")
-            if slots[slot_of[c]] is not None:
+            if slots[i] is not None:
                 raise ValueError("resumed report holds a record twice")
-            slots[slot_of[c]] = record
+            slots[i] = record
     pending = [(c, config) for c, record in zip(candidates, slots) if record is None]
 
     def take(record: ScanRecord) -> None:
-        slots[slot_of[record.candidate]] = record
+        slots[slot_of[record.candidate.k, record.candidate.n]] = record
         if checkpoint is not None:
             checkpoint(ScanReport(*params, (record,)))
 

@@ -392,8 +392,6 @@ def trivial_certificate(k: int, which: str = ORDER_K_PLUS_1) -> SplittingCertifi
     (Z_{2k+1}, {1..k}, {1, 2k}), whose second splitter covers k+1..2k
     through negation. Both are verified before being returned.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
     M = MultiplierSet.interval(k)
     if which == ORDER_K_PLUS_1:
         G = FiniteAbelianGroup.cyclic(k + 1)

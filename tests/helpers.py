@@ -26,6 +26,8 @@ violation's certificate by trial division where certio calls the library's
 classifier, and the tiling export oracle is the reader that splits
 the text into lines and compares it with a second, rebuilt text, where
 certio checks it block by block in place.
+The k = 2 oracle walks the cycles of doubling on Z_N, where the library
+searches for a splitter set.
 The candidate oracle tries every N = n*k + 1 by trial division, where the
 library reads one table of largest prime factors built for the whole scan.
 The digit-pattern oracle reads k's digit tuple where the library tests
@@ -170,6 +172,23 @@ def naive_splitting_exists(n: int, k: int) -> bool:
         return False
 
     return extend(frozenset())
+
+
+def splits_by_doubling_cycles(n: int) -> bool:
+    """Whether {1, 2} splits Z_n, with no search: exactly when n is odd and
+    every cycle of x -> 2x on the nonzero residues has even length, so that
+    every other residue of each cycle is a splitter."""
+    if n % 2 == 0:
+        return False
+    seen = set()
+    for x in range(1, n):
+        y, length = x, 0
+        while y not in seen:
+            seen.add(y)
+            y, length = 2 * y % n, length + 1
+        if length % 2:
+            return False
+    return True
 
 
 def all_splittings_by_subsets(n: int, size: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:

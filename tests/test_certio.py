@@ -1,5 +1,6 @@
 import errno
 import hashlib
+import io
 import json
 import os
 import re
@@ -149,20 +150,20 @@ def test_violation_record_document_matches_json_dumps():
     assert certio.dumps_document(doc) == canonical_json(doc)
 
 
-def test_streamed_report_is_the_document_text(tmp_path, monkeypatch):
+def test_streamed_report_is_the_document_text(tmp_path):
     # the desk report, one with no records, an n_max report and one whose
     # violation record embeds its certificate
     candidate = CandidateOrder(2, 4, 9, ((3, 2),))
     violation = make_record(candidate, search_splitter(Z(9), MultiplierSet.interval(2)))
     reports = [scan(1, 30), ScanReport(3, 7, None, 10**8, 60.0, ()), scan(8, 8, n_max=13),
                ScanReport(2, 2, 4, 10**8, 60.0, (violation,))]
-    monkeypatch.setattr(certio, "WRITE_CHUNK", 1 << 12)  # so the desk report takes many writes
     for i, report in enumerate(reports):
         text = certio.dumps_document(certio.scan_report_to_doc(report))
         assert "".join(certio.scan_report_chunks(report)) == text
         certio.write_chunks(tmp_path / f"{i}.json", certio.scan_report_chunks(report))
         assert (tmp_path / f"{i}.json").read_bytes() == text.encode()
     desk = (tmp_path / "0.json").read_bytes()
+    assert len(desk) > 8192  # above the file buffer, so the desk report takes many writes
     assert hashlib.sha256(desk).hexdigest() == DESK_SCAN_SHA256
     assert '"records": []' in (tmp_path / "1.json").read_text()
     assert '"n_max": 13' in (tmp_path / "2.json").read_text()
@@ -595,15 +596,14 @@ def test_report_reader_names_a_record_past_the_first_batch(report_45, index):
         certio.scan_report_from_doc(doc)
 
 
-def test_streamed_report_holds_one_record_beside_the_buffer(report_45, tmp_path, monkeypatch):
-    # the buffer holds at most WRITE_CHUNK bytes plus one record's, and one
-    # record's document and text are alive beside it; rendering the whole
-    # document first took four times the text, 0.8 MB here
-    monkeypatch.setattr(certio, "WRITE_CHUNK", 1 << 14)
+def test_streamed_report_holds_one_record_beside_the_buffer(report_45, tmp_path):
+    # the file object's buffer, and one record's document and text beside
+    # it; rendering the whole document first took four times the text,
+    # 0.8 MB here
     path = tmp_path / "report.json"
     _, peak = _traced_peak(certio.write_chunks, path, certio.scan_report_chunks(report_45))
     assert path.read_text() == certio.dumps_document(certio.scan_report_to_doc(report_45))
-    assert peak <= 2 * certio.WRITE_CHUNK
+    assert peak <= 32 * 1024
 
 
 _BOX_250 = [(0, 249), (0, 249)]
@@ -648,13 +648,13 @@ def test_tiling_export_reader_holds_no_second_copy(export_250):
     assert peak <= 0.7 * oracle_peak
 
 
-def test_streamed_export_holds_one_block_beside_the_buffer(export_250, tmp_path, monkeypatch):
-    # the 930,537-byte export, block by block: the buffer and one block
-    monkeypatch.setattr(certio, "WRITE_CHUNK", 1 << 14)
+def test_streamed_export_holds_one_block_beside_the_buffer(export_250, tmp_path):
+    # the 930,537-byte export, block by block: the file object's buffer and
+    # one block
     path = tmp_path / "tiles.txt"
     _, peak = _traced_peak(certio.write_chunks, path, certio.tiling_export_chunks(*export_250))
     assert path.read_text() == certio.tiling_export_text(*export_250)
-    assert peak <= 2 * certio.WRITE_CHUNK
+    assert peak <= 32 * 1024
 
 
 def test_export_views_share_one_int_per_coordinate_value():
@@ -697,19 +697,27 @@ def test_tiling_export_reader_checks_header_sizes_before_building():
             tracemalloc.stop()
 
 
+class _FullDisk(io.FileIO):
+    """A file on a disk that fills up: a write takes half of the bytes
+    given, then fails with ENOSPC."""
+
+    def write(self, data):
+        super().write(bytes(data[: len(data) // 2]))
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
 def test_interrupted_write_keeps_old_document(tmp_path, monkeypatch):
     path = tmp_path / "cert.json"
     old = certio.certificate_to_doc(trivial_certificate(8))
     certio.write_document(path, old)
-    real_write = os.write
 
-    def disk_full(fd, data):
-        # take half of the bytes given, then fail like a full disk
-        real_write(fd, bytes(data[: len(data) // 2]))
-        raise OSError(errno.ENOSPC, "No space left on device")
+    def full_disk_open(file, mode, encoding, newline):
+        assert mode == "w"
+        return io.TextIOWrapper(io.BufferedWriter(_FullDisk(file, "w")),
+                                encoding=encoding, newline=newline)
 
     with monkeypatch.context() as m:
-        m.setattr(os, "write", disk_full)
+        m.setattr(certio, "open", full_disk_open, raising=False)
         with pytest.raises(OSError) as info:
             certio.write_document(path, certio.certificate_to_doc(trivial_certificate(12)))
     assert info.value.errno == errno.ENOSPC and info.value.filename == str(path)
@@ -722,7 +730,7 @@ def test_write_chunks_keeps_the_old_file_when_its_chunks_fail(tmp_path):
     certio.write_text(path, "old\n")
 
     def chunks():
-        yield "x" * (certio.WRITE_CHUNK + 1)  # a whole write reaches the temp file
+        yield "x" * (1 << 14)  # above the file buffer, so a write reaches the temp file
         raise RuntimeError("renderer failed")
 
     with pytest.raises(RuntimeError, match="^renderer failed$"):
@@ -731,23 +739,18 @@ def test_write_chunks_keeps_the_old_file_when_its_chunks_fail(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
 
-def test_write_chunks_round_trips_long_non_ascii_text(tmp_path, monkeypatch):
-    # characters of one to four bytes, cut across WRITE_CHUNK boundaries
-    text = "aé€😀\n" * (certio.WRITE_CHUNK // 4)
-    assert len(text) > certio.WRITE_CHUNK
-    real_write, sizes = os.write, []
-
-    def counted(fd, data):
-        sizes.append(len(data))
-        return real_write(fd, data)
-
-    monkeypatch.setattr(os, "write", counted)
+def test_write_chunks_round_trips_long_non_ascii_text(tmp_path):
+    # characters of one to four bytes, in pieces whose encodings cross the
+    # file buffer's boundaries
+    text = "aé€😀\n" * (1 << 12)
+    assert len(text.encode()) > 8192
     path = tmp_path / "text.txt"
     certio.write_text(path, text)
     assert path.read_bytes() == text.encode()
-    assert len(sizes) == 2 and sum(sizes) == len(text.encode())
     certio.write_chunks(path, [text[:3], "", text[3:], "tail"])
     assert path.read_bytes() == (text + "tail").encode()
+    certio.write_chunks(path, (text[i:i + 7] for i in range(0, len(text), 7)))
+    assert path.read_bytes() == text.encode()
 
 
 def test_write_text_mode_follows_the_umask(tmp_path):
@@ -762,19 +765,3 @@ def test_write_text_mode_follows_the_umask(tmp_path):
     assert path.stat().st_mode & 0o777 == 0o644
     assert path.read_bytes() == "é€😀\n".encode()
     assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
-
-
-def test_write_text_finishes_short_writes(tmp_path, monkeypatch):
-    real_write = os.write
-    sizes = []
-
-    def short(fd, data):
-        sizes.append(len(data))
-        return real_write(fd, bytes(data[:100]))
-
-    text = certio.dumps_document(certio.certificate_to_doc(trivial_certificate(40)))
-    monkeypatch.setattr(os, "write", short)
-    certio.write_text(tmp_path / "cert.json", text)
-    assert (tmp_path / "cert.json").read_text() == text
-    assert sizes == list(range(len(text.encode()), 0, -100))
-

@@ -13,6 +13,7 @@ from helpers import (
     naive_splitting_exists,
     natural_order_search,
     rows_by_lowest_bit,
+    splits_by_doubling_cycles,
 )
 
 from abelsplit import search
@@ -118,6 +119,14 @@ def test_oracle_equivalence_up_to_40():
             engine = run(n, k).result
             assert engine in (FOUND, EXHAUSTED)
             assert (engine == FOUND) == naive_splitting_exists(n, k), (n, k)
+
+
+def test_k_2_is_decided_for_every_odd_order_below_97():
+    # the engine does not decide most odd orders from 97 on, so none is asserted
+    for n in range(3, 97, 2):
+        engine = run(n, 2).result
+        assert engine in (FOUND, EXHAUSTED), n
+        assert (engine == FOUND) == splits_by_doubling_cycles(n), n
 
 
 def test_branch_order_keeps_every_scan_verdict():
