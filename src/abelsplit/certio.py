@@ -70,7 +70,7 @@ from .tiling import (
     semi_cross,
 )
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 class DocumentError(ValueError):
@@ -308,22 +308,20 @@ def search_result_doc(order: int, multipliers: MultiplierSet, outcome: SearchOut
 # -- scan reports ------------------------------------------------------------
 
 def _record_doc(record: ScanRecord) -> dict:
-    c, outcome = record.candidate, record.outcome
-    doc = {
-        "k": c.k,
-        "n": c.n,
-        "N": c.order,
-        "factorization": [[p, e] for p, e in c.smoothness_witness],
-        "verdict": record.verdict,
-        "result": outcome.result,
-        "nodes": outcome.stats.nodes,
-        "max_depth": outcome.stats.max_depth,
-        "splitters": None if outcome.splitters is None else list(outcome.splitters),
-        "route": record.route,
-    }
+    """k, n, verdict and route, then the route's keys: the sieve's counting
+    witness, or the search's result, nodes, max_depth and splitters; a
+    violation also embeds its certificate."""
+    doc = {"k": record.candidate.k, "n": record.candidate.n, "verdict": record.verdict,
+           "route": record.route}
     if record.witness is not None:
         doc["counting"] = {"p": record.witness[0], "stratum": record.witness[1]}
-    if record.verdict == VIOLATION and record.certificate is not None:
+        return doc
+    outcome = record.outcome
+    doc["result"] = outcome.result
+    doc["nodes"] = outcome.stats.nodes
+    doc["max_depth"] = outcome.stats.max_depth
+    doc["splitters"] = None if outcome.splitters is None else list(outcome.splitters)
+    if record.verdict == VIOLATION:
         doc["certificate"] = certificate_to_doc(record.certificate)
     return doc
 
@@ -345,9 +343,8 @@ def _record_from_doc(doc, k_min: int, k_max: int, n_max: int | None) -> ScanReco
         k, n = int(doc["k"]), int(doc["n"])
         in_range = k_min <= k <= k_max and 1 <= n <= n_limit(k, n_max)
         candidate = candidate_order(k, n) if in_range else None
-        if candidate is None or (candidate.order, candidate.smoothness_witness) != (
-                doc["N"], tuple(map(tuple, doc["factorization"]))):
-            raise DocumentError(f"record k={doc['k']} N={doc['N']} is not a scan candidate")
+        if candidate is None:
+            raise DocumentError(f"record k={doc['k']} n={doc['n']} is not a scan candidate")
         return decide(candidate, read_outcome)
 
 
@@ -404,8 +401,8 @@ def scan_report_from_doc(doc: dict) -> ScanReport:
     range, and abelsplit writes exactly doc for the records rebuilt from it.
 
     Each record's candidate, route, sieve witness and verdict are derived
-    again, found splitters are re-verified, and a sieve record must read 0
-    nodes. A searched record's nodes, max_depth and exhausted or
+    again, and found splitters are re-verified; a sieve record carries no
+    search keys. A searched record's nodes, max_depth and exhausted or
     resource_limit result are taken as written: only running its search
     again could check them, which would undo the point of resuming.
 
@@ -430,7 +427,7 @@ def scan_report_from_doc(doc: dict) -> ScanReport:
             read = [_record_from_doc(r, k_min, k_max, n_max) for r in batch]
             if _text([_record_doc(record) for record in read]) != _text(batch):
                 for record, r in zip(read, batch):
-                    _require_written_form(_record_doc(record), r, f"record k={r['k']} N={r['N']}")
+                    _require_written_form(_record_doc(record), r, f"record k={r['k']} n={r['n']}")
             for record in read:
                 key = scan_order(record)
                 ascending, last = ascending and last < key, key

@@ -56,15 +56,6 @@ def _finish(code: int, summary: str, chunks: Iterable[str] | None = None,
     sys.exit(code)
 
 
-def _config(node_limit, time_limit_s) -> searchlib.SearchConfig:
-    """The search budget; exits 2 unless node_limit >= 1 and time_limit_s >= 0."""
-    if node_limit < 1:
-        _fail_usage(f"--node-limit must be >= 1, got {node_limit}")
-    if not time_limit_s >= 0:  # also rejects nan
-        _fail_usage(f"--time-limit must be >= 0, got {time_limit_s}")
-    return searchlib.SearchConfig(node_limit, time_limit_s)
-
-
 def _load_certificate(path) -> splitting.SplittingCertificate:
     try:
         return certio.certificate_from_doc(certio.read_document(path))
@@ -89,7 +80,8 @@ def search(order, k, out, node_limit, time_limit_s) -> None:
         _fail_usage("order and k must be >= 1")
     group = FiniteAbelianGroup.cyclic(order)
     multipliers = MultiplierSet.interval(k)
-    outcome = searchlib.search_splitter(group, multipliers, _config(node_limit, time_limit_s))
+    config = searchlib.SearchConfig(node_limit, time_limit_s)
+    outcome = searchlib.search_splitter(group, multipliers, config)
     stats = outcome.stats
     if outcome.result == searchlib.FOUND:
         cert = splitting.make_certificate(group, multipliers, [(s,) for s in outcome.splitters])
@@ -106,13 +98,10 @@ def search(order, k, out, node_limit, time_limit_s) -> None:
 def scan(k_min, k_max, n_max, jobs, out_dir, resume, node_limit, time_limit_s) -> None:
     """Scan candidate orders for every k in [k-min, k-max], journaling each
     record as it finishes; --resume continues from the journal (.jsonl)."""
-    try:
-        check_scan_range(k_min, k_max, n_max)
-    except ValueError as exc:
-        _fail_usage(str(exc))
+    check_scan_range(k_min, k_max, n_max)
     if jobs is not None and jobs < 1:  # checked here, as jobs or os.cpu_count() would hide a 0
         _fail_usage(f"--jobs must be >= 1, got {jobs}")
-    config = _config(node_limit, time_limit_s)
+    config = searchlib.SearchConfig(node_limit, time_limit_s)
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
     stem = out_path / f"scan_k{k_min}-{k_max}"
@@ -140,7 +129,8 @@ def scan(k_min, k_max, n_max, jobs, out_dir, resume, node_limit, time_limit_s) -
     overall = overall_verdict(totals)
     _finish({"consistent": EXIT_OK, "violation": EXIT_NEGATIVE}.get(overall, EXIT_RESOURCE),
             f"overall={overall} records={totals['records']} found={totals['found']} "
-            f"violations={totals[VIOLATION]} inconclusive={totals[INCONCLUSIVE]}",
+            f"violations={totals[VIOLATION]} inconclusive={totals[INCONCLUSIVE]} "
+            f"k={k_min}..{k_max} n=1..{'2k' if n_max is None else n_max}",
             [f"report={report_path}\ntable={table_path}\n"])
 
 
@@ -277,7 +267,7 @@ def tw(cert_path, out) -> None:
 
 def s87(order, out, node_limit, time_limit_s) -> None:
     """The s87 property of every splitting of Z_N."""
-    config = _config(node_limit, time_limit_s)
+    config = searchlib.SearchConfig(node_limit, time_limit_s)
     fac = FiniteAbelianGroup.cyclic(order).order_factorization
     if len(fac) != 1 or fac[0][0] == 2:
         _fail_usage(f"order {order} is not an odd prime power")

@@ -28,6 +28,7 @@ exhausted tree is a proof that no splitter set exists.
 from __future__ import annotations
 
 import time
+from functools import partial
 from itertools import combinations, islice
 from math import comb, gcd, inf
 from typing import Callable, Iterable, Iterator, Sequence
@@ -158,7 +159,9 @@ def _candidate_rows(
     1 in S, see the module docstring).
     """
     root = residues[0] or 1  # a multiplier 0 leaves no clean row at all
-    rest = sorted((x for x in range(1, n) if x != root), key=lambda x: (-gcd(x, n), x))
+    rest = sorted(range(1, n), key=partial(gcd, n), reverse=True)  # stable: ties ascend
+    if rest:  # Z_1 has no residue but 0
+        rest.remove(root)
     source = _row_source(n, residues, [0, root] + rest, budget)
 
     def rows_at(b: int) -> Iterator[tuple[int, int]]:

@@ -80,13 +80,13 @@ from abelsplit.tiling import (
 
 
 # sha256 of the canonical scan(1, 30) report text
-DESK_SCAN_SHA256 = "629deae53a82b37078e2eb47649798972636c1dc509b4483f7c57b4090783255"
+DESK_SCAN_SHA256 = "e4d9423a4f853b6069f053ee9204429ff8066b62299c1c3582163b8ea38b402d"
 
 # sha256 digest of the benchmark's `checks` body output (tiles.txt and its
 # check reports), by the seed of its inputs
 CHECKS_SHA256 = {
-    1: "9eb58412fc74bfb1b608d5ebcc632cef08763d6882ac79d38072012fbd5aa96a",
-    2: "94dfa9bfc765a2dcd3080193913f3560420826437d723e3aa784c9b41c21364d",
+    1: "48023a674e19aa6e2b9c27c949615c6baf61af1c98f2a5e0fc426361dd2bded9",
+    2: "2d4d9af7c429219d22321b1a334c82c3a816323622ea821f2b1230697e85452a",
 }
 
 
@@ -647,21 +647,17 @@ def record_document_by_hand(record) -> dict:
     File formats section describes it. A violation record embeds its
     certificate, whose classification is worked out here by trial division:
     for each prime p of |G|, the first multiplier that p divides, if any."""
-    c, outcome = record.candidate, record.outcome
-    doc = {
-        "k": c.k,
-        "n": c.n,
-        "N": c.order,
-        "factorization": [[p, e] for p, e in c.smoothness_witness],
-        "verdict": record.verdict,
-        "result": outcome.result,
-        "nodes": outcome.stats.nodes,
-        "max_depth": outcome.stats.max_depth,
-        "splitters": None if outcome.splitters is None else list(outcome.splitters),
-        "route": "search" if record.witness is None else "counting",
-    }
+    outcome = record.outcome
+    doc = {"k": record.candidate.k, "n": record.candidate.n, "verdict": record.verdict}
     if record.witness is not None:
+        doc["route"] = "counting"
         doc["counting"] = {"p": record.witness[0], "stratum": record.witness[1]}
+    else:
+        doc["route"] = "search"
+        doc["result"] = outcome.result
+        doc["nodes"] = outcome.stats.nodes
+        doc["max_depth"] = outcome.stats.max_depth
+        doc["splitters"] = None if outcome.splitters is None else list(outcome.splitters)
     if record.verdict == "CONJECTURE_VIOLATION":
         cert = record.certificate
         order, values = cert.group.order, list(cert.multipliers.values)
@@ -675,7 +671,7 @@ def record_document_by_hand(record) -> dict:
         if cert.multipliers.kind == "interval":
             multipliers["k"] = len(values)
         doc["certificate"] = {
-            "format_version": 3,
+            "format_version": 4,
             "kind": "splitting_certificate",
             "group_factors": list(cert.group.factors),
             "multipliers": multipliers,

@@ -98,9 +98,19 @@ def test_record_documents_agree_with_the_hand_built_oracle():
         assert json.dumps(doc, sort_keys=True) == json.dumps(plain, sort_keys=True)
         assert certio.dumps_document(doc) == canonical_json(plain)
         # each document is built fresh: changing one changes no later one
-        doc["records"][0]["factorization"].append([7, 1])
+        doc["records"][0]["splitters"].append(7)
         doc["records"][0].clear()
         assert certio.scan_report_to_doc(report)["records"] == plain["records"]
+
+
+def test_desk_records_carry_only_their_routes_keys():
+    doc = certio.scan_report_to_doc(scan(1, 30))
+    keys = {"counting": {"k", "n", "verdict", "route", "counting"},
+            "search": {"k", "n", "verdict", "route", "result", "nodes", "max_depth", "splitters"}}
+    routes = Counter(record["route"] for record in doc["records"])
+    assert set(routes) == set(keys) and routes.total() == 210
+    for record in doc["records"]:
+        assert set(record) == keys[record["route"]], record
 
 
 def test_checkpoints_render_each_record_once(tmp_path, monkeypatch):
@@ -321,24 +331,27 @@ def test_scan_report_rejects_an_infinite_time_limit():
         certio.scan_report_from_doc(doc)
 
 
-# The k 5..6 report holds four records: N = 6 (found), 16 and 36 (refuted by
-# the counting sieve) for k = 5, and N = 25 (exhausted by the search) for k = 6.
+# The k 5..6 report holds four records: n = 1, N = 6 (found), and n = 3 and 7,
+# N = 16 and 36 (refuted by the counting sieve) for k = 5, and n = 4, N = 25
+# (exhausted by the search) for k = 6.
 
 @pytest.mark.parametrize("damage, message", [
-    # a searched record's nodes are read from it, but the sieve's are 0
-    (lambda records: records[2].update(nodes=1),
-     "record k=5 N=36 differs from what abelsplit writes in nodes"),
+    # a searched record's nodes are read from it, but a sieve record has none
+    (lambda records: records[2].update(nodes=0),
+     "record k=5 n=7 differs from what abelsplit writes in nodes"),
     (lambda records: records[1].update(note="extra key"),
-     "record k=5 N=16 differs from what abelsplit writes in note"),
+     "record k=5 n=3 differs from what abelsplit writes in note"),
+    (lambda records: records[1].update(N=16),
+     "record k=5 n=3 differs from what abelsplit writes in N"),
     (lambda records: records[0].update(verdict="conjecture_consistent"),
-     "record k=5 N=6 differs from what abelsplit writes in verdict"),
+     "record k=5 n=1 differs from what abelsplit writes in verdict"),
     (lambda records: records.reverse(), "scan_report differs from what abelsplit writes in records"),
     (lambda records: records.insert(2, records[1]),
      "scan_report differs from what abelsplit writes in records, totals"),
-], ids=["nodes", "extra_key", "verdict", "order", "repeated"])
+], ids=["nodes", "extra_key", "N", "verdict", "order", "repeated"])
 def test_scan_report_names_the_record_that_differs(damage, message):
     doc = certio.scan_report_to_doc(scan(5, 6))
-    assert [(r["k"], r["N"]) for r in doc["records"]] == [(5, 6), (5, 16), (5, 36), (6, 25)]
+    assert [(r["k"], r["n"]) for r in doc["records"]] == [(5, 1), (5, 3), (5, 7), (6, 4)]
     damage(doc["records"])
     with pytest.raises(certio.DocumentError, match=f"^{message}$"):
         certio.scan_report_from_doc(doc)
@@ -358,10 +371,10 @@ def test_scan_report_rejects_a_repeated_record():
 
 def test_journal_names_the_line_and_record_that_differ(tmp_path):
     lines = list(certio.journal_lines(scan(5, 6)))
-    lines[1] = lines[1].replace('"nodes": 0', '"nodes": 1')
+    lines[1] = lines[1].replace('"route": "counting"', '"nodes": 0, "route": "counting"')
     path = tmp_path / "scan.jsonl"
     path.write_text("".join(lines))
-    message = "line 2: record k=5 N=16 differs from what abelsplit writes in nodes"
+    message = "line 2: record k=5 n=3 differs from what abelsplit writes in nodes"
     with pytest.raises(certio.DocumentError, match=f"^{message}$"):
         certio.read_journal(path)
 
@@ -591,7 +604,7 @@ def test_report_reader_names_a_record_past_the_first_batch(report_45, index):
     doc = certio.scan_report_to_doc(report_45)
     record = doc["records"][index]
     record["verdict"] = VIOLATION
-    message = f"record k={record['k']} N={record['N']} differs from what abelsplit writes"
+    message = f"record k={record['k']} n={record['n']} differs from what abelsplit writes"
     with pytest.raises(certio.DocumentError, match=f"^{message} in verdict$"):
         certio.scan_report_from_doc(doc)
 

@@ -14,7 +14,7 @@ from abelsplit import certio, cli, counting
 from abelsplit import search as searchlib
 from abelsplit.cli import main
 from abelsplit.record import replace
-from abelsplit.groups import FiniteAbelianGroup
+from abelsplit.groups import FiniteAbelianGroup, factorize
 from abelsplit.scan import check_scan_range, overall_verdict, scan
 from abelsplit.splitting import MultiplierSet, make_certificate, trivial_certificate
 
@@ -61,7 +61,7 @@ def test_verify_tampered(runner, tmp_path):
 ])
 def test_verify_failure_lines(runner, tmp_path, splitters, lines):
     doc = {
-        "format_version": 3,
+        "format_version": 4,
         "kind": "splitting_certificate",
         "group_factors": [10],
         "multipliers": {"k": 3, "kind": "interval", "values": [1, 2, 3]},
@@ -124,7 +124,7 @@ def test_non_utf8_certificate_is_bad_document(runner, tmp_path, args):
 # JSON texts that json.loads itself rejects with something other than a
 # JSONDecodeError: a RecursionError, and a ValueError from the int digit limit
 _DEEP_TEXT = '{"a": ' + "[" * 10_000 + "]" * 10_000 + "}"
-_LONG_INT_TEXT = '{"format_version": 3, "group_factors": [' + "7" * 5_000 + "]}"
+_LONG_INT_TEXT = '{"format_version": 4, "group_factors": [' + "7" * 5_000 + "]}"
 
 
 @pytest.mark.parametrize("text", [_DEEP_TEXT, _LONG_INT_TEXT], ids=["nested", "long_int"])
@@ -188,10 +188,13 @@ def test_budgets_out_of_range_are_usage_errors(runner, tmp_path, args):
         ["search", "-N", "5", "--k", "2"],
         ["check", "s87", "-N", "9"],
     )
+    flag, value = args
+    message = (f"node_limit must be >= 1, got {int(value)}" if flag == "--node-limit"
+               else f"time_limit_s must be >= 0 or None, got {float(value)}")
     for command in commands:
         result = runner.invoke(main, command + args)
         assert result.exit_code == 2, (command, result.output)
-        assert "error: --" in result.output
+        assert result.stderr == f"error: {message}\n"
     assert not (tmp_path / "scan").exists()
 
 
@@ -234,6 +237,18 @@ def test_scan_writes_reports(runner, tmp_path):
     assert overall_verdict(report.totals) == "consistent"
     table = (tmp_path / "scan_k1-8.csv").read_text()
     assert table.startswith("k,n,N,factorization,verdict,route,nodes,millis\n")
+
+
+@pytest.mark.parametrize("bound, region", [
+    ([], "k=5..6 n=1..2k"),
+    (["--n-max", "4"], "k=5..6 n=1..4"),
+], ids=["default", "n_max"])
+def test_scan_summary_names_its_region(runner, tmp_path, bound, region):
+    result = runner.invoke(
+        main, ["scan", "--k-min", "5", "--k-max", "6", "--jobs", "1", "--out-dir", str(tmp_path),
+               *bound])
+    assert result.exit_code == 0, result.output
+    assert _summary(result).endswith(f" inconclusive=0 {region}")
 
 
 def test_scan_resume_matches_uninterrupted(runner, tmp_path):
@@ -385,7 +400,7 @@ def _journal_lines(runner, out_dir, k_max=6, options=()):
 
 
 @pytest.mark.parametrize("damage, message", [
-    (lambda lines, other: lines.__setitem__(1, lines[1].replace('"nodes": 0', '"nodes": 1')),
+    (lambda lines, other: lines.__setitem__(1, lines[1].replace('"stratum": 4', '"stratum": 5')),
      "line 2: "),
     (lambda lines, other: lines.__setitem__(1, "{}\n"), "line 2: "),
     (lambda lines, other: lines.__setitem__(2, other["range"][-1]), "line 3: config differs"),
@@ -415,52 +430,58 @@ def _flip_found_verdict(doc):
     doc["totals"]["conjecture_consistent"] += 1
 
 
-def _add_record_n17(doc):
-    # the N = 16 record moved to N = 17, with the counting witness the sieve
-    # gives there, so that only its candidacy is wrong
-    extra = dict(doc["records"][1], N=17, factorization=[[17, 1]],
-                 counting={"p": 17, "stratum": 1})
-    doc["records"].insert(2, extra)
+def _add_record_n2(doc):
+    # the n = 3 counting record copied to n = 2, where N = 11 is prime and
+    # above k, so that only its candidacy is wrong
+    doc["records"].insert(1, dict(doc["records"][1], n=2))
     doc["totals"]["conjecture_consistent"] += 1
     doc["totals"]["records"] += 1
 
 
-# The k 5..6 report holds four records: N = 6 (found), 16 and 36 (refuted by
-# the counting sieve) for k = 5, and N = 25 (exhausted by the search) for k = 6.
+# The k 5..6 report holds four records: n = 1, N = 6 (found), and n = 3 and 7,
+# N = 16 and 36 (refuted by the counting sieve) for k = 5, and n = 4, N = 25
+# (exhausted by the search) for k = 6.
 
 def _search_record_claims_counting(doc):
     record = doc["records"][3]
-    assert (record["N"], record["route"]) == (25, "search")
-    record.update(route="counting", counting={"p": 5, "stratum": 2}, nodes=0, max_depth=0)
+    assert (record["n"], record["route"]) == (4, "search")
+    for key in ("result", "nodes", "max_depth", "splitters"):
+        del record[key]
+    record.update(route="counting", counting={"p": 5, "stratum": 2})
 
 
 def _counting_record_claims_search(doc):
     record = doc["records"][1]
     assert record.pop("counting") == {"p": 2, "stratum": 4}
-    record["route"] = "search"
+    record.update(route="search", result="exhausted_no_solution", nodes=0, max_depth=0,
+                  splitters=None)
 
 
 def _counting_witness(p, stratum):
     def damage(doc):
         record = doc["records"][2]
-        assert (record["N"], record["counting"]) == (36, {"p": 3, "stratum": 1})
+        assert (record["n"], record["counting"]) == (7, {"p": 3, "stratum": 1})
         record["counting"] = {"p": p, "stratum": stratum}
 
     return damage
 
 
 def _counting_record_with_nodes(doc):
+    # what format_version 3 wrote for a search the sieve made needless
     record = doc["records"][1]
     assert record["route"] == "counting"
-    record.update(nodes=5, max_depth=2)
+    record["nodes"] = 0
 
 
-def _v2_report(doc):
-    # what format_version 2 wrote: the same records without their routes
-    doc["format_version"] = 2
+def _v3_report(doc):
+    # what format_version 3 wrote: each record with its N and factorization,
+    # and a sieve record with a search of no nodes
+    doc["format_version"] = 3
     for record in doc["records"]:
-        del record["route"]
-        record.pop("counting", None)
+        order = record["k"] * record["n"] + 1
+        record.update(N=order, factorization=[list(pe) for pe in factorize(order)])
+        if record["route"] == "counting":
+            record.update(result="exhausted_no_solution", nodes=0, max_depth=0, splitters=None)
 
 
 def _add_record(k, n_max, at):
@@ -468,10 +489,10 @@ def _add_record(k, n_max, at):
     totals kept in step, so that only where it lies is wrong."""
     def damage(doc):
         extra = certio.scan_report_to_doc(scan(k, k, n_max))["records"][at]
-        doc["records"] = sorted(doc["records"] + [extra], key=lambda r: (r["k"], r["N"]))
+        doc["records"] = sorted(doc["records"] + [extra], key=lambda r: (r["k"], r["n"]))
         doc["totals"][extra["verdict"]] += 1
         doc["totals"]["records"] += 1
-        doc["totals"]["found"] += int(extra["result"] == "found")
+        doc["totals"]["found"] += int(extra.get("result") == "found")
 
     return damage
 
@@ -498,7 +519,7 @@ def _damaged_resume(runner, tmp_path, damage):
     elif isinstance(damage, str):  # replace the line
         line = damage.encode()
     else:
-        assert [r["N"] for r in doc["records"][:2]] == [6, 16]
+        assert [r["n"] for r in doc["records"][:2]] == [1, 3]
         damage(doc)
         line = json.dumps(doc, sort_keys=True).encode()
     (tmp_path / "scan_k5-6.jsonl").write_bytes(line + b"\n")
@@ -511,7 +532,6 @@ def _damaged_resume(runner, tmp_path, damage):
 @pytest.mark.parametrize("damage", [
     lambda doc: doc["config"].pop("n_max"),
     lambda doc: doc["records"][0].pop("verdict"),
-    lambda doc: doc["records"][0].update(factorization=[[3]]),
     lambda doc: doc["records"][0].update(verdict="bogus"),
     lambda doc: doc["records"][0].update(splitters=5),
     lambda doc: doc.update(records=5),
@@ -533,9 +553,7 @@ def _damaged_resume(runner, tmp_path, damage):
     _counting_witness(2, 1),
     _counting_witness(3, 2),
     _counting_record_with_nodes,
-    _v2_report,
-    lambda doc: doc["records"][1].update(n=4),
-    lambda doc: doc["records"][1].update(factorization=[[2, 4], [7, 1]]),
+    lambda doc: doc["records"][1].update(N=16),
     _add_record(8, 1, 0),
     _add_record(5, 16, -1),
     lambda doc: doc["config"].update(time_limit_s="60"),
@@ -545,14 +563,14 @@ def _damaged_resume(runner, tmp_path, damage):
     lambda doc: doc["config"].update(time_limit_s=True),
     lambda doc: doc["config"].update(node_limit=0),
     _empty_range,
-], ids=["config_key", "record_key", "factorization_pair", "record_verdict",
+], ids=["config_key", "record_key", "record_verdict",
         "record_splitters", "records_not_list", "found_not_a_splitting", "found_not_reduced",
         "verdict_flipped",
         "exhausted_with_splitters", "record_result", "extra_key",
         "nodes_bool", "k_float", "records_reversed", "truncated", "non_utf8",
         "nested", "long_int", "search_claims_counting", "counting_claims_search",
-        "witness_wrong_p", "witness_wrong_stratum", "counting_with_nodes", "format_v2",
-        "n_not_of_N", "factorization_extra_prime", "k_outside_range", "n_past_bound",
+        "witness_wrong_p", "witness_wrong_stratum", "counting_with_nodes", "record_with_N",
+        "k_outside_range", "n_past_bound",
         "time_limit_str", "time_limit_list", "time_limit_dict", "time_limit_negative",
         "time_limit_bool", "node_limit_zero", "k_min_above_k_max"])
 def test_scan_resume_malformed_report_is_usage_error(runner, tmp_path, damage):
@@ -561,14 +579,17 @@ def test_scan_resume_malformed_report_is_usage_error(runner, tmp_path, damage):
     assert "bad resume report" in r2.output
 
 
-@pytest.mark.parametrize("damage", [
-    _add_record_n17,
-    lambda doc: doc["records"][1].update(factorization=[[2, 3]]),
-], ids=["not_a_candidate", "wrong_factorization"])
+@pytest.mark.parametrize("damage", [_add_record_n2], ids=["not_a_candidate"])
 def test_scan_resume_foreign_record_is_usage_error(runner, tmp_path, damage):
     r2 = _damaged_resume(runner, tmp_path, damage)
     assert r2.exit_code == 2
-    assert "is not a scan candidate" in r2.output
+    assert "record k=5 n=2 is not a scan candidate" in r2.output
+
+
+def test_scan_resume_rejects_a_version_3_report(runner, tmp_path):
+    r2 = _damaged_resume(runner, tmp_path, _v3_report)
+    assert r2.exit_code == 2
+    assert "bad resume report" in r2.output and "unsupported format_version 3" in r2.output
 
 
 def test_scan_resume_mismatch_is_usage_error(runner, tmp_path):
@@ -693,9 +714,9 @@ def test_write_error_names_the_given_path(runner, tmp_path):
 def test_tile_export(runner, tmp_path):
     cases = [  # order, box, anchors, cells, sha256 of the export
         ("5", "0:9,0:9", 28, 100,
-         "94f2b2794b4f950f59a8a6f5166aad40dd1c39d8b61d336a1152cf463a862e24"),
+         "f1ef9a14bc6928a08df4b9dbda130f836c535bef5ddb6295965206004a69d937"),
         ("9", "0:4,0:4,0:4,0:4", 179, 625,  # S = {1, 3, 4, 7}
-         "2651c046803332b771c88c6158a0dbd2980674da39aea6fe904e876ba6f1bef0"),
+         "5a21b0f775b72124f437e08dd5ad10db32fde8b4eb883b8748b55438151ae39b"),
     ]
     for order, box, anchors, cells, digest in cases:
         cert_path = tmp_path / f"z{order}.json"
@@ -720,7 +741,7 @@ def test_tile_output_is_pinned(runner, tmp_path):
     assert result.exit_code == 0
     assert _summary(result) == "verdict=true order=13 anchors=926 cells=10800"
     assert hashlib.sha256(result.stdout.encode()).hexdigest() == (
-        "74102fbf7b74857b94718006fe5d5dcd9868b6d2cf1ae95d40e27fc8cc11f3a8"
+        "c390e5904360d6d1f470ef02c9e727588dd7be4da305c21f8f346147d5bd0ce5"
     )
 
 
@@ -1118,7 +1139,7 @@ def test_time_limit_rejects_nan_and_minus_infinity(runner, tmp_path, value):
     for command in commands:
         result = runner.invoke(main, command + ["--time-limit", value])
         assert result.exit_code == 2, (command, result.output)
-        assert result.stderr == f"error: --time-limit must be >= 0, got {value}\n"
+        assert result.stderr == f"error: time_limit_s must be >= 0 or None, got {value}\n"
     assert not (tmp_path / "scan").exists()
 
 
@@ -1167,13 +1188,13 @@ def test_resumed_scan_table_leaves_restored_search_millis_empty(runner, tmp_path
     journal = tmp_path / "scan_k20-30.jsonl"
     lines = journal.read_text().splitlines(keepends=True)
     journal.write_text("".join(lines[:-3]))
-    rerun = {(r["k"], r["N"]) for line in lines[-3:] for r in json.loads(line)["records"]}
+    rerun = {(r["k"], r["n"]) for line in lines[-3:] for r in json.loads(line)["records"]}
     assert runner.invoke(main, args + ["--resume"]).exit_code == 0
     rows = (tmp_path / "scan_k20-30.csv").read_text().splitlines()[1:]
     restored = {"search": set(), "counting": set()}
     for row in rows:
-        k, _, order, _, _, route, _, millis = row.split(",")
-        if (int(k), int(order)) in rerun:
+        k, n, _, _, _, route, _, millis = row.split(",")
+        if (int(k), int(n)) in rerun:
             assert millis.isdigit(), row
         else:
             restored[route].add(millis)
