@@ -6,9 +6,10 @@ newline), so equal objects serialize to identical bytes. dumps_document
 writes exactly json.dumps(doc, sort_keys=True, indent=2) plus the newline.
 It is written by hand because json.dumps runs without its C encoder
 whenever indent is set; it accepts str keys and exact JSON types only.
-A scan journal is a scan's checkpoint: one line per finished record, the
-compact JSON of the report that holds that record alone, so a checkpoint
-costs one record whatever the size of the scan. Scan report documents
+A scan journal is a scan's checkpoint: a header line with the scan's
+config, then one line per finished record, the compact JSON of its record
+document, so a checkpoint costs one record whatever the size of the scan.
+Scan report documents
 deliberately exclude wall-clock data; timing appears only in the tabular
 export's millis column, which is diagnostic: it is empty for a searched
 record restored through a resume, and 0 for a record the counting sieve
@@ -26,7 +27,10 @@ object with the library's own constructors and accepts the document only
 if writing that object back gives exactly the same document. A scan report
 is checked in one pass, a batch of records at a time as they are rebuilt,
 each batch against its written form, and its own keys are compared once,
-with a stand-in for the records.
+with a stand-in for the records; then the candidates of its config are
+walked beside the records, so a report that lacks one is refused. A
+journal is checked a line at a time, each line against the bytes written
+for what it holds, and is partial by design, so it is not walked.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ import os
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager, suppress
 from functools import cache
+from itertools import pairwise
 from pathlib import Path
 
 from .groups import FiniteAbelianGroup
@@ -150,11 +155,16 @@ def dumps_document(doc: dict) -> str:
     return "".join(parts)
 
 
-def loads_document(text: str) -> dict:
+def _loads(text):
+    """json.loads(text); DocumentError when text is not JSON."""
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except (ValueError, RecursionError) as exc:  # too deep, or an int over the digit limit
         raise DocumentError(f"not a JSON document: {exc}") from exc
+
+
+def loads_document(text: str) -> dict:
+    doc = _loads(text)
     if not isinstance(doc, dict):
         raise DocumentError("document root must be an object")
     if doc.get("format_version") != FORMAT_VERSION:
@@ -225,8 +235,9 @@ def _parsing(what: str):
 
 
 def _text(value) -> str:
-    """The compact JSON text by which a rebuilt value is compared with the
-    one read: True == 1 and 5.0 == 5 in Python, but not in the file."""
+    """The compact JSON text of a journal line, and by which a rebuilt value
+    is compared with the one read: True == 1 and 5.0 == 5 in Python, but
+    not in the file."""
     return json.dumps(value, sort_keys=True)
 
 
@@ -239,6 +250,16 @@ def _require_written_form(rebuilt: dict, doc: dict, what: str) -> None:
             if key not in rebuilt or key not in doc or _text(rebuilt[key]) != _text(doc[key])
         )
         raise DocumentError(f"{what} differs from what abelsplit writes in {', '.join(keys)}")
+
+
+def _require_line(line: bytes, rebuilt: dict, doc, what: str) -> None:
+    """Accept the journal line read as doc only if it is byte for byte the
+    line abelsplit writes for rebuilt, its compact JSON (_text) and a
+    newline; else DocumentError naming the keys that differ
+    (_require_written_form), or saying that the text does."""
+    if (_text(rebuilt) + "\n").encode() != line:
+        _require_written_form(rebuilt, doc, what)
+        raise DocumentError(f"{what} is not written as abelsplit writes it")
 
 
 # -- splitting certificates --------------------------------------------------
@@ -326,13 +347,13 @@ def _record_doc(record: ScanRecord) -> dict:
     return doc
 
 
-def _record_from_doc(doc, k_min: int, k_max: int, n_max: int | None) -> ScanRecord:
+def _record_from_doc(doc, config: ScanReport) -> ScanRecord:
     """Rebuild a record the way the scan makes it: its candidate from k and
-    n, which must lie in the report's range, then decide runs the counting
+    n, which must lie in config's range, then decide runs the counting
     sieve again, and a candidate it does not refute gets the search outcome
     read from doc, whose found splitters make_record re-verifies; a document
     keeps no time, so that outcome's elapsed_s is None. The caller checks
-    the record against doc, as part of the report that holds it."""
+    the record against doc, as part of the report or journal that holds it."""
     def read_outcome() -> SearchOutcome:
         splitters = tuple(doc["splitters"]) if doc["result"] == FOUND else None
         return SearchOutcome(
@@ -341,11 +362,34 @@ def _record_from_doc(doc, k_min: int, k_max: int, n_max: int | None) -> ScanReco
 
     with _parsing("scan record"):
         k, n = int(doc["k"]), int(doc["n"])
-        in_range = k_min <= k <= k_max and 1 <= n <= n_limit(k, n_max)
+        in_range = config.k_min <= k <= config.k_max and 1 <= n <= n_limit(k, config.n_max)
         candidate = candidate_order(k, n) if in_range else None
         if candidate is None:
             raise DocumentError(f"record k={doc['k']} n={doc['n']} is not a scan candidate")
         return decide(candidate, read_outcome)
+
+
+def _config_doc(report: ScanReport) -> dict:
+    return {
+        "k_min": report.k_min,
+        "k_max": report.k_max,
+        "n_max": report.n_max,
+        "node_limit": report.node_limit,
+        "time_limit_s": report.time_limit_s,
+    }
+
+
+def _config_from_doc(doc) -> ScanReport:
+    """The report of no records with the config doc, which must pass
+    check_scan_range and SearchConfig and give no bool time limit; the
+    caller turns the errors into DocumentError (_parsing)."""
+    k_min, k_max, n_max = int(doc["k_min"]), int(doc["k_max"]), doc["n_max"]
+    n_max = None if n_max is None else int(n_max)
+    check_scan_range(k_min, k_max, n_max)
+    if type(doc["time_limit_s"]) is bool:
+        raise TypeError("time_limit_s must be a number or null, not bool")
+    budget = SearchConfig(int(doc["node_limit"]), doc["time_limit_s"])
+    return ScanReport(k_min, k_max, n_max, budget.node_limit, budget.time_limit_s, ())
 
 
 def _scan_report_doc(report: ScanReport, records) -> dict:
@@ -354,13 +398,7 @@ def _scan_report_doc(report: ScanReport, records) -> dict:
     return {
         "format_version": FORMAT_VERSION,
         "kind": "scan_report",
-        "config": {
-            "k_min": report.k_min,
-            "k_max": report.k_max,
-            "n_max": report.n_max,
-            "node_limit": report.node_limit,
-            "time_limit_s": report.time_limit_s,
-        },
+        "config": _config_doc(report),
         "records": records,
         "totals": totals,
         "overall": overall_verdict(totals),
@@ -395,10 +433,30 @@ def scan_report_chunks(report: ScanReport) -> Iterator[str]:
     yield tail
 
 
+def _first_missing(report: ScanReport) -> tuple[int, int] | None:
+    """The first (k, n) of report's range, in scan order, whose order is a
+    candidate that report's records, ascending, do not hold; None when they
+    hold every one. Each order passed over is factored by trial division
+    (candidate_order), so the walk builds no table of the range, and it
+    stops at the first candidate missing: every k >= 3 has the candidate
+    (k - 1)**2 at n = k - 2, so a report cut short fails within one k of
+    its last record."""
+    held = iter(report.records)
+    record = next(held, None)
+    for k in range(report.k_min, report.k_max + 1):
+        for n in range(1, n_limit(k, report.n_max) + 1):
+            if record is not None and (record.candidate.k, record.candidate.n) == (k, n):
+                record = next(held, None)
+            elif candidate_order(k, n) is not None:
+                return k, n
+    return None
+
+
 def scan_report_from_doc(doc: dict) -> ScanReport:
     """Parse a scan report: DocumentError unless its config passes
     check_scan_range and SearchConfig, each record is a candidate of that
-    range, and abelsplit writes exactly doc for the records rebuilt from it.
+    range, abelsplit writes exactly doc for the records rebuilt from it,
+    and they are every candidate of the range.
 
     Each record's candidate, route, sieve witness and verdict are derived
     again, and found splitters are re-verified; a sieve record carries no
@@ -410,21 +468,17 @@ def scan_report_from_doc(doc: dict) -> ScanReport:
     the whole report is built: each batch is rebuilt and compared with its
     written form, and a batch that differs is compared record by record,
     so that the error names the first record that differs, and its keys.
-    The records must ascend strictly by (k, N). The report's own keys are
-    compared once, with a stand-in for records that matches only when they
-    do; when they do not, the error names records among the report's keys."""
+    The records must ascend strictly by (k, N). The report's own keys are compared once, with a
+    stand-in for records that matches only when they do; when they do not,
+    the error names records among the report's keys. Last, the candidates
+    of the config are walked beside the records (_first_missing), and the
+    error names the first one the report lacks."""
     with _parsing("scan_report"):
-        config = doc["config"]
-        k_min, k_max, n_max = int(config["k_min"]), int(config["k_max"]), config["n_max"]
-        n_max = None if n_max is None else int(n_max)
-        check_scan_range(k_min, k_max, n_max)
-        if type(config["time_limit_s"]) is bool:
-            raise TypeError("time_limit_s must be a number or null, not bool")
-        budget = SearchConfig(int(config["node_limit"]), config["time_limit_s"])
+        config = _config_from_doc(doc["config"])
         given, records, ascending, last = doc["records"], [], True, (0, 0)
         for start in range(0, len(given), _BATCH):
             batch = given[start:start + _BATCH]
-            read = [_record_from_doc(r, k_min, k_max, n_max) for r in batch]
+            read = [_record_from_doc(r, config) for r in batch]
             if _text([_record_doc(record) for record in read]) != _text(batch):
                 for record, r in zip(read, batch):
                     _require_written_form(_record_doc(record), r, f"record k={r['k']} n={r['n']}")
@@ -432,44 +486,72 @@ def scan_report_from_doc(doc: dict) -> ScanReport:
                 key = scan_order(record)
                 ascending, last = ascending and last < key, key
             records += read
-        report = ScanReport(
-            k_min, k_max, n_max, budget.node_limit, budget.time_limit_s, tuple(records))
-    # None stands for records as written; a JSON list never reads as null
-    _require_written_form(_scan_report_doc(report, None),
-                          {**doc, "records": None if ascending else given}, "scan_report")
+        report = replace(config, records=tuple(records))
+        # None stands for records as written; a JSON list never reads as null
+        _require_written_form(_scan_report_doc(report, None),
+                              {**doc, "records": None if ascending else given}, "scan_report")
+        missing = _first_missing(report)
+    if missing is not None:
+        raise DocumentError(f"scan_report lacks the candidate k={missing[0]} n={missing[1]}")
     return report
+
+
+def _journal_head_doc(report: ScanReport) -> dict:
+    return {"config": _config_doc(report), "format_version": FORMAT_VERSION,
+            "kind": "scan_journal"}
 
 
 def journal_lines(report: ScanReport) -> Iterator[str]:
     """A journal line per record of report, in its order: the compact JSON
-    (sort_keys=True) of the report that holds that record alone."""
+    (sort_keys=True) of the record's document."""
     for r in report.records:
-        yield json.dumps(scan_report_to_doc(replace(report, records=(r,))), sort_keys=True) + "\n"
+        yield _text(_record_doc(r)) + "\n"
+
+
+def journal_chunks(report: ScanReport) -> Iterator[str]:
+    """The journal of report: the header line, the compact JSON of its
+    config with kind scan_journal, then journal_lines(report)."""
+    yield _text(_journal_head_doc(report)) + "\n"
+    yield from journal_lines(report)
 
 
 def read_journal(path) -> ScanReport | None:
-    """The first line's config and every line's records, in (k, N) order, or
-    None for a journal with no whole line. A last line without its newline
-    was cut short by a kill and is dropped. Each other line must pass
-    scan_report_from_doc (json decodes its bytes) with the first line's
-    config, else DocumentError naming the line."""
-    config, records = None, []
+    """The header's config with the record of every other line, in (k, N)
+    order, or None for a journal whose header line is not whole. A last
+    line without its newline was cut short by a kill and is dropped.
+
+    DocumentError, naming the line, unless each line is byte for byte what
+    journal_chunks writes for what it holds (_require_line): the header a
+    config that scan_report_from_doc accepts, each other line (json decodes
+    its bytes) a record of that config, rebuilt as the report reader
+    rebuilds it. DocumentError too when a record appears twice. A journal is
+    partial by design, so its range is not walked."""
+    records: list[ScanRecord] = []
     with open(path, "rb") as handle:
-        for number, line in enumerate(handle, 1):
-            if not line.endswith(b"\n"):
-                break
-            try:
-                report = scan_report_from_doc(loads_document(line))
-                if config is None:
-                    config = replace(report, records=())
-                elif replace(report, records=()) != config:
-                    raise DocumentError("config differs from line 1's")
-            except DocumentError as exc:
-                raise DocumentError(f"line {number}: {exc}") from exc
-            records += report.records
-    if config is None:
-        return None
+        number, line = 1, handle.readline()
+        if not line.endswith(b"\n"):
+            return None
+        try:
+            doc = loads_document(line)
+            if doc["kind"] != "scan_journal":
+                raise DocumentError(f"kind is {doc['kind']!r}, not 'scan_journal'")
+            with _parsing("scan_journal"):
+                config = _config_from_doc(doc["config"])
+            _require_line(line, _journal_head_doc(config), doc, "scan_journal")
+            for number, line in enumerate(handle, 2):
+                if not line.endswith(b"\n"):
+                    break
+                doc = _loads(line)
+                record = _record_from_doc(doc, config)
+                _require_line(line, _record_doc(record), doc, f"record k={doc['k']} n={doc['n']}")
+                records.append(record)
+        except DocumentError as exc:
+            raise DocumentError(f"line {number}: {exc}") from exc
     records.sort(key=scan_order)
+    for a, b in pairwise(records):
+        if scan_order(a) == scan_order(b):
+            raise DocumentError(
+                f"journal holds a record twice: k={a.candidate.k} n={a.candidate.n}")
     return replace(config, records=tuple(records))
 
 

@@ -28,7 +28,9 @@ from typing import NoReturn
 
 from . import certio, counting, search as searchlib, splitting, tiling
 from .groups import FiniteAbelianGroup, is_prime
-from .scan import INCONCLUSIVE, VIOLATION, check_scan_range, overall_verdict, scan as run_scan
+from .scan import (
+    INCONCLUSIVE, VIOLATION, ScanReport, check_scan_range, overall_verdict, scan as run_scan,
+)
 from .splitting import INTERVAL, MultiplierSet
 
 EXIT_OK = 0
@@ -112,11 +114,14 @@ def scan(k_min, k_max, n_max, jobs, out_dir, resume, node_limit, time_limit_s) -
             resume_report = certio.read_journal(journal_path)
         except certio.DocumentError as exc:
             _fail_usage(f"bad resume report {journal_path}: {exc}")
-    # a fresh run empties the journal; a resumed one rewrites the lines it
-    # accepted, so that no append follows a line cut short by a kill
-    certio.write_chunks(journal_path, certio.journal_lines(resume_report) if resume_report else ())
+    # a fresh run starts the journal with its header; a resumed one rewrites
+    # the header and records it accepted, so that no append follows a line
+    # cut short by a kill
+    start = resume_report or ScanReport(k_min, k_max, n_max, config.node_limit,
+                                        config.time_limit_s, ())
+    certio.write_chunks(journal_path, certio.journal_chunks(start))
 
-    with open(journal_path, "a", encoding="utf-8") as journal:
+    with open(journal_path, "a", encoding="utf-8", newline="") as journal:
         def checkpoint(one):
             journal.writelines(certio.journal_lines(one))
             journal.flush()

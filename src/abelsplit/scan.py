@@ -18,9 +18,10 @@ factors by dividing out entries. The table costs 4 bytes per integer up to
 that order, 8 MB at k_max = 1000 and 72 MB at k_max = 3000, and building it
 3 bytes more for a moment. candidate_order factors a single order by trial
 division instead, for the report and journal readers, which rebuild one
-record at a time: their cost follows the records they read, while a table
-follows the config's k_max, and for a document claiming k_max = 10^9 it
-would ask for about 8*10^18 bytes.
+record at a time, and for the report reader's walk of its range, which
+stops at the first candidate missing: their cost follows the records they
+read, while a table follows the config's k_max, and for a document
+claiming k_max = 10^9 it would ask for about 8*10^18 bytes.
 """
 
 from __future__ import annotations

@@ -82,6 +82,11 @@ from abelsplit.tiling import (
 # sha256 of the canonical scan(1, 30) report text
 DESK_SCAN_SHA256 = "e4d9423a4f853b6069f053ee9204429ff8066b62299c1c3582163b8ea38b402d"
 
+# JSON texts that json.loads itself rejects with something other than a
+# JSONDecodeError: a RecursionError, and a ValueError from the int digit limit
+DEEP_TEXT = '{"a": ' + "[" * 10_000 + "]" * 10_000 + "}"
+LONG_INT_TEXT = '{"format_version": 4, "group_factors": [' + "7" * 5_000 + "]}"
+
 # sha256 digest of the benchmark's `checks` body output (tiles.txt and its
 # check reports), by the seed of its inputs
 CHECKS_SHA256 = {

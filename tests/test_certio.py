@@ -10,7 +10,8 @@ from itertools import groupby
 
 import pytest
 from helpers import (
-    DESK_SCAN_SHA256, canonical_json, parse_tiling_export_by_lines, record_document_by_hand,
+    DEEP_TEXT, DESK_SCAN_SHA256, LONG_INT_TEXT, canonical_json, parse_tiling_export_by_lines,
+    record_document_by_hand,
 )
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -123,6 +124,7 @@ def test_checkpoints_render_each_record_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(certio, "_record_doc", counted)
     path = tmp_path / "scan.jsonl"
+    path.write_text("".join(certio.journal_chunks(_no_records(1, 8))))
 
     def append(one):
         with open(path, "a") as journal:
@@ -138,14 +140,35 @@ def test_checkpoints_render_each_record_once(tmp_path, monkeypatch):
     assert certio.dumps_document(certio.scan_report_to_doc(certio.read_journal(path))) == text
 
 
+def _no_records(k_min, k_max):
+    """The report of no records of scan(k_min, k_max), whose journal is its
+    header alone."""
+    config = SearchConfig()
+    return ScanReport(k_min, k_max, None, config.node_limit, config.time_limit_s, ())
+
+
 def test_last_checkpoint_of_the_desk_scan_is_pinned(tmp_path):
-    # the journal as the last checkpoint leaves it, serial and parallel
+    # the journal as the last checkpoint leaves it, serial and parallel: its
+    # header once, then one line per record, in the order they finished
+    head = json.dumps({"config": {"k_max": 30, "k_min": 1, "n_max": None,
+                                  "node_limit": 10**8, "time_limit_s": 60.0},
+                       "format_version": 4, "kind": "scan_journal"}, sort_keys=True) + "\n"
     for jobs in (1, 2):
         path = tmp_path / f"scan_{jobs}.jsonl"
+        finished = []
+
+        def checkpoint(one):
+            finished.extend(one.records)
+            journal.writelines(certio.journal_lines(one))
+
         with open(path, "w") as journal:
-            report = scan(1, 30, jobs=jobs, checkpoint=lambda one: journal.writelines(
-                certio.journal_lines(one)))
-        assert len(path.read_text().splitlines()) == len(report.records) == 210
+            journal.writelines(certio.journal_chunks(_no_records(1, 30)))
+            report = scan(1, 30, jobs=jobs, checkpoint=checkpoint)
+        lines = path.read_text().splitlines(keepends=True)
+        assert lines[0] == head and head not in lines[1:]
+        assert len(lines[1:]) == len(finished) == len(report.records) == 210
+        assert lines[1:] == [
+            json.dumps(certio._record_doc(r), sort_keys=True) + "\n" for r in finished]
         merged = certio.dumps_document(certio.scan_report_to_doc(certio.read_journal(path)))
         assert hashlib.sha256(merged.encode()).hexdigest() == DESK_SCAN_SHA256
 
@@ -369,12 +392,96 @@ def test_scan_report_rejects_a_repeated_record():
         certio.scan_report_from_doc(doc)
 
 
+@pytest.mark.parametrize("dropped", [0, 1, 6, -1])
+def test_scan_report_names_the_first_candidate_it_lacks(dropped):
+    # totals are written from the records, so only the walk of the range
+    # beside the records can tell that one is missing
+    report = scan(5, 8)
+    records = list(report.records)
+    gone = records.pop(dropped).candidate
+    doc = certio.scan_report_to_doc(replace(report, records=tuple(records)))
+    with pytest.raises(certio.DocumentError,
+                       match=f"^scan_report lacks the candidate k={gone.k} n={gone.n}$"):
+        certio.scan_report_from_doc(doc)
+
+
+def test_scan_report_cut_short_fails_within_one_k():
+    # every k >= 3 has the candidate (k - 1)**2 at n = k - 2
+    report = scan(5, 9)
+    cut = tuple(r for r in report.records if r.candidate.k <= 7)
+    doc = certio.scan_report_to_doc(replace(report, records=cut))
+    with pytest.raises(certio.DocumentError, match="^scan_report lacks the candidate k=8 n=1$"):
+        certio.scan_report_from_doc(doc)
+
+
+def _empty_range(doc):
+    # k_min above k_max, with no records and totals to match
+    doc["config"]["k_min"] = 7
+    doc["records"] = []
+    doc["totals"] = dict.fromkeys(doc["totals"], 0)
+
+
+@pytest.mark.parametrize("damage, message", [
+    (lambda doc: doc.update(records=5), "malformed scan_report: TypeError"),
+    (lambda doc: doc.update(note="extra key"), "scan_report differs .* in note$"),
+    (lambda doc: doc["records"].reverse(), "scan_report differs .* in records$"),
+    (slice(0, 400), "not a JSON document"),
+    (b"\xff\xfe", "not UTF-8 text"),
+    (DEEP_TEXT, "not a JSON document: maximum recursion depth"),
+    (LONG_INT_TEXT, "not a JSON document: Exceeds the limit"),
+    (_empty_range, r"malformed scan_report: ValueError: bad k range \[7, 6\]$"),
+], ids=["records_not_list", "extra_key", "records_reversed", "truncated", "non_utf8", "nested",
+        "long_int", "k_min_above_k_max"])
+def test_scan_report_rejects_a_damaged_envelope(tmp_path, damage, message):
+    # the report's own keys and text; a journal holds its records one a line
+    # under a header, which test_cli damages through --resume. A function
+    # damages the document, bytes go in front of the text, a slice cuts it
+    # and a str replaces it.
+    doc = certio.scan_report_to_doc(scan(5, 6))
+    text = certio.dumps_document(doc).encode()
+    if isinstance(damage, slice):
+        text = text[damage]
+    elif isinstance(damage, bytes):
+        text = damage + text
+    elif isinstance(damage, str):
+        text = damage.encode()
+    else:
+        damage(doc)
+        text = certio.dumps_document(doc).encode()
+    path = tmp_path / "scan.json"
+    path.write_bytes(text)
+    with pytest.raises(certio.DocumentError, match=f"^{message}"):
+        certio.scan_report_from_doc(certio.read_document(path))
+
+
+def _unsorted(line):
+    """The journal line with its keys in reverse order: the same JSON."""
+    doc = json.loads(line)
+    return json.dumps(dict(reversed(doc.items()))) + "\n"
+
+
 def test_journal_names_the_line_and_record_that_differ(tmp_path):
-    lines = list(certio.journal_lines(scan(5, 6)))
-    lines[1] = lines[1].replace('"route": "counting"', '"nodes": 0, "route": "counting"')
+    lines = list(certio.journal_chunks(scan(5, 6)))
+    lines[2] = lines[2].replace('"route": "counting"', '"nodes": 0, "route": "counting"')
     path = tmp_path / "scan.jsonl"
     path.write_text("".join(lines))
-    message = "line 2: record k=5 n=3 differs from what abelsplit writes in nodes"
+    message = "line 3: record k=5 n=3 differs from what abelsplit writes in nodes"
+    with pytest.raises(certio.DocumentError, match=f"^{message}$"):
+        certio.read_journal(path)
+
+
+@pytest.mark.parametrize("index, damage, message", [
+    (1, _unsorted, "line 2: record k=5 n=1 is not written as abelsplit writes it"),
+    (0, lambda line: line.replace('"kind"', '"note": 1, "kind"'),
+     "line 1: scan_journal differs from what abelsplit writes in note"),
+    (0, _unsorted, "line 1: scan_journal is not written as abelsplit writes it"),
+], ids=["record_text", "header_key", "header_text"])
+def test_journal_lines_are_byte_for_byte_what_abelsplit_writes(tmp_path, index, damage, message):
+    # a line holding the same JSON in other text is refused too
+    lines = list(certio.journal_chunks(scan(5, 6)))
+    lines[index] = damage(lines[index])
+    path = tmp_path / "scan.jsonl"
+    path.write_text("".join(lines))
     with pytest.raises(certio.DocumentError, match=f"^{message}$"):
         certio.read_journal(path)
 
@@ -570,14 +677,17 @@ def _traced_peak(fn, *args):
 
 def test_report_reader_cost_follows_its_records():
     # a reader that built a table of the config's k_max would ask for
-    # about 8 * 10**18 bytes here
-    report = scan(5, 6)
-    doc = certio.scan_report_to_doc(report)
+    # about 8 * 10**18 bytes here; the walk of the range stops at the first
+    # candidate the records lack, N = 8 at k = 7
+    doc = certio.scan_report_to_doc(scan(5, 6))
     doc["config"]["k_max"] = 10**9
-    read, peak = _traced_peak(certio.scan_report_from_doc, doc)
-    assert read.k_max == 10**9
-    assert [r.candidate for r in read.records] == [r.candidate for r in report.records]
-    assert certio.scan_report_to_doc(read)["records"] == doc["records"]
+
+    def read():
+        with pytest.raises(certio.DocumentError,
+                           match="^scan_report lacks the candidate k=7 n=1$"):
+            certio.scan_report_from_doc(doc)
+
+    _, peak = _traced_peak(read)
     assert peak < 1_000_000
 
 

@@ -8,7 +8,9 @@ import weakref
 from pathlib import Path
 
 import pytest
-from helpers import DESK_SCAN_SHA256, CommandRunner, canonical_json, tw_passed
+from helpers import (
+    DEEP_TEXT, DESK_SCAN_SHA256, LONG_INT_TEXT, CommandRunner, canonical_json, tw_passed,
+)
 
 from abelsplit import certio, cli, counting
 from abelsplit import search as searchlib
@@ -121,13 +123,7 @@ def test_non_utf8_certificate_is_bad_document(runner, tmp_path, args):
     assert "error: bad certificate document: not UTF-8 text" in result.output
 
 
-# JSON texts that json.loads itself rejects with something other than a
-# JSONDecodeError: a RecursionError, and a ValueError from the int digit limit
-_DEEP_TEXT = '{"a": ' + "[" * 10_000 + "]" * 10_000 + "}"
-_LONG_INT_TEXT = '{"format_version": 4, "group_factors": [' + "7" * 5_000 + "]}"
-
-
-@pytest.mark.parametrize("text", [_DEEP_TEXT, _LONG_INT_TEXT], ids=["nested", "long_int"])
+@pytest.mark.parametrize("text", [DEEP_TEXT, LONG_INT_TEXT], ids=["nested", "long_int"])
 def test_unparsable_certificate_is_bad_document(runner, tmp_path, text):
     path = tmp_path / "cert.json"
     path.write_text(text)
@@ -266,7 +262,7 @@ def test_scan_resume_matches_uninterrupted(runner, tmp_path):
         full.records[:3],
     )
     b_dir.mkdir()
-    (b_dir / "scan_k5-9.jsonl").write_text("".join(certio.journal_lines(partial)))
+    (b_dir / "scan_k5-9.jsonl").write_text("".join(certio.journal_chunks(partial)))
     r2 = runner.invoke(
         main, ["scan", "--k-min", "5", "--k-max", "9", "--out-dir", str(b_dir), "--resume"]
     )
@@ -284,10 +280,9 @@ def test_scan_without_a_time_limit_writes_json(runner, tmp_path):
     assert runner.invoke(main, args).exit_code == 0
     report = json.loads((tmp_path / "scan_k1-3.json").read_text(), parse_constant=not_json)
     assert report["config"]["time_limit_s"] is None
-    lines = (tmp_path / "scan_k1-3.jsonl").read_text().splitlines()
+    head, *lines = (tmp_path / "scan_k1-3.jsonl").read_text().splitlines()
     assert len(lines) == len(report["records"]) > 0
-    for line in lines:
-        assert json.loads(line, parse_constant=not_json)["config"]["time_limit_s"] is None
+    assert json.loads(head, parse_constant=not_json)["config"]["time_limit_s"] is None
     assert runner.invoke(main, args + ["--resume"]).exit_code == 0
 
 
@@ -298,11 +293,13 @@ class Killed(Exception):
 def _kill_at_checkpoint(monkeypatch, call, torn=False):
     """Make the scan's journal append die at checkpoint number call, before
     it writes anything; with torn, the checkpoint before it writes only the
-    first half of its line."""
+    first half of its line. The header, written with no records, passes."""
     journal_lines = certio.journal_lines
     calls = []
 
     def dying(report):
+        if not report.records:
+            return journal_lines(report)
         calls.append(report)
         if len(calls) == call:
             raise Killed
@@ -319,7 +316,8 @@ def test_scan_killed_after_checkpoint_resumes_to_identical_report(runner, tmp_pa
     expected = (tmp_path / "whole" / "scan_k1-8.json").read_bytes()
     expected_journal = (tmp_path / "whole" / "scan_k1-8.jsonl").read_text()
 
-    # the run dies inside its fifth checkpoint: four whole lines, then a cut one
+    # the run dies inside its fifth checkpoint: the header and four whole
+    # lines, then a cut one
     with monkeypatch.context() as patch:
         _kill_at_checkpoint(patch, 6, torn=True)
         cut = runner.invoke(main, args + [str(tmp_path / "cut")])
@@ -327,8 +325,8 @@ def test_scan_killed_after_checkpoint_resumes_to_identical_report(runner, tmp_pa
     assert cut.stderr.splitlines()[-1] == "error: internal error: Killed"
     journal = tmp_path / "cut" / "scan_k1-8.jsonl"
     lines = journal.read_text().split("\n")
-    assert len(lines) == 5 and lines[:4] == expected_journal.split("\n")[:4]
-    assert 0 < len(lines[4]) < len(expected_journal.split("\n")[4])
+    assert len(lines) == 6 and lines[:5] == expected_journal.split("\n")[:5]
+    assert 0 < len(lines[5]) < len(expected_journal.split("\n")[5])
     assert not (tmp_path / "cut" / "scan_k1-8.json").exists()
 
     resumed = runner.invoke(main, args + [str(tmp_path / "cut"), "--resume"])
@@ -348,7 +346,7 @@ def test_scan_killed_after_a_record_resumes_to_the_pinned_report(
         killed = runner.invoke(main, args)
     assert killed.exit_code == 2
     journal = tmp_path / "scan_k1-30.jsonl"
-    assert len(journal.read_text().splitlines()) == cut
+    assert len(journal.read_text().splitlines()) == 1 + cut
 
     resumed = runner.invoke(main, args + ["--resume"])
     assert resumed.exit_code == 0
@@ -373,12 +371,13 @@ def test_scan_resume_from_an_empty_or_cut_journal_starts_over(runner, tmp_path):
     assert runner.invoke(main, args).exit_code == 0
     report = (tmp_path / "scan_k5-6.json").read_bytes()
     journal = tmp_path / "scan_k5-6.jsonl"
-    first_line = journal.read_text().split("\n")[0]
-    for text in ("", first_line[:100]):  # killed before its first line, or inside it
+    head = journal.read_text().split("\n")[0]
+    for text in ("", head[:100]):  # killed before its header, or inside it
         journal.write_text(text)
         assert runner.invoke(main, args + ["--resume"]).exit_code == 0
         assert (tmp_path / "scan_k5-6.json").read_bytes() == report
-        assert len(journal.read_text().splitlines()) == 4
+        assert journal.read_text().split("\n")[0] == head
+        assert len(journal.read_text().splitlines()) == 1 + 4
 
 
 def test_fresh_scan_truncates_an_old_journal(runner, tmp_path):
@@ -388,7 +387,7 @@ def test_fresh_scan_truncates_an_old_journal(runner, tmp_path):
         main, ["scan", "--k-min", "5", "--k-max", "6", "--out-dir", str(tmp_path)]
     )
     assert result.exit_code == 0
-    assert len(journal.read_text().splitlines()) == 4
+    assert len(journal.read_text().splitlines()) == 1 + 4
     assert len(certio.read_journal(journal).records) == 4
 
 
@@ -399,13 +398,19 @@ def _journal_lines(runner, out_dir, k_max=6, options=()):
     return (out_dir / f"scan_k5-{k_max}.jsonl").read_text().splitlines(keepends=True)
 
 
+# line 1 of the k 5..6 journal is its header, and lines 2 to 5 hold its
+# records in (k, N) order, as a serial scan finishes them
+
 @pytest.mark.parametrize("damage, message", [
-    (lambda lines, other: lines.__setitem__(1, lines[1].replace('"stratum": 4', '"stratum": 5')),
-     "line 2: "),
-    (lambda lines, other: lines.__setitem__(1, "{}\n"), "line 2: "),
-    (lambda lines, other: lines.__setitem__(2, other["range"][-1]), "line 3: config differs"),
-    (lambda lines, other: lines.__setitem__(2, other["budget"][2]), "line 3: config differs"),
-    (lambda lines, other: lines.append(lines[0]), "holds a record twice"),
+    (lambda lines, other: lines.__setitem__(2, lines[2].replace('"stratum": 4', '"stratum": 5')),
+     "line 3: record k=5 n=3 differs from what abelsplit writes in counting"),
+    (lambda lines, other: lines.__setitem__(1, "{}\n"), "line 2: malformed scan record"),
+    (lambda lines, other: lines.__setitem__(2, other["range"][-1]),
+     "line 3: record k=7 n=9 is not a scan candidate"),
+    # a second header, of another budget, where a record belongs
+    (lambda lines, other: lines.__setitem__(2, other["budget"][0]),
+     "line 3: malformed scan record"),
+    (lambda lines, other: lines.append(lines[1]), "holds a record twice: k=5 n=1"),
 ], ids=["bad_record", "bad_document", "other_range", "other_budget", "duplicate"])
 def test_scan_resume_bad_journal_line_is_usage_error(runner, tmp_path, damage, message):
     lines = _journal_lines(runner, tmp_path / "scan")
@@ -505,24 +510,29 @@ def _empty_range(doc):
 
 
 def _damaged_resume(runner, tmp_path, damage):
-    """Resume the k 5..6 scan from a journal of one line: the whole report's
-    document, damaged. A report of several records is a valid journal line,
-    so each damage meets the report reader."""
+    """Resume the k 5..6 scan from its journal, damaged. A function damages
+    the report's document, and the journal is then written from it: the
+    header from its keys but records, totals and overall, then a line per
+    record. So each record damage meets the journal's record reader, and
+    each config damage its header reader. Bytes go in front of the first
+    record line, a slice cuts that line, and a str replaces it."""
     r1 = runner.invoke(main, ["scan", "--k-min", "5", "--k-max", "6", "--out-dir", str(tmp_path)])
     assert r1.exit_code == 0
     doc = certio.read_document(tmp_path / "scan_k5-6.json")
-    line = json.dumps(doc, sort_keys=True).encode()
-    if isinstance(damage, slice):  # cut the line itself
-        line = line[damage]
-    elif isinstance(damage, bytes):  # put bytes in front of the line
-        line = damage + line
-    elif isinstance(damage, str):  # replace the line
-        line = damage.encode()
-    else:
+    if callable(damage):
         assert [r["n"] for r in doc["records"][:2]] == [1, 3]
         damage(doc)
-        line = json.dumps(doc, sort_keys=True).encode()
-    (tmp_path / "scan_k5-6.jsonl").write_bytes(line + b"\n")
+    head = {key: value for key, value in doc.items()
+            if key not in ("records", "totals", "overall")}
+    lines = [json.dumps(d, sort_keys=True).encode()
+             for d in [dict(head, kind="scan_journal"), *doc["records"]]]
+    if isinstance(damage, slice):  # cut the line itself
+        lines[1] = lines[1][damage]
+    elif isinstance(damage, bytes):  # put bytes in front of the line
+        lines[1] = damage + lines[1]
+    elif isinstance(damage, str):  # replace the line
+        lines[1] = damage.encode()
+    (tmp_path / "scan_k5-6.jsonl").write_bytes(b"".join(line + b"\n" for line in lines))
     return runner.invoke(
         main,
         ["scan", "--k-min", "5", "--k-max", "6", "--out-dir", str(tmp_path), "--resume"],
@@ -534,7 +544,6 @@ def _damaged_resume(runner, tmp_path, damage):
     lambda doc: doc["records"][0].pop("verdict"),
     lambda doc: doc["records"][0].update(verdict="bogus"),
     lambda doc: doc["records"][0].update(splitters=5),
-    lambda doc: doc.update(records=5),
     lambda doc: doc["records"][0].update(splitters=[2]),
     lambda doc: doc["records"][0].update(splitters=[7]),
     _flip_found_verdict,
@@ -543,11 +552,10 @@ def _damaged_resume(runner, tmp_path, damage):
     lambda doc: doc.update(note="extra key"),
     lambda doc: doc["records"][1].update(nodes=True),
     lambda doc: doc["records"][1].update(k=5.0),
-    lambda doc: doc["records"].reverse(),
-    slice(0, 400),
+    slice(0, 40),
     b"\xff\xfe",
-    _DEEP_TEXT,
-    _LONG_INT_TEXT,
+    DEEP_TEXT,
+    LONG_INT_TEXT,
     _search_record_claims_counting,
     _counting_record_claims_search,
     _counting_witness(2, 1),
@@ -564,16 +572,18 @@ def _damaged_resume(runner, tmp_path, damage):
     lambda doc: doc["config"].update(node_limit=0),
     _empty_range,
 ], ids=["config_key", "record_key", "record_verdict",
-        "record_splitters", "records_not_list", "found_not_a_splitting", "found_not_reduced",
+        "record_splitters", "found_not_a_splitting", "found_not_reduced",
         "verdict_flipped",
         "exhausted_with_splitters", "record_result", "extra_key",
-        "nodes_bool", "k_float", "records_reversed", "truncated", "non_utf8",
+        "nodes_bool", "k_float", "truncated", "non_utf8",
         "nested", "long_int", "search_claims_counting", "counting_claims_search",
         "witness_wrong_p", "witness_wrong_stratum", "counting_with_nodes", "record_with_N",
         "k_outside_range", "n_past_bound",
         "time_limit_str", "time_limit_list", "time_limit_dict", "time_limit_negative",
         "time_limit_bool", "node_limit_zero", "k_min_above_k_max"])
 def test_scan_resume_malformed_report_is_usage_error(runner, tmp_path, damage):
+    # the envelope of a report, which a journal does not have, is damaged in
+    # test_certio's test_scan_report_rejects_a_damaged_envelope
     r2 = _damaged_resume(runner, tmp_path, damage)
     assert r2.exit_code == 2
     assert "bad resume report" in r2.output
@@ -589,7 +599,22 @@ def test_scan_resume_foreign_record_is_usage_error(runner, tmp_path, damage):
 def test_scan_resume_rejects_a_version_3_report(runner, tmp_path):
     r2 = _damaged_resume(runner, tmp_path, _v3_report)
     assert r2.exit_code == 2
-    assert "bad resume report" in r2.output and "unsupported format_version 3" in r2.output
+    assert "bad resume report" in r2.output and "line 1: unsupported format_version 3" in r2.output
+
+
+def test_scan_resume_rejects_a_journal_of_one_record_reports(runner, tmp_path):
+    # what format_version 4 wrote before journals had a header: each line
+    # the compact document of the report that holds one record alone
+    report = scan(5, 6)
+    journal = tmp_path / "scan_k5-6.jsonl"
+    journal.write_text("".join(
+        json.dumps(certio.scan_report_to_doc(replace(report, records=(r,))), sort_keys=True) + "\n"
+        for r in report.records))
+    r2 = runner.invoke(
+        main, ["scan", "--k-min", "5", "--k-max", "6", "--out-dir", str(tmp_path), "--resume"])
+    assert r2.exit_code == 2
+    assert "bad resume report" in r2.output
+    assert "line 1: kind is 'scan_report', not 'scan_journal'" in r2.output
 
 
 def test_scan_resume_mismatch_is_usage_error(runner, tmp_path):
@@ -1174,7 +1199,7 @@ def test_scan_table_is_the_reports_table(runner, tmp_path, monkeypatch):
     assert table.read_bytes() == certio.scan_report_table(reports[-1]).encode()
 
     journal = tmp_path / "scan_k1-12.jsonl"
-    journal.write_text("".join(journal.read_text().splitlines(keepends=True)[:7]))
+    journal.write_text("".join(journal.read_text().splitlines(keepends=True)[:1 + 7]))
     assert runner.invoke(main, args + ["--resume"]).exit_code == 0
     assert len(reports) == 2 and len(reports[1].records) == len(reports[0].records)
     assert table.read_bytes() == certio.scan_report_table(reports[1]).encode()
@@ -1188,7 +1213,7 @@ def test_resumed_scan_table_leaves_restored_search_millis_empty(runner, tmp_path
     journal = tmp_path / "scan_k20-30.jsonl"
     lines = journal.read_text().splitlines(keepends=True)
     journal.write_text("".join(lines[:-3]))
-    rerun = {(r["k"], r["n"]) for line in lines[-3:] for r in json.loads(line)["records"]}
+    rerun = {(r["k"], r["n"]) for r in map(json.loads, lines[-3:])}
     assert runner.invoke(main, args + ["--resume"]).exit_code == 0
     rows = (tmp_path / "scan_k20-30.csv").read_text().splitlines()[1:]
     restored = {"search": set(), "counting": set()}
