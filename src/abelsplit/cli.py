@@ -29,7 +29,7 @@ from typing import NoReturn
 from . import certio, counting, search as searchlib, splitting, tiling
 from .groups import FiniteAbelianGroup, is_prime
 from .scan import (
-    INCONCLUSIVE, VIOLATION, ScanReport, check_scan_range, overall_verdict, scan as run_scan,
+    INCONCLUSIVE, VIOLATION, ScanReport, overall_verdict, scan as run_scan,
 )
 from .splitting import INTERVAL, MultiplierSet
 
@@ -100,10 +100,9 @@ def search(order, k, out, node_limit, time_limit_s) -> None:
 def scan(k_min, k_max, n_max, jobs, out_dir, resume, node_limit, time_limit_s) -> None:
     """Scan candidate orders for every k in [k-min, k-max], journaling each
     record as it finishes; --resume continues from the journal (.jsonl)."""
-    check_scan_range(k_min, k_max, n_max)
+    base = ScanReport(k_min, k_max, n_max, searchlib.SearchConfig(node_limit, time_limit_s), ())
     if jobs is not None and jobs < 1:  # checked here, as jobs or os.cpu_count() would hide a 0
         _fail_usage(f"--jobs must be >= 1, got {jobs}")
-    config = searchlib.SearchConfig(node_limit, time_limit_s)
     out_path = Path(out_dir)
     out_path.mkdir(parents=True, exist_ok=True)
     stem = out_path / f"scan_k{k_min}-{k_max}"
@@ -114,19 +113,16 @@ def scan(k_min, k_max, n_max, jobs, out_dir, resume, node_limit, time_limit_s) -
             resume_report = certio.read_journal(journal_path)
         except certio.DocumentError as exc:
             _fail_usage(f"bad resume report {journal_path}: {exc}")
-    # a fresh run starts the journal with its header; a resumed one rewrites
-    # the header and records it accepted, so that no append follows a line
-    # cut short by a kill
-    start = resume_report or ScanReport(k_min, k_max, n_max, config.node_limit,
-                                        config.time_limit_s, ())
-    certio.write_chunks(journal_path, certio.journal_chunks(start))
+    # a fresh journal is its header; a resumed one is rewritten with the records it
+    # accepted, so that no append follows a line cut short by a kill
+    certio.write_chunks(journal_path, certio.journal_chunks(resume_report or base))
 
     with open(journal_path, "a", encoding="utf-8", newline="") as journal:
         def checkpoint(one):
             journal.writelines(certio.journal_lines(one))
             journal.flush()
 
-        report = run_scan(k_min, k_max, n_max, config=config, jobs=jobs or os.cpu_count() or 1,
+        report = run_scan(k_min, k_max, n_max, config=base.config, jobs=jobs or os.cpu_count() or 1,
                           resume=resume_report, checkpoint=checkpoint)
     certio.write_chunks(report_path, certio.scan_report_chunks(report))
     certio.write_chunks(table_path, certio.scan_report_table_lines(report))

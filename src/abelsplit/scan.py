@@ -19,9 +19,9 @@ that order, 8 MB at k_max = 1000 and 72 MB at k_max = 3000, and building it
 3 bytes more for a moment. candidate_order factors a single order by trial
 division instead, for the report and journal readers, which rebuild one
 record at a time, and for the report reader's walk of its range, which
-stops at the first candidate missing: their cost follows the records they
-read, while a table follows the config's k_max, and for a document
-claiming k_max = 10^9 it would ask for about 8*10^18 bytes.
+stops at the first candidate missing: the readers' cost follows the
+records they read, the walk's the range it passes over, and a table's the
+config's k_max: about 8*10^18 bytes for a document claiming k_max = 10^9.
 """
 
 from __future__ import annotations
@@ -242,18 +242,18 @@ def _scan_one(task: tuple[CandidateOrder, SearchConfig]) -> ScanRecord:
 
 
 class ScanReport(Record):
-    """Scan results plus the configuration that produced them.
+    """A scan's range, the SearchConfig of its searches and its records,
+    sorted by (k, N); a report of no records is its scan's configuration.
+    A range that breaks check_scan_range raises ValueError. n_max of None
+    means the per-k default bound of 2k, which already over-covers the
+    range where purely singular splittings can exist."""
 
-    records are sorted by (k, N). n_max of None means the per-k default
-    bound of 2k, which already over-covers the range where purely singular
-    splittings can exist.
-    """
+    __slots__ = ("k_min", "k_max", "n_max", "config", "records")
 
-    __slots__ = ("k_min", "k_max", "n_max", "node_limit", "time_limit_s", "records")
-
-    def __init__(self, k_min: int, k_max: int, n_max: int | None, node_limit: int,
-                 time_limit_s: float | None, records: tuple[ScanRecord, ...]) -> None:
-        self._fill(k_min, k_max, n_max, node_limit, time_limit_s, records)
+    def __init__(self, k_min: int, k_max: int, n_max: int | None, config: SearchConfig,
+                 records: tuple[ScanRecord, ...]) -> None:
+        check_scan_range(k_min, k_max, n_max)
+        self._fill(k_min, k_max, n_max, config, records)
 
     @property
     def totals(self) -> dict[str, int]:
@@ -288,29 +288,28 @@ def scan(
     counting sieve when it refutes the candidate, else by the search.
 
     Records are independent tasks; with jobs > 1 they run in a process pool
-    of at most one worker per pending record. Parameters that break
-    check_scan_range, or jobs < 1, raise ValueError. Each finished record
-    fills its candidate's slot, and the report lists the filled slots in
-    (k, N) order, so parallel and serial runs produce the same report.
-    resume takes a previously written (possibly partial) report with
-    identical parameters and skips its completed records; each of them must
-    be a distinct candidate of this scan, else ValueError. checkpoint, when
-    given, is called once per finished record, in the order records finish,
-    with a report of these parameters that holds that record alone; the
-    resumed records and those reports together make up the returned report.
+    of at most one worker per pending record. The scan first builds base,
+    its report of no records, so a bad range raises ValueError, as does
+    jobs < 1. Each finished record fills its candidate's slot, and the
+    report lists the filled slots in (k, N) order, so parallel and serial
+    runs produce the same report. resume takes a previously written
+    (possibly partial) report of base's range and config and skips its
+    completed records; each of them must be a distinct candidate of this
+    scan, else ValueError. checkpoint, when given, is called once per
+    finished record, in the order records finish, with base holding that
+    record alone; the resumed records and those reports make up the result.
     """
-    check_scan_range(k_min, k_max, n_max)
+    base = ScanReport(k_min, k_max, n_max, config, ())
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     candidates = scan_candidates(k_min, k_max, n_max)
 
     slot_of = {(c.k, c.n): i for i, c in enumerate(candidates)}
     slots: list[ScanRecord | None] = [None] * len(candidates)
-    params = (k_min, k_max, n_max, config.node_limit, config.time_limit_s)
     if resume is not None:
-        theirs = (resume.k_min, resume.k_max, resume.n_max, resume.node_limit, resume.time_limit_s)
-        if params != theirs:
-            raise ValueError(f"resume parameters {theirs} do not match scan parameters {params}")
+        theirs = replace(resume, records=())
+        if theirs != base:
+            raise ValueError(f"resume parameters {theirs} do not match scan parameters {base}")
         for record in resume.records:
             c = record.candidate
             i = slot_of.get((c.k, c.n))
@@ -324,7 +323,7 @@ def scan(
     def take(record: ScanRecord) -> None:
         slots[slot_of[record.candidate.k, record.candidate.n]] = record
         if checkpoint is not None:
-            checkpoint(ScanReport(*params, (record,)))
+            checkpoint(replace(base, records=(record,)))
 
     if jobs > 1 and len(pending) > 1:
         from multiprocessing import Pool  # here, so importing abelsplit does not load it
@@ -335,7 +334,7 @@ def scan(
     else:
         for task in pending:
             take(_scan_one(task))
-    return ScanReport(*params, tuple(r for r in slots if r is not None))
+    return replace(base, records=tuple(r for r in slots if r is not None))
 
 
 def check_k_le_n_minus_2(report: ScanReport) -> bool:

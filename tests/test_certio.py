@@ -93,7 +93,7 @@ def test_record_documents_agree_with_the_hand_built_oracle():
     assert len(desk.records) == 210
     assert {r.route for r in desk.records} == {"counting", "search"}
     assert any(r.outcome.result == FOUND for r in desk.records)
-    for report in (desk, ScanReport(2, 2, 4, 10**8, 60.0, (violation,))):
+    for report in (desk, ScanReport(2, 2, 4, SearchConfig(), (violation,))):
         doc = certio.scan_report_to_doc(report)
         plain = dict(doc, records=[record_document_by_hand(r) for r in report.records])
         assert json.dumps(doc, sort_keys=True) == json.dumps(plain, sort_keys=True)
@@ -143,8 +143,7 @@ def test_checkpoints_render_each_record_once(tmp_path, monkeypatch):
 def _no_records(k_min, k_max):
     """The report of no records of scan(k_min, k_max), whose journal is its
     header alone."""
-    config = SearchConfig()
-    return ScanReport(k_min, k_max, None, config.node_limit, config.time_limit_s, ())
+    return ScanReport(k_min, k_max, None, SearchConfig(), ())
 
 
 def test_last_checkpoint_of_the_desk_scan_is_pinned(tmp_path):
@@ -178,7 +177,7 @@ def test_violation_record_document_matches_json_dumps():
     candidate = CandidateOrder(2, 4, 9, ((3, 2),))
     record = make_record(candidate, search_splitter(Z(9), MultiplierSet.interval(2)))
     assert record.verdict == VIOLATION
-    doc = certio.scan_report_to_doc(ScanReport(2, 2, 4, 10**8, 60.0, (record,)))
+    doc = certio.scan_report_to_doc(ScanReport(2, 2, 4, SearchConfig(), (record,)))
     assert doc["overall"] == "violation" and "certificate" in doc["records"][0]
     assert certio.dumps_document(doc) == canonical_json(doc)
 
@@ -188,8 +187,8 @@ def test_streamed_report_is_the_document_text(tmp_path):
     # violation record embeds its certificate
     candidate = CandidateOrder(2, 4, 9, ((3, 2),))
     violation = make_record(candidate, search_splitter(Z(9), MultiplierSet.interval(2)))
-    reports = [scan(1, 30), ScanReport(3, 7, None, 10**8, 60.0, ()), scan(8, 8, n_max=13),
-               ScanReport(2, 2, 4, 10**8, 60.0, (violation,))]
+    reports = [scan(1, 30), ScanReport(3, 7, None, SearchConfig(), ()), scan(8, 8, n_max=13),
+               ScanReport(2, 2, 4, SearchConfig(), (violation,))]
     for i, report in enumerate(reports):
         text = certio.dumps_document(certio.scan_report_to_doc(report))
         assert "".join(certio.scan_report_chunks(report)) == text
@@ -411,6 +410,17 @@ def test_scan_report_cut_short_fails_within_one_k():
     cut = tuple(r for r in report.records if r.candidate.k <= 7)
     doc = certio.scan_report_to_doc(replace(report, records=cut))
     with pytest.raises(certio.DocumentError, match="^scan_report lacks the candidate k=8 n=1$"):
+        certio.scan_report_from_doc(doc)
+
+
+def test_scan_report_cut_short_fails_within_two_k():
+    # with n_max = 1 the candidate (k - 1)**2 at n = k - 2 lies outside the
+    # range from k = 4 on; N = k + 1 is a candidate when composite, which
+    # 11 is not, so the walk passes k = 10 and names k = 11
+    report = scan(3, 40, n_max=1)
+    cut = tuple(r for r in report.records if r.candidate.k <= 9)
+    doc = certio.scan_report_to_doc(replace(report, records=cut))
+    with pytest.raises(certio.DocumentError, match="^scan_report lacks the candidate k=11 n=1$"):
         certio.scan_report_from_doc(doc)
 
 

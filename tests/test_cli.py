@@ -17,7 +17,7 @@ from abelsplit import search as searchlib
 from abelsplit.cli import main
 from abelsplit.record import replace
 from abelsplit.groups import FiniteAbelianGroup, factorize
-from abelsplit.scan import check_scan_range, overall_verdict, scan
+from abelsplit.scan import ScanReport, overall_verdict, scan
 from abelsplit.splitting import MultiplierSet, make_certificate, trivial_certificate
 
 
@@ -248,8 +248,6 @@ def test_scan_summary_names_its_region(runner, tmp_path, bound, region):
 
 
 def test_scan_resume_matches_uninterrupted(runner, tmp_path):
-    from abelsplit.scan import ScanReport
-
     a_dir = tmp_path / "a"
     b_dir = tmp_path / "b"
     r1 = runner.invoke(main, ["scan", "--k-min", "5", "--k-max", "9", "--out-dir", str(a_dir)])
@@ -257,10 +255,7 @@ def test_scan_resume_matches_uninterrupted(runner, tmp_path):
     full = certio.scan_report_from_doc(certio.read_document(a_dir / "scan_k5-9.json"))
 
     # fabricate an interrupted run: a journal of only the first records, resume
-    partial = ScanReport(
-        full.k_min, full.k_max, full.n_max, full.node_limit, full.time_limit_s,
-        full.records[:3],
-    )
+    partial = ScanReport(full.k_min, full.k_max, full.n_max, full.config, full.records[:3])
     b_dir.mkdir()
     (b_dir / "scan_k5-9.jsonl").write_text("".join(certio.journal_chunks(partial)))
     r2 = runner.invoke(
@@ -663,9 +658,9 @@ def test_scan_bad_counts_are_usage_errors(runner, tmp_path, args):
     (["--k-min", "1", "--k-max", "3", "--n-max", "0"], (1, 3, 0)),
 ], ids=["k_min_zero", "k_min_above_k_max", "n_max_zero"])
 def test_scan_bad_range_is_the_librarys_usage_error(runner, tmp_path, args, params):
-    # the CLI checks the range with scan.check_scan_range, before it makes the directory
+    # the CLI builds its ScanReport, which checks the range, before it makes the directory
     with pytest.raises(ValueError) as raised:
-        check_scan_range(*params)
+        ScanReport(*params, searchlib.SearchConfig(), ())
     out_dir = tmp_path / "scan"
     result = runner.invoke(main, ["scan", *args, "--out-dir", str(out_dir)])
     assert result.exit_code == 2, result.output

@@ -13,6 +13,7 @@ from abelsplit.groups import (
     is_prime,
     p_adic_valuation,
 )
+from abelsplit.scan import _factor_by_table, largest_prime_factors
 
 
 def test_factorize_examples():
@@ -44,12 +45,12 @@ def test_factorize_against_sympy_samples():
 
 
 def test_factorize_roundtrip_sweep_10_to_6():
-    # full sweep: refactoring the reassembled product is the identity
+    # full sweep against the sieve's factorization, an independent
+    # algorithm: so the parts are primes, ascending, with exponents >= 1,
+    # and their product is n
+    lpf = largest_prime_factors(10**6)
     for n in range(1, 10**6 + 1):
-        pairs = factorize(n)
-        assert math.prod(p**e for p, e in pairs) == n
-        assert all(e >= 1 for _, e in pairs)
-        assert all(p < q for (p, _), (q, _) in zip(pairs, pairs[1:]))
+        assert factorize(n) == _factor_by_table(n, lpf), n
 
 
 def test_factorize_primality_of_parts():

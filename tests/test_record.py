@@ -14,6 +14,8 @@ from abelsplit.search import SearchConfig, search_splitter
 from abelsplit.splitting import (
     ORDER_2K_PLUS_1,
     MultiplierSet,
+    SingularityClass,
+    VerificationReport,
     trivial_certificate,
     verify_splitting,
 )
@@ -44,7 +46,7 @@ def _samples():
         (cert, ("group", "multipliers", "splitters")),
         (CandidateOrder(5, 3, 16, ((2, 4),)), ("k", "n", "order", "smoothness_witness")),
         (counted, ("candidate", "outcome", "verdict", "certificate", "witness")),
-        (report, ("k_min", "k_max", "n_max", "node_limit", "time_limit_s", "records")),
+        (report, ("k_min", "k_max", "n_max", "config", "records")),
         (decompose_k(8, 3, 1), ("k", "p", "m", "beta", "d", "m_prime")),
         (stratify(trivial_certificate(8), 3), ("p", "alpha", "g_counts", "s_counts")),
         (abcde_profile(10, 3), ("k", "p", "card_a", "card_b", "card_c", "card_d", "card_e",
@@ -92,3 +94,10 @@ def test_record_contract(record, fields):
         assert copy == record and not copy != record and hash(copy) == hash(record)
         assert all(getattr(copy, name) == getattr(record, name) for name in fields)
     assert record != tuple(getattr(record, name) for name in fields)
+
+
+def test_records_of_two_classes_with_equal_fields_are_unequal():
+    # == compares the classes before the fields
+    report, tag = VerificationReport("valid"), SingularityClass("valid", None)
+    assert (report.verdict, report.failure) == (tag.tag, tag.witnesses)
+    assert report != tag and not report == tag

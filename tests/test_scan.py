@@ -26,6 +26,7 @@ from abelsplit.scan import (
     ScanReport,
     check_k_ge_n,
     check_k_le_n_minus_2,
+    check_scan_range,
     make_record,
     overall_verdict,
     largest_prime_factors,
@@ -236,7 +237,7 @@ def _synthetic_found(k, n, verdict=VIOLATION):
 
 
 def _report_with(records):
-    return ScanReport(1, 1, None, 10**8, 60.0, tuple(records))
+    return ScanReport(1, 1, None, SearchConfig(), tuple(records))
 
 
 def test_check_k_le_n_minus_2():
@@ -273,11 +274,24 @@ def test_parallel_equals_serial():
     assert strip(serial) == strip(parallel)
 
 
+@pytest.mark.parametrize("params", [(0, 3, None), (5, 4, None), (1, 3, 0)],
+                         ids=["k_min_zero", "k_min_above_k_max", "n_max_zero"])
+def test_scan_report_checks_its_range(params):
+    # a report is a validated description of its scan: the one range check
+    # of scan(), the report and journal readers and the CLI
+    with pytest.raises(ValueError) as raised:
+        check_scan_range(*params)
+    with pytest.raises(ValueError) as built:
+        ScanReport(*params, SearchConfig(), ())
+    with pytest.raises(ValueError) as scanned:
+        scan(*params)
+    assert str(built.value) == str(scanned.value) == str(raised.value)
+
+
 def test_resume_skips_completed_records():
     full = scan(5, 9)
     half = ScanReport(
-        full.k_min, full.k_max, full.n_max, full.node_limit, full.time_limit_s,
-        full.records[: len(full.records) // 2],
+        full.k_min, full.k_max, full.n_max, full.config, full.records[: len(full.records) // 2],
     )
     resumed = scan(5, 9, resume=half)
     strip = lambda rep: [(r.candidate, r.outcome.result, r.outcome.splitters, r.verdict)
@@ -297,8 +311,7 @@ def test_resume_rejects_records_outside_the_task_set():
     full = scan(5, 6)
 
     def resume_with(records):
-        return ScanReport(full.k_min, full.k_max, full.n_max, full.node_limit,
-                          full.time_limit_s, tuple(records))
+        return ScanReport(full.k_min, full.k_max, full.n_max, full.config, tuple(records))
 
     foreign = scan(8, 8, n_max=1).records[0]  # k = 8 lies outside 5..6
     with pytest.raises(ValueError, match="not a scan candidate"):
@@ -369,7 +382,7 @@ def test_checkpoint_called_per_record(jobs):
     seen = []
     report = scan(8, 8, jobs=jobs, checkpoint=seen.append)
     assert [len(one.records) for one in seen] == [1, 1, 1, 1, 1]
-    params = lambda rep: (rep.k_min, rep.k_max, rep.n_max, rep.node_limit, rep.time_limit_s)
+    params = lambda rep: (rep.k_min, rep.k_max, rep.n_max, rep.config)
     assert all(params(one) == params(report) for one in seen)
     in_order = lambda r: (r.candidate.k, r.candidate.order)
     assert sorted((r for one in seen for r in one.records), key=in_order) == list(report.records)
