@@ -26,7 +26,8 @@ The writers define what a valid document is. Each reader rebuilds its
 object with the library's own constructors and accepts the document only
 if writing that object back gives exactly the same document; the scan
 report and journal readers (scan_report_from_doc, read_journal) say how
-they check a document of many records without building a second one.
+they check a document of many records without building a second one;
+which records a report may hold is ScanReport's rule.
 """
 
 from __future__ import annotations
@@ -36,22 +37,11 @@ import os
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager, suppress
 from functools import cache
-from itertools import pairwise
 from pathlib import Path
 
 from .groups import FiniteAbelianGroup
 from .record import replace
-from .scan import (
-    VIOLATION,
-    CandidateOrder,
-    ScanRecord,
-    ScanReport,
-    candidate_order,
-    decide,
-    n_limit,
-    overall_verdict,
-    scan_order,
-)
+from .scan import VIOLATION, ScanRecord, ScanReport, decide, overall_verdict, scan_order
 from .search import EXHAUSTED, FOUND, SearchConfig, SearchOutcome, SearchStats
 from .splitting import (
     INTERVAL,
@@ -344,11 +334,11 @@ def _record_doc(record: ScanRecord) -> dict:
 
 def _record_from_doc(doc, config: ScanReport) -> ScanRecord:
     """Rebuild a record the way the scan makes it: its candidate from k and
-    n, which must lie in config's range, then decide runs the counting
-    sieve again, and a candidate it does not refute gets the search outcome
-    read from doc, whose found splitters make_record re-verifies; a document
-    keeps no time, so that outcome's elapsed_s is None. The caller checks
-    the record against doc, as part of the report or journal that holds it."""
+    n (config.candidate), then decide runs the counting sieve again, and a
+    candidate it does not refute gets the search outcome read from doc,
+    whose found splitters make_record re-verifies; a document keeps no
+    time, so that outcome's elapsed_s is None. The caller checks the record
+    against doc, as part of the report or journal that holds it."""
     def read_outcome() -> SearchOutcome:
         splitters = tuple(doc["splitters"]) if doc["result"] == FOUND else None
         return SearchOutcome(
@@ -356,9 +346,7 @@ def _record_from_doc(doc, config: ScanReport) -> ScanRecord:
         )
 
     with _parsing("scan record"):
-        k, n = int(doc["k"]), int(doc["n"])
-        in_range = config.k_min <= k <= config.k_max and 1 <= n <= n_limit(k, config.n_max)
-        candidate = candidate_order(k, n) if in_range else None
+        candidate = config.candidate(int(doc["k"]), int(doc["n"]))
         if candidate is None:
             raise DocumentError(f"record k={doc['k']} n={doc['n']} is not a scan candidate")
         return decide(candidate, read_outcome)
@@ -376,13 +364,10 @@ def _config_doc(report: ScanReport) -> dict:
 
 
 def _config_from_doc(doc) -> ScanReport:
-    """The report of no records of the config doc, checked by ScanReport,
-    SearchConfig and a bool test; the caller's _parsing makes errors DocumentError."""
-    n_max = doc["n_max"]
-    if type(doc["time_limit_s"]) is bool:
-        raise TypeError("time_limit_s must be a number or null, not bool")
-    return ScanReport(int(doc["k_min"]), int(doc["k_max"]), None if n_max is None else int(n_max),
-                      SearchConfig(int(doc["node_limit"]), doc["time_limit_s"]), ())
+    """The report of no records of the config doc, checked by ScanReport and
+    SearchConfig; the caller's _parsing makes errors DocumentError."""
+    return ScanReport(doc["k_min"], doc["k_max"], doc["n_max"],
+                      SearchConfig(doc["node_limit"], doc["time_limit_s"]), ())
 
 
 def _scan_report_doc(report: ScanReport, records) -> dict:
@@ -426,27 +411,6 @@ def scan_report_chunks(report: ScanReport) -> Iterator[str]:
     yield tail
 
 
-def _first_missing(report: ScanReport) -> tuple[int, int] | None:
-    """The first (k, n) of report's range, in scan order, whose order is a
-    candidate that report's records, ascending, do not hold; None when they
-    hold every one. Each order passed over is factored by trial division
-    (candidate_order), with no table, so the walk's cost follows the range
-    it passes, not the records: on 2 vCPUs, 9.8 s for a complete k <= 1000
-    report, seconds for a k = 3 one claiming n_max = 10**12. It stops at
-    the first candidate missing: n = 1 is in every range, N = k + 1 is a
-    candidate when composite, and one of two consecutive k >= 3 has k + 1
-    even, so a report cut short fails within two k of its last record."""
-    held = iter(report.records)
-    record = next(held, None)
-    for k in range(report.k_min, report.k_max + 1):
-        for n in range(1, n_limit(k, report.n_max) + 1):
-            if record is not None and (record.candidate.k, record.candidate.n) == (k, n):
-                record = next(held, None)
-            elif candidate_order(k, n) is not None:
-                return k, n
-    return None
-
-
 def scan_report_from_doc(doc: dict) -> ScanReport:
     """Parse a scan report: DocumentError unless its config makes a
     ScanReport and a SearchConfig, each record is a candidate of that
@@ -463,29 +427,25 @@ def scan_report_from_doc(doc: dict) -> ScanReport:
     the whole report is built: each batch is rebuilt and compared with its
     written form, and a batch that differs is compared record by record,
     so that the error names the first record that differs, and its keys.
-    The records must ascend strictly by (k, N). The report's own keys are compared once, with a
-    stand-in for records that matches only when they do; when they do not,
-    the error names records among the report's keys. Last, the candidates
-    of the config are walked beside the records (_first_missing), and the
-    error names the first one the report lacks."""
+    ScanReport refuses records out of (k, N) order, naming the first, so
+    the report's own keys are compared once, with None for its records.
+    Last, the report walks its range beside the records (first_missing),
+    and the error names the first candidate it lacks."""
     with _parsing("scan_report"):
         config = _config_from_doc(doc["config"])
-        given, records, ascending, last = doc["records"], [], True, (0, 0)
+        given, records = doc["records"], []
         for start in range(0, len(given), _BATCH):
             batch = given[start:start + _BATCH]
             read = [_record_from_doc(r, config) for r in batch]
             if _text([_record_doc(record) for record in read]) != _text(batch):
                 for record, r in zip(read, batch):
                     _require_written_form(_record_doc(record), r, f"record k={r['k']} n={r['n']}")
-            for record in read:
-                key = scan_order(record)
-                ascending, last = ascending and last < key, key
             records += read
         report = replace(config, records=tuple(records))
-        # None stands for records as written; a JSON list never reads as null
-        _require_written_form(_scan_report_doc(report, None),
-                              {**doc, "records": None if ascending else given}, "scan_report")
-        missing = _first_missing(report)
+        # a JSON list never reads as null
+        _require_written_form(_scan_report_doc(report, None), {**doc, "records": None},
+                              "scan_report")
+        missing = report.first_missing()
     if missing is not None:
         raise DocumentError(f"scan_report lacks the candidate k={missing[0]} n={missing[1]}")
     return report
@@ -519,8 +479,8 @@ def read_journal(path) -> ScanReport | None:
     journal_chunks writes for what it holds (_require_line): the header a
     config that scan_report_from_doc accepts, each other line (json decodes
     its bytes) a record of that config, rebuilt as the report reader
-    rebuilds it. DocumentError too when a record appears twice. A journal is
-    partial by design, so its range is not walked."""
+    rebuilds it. DocumentError too when ScanReport finds a repeated
+    record. A journal is partial by design, so its range is not walked."""
     records: list[ScanRecord] = []
     with open(path, "rb") as handle:
         number, line = 1, handle.readline()
@@ -542,12 +502,8 @@ def read_journal(path) -> ScanReport | None:
                 records.append(record)
         except DocumentError as exc:
             raise DocumentError(f"line {number}: {exc}") from exc
-    records.sort(key=scan_order)
-    for a, b in pairwise(records):
-        if scan_order(a) == scan_order(b):
-            raise DocumentError(
-                f"journal holds a record twice: k={a.candidate.k} n={a.candidate.n}")
-    return replace(config, records=tuple(records))
+    with _parsing("scan_journal"):
+        return replace(config, records=tuple(sorted(records, key=scan_order)))
 
 
 def scan_report_table_lines(report: ScanReport) -> Iterator[str]:

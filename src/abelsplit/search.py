@@ -57,11 +57,16 @@ class BudgetExceeded(RuntimeError):
 
 class SearchConfig(Record):
     """A search budget: node_limit >= 1, and time_limit_s >= 0 or None for no
-    limit. +inf is stored as None, as JSON, and so a report, has no Infinity."""
+    limit. +inf is stored as None, as JSON, and so a report, has no Infinity.
+    A node_limit that is no int, or a time_limit_s that is no int or float (a
+    bool is neither), raises TypeError: a report could not write it back."""
 
     __slots__ = ("node_limit", "time_limit_s")
 
     def __init__(self, node_limit: int = 100_000_000, time_limit_s: float | None = 60.0) -> None:
+        if type(node_limit) is not int or type(time_limit_s) not in (int, float, type(None)):
+            raise TypeError(f"node_limit must be an int and time_limit_s an int, float or "
+                            f"None, got {node_limit!r}, {time_limit_s!r}")
         if not node_limit >= 1:
             raise ValueError(f"node_limit must be >= 1, got {node_limit}")
         if time_limit_s is not None and not time_limit_s >= 0:  # also rejects nan

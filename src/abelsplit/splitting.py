@@ -70,10 +70,6 @@ class MultiplierSet(Record):
             raise ValueError(f"interval bound must be >= 1, got {k}")
         return cls(tuple(range(1, k + 1)), kind=INTERVAL)
 
-    @classmethod
-    def explicit(cls, values: Iterable[int]) -> "MultiplierSet":
-        return cls(tuple(sorted({int(v) for v in values})), kind=EXPLICIT)
-
     def residues(self, modulus: int) -> tuple[int, ...]:
         """Values reduced mod the group order, in value order (may repeat):
         the values tuple itself when they all lie in 1..modulus-1."""

@@ -206,7 +206,7 @@ def test_certificate_round_trip():
     certs = [
         trivial_certificate(8),
         trivial_certificate(12, "order_2k_plus_1"),
-        make_certificate(Z(9), MultiplierSet.explicit([1, 2]), [(1,), (3,), (4,), (7,)]),
+        make_certificate(Z(9), MultiplierSet((1, 2)), [(1,), (3,), (4,), (7,)]),
         make_certificate(FiniteAbelianGroup((2, 3)), MultiplierSet.interval(5), [(1, 1)]),
     ]
     for cert in certs:
@@ -344,6 +344,32 @@ def test_scan_report_rejects_inconsistent_totals():
         certio.scan_report_from_doc(doc)
 
 
+@given(
+    k_min=st.integers(1, 5) | st.booleans(),
+    n_max=st.none() | st.integers(1, 12) | st.booleans(),
+    node_limit=st.integers(1, 10**20) | st.booleans(),
+    time_limit_s=(st.none() | st.floats(min_value=0.0) | st.just(-0.0) | st.integers(0, 10**9)
+                  | st.booleans()),
+)
+@example(k_min=5, n_max=None, node_limit=True, time_limit_s=60.0)
+@example(k_min=5, n_max=None, node_limit=10**8, time_limit_s=True)
+@example(k_min=True, n_max=None, node_limit=10**8, time_limit_s=60.0)
+@example(k_min=5, n_max=True, node_limit=10**8, time_limit_s=60.0)
+def test_every_scan_config_the_types_accept_reads_back(k_min, n_max, node_limit, time_limit_s):
+    # Python takes a bool for an int, but a report would write it as true,
+    # which reads back as no int, so the types refuse it; whatever they
+    # accept, the report reader takes back as written
+    if bool in {type(k_min), type(n_max), type(node_limit), type(time_limit_s)}:
+        with pytest.raises(TypeError):
+            scan(k_min, 6, n_max, SearchConfig(node_limit, time_limit_s))
+        return
+    report = scan(k_min, 6, n_max, SearchConfig(node_limit, time_limit_s))
+    doc = certio.scan_report_to_doc(report)
+    back = certio.scan_report_from_doc(doc)
+    assert replace(back, records=()) == replace(report, records=())
+    assert certio.dumps_document(certio.scan_report_to_doc(back)) == certio.dumps_document(doc)
+
+
 def test_scan_report_rejects_an_infinite_time_limit():
     # SearchConfig stores +inf as None, so abelsplit writes null, never Infinity
     doc = certio.scan_report_to_doc(scan(8, 8, config=SearchConfig(time_limit_s=float("inf"))))
@@ -367,9 +393,11 @@ def test_scan_report_rejects_an_infinite_time_limit():
      "record k=5 n=3 differs from what abelsplit writes in N"),
     (lambda records: records[0].update(verdict="conjecture_consistent"),
      "record k=5 n=1 differs from what abelsplit writes in verdict"),
-    (lambda records: records.reverse(), "scan_report differs from what abelsplit writes in records"),
+    # ScanReport names the first record out of (k, N) order
+    (lambda records: records.reverse(),
+     "malformed scan_report: ValueError: record k=5 n=7 comes after k=6 n=4"),
     (lambda records: records.insert(2, records[1]),
-     "scan_report differs from what abelsplit writes in records, totals"),
+     "malformed scan_report: ValueError: scan report holds a record twice: k=5 n=3"),
 ], ids=["nodes", "extra_key", "N", "verdict", "order", "repeated"])
 def test_scan_report_names_the_record_that_differs(damage, message):
     doc = certio.scan_report_to_doc(scan(5, 6))
@@ -380,14 +408,16 @@ def test_scan_report_names_the_record_that_differs(damage, message):
 
 
 def test_scan_report_rejects_a_repeated_record():
-    # scan() never writes one; its totals count the record twice, as the
-    # writer does, so only the records can tell
-    report = scan(5, 6)
-    records = report.records
-    doc = certio.scan_report_to_doc(replace(report, records=records[:2] + records[1:]))
-    assert doc["totals"]["records"] == 5
-    with pytest.raises(certio.DocumentError,
-                       match="^scan_report differs from what abelsplit writes in records$"):
+    # scan() never writes one and ScanReport refuses one, so the record
+    # k=5 n=3 is repeated in the document, with totals that count it twice,
+    # as the writer would: only the records can tell
+    doc = certio.scan_report_to_doc(scan(5, 6))
+    doc["records"].insert(2, doc["records"][1])
+    doc["totals"]["records"] += 1
+    doc["totals"]["conjecture_consistent"] += 1
+    assert [(r["k"], r["n"]) for r in doc["records"]] == [(5, 1), (5, 3), (5, 3), (5, 7), (6, 4)]
+    with pytest.raises(certio.DocumentError, match="^malformed scan_report: ValueError: "
+                                                   "scan report holds a record twice: k=5 n=3$"):
         certio.scan_report_from_doc(doc)
 
 
@@ -434,7 +464,8 @@ def _empty_range(doc):
 @pytest.mark.parametrize("damage, message", [
     (lambda doc: doc.update(records=5), "malformed scan_report: TypeError"),
     (lambda doc: doc.update(note="extra key"), "scan_report differs .* in note$"),
-    (lambda doc: doc["records"].reverse(), "scan_report differs .* in records$"),
+    (lambda doc: doc["records"].reverse(),
+     "malformed scan_report: ValueError: record k=5 n=7 comes after k=6 n=4$"),
     (slice(0, 400), "not a JSON document"),
     (b"\xff\xfe", "not UTF-8 text"),
     (DEEP_TEXT, "not a JSON document: maximum recursion depth"),

@@ -807,7 +807,7 @@ def test_invalid_certificate_ends_every_command(runner, tmp_path, args):
 ])
 def test_usage_branches(runner, tmp_path, args, message):
     # z5.json is the splitting of Z_5 by the explicit multipliers {1, 2}
-    cert = make_certificate(FiniteAbelianGroup.cyclic(5), MultiplierSet.explicit([1, 2]),
+    cert = make_certificate(FiniteAbelianGroup.cyclic(5), MultiplierSet((1, 2)),
                             [(1,), (4,)])
     _write_cert(tmp_path / "z5.json", cert)
     args = [str(tmp_path / a) if a == "z5.json" else a for a in args]

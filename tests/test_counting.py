@@ -206,7 +206,7 @@ def test_stratify_matches_closed_form_on_cyclic_groups():
         (12, "order_2k_plus_1"), (40, "order_2k_plus_1"),
     ]]
     for n in range(2, 201):
-        certs.append(make_certificate(Z(n), MultiplierSet.explicit([1]),
+        certs.append(make_certificate(Z(n), MultiplierSet((1,)),
                                       [(s,) for s in range(1, n)]))
     for cert in certs:
         for p, _ in cert.group.order_factorization:
@@ -272,7 +272,7 @@ def test_counting_identity_all_strata_all_primes():
 
 
 def test_counting_identity_explicit_multipliers():
-    cert = make_certificate(Z(9), MultiplierSet.explicit([1, 2]), [(1,), (3,), (4,), (7,)])
+    cert = make_certificate(Z(9), MultiplierSet((1, 2)), [(1,), (3,), (4,), (7,)])
     for i in (1, 2):
         assert check_counting_identity(cert, 3, i)
 
@@ -284,8 +284,8 @@ def test_counting_identity_agrees_with_per_stratum_valuations():
     certs = [cert45, trivial_certificate(24), trivial_certificate(13, "order_2k_plus_1")]
     for twin in (72, -18):
         values = [twin if v == 27 else v for v in cert45.multipliers.values]
-        certs.append(make_certificate(Z(45), MultiplierSet.explicit(values), [(1,)]))
-    certs.append(make_certificate(Z(9), MultiplierSet.explicit([1, 2]), [(1,), (3,), (4,), (7,)]))
+        certs.append(make_certificate(Z(45), MultiplierSet(tuple(sorted(values))), [(1,)]))
+    certs.append(make_certificate(Z(9), MultiplierSet((1, 2)), [(1,), (3,), (4,), (7,)]))
     checked = 0
     for cert in certs:
         for p, alpha in cert.group.order_factorization:
@@ -301,7 +301,7 @@ def test_counting_identity_refuses_a_zero_residue(monkeypatch):
     # a verified certificate has no multiplier divisible by the group order,
     # so the check sees one only when verification is bypassed
     monkeypatch.setattr(splitting, "_check_products", lambda *args: VerificationReport(VALID))
-    cert = splitting.SplittingCertificate(Z(9), MultiplierSet.explicit([1, 18]), ((1,), (2,)))
+    cert = splitting.SplittingCertificate(Z(9), MultiplierSet((1, 18)), ((1,), (2,)))
     for check in (check_counting_identity, counting_identity_by_valuations):
         with pytest.raises(ValueError, match="got 0"):
             check(cert, 3, 1)
@@ -313,7 +313,7 @@ def test_counting_identities_match_the_per_stratum_check(monkeypatch):
     certs = [trivial_certificate(k, which)
              for k in range(1, 41) for which in ("order_k_plus_1", "order_2k_plus_1")]
     monkeypatch.setattr(splitting, "_check_products", lambda *args: VerificationReport(VALID))
-    certs.append(splitting.SplittingCertificate(Z(27), MultiplierSet.explicit([1, 3]), ((1,), (9,))))
+    certs.append(splitting.SplittingCertificate(Z(27), MultiplierSet((1, 3)), ((1,), (9,))))
     failing = 0
     for cert in certs:
         for p, alpha in cert.group.order_factorization:
@@ -322,7 +322,7 @@ def test_counting_identities_match_the_per_stratum_check(monkeypatch):
             assert holds == tuple(check_counting_identity(cert, p, i) for i in range(1, alpha + 1))
             failing += not all(holds)
     assert failing == 1
-    zero = splitting.SplittingCertificate(Z(9), MultiplierSet.explicit([1, 18]), ((1,), (2,)))
+    zero = splitting.SplittingCertificate(Z(9), MultiplierSet((1, 18)), ((1,), (2,)))
     with pytest.raises(ValueError, match="got 0"):
         counting_identities(zero, 3)
 
@@ -375,7 +375,7 @@ def test_counting_identities_agree_with_the_oracle_on_random_systems(n, data):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(splitting, "_check_products", lambda *args: VerificationReport(VALID))
         cert = splitting.SplittingCertificate(
-            Z(n), MultiplierSet.explicit(sorted(values)), tuple((s,) for s in sorted(splitters)))
+            Z(n), MultiplierSet(tuple(sorted(values))), tuple((s,) for s in sorted(splitters)))
     for p, alpha in cert.group.order_factorization:
         _, holds = counting_identities(cert, p)
         assert holds == tuple(counting_identity_by_valuations(cert, p, i)
@@ -537,7 +537,7 @@ def test_tw_rejects_outside_hypothesis():
         tw_disjointness_check(trivial_certificate(8))  # order 9 shares a factor with 6
     with pytest.raises(ValueError):
         tw_disjointness_check(trivial_certificate(2, "order_2k_plus_1"))  # nonsingular
-    cert = make_certificate(Z(25), MultiplierSet.explicit(list(range(1, 25))), [(1,)])
+    cert = make_certificate(Z(25), MultiplierSet(tuple(range(1, 25))), [(1,)])
     with pytest.raises(ValueError):
         tw_disjointness_check(cert)  # explicit multipliers
     with pytest.raises(ValueError):

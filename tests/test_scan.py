@@ -274,18 +274,43 @@ def test_parallel_equals_serial():
     assert strip(serial) == strip(parallel)
 
 
-@pytest.mark.parametrize("params", [(0, 3, None), (5, 4, None), (1, 3, 0)],
-                         ids=["k_min_zero", "k_min_above_k_max", "n_max_zero"])
-def test_scan_report_checks_its_range(params):
+@pytest.mark.parametrize("params, error", [
+    ((0, 3, None), ValueError), ((5, 4, None), ValueError), ((1, 3, 0), ValueError),
+    # a report writes its bounds as JSON ints, so a bool (written true) or a
+    # float bound is refused before anything is written
+    ((True, 3, None), TypeError), ((1, 3.0, None), TypeError), ((1, 3, True), TypeError),
+], ids=["k_min_zero", "k_min_above_k_max", "n_max_zero", "k_min_bool", "k_max_float",
+        "n_max_bool"])
+def test_scan_report_checks_its_range(params, error):
     # a report is a validated description of its scan: the one range check
     # of scan(), the report and journal readers and the CLI
-    with pytest.raises(ValueError) as raised:
+    with pytest.raises(error) as raised:
         check_scan_range(*params)
-    with pytest.raises(ValueError) as built:
+    with pytest.raises(error) as built:
         ScanReport(*params, SearchConfig(), ())
-    with pytest.raises(ValueError) as scanned:
+    with pytest.raises(error) as scanned:
         scan(*params)
     assert str(built.value) == str(scanned.value) == str(raised.value)
+
+
+def test_scan_report_refuses_records_out_of_order():
+    # the k 5..6 records: n = 1, 3 and 7 for k = 5, then n = 4 for k = 6
+    records = scan(5, 6).records
+
+    def report(held):
+        return ScanReport(5, 6, None, SearchConfig(), tuple(held))
+
+    with pytest.raises(ValueError, match="^record k=5 n=7 comes after k=6 n=4$"):
+        report(records[::-1])
+    with pytest.raises(ValueError, match="^record k=5 n=3 comes after k=5 n=7$"):
+        report((records[0], records[2], records[1], records[3]))
+    with pytest.raises(ValueError, match="^scan report holds a record twice: k=5 n=3$"):
+        report(records[:2] + records[1:])
+    with pytest.raises(ValueError, match="^scan report holds a record twice: k=6 n=4$"):
+        report(records + records[-1:])
+    assert report(()).records == ()
+    assert report(records[1:2]).records == records[1:2]
+    assert report(records).records == records
 
 
 def test_resume_skips_completed_records():
@@ -322,8 +347,9 @@ def test_resume_rejects_records_outside_the_task_set():
     )
     with pytest.raises(ValueError, match="not a scan candidate"):
         scan(5, 6, resume=resume_with((misfactored,) + full.records[1:]))
-    with pytest.raises(ValueError, match="twice"):
-        scan(5, 6, resume=resume_with(full.records + full.records[:1]))
+    # a resume cannot repeat a record: its ScanReport refuses one, naming it
+    with pytest.raises(ValueError, match="^scan report holds a record twice: k=5 n=3$"):
+        resume_with(full.records[:2] + full.records[1:])
 
 
 def test_make_record_rules():

@@ -1,6 +1,7 @@
 import time
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd
 
@@ -151,7 +152,7 @@ def test_explicit_multipliers_agree_with_enumeration():
         for size in [d for d in range(1, n) if (n - 1) % d == 0]:
             with_splitting = {c.multipliers.values for c in enumerate_all_splittings(n, size)}
             for values in combinations(range(1, n), size):
-                mult = MultiplierSet.explicit(values)
+                mult = MultiplierSet(values)
                 out = search_splitter(Z(n), mult)
                 assert (out.result == FOUND) == (values in with_splitting), (n, values)
                 if out.result == FOUND:
@@ -468,6 +469,16 @@ def test_enumerate_node_limit_stops_at_the_first_subset(monkeypatch):
 ])
 def test_search_config_rejects_bad_budgets(node_limit, time_limit_s):
     with pytest.raises(ValueError):
+        SearchConfig(node_limit, time_limit_s)
+
+
+@pytest.mark.parametrize("node_limit, time_limit_s", [
+    (True, 60.0), (5.0, 60.0), ("5", None), (5, True), (5, False), (5, Fraction(1, 2)),
+])
+def test_search_config_refuses_what_a_report_cannot_read_back(node_limit, time_limit_s):
+    # a report writes a bool as true, which reads back as no int, and a
+    # float node_limit as 5.0; it has no JSON form for a Fraction at all
+    with pytest.raises(TypeError, match="^node_limit must be an int and time_limit_s an int, "):
         SearchConfig(node_limit, time_limit_s)
 
 

@@ -36,13 +36,13 @@ Z = FiniteAbelianGroup.cyclic
 def test_multiplier_set_constructors():
     m = MultiplierSet.interval(3)
     assert m.values == (1, 2, 3) and m.kind == "interval"
-    e = MultiplierSet.explicit([7, -2, 1])
+    e = MultiplierSet((-2, 1, 7))
     assert e.values == (-2, 1, 7) and e.kind == "explicit"
     assert e.residues(5) == (3, 1, 2)
     assert MultiplierSet((-2.0, 7)).values == (-2, 7)  # values are converted to int
     assert type(MultiplierSet((True, 2)).values[0]) is int
     with pytest.raises(ValueError, match="^0 is not a valid multiplier$"):
-        MultiplierSet.explicit([0, 1])
+        MultiplierSet((0, 1))
     with pytest.raises(ValueError, match="^multiplier values must be strictly increasing$"):
         MultiplierSet((2, 1), kind="explicit")
     with pytest.raises(ValueError, match="^multiplier values must be strictly increasing$"):
@@ -169,7 +169,7 @@ def verification_inputs(draw):
         if elements and draw(st.integers(0, 9)) == 0:
             elements[-1] = elements[0]
     splitters = [tuple(c + draw(shift) * d for c, d in zip(e, G.factors)) for e in elements]
-    return G, MultiplierSet.explicit(values), splitters
+    return G, MultiplierSet(tuple(sorted(values))), splitters
 
 
 def _fields(report):
@@ -180,15 +180,15 @@ def _fields(report):
 
 
 @given(verification_inputs())
-@example((Z(5), MultiplierSet.explicit([6, -3]), [(-4,), (9,)]))  # valid
-@example((Z(10), MultiplierSet.explicit([1, 12, -7]), [(1,), (4,), (7,)]))  # collision
-@example((Z(10), MultiplierSet.explicit([1, 2, 3]), [(1,), (15,), (-3,)]))  # zero hit
-@example((Z(9), MultiplierSet.explicit([9, 1]), [(1,), (2,), (3,), (4,)]))  # m = |G|
+@example((Z(5), MultiplierSet((-3, 6)), [(-4,), (9,)]))  # valid
+@example((Z(10), MultiplierSet((-7, 1, 12)), [(1,), (4,), (7,)]))  # collision
+@example((Z(10), MultiplierSet((1, 2, 3)), [(1,), (15,), (-3,)]))  # zero hit
+@example((Z(9), MultiplierSet((1, 9)), [(1,), (2,), (3,), (4,)]))  # m = |G|
 @example((Z(10), MultiplierSet.interval(3), [(1,), (4,)]))  # count mismatch
 @example((Z(9), MultiplierSet.interval(4), [(1,), (10,)]))  # duplicate after reduction
-@example((FiniteAbelianGroup((2, 3)), MultiplierSet.explicit([7, 2, 3, -2, 5]),
+@example((FiniteAbelianGroup((2, 3)), MultiplierSet((-2, 2, 3, 5, 7)),
           [(-1, 4)]))  # valid
-@example((FiniteAbelianGroup((2, 4)), MultiplierSet.explicit([1, -1, 3, 9, 11, 13, 2]),
+@example((FiniteAbelianGroup((2, 4)), MultiplierSet((-1, 1, 2, 3, 9, 11, 13)),
           [(1, 1)]))  # collision
 def test_verify_matches_element_oracle(inputs):
     G, M, splitters = inputs
@@ -204,9 +204,9 @@ def test_verify_matches_element_oracle(inputs):
 
 
 @given(verification_inputs())
-@example((Z(5), MultiplierSet.explicit([6, -3]), [(-4,), (9,)]))  # valid
-@example((Z(10), MultiplierSet.explicit([1, 12, -7]), [(1,), (4,), (7,)]))  # collision
-@example((Z(10), MultiplierSet.explicit([1, 2, 3]), [(1,), (15,), (-3,)]))  # zero hit
+@example((Z(5), MultiplierSet((-3, 6)), [(-4,), (9,)]))  # valid
+@example((Z(10), MultiplierSet((-7, 1, 12)), [(1,), (4,), (7,)]))  # collision
+@example((Z(10), MultiplierSet((1, 2, 3)), [(1,), (15,), (-3,)]))  # zero hit
 @example((Z(10), MultiplierSet.interval(3), [(1,), (4,)]))  # count mismatch
 def test_certificate_is_made_exactly_from_splittings(inputs):
     G, M, splitters = inputs
@@ -239,7 +239,7 @@ def test_classify_examples():
     assert classify_multipliers(Z(17), MultiplierSet.interval(8)).tag == NONSINGULAR
     c = classify_multipliers(Z(9), MultiplierSet.interval(8))
     assert c.tag == PURELY_SINGULAR and c.witnesses == ((3, 3),)
-    c = classify_multipliers(Z(15), MultiplierSet.explicit([1, 3]))
+    c = classify_multipliers(Z(15), MultiplierSet((1, 3)))
     assert c.tag == MIXED_SINGULAR and c.witnesses == ((3, 3), (5, None))
 
 
@@ -247,9 +247,9 @@ def test_classify_examples():
        st.integers(1, 5))
 def test_classify_depends_only_on_residues(n, values, shift):
     g = Z(n)
-    base = classify_multipliers(g, MultiplierSet.explicit(values))
+    base = classify_multipliers(g, MultiplierSet(tuple(sorted(values))))
     translated = classify_multipliers(
-        g, MultiplierSet.explicit({v + shift * n for v in values})
+        g, MultiplierSet(tuple(sorted({v + shift * n for v in values})))
     )
     assert base.tag == translated.tag
     assert [(p, w is not None) for p, w in base.witnesses] == [
@@ -284,7 +284,7 @@ def test_make_certificate_rejects_non_splitting():
 
 def test_s87_examples():
     assert s87_property_check(trivial_certificate(8)) is True
-    cert = make_certificate(Z(9), MultiplierSet.explicit([1, 2]), [(1,), (3,), (4,), (7,)])
+    cert = make_certificate(Z(9), MultiplierSet((1, 2)), [(1,), (3,), (4,), (7,)])
     assert s87_property_check(cert) is True  # multipliers coprime to 3
     with pytest.raises(ValueError):
         s87_property_check(
@@ -297,7 +297,7 @@ def test_s87_examples():
 def test_s87_rejects_non_cyclic_prime_power_order():
     # Z_3 x Z_3 has odd prime-power order 9, and this is one of its splittings
     G = FiniteAbelianGroup((3, 3))
-    cert = make_certificate(G, MultiplierSet.explicit([1, 2]), [(1, 0), (0, 1), (1, 1), (1, 2)])
+    cert = make_certificate(G, MultiplierSet((1, 2)), [(1, 0), (0, 1), (1, 1), (1, 2)])
     with pytest.raises(ValueError, match=re.escape(str(G))):
         s87_property_check(cert)
 
@@ -315,12 +315,12 @@ def test_s87_product_agrees_with_every_residue():
                     # and its multiplier product is negative
                     values = [v - n if v % p == 0 else v for v in cert.multipliers.values]
                     cert = SplittingCertificate(
-                        cert.group, MultiplierSet.explicit(values), cert.splitters
+                        cert.group, MultiplierSet(tuple(sorted(values))), cert.splitters
                     )
                     assert s87_property_check(cert) is s87_by_residues(cert) is True
                     negated += 1
     assert (checked, negated) == (156 + 156_840 + 152_964, 78)
-    cert = make_certificate(Z(27), MultiplierSet.explicit([-1, 1]), [(s,) for s in range(1, 14)])
+    cert = make_certificate(Z(27), MultiplierSet((-1, 1)), [(s,) for s in range(1, 14)])
     assert s87_property_check(cert) is s87_by_residues(cert) is True
 
 
