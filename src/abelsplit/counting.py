@@ -18,7 +18,7 @@ from math import gcd, prod
 from operator import mul, sub
 
 from .groups import factorize, is_prime, p_adic_valuation
-from .record import Record, setters
+from .record import Record
 from .splitting import INTERVAL, PURELY_SINGULAR, SplittingCertificate
 
 
@@ -33,15 +33,6 @@ class KDecomposition(Record):
 
     __slots__ = ("k", "p", "m", "beta", "d", "m_prime")
 
-    def __init__(self, k: int, p: int, m: int, beta: int, d: int, m_prime: int) -> None:
-        # the digit sweep builds one per (k, p), so through the slot descriptors
-        _set_k(self, k)
-        _set_p(self, p)
-        _set_m(self, m)
-        _set_beta(self, beta)
-        _set_d(self, d)
-        _set_m_prime(self, m_prime)
-
     @property
     def residual(self) -> int:
         return self.k - self.k // self.p
@@ -49,9 +40,6 @@ class KDecomposition(Record):
     @property
     def m_prime_divides_m(self) -> bool:
         return self.m % self.m_prime == 0
-
-
-_set_k, _set_p, _set_m, _set_beta, _set_d, _set_m_prime = setters(KDecomposition)
 
 
 def decompose_k(k: int, p: int, m: int) -> KDecomposition:
@@ -93,10 +81,6 @@ class StratificationProfile(Record):
     """Element and splitter counts by exact p-valuation of element order."""
 
     __slots__ = ("p", "alpha", "g_counts", "s_counts")
-
-    def __init__(self, p: int, alpha: int, g_counts: tuple[int, ...],
-                 s_counts: tuple[int, ...]) -> None:
-        self._fill(p, alpha, g_counts, s_counts)
 
 
 def stratum_sizes(order: int, p: int) -> tuple[int, ...]:
@@ -216,10 +200,6 @@ class AbcdeProfile(Record):
     __slots__ = ("k", "p", "card_a", "card_b", "card_c", "card_d", "card_e", "closed_form_d",
                  "hypothesis_met")
 
-    def __init__(self, k: int, p: int, card_a: int, card_b: int, card_c: int, card_d: int,
-                 card_e: int, closed_form_d: int, hypothesis_met: bool) -> None:
-        self._fill(k, p, card_a, card_b, card_c, card_d, card_e, closed_form_d, hypothesis_met)
-
     @property
     def identity_ab_c(self) -> bool:
         return self.card_a == self.card_b + self.card_c
@@ -314,13 +294,6 @@ class TwReport(Record):
     __slots__ = ("p", "k", "decomposition", "hypothesis_ok", "unit_splitters", "w_sizes",
                  "w_size_formula", "tw_sizes", "pairwise_disjoint", "within_units", "card_d",
                  "card_e", "unit_count")
-
-    def __init__(self, p: int, k: int, decomposition: KDecomposition, hypothesis_ok: bool,
-                 unit_splitters: tuple[int, ...], w_sizes: tuple[int, ...], w_size_formula: int,
-                 tw_sizes: tuple[int, ...], pairwise_disjoint: bool, within_units: bool,
-                 card_d: int, card_e: int, unit_count: int) -> None:
-        self._fill(p, k, decomposition, hypothesis_ok, unit_splitters, w_sizes, w_size_formula,
-                   tw_sizes, pairwise_disjoint, within_units, card_d, card_e, unit_count)
 
     @property
     def r(self) -> int:

@@ -101,7 +101,7 @@ class FiniteAbelianGroup(Record):
         checked = tuple(map(int, factors))
         if not checked or any(d < 1 for d in checked):
             raise ValueError(f"group factors must be positive integers, got {factors!r}")
-        self._fill(checked)
+        self._fill(checked, {})
 
     @classmethod
     def cyclic(cls, n: int) -> "FiniteAbelianGroup":

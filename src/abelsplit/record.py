@@ -1,11 +1,15 @@
 """Frozen records: the one base of abelsplit's value classes.
 
-A record keeps its fields in __slots__, in order, and its __init__ sets
-them through the slot descriptors (setters gives them) or Record._fill,
-since assignment raises dataclasses.FrozenInstanceError. It compares and
-hashes as the tuple of its fields (_key, an attrgetter built per class),
-shows them in its repr as Name(field=value, ...), pickles as the tuple
-of its slots (_state) without running __init__, and replace copies it
+A record keeps its fields in __slots__, in order, since assignment raises
+dataclasses.FrozenInstanceError. Each class gets one _fill(self, *slots),
+compiled once from its slot names, which sets every slot through that
+slot's descriptor in one statement, no loop; a wrong number of values
+raises TypeError naming the field. A class that checks nothing defines
+no __init__ and _fill is its __init__; one that checks or has defaults
+calls self._fill. A record compares and hashes as the tuple of its
+fields (_key, an attrgetter built per class), shows them in its repr as
+Name(field=value, ...), pickles as the tuple of its slots (_state) and
+unpickles through _fill without running __init__, and replace copies it
 with some fields changed. A slot whose name starts with "_" takes no
 part in ==, hash or repr: a private field, or a __dict__ slot that only
 caches. dataclasses is imported on the error path alone, so importing
@@ -17,13 +21,24 @@ from __future__ import annotations
 from operator import attrgetter
 from typing import Callable
 
-_set = object.__setattr__
-
 
 def _tuple_getter(names) -> staticmethod:
     """attrgetter(*names), whose bare value for one name goes in a 1-tuple."""
     get = attrgetter(*names)
     return staticmethod(get if len(names) > 1 else lambda record: (get(record),))
+
+
+def _compile_fill(cls: type) -> Callable[..., None]:
+    """cls's _fill: a function of self and one parameter per slot, named after
+    it, that calls each slot descriptor's __set__, named for cls."""
+    names = cls.__slots__
+    namespace = {f"_set{i}": vars(cls)[name].__set__ for i, name in enumerate(names)}
+    body = "".join(f"\n    _set{i}(self, {name})" for i, name in enumerate(names))
+    source = f"def {cls.__name__}(self, {', '.join(names)}):{body}"
+    exec(compile(source, f"<record {cls.__qualname__}>", "exec"), namespace)
+    fill = namespace[cls.__name__]
+    fill.__qualname__ = cls.__qualname__
+    return fill
 
 
 class Record:
@@ -32,11 +47,9 @@ class Record:
     def __init_subclass__(cls) -> None:
         cls._key = _tuple_getter([name for name in cls.__slots__ if name[0] != "_"])
         cls._state = _tuple_getter(cls.__slots__)
-
-    def _fill(self, *values) -> None:
-        """Set the fields, in slot order, to values."""
-        for name, value in zip(self.__slots__, values):
-            _set(self, name, value)
+        cls._fill = _compile_fill(cls)
+        if "__init__" not in vars(cls):
+            cls.__init__ = cls._fill
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -63,11 +76,6 @@ class Record:
 
     def __setstate__(self, state: tuple) -> None:
         self._fill(*state)
-
-
-def setters(cls: type[Record]) -> list[Callable]:
-    """The __set__ of each slot descriptor of cls, in slot order."""
-    return [getattr(cls, name).__set__ for name in cls.__slots__]
 
 
 def replace(record: Record, **changes) -> Record:

@@ -35,7 +35,7 @@ from typing import Callable
 
 from .counting import counting_witness
 from .groups import FiniteAbelianGroup, PrimePower, factorize
-from .record import Record, replace, setters
+from .record import Record, replace
 from .search import (
     EXHAUSTED,
     FOUND,
@@ -57,23 +57,9 @@ SEARCH = "search"
 
 
 class CandidateOrder(Record):
-    """An order N = n*k + 1 whose prime divisors all lie at or below k.
-
-    A scan holds one per candidate, so it is built through the slot
-    descriptors, which is quicker than Record._fill.
-    """
+    """An order N = n*k + 1 whose prime divisors all lie at or below k."""
 
     __slots__ = ("k", "n", "order", "smoothness_witness")
-
-    def __init__(self, k: int, n: int, order: int,
-                 smoothness_witness: tuple[PrimePower, ...]) -> None:
-        _set_k(self, k)
-        _set_n(self, n)
-        _set_order(self, order)
-        _set_smoothness(self, smoothness_witness)
-
-
-_set_k, _set_n, _set_order, _set_smoothness = setters(CandidateOrder)
 
 
 def candidate_order(k: int, n: int) -> CandidateOrder | None:
@@ -176,19 +162,12 @@ class ScanRecord(Record):
     def __init__(self, candidate: CandidateOrder, outcome: SearchOutcome, verdict: str,
                  certificate: SplittingCertificate | None = None,
                  witness: tuple[int, int] | None = None) -> None:
-        _set_candidate(self, candidate)
-        _set_outcome(self, outcome)
-        _set_verdict(self, verdict)
-        _set_certificate(self, certificate)
-        _set_witness(self, witness)
+        self._fill(candidate, outcome, verdict, certificate, witness)
 
     @property
     def route(self) -> str:
         """The proof route of the verdict: counting or search."""
         return SEARCH if self.witness is None else COUNTING
-
-
-_set_candidate, _set_outcome, _set_verdict, _set_certificate, _set_witness = setters(ScanRecord)
 
 
 def scan_order(record: ScanRecord) -> tuple[int, int]:

@@ -34,7 +34,7 @@ from math import comb, gcd, inf
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .groups import FiniteAbelianGroup
-from .record import Record, setters
+from .record import Record
 # make_certificate is unused here, but perfbench traces it under this module
 from .splitting import (  # noqa: F401
     CertificateView, MultiplierSet, SplittingCertificate, make_certificate)
@@ -90,14 +90,6 @@ class SearchOutcome(Record):
     """result is found | exhausted_no_solution | resource_limit."""
 
     __slots__ = ("result", "splitters", "stats")
-
-    def __init__(self, result: str, splitters: tuple[int, ...] | None, stats: SearchStats) -> None:
-        _set_result(self, result)
-        _set_splitters(self, splitters)
-        _set_stats(self, stats)
-
-
-_set_result, _set_splitters, _set_stats = setters(SearchOutcome)
 
 
 def _row_source(

@@ -21,7 +21,7 @@ from operator import itemgetter, lt
 from typing import Iterable, Iterator
 
 from .groups import Element, FiniteAbelianGroup
-from .record import Record, setters
+from .record import Record
 
 INTERVAL = "interval"
 EXPLICIT = "explicit"
@@ -60,8 +60,7 @@ class MultiplierSet(Record):
                 raise ValueError("interval multiplier set must be exactly {1..k}")
         elif kind != EXPLICIT:
             raise ValueError(f"unknown multiplier kind {kind!r}")
-        _set_values(self, values)
-        _set_kind(self, kind)
+        self._fill(values, kind)
 
     @classmethod
     def interval(cls, k: int) -> "MultiplierSet":
@@ -85,9 +84,6 @@ class MultiplierSet(Record):
         return iter(self.values)
 
 
-_set_values, _set_kind = setters(MultiplierSet)
-
-
 class SingularityClass(Record):
     """Which prime divisors of |G| divide some multiplier.
 
@@ -96,9 +92,6 @@ class SingularityClass(Record):
     """
 
     __slots__ = ("tag", "witnesses")
-
-    def __init__(self, tag: str, witnesses: tuple[tuple[int, int | None], ...]) -> None:
-        self._fill(tag, witnesses)
 
 
 def classify_multipliers(G: FiniteAbelianGroup, M: MultiplierSet) -> SingularityClass:
@@ -231,9 +224,7 @@ class SplittingCertificate(Record):
         report = _check_products(group, multipliers, splitters)
         if not report.is_valid:
             raise NotASplitting(group, report)
-        _set_group(self, group)
-        _set_multipliers(self, multipliers)
-        _set_splitters(self, splitters)
+        self._fill(group, multipliers, splitters)
 
     @property
     def classification(self) -> SingularityClass:
@@ -333,24 +324,20 @@ class SplittingCertificate(Record):
 
 
 def _certificate(group: FiniteAbelianGroup, M: MultiplierSet, S: tuple[Element, ...]):
-    """A SplittingCertificate of a pair already certified, made through the
-    slot descriptors, without __init__, which would check the products
-    again."""
+    """A SplittingCertificate of a pair already certified, made by _fill,
+    without __init__, which would check the products again."""
     cert = _new(SplittingCertificate)
-    _set_group(cert, group)
-    _set_multipliers(cert, M)
-    _set_splitters(cert, S)
+    cert._fill(group, M, S)
     return cert
 
 
 _new = SplittingCertificate.__new__
-_set_group, _set_multipliers, _set_splitters = setters(SplittingCertificate)
 
 
 class CertificateView:
     """SplittingCertificate.batch's result: an iterable with len of a
-    certificate per certified (M, S) pair, each built through the slot
-    descriptors as it is iterated.
+    certificate per certified (M, S) pair, each built by _fill as it is
+    iterated.
 
     rows holds one (M, list of splitters tuples) row per multiplier set, and
     the view lists the pairs row by row; the rows and their lists are read

@@ -218,9 +218,6 @@ def lattice_from_splitting(cert: SplittingCertificate) -> tuple[LatticeHom, Inte
 class TilingCertificate(Record):
     __slots__ = ("verdict",)
 
-    def __init__(self, verdict: bool) -> None:
-        self._fill(verdict)
-
 
 def verify_lattice_tiling(shape: ErrorBallShape, hom: LatticeHom) -> TilingCertificate:
     """Tiling criterion for a kernel lattice given by its weight map.

@@ -94,6 +94,16 @@ def test_record_contract(record, fields):
         assert copy == record and not copy != record and hash(copy) == hash(record)
         assert all(getattr(copy, name) == getattr(record, name) for name in fields)
     assert record != tuple(getattr(record, name) for name in fields)
+    # the state is the slots, one value each: one too few or too many is refused
+    state = record.__getstate__()
+    for bad in (state[:-1], state + (None,)):
+        with pytest.raises(TypeError, match=cls.__name__):
+            cls.__new__(cls).__setstate__(bad)
+
+
+def test_a_record_built_with_a_field_missing_names_it():
+    with pytest.raises(TypeError, match="CandidateOrder.*'smoothness_witness'"):
+        CandidateOrder(5, 3, 16)
 
 
 def test_records_of_two_classes_with_equal_fields_are_unequal():
