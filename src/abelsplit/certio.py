@@ -41,7 +41,7 @@ from pathlib import Path
 
 from .groups import FiniteAbelianGroup
 from .record import replace
-from .scan import VIOLATION, ScanRecord, ScanReport, decide, overall_verdict, scan_order
+from .scan import COUNTING, VIOLATION, ScanRecord, ScanReport, decide, overall_verdict, scan_order
 from .search import EXHAUSTED, FOUND, SearchConfig, SearchOutcome, SearchStats
 from .splitting import (
     INTERVAL,
@@ -314,15 +314,16 @@ def search_result_doc(order: int, multipliers: MultiplierSet, outcome: SearchOut
 # -- scan reports ------------------------------------------------------------
 
 def _record_doc(record: ScanRecord) -> dict:
-    """k, n, verdict and route, then the route's keys: the sieve's counting
-    witness, or the search's result, nodes, max_depth and splitters; a
-    violation also embeds its certificate."""
+    """k, n, verdict and route, then the keys of the route's decision: the
+    sieve's Counting as counting {p, stratum}, or the search's result,
+    nodes, max_depth and splitters; a violation also embeds its
+    certificate."""
+    outcome = record.outcome
     doc = {"k": record.candidate.k, "n": record.candidate.n, "verdict": record.verdict,
            "route": record.route}
-    if record.witness is not None:
-        doc["counting"] = {"p": record.witness[0], "stratum": record.witness[1]}
+    if record.route == COUNTING:
+        doc["counting"] = {"p": outcome.p, "stratum": outcome.stratum}
         return doc
-    outcome = record.outcome
     doc["result"] = outcome.result
     doc["nodes"] = outcome.stats.nodes
     doc["max_depth"] = outcome.stats.max_depth
@@ -334,11 +335,13 @@ def _record_doc(record: ScanRecord) -> dict:
 
 def _record_from_doc(doc, config: ScanReport) -> ScanRecord:
     """Rebuild a record the way the scan makes it: its candidate from k and
-    n (config.candidate), then decide runs the counting sieve again, and a
-    candidate it does not refute gets the search outcome read from doc,
-    whose found splitters make_record re-verifies; a document keeps no
-    time, so that outcome's elapsed_s is None. The caller checks the record
-    against doc, as part of the report or journal that holds it."""
+    n (config.candidate), then decide runs the counting sieve again, whose
+    Counting decides a candidate it refutes, and any other candidate gets
+    the search outcome read from doc, whose found splitters make_record
+    re-verifies; a document keeps no time, so that outcome's elapsed_s is
+    None. The caller checks the record against doc, as part of the report
+    or journal that holds it, so a record whose route, counting keys or
+    verdict differ from the rebuilt decision's is refused."""
     def read_outcome() -> SearchOutcome:
         splitters = tuple(doc["splitters"]) if doc["result"] == FOUND else None
         return SearchOutcome(
@@ -417,8 +420,8 @@ def scan_report_from_doc(doc: dict) -> ScanReport:
     range, abelsplit writes exactly doc for the records rebuilt from it,
     and they are every candidate of the range.
 
-    Each record's candidate, route, sieve witness and verdict are derived
-    again, and found splitters are re-verified; a sieve record carries no
+    Each record's candidate, route, Counting and verdict are derived again,
+    and found splitters are re-verified; a counting record carries no
     search keys. A searched record's nodes, max_depth and exhausted or
     resource_limit result are taken as written: only running its search
     again could check them, which would undo the point of resuming.
@@ -510,16 +513,20 @@ def scan_report_table_lines(report: ScanReport) -> Iterator[str]:
     """Flat tabular export, one CSV line at a time. millis is wall-clock per
     record and diagnostic; it is the one column not covered by the
     byte-identity guarantee, and it is empty for a searched record read back
-    from a document, which keeps no time."""
+    from a document, which keeps no time. The sieve searches nothing, so a
+    counting record shows 0 nodes and 0 millis."""
     yield "k,n,N,factorization,verdict,route,nodes,millis\n"
     for r in report.records:
         fac = "*".join(
             f"{p}^{e}" if e > 1 else f"{p}" for p, e in r.candidate.smoothness_witness
         ) or "1"
-        elapsed_s = r.outcome.stats.elapsed_s
-        millis = "" if elapsed_s is None else round(elapsed_s * 1000)
+        if r.route == COUNTING:
+            nodes, millis = 0, 0
+        else:
+            nodes, elapsed_s = r.outcome.stats.nodes, r.outcome.stats.elapsed_s
+            millis = "" if elapsed_s is None else round(elapsed_s * 1000)
         yield (f"{r.candidate.k},{r.candidate.n},{r.candidate.order},"
-               f"{fac},{r.verdict},{r.route},{r.outcome.stats.nodes},{millis}\n")
+               f"{fac},{r.verdict},{r.route},{nodes},{millis}\n")
 
 
 def scan_report_table(report: ScanReport) -> str:

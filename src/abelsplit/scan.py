@@ -4,12 +4,15 @@ For M = {1..k} a purely singular splitting can only live in a group whose
 order is k-smooth: every prime divisor p of |G| must divide some m <= k,
 which for an interval just means p <= k. Candidate orders are therefore
 N = n*k + 1 with all prime factors <= k. The scan decides every candidate
-by one of two proof routes, recorded on its record. The counting sieve
-(counting.counting_witness) refutes a candidate whose stratum identities
-have no nonnegative integer solution, with no search; every other
-candidate goes to the exact-cover search. The scan expects splittings
+by one of two proof routes, and its record holds that route's decision.
+The counting sieve (counting.counting_witness) refutes a candidate whose
+stratum identities have no nonnegative integer solution, with no search,
+and its decision is a Counting(p, stratum); every other candidate goes to
+the exact-cover search, whose decision is its SearchOutcome. Both answer
+result, a Counting always EXHAUSTED, so the one verdict rule and every
+reader of results read either route alike. The scan expects splittings
 exactly at the trivial orders k+1 and 2k+1; a splitting found anywhere else
-is recorded as a violation together with a re-verified certificate.
+is a violation, kept with a re-verified certificate.
 
 A scan enumerates its candidates from one table of largest prime factors,
 built once up to its largest order k_max*n_max + 1 (n_max = 2*k_max by
@@ -42,7 +45,6 @@ from .search import (
     RESOURCE_LIMIT,
     SearchConfig,
     SearchOutcome,
-    SearchStats,
     search_splitter,
 )
 from .splitting import MultiplierSet, SplittingCertificate, make_certificate
@@ -60,6 +62,11 @@ class CandidateOrder(Record):
     """An order N = n*k + 1 whose prime divisors all lie at or below k."""
 
     __slots__ = ("k", "n", "order", "smoothness_witness")
+
+    @property
+    def trivial(self) -> bool:
+        """Whether N is k + 1 or 2k + 1, where a splitting always exists."""
+        return self.order in (self.k + 1, 2 * self.k + 1)
 
 
 def candidate_order(k: int, n: int) -> CandidateOrder | None:
@@ -153,21 +160,46 @@ def purely_singular_candidates(k: int, n_max: int) -> list[CandidateOrder]:
     return scan_candidates(k, k, n_max)
 
 
+class Counting(Record):
+    """The counting sieve's decision: the identity of stratum `stratum` at
+    the prime p has no nonnegative integer solution, which proves that no
+    splitter set exists. Its result is therefore EXHAUSTED, as a search's
+    that walked its whole tree."""
+
+    __slots__ = ("p", "stratum")
+
+    result = EXHAUSTED
+
+
 class ScanRecord(Record):
-    """One candidate's verdict. witness is the (p, stratum) of the counting
-    identity that refuted the candidate, or None when the search decided it."""
+    """One candidate, the decision of the route that decided it, and the
+    certificate of a found splitter set (None otherwise). The decision is
+    the sieve's Counting or the search's SearchOutcome. Both answer result,
+    so the verdict below, ScanReport.totals, the inequality checks and the
+    benchmark's gate read either route alike. route and verdict are read
+    off the decision, so no record can hold a verdict its decision
+    contradicts; a scan builds its records through make_record."""
 
-    __slots__ = ("candidate", "outcome", "verdict", "certificate", "witness")
+    __slots__ = ("candidate", "outcome", "certificate")
 
-    def __init__(self, candidate: CandidateOrder, outcome: SearchOutcome, verdict: str,
-                 certificate: SplittingCertificate | None = None,
-                 witness: tuple[int, int] | None = None) -> None:
-        self._fill(candidate, outcome, verdict, certificate, witness)
+    def __init__(self, candidate: CandidateOrder, outcome: Counting | SearchOutcome,
+                 certificate: SplittingCertificate | None = None) -> None:
+        self._fill(candidate, outcome, certificate)
 
     @property
     def route(self) -> str:
-        """The proof route of the verdict: counting or search."""
-        return SEARCH if self.witness is None else COUNTING
+        """The proof route of the decision: counting or search."""
+        return COUNTING if type(self.outcome) is Counting else SEARCH
+
+    @property
+    def verdict(self) -> str:
+        """The one verdict rule: a found splitting is expected at a trivial
+        order and a violation elsewhere; a proof that none exists is
+        consistent, and a search cut short by its budget inconclusive."""
+        result = self.outcome.result
+        if result == FOUND:
+            return TRIVIAL_EXPECTED if self.candidate.trivial else VIOLATION
+        return CONSISTENT if result == EXHAUSTED else INCONCLUSIVE
 
 
 def scan_order(record: ScanRecord) -> tuple[int, int]:
@@ -175,48 +207,40 @@ def scan_order(record: ScanRecord) -> tuple[int, int]:
     return record.candidate.k, record.candidate.order
 
 
-def make_record(candidate: CandidateOrder, outcome: SearchOutcome,
-                witness: tuple[int, int] | None = None) -> ScanRecord:
-    """The one verdict rule, for fresh and resumed records alike; witness is
-    the counting sieve's, for a record the sieve decided.
+def make_record(candidate: CandidateOrder, outcome: Counting | SearchOutcome) -> ScanRecord:
+    """The record of candidate's decision, for fresh and resumed records
+    alike, on either route, through the result both answer.
 
     A found splitter set is re-verified into a certificate, and the record
-    keeps the certificate's canonical splitters. An exhausted search at a
-    trivial order raises RuntimeError: a splitting always exists there, so
-    either the search or the claim is unsound. An unknown result raises
-    ValueError.
+    keeps the certificate's canonical splitters. A proof of nonexistence at
+    a trivial order raises RuntimeError naming its route: a splitting always
+    exists there, so either that route or the claim is unsound. An unknown
+    result raises ValueError.
     """
     k, order = candidate.k, candidate.order
-    trivial = order in (k + 1, 2 * k + 1)
     if outcome.result == FOUND:
         certificate = make_certificate(
             FiniteAbelianGroup.cyclic(order), MultiplierSet.interval(k),
             [(s,) for s in outcome.splitters],
         )
         outcome = replace(outcome, splitters=tuple(s for (s,) in certificate.splitters))
-        verdict = TRIVIAL_EXPECTED if trivial else VIOLATION
-        return ScanRecord(candidate, outcome, verdict, certificate, witness)
-    if outcome.result == EXHAUSTED:
-        if trivial:
-            raise RuntimeError(f"no splitting found at trivial order {order} for k={k}")
-        return ScanRecord(candidate, outcome, CONSISTENT, witness=witness)
-    if outcome.result == RESOURCE_LIMIT:
-        return ScanRecord(candidate, outcome, INCONCLUSIVE, witness=witness)
-    raise ValueError(f"unknown search result {outcome.result!r}")
-
-
-_COUNTED = SearchOutcome(EXHAUSTED, None, SearchStats(0, 0, 0.0))
+        return ScanRecord(candidate, outcome, certificate)
+    if outcome.result not in (EXHAUSTED, RESOURCE_LIMIT):
+        raise ValueError(f"unknown search result {outcome.result!r}")
+    if outcome.result == EXHAUSTED and candidate.trivial:
+        if type(outcome) is Counting:
+            raise RuntimeError(f"the counting sieve refutes trivial order {order} for k={k} "
+                               f"by p={outcome.p}, stratum {outcome.stratum}")
+        raise RuntimeError(f"the search found no splitting at trivial order {order} for k={k}")
+    return ScanRecord(candidate, outcome)
 
 
 def decide(candidate: CandidateOrder, search: Callable[[], SearchOutcome]) -> ScanRecord:
     """A candidate's record from the first proof route that decides it: the
-    counting sieve's when counting_witness refutes the candidate, which reads
-    like an exhausted search of no nodes (so a trivial order raises
-    RuntimeError), else make_record(candidate, search())."""
+    Counting of the sieve when counting_witness refutes the candidate, else
+    the outcome of search(), through make_record."""
     witness = counting_witness(candidate.k, candidate.order, candidate.smoothness_witness)
-    if witness is not None:
-        return make_record(candidate, _COUNTED, witness)
-    return make_record(candidate, search())
+    return make_record(candidate, search() if witness is None else Counting(*witness))
 
 
 def _scan_one(task: tuple[CandidateOrder, SearchConfig]) -> ScanRecord:

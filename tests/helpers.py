@@ -56,7 +56,7 @@ from math import prod
 from abelsplit.certio import DocumentError, tiling_export_text
 from abelsplit.counting import KDecomposition, StratificationProfile, TwReport
 from abelsplit.groups import FiniteAbelianGroup, is_prime, p_adic_valuation
-from abelsplit.scan import CandidateOrder, candidate_order
+from abelsplit.scan import CandidateOrder, Counting, candidate_order
 from abelsplit.search import SearchConfig, _Budget, _exact_covers, _row_source
 from abelsplit.splitting import (
     INVALID,
@@ -648,22 +648,27 @@ def parse_tiling_export_by_lines(text: str):
 
 
 def record_document_by_hand(record) -> dict:
-    """A scan record's document, built from the record's fields as README's
-    File formats section describes it. A violation record embeds its
+    """A scan record's document, built from the record's candidate and
+    decision as README's File formats section describes it. The verdict
+    follows from the decision's result, a found splitting being expected
+    at n = 1 and 2 (N = k + 1 and 2k + 1). A violation record embeds its
     certificate, whose classification is worked out here by trial division:
     for each prime p of |G|, the first multiplier that p divides, if any."""
-    outcome = record.outcome
-    doc = {"k": record.candidate.k, "n": record.candidate.n, "verdict": record.verdict}
-    if record.witness is not None:
+    outcome, n = record.outcome, record.candidate.n
+    verdict = {"found": "trivial_expected" if n <= 2 else "CONJECTURE_VIOLATION",
+               "exhausted_no_solution": "conjecture_consistent",
+               "resource_limit": "inconclusive"}[outcome.result]
+    doc = {"k": record.candidate.k, "n": n, "verdict": verdict}
+    if isinstance(outcome, Counting):
         doc["route"] = "counting"
-        doc["counting"] = {"p": record.witness[0], "stratum": record.witness[1]}
+        doc["counting"] = {"p": outcome.p, "stratum": outcome.stratum}
     else:
         doc["route"] = "search"
         doc["result"] = outcome.result
         doc["nodes"] = outcome.stats.nodes
         doc["max_depth"] = outcome.stats.max_depth
         doc["splitters"] = None if outcome.splitters is None else list(outcome.splitters)
-    if record.verdict == "CONJECTURE_VIOLATION":
+    if verdict == "CONJECTURE_VIOLATION":
         cert = record.certificate
         order, values = cert.group.order, list(cert.multipliers.values)
         witnesses = [

@@ -314,9 +314,9 @@ def test_scan_report_round_trip_and_determinism():
     assert certio.dumps_document(certio.scan_report_to_doc(back)) == text
     assert [r.candidate for r in back.records] == [r.candidate for r in report.records]
     assert [r.verdict for r in back.records] == [r.verdict for r in report.records]
-    assert [r.outcome.stats.nodes for r in back.records] == [
-        r.outcome.stats.nodes for r in report.records
-    ]
+    decisions = lambda rep: [r.outcome if r.route == "counting" else r.outcome.stats.nodes
+                             for r in rep.records]
+    assert decisions(back) == decisions(report)
     found = [r.certificate for r in report.records if r.outcome.result == FOUND]
     assert found and all(found)
     assert [r.certificate for r in back.records] == [r.certificate for r in report.records]
@@ -548,6 +548,10 @@ def test_scan_report_table_shape():
     first = lines[1].split(",")
     assert first[:4] == ["8", "1", "9", "3^2"]
     assert first[4] == "trivial_expected"
+    # the sieve searches nothing; a search shows its nodes and its time
+    assert lines[2] == "8,3,25,5^2,conjecture_consistent,counting,0,0"
+    searched, millis = lines[3].rsplit(",", 1)
+    assert searched == "8,6,49,7^2,conjecture_consistent,search,5" and millis.isdigit()
     last = lines[-1].split(",")
     assert last[:4] == ["8", "13", "105", "3*5*7"]
 

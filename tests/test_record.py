@@ -9,7 +9,7 @@ import pytest
 from abelsplit.counting import abcde_profile, decompose_k, stratify, tw_disjointness_check
 from abelsplit.groups import FiniteAbelianGroup
 from abelsplit.record import Record, replace
-from abelsplit.scan import CandidateOrder, scan
+from abelsplit.scan import COUNTING, CandidateOrder, scan
 from abelsplit.search import SearchConfig, search_splitter
 from abelsplit.splitting import (
     ORDER_2K_PLUS_1,
@@ -26,7 +26,7 @@ def _samples():
     """One record of each class, built the way the library builds it, with
     the fields its repr lists, in order."""
     report = scan(1, 8)
-    counted = next(r for r in report.records if r.witness is not None)
+    counted = next(r for r in report.records if r.route == COUNTING)
     cert = trivial_certificate(4)
     hom, lattice = lattice_from_splitting(trivial_certificate(3, ORDER_2K_PLUS_1))
     failed = verify_splitting(FiniteAbelianGroup.cyclic(10), MultiplierSet.interval(3),
@@ -45,7 +45,8 @@ def _samples():
         (failed, ("verdict", "failure")),
         (cert, ("group", "multipliers", "splitters")),
         (CandidateOrder(5, 3, 16, ((2, 4),)), ("k", "n", "order", "smoothness_witness")),
-        (counted, ("candidate", "outcome", "verdict", "certificate", "witness")),
+        (counted.outcome, ("p", "stratum")),
+        (counted, ("candidate", "outcome", "certificate")),
         (report, ("k_min", "k_max", "n_max", "config", "records")),
         (decompose_k(8, 3, 1), ("k", "p", "m", "beta", "d", "m_prime")),
         (stratify(trivial_certificate(8), 3), ("p", "alpha", "g_counts", "s_counts")),
@@ -67,7 +68,7 @@ SAMPLES = _samples()
 
 def test_every_record_class_has_a_sample():
     classes = [type(record) for record, _ in SAMPLES]
-    assert len(set(classes)) == len(classes) == 20
+    assert len(set(classes)) == len(classes) == 21
     assert set(classes) == set(Record.__subclasses__())
 
 

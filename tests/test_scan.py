@@ -13,6 +13,7 @@ import sympy
 from helpers import candidates_by_trial_division
 
 from abelsplit import certio
+from abelsplit.counting import counting_witness
 from abelsplit.groups import FiniteAbelianGroup
 from abelsplit.record import replace
 from abelsplit.scan import (
@@ -22,11 +23,13 @@ from abelsplit.scan import (
     TRIVIAL_EXPECTED,
     VIOLATION,
     CandidateOrder,
+    Counting,
     ScanRecord,
     ScanReport,
     check_k_ge_n,
     check_k_le_n_minus_2,
     check_scan_range,
+    decide,
     make_record,
     overall_verdict,
     largest_prime_factors,
@@ -79,11 +82,63 @@ def test_scan_record_is_a_frozen_slotted_dataclass():
         with pytest.raises(dataclasses.FrozenInstanceError):
             record.verdict = VIOLATION
         assert pickle.loads(pickle.dumps(record)) == record  # pool workers return records
-    counted = next(r for r in records if r.route == COUNTING)
-    # decide marks a counting verdict through replace
-    searched = replace(counted, witness=None)
-    assert searched.route == SEARCH and searched.candidate is counted.candidate
-    assert replace(searched, witness=counted.witness) == counted
+
+
+def _as_written(record):
+    """record as a document keeps it: a search's stats without its time
+    and row count, and a Counting whole."""
+    if record.route == COUNTING:
+        return record
+    stats = SearchStats(record.outcome.stats.nodes, record.outcome.stats.max_depth, None)
+    return replace(record, outcome=replace(record.outcome, stats=stats))
+
+
+def test_a_record_of_every_route_round_trips(tmp_path):
+    # a counting record, an exhausted search's and a found one's, through
+    # the report document, the journal and pickle
+    report = scan(1, 8)
+    journal = tmp_path / "scan.jsonl"
+    journal.write_text("".join(certio.journal_chunks(report)))
+    read = (certio.scan_report_from_doc(certio.scan_report_to_doc(report)).records,
+            certio.read_journal(journal).records)
+    first = {}
+    for i, record in enumerate(report.records):
+        first.setdefault((record.route, record.outcome.result), i)
+    assert set(first) == {(COUNTING, EXHAUSTED), (SEARCH, EXHAUSTED), (SEARCH, FOUND)}
+    for i in first.values():
+        record = report.records[i]
+        pairs = [(pickle.loads(pickle.dumps(record)), record)]
+        pairs += [(records[i], _as_written(record)) for records in read]
+        for back, expected in pairs:
+            assert back == expected and hash(back) == hash(expected)
+            assert repr(back) == repr(expected)
+    counted = report.records[first[COUNTING, EXHAUSTED]]
+    c = counted.candidate
+    assert counted.outcome == Counting(*counting_witness(c.k, c.order, c.smoothness_witness))
+    assert decide(c, lambda: pytest.fail("the sieve decides this candidate")) == counted
+
+
+def test_a_refuted_trivial_order_names_its_route(monkeypatch):
+    # the sieve never refutes a trivial order; one that did would be unsound
+    z7 = CandidateOrder(3, 2, 7, ((7, 1),))
+    doc = certio.scan_report_to_doc(scan(3, 3, n_max=1))
+    with pytest.raises(RuntimeError, match=(
+            "^the search found no splitting at trivial order 7 for k=3$")):
+        decide(z7, lambda: SearchOutcome(EXHAUSTED, None, SearchStats(1, 1, 0.0)))
+    monkeypatch.setattr(scanlib, "counting_witness", lambda k, order, fac: (fac[0][0], 1))
+    with pytest.raises(RuntimeError, match=(
+            "^the counting sieve refutes trivial order 7 for k=3 by p=7, stratum 1$")):
+        decide(z7, lambda: pytest.fail("the sieve decides this candidate"))
+    # a report claiming such a refutation, of N = 4 for k = 3, is refused
+    (record,) = doc["records"]
+    for key in ("result", "nodes", "max_depth", "splitters"):
+        del record[key]
+    record.update(verdict=CONSISTENT, route=COUNTING, counting={"p": 2, "stratum": 1})
+    with pytest.raises(certio.DocumentError, match="counting sieve refutes trivial order 4"):
+        certio.scan_report_from_doc(doc)
+    monkeypatch.undo()
+    with pytest.raises(certio.DocumentError):
+        certio.scan_report_from_doc(doc)
 
 
 def test_candidates_small_k_empty():
@@ -222,18 +277,17 @@ def test_counting_records_are_exhausted_by_the_search(desk_scan):
     nodes = 0
     for record in counted:
         k, order = record.candidate.k, record.candidate.order
-        assert record.witness is not None and record.verdict == CONSISTENT
-        assert record.outcome.stats.nodes == record.outcome.stats.max_depth == 0
+        assert type(record.outcome) is Counting and record.verdict == CONSISTENT
         outcome = search_splitter(FiniteAbelianGroup.cyclic(order), MultiplierSet.interval(k))
         assert outcome.result == EXHAUSTED, (k, order)
         nodes += outcome.stats.nodes
     assert nodes == 26_098
 
 
-def _synthetic_found(k, n, verdict=VIOLATION):
+def _synthetic_found(k, n):
     order = n * k + 1
     outcome = SearchOutcome(FOUND, (1,), SearchStats(1, 1, 0.0))
-    return ScanRecord(CandidateOrder(k, n, order, ()), outcome, verdict)
+    return ScanRecord(CandidateOrder(k, n, order, ()), outcome)
 
 
 def _report_with(records):
@@ -269,9 +323,7 @@ def test_combined_checks_force_n_at_most_2():
 def test_parallel_equals_serial():
     serial = scan(1, 10)
     parallel = scan(1, 10, jobs=4)
-    strip = lambda rep: [(r.candidate, r.outcome.result, r.outcome.splitters,
-                          r.outcome.stats.nodes, r.verdict) for r in rep.records]
-    assert strip(serial) == strip(parallel)
+    assert list(map(_as_written, serial.records)) == list(map(_as_written, parallel.records))
 
 
 @pytest.mark.parametrize("params, error", [
@@ -319,9 +371,7 @@ def test_resume_skips_completed_records():
         full.k_min, full.k_max, full.n_max, full.config, full.records[: len(full.records) // 2],
     )
     resumed = scan(5, 9, resume=half)
-    strip = lambda rep: [(r.candidate, r.outcome.result, r.outcome.splitters, r.verdict)
-                         for r in rep.records]
-    assert strip(resumed) == strip(full)
+    assert list(map(_as_written, resumed.records)) == list(map(_as_written, full.records))
 
 
 def test_resume_rejects_mismatched_parameters():
