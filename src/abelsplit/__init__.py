@@ -8,7 +8,6 @@ from .splitting import (
     NotASplitting,
     SingularityClass,
     SplittingCertificate,
-    VerificationFailure,
     VerificationReport,
     classify_multipliers,
     make_certificate,

@@ -64,9 +64,9 @@ def _load_certificate(path) -> splitting.SplittingCertificate:
     except certio.DocumentError as exc:
         _fail_usage(f"bad certificate document: {exc}")
     except splitting.NotASplitting as exc:
-        failure = exc.report.failure
-        _finish(EXIT_NEGATIVE, f"verdict=invalid failure={failure.kind}",
-                [failure.describe() + "\n"])
+        report = exc.report
+        _finish(EXIT_NEGATIVE, f"verdict=invalid failure={report.kind}",
+                [report.describe() + "\n"])
 
 
 def verify(certificate: str) -> None:

@@ -359,11 +359,8 @@ def tw_disjointness_check(cert: SplittingCertificate) -> TwReport:
     scales = range(1, dec.d + 1)
     tw_sets = [frozenset(t * w % n for t in scales for w in ws) for ws in w_sets]
 
-    pairwise = all(
-        not (tw_sets[i] & tw_sets[j])
-        for i in range(len(tw_sets))
-        for j in range(i + 1, len(tw_sets))
-    )
+    # sets are pairwise disjoint exactly when their sizes add up to their union's
+    pairwise = sum(map(len, tw_sets)) == len(frozenset().union(*tw_sets))
     within = all(tw <= units for tw in tw_sets)
     card_d = _coprime_count(k, [p] + [q for q, _ in factorize(dec.m_prime)])
     return TwReport(

@@ -303,7 +303,8 @@ class ScanReport(Record):
         for record in self.records:
             counts[record.verdict] += 1
         counts["records"] = len(self.records)
-        counts["found"] = sum(1 for r in self.records if r.outcome.result == FOUND)
+        # a found splitting gets exactly one of these two verdicts
+        counts["found"] = counts[TRIVIAL_EXPECTED] + counts[VIOLATION]
         return counts
 
 

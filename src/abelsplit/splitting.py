@@ -30,9 +30,6 @@ NONSINGULAR = "nonsingular"
 PURELY_SINGULAR = "purely_singular"
 MIXED_SINGULAR = "mixed_singular"
 
-VALID = "valid"
-INVALID = "invalid"
-
 ORDER_K_PLUS_1 = "order_k_plus_1"
 ORDER_2K_PLUS_1 = "order_2k_plus_1"
 
@@ -88,44 +85,54 @@ class SingularityClass(Record):
     """Which prime divisors of |G| divide some multiplier.
 
     witnesses pairs each prime divisor of |G| with the least multiplier it
-    divides, or None when no multiplier works.
+    divides, or None when no multiplier works. tag is read off them, purely
+    singular first, so the trivial group (no prime divisor) is vacuously so.
     """
 
-    __slots__ = ("tag", "witnesses")
+    __slots__ = ("witnesses",)
+
+    @property
+    def tag(self) -> str:
+        if all(m is not None for _, m in self.witnesses):
+            return PURELY_SINGULAR
+        if all(m is None for _, m in self.witnesses):
+            return NONSINGULAR
+        return MIXED_SINGULAR
 
 
 def classify_multipliers(G: FiniteAbelianGroup, M: MultiplierSet) -> SingularityClass:
-    """nonsingular / purely_singular / mixed_singular for (|G|, M).
+    """The witnesses of (|G|, M): for each prime divisor p of |G|, the least
+    multiplier that p divides mod |G|, or None.
 
     Only residues of M mod |G| matter, so translating multipliers by
-    multiples of the order never changes the class. The trivial group has
-    no prime divisors and comes out purely_singular (vacuously).
+    multiples of the order never changes the class.
     """
     n = G.order
-    witnesses = []
-    for p, _ in G.order_factorization:
-        hit = next((v for v in M if (v % n) % p == 0), None)
-        witnesses.append((p, hit))
-    if all(m is not None for _, m in witnesses):
-        tag = PURELY_SINGULAR
-    elif all(m is None for _, m in witnesses):
-        tag = NONSINGULAR
-    else:
-        tag = MIXED_SINGULAR
-    return SingularityClass(tag, tuple(witnesses))
+    return SingularityClass(tuple(
+        (p, next((v for v in M if (v % n) % p == 0), None))
+        for p, _ in G.order_factorization
+    ))
 
 
-class VerificationFailure(Record):
-    """kind is count_mismatch | zero_hit | collision."""
+class VerificationReport(Record):
+    """The outcome of checking (M, S): kind is None for a splitting, else
+    count_mismatch, zero_hit (element, the identity, is the product of the
+    pair first) or collision (element is the product of first and second)."""
 
     __slots__ = ("kind", "element", "first", "second")
 
-    def __init__(self, kind: str, element: Element | None = None,
+    def __init__(self, kind: str | None = None, element: Element | None = None,
                  first: tuple[int, Element] | None = None,
                  second: tuple[int, Element] | None = None) -> None:
         self._fill(kind, element, first, second)
 
+    @property
+    def is_valid(self) -> bool:
+        return self.kind is None
+
     def describe(self) -> str:
+        if self.kind is None:
+            return "a splitting"
         if self.kind == "count_mismatch":
             return "count mismatch: |M| * |S| != |G| - 1"
         if self.kind == "zero_hit":
@@ -134,18 +141,7 @@ class VerificationFailure(Record):
         return f"element {self.element} reached by both {self.first} and {self.second}"
 
 
-class VerificationReport(Record):
-    __slots__ = ("verdict", "failure")
-
-    def __init__(self, verdict: str, failure: VerificationFailure | None = None) -> None:
-        self._fill(verdict, failure)
-
-    @property
-    def is_valid(self) -> bool:
-        return self.verdict == VALID
-
-
-_VALID = VerificationReport(VALID)
+_VALID = VerificationReport()
 
 
 def canonical_splitters(G: FiniteAbelianGroup, elements: Iterable) -> tuple[Element, ...]:
@@ -179,7 +175,7 @@ def _check_products(
 ) -> VerificationReport:
     """verify_splitting on splitters S that are already canonical."""
     if len(M) * len(S) != G.order - 1:
-        return VerificationReport(INVALID, VerificationFailure("count_mismatch"))
+        return VerificationReport("count_mismatch")
     cyclic = G.is_cyclic
     if cyclic:
         n = G.factors[0]
@@ -199,9 +195,9 @@ def _check_products(
     for x, (s, m) in zip(xs, product(S, M.values)):
         element = (x,) if cyclic else x
         if x == zero:
-            return VerificationReport(INVALID, VerificationFailure("zero_hit", element, (m, s)))
+            return VerificationReport("zero_hit", element, (m, s))
         if x in seen:
-            return VerificationReport(INVALID, VerificationFailure("collision", element, seen[x], (m, s)))
+            return VerificationReport("collision", element, seen[x], (m, s))
         seen[x] = (m, s)
 
 
@@ -209,7 +205,7 @@ class NotASplitting(ValueError):
     """A certificate was made from a non-splitting; report says why."""
 
     def __init__(self, G: FiniteAbelianGroup, report: VerificationReport):
-        super().__init__(f"not a splitting of {G}: {report.failure.describe()}")
+        super().__init__(f"not a splitting of {G}: {report.describe()}")
         self.report = report
 
 

@@ -58,14 +58,7 @@ from abelsplit.counting import KDecomposition, StratificationProfile, TwReport
 from abelsplit.groups import FiniteAbelianGroup, is_prime, p_adic_valuation
 from abelsplit.scan import CandidateOrder, Counting, candidate_order
 from abelsplit.search import SearchConfig, _Budget, _exact_covers, _row_source
-from abelsplit.splitting import (
-    INVALID,
-    VALID,
-    MultiplierSet,
-    SplittingCertificate,
-    VerificationFailure,
-    VerificationReport,
-)
+from abelsplit.splitting import MultiplierSet, SplittingCertificate, VerificationReport
 from abelsplit.tiling import (
     ErrorBallShape,
     IntegerLattice,
@@ -280,24 +273,19 @@ def verify_splitting_by_elements(
     if len(S) != len(elems):
         raise ValueError("duplicate splitters")
     if len(M) * len(S) != G.order - 1:
-        return VerificationReport(INVALID, VerificationFailure("count_mismatch"))
+        return VerificationReport("count_mismatch")
     zero = G.identity()
     seen = {}
     for s in S:
         for m in M:
             x = G.scalar_mul(m, s)
             if x == zero:
-                return VerificationReport(
-                    INVALID, VerificationFailure("zero_hit", element=x, first=(m, s))
-                )
+                return VerificationReport("zero_hit", element=x, first=(m, s))
             prev = seen.get(x)
             if prev is not None:
-                return VerificationReport(
-                    INVALID,
-                    VerificationFailure("collision", element=x, first=prev, second=(m, s)),
-                )
+                return VerificationReport("collision", element=x, first=prev, second=(m, s))
             seen[x] = (m, s)
-    return VerificationReport(VALID)
+    return VerificationReport()
 
 
 def coprime_count_by_enumeration(limit: int, primes: list[int]) -> int:

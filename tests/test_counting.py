@@ -34,7 +34,6 @@ from abelsplit.scan import purely_singular_candidates
 from abelsplit.search import enumerate_all_splittings
 from abelsplit.splitting import (
     PURELY_SINGULAR,
-    VALID,
     MultiplierSet,
     VerificationReport,
     make_certificate,
@@ -300,7 +299,7 @@ def test_counting_identity_agrees_with_per_stratum_valuations():
 def test_counting_identity_refuses_a_zero_residue(monkeypatch):
     # a verified certificate has no multiplier divisible by the group order,
     # so the check sees one only when verification is bypassed
-    monkeypatch.setattr(splitting, "_check_products", lambda *args: VerificationReport(VALID))
+    monkeypatch.setattr(splitting, "_check_products", lambda *args: VerificationReport())
     cert = splitting.SplittingCertificate(Z(9), MultiplierSet((1, 18)), ((1,), (2,)))
     for check in (check_counting_identity, counting_identity_by_valuations):
         with pytest.raises(ValueError, match="got 0"):
@@ -312,7 +311,7 @@ def test_counting_identities_match_the_per_stratum_check(monkeypatch):
     # in Z_27, M = {1, 3} and S = {1, 9} reach one element of stratum 3, not 18
     certs = [trivial_certificate(k, which)
              for k in range(1, 41) for which in ("order_k_plus_1", "order_2k_plus_1")]
-    monkeypatch.setattr(splitting, "_check_products", lambda *args: VerificationReport(VALID))
+    monkeypatch.setattr(splitting, "_check_products", lambda *args: VerificationReport())
     certs.append(splitting.SplittingCertificate(Z(27), MultiplierSet((1, 3)), ((1,), (9,))))
     failing = 0
     for cert in certs:
@@ -373,7 +372,7 @@ def test_counting_identities_agree_with_the_oracle_on_random_systems(n, data):
                                max_size=8))
     splitters = data.draw(st.sets(st.integers(0, n - 1), max_size=n))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(splitting, "_check_products", lambda *args: VerificationReport(VALID))
+        mp.setattr(splitting, "_check_products", lambda *args: VerificationReport())
         cert = splitting.SplittingCertificate(
             Z(n), MultiplierSet(tuple(sorted(values))), tuple((s,) for s in sorted(splitters)))
     for p, alpha in cert.group.order_factorization:

@@ -98,21 +98,19 @@ def test_verify_valid_examples():
 def test_verify_collision_example():
     report = verify_splitting(Z(10), MultiplierSet.interval(3), [(1,), (4,), (7,)])
     assert not report.is_valid
-    f = report.failure
-    assert f.kind == "collision"
-    assert f.element == (2,)
-    assert f.first == (2, (1,)) and f.second == (3, (4,))
+    assert report.kind == "collision"
+    assert report.element == (2,)
+    assert report.first == (2, (1,)) and report.second == (3, (4,))
 
 
 def test_verify_zero_hit():
     report = verify_splitting(Z(10), MultiplierSet.interval(3), [(1,), (5,), (7,)])
-    f = report.failure
-    assert f.kind == "zero_hit" and f.first == (2, (5,))
+    assert report.kind == "zero_hit" and report.first == (2, (5,))
 
 
 def test_verify_count_mismatch():
     report = verify_splitting(Z(10), MultiplierSet.interval(3), [(1,), (4,)])
-    assert report.failure.kind == "count_mismatch"
+    assert report.kind == "count_mismatch"
 
 
 def test_verify_rejects_duplicate_splitters():
@@ -173,10 +171,7 @@ def verification_inputs(draw):
 
 
 def _fields(report):
-    f = report.failure
-    if f is None:
-        return report.verdict, None
-    return report.verdict, f.kind, f.element, f.first, f.second
+    return report.is_valid, report.kind, report.element, report.first, report.second
 
 
 @given(verification_inputs())
@@ -199,7 +194,7 @@ def test_verify_matches_element_oracle(inputs):
         with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
             verify_splitting(G, M, splitters)
         return
-    event(expected.failure.kind if expected.failure else expected.verdict)
+    event(expected.kind or "valid")
     assert _fields(verify_splitting(G, M, splitters)) == _fields(expected)
 
 
@@ -216,13 +211,13 @@ def test_certificate_is_made_exactly_from_splittings(inputs):
         event("duplicate splitters")
         return
     report = verify_splitting(G, M, splitters)
-    event(report.failure.kind if report.failure else report.verdict)
+    event(report.kind or "valid")
     try:
         cert = SplittingCertificate(G, M, S)
     except NotASplitting as exc:
         assert not report.is_valid
         assert exc.report == report
-        assert str(exc) == f"not a splitting of {G}: {report.failure.describe()}"
+        assert str(exc) == f"not a splitting of {G}: {report.describe()}"
         return
     assert report.is_valid
     assert cert.splitters is S
@@ -473,7 +468,7 @@ def test_batch_accepts_exactly_what_the_constructor_accepts(inputs):
     except NotASplitting as exc:
         # raised, so the batch handed out no certificate at all
         assert rejected is not None and exc.report == rejected
-        event(rejected.failure.kind)
+        event(rejected.kind)
         return
     assert rejected is None
     # by multiplier set, ascending, and each set's pairs in batch order
