@@ -6,21 +6,26 @@ newline), so equal objects serialize to identical bytes. dumps_document
 writes exactly json.dumps(doc, sort_keys=True, indent=2) plus the newline.
 It is written by hand because json.dumps runs without its C encoder
 whenever indent is set; it accepts str keys and exact JSON types only.
+Every document carries FORMAT_VERSION, 5 since scan records name four
+proof routes. A scan record document holds k, n, verdict and route, then
+the keys of its route only: a closed_form record its splitters, a counting
+record counting {p, stratum}, a propagation record propagation {steps:
+[[x, s], ...], dead: x}, and a search record result, nodes, max_depth,
+rows and splitters.
 A scan journal is a scan's checkpoint: a header line with the scan's
 config, then one line per finished record, the compact JSON of its record
 document, so a checkpoint costs one record whatever the size of the scan.
-Scan report documents
-deliberately exclude wall-clock data; timing appears only in the tabular
-export's millis column, which is diagnostic: it is empty for a searched
-record restored through a resume, and 0 for a record the counting sieve
-decided.
+Scan report documents deliberately exclude wall-clock data; timing appears
+only in the tabular export's millis column, which is diagnostic: it is
+empty for a searched record restored through a resume, and 0 for a record
+that no search decided.
 Every file abelsplit writes goes through write_chunks, which replaces the
 target atomically through a temp file, except the lines appended to a scan
-journal. It takes the text as an iterable of str, which the file object
-buffers and encodes, so a large document is written from a stream: a scan
-report record by record (scan_report_chunks), a journal line by line, a
-tiling export block by block (tiling_export_chunks), each byte-identical
-to the joined text.
+journal. It takes the text as an iterable of str and encodes each chunk
+into a buffered binary file, so a large document is written from a
+stream: a scan report record by record (scan_report_chunks), a journal
+line by line, a tiling export block by block (tiling_export_chunks), each
+byte-identical to the joined text.
 
 The writers define what a valid document is. Each reader rebuilds its
 object with the library's own constructors and accepts the document only
@@ -37,11 +42,26 @@ import os
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager, suppress
 from functools import cache
+from math import gcd
 from pathlib import Path
 
 from .groups import FiniteAbelianGroup
+from .counting import counting_witness
 from .record import replace
-from .scan import COUNTING, VIOLATION, ScanRecord, ScanReport, decide, overall_verdict, scan_order
+from .scan import (
+    CLOSED_FORM,
+    COUNTING,
+    PROPAGATION,
+    SEARCH,
+    VIOLATION,
+    Propagation,
+    ScanRecord,
+    ScanReport,
+    decide,
+    make_record,
+    overall_verdict,
+    scan_order,
+)
 from .search import EXHAUSTED, FOUND, SearchConfig, SearchOutcome, SearchStats
 from .splitting import (
     INTERVAL,
@@ -60,7 +80,7 @@ from .tiling import (
     semi_cross,
 )
 
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 
 class DocumentError(ValueError):
@@ -163,21 +183,22 @@ def write_chunks(path, chunks: Iterable[str]) -> None:
     """Replace the file at path with the text of chunks, joined, as UTF-8,
     atomically.
 
-    The text goes through open() to a temp file beside the target, which
-    os.replace then moves over it, so a process killed mid-write leaves the
-    old file whole. open() makes the temp file with mode 0o666, so its mode
-    follows the umask; beside chunks, only its buffer and the encoding of
-    the chunk in hand are held. The temp file is removed if the write fails,
-    also when the error comes from chunks, and an OSError names path, the
-    file asked for, not the temp file. There is no fsync: this guards
-    against a killed process, not against a power loss.
+    Each chunk is encoded and written through a binary open() to a temp
+    file beside the target, which os.replace then moves over it, so a
+    process killed mid-write leaves the old file whole. open() makes the
+    temp file with mode 0o666, so its mode follows the umask; beside
+    chunks, only its buffer and the encoding of the chunk in hand are held.
+    The temp file is removed if the write fails, also when the error comes
+    from chunks, and an OSError names path, the file asked for, not the
+    temp file. There is no fsync: this guards against a killed process,
+    not against a power loss.
     """
     target = os.fspath(path)
     folder, name = os.path.split(target)
     tmp = os.path.join(folder, f".{name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8", newline="") as handle:
-            handle.writelines(chunks)
+        with open(tmp, "wb") as handle:
+            handle.writelines(map(str.encode, chunks))
         os.replace(tmp, target)
     except BaseException as exc:
         with suppress(OSError):
@@ -314,45 +335,113 @@ def search_result_doc(order: int, multipliers: MultiplierSet, outcome: SearchOut
 # -- scan reports ------------------------------------------------------------
 
 def _record_doc(record: ScanRecord) -> dict:
-    """k, n, verdict and route, then the keys of the route's decision: the
-    sieve's Counting as counting {p, stratum}, or the search's result,
-    nodes, max_depth and splitters; a violation also embeds its
+    """k, n, verdict and route, then the keys of the route's decision: a
+    ClosedForm's splitters, the sieve's Counting as counting {p, stratum},
+    a Propagation as propagation {steps, dead}, or the search's result,
+    nodes, max_depth, rows and splitters; a violation also embeds its
     certificate."""
-    outcome = record.outcome
+    outcome, route = record.outcome, record.route
     doc = {"k": record.candidate.k, "n": record.candidate.n, "verdict": record.verdict,
-           "route": record.route}
-    if record.route == COUNTING:
+           "route": route}
+    if route == CLOSED_FORM:
+        doc["splitters"] = list(outcome.splitters)
+    elif route == COUNTING:
         doc["counting"] = {"p": outcome.p, "stratum": outcome.stratum}
-        return doc
-    doc["result"] = outcome.result
-    doc["nodes"] = outcome.stats.nodes
-    doc["max_depth"] = outcome.stats.max_depth
-    doc["splitters"] = None if outcome.splitters is None else list(outcome.splitters)
-    if record.verdict == VIOLATION:
-        doc["certificate"] = certificate_to_doc(record.certificate)
+    elif route == PROPAGATION:
+        doc["propagation"] = {"steps": [list(step) for step in outcome.steps],
+                              "dead": outcome.dead}
+    else:
+        doc["result"] = outcome.result
+        doc["nodes"] = outcome.stats.nodes
+        doc["max_depth"] = outcome.stats.max_depth
+        doc["rows"] = outcome.stats.rows
+        doc["splitters"] = None if outcome.splitters is None else list(outcome.splitters)
+        if record.verdict == VIOLATION:
+            doc["certificate"] = certificate_to_doc(record.certificate)
     return doc
+
+
+def check_propagation(k: int, order: int, proof: Propagation) -> None:
+    """DocumentError unless proof refutes every splitting of Z_order by
+    {1..k}, recounted from (k, order) alone: this checker shares no code
+    with search.propagate, the prover, and never calls it.
+
+    Residues 1..k start covered (1 in S). Each step (x, s) must name a
+    nonzero residue x not yet covered whose one live row is s; s's orbit is
+    then covered. The dead residue must be nonzero, not covered, and have
+    no live row. The rows holding x are the solutions s of m*s = x (mod
+    order) for m = 1..k, and a row is live when its k products are k
+    distinct nonzero residues, none of them covered.
+    """
+    covered = bytearray(order)
+    covered[1:k + 1] = b"\1" * k
+    # per multiplier m: g = gcd(m, order), the period order/g of the
+    # solutions of m*s = x, and (m/g)^-1 modulo it
+    solvers = []
+    for m in range(1, k + 1):
+        g = gcd(m, order)
+        solvers.append((g, order // g, pow(m // g, -1, order // g)))
+
+    def live_rows(x) -> list[int]:
+        """The live rows of x, by m, then by s."""
+        if not (type(x) is int and 0 < x < order) or covered[x]:
+            raise DocumentError(f"propagation probes {x!r}, which is zero, covered or no "
+                                f"residue of Z_{order}")
+        holding = [s for g, period, inv in solvers if x % g == 0
+                   for s in range(x // g * inv % period, order, period)]
+        live = []
+        for s in holding:
+            # the products m*s for m = 1..k: none covered, then k distinct
+            # nonzero residues
+            for y in range(s, k * s + 1, s):
+                if covered[y % order]:
+                    break
+            else:
+                if len({y % order for y in range(s, k * s + 1, s)} - {0}) == k:
+                    live.append(s)
+        return live
+
+    for x, s in proof.steps:
+        live = live_rows(x)
+        if live != [s]:
+            raise DocumentError(f"propagation step ({x}, {s}): the live rows of {x} are "
+                                f"{sorted(live)}")
+        for y in range(s, k * s + 1, s):
+            covered[y % order] = 1
+    live = live_rows(proof.dead)
+    if live:
+        raise DocumentError(
+            f"propagation dead residue {proof.dead} has the live rows {sorted(live)}")
 
 
 def _record_from_doc(doc, config: ScanReport) -> ScanRecord:
     """Rebuild a record the way the scan makes it: its candidate from k and
-    n (config.candidate), then decide runs the counting sieve again, whose
-    Counting decides a candidate it refutes, and any other candidate gets
-    the search outcome read from doc, whose found splitters make_record
-    re-verifies; a document keeps no time, so that outcome's elapsed_s is
-    None. The caller checks the record against doc, as part of the report
-    or journal that holds it, so a record whose route, counting keys or
-    verdict differ from the rebuilt decision's is refused."""
-    def read_outcome() -> SearchOutcome:
+    n (config.candidate). A nontrivial candidate of route propagation that
+    the counting sieve, run again, does not refute becomes the Propagation
+    read from doc once check_propagation accepts it. Any other record goes
+    through decide, with the search outcome read from doc, whose found
+    splitters make_record re-verifies; a document keeps no time, so that
+    outcome's elapsed_s is None. The caller checks the record against doc,
+    as part of the report or journal that holds it, so a record whose
+    route, decision keys or verdict differ from the rebuilt decision's is
+    refused: a searched record that propagation refutes among them."""
+    def read_outcome(left: SearchConfig) -> SearchOutcome:
         splitters = tuple(doc["splitters"]) if doc["result"] == FOUND else None
-        return SearchOutcome(
-            doc["result"], splitters, SearchStats(int(doc["nodes"]), int(doc["max_depth"]), None)
-        )
+        stats = SearchStats(int(doc["nodes"]), int(doc["max_depth"]), None, int(doc["rows"]))
+        return SearchOutcome(doc["result"], splitters, stats)
 
     with _parsing("scan record"):
         candidate = config.candidate(int(doc["k"]), int(doc["n"]))
         if candidate is None:
             raise DocumentError(f"record k={doc['k']} n={doc['n']} is not a scan candidate")
-        return decide(candidate, read_outcome)
+        k, order = candidate.k, candidate.order
+        if (doc.get("route") == PROPAGATION and not candidate.trivial
+                and counting_witness(k, order, candidate.smoothness_witness) is None):
+            proof = doc["propagation"]
+            decision = Propagation(tuple(map(tuple, proof["steps"])), proof["dead"])
+            check_propagation(k, order, decision)
+            return make_record(candidate, decision)
+        return decide(candidate, config.config, read_outcome)
 
 
 def _config_doc(report: ScanReport) -> dict:
@@ -420,11 +509,13 @@ def scan_report_from_doc(doc: dict) -> ScanReport:
     range, abelsplit writes exactly doc for the records rebuilt from it,
     and they are every candidate of the range.
 
-    Each record's candidate, route, Counting and verdict are derived again,
-    and found splitters are re-verified; a counting record carries no
-    search keys. A searched record's nodes, max_depth and exhausted or
-    resource_limit result are taken as written: only running its search
-    again could check them, which would undo the point of resuming.
+    Each record's candidate, route, closed form, Counting and verdict are
+    derived again, a Propagation is recounted by check_propagation, found
+    splitters are re-verified, and a searched record is one that neither
+    the sieve nor propagation refutes (_record_from_doc). A searched
+    record's nodes, max_depth, rows and exhausted or resource_limit result
+    are taken as written: only running its search again could check them,
+    which would undo the point of resuming.
 
     The records are read in one pass, _BATCH at a time, so no document of
     the whole report is built: each batch is rebuilt and compared with its
@@ -513,14 +604,15 @@ def scan_report_table_lines(report: ScanReport) -> Iterator[str]:
     """Flat tabular export, one CSV line at a time. millis is wall-clock per
     record and diagnostic; it is the one column not covered by the
     byte-identity guarantee, and it is empty for a searched record read back
-    from a document, which keeps no time. The sieve searches nothing, so a
-    counting record shows 0 nodes and 0 millis."""
+    from a document, which keeps no time. Only the search route searches,
+    so a closed_form, counting or propagation record shows 0 nodes and 0
+    millis."""
     yield "k,n,N,factorization,verdict,route,nodes,millis\n"
     for r in report.records:
         fac = "*".join(
             f"{p}^{e}" if e > 1 else f"{p}" for p, e in r.candidate.smoothness_witness
         ) or "1"
-        if r.route == COUNTING:
+        if r.route != SEARCH:
             nodes, millis = 0, 0
         else:
             nodes, elapsed_s = r.outcome.stats.nodes, r.outcome.stats.elapsed_s

@@ -4,15 +4,25 @@ For M = {1..k} a purely singular splitting can only live in a group whose
 order is k-smooth: every prime divisor p of |G| must divide some m <= k,
 which for an interval just means p <= k. Candidate orders are therefore
 N = n*k + 1 with all prime factors <= k. The scan decides every candidate
-by one of two proof routes, and its record holds that route's decision.
-The counting sieve (counting.counting_witness) refutes a candidate whose
-stratum identities have no nonnegative integer solution, with no search,
-and its decision is a Counting(p, stratum); every other candidate goes to
-the exact-cover search, whose decision is its SearchOutcome. Both answer
-result, a Counting always EXHAUSTED, so the one verdict rule and every
-reader of results read either route alike. The scan expects splittings
-exactly at the trivial orders k+1 and 2k+1; a splitting found anywhere else
-is a violation, kept with a re-verified certificate.
+by the first of four proof routes that decides it, and its record holds
+that route's decision:
+
+1. closed_form: a trivial order, N = k + 1 or 2k + 1, splits by S = {1} or
+   S = {1, N - 1} (splitting.trivial_certificate), with no sieve and no
+   search; its decision is a ClosedForm of those splitters.
+2. counting: the counting sieve (counting.counting_witness) refutes a
+   candidate whose stratum identities have no nonnegative integer
+   solution; its decision is a Counting(p, stratum).
+3. propagation: forced rows and a dead residue near -1 (search.propagate)
+   refute the candidate; its decision is a Propagation(steps, dead).
+4. search: the exact-cover search decides the rest; its decision is its
+   SearchOutcome.
+
+Every decision answers result, a ClosedForm always FOUND and a Counting or
+Propagation always EXHAUSTED, so the one verdict rule and every reader of
+results read each route alike. The scan expects splittings exactly at the
+trivial orders; a splitting the search finds anywhere else is a violation,
+kept with a re-verified certificate.
 
 A scan enumerates its candidates from one table of largest prime factors,
 built once up to its largest order k_max*n_max + 1 (n_max = 2*k_max by
@@ -30,6 +40,7 @@ config's k_max: about 8*10^18 bytes for a document claiming k_max = 10^9.
 from __future__ import annotations
 
 import gc
+import time
 from array import array
 from itertools import compress, count
 from math import isqrt
@@ -43,18 +54,30 @@ from .search import (
     EXHAUSTED,
     FOUND,
     RESOURCE_LIMIT,
+    BudgetExceeded,
     SearchConfig,
     SearchOutcome,
+    SearchStats,
+    propagate,
     search_splitter,
 )
-from .splitting import MultiplierSet, SplittingCertificate, make_certificate
+from .splitting import (
+    ORDER_2K_PLUS_1,
+    ORDER_K_PLUS_1,
+    MultiplierSet,
+    SplittingCertificate,
+    make_certificate,
+    trivial_certificate,
+)
 
 TRIVIAL_EXPECTED = "trivial_expected"
 CONSISTENT = "conjecture_consistent"
 VIOLATION = "CONJECTURE_VIOLATION"
 INCONCLUSIVE = "inconclusive"
 
+CLOSED_FORM = "closed_form"
 COUNTING = "counting"
+PROPAGATION = "propagation"
 SEARCH = "search"
 
 
@@ -160,6 +183,17 @@ def purely_singular_candidates(k: int, n_max: int) -> list[CandidateOrder]:
     return scan_candidates(k, k, n_max)
 
 
+class ClosedForm(Record):
+    """The closed-form decision of a trivial order: the splitters of
+    splitting.trivial_certificate, S = {1} at N = k + 1 and S = {1, N - 1}
+    at N = 2k + 1. Its result is therefore FOUND, as a search's that found
+    a splitter set."""
+
+    __slots__ = ("splitters",)
+
+    result = FOUND
+
+
 class Counting(Record):
     """The counting sieve's decision: the identity of stratum `stratum` at
     the prime p has no nonnegative integer solution, which proves that no
@@ -171,25 +205,42 @@ class Counting(Record):
     result = EXHAUSTED
 
 
+class Propagation(Record):
+    """The propagation decision of search.propagate: steps are the (residue,
+    forced row) pairs in the order they were forced, and no live row holds
+    the residue dead once they are covered, which proves that no splitter
+    set exists. Its result is therefore EXHAUSTED."""
+
+    __slots__ = ("steps", "dead")
+
+    result = EXHAUSTED
+
+
+_ROUTES = {ClosedForm: CLOSED_FORM, Counting: COUNTING, Propagation: PROPAGATION}
+
+
 class ScanRecord(Record):
     """One candidate, the decision of the route that decided it, and the
-    certificate of a found splitter set (None otherwise). The decision is
-    the sieve's Counting or the search's SearchOutcome. Both answer result,
-    so the verdict below, ScanReport.totals, the inequality checks and the
-    benchmark's gate read either route alike. route and verdict are read
-    off the decision, so no record can hold a verdict its decision
-    contradicts; a scan builds its records through make_record."""
+    certificate of a found splitter set (None otherwise). The decision is a
+    ClosedForm, a Counting, a Propagation or the search's SearchOutcome.
+    Each answers result, so the verdict below, ScanReport.totals, the
+    inequality checks and the benchmark's gate read every route alike.
+    route and verdict are read off the decision, so no record can hold a
+    verdict its decision contradicts; a scan builds its records through
+    decide."""
 
     __slots__ = ("candidate", "outcome", "certificate")
 
-    def __init__(self, candidate: CandidateOrder, outcome: Counting | SearchOutcome,
+    def __init__(self, candidate: CandidateOrder,
+                 outcome: ClosedForm | Counting | Propagation | SearchOutcome,
                  certificate: SplittingCertificate | None = None) -> None:
         self._fill(candidate, outcome, certificate)
 
     @property
     def route(self) -> str:
-        """The proof route of the decision: counting or search."""
-        return COUNTING if type(self.outcome) is Counting else SEARCH
+        """The proof route of the decision: closed_form, counting,
+        propagation or search."""
+        return _ROUTES.get(type(self.outcome), SEARCH)
 
     @property
     def verdict(self) -> str:
@@ -207,9 +258,10 @@ def scan_order(record: ScanRecord) -> tuple[int, int]:
     return record.candidate.k, record.candidate.order
 
 
-def make_record(candidate: CandidateOrder, outcome: Counting | SearchOutcome) -> ScanRecord:
-    """The record of candidate's decision, for fresh and resumed records
-    alike, on either route, through the result both answer.
+def make_record(candidate: CandidateOrder, outcome: Counting | Propagation | SearchOutcome
+                ) -> ScanRecord:
+    """The record of a refuting or searched decision of candidate, for fresh
+    and resumed records alike, through the result each answers.
 
     A found splitter set is re-verified into a certificate, and the record
     keeps the certificate's canonical splitters. A proof of nonexistence at
@@ -227,26 +279,51 @@ def make_record(candidate: CandidateOrder, outcome: Counting | SearchOutcome) ->
         return ScanRecord(candidate, outcome, certificate)
     if outcome.result not in (EXHAUSTED, RESOURCE_LIMIT):
         raise ValueError(f"unknown search result {outcome.result!r}")
+    record = ScanRecord(candidate, outcome)
     if outcome.result == EXHAUSTED and candidate.trivial:
-        if type(outcome) is Counting:
-            raise RuntimeError(f"the counting sieve refutes trivial order {order} for k={k} "
-                               f"by p={outcome.p}, stratum {outcome.stratum}")
-        raise RuntimeError(f"the search found no splitting at trivial order {order} for k={k}")
-    return ScanRecord(candidate, outcome)
+        raise RuntimeError(f"the {record.route} route refutes trivial order {order} for k={k}")
+    return record
 
 
-def decide(candidate: CandidateOrder, search: Callable[[], SearchOutcome]) -> ScanRecord:
-    """A candidate's record from the first proof route that decides it: the
-    Counting of the sieve when counting_witness refutes the candidate, else
-    the outcome of search(), through make_record."""
-    witness = counting_witness(candidate.k, candidate.order, candidate.smoothness_witness)
-    return make_record(candidate, search() if witness is None else Counting(*witness))
+def decide(candidate: CandidateOrder, config: SearchConfig,
+           search: Callable[[SearchConfig], SearchOutcome]) -> ScanRecord:
+    """A candidate's record from the first proof route that decides it.
+
+    A trivial order gets its ClosedForm and trivial_certificate, with no
+    sieve and no search. Otherwise the Counting of counting_witness decides
+    a candidate it refutes, then the Propagation of search.propagate, whose
+    work config's budget pays for; a candidate neither refutes gets
+    search(left), left being config with the time that propagation left.
+    Each decision but the closed form's goes through make_record. When
+    propagation runs out of time, the record is a resource_limit search
+    outcome of no nodes, its stats' reason time_limit.
+    """
+    k, order = candidate.k, candidate.order
+    if candidate.trivial:
+        form = ORDER_K_PLUS_1 if candidate.n == 1 else ORDER_2K_PLUS_1
+        certificate = trivial_certificate(k, form)
+        return ScanRecord(candidate, ClosedForm(tuple(s for (s,) in certificate.splitters)),
+                          certificate)
+    witness = counting_witness(k, order, candidate.smoothness_witness)
+    if witness is not None:
+        return make_record(candidate, Counting(*witness))
+    start = time.monotonic()
+    try:
+        steps, dead = propagate(order, k, config, start)
+    except BudgetExceeded as exc:
+        stats = SearchStats(0, 0, time.monotonic() - start, 0, str(exc))
+        return make_record(candidate, SearchOutcome(RESOURCE_LIMIT, None, stats))
+    if dead is not None:
+        return make_record(candidate, Propagation(steps, dead))
+    limit = config.time_limit_s
+    left = None if limit is None else max(0.0, start + limit - time.monotonic())
+    return make_record(candidate, search(replace(config, time_limit_s=left)))
 
 
 def _scan_one(task: tuple[CandidateOrder, SearchConfig]) -> ScanRecord:
     candidate, config = task
-    return decide(candidate, lambda: search_splitter(
-        FiniteAbelianGroup.cyclic(candidate.order), MultiplierSet.interval(candidate.k), config))
+    return decide(candidate, config, lambda left: search_splitter(
+        FiniteAbelianGroup.cyclic(candidate.order), MultiplierSet.interval(candidate.k), left))
 
 
 class ScanReport(Record):
@@ -327,8 +404,8 @@ def scan(
     resume: ScanReport | None = None,
     checkpoint: Callable[[ScanReport], None] | None = None,
 ) -> ScanReport:
-    """Decide every candidate order for every k in [k_min, k_max]: by the
-    counting sieve when it refutes the candidate, else by the search.
+    """Decide every candidate order for every k in [k_min, k_max], each by
+    the first proof route that decides it (decide).
 
     Records are independent tasks; with jobs > 1 they run in a process pool
     of at most one worker per pending record. The scan first builds base,

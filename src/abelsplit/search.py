@@ -9,7 +9,9 @@ first-solution search and the all-solutions enumeration. The engine branches
 on the lowest uncovered bit and tries candidates in the given row order, so
 every outcome is deterministic. It asks for a bit's rows the first time it
 branches on that bit, and the source builds only the orbits that hold that
-bit's residue.
+bit's residue. propagate, which the scan runs before a search, finds the
+rows holding a residue the same way (_rows_holding) but builds no orbit: it
+refutes by forced rows and a dead residue, or gives up.
 
 search_splitter lays the bits out in branch order: the root residue first,
 which is the first multiplier's (residue 1 for M = {1..k}), then the others
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import time
 from functools import partial
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 from math import comb, gcd, inf
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -92,6 +94,25 @@ class SearchOutcome(Record):
     __slots__ = ("result", "splitters", "stats")
 
 
+def _rows_holding(n: int, residues: Iterable[int]) -> Callable[[int], Iterator[range]]:
+    """holding(x) yields, per multiplier m, the splitters s with m*s = x
+    (mod n), as a range: for g = gcd(m, n) < n and g | x, those are the g
+    solutions s = (x/g)*(m/g)^-1 (mod n/g). So the rows whose orbit holds
+    x are the union of the ranges, found without building any orbit."""
+    steps = []  # (g, n/g, (m/g)^-1 mod n/g) per multiplier with g < n
+    for m in residues:
+        g = gcd(m, n)
+        if g < n:
+            steps.append((g, n // g, pow(m // g, -1, n // g)))
+
+    def holding(x: int) -> Iterator[range]:
+        for g, q, inv in steps:
+            if x % g == 0:
+                yield range(x // g * inv % q, n, q)
+
+    return holding
+
+
 def _row_source(
     n: int, residues: Sequence[int], order: Sequence[int], budget: _Budget
 ) -> Callable[[int], Iterator[tuple[int, int]]]:
@@ -101,30 +122,23 @@ def _row_source(
     the OR of the bits of m*s mod n over m in residues. A splitter whose
     orbit hits 0 (bit 0 set) or repeats a residue (fewer bits than
     residues) can never appear in a splitting and gets no row. Only the
-    splitters whose orbit holds x = order[b] are looked at: for m with
-    g = gcd(m, n) < n and g | x, those are the g solutions of m*s = x
-    (mod n), s = (x/g)*(m/g)^-1 (mod n/g), bar s = 0. Each splitter's mask
-    is built once. Each table entry and orbit element is one unit of work;
-    the clock is read each time the work passes a multiple of _TIME_STRIDE.
+    splitters whose orbit holds x = order[b] are looked at, those of
+    _rows_holding(x) bar s = 0. Each splitter's mask is built once. Each
+    table entry and orbit element is one unit of work; the clock is read
+    each time the work passes a multiple of _TIME_STRIDE.
     """
     pos = [0] * n  # the bit table: residue order[i] is at bit i
     for i in range(1, n):
         pos[order[i]] = i
     budget.spend(n)
-    steps = []  # (g, n/g, (m/g)^-1 mod n/g) per multiplier with g < n
-    for m in residues:
-        g = gcd(m, n)
-        if g < n:
-            steps.append((g, n // g, pow(m // g, -1, n // g)))
+    holding = _rows_holding(n, residues)
     k = len(residues)
     masks: dict[int, int] = {}  # splitter -> mask, 0 when the orbit is dirty
 
     def rows_at(b: int) -> Iterator[tuple[int, int]]:
-        x = order[b]
         splitters: set[int] = set()
-        for g, q, inv in steps:
-            if x % g == 0:
-                splitters.update(range(x // g * inv % q, n, q))
+        for solutions in holding(order[b]):
+            splitters.update(solutions)
         splitters.discard(0)
         for s in sorted(splitters):
             mask = masks.get(s)
@@ -276,6 +290,78 @@ def _exact_covers(
     finally:
         budget.nodes, budget.max_depth = nodes, max_depth
         budget.work += work
+
+
+_LIVE, _DEAD = 1, 2  # what propagate knows of a row
+_LIVE_BYTE = bytes([_LIVE])
+
+
+def propagate(
+    n: int, k: int, config: SearchConfig, start: float
+) -> tuple[tuple[tuple[int, int], ...], int | None]:
+    """(steps, dead): a refutation of every splitting of Z_n by {1..k} by
+    forced rows and a dead residue near -1, or dead = None when propagation
+    proves nothing.
+
+    With 1 in S (see the module docstring), the orbit of 1 covers the
+    residues 1..k. A row s is live for residue x when x is in its orbit
+    {m*s : m in 1..k}, the orbit is clean (n // gcd(s, n) > k: no product
+    is 0 and none repeats) and it misses every covered residue. Some row of
+    S holds each uncovered x, and only a live one can. A pass probes
+    x = -1, -2, ..., -(2k+1), the nonzero ones not yet covered, and counts
+    the live rows among _rows_holding(x), up to two: none refutes, with
+    dead = x; exactly one is forced, so its orbit is covered and (x, s)
+    appended to steps. Passes repeat until one forces nothing.
+
+    A row found dead stays dead, since covered residues stay covered, and
+    one found live is tested again only after the next force. The work, k
+    units per row tested and one per probe, is spent from config's budget,
+    whose clock started at start; BudgetExceeded("time_limit") ends it.
+    """
+    budget = _Budget(config, start)
+    covered = bytearray(n)
+    covered[1:k + 1] = b"\1" * min(k, n - 1)
+    # per row: 0 not yet tested, _DEAD dirty or meeting a covered residue,
+    # which stays so as more is covered, _LIVE live until the next force
+    state = bytearray(n)
+    holding = _rows_holding(n, range(1, k + 1))
+    steps = []
+    forced = True
+    while forced:
+        forced = False
+        for x in range(n - 1, max(n - 2 * k - 2, 0), -1):
+            if covered[x]:
+                continue
+            live = []
+            tested = 0
+            for s in chain.from_iterable(holding(x)):
+                known = state[s]
+                if not known:
+                    tested += 1
+                    known = _DEAD
+                    if n // gcd(s, n) > k:
+                        known = _LIVE
+                        # the orbit, m*s mod n for m = 1..k, read until a residue is covered
+                        for y in range(s, k * s + 1, s):
+                            if covered[y % n]:
+                                known = _DEAD
+                                break
+                    state[s] = known
+                if known == _LIVE:
+                    live.append(s)
+                    if len(live) == 2:
+                        break
+            budget.spend(k * tested + 1)
+            if not live:
+                return tuple(steps), x
+            if len(live) == 1:
+                s = live[0]
+                for y in range(s, k * s + 1, s):
+                    covered[y % n] = 1
+                state = state.replace(_LIVE_BYTE, b"\0")
+                steps.append((x, s))
+                forced = True
+    return tuple(steps), None
 
 
 def search_splitter(

@@ -28,6 +28,12 @@ the text into lines and compares it with a second, rebuilt text, where
 certio checks it block by block in place.
 The k = 2 oracle walks the cycles of doubling on Z_N, where the library
 searches for a splitter set.
+The propagation oracle builds every splitter's orbit as a set and reads
+its live rows off them, where the prover solves m*s = x and tests
+cleanliness by a gcd, and certio's checker solves m*s = x and tests the
+products of the rows it finds; the coset-packing oracle rebuilds the tw
+sets by enumeration and intersects them pair by pair, where the library
+compares the sum of their sizes with the size of their union.
 The candidate oracle tries every N = n*k + 1 by trial division, where the
 library reads one table of largest prime factors built for the whole scan.
 The digit-pattern oracle reads k's digit tuple where the library tests
@@ -51,12 +57,12 @@ from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from math import prod
+from math import gcd, prod
 
 from abelsplit.certio import DocumentError, tiling_export_text
 from abelsplit.counting import KDecomposition, StratificationProfile, TwReport
 from abelsplit.groups import FiniteAbelianGroup, is_prime, p_adic_valuation
-from abelsplit.scan import CandidateOrder, Counting, candidate_order
+from abelsplit.scan import CandidateOrder, ClosedForm, Counting, Propagation, candidate_order
 from abelsplit.search import SearchConfig, _Budget, _exact_covers, _row_source
 from abelsplit.splitting import MultiplierSet, SplittingCertificate, VerificationReport
 from abelsplit.tiling import (
@@ -73,7 +79,7 @@ from abelsplit.tiling import (
 
 
 # sha256 of the canonical scan(1, 30) report text
-DESK_SCAN_SHA256 = "e4d9423a4f853b6069f053ee9204429ff8066b62299c1c3582163b8ea38b402d"
+DESK_SCAN_SHA256 = "592fc1714582dc0df6e0e27ecf0fd824f2f0dfc1380759c605f1dffb78825a35"
 
 # JSON texts that json.loads itself rejects with something other than a
 # JSONDecodeError: a RecursionError, and a ValueError from the int digit limit
@@ -83,8 +89,8 @@ LONG_INT_TEXT = '{"format_version": 4, "group_factors": [' + "7" * 5_000 + "]}"
 # sha256 digest of the benchmark's `checks` body output (tiles.txt and its
 # check reports), by the seed of its inputs
 CHECKS_SHA256 = {
-    1: "48023a674e19aa6e2b9c27c949615c6baf61af1c98f2a5e0fc426361dd2bded9",
-    2: "2d4d9af7c429219d22321b1a334c82c3a816323622ea821f2b1230697e85452a",
+    1: "7e8cd6d84678bc57a70da66bdc9c0726d81d13e15c9a33d408bb717e18e46133",
+    2: "7cd057afceec70a5df45934adb64e90b2f4330bd6b44b89b4219383a5165325b",
 }
 
 
@@ -635,6 +641,60 @@ def parse_tiling_export_by_lines(text: str):
     return header, [(anchor, cell) for anchor, cells in translates for cell in cells]
 
 
+def _orbit(k: int, n: int, s: int) -> frozenset[int]:
+    return frozenset(m * s % n for m in range(1, k + 1))
+
+
+def covered_by_orbits(k: int, n: int, forced) -> set[int]:
+    """The residues that the orbits of 1 and of the forced rows cover."""
+    return set(_orbit(k, n, 1)).union(*[_orbit(k, n, s) for s in forced])
+
+
+def live_rows_by_orbits(k: int, n: int, forced, x: int) -> list[int]:
+    """The live rows of residue x of Z_n for {1..k}, ascending, once 1 and
+    the rows forced are in S: every splitter s in 1..n-1 whose orbit, the
+    set of m*s mod n for m = 1..k, holds x, has k elements, misses 0 and
+    shares no element with the orbit of 1 or of a forced row."""
+    covered = covered_by_orbits(k, n, forced)
+    orbits = [(s, _orbit(k, n, s)) for s in range(1, n)]
+    return [s for s, orbit in orbits
+            if x in orbit and len(orbit) == k and 0 not in orbit and not orbit & covered]
+
+
+def propagation_refutes_by_orbits(k: int, n: int, steps, dead: int) -> bool:
+    """Whether (steps, dead) refutes every splitting of Z_n by {1..k} that
+    holds 1: each step (x, s) names a nonzero residue x, not covered by the
+    rows before it, whose one live row is s, and the residue dead, nonzero
+    and not covered once every step's row is, has no live row."""
+    forced = []
+    for x, s in steps:
+        if not 0 < x < n or x in covered_by_orbits(k, n, forced):
+            return False
+        if live_rows_by_orbits(k, n, forced, x) != [s]:
+            return False
+        forced.append(s)
+    return (0 < dead < n and dead not in covered_by_orbits(k, n, forced)
+            and not live_rows_by_orbits(k, n, forced, dead))
+
+
+def tw_pairwise_disjoint_by_pairs(cert: SplittingCertificate, report: TwReport) -> bool:
+    """Whether the tw sets of report's unit splitters are pairwise disjoint,
+    each pair intersected on its own, the sets rebuilt by enumeration: w_i
+    is the units of Z_n in s_i + H, H the residues that p**beta * m_prime
+    times sends to 0 (of report's decomposition), and tw_i is w_i scaled by
+    1..d."""
+    n, dec = cert.group.modulus, report.decomposition
+    size = report.p ** dec.beta * dec.m_prime
+    subgroup = [y for y in range(n) if y * size % n == 0]
+    units = [u for u in range(1, n) if gcd(u, n) == 1]
+    tw = []
+    for (s,) in cert.splitters:
+        if s in units:
+            w = {(s + y) % n for y in subgroup} & set(units)
+            tw.append({t * v % n for t in range(1, dec.d + 1) for v in w})
+    return all(not a & b for a, b in combinations(tw, 2))
+
+
 def record_document_by_hand(record) -> dict:
     """A scan record's document, built from the record's candidate and
     decision as README's File formats section describes it. The verdict
@@ -647,14 +707,21 @@ def record_document_by_hand(record) -> dict:
                "exhausted_no_solution": "conjecture_consistent",
                "resource_limit": "inconclusive"}[outcome.result]
     doc = {"k": record.candidate.k, "n": n, "verdict": verdict}
-    if isinstance(outcome, Counting):
+    if isinstance(outcome, ClosedForm):
+        doc["route"] = "closed_form"
+        doc["splitters"] = list(outcome.splitters)
+    elif isinstance(outcome, Counting):
         doc["route"] = "counting"
         doc["counting"] = {"p": outcome.p, "stratum": outcome.stratum}
+    elif isinstance(outcome, Propagation):
+        doc["route"] = "propagation"
+        doc["propagation"] = {"steps": [[x, s] for x, s in outcome.steps], "dead": outcome.dead}
     else:
         doc["route"] = "search"
         doc["result"] = outcome.result
         doc["nodes"] = outcome.stats.nodes
         doc["max_depth"] = outcome.stats.max_depth
+        doc["rows"] = outcome.stats.rows
         doc["splitters"] = None if outcome.splitters is None else list(outcome.splitters)
     if verdict == "CONJECTURE_VIOLATION":
         cert = record.certificate
@@ -669,7 +736,7 @@ def record_document_by_hand(record) -> dict:
         if cert.multipliers.kind == "interval":
             multipliers["k"] = len(values)
         doc["certificate"] = {
-            "format_version": 4,
+            "format_version": 5,
             "kind": "splitting_certificate",
             "group_factors": list(cert.group.factors),
             "multipliers": multipliers,

@@ -10,8 +10,8 @@ from itertools import groupby
 
 import pytest
 from helpers import (
-    DEEP_TEXT, DESK_SCAN_SHA256, LONG_INT_TEXT, canonical_json, parse_tiling_export_by_lines,
-    record_document_by_hand,
+    DEEP_TEXT, DESK_SCAN_SHA256, LONG_INT_TEXT, canonical_json, live_rows_by_orbits,
+    parse_tiling_export_by_lines, propagation_refutes_by_orbits, record_document_by_hand,
 )
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from abelsplit import certio
 from abelsplit.groups import FiniteAbelianGroup
 from abelsplit.record import replace
-from abelsplit.scan import VIOLATION, CandidateOrder, ScanReport, make_record, scan
+from abelsplit.scan import VIOLATION, CandidateOrder, Propagation, ScanReport, make_record, scan
 from abelsplit.search import FOUND, SearchConfig, search_splitter
 from abelsplit.splitting import (
     MultiplierSet, NotASplitting, make_certificate, trivial_certificate,
@@ -85,13 +85,13 @@ def test_dumps_document_is_narrower_than_json_dumps():
 
 
 def test_record_documents_agree_with_the_hand_built_oracle():
-    # the desk scan holds sieved, searched and found records; {1, 2}
+    # the desk scan holds records of the four routes and found ones; {1, 2}
     # splitting Z_9 is a violation, which embeds the certificate document
     candidate = CandidateOrder(2, 4, 9, ((3, 2),))
     violation = make_record(candidate, search_splitter(Z(9), MultiplierSet.interval(2)))
     desk = scan(1, 30)
     assert len(desk.records) == 210
-    assert {r.route for r in desk.records} == {"counting", "search"}
+    assert {r.route for r in desk.records} == {"closed_form", "counting", "propagation", "search"}
     assert any(r.outcome.result == FOUND for r in desk.records)
     for report in (desk, ScanReport(2, 2, 4, SearchConfig(), (violation,))):
         doc = certio.scan_report_to_doc(report)
@@ -106,12 +106,59 @@ def test_record_documents_agree_with_the_hand_built_oracle():
 
 def test_desk_records_carry_only_their_routes_keys():
     doc = certio.scan_report_to_doc(scan(1, 30))
-    keys = {"counting": {"k", "n", "verdict", "route", "counting"},
-            "search": {"k", "n", "verdict", "route", "result", "nodes", "max_depth", "splitters"}}
+    keys = {"closed_form": {"k", "n", "verdict", "route", "splitters"},
+            "counting": {"k", "n", "verdict", "route", "counting"},
+            "propagation": {"k", "n", "verdict", "route", "propagation"},
+            "search": {"k", "n", "verdict", "route", "result", "nodes", "max_depth", "rows",
+                       "splitters"}}
     routes = Counter(record["route"] for record in doc["records"])
     assert set(routes) == set(keys) and routes.total() == 210
     for record in doc["records"]:
         assert set(record) == keys[record["route"]], record
+
+
+# (729, 26): -29 forces the row 28, then -31 the row 379, and -32 is dead
+_PROOF_729 = ((700, 28), (698, 379)), 697
+
+
+@pytest.mark.parametrize("steps, dead", [
+    _PROOF_729,
+    (_PROOF_729[0], 600),  # another dead residue, past the probes
+], ids=["proved", "other_dead"])
+def test_propagation_checker_accepts_a_refutation(steps, dead):
+    certio.check_propagation(26, 729, Propagation(steps, dead))
+    assert propagation_refutes_by_orbits(26, 729, steps, dead)
+
+
+@pytest.mark.parametrize("steps, dead, message", [
+    # -1 has 18 live rows at first, so none is forced
+    (((728, 28),) + _PROOF_729[0], 697,
+     r"step \(728, 28\): the live rows of 728 are \[28, 52, 56, 91, .*, 656, 728\]$"),
+    # 1's orbit is covered, so the row 1 is live for nothing
+    (((700, 1), (698, 379)), 697,
+     r"step \(700, 1\): the live rows of 700 are \[28\]$"),
+    # before 379 is forced, 698 has that one live row
+    (_PROOF_729[0][:1], 698, r"dead residue 698 has the live rows \[379\]$"),
+    # forced first, 379 is not the one live row of 698
+    (_PROOF_729[0][::-1], 697,
+     r"step \(698, 379\): the live rows of 698 are \[379, 577\]$"),
+    (_PROOF_729[0], 28, "probes 28, which is zero, covered or no residue of Z_729$"),
+    (_PROOF_729[0], 0, "probes 0, which is zero"),
+    (_PROOF_729[0], 729 + 697, "probes 1426, which is zero"),
+], ids=["two_live_rows", "forced_row_not_live", "dead_has_live_row", "forced_too_early",
+        "dead_covered", "dead_zero", "dead_out_of_range"])
+def test_propagation_checker_rejects_a_mutated_refutation(steps, dead, message):
+    with pytest.raises(certio.DocumentError, match=message):
+        certio.check_propagation(26, 729, Propagation(steps, dead))
+    assert not propagation_refutes_by_orbits(26, 729, steps, dead)
+
+
+def test_propagation_mutations_probe_what_they_claim():
+    # the oracle's live rows behind the mutations above
+    assert len(live_rows_by_orbits(26, 729, [], 728)) == 18
+    assert live_rows_by_orbits(26, 729, [], 700) == [28]
+    assert live_rows_by_orbits(26, 729, [28], 698) == [379]
+    assert live_rows_by_orbits(26, 729, [], 698) == [379, 577]
 
 
 def test_checkpoints_render_each_record_once(tmp_path, monkeypatch):
@@ -151,7 +198,7 @@ def test_last_checkpoint_of_the_desk_scan_is_pinned(tmp_path):
     # header once, then one line per record, in the order they finished
     head = json.dumps({"config": {"k_max": 30, "k_min": 1, "n_max": None,
                                   "node_limit": 10**8, "time_limit_s": 60.0},
-                       "format_version": 4, "kind": "scan_journal"}, sort_keys=True) + "\n"
+                       "format_version": 5, "kind": "scan_journal"}, sort_keys=True) + "\n"
     for jobs in (1, 2):
         path = tmp_path / f"scan_{jobs}.jsonl"
         finished = []
@@ -314,7 +361,7 @@ def test_scan_report_round_trip_and_determinism():
     assert certio.dumps_document(certio.scan_report_to_doc(back)) == text
     assert [r.candidate for r in back.records] == [r.candidate for r in report.records]
     assert [r.verdict for r in back.records] == [r.verdict for r in report.records]
-    decisions = lambda rep: [r.outcome if r.route == "counting" else r.outcome.stats.nodes
+    decisions = lambda rep: [r.outcome if r.route != "search" else r.outcome.stats.nodes
                              for r in rep.records]
     assert decisions(back) == decisions(report)
     found = [r.certificate for r in report.records if r.outcome.result == FOUND]
@@ -540,20 +587,19 @@ def test_scan_report_is_compared_once(monkeypatch):
 
 
 def test_scan_report_table_shape():
-    report = scan(8, 8, n_max=13)
+    report = scan(24, 24, n_max=26)
     table = certio.scan_report_table(report)
     lines = table.strip().splitlines()
     assert lines[0] == "k,n,N,factorization,verdict,route,nodes,millis"
-    assert len(lines) == 1 + len(report.records)
-    first = lines[1].split(",")
-    assert first[:4] == ["8", "1", "9", "3^2"]
-    assert first[4] == "trivial_expected"
-    # the sieve searches nothing; a search shows its nodes and its time
-    assert lines[2] == "8,3,25,5^2,conjecture_consistent,counting,0,0"
-    searched, millis = lines[3].rsplit(",", 1)
-    assert searched == "8,6,49,7^2,conjecture_consistent,search,5" and millis.isdigit()
-    last = lines[-1].split(",")
-    assert last[:4] == ["8", "13", "105", "3*5*7"]
+    assert len(lines) == 1 + len(report.records) == 10
+    # only the search searches: it shows its nodes and its time, every
+    # other route 0 and 0
+    assert lines[1] == "24,1,25,5^2,trivial_expected,closed_form,0,0"
+    assert lines[3] == "24,5,121,11^2,conjecture_consistent,propagation,0,0"
+    assert lines[4] == "24,7,169,13^2,conjecture_consistent,counting,0,0"
+    assert lines[7].split(",")[:4] == ["24", "16", "385", "5*7*11"]
+    searched, millis = lines[-1].rsplit(",", 1)
+    assert searched == "24,26,625,5^4,conjecture_consistent,search,2" and millis.isdigit()
 
 
 def test_attestation_and_partial_docs():
@@ -879,10 +925,9 @@ def test_interrupted_write_keeps_old_document(tmp_path, monkeypatch):
     old = certio.certificate_to_doc(trivial_certificate(8))
     certio.write_document(path, old)
 
-    def full_disk_open(file, mode, encoding, newline):
-        assert mode == "w"
-        return io.TextIOWrapper(io.BufferedWriter(_FullDisk(file, "w")),
-                                encoding=encoding, newline=newline)
+    def full_disk_open(file, mode):
+        assert mode == "wb"
+        return io.BufferedWriter(_FullDisk(file, "w"))
 
     with monkeypatch.context() as m:
         m.setattr(certio, "open", full_disk_open, raising=False)

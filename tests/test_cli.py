@@ -63,7 +63,7 @@ def test_verify_tampered(runner, tmp_path):
 ])
 def test_verify_failure_lines(runner, tmp_path, splitters, lines):
     doc = {
-        "format_version": 4,
+        "format_version": certio.FORMAT_VERSION,
         "kind": "splitting_certificate",
         "group_factors": [10],
         "multipliers": {"k": 3, "kind": "interval", "values": [1, 2, 3]},
@@ -438,22 +438,39 @@ def _add_record_n2(doc):
     doc["totals"]["records"] += 1
 
 
-# The k 5..6 report holds four records: n = 1, N = 6 (found), and n = 3 and 7,
-# N = 16 and 36 (refuted by the counting sieve) for k = 5, and n = 4, N = 25
-# (exhausted by the search) for k = 6.
+# The k 5..6 report holds four records: n = 1, N = 6 (closed form), and n = 3
+# and 7, N = 16 and 36 (refuted by the counting sieve) for k = 5, and n = 4,
+# N = 25 (refuted by propagation: -5 forces the row 24, then 18 is dead) for
+# k = 6.
 
-def _search_record_claims_counting(doc):
+def _propagation_record_claims_counting(doc):
     record = doc["records"][3]
-    assert (record["n"], record["route"]) == (4, "search")
-    for key in ("result", "nodes", "max_depth", "splitters"):
-        del record[key]
+    assert (record["n"], record["route"]) == (4, "propagation")
+    del record["propagation"]
     record.update(route="counting", counting={"p": 5, "stratum": 2})
+
+
+def _propagation_record_claims_search(doc):
+    # a searched record that propagation refutes is refused
+    record = doc["records"][3]
+    assert record.pop("propagation") == {"steps": [[20, 24]], "dead": 18}
+    record.update(route="search", result="exhausted_no_solution", nodes=0, max_depth=0, rows=0,
+                  splitters=None)
+
+
+def _propagation(steps, dead):
+    def damage(doc):
+        record = doc["records"][3]
+        assert record["propagation"] == {"steps": [[20, 24]], "dead": 18}
+        record["propagation"] = {"steps": steps, "dead": dead}
+
+    return damage
 
 
 def _counting_record_claims_search(doc):
     record = doc["records"][1]
     assert record.pop("counting") == {"p": 2, "stratum": 4}
-    record.update(route="search", result="exhausted_no_solution", nodes=0, max_depth=0,
+    record.update(route="search", result="exhausted_no_solution", nodes=0, max_depth=0, rows=0,
                   splitters=None)
 
 
@@ -551,7 +568,16 @@ def _damaged_resume(runner, tmp_path, damage):
     b"\xff\xfe",
     DEEP_TEXT,
     LONG_INT_TEXT,
-    _search_record_claims_counting,
+    _propagation_record_claims_counting,
+    _propagation_record_claims_search,
+    _propagation([], 20),  # before it is forced, the row 24 is live for 20
+    _propagation([[20, 24]], 19),  # covered by the row 24
+    _propagation([[20, 24]], 0),
+    _propagation([[20, 24]], 43),  # no residue of Z_25
+    _propagation([[24, 24]], 18),  # 8, 12 and 24 are live rows of 24
+    _propagation([[20, 23]], 18),  # the one live row of 20 is 24
+    _propagation([[20, 24.0]], 18),
+    _propagation([[20]], 18),
     _counting_record_claims_search,
     _counting_witness(2, 1),
     _counting_witness(3, 2),
@@ -571,7 +597,11 @@ def _damaged_resume(runner, tmp_path, damage):
         "verdict_flipped",
         "exhausted_with_splitters", "record_result", "extra_key",
         "nodes_bool", "k_float", "truncated", "non_utf8",
-        "nested", "long_int", "search_claims_counting", "counting_claims_search",
+        "nested", "long_int", "propagation_claims_counting", "propagation_claims_search",
+        "propagation_dead_has_live_row", "propagation_dead_covered", "propagation_dead_zero",
+        "propagation_dead_out_of_range", "propagation_step_not_forced",
+        "propagation_forced_row_not_live",
+        "propagation_step_float", "propagation_step_short", "counting_claims_search",
         "witness_wrong_p", "witness_wrong_stratum", "counting_with_nodes", "record_with_N",
         "k_outside_range", "n_past_bound",
         "time_limit_str", "time_limit_list", "time_limit_dict", "time_limit_negative",
@@ -734,9 +764,9 @@ def test_write_error_names_the_given_path(runner, tmp_path):
 def test_tile_export(runner, tmp_path):
     cases = [  # order, box, anchors, cells, sha256 of the export
         ("5", "0:9,0:9", 28, 100,
-         "f1ef9a14bc6928a08df4b9dbda130f836c535bef5ddb6295965206004a69d937"),
+         "cf9ff2a0d93dcd2af01e60e8448963ce828e9f156b557949ed8ce2077e807656"),
         ("9", "0:4,0:4,0:4,0:4", 179, 625,  # S = {1, 3, 4, 7}
-         "5a21b0f775b72124f437e08dd5ad10db32fde8b4eb883b8748b55438151ae39b"),
+         "ebf0f5eb0a98802c21d92b1c46da817ee9aa6992b2ff85c26fa325e707d3d386"),
     ]
     for order, box, anchors, cells, digest in cases:
         cert_path = tmp_path / f"z{order}.json"
@@ -761,7 +791,7 @@ def test_tile_output_is_pinned(runner, tmp_path):
     assert result.exit_code == 0
     assert _summary(result) == "verdict=true order=13 anchors=926 cells=10800"
     assert hashlib.sha256(result.stdout.encode()).hexdigest() == (
-        "c390e5904360d6d1f470ef02c9e727588dd7be4da305c21f8f346147d5bd0ce5"
+        "407a4f3e749cf8912252c8ef0fe5a55075e72a05691b6c7e1cbb43ac823f8c89"
     )
 
 
@@ -1202,7 +1232,7 @@ def test_scan_table_is_the_reports_table(runner, tmp_path, monkeypatch):
 
 def test_resumed_scan_table_leaves_restored_search_millis_empty(runner, tmp_path):
     # a report keeps no time, so a restored search record has none to show,
-    # while the sieve spends none, restored or not
+    # while the other routes spend none, restored or not
     args = ["scan", "--k-min", "20", "--k-max", "30", "--jobs", "1", "--out-dir", str(tmp_path)]
     assert runner.invoke(main, args).exit_code == 0
     journal = tmp_path / "scan_k20-30.jsonl"
@@ -1211,7 +1241,7 @@ def test_resumed_scan_table_leaves_restored_search_millis_empty(runner, tmp_path
     rerun = {(r["k"], r["n"]) for r in map(json.loads, lines[-3:])}
     assert runner.invoke(main, args + ["--resume"]).exit_code == 0
     rows = (tmp_path / "scan_k20-30.csv").read_text().splitlines()[1:]
-    restored = {"search": set(), "counting": set()}
+    restored = {"closed_form": set(), "counting": set(), "propagation": set(), "search": set()}
     for row in rows:
         k, n, _, _, _, route, _, millis = row.split(",")
         if (int(k), int(n)) in rerun:
@@ -1219,7 +1249,8 @@ def test_resumed_scan_table_leaves_restored_search_millis_empty(runner, tmp_path
         else:
             restored[route].add(millis)
     assert len(rows) == 121 and len(rerun) == 3
-    assert restored == {"search": {""}, "counting": {"0"}}
+    assert restored == {"closed_form": {"0"}, "counting": {"0"}, "propagation": {"0"},
+                        "search": {""}}
 
 
 def test_check_writes_report(runner, tmp_path):

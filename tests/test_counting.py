@@ -11,6 +11,7 @@ from helpers import (
     digit_pattern_by_digits,
     naive_splitting_exists,
     stratify_by_enumeration,
+    tw_pairwise_disjoint_by_pairs,
     tw_passed,
 )
 from hypothesis import given, settings
@@ -529,6 +530,27 @@ def test_tw_z25_two_unit_splitters():
     assert report.tw_sizes == (10, 10)
     assert report.card_d == report.card_e == 10
     assert report.r * report.card_e == report.unit_count == 20
+
+
+def test_tw_overlap_is_reported():
+    # {1, s} with verification bypassed, for every unit s != 1 of Z_25 with
+    # k = 12: pairwise_disjoint reports the overlaps of the scaled cosets of
+    # 1 and s as the pair-by-pair oracle does
+    group, m = Z(25), MultiplierSet.interval(12)
+    overlaps = 0
+    for s in range(2, 25):
+        if s % 5 == 0:
+            continue
+        cert = splitting._certificate(group, m, ((1,), (s,)))
+        report = tw_disjointness_check(cert)
+        assert report.hypothesis_ok and report.unit_splitters == (1, s)
+        assert report.pairwise_disjoint is tw_pairwise_disjoint_by_pairs(cert, report), s
+        overlaps += not report.pairwise_disjoint
+    assert overlaps == 14  # of the 19 units s != 1
+    for k, which in [(12, "order_2k_plus_1"), (24, "order_k_plus_1"), (48, "order_k_plus_1")]:
+        cert = trivial_certificate(k, which)
+        report = tw_disjointness_check(cert)
+        assert report.pairwise_disjoint and tw_pairwise_disjoint_by_pairs(cert, report)
 
 
 def test_tw_rejects_outside_hypothesis():

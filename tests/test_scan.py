@@ -6,6 +6,7 @@ import os
 import pickle
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -14,16 +15,21 @@ from helpers import candidates_by_trial_division
 
 from abelsplit import certio
 from abelsplit.counting import counting_witness
-from abelsplit.groups import FiniteAbelianGroup
+from abelsplit.groups import FiniteAbelianGroup, factorize
 from abelsplit.record import replace
 from abelsplit.scan import (
+    CLOSED_FORM,
     CONSISTENT,
     COUNTING,
+    INCONCLUSIVE,
+    PROPAGATION,
     SEARCH,
     TRIVIAL_EXPECTED,
     VIOLATION,
     CandidateOrder,
+    ClosedForm,
     Counting,
+    Propagation,
     ScanRecord,
     ScanReport,
     check_k_ge_n,
@@ -43,9 +49,10 @@ from abelsplit.search import (
     SearchConfig,
     SearchOutcome,
     SearchStats,
+    propagate,
     search_splitter,
 )
-from abelsplit.splitting import MultiplierSet
+from abelsplit.splitting import ORDER_2K_PLUS_1, MultiplierSet, trivial_certificate
 
 scanlib = importlib.import_module("abelsplit.scan")  # the package re-exports scan()
 
@@ -74,9 +81,12 @@ def test_candidate_order_is_a_frozen_slotted_dataclass():
 
 
 def test_scan_record_is_a_frozen_slotted_dataclass():
-    records = scan(1, 8).records
+    # k = 24, n <= 26 holds a record of each route, a closed form's with its
+    # certificate
+    records = scan(24, 24, n_max=26).records
     routes = {(r.route, r.certificate is not None) for r in records}
-    assert {(COUNTING, False), (SEARCH, True), (SEARCH, False)} <= routes
+    assert routes == {(CLOSED_FORM, True), (COUNTING, False), (PROPAGATION, False),
+                      (SEARCH, False)}
     for record in records:
         assert not hasattr(record, "__dict__")
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -85,18 +95,18 @@ def test_scan_record_is_a_frozen_slotted_dataclass():
 
 
 def _as_written(record):
-    """record as a document keeps it: a search's stats without its time
-    and row count, and a Counting whole."""
-    if record.route == COUNTING:
+    """record as a document keeps it: a search's stats without its time,
+    and every other decision whole."""
+    if record.route != SEARCH:
         return record
-    stats = SearchStats(record.outcome.stats.nodes, record.outcome.stats.max_depth, None)
+    stats = replace(record.outcome.stats, elapsed_s=None)
     return replace(record, outcome=replace(record.outcome, stats=stats))
 
 
 def test_a_record_of_every_route_round_trips(tmp_path):
-    # a counting record, an exhausted search's and a found one's, through
-    # the report document, the journal and pickle
-    report = scan(1, 8)
+    # a closed form's, a counting, a propagation and a searched record,
+    # through the report document, the journal and pickle
+    report = scan(24, 24, n_max=26)
     journal = tmp_path / "scan.jsonl"
     journal.write_text("".join(certio.journal_chunks(report)))
     read = (certio.scan_report_from_doc(certio.scan_report_to_doc(report)).records,
@@ -104,7 +114,8 @@ def test_a_record_of_every_route_round_trips(tmp_path):
     first = {}
     for i, record in enumerate(report.records):
         first.setdefault((record.route, record.outcome.result), i)
-    assert set(first) == {(COUNTING, EXHAUSTED), (SEARCH, EXHAUSTED), (SEARCH, FOUND)}
+    assert set(first) == {(CLOSED_FORM, FOUND), (COUNTING, EXHAUSTED), (PROPAGATION, EXHAUSTED),
+                          (SEARCH, EXHAUSTED)}
     for i in first.values():
         record = report.records[i]
         pairs = [(pickle.loads(pickle.dumps(record)), record)]
@@ -112,33 +123,58 @@ def test_a_record_of_every_route_round_trips(tmp_path):
         for back, expected in pairs:
             assert back == expected and hash(back) == hash(expected)
             assert repr(back) == repr(expected)
+    searched = report.records[first[SEARCH, EXHAUSTED]].outcome.stats
+    assert (searched.nodes, searched.rows) == (2, 6) and read[0][-1].outcome.stats.rows == 6
+    # the routes before the search decide their records without it
+    for key, i in first.items():
+        record = report.records[i]
+        if key[0] != SEARCH:
+            assert decide(record.candidate, SearchConfig(),
+                          lambda left: pytest.fail("decided before the search")) == record
     counted = report.records[first[COUNTING, EXHAUSTED]]
     c = counted.candidate
     assert counted.outcome == Counting(*counting_witness(c.k, c.order, c.smoothness_witness))
-    assert decide(c, lambda: pytest.fail("the sieve decides this candidate")) == counted
+    closed = report.records[first[CLOSED_FORM, FOUND]]
+    assert closed.outcome == ClosedForm((1,)) and closed.certificate == trivial_certificate(24)
 
 
 def test_a_refuted_trivial_order_names_its_route(monkeypatch):
-    # the sieve never refutes a trivial order; one that did would be unsound
+    # decide gives a trivial order its closed form and asks no other route;
+    # a route that refuted one would be unsound, and make_record says which
     z7 = CandidateOrder(3, 2, 7, ((7, 1),))
     doc = certio.scan_report_to_doc(scan(3, 3, n_max=1))
-    with pytest.raises(RuntimeError, match=(
-            "^the search found no splitting at trivial order 7 for k=3$")):
-        decide(z7, lambda: SearchOutcome(EXHAUSTED, None, SearchStats(1, 1, 0.0)))
-    monkeypatch.setattr(scanlib, "counting_witness", lambda k, order, fac: (fac[0][0], 1))
-    with pytest.raises(RuntimeError, match=(
-            "^the counting sieve refutes trivial order 7 for k=3 by p=7, stratum 1$")):
-        decide(z7, lambda: pytest.fail("the sieve decides this candidate"))
+    monkeypatch.setattr(scanlib, "counting_witness", lambda *args: pytest.fail("sieve asked"))
+    monkeypatch.setattr(scanlib, "propagate", lambda *args: pytest.fail("prover asked"))
+    record = decide(z7, SearchConfig(), lambda left: pytest.fail("search asked"))
+    assert record.outcome == ClosedForm((1, 6)) and record.verdict == TRIVIAL_EXPECTED
+    assert record.certificate == trivial_certificate(3, ORDER_2K_PLUS_1)
+    monkeypatch.undo()
+    refutations = [(SEARCH, SearchOutcome(EXHAUSTED, None, SearchStats(1, 1, 0.0))),
+                   (COUNTING, Counting(7, 1)), (PROPAGATION, Propagation((), 4))]
+    for route, outcome in refutations:
+        with pytest.raises(RuntimeError, match=(
+                f"^the {route} route refutes trivial order 7 for k=3$")):
+            make_record(z7, outcome)
     # a report claiming such a refutation, of N = 4 for k = 3, is refused
     (record,) = doc["records"]
-    for key in ("result", "nodes", "max_depth", "splitters"):
-        del record[key]
+    del record["splitters"]
     record.update(verdict=CONSISTENT, route=COUNTING, counting={"p": 2, "stratum": 1})
-    with pytest.raises(certio.DocumentError, match="counting sieve refutes trivial order 4"):
+    with pytest.raises(certio.DocumentError, match=(
+            "^record k=3 n=1 differs from what abelsplit writes in counting, route, "
+            "splitters, verdict$")):
         certio.scan_report_from_doc(doc)
-    monkeypatch.undo()
-    with pytest.raises(certio.DocumentError):
-        certio.scan_report_from_doc(doc)
+
+
+def test_no_route_but_the_closed_form_refutes_a_trivial_order():
+    # the sieve and the prover, called directly, at both trivial orders of
+    # every k <= 300: the prover forces S = {1, -1} at 2k + 1 and proves
+    # nothing
+    config = SearchConfig(time_limit_s=None)
+    for k in range(1, 301):
+        assert counting_witness(k, k + 1, factorize(k + 1)) is None
+        assert counting_witness(k, 2 * k + 1, factorize(2 * k + 1)) is None
+        assert propagate(k + 1, k, config, 0.0) == ((), None)
+        assert propagate(2 * k + 1, k, config, 0.0) == (((2 * k, 2 * k),), None)
 
 
 def test_candidates_small_k_empty():
@@ -269,11 +305,16 @@ def test_found_at_trivial_orders():
 
 
 def test_counting_records_are_exhausted_by_the_search(desk_scan):
-    # the sieve's refutations of scan(1, 30), re-decided by plain search
+    # the sieve's refutations of scan(1, 30), re-decided by plain search;
+    # the 32 trivial orders take their closed form, and propagation leaves
+    # the search one record, (625, 24)
+    routes = Counter(r.route for r in desk_scan.records)
+    assert routes == {COUNTING: 155, CLOSED_FORM: 32, PROPAGATION: 22, SEARCH: 1}
+    assert all(r.outcome.result == FOUND for r in desk_scan.records if r.route == CLOSED_FORM)
+    (searched,) = [r for r in desk_scan.records if r.route == SEARCH]
+    assert (searched.candidate.order, searched.candidate.k) == (625, 24)
+    assert searched.outcome.stats.nodes == 2
     counted = [r for r in desk_scan.records if r.route == COUNTING]
-    searched = [r for r in desk_scan.records if r.route == SEARCH]
-    assert (len(counted), len(searched)) == (155, 55)
-    assert sum(1 for r in searched if r.outcome.result == FOUND) == 32
     nodes = 0
     for record in counted:
         k, order = record.candidate.k, record.candidate.order
@@ -473,9 +514,13 @@ def test_checkpoint_called_per_record(jobs):
 
 
 def test_inconclusive_on_budget():
-    report = scan(8, 8, n_max=13, config=SearchConfig(node_limit=5))
+    # (625, 24) is the one record of k = 24 that reaches the search, which
+    # exhausts it in 2 nodes
+    report = scan(24, 24, n_max=26, config=SearchConfig(node_limit=2))
     assert overall_verdict(report.totals) == "inconclusive"
     assert report.totals["inconclusive"] >= 1
+    (limited,) = [r for r in report.records if r.verdict == INCONCLUSIVE]
+    assert limited.candidate.order == 625 and limited.outcome.stats.reason == "node_limit"
     assert check_k_ge_n(report)  # resource-limited records are not "found"
 
 

@@ -13,13 +13,22 @@ from helpers import (
     eager_orbit_rows,
     naive_splitting_exists,
     natural_order_search,
+    propagation_refutes_by_orbits,
     rows_by_lowest_bit,
     splits_by_doubling_cycles,
 )
 
-from abelsplit import search
+from abelsplit import certio, search
+from abelsplit.counting import counting_witness
 from abelsplit.groups import FiniteAbelianGroup
-from abelsplit.scan import purely_singular_candidates
+from abelsplit.scan import (
+    INCONCLUSIVE,
+    Propagation,
+    candidate_order,
+    decide,
+    purely_singular_candidates,
+    scan_candidates,
+)
 from abelsplit.search import (
     EXHAUSTED,
     FOUND,
@@ -32,6 +41,7 @@ from abelsplit.search import (
     _exact_covers,
     _row_source,
     enumerate_all_splittings,
+    propagate,
     search_splitter,
 )
 from abelsplit.splitting import (
@@ -493,3 +503,45 @@ def test_enumerate_preconditions():
         enumerate_all_splittings(10, 4)
     with pytest.raises(ValueError):
         enumerate_all_splittings(1, 1)
+
+
+def test_propagation_refutes_only_what_the_search_exhausts():
+    # every survivor of the counting sieve at k <= 60: propagation refutes 52
+    # of the 54, each by a certificate that certio's checker and the orbit
+    # oracle accept, and the search exhausts each of them; it leaves the
+    # (k+1)^2 family members (625, 24) and (2401, 48) to the search
+    survivors = [c for c in scan_candidates(1, 60) if not c.trivial
+                 and counting_witness(c.k, c.order, c.smoothness_witness) is None]
+    left = []
+    for c in survivors:
+        steps, dead = propagate(c.order, c.k, SearchConfig(), time.monotonic())
+        if dead is None:
+            left.append((c.order, c.k))
+            continue
+        assert propagation_refutes_by_orbits(c.k, c.order, steps, dead), (c.order, c.k)
+        certio.check_propagation(c.k, c.order, Propagation(steps, dead))
+        outcome = search_splitter(Z(c.order), MultiplierSet.interval(c.k))
+        assert outcome.result == EXHAUSTED, (c.order, c.k)
+    assert len(survivors) == 54 and left == [(625, 24), (2401, 48)]
+
+
+def test_propagation_spends_the_records_budget():
+    # propagation on (2401, 48) probes 97 residues and forces nothing, with
+    # work past _TIME_STRIDE, so it reads the clock; a search gets the time
+    # that propagation left
+    candidate = candidate_order(48, 50)
+    with pytest.raises(BudgetExceeded, match="^time_limit$"):
+        propagate(2401, 48, SearchConfig(time_limit_s=0), time.monotonic())
+    assert propagate(2401, 48, SearchConfig(), time.monotonic()) == ((), None)
+    record = decide(candidate, SearchConfig(time_limit_s=0), lambda left: pytest.fail("searched"))
+    assert record.verdict == INCONCLUSIVE and record.outcome.result == RESOURCE_LIMIT
+    stats = record.outcome.stats
+    assert (stats.nodes, stats.rows, stats.reason) == (0, 0, "time_limit")
+    given = []
+    family = candidate_order(24, 26)  # (625, 24), which propagation leaves to the search
+    for config in (SearchConfig(node_limit=7, time_limit_s=60.0),
+                   SearchConfig(node_limit=7, time_limit_s=None)):
+        decide(family, config, lambda left: given.append(left) or search_splitter(
+            Z(625), MultiplierSet.interval(24), left))
+    assert [config.node_limit for config in given] == [7, 7]
+    assert 59.0 < given[0].time_limit_s <= 60.0 and given[1].time_limit_s is None
