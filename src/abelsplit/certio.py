@@ -6,19 +6,23 @@ newline), so equal objects serialize to identical bytes. dumps_document
 writes exactly json.dumps(doc, sort_keys=True, indent=2) plus the newline.
 It is written by hand because json.dumps runs without its C encoder
 whenever indent is set; it accepts str keys and exact JSON types only.
-Every document carries FORMAT_VERSION, 5 since scan records name four
-proof routes. A scan record document holds k, n, verdict and route, then
-the keys of its route only: a closed_form record its splitters, a counting
-record counting {p, stratum}, a propagation record propagation {steps:
-[[x, s], ...], dead: x}, and a search record result, nodes, max_depth,
-rows and splitters.
+Every document carries FORMAT_VERSION, 6 since a scan's documents list
+only the records the counting sieve leaves. A scan report lists the
+records of the closed_form, propagation and search routes and counts
+every route in routes, counting included; a reader enumerates the range
+and runs the sieve again for the rest. A listed record's document holds
+k, n, verdict and route, then the keys of its route only: a closed_form
+record its splitters, a propagation record propagation {steps: [[x, s],
+...], dead: x}, and a search record result, nodes, max_depth, rows and
+splitters, and the reason of a resource_limit result.
 A scan journal is a scan's checkpoint: a header line with the scan's
-config, then one line per finished record, the compact JSON of its record
-document, so a checkpoint costs one record whatever the size of the scan.
+config, then one line per finished record the report would list, the
+compact JSON of its record document, so a checkpoint costs one record
+whatever the size of the scan, and a sieve record's costs nothing.
 Scan report documents deliberately exclude wall-clock data; timing appears
 only in the tabular export's millis column, which is diagnostic: it is
 empty for a searched record restored through a resume, and 0 for a record
-that no search decided.
+that no search decided. The tabular export has a line per candidate.
 Every file abelsplit writes goes through write_chunks, which replaces the
 target atomically through a temp file, except the lines appended to a scan
 journal. It takes the text as an iterable of str and encodes each chunk
@@ -31,8 +35,8 @@ The writers define what a valid document is. Each reader rebuilds its
 object with the library's own constructors and accepts the document only
 if writing that object back gives exactly the same document; the scan
 report and journal readers (scan_report_from_doc, read_journal) say how
-they check a document of many records without building a second one;
-which records a report may hold is ScanReport's rule.
+they check a document of many records without building a second one, and
+how they walk its range (_RangeWalk) beside the records it lists.
 """
 
 from __future__ import annotations
@@ -42,11 +46,11 @@ import os
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager, suppress
 from functools import cache
+from itertools import chain
 from math import gcd
 from pathlib import Path
 
 from .groups import FiniteAbelianGroup
-from .counting import counting_witness
 from .record import replace
 from .scan import (
     CLOSED_FORM,
@@ -54,15 +58,22 @@ from .scan import (
     PROPAGATION,
     SEARCH,
     VIOLATION,
+    CandidateOrder,
     Propagation,
     ScanRecord,
     ScanReport,
+    check_ascending,
     decide,
+    iter_candidates,
     make_record,
+    order_error,
     overall_verdict,
     scan_order,
+    sieve,
 )
-from .search import EXHAUSTED, FOUND, SearchConfig, SearchOutcome, SearchStats
+from .search import (
+    BUDGETS, EXHAUSTED, FOUND, RESOURCE_LIMIT, SearchConfig, SearchOutcome, SearchStats,
+)
 from .splitting import (
     INTERVAL,
     MultiplierSet,
@@ -80,7 +91,7 @@ from .tiling import (
     semi_cross,
 )
 
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 
 
 class DocumentError(ValueError):
@@ -335,18 +346,17 @@ def search_result_doc(order: int, multipliers: MultiplierSet, outcome: SearchOut
 # -- scan reports ------------------------------------------------------------
 
 def _record_doc(record: ScanRecord) -> dict:
-    """k, n, verdict and route, then the keys of the route's decision: a
-    ClosedForm's splitters, the sieve's Counting as counting {p, stratum},
-    a Propagation as propagation {steps, dead}, or the search's result,
-    nodes, max_depth, rows and splitters; a violation also embeds its
-    certificate."""
+    """The document of a record the report and journal list, which no
+    record of the sieve is: k, n, verdict and route, then the keys of the
+    route's decision: a ClosedForm's splitters, a Propagation as
+    propagation {steps, dead}, or the search's result,
+    nodes, max_depth, rows and splitters, and the reason of a
+    resource_limit result; a violation also embeds its certificate."""
     outcome, route = record.outcome, record.route
     doc = {"k": record.candidate.k, "n": record.candidate.n, "verdict": record.verdict,
            "route": route}
     if route == CLOSED_FORM:
         doc["splitters"] = list(outcome.splitters)
-    elif route == COUNTING:
-        doc["counting"] = {"p": outcome.p, "stratum": outcome.stratum}
     elif route == PROPAGATION:
         doc["propagation"] = {"steps": [list(step) for step in outcome.steps],
                               "dead": outcome.dead}
@@ -356,9 +366,17 @@ def _record_doc(record: ScanRecord) -> dict:
         doc["max_depth"] = outcome.stats.max_depth
         doc["rows"] = outcome.stats.rows
         doc["splitters"] = None if outcome.splitters is None else list(outcome.splitters)
+        if outcome.result == RESOURCE_LIMIT:
+            doc["reason"] = outcome.stats.reason
         if record.verdict == VIOLATION:
             doc["certificate"] = certificate_to_doc(record.certificate)
     return doc
+
+
+def _listed(report: ScanReport) -> Iterator[ScanRecord]:
+    """The records of report that its documents list: all but the sieve's,
+    which a reader derives again from the range."""
+    return (record for record in report.records if record.route != COUNTING)
 
 
 def check_propagation(k: int, order: int, proof: Propagation) -> None:
@@ -414,34 +432,88 @@ def check_propagation(k: int, order: int, proof: Propagation) -> None:
             f"propagation dead residue {proof.dead} has the live rows {sorted(live)}")
 
 
-def _record_from_doc(doc, config: ScanReport) -> ScanRecord:
-    """Rebuild a record the way the scan makes it: its candidate from k and
-    n (config.candidate). A nontrivial candidate of route propagation that
-    the counting sieve, run again, does not refute becomes the Propagation
-    read from doc once check_propagation accepts it. Any other record goes
-    through decide, with the search outcome read from doc, whose found
-    splitters make_record re-verifies; a document keeps no time, so that
-    outcome's elapsed_s is None. The caller checks the record against doc,
-    as part of the report or journal that holds it, so a record whose
-    route, decision keys or verdict differ from the rebuilt decision's is
-    refused: a searched record that propagation refutes among them."""
+def _record_from_doc(doc, candidate: CandidateOrder, config: SearchConfig) -> ScanRecord:
+    """Rebuild the record of doc the way the scan makes it, on candidate,
+    which the walk of the range found at doc's k and n and the sieve
+    leaves. On a nontrivial candidate, a record of route propagation
+    becomes the Propagation read from doc once check_propagation accepts
+    it. Any other record goes through decide, with the search outcome read
+    from doc, whose found splitters make_record re-verifies; a document
+    keeps no time, so that outcome's elapsed_s is None, and the reason of a
+    resource_limit result must name one of the budgets. The caller checks
+    the record against doc, as part of the report or journal that holds
+    it, so a record whose route, decision keys or verdict differ from the
+    rebuilt decision's is refused: a searched record that propagation
+    refutes among them."""
     def read_outcome(left: SearchConfig) -> SearchOutcome:
-        splitters = tuple(doc["splitters"]) if doc["result"] == FOUND else None
-        stats = SearchStats(int(doc["nodes"]), int(doc["max_depth"]), None, int(doc["rows"]))
-        return SearchOutcome(doc["result"], splitters, stats)
+        result = doc["result"]
+        splitters = tuple(doc["splitters"]) if result == FOUND else None
+        reason = doc["reason"] if result == RESOURCE_LIMIT else None
+        if reason is not None and reason not in BUDGETS:
+            raise ValueError(f"no budget is named {reason!r}")
+        stats = SearchStats(int(doc["nodes"]), int(doc["max_depth"]), None, int(doc["rows"]),
+                            reason)
+        return SearchOutcome(result, splitters, stats)
 
     with _parsing("scan record"):
-        candidate = config.candidate(int(doc["k"]), int(doc["n"]))
-        if candidate is None:
-            raise DocumentError(f"record k={doc['k']} n={doc['n']} is not a scan candidate")
-        k, order = candidate.k, candidate.order
-        if (doc.get("route") == PROPAGATION and not candidate.trivial
-                and counting_witness(k, order, candidate.smoothness_witness) is None):
+        if doc.get("route") == PROPAGATION and not candidate.trivial:
             proof = doc["propagation"]
             decision = Propagation(tuple(map(tuple, proof["steps"])), proof["dead"])
-            check_propagation(k, order, decision)
+            check_propagation(candidate.k, candidate.order, decision)
             return make_record(candidate, decision)
-        return decide(candidate, config.config, read_outcome)
+        return decide(candidate, config, read_outcome)
+
+
+class _RangeWalk:
+    """The candidates of a scan's range (iter_candidates), walked beside
+    the records a document lists, which must ascend by (k, n).
+
+    take(k, n) passes over the candidates before (k, n) and returns the one
+    at (k, n), which the sieve must leave: DocumentError names a record
+    that is no candidate, or one the sieve refutes, which abelsplit never
+    lists; and order_error's ValueError one at or before the record taken
+    last. The sieve runs again on each candidate passed over, and the walk
+    keeps the record of each one it refutes. One it leaves is a record the
+    document lacks: a complete walk, a report's, refuses it, and a partial
+    one, a journal's, passes over it, for a resumed scan to decide. finish
+    passes over the rest of the range and returns the sieve's records, in
+    order."""
+
+    def __init__(self, k_min: int, k_max: int, n_max: int | None, complete: bool) -> None:
+        self._stream = iter_candidates(k_min, k_max, n_max)
+        self._complete = complete
+        self._last: tuple[int, int] | None = None
+        self._sieved: list[ScanRecord] = []
+
+    def _pass(self, candidate: CandidateOrder) -> None:
+        counting = sieve(candidate)
+        if counting is not None:
+            self._sieved.append(make_record(candidate, counting))
+        elif self._complete:
+            raise DocumentError(f"scan_report lacks the candidate k={candidate.k} n={candidate.n}")
+
+    def take(self, k: int, n: int) -> CandidateOrder:
+        key = k, n
+        if self._last is not None and key <= self._last:
+            raise order_error(self._last, key)
+        self._last = key
+        for candidate in self._stream:
+            if (candidate.k, candidate.n) >= key:
+                break
+            self._pass(candidate)
+        else:
+            candidate = None
+        if candidate is None or (candidate.k, candidate.n) != key:
+            raise DocumentError(f"record k={k} n={n} is not a scan candidate")
+        if sieve(candidate) is not None:
+            raise DocumentError(f"record k={k} n={n} is a candidate the counting sieve refutes, "
+                                f"which abelsplit does not list")
+        return candidate
+
+    def finish(self) -> list[ScanRecord]:
+        for candidate in self._stream:
+            self._pass(candidate)
+        return self._sieved
 
 
 def _config_doc(report: ScanReport) -> dict:
@@ -455,28 +527,23 @@ def _config_doc(report: ScanReport) -> dict:
     }
 
 
-def _config_from_doc(doc) -> ScanReport:
-    """The report of no records of the config doc, checked by ScanReport and
-    SearchConfig; the caller's _parsing makes errors DocumentError."""
-    return ScanReport(doc["k_min"], doc["k_max"], doc["n_max"],
-                      SearchConfig(doc["node_limit"], doc["time_limit_s"]), ())
-
-
 def _scan_report_doc(report: ScanReport, records) -> dict:
-    """The document of report, with records standing for its records."""
+    """The document of report, with records standing for the records it
+    lists."""
     totals = report.totals
     return {
         "format_version": FORMAT_VERSION,
         "kind": "scan_report",
         "config": _config_doc(report),
         "records": records,
+        "routes": report.routes,
         "totals": totals,
         "overall": overall_verdict(totals),
     }
 
 
 def scan_report_to_doc(report: ScanReport) -> dict:
-    return _scan_report_doc(report, [_record_doc(r) for r in report.records])
+    return _scan_report_doc(report, [_record_doc(r) for r in _listed(report)])
 
 
 _BATCH = 16  # records the report reader compares with their written form at once
@@ -487,15 +554,18 @@ def scan_report_chunks(report: ScanReport) -> Iterator[str]:
     """dumps_document(scan_report_to_doc(report)) in pieces, one record's
     document alive at a time: the text before and after the records, cut
     from the document rendered with the one item _RECORDS in their place,
-    and between them each record's text as _write renders it there."""
-    if not report.records:
-        yield dumps_document(scan_report_to_doc(report))
+    and between them each listed record's text as _write renders it
+    there."""
+    listed = _listed(report)
+    first = next(listed, None)
+    if first is None:
+        yield dumps_document(_scan_report_doc(report, []))
         return
     head, tail = dumps_document(_scan_report_doc(report, [_RECORDS])).split(_escape(_RECORDS))
     item_sep = _punctuation(1)[1]  # the records list sits at depth 1
     yield head
     sep = ""
-    for record in report.records:
+    for record in chain((first,), listed):
         parts = [sep]
         _write(_record_doc(record), 2, parts.append)
         yield "".join(parts)
@@ -505,44 +575,66 @@ def scan_report_chunks(report: ScanReport) -> Iterator[str]:
 
 def scan_report_from_doc(doc: dict) -> ScanReport:
     """Parse a scan report: DocumentError unless its config makes a
-    ScanReport and a SearchConfig, each record is a candidate of that
-    range, abelsplit writes exactly doc for the records rebuilt from it,
-    and they are every candidate of the range.
+    ScanReport and a SearchConfig, its records are exactly the candidates
+    of that range the sieve leaves, ascending, abelsplit writes exactly doc
+    for the records rebuilt from them and the sieve's records of the rest
+    of the range, and its routes count the latter as counting.
 
-    Each record's candidate, route, closed form, Counting and verdict are
-    derived again, a Propagation is recounted by check_propagation, found
-    splitters are re-verified, and a searched record is one that neither
-    the sieve nor propagation refutes (_record_from_doc). A searched
-    record's nodes, max_depth, rows and exhausted or resource_limit result
-    are taken as written: only running its search again could check them,
-    which would undo the point of resuming.
+    The listed records must ascend strictly by (k, n), checked first
+    (check_ascending), so the error names the first out of place. The
+    range is then walked once (_RangeWalk), in (k, N) order, beside the
+    records: each record's candidate comes from the walk, and the sieve
+    runs again on every candidate the records pass over, so the error
+    names the first candidate the sieve leaves that the report lacks, and a
+    record the sieve refutes or that is no candidate. The walk builds its
+    table of largest prime factors only as far as it gets, and ScanReport
+    checks the whole range once it is walked, so a report cut short is
+    refused at its first missing candidate whatever k_max it claims, and a
+    range whose orders pass the table's reach at the first k that needs
+    them, before any table of them is built.
+
+    Each listed record's route, closed form and verdict are derived again,
+    a Propagation is recounted by check_propagation, found splitters are
+    re-verified, and a searched record is one that propagation does not
+    refute (_record_from_doc). A searched record's nodes, max_depth, rows
+    and exhausted or resource_limit result are taken as written: only
+    running its search again could check them, which would undo the point
+    of resuming.
 
     The records are read in one pass, _BATCH at a time, so no document of
     the whole report is built: each batch is rebuilt and compared with its
     written form, and a batch that differs is compared record by record,
     so that the error names the first record that differs, and its keys.
-    ScanReport refuses records out of (k, N) order, naming the first, so
-    the report's own keys are compared once, with None for its records.
-    Last, the report walks its range beside the records (first_missing),
-    and the error names the first candidate it lacks."""
+    The report's own keys are compared once, last, with None for its
+    records, so stale routes or totals are refused there."""
     with _parsing("scan_report"):
-        config = _config_from_doc(doc["config"])
-        given, records = doc["records"], []
+        config, given, listed = doc["config"], doc["records"], []
+        search = SearchConfig(config["node_limit"], config["time_limit_s"])
+        k_min, k_max, n_max = config["k_min"], config["k_max"], config["n_max"]
+        keys = [(int(r["k"]), int(r["n"])) for r in given]
+        check_ascending(keys)
+        walk = _RangeWalk(k_min, k_max, n_max, complete=True)
         for start in range(0, len(given), _BATCH):
             batch = given[start:start + _BATCH]
-            read = [_record_from_doc(r, config) for r in batch]
+            read = [_record_from_doc(r, walk.take(*key), search)
+                    for r, key in zip(batch, keys[start:start + _BATCH])]
             if _text([_record_doc(record) for record in read]) != _text(batch):
                 for record, r in zip(read, batch):
                     _require_written_form(_record_doc(record), r, f"record k={r['k']} n={r['n']}")
-            records += read
-        report = replace(config, records=tuple(records))
+            listed += read
+        records = tuple(sorted(listed + walk.finish(), key=scan_order))
+        report = ScanReport(k_min, k_max, n_max, search, records)
         # a JSON list never reads as null
         _require_written_form(_scan_report_doc(report, None), {**doc, "records": None},
                               "scan_report")
-        missing = report.first_missing()
-    if missing is not None:
-        raise DocumentError(f"scan_report lacks the candidate k={missing[0]} n={missing[1]}")
     return report
+
+
+def _config_from_doc(doc) -> ScanReport:
+    """The report of no records of the config doc, checked by ScanReport and
+    SearchConfig; the caller's _parsing makes errors DocumentError."""
+    return ScanReport(doc["k_min"], doc["k_max"], doc["n_max"],
+                      SearchConfig(doc["node_limit"], doc["time_limit_s"]), ())
 
 
 def _journal_head_doc(report: ScanReport) -> dict:
@@ -551,9 +643,10 @@ def _journal_head_doc(report: ScanReport) -> dict:
 
 
 def journal_lines(report: ScanReport) -> Iterator[str]:
-    """A journal line per record of report, in its order: the compact JSON
-    (sort_keys=True) of the record's document."""
-    for r in report.records:
+    """A journal line per listed record of report, in its order: the
+    compact JSON (sort_keys=True) of the record's document. A sieve record
+    has none."""
+    for r in _listed(report):
         yield _text(_record_doc(r)) + "\n"
 
 
@@ -565,17 +658,21 @@ def journal_chunks(report: ScanReport) -> Iterator[str]:
 
 
 def read_journal(path) -> ScanReport | None:
-    """The header's config with the record of every other line, in (k, N)
+    """The header's config with the record of every other line and the
+    sieve's record of every candidate of the range it refutes, in (k, N)
     order, or None for a journal whose header line is not whole. A last
     line without its newline was cut short by a kill and is dropped.
 
     DocumentError, naming the line, unless each line is byte for byte what
     journal_chunks writes for what it holds (_require_line): the header a
-    config that scan_report_from_doc accepts, each other line (json decodes
-    its bytes) a record of that config, rebuilt as the report reader
-    rebuilds it. DocumentError too when ScanReport finds a repeated
-    record. A journal is partial by design, so its range is not walked."""
-    records: list[ScanRecord] = []
+    config that ScanReport accepts, each other line (json decodes its
+    bytes) a record of that config. The record lines are sorted by (k, n)
+    and their candidates taken from one walk of the range (_RangeWalk),
+    each rebuilt as the report reader rebuilds it, so a record the sieve
+    refutes, a record held twice and one that is no candidate are refused.
+    A journal is partial by design, so a candidate the sieve leaves may
+    have no line: a resumed scan decides it."""
+    entries = []
     with open(path, "rb") as handle:
         number, line = 1, handle.readline()
         if not line.endswith(b"\n"):
@@ -591,13 +688,23 @@ def read_journal(path) -> ScanReport | None:
                 if not line.endswith(b"\n"):
                     break
                 doc = _loads(line)
-                record = _record_from_doc(doc, config)
-                _require_line(line, _record_doc(record), doc, f"record k={doc['k']} n={doc['n']}")
-                records.append(record)
+                with _parsing("scan record"):
+                    entries.append(((int(doc["k"]), int(doc["n"])), number, line, doc))
         except DocumentError as exc:
             raise DocumentError(f"line {number}: {exc}") from exc
-    with _parsing("scan_journal"):
-        return replace(config, records=tuple(sorted(records, key=scan_order)))
+    entries.sort()  # by (k, n), then line number, which no two entries share
+    walk = _RangeWalk(config.k_min, config.k_max, config.n_max, complete=False)
+    records = []
+    for key, number, line, doc in entries:
+        try:
+            with _parsing("scan_journal"):
+                candidate = walk.take(*key)
+            record = _record_from_doc(doc, candidate, config.config)
+            _require_line(line, _record_doc(record), doc, f"record k={doc['k']} n={doc['n']}")
+        except DocumentError as exc:
+            raise DocumentError(f"line {number}: {exc}") from exc
+        records.append(record)
+    return replace(config, records=tuple(sorted(records + walk.finish(), key=scan_order)))
 
 
 def scan_report_table_lines(report: ScanReport) -> Iterator[str]:

@@ -24,17 +24,17 @@ results read each route alike. The scan expects splittings exactly at the
 trivial orders; a splitting the search finds anywhere else is a violation,
 kept with a re-verified certificate.
 
-A scan enumerates its candidates from one table of largest prime factors,
-built once up to its largest order k_max*n_max + 1 (n_max = 2*k_max by
-default): an order is a candidate when its entry is at most k, and it
-factors by dividing out entries. The table costs 4 bytes per integer up to
-that order, 8 MB at k_max = 1000 and 72 MB at k_max = 3000, and building it
-3 bytes more for a moment. candidate_order factors a single order by trial
-division instead, for ScanReport.candidate, by which the readers rebuild
-one record at a time, and ScanReport.first_missing, which walks a range
-and stops at the first candidate missing: the readers' cost follows the
-records they read, the walk's the range it passes over, and a table's the
-config's k_max: about 8*10^18 bytes for a document claiming k_max = 10^9.
+A scan enumerates its candidates with iter_candidates, in (k, N) order,
+from a table of largest prime factors: an order is a candidate when its
+entry is at most k, and it factors by dividing out entries. The table is
+doubled only when a k needs more of it, up to the range's largest order
+k_max*n_limit(k_max) + 1, and check_scan_range refuses a range whose
+largest order is not below 2**31, which the array("i") table cannot hold.
+The table costs 4 bytes per integer up to the order it reaches, 8 MB at
+k_max = 1000 and 72 MB at k_max = 3000, and building it 3 bytes more for a
+moment. The report and journal readers walk the same enumeration beside
+the records they read, so a reader that stops at the first candidate
+missing has built only the table up to it.
 """
 
 from __future__ import annotations
@@ -45,10 +45,11 @@ from array import array
 from itertools import compress, count
 from math import isqrt
 from operator import ge
-from typing import Callable
+from typing import Callable, Iterator
 
 from .counting import counting_witness
-from .groups import FiniteAbelianGroup, PrimePower, factorize
+# factorize is unused here, but perfbench traces it under this module
+from .groups import FiniteAbelianGroup, PrimePower, factorize  # noqa: F401
 from .record import Record, replace
 from .search import (
     EXHAUSTED,
@@ -92,13 +93,6 @@ class CandidateOrder(Record):
         return self.order in (self.k + 1, 2 * self.k + 1)
 
 
-def candidate_order(k: int, n: int) -> CandidateOrder | None:
-    """The candidate order N = n*k + 1, or None when a prime factor of N exceeds k."""
-    order = n * k + 1
-    fac = factorize(order)
-    return CandidateOrder(k, n, order, fac) if all(p <= k for p, _ in fac) else None
-
-
 def largest_prime_factors(limit: int) -> array:
     """The table lpf with lpf[x] the largest prime factor of x, for
     2 <= x <= limit, and lpf[0] = lpf[1] = 0.
@@ -134,15 +128,25 @@ def _factor_by_table(x: int, lpf: array) -> tuple[PrimePower, ...]:
     return tuple(fac)
 
 
+ORDER_BOUND = 2**31  # the orders an array("i") table of largest prime factors holds
+
+
 def check_scan_range(k_min: int, k_max: int, n_max: int | None) -> None:
-    """The parameter rule of a scan: 1 <= k_min <= k_max, and n_max >= 1 or
-    None. A bound that is not an int, a bool included, raises TypeError."""
+    """The parameter rule of a scan: 1 <= k_min <= k_max, n_max >= 1 or
+    None, and the largest order of the range, k_max*n_limit(k_max) + 1,
+    below ORDER_BOUND. A bound that is not an int, a bool included, raises
+    TypeError; the rest raise ValueError, the last naming the range and
+    that order."""
     if not all(type(bound) is int for bound in (k_min, k_max, 1 if n_max is None else n_max)):
         raise TypeError(f"scan bounds must be ints, got {k_min!r}, {k_max!r}, {n_max!r}")
     if k_min < 1 or k_min > k_max:
         raise ValueError(f"bad k range [{k_min}, {k_max}]")
     if n_max is not None and n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
+    top = k_max * n_limit(k_max, n_max) + 1
+    if top >= ORDER_BOUND:
+        raise ValueError(f"the scan k={k_min}..{k_max} n=1..{'2k' if n_max is None else n_max} "
+                         f"reaches the order {top}; its candidate table holds orders below 2**31")
 
 
 def n_limit(k: int, n_max: int | None) -> int:
@@ -151,10 +155,31 @@ def n_limit(k: int, n_max: int | None) -> int:
     return 2 * k if n_max is None else n_max
 
 
+def iter_candidates(k_min: int, k_max: int, n_max: int | None = None) -> Iterator[CandidateOrder]:
+    """Every candidate of a scan, in (k, N) order; n_max of None means 2k
+    for each k.
+
+    The table of largest prime factors starts empty and, when a k needs
+    orders past it, is built again at twice its size or the k's largest
+    order, whichever is more, but never past the range's largest order.
+    Before each build the range up to that k must pass check_scan_range,
+    so a range whose orders grow past the table's reach is refused at the
+    first k that needs them, before its table is built, and a reader that
+    stops early builds only the table up to where it stopped."""
+    lpf = array("i")
+    for k in range(k_min, k_max + 1):
+        top = n_limit(k, n_max) * k + 1
+        if top >= len(lpf):
+            check_scan_range(k_min, k, n_max)
+            lpf = largest_prime_factors(
+                min(max(top, 2 * len(lpf)), k_max * n_limit(k_max, n_max) + 1))
+        for n in compress(count(1), map(k.__ge__, lpf[k + 1:top + 1:k])):
+            yield CandidateOrder(k, n, n * k + 1, _factor_by_table(n * k + 1, lpf))
+
+
 def scan_candidates(k_min: int, k_max: int, n_max: int | None = None) -> list[CandidateOrder]:
-    """Every candidate of a scan, in (k, N) order, from one table of largest
-    prime factors; n_max of None means 2k for each k. Parameters that break
-    check_scan_range raise ValueError.
+    """The list of iter_candidates(k_min, k_max, n_max). Parameters that
+    break check_scan_range raise its error before any table is built.
 
     The cyclic garbage collector is paused while the list grows, since each
     of its older-generation passes would walk every candidate held so far
@@ -162,19 +187,13 @@ def scan_candidates(k_min: int, k_max: int, n_max: int | None = None) -> list[Ca
     caller's collector state is restored on the way out, also on an error.
     """
     check_scan_range(k_min, k_max, n_max)
-    lpf = largest_prime_factors(k_max * n_limit(k_max, n_max) + 1)
-    out = []
     collecting = gc.isenabled()
     gc.disable()
     try:
-        for k in range(k_min, k_max + 1):
-            smooth = compress(count(1), map(k.__ge__, lpf[k + 1:n_limit(k, n_max) * k + 2:k]))
-            out += [CandidateOrder(k, n, n * k + 1, _factor_by_table(n * k + 1, lpf))
-                    for n in smooth]
+        return list(iter_candidates(k_min, k_max, n_max))
     finally:
         if collecting:
             gc.enable()
-    return out
 
 
 def purely_singular_candidates(k: int, n_max: int) -> list[CandidateOrder]:
@@ -285,13 +304,25 @@ def make_record(candidate: CandidateOrder, outcome: Counting | Propagation | Sea
     return record
 
 
+def sieve(candidate: CandidateOrder) -> Counting | None:
+    """The counting sieve's decision on candidate: the Counting of
+    counting_witness when it refutes the candidate, None when it does not
+    or when the order is trivial, which the closed form decides first. The
+    scan lists the candidates it leaves; the readers run it again on the
+    rest of the range."""
+    if candidate.trivial:
+        return None
+    witness = counting_witness(candidate.k, candidate.order, candidate.smoothness_witness)
+    return None if witness is None else Counting(*witness)
+
+
 def decide(candidate: CandidateOrder, config: SearchConfig,
            search: Callable[[SearchConfig], SearchOutcome]) -> ScanRecord:
     """A candidate's record from the first proof route that decides it.
 
     A trivial order gets its ClosedForm and trivial_certificate, with no
-    sieve and no search. Otherwise the Counting of counting_witness decides
-    a candidate it refutes, then the Propagation of search.propagate, whose
+    sieve and no search. Otherwise the sieve's Counting decides a candidate
+    it refutes, then the Propagation of search.propagate, whose
     work config's budget pays for; a candidate neither refutes gets
     search(left), left being config with the time that propagation left.
     Each decision but the closed form's goes through make_record. When
@@ -304,9 +335,9 @@ def decide(candidate: CandidateOrder, config: SearchConfig,
         certificate = trivial_certificate(k, form)
         return ScanRecord(candidate, ClosedForm(tuple(s for (s,) in certificate.splitters)),
                           certificate)
-    witness = counting_witness(k, order, candidate.smoothness_witness)
-    if witness is not None:
-        return make_record(candidate, Counting(*witness))
+    counting = sieve(candidate)
+    if counting is not None:
+        return make_record(candidate, counting)
     start = time.monotonic()
     try:
         steps, dead = propagate(order, k, config, start)
@@ -326,6 +357,22 @@ def _scan_one(task: tuple[CandidateOrder, SearchConfig]) -> ScanRecord:
         FiniteAbelianGroup.cyclic(candidate.order), MultiplierSet.interval(candidate.k), left))
 
 
+def order_error(before: tuple[int, int], after: tuple[int, int]) -> ValueError:
+    """The error of a record (k, n) listed after the record before, at or
+    past it in (k, N) order: a record held twice, or one out of place."""
+    if before == after:
+        return ValueError(f"scan report holds a record twice: k={after[0]} n={after[1]}")
+    return ValueError(f"record k={after[0]} n={after[1]} comes after k={before[0]} n={before[1]}")
+
+
+def check_ascending(keys: list[tuple[int, int]]) -> None:
+    """The order_error of the first (k, n) of keys that does not come
+    strictly after the one before it; (k, n) order is (k, N) order."""
+    i = next(compress(count(), map(ge, keys, keys[1:])), None)
+    if i is not None:
+        raise order_error(keys[i], keys[i + 1])
+
+
 class ScanReport(Record):
     """A scan's range, the SearchConfig of its searches and its records,
     which must ascend strictly by (k, N), else ValueError names the first
@@ -339,40 +386,16 @@ class ScanReport(Record):
     def __init__(self, k_min: int, k_max: int, n_max: int | None, config: SearchConfig,
                  records: tuple[ScanRecord, ...]) -> None:
         check_scan_range(k_min, k_max, n_max)
-        keys = list(map(scan_order, records))
-        i = next(compress(count(), map(ge, keys, keys[1:])), None)
-        if i is not None:
-            a, b = records[i].candidate, records[i + 1].candidate
-            if keys[i] == keys[i + 1]:
-                raise ValueError(f"scan report holds a record twice: k={a.k} n={a.n}")
-            raise ValueError(f"record k={b.k} n={b.n} comes after k={a.k} n={a.n}")
+        check_ascending([(r.candidate.k, r.candidate.n) for r in records])
         self._fill(k_min, k_max, n_max, config, records)
 
-    def candidate(self, k: int, n: int) -> CandidateOrder | None:
-        """candidate_order(k, n) when (k, n) lies in the range, else None."""
-        in_range = self.k_min <= k <= self.k_max and 1 <= n <= n_limit(k, self.n_max)
-        return candidate_order(k, n) if in_range else None
-
-    def first_missing(self) -> tuple[int, int] | None:
-        """The first (k, n) of the range, in scan order, whose order is a
-        candidate that the records do not hold; None when they hold every
-        one. Each order passed over is factored by trial division
-        (candidate_order), with no table, so the walk's cost follows the
-        range it passes, not the records: on 2 vCPUs, 9.8 s for a complete
-        k <= 1000 report, seconds for a k = 3 one claiming n_max = 10**12.
-        It stops at the first candidate missing: n = 1 is in every range,
-        N = k + 1 is a candidate when composite, and one of two consecutive
-        k >= 3 has k + 1 even, so a report cut short fails within two k of
-        its last record."""
-        held = iter(self.records)
-        record = next(held, None)
-        for k in range(self.k_min, self.k_max + 1):
-            for n in range(1, n_limit(k, self.n_max) + 1):
-                if record is not None and (record.candidate.k, record.candidate.n) == (k, n):
-                    record = next(held, None)
-                elif candidate_order(k, n) is not None:
-                    return k, n
-        return None
+    @property
+    def routes(self) -> dict[str, int]:
+        """The number of records of each proof route, every route named."""
+        counts = dict.fromkeys((CLOSED_FORM, COUNTING, PROPAGATION, SEARCH), 0)
+        for record in self.records:
+            counts[record.route] += 1
+        return counts
 
     @property
     def totals(self) -> dict[str, int]:

@@ -44,6 +44,7 @@ from .splitting import (  # noqa: F401
 FOUND = "found"
 EXHAUSTED = "exhausted_no_solution"
 RESOURCE_LIMIT = "resource_limit"
+BUDGETS = ("node_limit", "time_limit")  # the reasons a search ends short, BudgetExceeded's
 
 # The clock is read each time a search's work passes a multiple of this; a unit
 # of work is a bit-table entry, an orbit element, a row to test or a node.

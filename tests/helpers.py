@@ -35,7 +35,8 @@ products of the rows it finds; the coset-packing oracle rebuilds the tw
 sets by enumeration and intersects them pair by pair, where the library
 compares the sum of their sizes with the size of their union.
 The candidate oracle tries every N = n*k + 1 by trial division, where the
-library reads one table of largest prime factors built for the whole scan.
+library reads a table of largest prime factors, built as far as its walk
+of the range reaches.
 The digit-pattern oracle reads k's digit tuple where the library tests
 two congruences; the counting-identity oracle takes one valuation per
 residue and stratum where the library tallies gcds once; the s87 oracle
@@ -61,8 +62,8 @@ from math import gcd, prod
 
 from abelsplit.certio import DocumentError, tiling_export_text
 from abelsplit.counting import KDecomposition, StratificationProfile, TwReport
-from abelsplit.groups import FiniteAbelianGroup, is_prime, p_adic_valuation
-from abelsplit.scan import CandidateOrder, ClosedForm, Counting, Propagation, candidate_order
+from abelsplit.groups import FiniteAbelianGroup, factorize, is_prime, p_adic_valuation
+from abelsplit.scan import CandidateOrder, ClosedForm, Counting, Propagation
 from abelsplit.search import SearchConfig, _Budget, _exact_covers, _row_source
 from abelsplit.splitting import MultiplierSet, SplittingCertificate, VerificationReport
 from abelsplit.tiling import (
@@ -79,7 +80,7 @@ from abelsplit.tiling import (
 
 
 # sha256 of the canonical scan(1, 30) report text
-DESK_SCAN_SHA256 = "592fc1714582dc0df6e0e27ecf0fd824f2f0dfc1380759c605f1dffb78825a35"
+DESK_SCAN_SHA256 = "d8628a5cdec70c544738eff061223a6c93b04c71008d7f5dff899a3c8a506c97"
 
 # JSON texts that json.loads itself rejects with something other than a
 # JSONDecodeError: a RecursionError, and a ValueError from the int digit limit
@@ -89,8 +90,8 @@ LONG_INT_TEXT = '{"format_version": 4, "group_factors": [' + "7" * 5_000 + "]}"
 # sha256 digest of the benchmark's `checks` body output (tiles.txt and its
 # check reports), by the seed of its inputs
 CHECKS_SHA256 = {
-    1: "7e8cd6d84678bc57a70da66bdc9c0726d81d13e15c9a33d408bb717e18e46133",
-    2: "7cd057afceec70a5df45934adb64e90b2f4330bd6b44b89b4219383a5165325b",
+    1: "cfab70215d60f59e73b22e780a6dfe28ba658841af51d58271a28158fb67de97",
+    2: "ace432a6f8fa9539f9393c4f7f05a587cd71060853feb629be194bf1f5aa9dd0",
 }
 
 
@@ -412,6 +413,14 @@ def counting_witness_by_fractions(k: int, order: int) -> tuple[int, int] | None:
     return None
 
 
+def candidate_order(k: int, n: int) -> CandidateOrder | None:
+    """The candidate order N = n*k + 1, factored by trial division on its
+    own, or None when a prime factor of N exceeds k."""
+    order = n * k + 1
+    fac = factorize(order)
+    return CandidateOrder(k, n, order, fac) if all(p <= k for p, _ in fac) else None
+
+
 def candidates_by_trial_division(k: int, n_max: int) -> list[CandidateOrder]:
     """The candidate orders N = n*k + 1, n <= n_max, each factored by
     trial division on its own."""
@@ -696,8 +705,9 @@ def tw_pairwise_disjoint_by_pairs(cert: SplittingCertificate, report: TwReport) 
 
 
 def record_document_by_hand(record) -> dict:
-    """A scan record's document, built from the record's candidate and
-    decision as README's File formats section describes it. The verdict
+    """A listed scan record's document, built from the record's candidate
+    and decision as README's File formats section describes it; a record of
+    the counting sieve is not listed, and raises ValueError. The verdict
     follows from the decision's result, a found splitting being expected
     at n = 1 and 2 (N = k + 1 and 2k + 1). A violation record embeds its
     certificate, whose classification is worked out here by trial division:
@@ -707,12 +717,11 @@ def record_document_by_hand(record) -> dict:
                "exhausted_no_solution": "conjecture_consistent",
                "resource_limit": "inconclusive"}[outcome.result]
     doc = {"k": record.candidate.k, "n": n, "verdict": verdict}
+    if isinstance(outcome, Counting):
+        raise ValueError("a sieve record is not listed, so it has no document")
     if isinstance(outcome, ClosedForm):
         doc["route"] = "closed_form"
         doc["splitters"] = list(outcome.splitters)
-    elif isinstance(outcome, Counting):
-        doc["route"] = "counting"
-        doc["counting"] = {"p": outcome.p, "stratum": outcome.stratum}
     elif isinstance(outcome, Propagation):
         doc["route"] = "propagation"
         doc["propagation"] = {"steps": [[x, s] for x, s in outcome.steps], "dead": outcome.dead}
@@ -723,6 +732,8 @@ def record_document_by_hand(record) -> dict:
         doc["max_depth"] = outcome.stats.max_depth
         doc["rows"] = outcome.stats.rows
         doc["splitters"] = None if outcome.splitters is None else list(outcome.splitters)
+        if outcome.result == "resource_limit":
+            doc["reason"] = outcome.stats.reason
     if verdict == "CONJECTURE_VIOLATION":
         cert = record.certificate
         order, values = cert.group.order, list(cert.multipliers.values)
@@ -736,7 +747,7 @@ def record_document_by_hand(record) -> dict:
         if cert.multipliers.kind == "interval":
             multipliers["k"] = len(values)
         doc["certificate"] = {
-            "format_version": 5,
+            "format_version": 6,
             "kind": "splitting_certificate",
             "group_factors": list(cert.group.factors),
             "multipliers": multipliers,

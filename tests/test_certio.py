@@ -1,9 +1,12 @@
 import errno
 import hashlib
+import importlib
 import io
 import json
 import os
+import pickle
 import re
+import time
 import tracemalloc
 from collections import Counter
 from itertools import groupby
@@ -27,6 +30,7 @@ from abelsplit.splitting import (
 from abelsplit.tiling import TranslateView, export_translates, lattice_from_splitting, semi_cross
 
 Z = FiniteAbelianGroup.cyclic
+scanlib = importlib.import_module("abelsplit.scan")  # the package re-exports scan()
 
 _AWKWARD_TEXT = ["", '"', "\\", 'a"b\\c', "\x00\x1f\x7f", "\n\t\r", "é€😀", "\u2028\ud800"]
 _AWKWARD_NUMBERS = [
@@ -95,7 +99,8 @@ def test_record_documents_agree_with_the_hand_built_oracle():
     assert any(r.outcome.result == FOUND for r in desk.records)
     for report in (desk, ScanReport(2, 2, 4, SearchConfig(), (violation,))):
         doc = certio.scan_report_to_doc(report)
-        plain = dict(doc, records=[record_document_by_hand(r) for r in report.records])
+        plain = dict(doc, records=[record_document_by_hand(r) for r in report.records
+                                   if r.route != "counting"])
         assert json.dumps(doc, sort_keys=True) == json.dumps(plain, sort_keys=True)
         assert certio.dumps_document(doc) == canonical_json(plain)
         # each document is built fresh: changing one changes no later one
@@ -105,14 +110,15 @@ def test_record_documents_agree_with_the_hand_built_oracle():
 
 
 def test_desk_records_carry_only_their_routes_keys():
+    # the sieve's 155 records are counted, not listed
     doc = certio.scan_report_to_doc(scan(1, 30))
     keys = {"closed_form": {"k", "n", "verdict", "route", "splitters"},
-            "counting": {"k", "n", "verdict", "route", "counting"},
             "propagation": {"k", "n", "verdict", "route", "propagation"},
             "search": {"k", "n", "verdict", "route", "result", "nodes", "max_depth", "rows",
                        "splitters"}}
     routes = Counter(record["route"] for record in doc["records"])
-    assert set(routes) == set(keys) and routes.total() == 210
+    assert set(routes) == set(keys) and routes.total() == 55
+    assert doc["routes"] == dict(routes, counting=155)
     for record in doc["records"]:
         assert set(record) == keys[record["route"]], record
 
@@ -179,8 +185,10 @@ def test_checkpoints_render_each_record_once(tmp_path, monkeypatch):
 
     report = scan(1, 8, checkpoint=append)
     assert len(report.records) == 17  # so 17 checkpoints, of one record each
-    each_once = Counter((r.candidate.k, r.candidate.order) for r in report.records)
-    assert rendered == each_once
+    # a sieve record is rendered by none: its checkpoint appends nothing
+    each_once = Counter((r.candidate.k, r.candidate.order) for r in report.records
+                        if r.route != "counting")
+    assert len(each_once) == 11 and rendered == each_once
     # the final report renders each record once more
     text = certio.dumps_document(certio.scan_report_to_doc(report))
     assert rendered == each_once + each_once
@@ -195,16 +203,17 @@ def _no_records(k_min, k_max):
 
 def test_last_checkpoint_of_the_desk_scan_is_pinned(tmp_path):
     # the journal as the last checkpoint leaves it, serial and parallel: its
-    # header once, then one line per record, in the order they finished
+    # header once, then one line per record but the sieve's, in the order
+    # they finished
     head = json.dumps({"config": {"k_max": 30, "k_min": 1, "n_max": None,
                                   "node_limit": 10**8, "time_limit_s": 60.0},
-                       "format_version": 5, "kind": "scan_journal"}, sort_keys=True) + "\n"
+                       "format_version": 6, "kind": "scan_journal"}, sort_keys=True) + "\n"
     for jobs in (1, 2):
         path = tmp_path / f"scan_{jobs}.jsonl"
         finished = []
 
         def checkpoint(one):
-            finished.extend(one.records)
+            finished.extend(r for r in one.records if r.route != "counting")
             journal.writelines(certio.journal_lines(one))
 
         with open(path, "w") as journal:
@@ -212,7 +221,7 @@ def test_last_checkpoint_of_the_desk_scan_is_pinned(tmp_path):
             report = scan(1, 30, jobs=jobs, checkpoint=checkpoint)
         lines = path.read_text().splitlines(keepends=True)
         assert lines[0] == head and head not in lines[1:]
-        assert len(lines[1:]) == len(finished) == len(report.records) == 210
+        assert len(lines[1:]) == len(finished) == 55 and len(report.records) == 210
         assert lines[1:] == [
             json.dumps(certio._record_doc(r), sort_keys=True) + "\n" for r in finished]
         merged = certio.dumps_document(certio.scan_report_to_doc(certio.read_journal(path)))
@@ -426,29 +435,46 @@ def test_scan_report_rejects_an_infinite_time_limit():
         certio.scan_report_from_doc(doc)
 
 
-# The k 5..6 report holds four records: n = 1, N = 6 (found), and n = 3 and 7,
-# N = 16 and 36 (refuted by the counting sieve) for k = 5, and n = 4, N = 25
-# (exhausted by the search) for k = 6.
+# The k 5..6 range holds four candidates: n = 1, N = 6 (closed form), and
+# n = 3 and 7, N = 16 and 36 (refuted by the counting sieve) for k = 5, and
+# n = 4, N = 25 (refuted by propagation) for k = 6. Its report lists the
+# first and the last, and counts the sieve's two in routes.
+
+_COUNTED_5_3 = {"k": 5, "n": 3, "verdict": "conjecture_consistent", "route": "counting",
+                "counting": {"p": 2, "stratum": 4}}
+_SEARCHED_5_7 = {"k": 5, "n": 7, "verdict": "conjecture_consistent", "route": "search",
+                 "result": "exhausted_no_solution", "nodes": 0, "max_depth": 0, "rows": 0,
+                 "splitters": None}
+
 
 @pytest.mark.parametrize("damage, message", [
-    # a searched record's nodes are read from it, but a sieve record has none
-    (lambda records: records[2].update(nodes=0),
-     "record k=5 n=7 differs from what abelsplit writes in nodes"),
+    # a searched record's nodes are read from it, but a closed form has none
+    (lambda records: records[0].update(nodes=0),
+     "record k=5 n=1 differs from what abelsplit writes in nodes"),
     (lambda records: records[1].update(note="extra key"),
-     "record k=5 n=3 differs from what abelsplit writes in note"),
-    (lambda records: records[1].update(N=16),
-     "record k=5 n=3 differs from what abelsplit writes in N"),
+     "record k=6 n=4 differs from what abelsplit writes in note"),
+    (lambda records: records[1].update(N=25),
+     "record k=6 n=4 differs from what abelsplit writes in N"),
     (lambda records: records[0].update(verdict="conjecture_consistent"),
      "record k=5 n=1 differs from what abelsplit writes in verdict"),
-    # ScanReport names the first record out of (k, N) order
+    # the reader names the first record out of (k, N) order
     (lambda records: records.reverse(),
-     "malformed scan_report: ValueError: record k=5 n=7 comes after k=6 n=4"),
+     "malformed scan_report: ValueError: record k=5 n=1 comes after k=6 n=4"),
     (lambda records: records.insert(2, records[1]),
-     "malformed scan_report: ValueError: scan report holds a record twice: k=5 n=3"),
-], ids=["nodes", "extra_key", "N", "verdict", "order", "repeated"])
+     "malformed scan_report: ValueError: scan report holds a record twice: k=6 n=4"),
+    # the walk of the range beside the records: a candidate the sieve
+    # leaves must be listed, and one it refutes must not, on any route
+    (lambda records: records.pop(1), "scan_report lacks the candidate k=6 n=4"),
+    (lambda records: records.insert(1, _COUNTED_5_3),
+     "record k=5 n=3 is a candidate the counting sieve refutes, which abelsplit does not list"),
+    (lambda records: records.insert(1, _SEARCHED_5_7),
+     "record k=5 n=7 is a candidate the counting sieve refutes, which abelsplit does not list"),
+], ids=["nodes", "extra_key", "N", "verdict", "order", "repeated", "propagation_dropped",
+        "counting_added", "sieved_listed"])
 def test_scan_report_names_the_record_that_differs(damage, message):
     doc = certio.scan_report_to_doc(scan(5, 6))
-    assert [(r["k"], r["n"]) for r in doc["records"]] == [(5, 1), (5, 3), (5, 7), (6, 4)]
+    assert [(r["k"], r["n"]) for r in doc["records"]] == [(5, 1), (6, 4)]
+    assert doc["routes"] == {"closed_form": 1, "counting": 2, "propagation": 1, "search": 0}
     damage(doc["records"])
     with pytest.raises(certio.DocumentError, match=f"^{message}$"):
         certio.scan_report_from_doc(doc)
@@ -456,26 +482,30 @@ def test_scan_report_names_the_record_that_differs(damage, message):
 
 def test_scan_report_rejects_a_repeated_record():
     # scan() never writes one and ScanReport refuses one, so the record
-    # k=5 n=3 is repeated in the document, with totals that count it twice,
-    # as the writer would: only the records can tell
+    # k=6 n=4 is repeated in the document, with routes and totals that
+    # count it twice, as the writer would: only the records can tell
     doc = certio.scan_report_to_doc(scan(5, 6))
     doc["records"].insert(2, doc["records"][1])
+    doc["routes"]["propagation"] += 1
     doc["totals"]["records"] += 1
     doc["totals"]["conjecture_consistent"] += 1
-    assert [(r["k"], r["n"]) for r in doc["records"]] == [(5, 1), (5, 3), (5, 3), (5, 7), (6, 4)]
+    assert [(r["k"], r["n"]) for r in doc["records"]] == [(5, 1), (6, 4), (6, 4)]
     with pytest.raises(certio.DocumentError, match="^malformed scan_report: ValueError: "
-                                                   "scan report holds a record twice: k=5 n=3$"):
+                                                   "scan report holds a record twice: k=6 n=4$"):
         certio.scan_report_from_doc(doc)
 
 
 @pytest.mark.parametrize("dropped", [0, 1, 6, -1])
 def test_scan_report_names_the_first_candidate_it_lacks(dropped):
-    # totals are written from the records, so only the walk of the range
-    # beside the records can tell that one is missing
+    # routes and totals are written from the records, so only the walk of
+    # the range beside the records can tell that one is missing; the index
+    # is among the eight records the report lists
     report = scan(5, 8)
-    records = list(report.records)
-    gone = records.pop(dropped).candidate
-    doc = certio.scan_report_to_doc(replace(report, records=tuple(records)))
+    listed = [r for r in report.records if r.route != "counting"]
+    assert len(listed) == 8
+    gone = listed[dropped].candidate
+    records = tuple(r for r in report.records if r.candidate != gone)
+    doc = certio.scan_report_to_doc(replace(report, records=records))
     with pytest.raises(certio.DocumentError,
                        match=f"^scan_report lacks the candidate k={gone.k} n={gone.n}$"):
         certio.scan_report_from_doc(doc)
@@ -512,14 +542,17 @@ def _empty_range(doc):
     (lambda doc: doc.update(records=5), "malformed scan_report: TypeError"),
     (lambda doc: doc.update(note="extra key"), "scan_report differs .* in note$"),
     (lambda doc: doc["records"].reverse(),
-     "malformed scan_report: ValueError: record k=5 n=7 comes after k=6 n=4$"),
+     "malformed scan_report: ValueError: record k=5 n=1 comes after k=6 n=4$"),
+    # the sieve refutes two candidates of the range, not three
+    (lambda doc: doc["routes"].update(counting=3),
+     "scan_report differs from what abelsplit writes in routes$"),
     (slice(0, 400), "not a JSON document"),
     (b"\xff\xfe", "not UTF-8 text"),
     (DEEP_TEXT, "not a JSON document: maximum recursion depth"),
     (LONG_INT_TEXT, "not a JSON document: Exceeds the limit"),
     (_empty_range, r"malformed scan_report: ValueError: bad k range \[7, 6\]$"),
-], ids=["records_not_list", "extra_key", "records_reversed", "truncated", "non_utf8", "nested",
-        "long_int", "k_min_above_k_max"])
+], ids=["records_not_list", "extra_key", "records_reversed", "routes_counting", "truncated",
+        "non_utf8", "nested", "long_int", "k_min_above_k_max"])
 def test_scan_report_rejects_a_damaged_envelope(tmp_path, damage, message):
     # the report's own keys and text; a journal holds its records one a line
     # under a header, which test_cli damages through --resume. A function
@@ -550,10 +583,11 @@ def _unsorted(line):
 
 def test_journal_names_the_line_and_record_that_differ(tmp_path):
     lines = list(certio.journal_chunks(scan(5, 6)))
-    lines[2] = lines[2].replace('"route": "counting"', '"nodes": 0, "route": "counting"')
+    assert len(lines) == 3  # the header, then n = 1 for k = 5 and n = 4 for k = 6
+    lines[2] = lines[2].replace('"route": "propagation"', '"nodes": 0, "route": "propagation"')
     path = tmp_path / "scan.jsonl"
     path.write_text("".join(lines))
-    message = "line 3: record k=5 n=3 differs from what abelsplit writes in nodes"
+    message = "line 3: record k=6 n=4 differs from what abelsplit writes in nodes"
     with pytest.raises(certio.DocumentError, match=f"^{message}$"):
         certio.read_journal(path)
 
@@ -782,25 +816,64 @@ def test_report_reader_cost_follows_its_records():
     assert peak < 1_000_000
 
 
+def test_a_range_past_the_table_is_refused_before_any_table(tmp_path, monkeypatch):
+    # the candidates of k = 3 are the orders 4**a; n_max = (4**8 - 1) // 3
+    # holds eight of them. Rewritten to n_max = 10**12, the report and the
+    # journal claim the order 3*10**12 + 1, past what an array("i") table
+    # holds, and are refused at once, naming the config, with no table built
+    report = scan(3, 3, n_max=(4**8 - 1) // 3)
+    assert [r.candidate.order for r in report.records] == [4**a for a in range(1, 9)]
+    doc = certio.scan_report_to_doc(report)
+    doc["config"]["n_max"] = 10**12
+    head, *lines = certio.journal_chunks(report)
+    journal = tmp_path / "scan.jsonl"
+    journal.write_text("".join([head.replace('"n_max": 21845', '"n_max": 1000000000000'),
+                                *lines]))
+    monkeypatch.setattr(scanlib, "largest_prime_factors",
+                        lambda limit: pytest.fail(f"a table up to {limit} is built"))
+    with pytest.raises(ValueError) as raised:
+        scan(3, 3, n_max=10**12)
+    message = str(raised.value)
+    assert message == ("the scan k=3..3 n=1..1000000000000 reaches the order 3000000000001; "
+                       "its candidate table holds orders below 2**31")
+    for read, refusal in [
+        (lambda: certio.scan_report_from_doc(doc), "malformed scan_report: ValueError: "),
+        (lambda: certio.read_journal(journal), "line 1: malformed scan_journal: ValueError: "),
+    ]:
+        def refused():
+            with pytest.raises(certio.DocumentError) as error:
+                read()
+            return str(error.value)
+
+        start = time.perf_counter()
+        text, peak = _traced_peak(refused)
+        assert time.perf_counter() - start < 0.1
+        assert text == refusal + message and peak < 1_000_000
+
+
 @pytest.fixture(scope="module")
 def report_45():
-    """scan(1, 45): 467 records, a 198,038-byte report."""
+    """scan(1, 45): 467 records, 94 of them listed in an 18,987-byte
+    report."""
     return scan(1, 45)
 
 
 def test_report_reader_builds_no_second_document(report_45):
     # the records are compared with their written form as they are rebuilt,
     # a few at a time, so no document tree or text of the whole report is
-    # built beside them: the peak was 8.9 times the text when the report
-    # was compared whole, and is 1.4 times it, mostly the records themselves
+    # built beside them. The reader returns every record, the sieve's 373
+    # among them, which the text does not hold, so the peak is bounded by
+    # what those records take alone (a copy of them, unpickled) and three
+    # times the text: about 0.20 MB, against a bound of 0.19 + 0.06 MB
     doc = certio.scan_report_to_doc(report_45)
     text = certio.dumps_document(doc)
     read, peak = _traced_peak(certio.scan_report_from_doc, doc)
     assert certio.dumps_document(certio.scan_report_to_doc(read)) == text
-    assert peak <= 3 * len(text)
+    _, records = _traced_peak(pickle.loads, pickle.dumps(report_45.records))
+    assert peak <= records + 3 * len(text)
 
 
-@pytest.mark.parametrize("index", [16, 466])  # the first of the second batch, the last
+@pytest.mark.parametrize("index", [16, -1])  # the first of the second batch, the last
 def test_report_reader_names_a_record_past_the_first_batch(report_45, index):
     doc = certio.scan_report_to_doc(report_45)
     record = doc["records"][index]

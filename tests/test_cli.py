@@ -286,11 +286,14 @@ class Killed(Exception):
 
 
 def _kill_at_checkpoint(monkeypatch, call, torn=False):
-    """Make the scan's journal append die at checkpoint number call, before
-    it writes anything; with torn, the checkpoint before it writes only the
-    first half of its line. The header, written with no records, passes."""
+    """Make the scan's journal append die at checkpoint number call, the
+    call-th record finished, before it writes anything; with torn, the
+    checkpoint before it writes only the first half of its line. A sieve
+    record's checkpoint appends nothing, and the header, written with no
+    records, passes. Returns the list of the lines appended before the
+    kill, each as written."""
     journal_lines = certio.journal_lines
-    calls = []
+    calls, appended = [], []
 
     def dying(report):
         if not report.records:
@@ -299,9 +302,12 @@ def _kill_at_checkpoint(monkeypatch, call, torn=False):
         if len(calls) == call:
             raise Killed
         text = "".join(journal_lines(report))
-        return [text[:len(text) // 2] if torn and len(calls) == call - 1 else text]
+        if text:
+            appended.append(text[:len(text) // 2] if torn and len(calls) == call - 1 else text)
+        return appended[-1:] if text else []
 
     monkeypatch.setattr(certio, "journal_lines", dying)
+    return appended
 
 
 def test_scan_killed_after_checkpoint_resumes_to_identical_report(runner, tmp_path, monkeypatch):
@@ -311,10 +317,12 @@ def test_scan_killed_after_checkpoint_resumes_to_identical_report(runner, tmp_pa
     expected = (tmp_path / "whole" / "scan_k1-8.json").read_bytes()
     expected_journal = (tmp_path / "whole" / "scan_k1-8.jsonl").read_text()
 
-    # the run dies inside its fifth checkpoint: the header and four whole
-    # lines, then a cut one
+    # the run dies at its eighth checkpoint, of (8, 7), after the seventh,
+    # of (25, 6), wrote half its line: the header and four whole lines,
+    # then a cut one; the fifth and sixth, of the sieve's (16, 5) and
+    # (36, 5), append nothing
     with monkeypatch.context() as patch:
-        _kill_at_checkpoint(patch, 6, torn=True)
+        _kill_at_checkpoint(patch, 8, torn=True)
         cut = runner.invoke(main, args + [str(tmp_path / "cut")])
     assert cut.exit_code == 2
     assert cut.stderr.splitlines()[-1] == "error: internal error: Killed"
@@ -337,11 +345,13 @@ def test_scan_killed_after_a_record_resumes_to_the_pinned_report(
         runner, tmp_path, monkeypatch, jobs, cut):
     args = ["scan", "--k-min", "1", "--k-max", "30", "--jobs", jobs, "--out-dir", str(tmp_path)]
     with monkeypatch.context() as patch:
-        _kill_at_checkpoint(patch, cut + 1)
+        appended = _kill_at_checkpoint(patch, cut + 1)
         killed = runner.invoke(main, args)
     assert killed.exit_code == 2
     journal = tmp_path / "scan_k1-30.jsonl"
-    assert len(journal.read_text().splitlines()) == 1 + cut
+    # a line for each record finished but the sieve's
+    assert journal.read_text().splitlines(keepends=True)[1:] == appended
+    assert 1 <= len(appended) <= cut
 
     resumed = runner.invoke(main, args + ["--resume"])
     assert resumed.exit_code == 0
@@ -349,6 +359,31 @@ def test_scan_killed_after_a_record_resumes_to_the_pinned_report(
         DESK_SCAN_SHA256)
     merged = certio.dumps_document(certio.scan_report_to_doc(certio.read_journal(journal)))
     assert hashlib.sha256(merged.encode()).hexdigest() == DESK_SCAN_SHA256
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_scan_resumed_from_three_journal_lines_matches_uninterrupted(runner, tmp_path, jobs):
+    # the journal lists no sieve record, so a resume from its first three
+    # record lines decides every other candidate again, the sieve's
+    # included; the report is the same bytes and the table the same lines
+    # but for millis, which a restored search leaves empty
+    args = ["scan", "--k-min", "1", "--k-max", "30", "--jobs", jobs, "--out-dir"]
+    assert runner.invoke(main, args + [str(tmp_path / "whole")]).exit_code == 0
+    whole = tmp_path / "whole" / "scan_k1-30"
+    lines = whole.with_suffix(".jsonl").read_text().splitlines(keepends=True)
+    assert len(lines) == 1 + 55 and not any('"counting"' in line for line in lines)
+    cut = tmp_path / "cut"
+    cut.mkdir()
+    (cut / "scan_k1-30.jsonl").write_text("".join(lines[:4]))
+    resumed = runner.invoke(main, args + [str(cut), "--resume"])
+    assert resumed.exit_code == 0, resumed.output
+    assert (cut / "scan_k1-30.json").read_bytes() == whole.with_suffix(".json").read_bytes()
+
+    def table(path):
+        return [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
+
+    assert table(cut / "scan_k1-30.csv") == table(whole.with_suffix(".csv"))
+    assert len(table(cut / "scan_k1-30.csv")) == 1 + 210
 
 
 def test_scan_resume_of_a_complete_journal_rewrites_identical_bytes(runner, tmp_path):
@@ -372,7 +407,7 @@ def test_scan_resume_from_an_empty_or_cut_journal_starts_over(runner, tmp_path):
         assert runner.invoke(main, args + ["--resume"]).exit_code == 0
         assert (tmp_path / "scan_k5-6.json").read_bytes() == report
         assert journal.read_text().split("\n")[0] == head
-        assert len(journal.read_text().splitlines()) == 1 + 4
+        assert len(journal.read_text().splitlines()) == 1 + 2
 
 
 def test_fresh_scan_truncates_an_old_journal(runner, tmp_path):
@@ -382,7 +417,7 @@ def test_fresh_scan_truncates_an_old_journal(runner, tmp_path):
         main, ["scan", "--k-min", "5", "--k-max", "6", "--out-dir", str(tmp_path)]
     )
     assert result.exit_code == 0
-    assert len(journal.read_text().splitlines()) == 1 + 4
+    assert len(journal.read_text().splitlines()) == 1 + 2
     assert len(certio.read_journal(journal).records) == 4
 
 
@@ -393,12 +428,14 @@ def _journal_lines(runner, out_dir, k_max=6, options=()):
     return (out_dir / f"scan_k5-{k_max}.jsonl").read_text().splitlines(keepends=True)
 
 
-# line 1 of the k 5..6 journal is its header, and lines 2 to 5 hold its
-# records in (k, N) order, as a serial scan finishes them
+# line 1 of the k 5..6 journal is its header, and lines 2 and 3 hold its
+# records but the sieve's, n = 1 for k = 5 and n = 4 for k = 6, in (k, N)
+# order, as a serial scan finishes them
 
 @pytest.mark.parametrize("damage, message", [
-    (lambda lines, other: lines.__setitem__(2, lines[2].replace('"stratum": 4', '"stratum": 5')),
-     "line 3: record k=5 n=3 differs from what abelsplit writes in counting"),
+    (lambda lines, other: lines.__setitem__(2, lines[2].replace(
+        '"verdict": "conjecture_consistent"', '"verdict": "inconclusive"')),
+     "line 3: record k=6 n=4 differs from what abelsplit writes in verdict"),
     (lambda lines, other: lines.__setitem__(1, "{}\n"), "line 2: malformed scan record"),
     (lambda lines, other: lines.__setitem__(2, other["range"][-1]),
      "line 3: record k=7 n=9 is not a scan candidate"),
@@ -431,20 +468,20 @@ def _flip_found_verdict(doc):
 
 
 def _add_record_n2(doc):
-    # the n = 3 counting record copied to n = 2, where N = 11 is prime and
-    # above k, so that only its candidacy is wrong
-    doc["records"].insert(1, dict(doc["records"][1], n=2))
-    doc["totals"]["conjecture_consistent"] += 1
+    # the n = 1 closed-form record copied to n = 2, where N = 11 is prime
+    # and above k, so that only its candidacy is wrong
+    doc["records"].insert(1, dict(doc["records"][0], n=2))
+    doc["totals"]["trivial_expected"] += 1
     doc["totals"]["records"] += 1
 
 
-# The k 5..6 report holds four records: n = 1, N = 6 (closed form), and n = 3
-# and 7, N = 16 and 36 (refuted by the counting sieve) for k = 5, and n = 4,
-# N = 25 (refuted by propagation: -5 forces the row 24, then 18 is dead) for
-# k = 6.
+# The k 5..6 range holds four candidates: n = 1, N = 6 (closed form), and
+# n = 3 and 7, N = 16 and 36 (refuted by the counting sieve) for k = 5, and
+# n = 4, N = 25 (refuted by propagation: -5 forces the row 24, then 18 is
+# dead) for k = 6. The report lists the first and the last.
 
 def _propagation_record_claims_counting(doc):
-    record = doc["records"][3]
+    record = doc["records"][1]
     assert (record["n"], record["route"]) == (4, "propagation")
     del record["propagation"]
     record.update(route="counting", counting={"p": 5, "stratum": 2})
@@ -452,7 +489,7 @@ def _propagation_record_claims_counting(doc):
 
 def _propagation_record_claims_search(doc):
     # a searched record that propagation refutes is refused
-    record = doc["records"][3]
+    record = doc["records"][1]
     assert record.pop("propagation") == {"steps": [[20, 24]], "dead": 18}
     record.update(route="search", result="exhausted_no_solution", nodes=0, max_depth=0, rows=0,
                   splitters=None)
@@ -460,34 +497,43 @@ def _propagation_record_claims_search(doc):
 
 def _propagation(steps, dead):
     def damage(doc):
-        record = doc["records"][3]
+        record = doc["records"][1]
         assert record["propagation"] == {"steps": [[20, 24]], "dead": 18}
         record["propagation"] = {"steps": steps, "dead": dead}
 
     return damage
 
 
-def _counting_record_claims_search(doc):
-    record = doc["records"][1]
-    assert record.pop("counting") == {"p": 2, "stratum": 4}
-    record.update(route="search", result="exhausted_no_solution", nodes=0, max_depth=0, rows=0,
-                  splitters=None)
+# the sieve's records of the k 5..6 range as format_version 5 listed them;
+# from version 6 on none is listed, so each listed is refused, on whatever
+# route and with whatever witness
+_COUNTED_5_3 = {"k": 5, "n": 3, "verdict": "conjecture_consistent", "route": "counting",
+                "counting": {"p": 2, "stratum": 4}}
+_COUNTED_5_7 = dict(_COUNTED_5_3, n=7, counting={"p": 3, "stratum": 1})
 
 
-def _counting_witness(p, stratum):
+def _listed(record):
+    """Put record, a document the sieve's record had, into the report."""
     def damage(doc):
-        record = doc["records"][2]
-        assert (record["n"], record["counting"]) == (7, {"p": 3, "stratum": 1})
-        record["counting"] = {"p": p, "stratum": stratum}
+        doc["records"] = sorted(doc["records"] + [record], key=lambda r: (r["k"], r["n"]))
 
     return damage
 
 
+def _counting_record_claims_search(doc):
+    record = dict(_COUNTED_5_3, route="search", result="exhausted_no_solution", nodes=0,
+                  max_depth=0, rows=0, splitters=None)
+    del record["counting"]
+    _listed(record)(doc)
+
+
+def _counting_witness(p, stratum):
+    return _listed(dict(_COUNTED_5_7, counting={"p": p, "stratum": stratum}))
+
+
 def _counting_record_with_nodes(doc):
     # what format_version 3 wrote for a search the sieve made needless
-    record = doc["records"][1]
-    assert record["route"] == "counting"
-    record["nodes"] = 0
+    _listed(dict(_COUNTED_5_3, nodes=0))(doc)
 
 
 def _v3_report(doc):
@@ -524,7 +570,7 @@ def _empty_range(doc):
 def _damaged_resume(runner, tmp_path, damage):
     """Resume the k 5..6 scan from its journal, damaged. A function damages
     the report's document, and the journal is then written from it: the
-    header from its keys but records, totals and overall, then a line per
+    header from its keys but records, routes, totals and overall, then a line per
     record. So each record damage meets the journal's record reader, and
     each config damage its header reader. Bytes go in front of the first
     record line, a slice cuts that line, and a str replaces it."""
@@ -532,10 +578,10 @@ def _damaged_resume(runner, tmp_path, damage):
     assert r1.exit_code == 0
     doc = certio.read_document(tmp_path / "scan_k5-6.json")
     if callable(damage):
-        assert [r["n"] for r in doc["records"][:2]] == [1, 3]
+        assert [(r["k"], r["n"]) for r in doc["records"]] == [(5, 1), (6, 4)]
         damage(doc)
     head = {key: value for key, value in doc.items()
-            if key not in ("records", "totals", "overall")}
+            if key not in ("records", "routes", "totals", "overall")}
     lines = [json.dumps(d, sort_keys=True).encode()
              for d in [dict(head, kind="scan_journal"), *doc["records"]]]
     if isinstance(damage, slice):  # cut the line itself
@@ -563,7 +609,7 @@ def _damaged_resume(runner, tmp_path, damage):
     lambda doc: doc["records"][1].update(result="bogus"),
     lambda doc: doc.update(note="extra key"),
     lambda doc: doc["records"][1].update(nodes=True),
-    lambda doc: doc["records"][1].update(k=5.0),
+    lambda doc: doc["records"][1].update(k=6.0),
     slice(0, 40),
     b"\xff\xfe",
     DEEP_TEXT,
@@ -582,9 +628,10 @@ def _damaged_resume(runner, tmp_path, damage):
     _counting_witness(2, 1),
     _counting_witness(3, 2),
     _counting_record_with_nodes,
-    lambda doc: doc["records"][1].update(N=16),
+    lambda doc: doc["records"][1].update(N=25),
     _add_record(8, 1, 0),
-    _add_record(5, 16, -1),
+    # n = 16, N = 81 lies past the bound 2k = 10, and the sieve refutes it
+    _listed(dict(_COUNTED_5_3, n=16, counting={"p": 3, "stratum": 3})),
     lambda doc: doc["config"].update(time_limit_s="60"),
     lambda doc: doc["config"].update(time_limit_s=[1]),
     lambda doc: doc["config"].update(time_limit_s={"a": 1}),
@@ -764,9 +811,9 @@ def test_write_error_names_the_given_path(runner, tmp_path):
 def test_tile_export(runner, tmp_path):
     cases = [  # order, box, anchors, cells, sha256 of the export
         ("5", "0:9,0:9", 28, 100,
-         "cf9ff2a0d93dcd2af01e60e8448963ce828e9f156b557949ed8ce2077e807656"),
+         "157dfd4aa64cf1ded33d52bb415408d878efe1889700a8272db0409e2d42db31"),
         ("9", "0:4,0:4,0:4,0:4", 179, 625,  # S = {1, 3, 4, 7}
-         "ebf0f5eb0a98802c21d92b1c46da817ee9aa6992b2ff85c26fa325e707d3d386"),
+         "0e1daddaa22751270908dca52c86e8cdd11b6841d0f6782d8b36fff846d90ec1"),
     ]
     for order, box, anchors, cells, digest in cases:
         cert_path = tmp_path / f"z{order}.json"
@@ -791,7 +838,7 @@ def test_tile_output_is_pinned(runner, tmp_path):
     assert result.exit_code == 0
     assert _summary(result) == "verdict=true order=13 anchors=926 cells=10800"
     assert hashlib.sha256(result.stdout.encode()).hexdigest() == (
-        "407a4f3e749cf8912252c8ef0fe5a55075e72a05691b6c7e1cbb43ac823f8c89"
+        "6d0920b80437039e21bb509047484bfda78f77a52adc3f89977a33c04f37b505"
     )
 
 

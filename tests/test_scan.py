@@ -1,12 +1,14 @@
 import dataclasses
 import gc
 import importlib
+import json
 import multiprocessing
 import os
 import pickle
 import subprocess
 import sys
 from collections import Counter
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -252,6 +254,44 @@ def test_scan_candidates_restores_the_collector_state(monkeypatch):
         (gc.enable if was else gc.disable)()
 
 
+def test_the_range_rule_holds_at_its_edge():
+    # k = 32767 at the default bound reaches 2,147,352,579, below 2**31;
+    # the table is never built here, only the rule is asked
+    check_scan_range(1, 32767, None)
+    check_scan_range(1, 1, 2**31 - 2)
+    with pytest.raises(ValueError, match=r"^the scan k=1\.\.1 n=1\.\.2147483647 reaches the order "
+                                         r"2147483648; its candidate table holds orders below "
+                                         r"2\*\*31$"):
+        check_scan_range(1, 1, 2**31 - 1)
+
+
+def test_the_enumeration_builds_its_table_as_far_as_it_walks(monkeypatch):
+    # the table is doubled when a k needs more of it, never past the
+    # range's largest order; a walk stopped early built only what it passed
+    sizes = []
+    build = scanlib.largest_prime_factors
+
+    def counted(limit):
+        sizes.append(limit)
+        return build(limit)
+
+    expected = scan_candidates(1, 300)
+    monkeypatch.setattr(scanlib, "largest_prime_factors", counted)
+    assert list(scanlib.iter_candidates(1, 300)) == expected
+    assert sizes[-1] == 2 * 300**2 + 1 and sorted(sizes) == sizes
+    assert all(b >= 2 * (a + 1) or b == sizes[-1] for a, b in zip(sizes, sizes[1:]))
+    sizes.clear()
+    walk = scanlib.iter_candidates(5, 10**9)
+    assert [(c.k, c.n) for c in islice(walk, 5)] == [(5, 1), (5, 3), (5, 7), (6, 4), (7, 1)]
+    assert max(sizes) < 2 * 7 * 14 + 1  # no more than twice the order 99 of k = 7
+    # a range whose orders pass the table's reach is refused at the first k
+    # that needs them, before its table is built
+    sizes.clear()
+    with pytest.raises(ValueError, match=r"^the scan k=3\.\.3 n=1\.\.1000000000000 reaches"):
+        next(scanlib.iter_candidates(3, 3, 10**12))
+    assert sizes == []
+
+
 def test_scan_candidates_rejects_bad_ranges():
     for bad in ((0, 5, None), (6, 5, None), (1, 5, 0)):
         with pytest.raises(ValueError):
@@ -369,11 +409,15 @@ def test_parallel_equals_serial():
 
 @pytest.mark.parametrize("params, error", [
     ((0, 3, None), ValueError), ((5, 4, None), ValueError), ((1, 3, 0), ValueError),
+    # the largest order, k_max*n_limit(k_max) + 1, must lie below 2**31,
+    # which the array("i") table holds: 32767 * 65534 + 1 does, and
+    # 32768 * 65536 + 1 does not
+    ((32768, 32768, None), ValueError), ((3, 3, 10**12), ValueError),
     # a report writes its bounds as JSON ints, so a bool (written true) or a
     # float bound is refused before anything is written
     ((True, 3, None), TypeError), ((1, 3.0, None), TypeError), ((1, 3, True), TypeError),
-], ids=["k_min_zero", "k_min_above_k_max", "n_max_zero", "k_min_bool", "k_max_float",
-        "n_max_bool"])
+], ids=["k_min_zero", "k_min_above_k_max", "n_max_zero", "order_past_table",
+        "n_max_past_table", "k_min_bool", "k_max_float", "n_max_bool"])
 def test_scan_report_checks_its_range(params, error):
     # a report is a validated description of its scan: the one range check
     # of scan(), the report and journal readers and the CLI
@@ -522,6 +566,44 @@ def test_inconclusive_on_budget():
     (limited,) = [r for r in report.records if r.verdict == INCONCLUSIVE]
     assert limited.candidate.order == 625 and limited.outcome.stats.reason == "node_limit"
     assert check_k_ge_n(report)  # resource-limited records are not "found"
+
+
+def test_a_budget_limited_record_keeps_its_reason(tmp_path):
+    # the report and the journal write the budget that ended (625, 24), and
+    # both readers give it back
+    report = scan(24, 24, n_max=26, config=SearchConfig(node_limit=2))
+    doc = certio.scan_report_to_doc(report)
+    (written,) = [r for r in doc["records"] if r["verdict"] == INCONCLUSIVE]
+    assert (written["n"], written["result"], written["reason"]) == (26, "resource_limit",
+                                                                    "node_limit")
+    assert all("reason" not in r for r in doc["records"] if r is not written)
+    journal = tmp_path / "scan.jsonl"
+    journal.write_text("".join(certio.journal_chunks(report)))
+    for back in (certio.scan_report_from_doc(doc), certio.read_journal(journal)):
+        (limited,) = [r for r in back.records if r.verdict == INCONCLUSIVE]
+        assert limited.outcome.stats.reason == "node_limit"
+        assert list(map(_as_written, back.records)) == list(map(_as_written, report.records))
+        assert certio.scan_report_to_doc(back) == doc
+    # the readers check it against the written form: it must name a budget,
+    # and only a resource_limit result has one
+    for damage, message in [
+        (lambda r: r.update(reason="time_limit"), "differs from what abelsplit writes in reason"),
+        (lambda r: r.update(reason="patience"), "ValueError: no budget is named 'patience'"),
+        (lambda r: r.pop("reason"), "KeyError: 'reason'"),
+    ]:
+        damaged = json.loads(json.dumps(doc))
+        damage(damaged["records"][-1])
+        if "differs" in message:  # time_limit is a budget, but not the one the record met
+            assert certio.scan_report_from_doc(damaged).records[-1].outcome.stats.reason == (
+                "time_limit")
+            continue
+        with pytest.raises(certio.DocumentError, match=message):
+            certio.scan_report_from_doc(damaged)
+    searched = json.loads(json.dumps(certio.scan_report_to_doc(scan(24, 24, n_max=26))))
+    searched["records"][-1]["reason"] = "node_limit"
+    with pytest.raises(certio.DocumentError,
+                       match="^record k=24 n=26 differs from what abelsplit writes in reason$"):
+        certio.scan_report_from_doc(searched)
 
 
 def test_totals_consistent_with_records():

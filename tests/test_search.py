@@ -10,6 +10,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from helpers import (
     all_splittings_by_subsets,
+    candidate_order,
     eager_orbit_rows,
     naive_splitting_exists,
     natural_order_search,
@@ -24,7 +25,6 @@ from abelsplit.groups import FiniteAbelianGroup
 from abelsplit.scan import (
     INCONCLUSIVE,
     Propagation,
-    candidate_order,
     decide,
     purely_singular_candidates,
     scan_candidates,
