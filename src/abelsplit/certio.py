@@ -35,15 +35,16 @@ The writers define what a valid document is. Each reader rebuilds its
 object with the library's own constructors and accepts the document only
 if writing that object back gives exactly the same document; the scan
 report and journal readers (scan_report_from_doc, read_journal) say how
-they check a document of many records without building a second one, and
-how they walk its range (_RangeWalk) beside the records it lists.
+they check a document of many records without building a second one. Both
+walk the range once (_range_records) and look up, by (k, n), the record
+listed at each candidate.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager, suppress
 from functools import cache
 from itertools import chain
@@ -68,7 +69,6 @@ from .scan import (
     make_record,
     order_error,
     overall_verdict,
-    scan_order,
     sieve,
 )
 from .search import (
@@ -432,19 +432,20 @@ def check_propagation(k: int, order: int, proof: Propagation) -> None:
             f"propagation dead residue {proof.dead} has the live rows {sorted(live)}")
 
 
-def _record_from_doc(doc, candidate: CandidateOrder, config: SearchConfig) -> ScanRecord:
+def _record_from_doc(doc, candidate: CandidateOrder | None, config: SearchConfig) -> ScanRecord:
     """Rebuild the record of doc the way the scan makes it, on candidate,
-    which the walk of the range found at doc's k and n and the sieve
-    leaves. On a nontrivial candidate, a record of route propagation
-    becomes the Propagation read from doc once check_propagation accepts
-    it. Any other record goes through decide, with the search outcome read
-    from doc, whose found splitters make_record re-verifies; a document
-    keeps no time, so that outcome's elapsed_s is None, and the reason of a
-    resource_limit result must name one of the budgets. The caller checks
-    the record against doc, as part of the report or journal that holds
-    it, so a record whose route, decision keys or verdict differ from the
-    rebuilt decision's is refused: a searched record that propagation
-    refutes among them."""
+    which the walk of the range found at doc's k and n. DocumentError when
+    candidate is None, as the range has none there, or when the sieve
+    refutes it, which abelsplit never lists. On a nontrivial candidate, a
+    record of route propagation becomes the Propagation read from doc once
+    check_propagation accepts it. Any other record goes through decide,
+    with the search outcome read from doc, whose found splitters
+    make_record re-verifies; a document keeps no time, so that outcome's
+    elapsed_s is None, and the reason of a resource_limit result must name
+    one of the budgets. The caller checks the record against doc, as part
+    of the report or journal that holds it, so a record whose route,
+    decision keys or verdict differ from the rebuilt decision's is refused:
+    a searched record that propagation refutes among them."""
     def read_outcome(left: SearchConfig) -> SearchOutcome:
         result = doc["result"]
         splitters = tuple(doc["splitters"]) if result == FOUND else None
@@ -455,6 +456,11 @@ def _record_from_doc(doc, candidate: CandidateOrder, config: SearchConfig) -> Sc
                             reason)
         return SearchOutcome(result, splitters, stats)
 
+    if candidate is None:
+        raise DocumentError(f"record k={doc['k']} n={doc['n']} is not a scan candidate")
+    if sieve(candidate) is not None:
+        raise DocumentError(f"record k={candidate.k} n={candidate.n} is a candidate the counting "
+                            f"sieve refutes, which abelsplit does not list")
     with _parsing("scan record"):
         if doc.get("route") == PROPAGATION and not candidate.trivial:
             proof = doc["propagation"]
@@ -464,56 +470,34 @@ def _record_from_doc(doc, candidate: CandidateOrder, config: SearchConfig) -> Sc
         return decide(candidate, config, read_outcome)
 
 
-class _RangeWalk:
-    """The candidates of a scan's range (iter_candidates), walked beside
-    the records a document lists, which must ascend by (k, n).
-
-    take(k, n) passes over the candidates before (k, n) and returns the one
-    at (k, n), which the sieve must leave: DocumentError names a record
-    that is no candidate, or one the sieve refutes, which abelsplit never
-    lists; and order_error's ValueError one at or before the record taken
-    last. The sieve runs again on each candidate passed over, and the walk
-    keeps the record of each one it refutes. One it leaves is a record the
-    document lacks: a complete walk, a report's, refuses it, and a partial
-    one, a journal's, passes over it, for a resumed scan to decide. finish
-    passes over the rest of the range and returns the sieve's records, in
-    order."""
-
-    def __init__(self, k_min: int, k_max: int, n_max: int | None, complete: bool) -> None:
-        self._stream = iter_candidates(k_min, k_max, n_max)
-        self._complete = complete
-        self._last: tuple[int, int] | None = None
-        self._sieved: list[ScanRecord] = []
-
-    def _pass(self, candidate: CandidateOrder) -> None:
+def _range_records(k_min: int, k_max: int, n_max: int | None, listed: dict,
+                   read: Callable[[CandidateOrder | None, object], ScanRecord],
+                   complete: bool) -> list[ScanRecord]:
+    """The records of a scan's range, in (k, N) order, from one walk of its
+    candidates (iter_candidates). listed maps the (k, n) of each record a
+    document lists to an item of it; the walk pops the item at each
+    candidate and takes read(candidate, item), and takes the sieve's record
+    of a candidate with none. A candidate with none that the sieve leaves
+    is a record the document lacks: a complete document, a report, is
+    refused with DocumentError naming the first, and a partial one, a
+    journal, passes over it, for a resumed scan to decide. Last, the first
+    key the walk left, which no candidate has, gets read(None, item), which
+    refuses it. The table of largest prime factors is built only as far as
+    the walk gets."""
+    records = []
+    for candidate in iter_candidates(k_min, k_max, n_max):
+        item = listed.pop((candidate.k, candidate.n), None)
+        if item is not None:
+            records.append(read(candidate, item))
+            continue
         counting = sieve(candidate)
         if counting is not None:
-            self._sieved.append(make_record(candidate, counting))
-        elif self._complete:
+            records.append(make_record(candidate, counting))
+        elif complete:
             raise DocumentError(f"scan_report lacks the candidate k={candidate.k} n={candidate.n}")
-
-    def take(self, k: int, n: int) -> CandidateOrder:
-        key = k, n
-        if self._last is not None and key <= self._last:
-            raise order_error(self._last, key)
-        self._last = key
-        for candidate in self._stream:
-            if (candidate.k, candidate.n) >= key:
-                break
-            self._pass(candidate)
-        else:
-            candidate = None
-        if candidate is None or (candidate.k, candidate.n) != key:
-            raise DocumentError(f"record k={k} n={n} is not a scan candidate")
-        if sieve(candidate) is not None:
-            raise DocumentError(f"record k={k} n={n} is a candidate the counting sieve refutes, "
-                                f"which abelsplit does not list")
-        return candidate
-
-    def finish(self) -> list[ScanRecord]:
-        for candidate in self._stream:
-            self._pass(candidate)
-        return self._sieved
+    if listed:
+        read(None, listed[min(listed)])
+    return records
 
 
 def _config_doc(report: ScanReport) -> dict:
@@ -582,16 +566,18 @@ def scan_report_from_doc(doc: dict) -> ScanReport:
 
     The listed records must ascend strictly by (k, n), checked first
     (check_ascending), so the error names the first out of place. The
-    range is then walked once (_RangeWalk), in (k, N) order, beside the
-    records: each record's candidate comes from the walk, and the sieve
-    runs again on every candidate the records pass over, so the error
-    names the first candidate the sieve leaves that the report lacks, and a
-    record the sieve refutes or that is no candidate. The walk builds its
-    table of largest prime factors only as far as it gets, and ScanReport
-    checks the whole range once it is walked, so a report cut short is
-    refused at its first missing candidate whatever k_max it claims, and a
-    range whose orders pass the table's reach at the first k that needs
-    them, before any table of them is built.
+    range is then walked once (_range_records), in (k, N) order: each
+    listed record is rebuilt on the candidate the walk finds at its (k, n),
+    and the sieve runs again on every candidate the report does not list,
+    so the error names the first candidate the sieve leaves that the report
+    lacks, and a record the sieve refutes. A listed record that is no
+    candidate is named only once the whole range is walked, so a candidate
+    missing anywhere in the range, after it too, is named first. The walk
+    builds its table of largest prime factors only as far as it gets, and
+    ScanReport checks the whole range once it is walked, so a report cut
+    short is refused at its first missing candidate whatever k_max it
+    claims, and a range whose orders pass the table's reach at the first k
+    that needs them, before any table of them is built.
 
     Each listed record's route, closed form and verdict are derived again,
     a Propagation is recounted by check_propagation, found splitters are
@@ -601,29 +587,29 @@ def scan_report_from_doc(doc: dict) -> ScanReport:
     running its search again could check them, which would undo the point
     of resuming.
 
-    The records are read in one pass, _BATCH at a time, so no document of
-    the whole report is built: each batch is rebuilt and compared with its
-    written form, and a batch that differs is compared record by record,
-    so that the error names the first record that differs, and its keys.
-    The report's own keys are compared once, last, with None for its
-    records, so stale routes or totals are refused there."""
+    The rebuilt records are then compared with the document, _BATCH at a
+    time, so no document of the whole report is built: each batch is
+    rebuilt and compared with its written form, and a batch that differs is
+    compared record by record, so that the error names the first record
+    that differs, and its keys. The report's own keys are compared once,
+    last, with None for its records, so stale routes or totals are refused
+    there."""
     with _parsing("scan_report"):
-        config, given, listed = doc["config"], doc["records"], []
+        config, given = doc["config"], doc["records"]
         search = SearchConfig(config["node_limit"], config["time_limit_s"])
         k_min, k_max, n_max = config["k_min"], config["k_max"], config["n_max"]
         keys = [(int(r["k"]), int(r["n"])) for r in given]
         check_ascending(keys)
-        walk = _RangeWalk(k_min, k_max, n_max, complete=True)
+        records = _range_records(k_min, k_max, n_max, dict(zip(keys, given)),
+                                 lambda candidate, r: _record_from_doc(r, candidate, search),
+                                 complete=True)
+        listed = [record for record in records if record.route != COUNTING]
         for start in range(0, len(given), _BATCH):
-            batch = given[start:start + _BATCH]
-            read = [_record_from_doc(r, walk.take(*key), search)
-                    for r, key in zip(batch, keys[start:start + _BATCH])]
+            batch, read = given[start:start + _BATCH], listed[start:start + _BATCH]
             if _text([_record_doc(record) for record in read]) != _text(batch):
                 for record, r in zip(read, batch):
                     _require_written_form(_record_doc(record), r, f"record k={r['k']} n={r['n']}")
-            listed += read
-        records = tuple(sorted(listed + walk.finish(), key=scan_order))
-        report = ScanReport(k_min, k_max, n_max, search, records)
+        report = ScanReport(k_min, k_max, n_max, search, tuple(records))
         # a JSON list never reads as null
         _require_written_form(_scan_report_doc(report, None), {**doc, "records": None},
                               "scan_report")
@@ -666,13 +652,14 @@ def read_journal(path) -> ScanReport | None:
     DocumentError, naming the line, unless each line is byte for byte what
     journal_chunks writes for what it holds (_require_line): the header a
     config that ScanReport accepts, each other line (json decodes its
-    bytes) a record of that config. The record lines are sorted by (k, n)
-    and their candidates taken from one walk of the range (_RangeWalk),
-    each rebuilt as the report reader rebuilds it, so a record the sieve
-    refutes, a record held twice and one that is no candidate are refused.
-    A journal is partial by design, so a candidate the sieve leaves may
-    have no line: a resumed scan decides it."""
-    entries = []
+    bytes) a record of that config. A (k, n) already read is refused at
+    the line that repeats it. The lines may come in any order: one walk of
+    the range (_range_records) takes each line's record at its candidate,
+    rebuilt as the report reader rebuilds it, so a record the sieve
+    refutes and one that is no candidate are refused. A journal is partial
+    by design, so a candidate the sieve leaves may have no line: a resumed
+    scan decides it."""
+    entries = {}
     with open(path, "rb") as handle:
         number, line = 1, handle.readline()
         if not line.endswith(b"\n"):
@@ -689,22 +676,25 @@ def read_journal(path) -> ScanReport | None:
                     break
                 doc = _loads(line)
                 with _parsing("scan record"):
-                    entries.append(((int(doc["k"]), int(doc["n"])), number, line, doc))
+                    key = int(doc["k"]), int(doc["n"])
+                with _parsing("scan_journal"):
+                    if key in entries:
+                        raise order_error(key, key)
+                entries[key] = number, line, doc
         except DocumentError as exc:
             raise DocumentError(f"line {number}: {exc}") from exc
-    entries.sort()  # by (k, n), then line number, which no two entries share
-    walk = _RangeWalk(config.k_min, config.k_max, config.n_max, complete=False)
-    records = []
-    for key, number, line, doc in entries:
+
+    def read(candidate: CandidateOrder | None, entry) -> ScanRecord:
+        number, line, doc = entry
         try:
-            with _parsing("scan_journal"):
-                candidate = walk.take(*key)
             record = _record_from_doc(doc, candidate, config.config)
             _require_line(line, _record_doc(record), doc, f"record k={doc['k']} n={doc['n']}")
         except DocumentError as exc:
             raise DocumentError(f"line {number}: {exc}") from exc
-        records.append(record)
-    return replace(config, records=tuple(sorted(records + walk.finish(), key=scan_order)))
+        return record
+
+    return replace(config, records=tuple(_range_records(
+        config.k_min, config.k_max, config.n_max, entries, read, complete=False)))
 
 
 def scan_report_table_lines(report: ScanReport) -> Iterator[str]:

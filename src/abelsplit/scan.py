@@ -32,14 +32,14 @@ k_max*n_limit(k_max) + 1, and check_scan_range refuses a range whose
 largest order is not below 2**31, which the array("i") table cannot hold.
 The table costs 4 bytes per integer up to the order it reaches, 8 MB at
 k_max = 1000 and 72 MB at k_max = 3000, and building it 3 bytes more for a
-moment. The report and journal readers walk the same enumeration beside
-the records they read, so a reader that stops at the first candidate
-missing has built only the table up to it.
+moment. scan() and the report and journal readers each walk it once and
+look up, by (k, n), the record resumed or listed at each candidate, so a
+reader that stops at the first candidate missing has built only the table
+up to it.
 """
 
 from __future__ import annotations
 
-import gc
 import time
 from array import array
 from itertools import compress, count
@@ -177,29 +177,11 @@ def iter_candidates(k_min: int, k_max: int, n_max: int | None = None) -> Iterato
             yield CandidateOrder(k, n, n * k + 1, _factor_by_table(n * k + 1, lpf))
 
 
-def scan_candidates(k_min: int, k_max: int, n_max: int | None = None) -> list[CandidateOrder]:
-    """The list of iter_candidates(k_min, k_max, n_max). Parameters that
-    break check_scan_range raise its error before any table is built.
-
-    The cyclic garbage collector is paused while the list grows, since each
-    of its older-generation passes would walk every candidate held so far
-    (close to half of scan_candidates(1, 1000) went to them), and the
-    caller's collector state is restored on the way out, also on an error.
-    """
-    check_scan_range(k_min, k_max, n_max)
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        return list(iter_candidates(k_min, k_max, n_max))
-    finally:
-        if collecting:
-            gc.enable()
-
-
 def purely_singular_candidates(k: int, n_max: int) -> list[CandidateOrder]:
-    """All candidate orders N = n*k + 1 with 1 <= n <= n_max, ascending:
-    scan_candidates(k, k, n_max)."""
-    return scan_candidates(k, k, n_max)
+    """All candidate orders N = n*k + 1 with 1 <= n <= n_max, ascending.
+    Parameters that break check_scan_range raise its error."""
+    check_scan_range(k, k, n_max)
+    return list(iter_candidates(k, k, n_max))
 
 
 class ClosedForm(Record):
@@ -433,37 +415,39 @@ def scan(
     Records are independent tasks; with jobs > 1 they run in a process pool
     of at most one worker per pending record. The scan first builds base,
     its report of no records, so a bad range raises ValueError, as does
-    jobs < 1. Each finished record fills its candidate's slot, and the
-    report lists the filled slots in (k, N) order, so parallel and serial
-    runs produce the same report. resume takes a previously written
-    (possibly partial) report of base's range and config and skips its
-    completed records, which ScanReport keeps distinct; each must be a
-    candidate of this scan, else ValueError. checkpoint, when given, is
-    called once per finished record, in the order records finish, with base
-    holding that record alone; the resumed records and those reports make
-    up the result.
+    jobs < 1. resume takes a previously written (possibly partial) report
+    of base's range and config, whose completed records are skipped. One
+    walk of the range (iter_candidates) takes each candidate's resumed
+    record by (k, n) and queues every other candidate; a resumed record
+    that is no candidate of this scan, or whose candidate differs from the
+    one the walk found, raises ValueError before any candidate is decided.
+    checkpoint, when given, is called once per finished record, in the
+    order records finish, with base holding that record alone. The result
+    holds the resumed and the finished records sorted by scan_order, so
+    parallel and serial runs produce the same report.
     """
     base = ScanReport(k_min, k_max, n_max, config, ())
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    candidates = scan_candidates(k_min, k_max, n_max)
-
-    slot_of = {(c.k, c.n): i for i, c in enumerate(candidates)}
-    slots: list[ScanRecord | None] = [None] * len(candidates)
+    resumed: dict[tuple[int, int], ScanRecord] = {}
     if resume is not None:
         theirs = replace(resume, records=())
         if theirs != base:
             raise ValueError(f"resume parameters {theirs} do not match scan parameters {base}")
-        for record in resume.records:
-            c = record.candidate
-            i = slot_of.get((c.k, c.n))
-            if i is None or candidates[i] != c:
-                raise ValueError(f"resumed record k={c.k} N={c.order} is not a scan candidate")
-            slots[i] = record
-    pending = [(c, config) for c, record in zip(candidates, slots) if record is None]
+        resumed = {(r.candidate.k, r.candidate.n): r for r in resume.records}
+    records, pending = [], []
+    for c in iter_candidates(k_min, k_max, n_max):
+        record = resumed.get((c.k, c.n))
+        if record is None or record.candidate != c:
+            pending.append((c, config))
+        else:
+            records.append(resumed.pop((c.k, c.n)))
+    if resumed:  # what the walk left: records of no candidate, or misfactored
+        c = resumed[min(resumed)].candidate
+        raise ValueError(f"resumed record k={c.k} N={c.order} is not a scan candidate")
 
     def take(record: ScanRecord) -> None:
-        slots[slot_of[record.candidate.k, record.candidate.n]] = record
+        records.append(record)
         if checkpoint is not None:
             checkpoint(replace(base, records=(record,)))
 
@@ -476,7 +460,7 @@ def scan(
     else:
         for task in pending:
             take(_scan_one(task))
-    return replace(base, records=tuple(r for r in slots if r is not None))
+    return replace(base, records=tuple(sorted(records, key=scan_order)))
 
 
 def check_k_le_n_minus_2(report: ScanReport) -> bool:

@@ -592,6 +592,20 @@ def test_journal_names_the_line_and_record_that_differ(tmp_path):
         certio.read_journal(path)
 
 
+def test_journal_lines_read_back_in_any_order(tmp_path):
+    # records finish in any order under --jobs, and the reader looks each
+    # line's record up by its (k, n), so reversed lines read the same report
+    report = scan(5, 8)
+    head, *lines = certio.journal_chunks(report)
+    assert len(lines) == 8
+    written, reversed_ = tmp_path / "written.jsonl", tmp_path / "reversed.jsonl"
+    written.write_text(head + "".join(lines))
+    reversed_.write_text(head + "".join(reversed(lines)))
+    read = certio.read_journal(reversed_)
+    assert read == certio.read_journal(written)
+    assert certio.scan_report_to_doc(read) == certio.scan_report_to_doc(report)
+
+
 @pytest.mark.parametrize("index, damage, message", [
     (1, _unsorted, "line 2: record k=5 n=1 is not written as abelsplit writes it"),
     (0, lambda line: line.replace('"kind"', '"note": 1, "kind"'),

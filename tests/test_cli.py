@@ -442,7 +442,8 @@ def _journal_lines(runner, out_dir, k_max=6, options=()):
     # a second header, of another budget, where a record belongs
     (lambda lines, other: lines.__setitem__(2, other["budget"][0]),
      "line 3: malformed scan record"),
-    (lambda lines, other: lines.append(lines[1]), "holds a record twice: k=5 n=1"),
+    (lambda lines, other: lines.append(lines[1]),
+     "line 4: malformed scan_journal: ValueError: scan report holds a record twice: k=5 n=1"),
 ], ids=["bad_record", "bad_document", "other_range", "other_budget", "duplicate"])
 def test_scan_resume_bad_journal_line_is_usage_error(runner, tmp_path, damage, message):
     lines = _journal_lines(runner, tmp_path / "scan")

@@ -1,5 +1,4 @@
 import dataclasses
-import gc
 import importlib
 import json
 import multiprocessing
@@ -43,7 +42,6 @@ from abelsplit.scan import (
     largest_prime_factors,
     purely_singular_candidates,
     scan,
-    scan_candidates,
 )
 from abelsplit.search import (
     EXHAUSTED,
@@ -70,16 +68,15 @@ def test_candidates_k8():
 def test_candidate_order_is_a_frozen_slotted_dataclass():
     built = CandidateOrder(5, 3, 16, ((2, 4),))
     named = CandidateOrder(k=5, n=3, order=16, smoothness_witness=((2, 4),))
-    assert built == named == scan_candidates(5, 5)[1] and hash(built) == hash(named)
+    assert built == named == list(scanlib.iter_candidates(5, 5))[1] and hash(built) == hash(named)
     assert built != CandidateOrder(5, 3, 16, ((2, 3),)) and built != (5, 3, 16, ((2, 4),))
     assert repr(built) == "CandidateOrder(k=5, n=3, order=16, smoothness_witness=((2, 4),))"
     with pytest.raises(dataclasses.FrozenInstanceError):
         built.k = 6
     assert built.k == 5 and not hasattr(built, "__dict__")
     assert pickle.loads(pickle.dumps(built)) == built  # pool workers receive candidates
-    assert replace(built, n=1, order=6, smoothness_witness=((2, 1), (3, 1))) == (
-        scan_candidates(5, 5)[0]
-    )
+    assert replace(built, n=1, order=6, smoothness_witness=((2, 1), (3, 1))) == next(
+        scanlib.iter_candidates(5, 5))
 
 
 def test_scan_record_is_a_frozen_slotted_dataclass():
@@ -209,49 +206,18 @@ def test_largest_prime_factor_table():
     assert list(largest_prime_factors(1)) == [0, 0]
 
 
-def test_scan_candidates_agree_with_trial_division():
+def test_iter_candidates_agree_with_trial_division():
     # the default bound n <= 2k for every k <= 300: 21,040 candidates
     expected = [c for k in range(1, 301) for c in candidates_by_trial_division(k, 2 * k)]
     assert len(expected) == 21_040
-    assert scan_candidates(1, 300) == expected
-    assert scan_candidates(171, 300) == [c for c in expected if c.k >= 171]
+    assert list(scanlib.iter_candidates(1, 300)) == expected
+    assert list(scanlib.iter_candidates(171, 300)) == [c for c in expected if c.k >= 171]
     for k in range(1, 41):
         for n_max in (1, 13, 3 * k):
             assert purely_singular_candidates(k, n_max) == candidates_by_trial_division(k, n_max)
     for n_max in (1, 13, 120):
-        assert scan_candidates(1, 40, n_max) == [
+        assert list(scanlib.iter_candidates(1, 40, n_max)) == [
             c for k in range(1, 41) for c in candidates_by_trial_division(k, n_max)]
-
-
-def test_scan_candidates_restores_the_collector_state(monkeypatch):
-    # the collector is paused while the list grows, then left as found,
-    # after a return and after an error alike
-    factor, during = scanlib._factor_by_table, []
-
-    def observed(x, lpf):
-        during.append(gc.isenabled())
-        return factor(x, lpf)
-
-    def fail(x, lpf):
-        raise RuntimeError("factoring failed")
-
-    was = gc.isenabled()
-    try:
-        for enabled in (True, False):
-            (gc.enable if enabled else gc.disable)()
-            with monkeypatch.context() as m:
-                m.setattr(scanlib, "_factor_by_table", observed)
-                assert len(scan_candidates(1, 30)) == 210
-            assert len(during) == 210 and not any(during)
-            during.clear()
-            assert gc.isenabled() is enabled
-            with monkeypatch.context() as m:
-                m.setattr(scanlib, "_factor_by_table", fail)
-                with pytest.raises(RuntimeError, match="^factoring failed$"):
-                    scan_candidates(1, 30)
-            assert gc.isenabled() is enabled
-    finally:
-        (gc.enable if was else gc.disable)()
 
 
 def test_the_range_rule_holds_at_its_edge():
@@ -275,7 +241,7 @@ def test_the_enumeration_builds_its_table_as_far_as_it_walks(monkeypatch):
         sizes.append(limit)
         return build(limit)
 
-    expected = scan_candidates(1, 300)
+    expected = list(scanlib.iter_candidates(1, 300))
     monkeypatch.setattr(scanlib, "largest_prime_factors", counted)
     assert list(scanlib.iter_candidates(1, 300)) == expected
     assert sizes[-1] == 2 * 300**2 + 1 and sorted(sizes) == sizes
@@ -292,10 +258,13 @@ def test_the_enumeration_builds_its_table_as_far_as_it_walks(monkeypatch):
     assert sizes == []
 
 
-def test_scan_candidates_rejects_bad_ranges():
+def test_scan_and_candidates_reject_bad_ranges():
     for bad in ((0, 5, None), (6, 5, None), (1, 5, 0)):
         with pytest.raises(ValueError):
-            scan_candidates(*bad)
+            scan(*bad)
+    for k, n_max in ((0, 5), (1, 0)):  # a single k cannot lie above itself
+        with pytest.raises(ValueError):
+            purely_singular_candidates(k, n_max)
 
 
 def test_scan_k8():
@@ -459,6 +428,20 @@ def test_resume_skips_completed_records():
     assert list(map(_as_written, resumed.records)) == list(map(_as_written, full.records))
 
 
+@pytest.mark.parametrize("kept", [
+    lambda records: records[::2],
+    lambda records: [r for r in records if r.route != COUNTING],
+    lambda records: records[:len(records) // 2],
+], ids=["every_other", "listed", "first_half"])
+def test_resumed_from_a_subset_writes_the_same_report(kept):
+    full = scan(5, 8)
+    subset = replace(full, records=tuple(kept(list(full.records))))
+    assert 0 < len(subset.records) < len(full.records)
+    written = certio.dumps_document(certio.scan_report_to_doc(full))
+    resumed = scan(5, 8, resume=subset)
+    assert certio.dumps_document(certio.scan_report_to_doc(resumed)) == written
+
+
 def test_resume_rejects_mismatched_parameters():
     full = scan(5, 6)
     with pytest.raises(ValueError):
@@ -467,13 +450,15 @@ def test_resume_rejects_mismatched_parameters():
         scan(5, 6, config=SearchConfig(node_limit=123), resume=full)
 
 
-def test_resume_rejects_records_outside_the_task_set():
+def test_resume_rejects_records_outside_the_task_set(monkeypatch):
     full = scan(5, 6)
 
     def resume_with(records):
         return ScanReport(full.k_min, full.k_max, full.n_max, full.config, tuple(records))
 
     foreign = scan(8, 8, n_max=1).records[0]  # k = 8 lies outside 5..6
+    # both refusals come before any candidate is decided
+    monkeypatch.setattr(scanlib, "_scan_one", lambda task: pytest.fail("a candidate was decided"))
     with pytest.raises(ValueError, match="not a scan candidate"):
         scan(5, 6, resume=resume_with(full.records + (foreign,)))
     first = full.records[0]

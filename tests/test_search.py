@@ -26,8 +26,8 @@ from abelsplit.scan import (
     INCONCLUSIVE,
     Propagation,
     decide,
+    iter_candidates,
     purely_singular_candidates,
-    scan_candidates,
 )
 from abelsplit.search import (
     EXHAUSTED,
@@ -510,7 +510,7 @@ def test_propagation_refutes_only_what_the_search_exhausts():
     # of the 54, each by a certificate that certio's checker and the orbit
     # oracle accept, and the search exhausts each of them; it leaves the
     # (k+1)^2 family members (625, 24) and (2401, 48) to the search
-    survivors = [c for c in scan_candidates(1, 60) if not c.trivial
+    survivors = [c for c in iter_candidates(1, 60) if not c.trivial
                  and counting_witness(c.k, c.order, c.smoothness_witness) is None]
     left = []
     for c in survivors:
