@@ -36,8 +36,9 @@ object with the library's own constructors and accepts the document only
 if writing that object back gives exactly the same document; the scan
 report and journal readers (scan_report_from_doc, read_journal) say how
 they check a document of many records without building a second one. Both
-walk the range once (_range_records) and look up, by (k, n), the record
-listed at each candidate.
+read the config first, then walk its range once (_range_records), look up,
+by (k, n), the record listed at each candidate, and compare it with its
+written form as they rebuild it.
 """
 
 from __future__ import annotations
@@ -137,12 +138,7 @@ def _write(o, depth: int, append) -> None:
         _, item_sep, _, sep, close = _punctuation(depth)
         for item in o:
             append(sep)
-            if type(item) is dict:  # one string per item, not its many parts
-                parts: list[str] = []
-                _write(item, depth + 1, parts.append)
-                append("".join(parts))
-            else:
-                _write(item, depth + 1, append)
+            _write(item, depth + 1, append)
             sep = item_sep
         append(close)
     elif o is None:
@@ -470,22 +466,24 @@ def _record_from_doc(doc, candidate: CandidateOrder | None, config: SearchConfig
         return decide(candidate, config, read_outcome)
 
 
-def _range_records(k_min: int, k_max: int, n_max: int | None, listed: dict,
+def _range_records(config: ScanReport, listed: dict,
                    read: Callable[[CandidateOrder | None, object], ScanRecord],
-                   complete: bool) -> list[ScanRecord]:
-    """The records of a scan's range, in (k, N) order, from one walk of its
+                   complete: bool) -> ScanReport:
+    """config, the report of no records that _config_from_doc read, with
+    the records of its range, in (k, N) order, from one walk of its
     candidates (iter_candidates). listed maps the (k, n) of each record a
     document lists to an item of it; the walk pops the item at each
-    candidate and takes read(candidate, item), and takes the sieve's record
-    of a candidate with none. A candidate with none that the sieve leaves
-    is a record the document lacks: a complete document, a report, is
-    refused with DocumentError naming the first, and a partial one, a
-    journal, passes over it, for a resumed scan to decide. Last, the first
-    key the walk left, which no candidate has, gets read(None, item), which
+    candidate and takes read(candidate, item), which rebuilds the record
+    and checks it against its item, and takes the sieve's record of a
+    candidate with none. A candidate with none that the sieve leaves is a
+    record the document lacks: a complete document, a report, is refused
+    with DocumentError naming the first, and a partial one, a journal,
+    passes over it, for a resumed scan to decide. Last, the first key the
+    walk left, which no candidate has, gets read(None, item), which
     refuses it. The table of largest prime factors is built only as far as
     the walk gets."""
     records = []
-    for candidate in iter_candidates(k_min, k_max, n_max):
+    for candidate in iter_candidates(config.k_min, config.k_max, config.n_max):
         item = listed.pop((candidate.k, candidate.n), None)
         if item is not None:
             records.append(read(candidate, item))
@@ -497,7 +495,7 @@ def _range_records(k_min: int, k_max: int, n_max: int | None, listed: dict,
             raise DocumentError(f"scan_report lacks the candidate k={candidate.k} n={candidate.n}")
     if listed:
         read(None, listed[min(listed)])
-    return records
+    return replace(config, records=tuple(records))
 
 
 def _config_doc(report: ScanReport) -> dict:
@@ -509,6 +507,13 @@ def _config_doc(report: ScanReport) -> dict:
         "node_limit": report.config.node_limit,
         "time_limit_s": report.config.time_limit_s,
     }
+
+
+def _config_from_doc(doc) -> ScanReport:
+    """The report of no records of the config doc, checked by ScanReport and
+    SearchConfig; the caller's _parsing makes errors DocumentError."""
+    return ScanReport(doc["k_min"], doc["k_max"], doc["n_max"],
+                      SearchConfig(doc["node_limit"], doc["time_limit_s"]), ())
 
 
 def _scan_report_doc(report: ScanReport, records) -> dict:
@@ -530,7 +535,6 @@ def scan_report_to_doc(report: ScanReport) -> dict:
     return _scan_report_doc(report, [_record_doc(r) for r in _listed(report)])
 
 
-_BATCH = 16  # records the report reader compares with their written form at once
 _RECORDS = "\0records"  # the one item of the records list while the envelope is rendered
 
 
@@ -564,20 +568,21 @@ def scan_report_from_doc(doc: dict) -> ScanReport:
     for the records rebuilt from them and the sieve's records of the rest
     of the range, and its routes count the latter as counting.
 
-    The listed records must ascend strictly by (k, n), checked first
-    (check_ascending), so the error names the first out of place. The
-    range is then walked once (_range_records), in (k, N) order: each
-    listed record is rebuilt on the candidate the walk finds at its (k, n),
-    and the sieve runs again on every candidate the report does not list,
-    so the error names the first candidate the sieve leaves that the report
-    lacks, and a record the sieve refutes. A listed record that is no
-    candidate is named only once the whole range is walked, so a candidate
-    missing anywhere in the range, after it too, is named first. The walk
-    builds its table of largest prime factors only as far as it gets, and
-    ScanReport checks the whole range once it is walked, so a report cut
-    short is refused at its first missing candidate whatever k_max it
-    claims, and a range whose orders pass the table's reach at the first k
-    that needs them, before any table of them is built.
+    The config is read first (_config_from_doc), so a range that breaks
+    check_scan_range is refused before any walk, as a journal's is. The
+    listed records must then ascend strictly by (k, n) (check_ascending),
+    so the error names the first out of place. The range is walked once
+    (_range_records), in (k, N) order: each listed record is rebuilt on the
+    candidate the walk finds at its (k, n) and compared with its written
+    form at once, the rule read_journal applies to each line, and the sieve
+    runs again on every candidate the report does not list. So the error
+    names the first fault the walk meets: a record that differs, and its
+    keys, a record the sieve refutes, or a candidate the sieve leaves that
+    the report lacks. A listed record that is no candidate is named only
+    once the whole range is walked, so a fault anywhere in the range, after
+    it too, is named first. The walk builds its table of largest prime
+    factors only as far as it gets, so a report cut short is refused at its
+    first missing candidate, whatever k_max the range rule lets it claim.
 
     Each listed record's route, closed form and verdict are derived again,
     a Propagation is recounted by check_propagation, found splitters are
@@ -587,40 +592,24 @@ def scan_report_from_doc(doc: dict) -> ScanReport:
     running its search again could check them, which would undo the point
     of resuming.
 
-    The rebuilt records are then compared with the document, _BATCH at a
-    time, so no document of the whole report is built: each batch is
-    rebuilt and compared with its written form, and a batch that differs is
-    compared record by record, so that the error names the first record
-    that differs, and its keys. The report's own keys are compared once,
-    last, with None for its records, so stale routes or totals are refused
-    there."""
+    No document of the whole report is built: each record is compared
+    alone, and the report's own keys once, last, with None for its
+    records, so stale routes or totals are refused there."""
     with _parsing("scan_report"):
-        config, given = doc["config"], doc["records"]
-        search = SearchConfig(config["node_limit"], config["time_limit_s"])
-        k_min, k_max, n_max = config["k_min"], config["k_max"], config["n_max"]
+        config, given = _config_from_doc(doc["config"]), doc["records"]
         keys = [(int(r["k"]), int(r["n"])) for r in given]
         check_ascending(keys)
-        records = _range_records(k_min, k_max, n_max, dict(zip(keys, given)),
-                                 lambda candidate, r: _record_from_doc(r, candidate, search),
-                                 complete=True)
-        listed = [record for record in records if record.route != COUNTING]
-        for start in range(0, len(given), _BATCH):
-            batch, read = given[start:start + _BATCH], listed[start:start + _BATCH]
-            if _text([_record_doc(record) for record in read]) != _text(batch):
-                for record, r in zip(read, batch):
-                    _require_written_form(_record_doc(record), r, f"record k={r['k']} n={r['n']}")
-        report = ScanReport(k_min, k_max, n_max, search, tuple(records))
+
+        def read(candidate: CandidateOrder | None, r) -> ScanRecord:
+            record = _record_from_doc(r, candidate, config.config)
+            _require_written_form(_record_doc(record), r, f"record k={r['k']} n={r['n']}")
+            return record
+
+        report = _range_records(config, dict(zip(keys, given)), read, complete=True)
         # a JSON list never reads as null
         _require_written_form(_scan_report_doc(report, None), {**doc, "records": None},
                               "scan_report")
     return report
-
-
-def _config_from_doc(doc) -> ScanReport:
-    """The report of no records of the config doc, checked by ScanReport and
-    SearchConfig; the caller's _parsing makes errors DocumentError."""
-    return ScanReport(doc["k_min"], doc["k_max"], doc["n_max"],
-                      SearchConfig(doc["node_limit"], doc["time_limit_s"]), ())
 
 
 def _journal_head_doc(report: ScanReport) -> dict:
@@ -693,8 +682,7 @@ def read_journal(path) -> ScanReport | None:
             raise DocumentError(f"line {number}: {exc}") from exc
         return record
 
-    return replace(config, records=tuple(_range_records(
-        config.k_min, config.k_max, config.n_max, entries, read, complete=False)))
+    return _range_records(config, entries, read, complete=False)
 
 
 def scan_report_table_lines(report: ScanReport) -> Iterator[str]:

@@ -628,10 +628,57 @@ def test_scan_report_is_compared_once(monkeypatch):
     monkeypatch.setattr(certio, "_require_written_form",
                         lambda rebuilt, doc, what: compared.append(what) or require(
                             rebuilt, doc, what))
+    # each listed record as the walk rebuilds it, then the envelope
     doc = certio.scan_report_to_doc(scan(5, 9))
     assert len(doc["records"]) > 1
     certio.scan_report_from_doc(doc)
-    assert compared == ["scan_report"]
+    assert compared == [f"record k={r['k']} n={r['n']}" for r in doc["records"]] + ["scan_report"]
+
+
+_SCAN_5_8 = scan(5, 8)  # 8 listed records: closed_form at 0, 2, 3, 5, propagation at 1, 4, 6, 7
+
+
+def _set_step(r):
+    r["propagation"]["steps"][1][1] = 54  # [53, 53] becomes [53, 54]
+
+
+@pytest.mark.parametrize("index, damage, message", [
+    (0, lambda r: r.update(verdict=VIOLATION),
+     "record k=5 n=1 differs from what abelsplit writes in verdict"),
+    (1, lambda r: r.update(note=1), "record k=6 n=4 differs from what abelsplit writes in note"),
+    (3, lambda r: r.update(nodes=0), "record k=7 n=2 differs from what abelsplit writes in nodes"),
+    (4, _set_step, "propagation step (53, 54): the live rows of 53 are [53]"),
+], ids=["verdict", "extra_key", "closed_form_nodes", "propagation_step"])
+def test_report_and_journal_readers_refuse_a_record_alike(tmp_path, index, damage, message):
+    # one rule for a listed record: the report reader names it as the
+    # journal reader does, less the journal's line
+    doc = certio.scan_report_to_doc(_SCAN_5_8)
+    damage(doc["records"][index])
+    head, *lines = certio.journal_chunks(_SCAN_5_8)
+    lines[index] = json.dumps(doc["records"][index], sort_keys=True) + "\n"
+    path = tmp_path / "scan.jsonl"
+    path.write_text(head + "".join(lines))
+    with pytest.raises(certio.DocumentError, match=f"^{re.escape(message)}$"):
+        certio.scan_report_from_doc(doc)
+    with pytest.raises(certio.DocumentError,
+                       match=f"^line {index + 2}: {re.escape(message)}$"):
+        certio.read_journal(path)
+
+
+def test_report_reader_names_a_damaged_record_before_a_missing_candidate():
+    # the record is compared as the walk rebuilds it, so a record that
+    # differs is named before a candidate the report lacks after it
+    doc = certio.scan_report_to_doc(_SCAN_5_8)
+    doc["records"][0]["verdict"] = VIOLATION
+    del doc["records"][2]  # k=7 n=1
+    message = "record k=5 n=1 differs from what abelsplit writes in verdict"
+    with pytest.raises(certio.DocumentError, match=f"^{message}$"):
+        certio.scan_report_from_doc(doc)
+    doc = certio.scan_report_to_doc(_SCAN_5_8)
+    del doc["records"][2]
+    with pytest.raises(certio.DocumentError,
+                       match="^scan_report lacks the candidate k=7 n=1$"):
+        certio.scan_report_from_doc(doc)
 
 
 def test_scan_report_table_shape():
@@ -815,19 +862,25 @@ def _traced_peak(fn, *args):
 
 
 def test_report_reader_cost_follows_its_records():
-    # a reader that built a table of the config's k_max would ask for
-    # about 8 * 10**18 bytes here; the walk of the range stops at the first
-    # candidate the records lack, N = 8 at k = 7
-    doc = certio.scan_report_to_doc(scan(5, 6))
-    doc["config"]["k_max"] = 10**9
+    # k_max = 10**9 breaks the range rule and is refused before any walk.
+    # k_max = 30,000 passes it (its largest order is 1.8 * 10**9), and a
+    # reader that built a table of it would ask for about 7.2 GB; the walk
+    # of the range stops at the first candidate the records lack, N = 8 at
+    # k = 7
+    for k_max, message in [
+        (10**9, "malformed scan_report: ValueError: the scan k=5..1000000000 n=1..2k reaches "
+                "the order 2000000000000000001; its candidate table holds orders below 2**31"),
+        (30_000, "scan_report lacks the candidate k=7 n=1"),
+    ]:
+        doc = certio.scan_report_to_doc(scan(5, 6))
+        doc["config"]["k_max"] = k_max
 
-    def read():
-        with pytest.raises(certio.DocumentError,
-                           match="^scan_report lacks the candidate k=7 n=1$"):
-            certio.scan_report_from_doc(doc)
+        def read():
+            with pytest.raises(certio.DocumentError, match=f"^{re.escape(message)}$"):
+                certio.scan_report_from_doc(doc)
 
-    _, peak = _traced_peak(read)
-    assert peak < 1_000_000
+        _, peak = _traced_peak(read)
+        assert peak < 1_000_000
 
 
 def test_a_range_past_the_table_is_refused_before_any_table(tmp_path, monkeypatch):
@@ -887,8 +940,8 @@ def test_report_reader_builds_no_second_document(report_45):
     assert peak <= records + 3 * len(text)
 
 
-@pytest.mark.parametrize("index", [16, -1])  # the first of the second batch, the last
-def test_report_reader_names_a_record_past_the_first_batch(report_45, index):
+@pytest.mark.parametrize("index", [16, -1])  # a record amid the report, the last
+def test_report_reader_names_a_later_record_that_differs(report_45, index):
     doc = certio.scan_report_to_doc(report_45)
     record = doc["records"][index]
     record["verdict"] = VIOLATION
