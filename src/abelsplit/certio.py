@@ -26,10 +26,13 @@ that no search decided. The tabular export has a line per candidate.
 Every file abelsplit writes goes through write_chunks, which replaces the
 target atomically through a temp file, except the lines appended to a scan
 journal. It takes the text as an iterable of str and encodes each chunk
-into a buffered binary file, so a large document is written from a
-stream: a scan report record by record (scan_report_chunks), a journal
-line by line, a tiling export block by block (tiling_export_chunks), each
-byte-identical to the joined text.
+into a buffered binary file, so a file whose size follows the candidates,
+the journal or the box is written from a stream: the tabular export and a
+journal line by line, a tiling export block by block
+(tiling_export_chunks), each byte-identical to the joined text. A
+document, a scan report included, is written whole by write_document: a
+report lists only the records the sieve leaves, and its reader loads it
+whole.
 
 The writers define what a valid document is. Each reader rebuilds its
 object with the library's own constructors and accepts the document only
@@ -48,7 +51,6 @@ import os
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager, suppress
 from functools import cache
-from itertools import chain
 from math import gcd
 from pathlib import Path
 
@@ -215,13 +217,8 @@ def write_chunks(path, chunks: Iterable[str]) -> None:
         raise
 
 
-def write_text(path, text: str) -> None:
-    """Replace the file at path with text, as UTF-8, atomically: write_chunks."""
-    write_chunks(path, (text,))
-
-
 def write_document(path, doc: dict) -> None:
-    write_text(path, dumps_document(doc))
+    write_chunks(path, (dumps_document(doc),))
 
 
 def read_document(path) -> dict:
@@ -533,32 +530,6 @@ def _scan_report_doc(report: ScanReport, records) -> dict:
 
 def scan_report_to_doc(report: ScanReport) -> dict:
     return _scan_report_doc(report, [_record_doc(r) for r in _listed(report)])
-
-
-_RECORDS = "\0records"  # the one item of the records list while the envelope is rendered
-
-
-def scan_report_chunks(report: ScanReport) -> Iterator[str]:
-    """dumps_document(scan_report_to_doc(report)) in pieces, one record's
-    document alive at a time: the text before and after the records, cut
-    from the document rendered with the one item _RECORDS in their place,
-    and between them each listed record's text as _write renders it
-    there."""
-    listed = _listed(report)
-    first = next(listed, None)
-    if first is None:
-        yield dumps_document(_scan_report_doc(report, []))
-        return
-    head, tail = dumps_document(_scan_report_doc(report, [_RECORDS])).split(_escape(_RECORDS))
-    item_sep = _punctuation(1)[1]  # the records list sits at depth 1
-    yield head
-    sep = ""
-    for record in chain((first,), listed):
-        parts = [sep]
-        _write(_record_doc(record), 2, parts.append)
-        yield "".join(parts)
-        sep = item_sep
-    yield tail
 
 
 def scan_report_from_doc(doc: dict) -> ScanReport:

@@ -125,7 +125,7 @@ def scan(k_min, k_max, n_max, jobs, out_dir, resume, node_limit, time_limit_s) -
 
         report = run_scan(k_min, k_max, n_max, config=base.config, jobs=jobs or os.cpu_count() or 1,
                           resume=resume_report, checkpoint=checkpoint)
-    certio.write_chunks(report_path, certio.scan_report_chunks(report))
+    certio.write_document(report_path, certio.scan_report_to_doc(report))
     certio.write_chunks(table_path, certio.scan_report_table_lines(report))
     totals = report.totals
     overall = overall_verdict(totals)

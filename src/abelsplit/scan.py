@@ -8,8 +8,9 @@ by the first of four proof routes that decides it, and its record holds
 that route's decision:
 
 1. closed_form: a trivial order, N = k + 1 or 2k + 1, splits by S = {1} or
-   S = {1, N - 1} (splitting.trivial_certificate), with no sieve and no
-   search; its decision is a ClosedForm of those splitters.
+   S = {1, N - 1}, with no sieve and no search; its decision is a
+   ClosedForm of those splitters, which make_record verifies into the
+   certificate of splitting.trivial_certificate.
 2. counting: the counting sieve (counting.counting_witness) refutes a
    candidate whose stratum identities have no nonnegative integer
    solution; its decision is a Counting(p, stratum).
@@ -62,14 +63,7 @@ from .search import (
     propagate,
     search_splitter,
 )
-from .splitting import (
-    ORDER_2K_PLUS_1,
-    ORDER_K_PLUS_1,
-    MultiplierSet,
-    SplittingCertificate,
-    make_certificate,
-    trivial_certificate,
-)
+from .splitting import MultiplierSet, SplittingCertificate, make_certificate
 
 TRIVIAL_EXPECTED = "trivial_expected"
 CONSISTENT = "conjecture_consistent"
@@ -188,7 +182,7 @@ class ClosedForm(Record):
     """The closed-form decision of a trivial order: the splitters of
     splitting.trivial_certificate, S = {1} at N = k + 1 and S = {1, N - 1}
     at N = 2k + 1. Its result is therefore FOUND, as a search's that found
-    a splitter set."""
+    a splitter set, and make_record verifies it alike."""
 
     __slots__ = ("splitters",)
 
@@ -227,8 +221,8 @@ class ScanRecord(Record):
     Each answers result, so the verdict below, ScanReport.totals, the
     inequality checks and the benchmark's gate read every route alike.
     route and verdict are read off the decision, so no record can hold a
-    verdict its decision contradicts; a scan builds its records through
-    decide."""
+    verdict its decision contradicts; every record, fresh or read back, is
+    built by make_record."""
 
     __slots__ = ("candidate", "outcome", "certificate")
 
@@ -259,16 +253,17 @@ def scan_order(record: ScanRecord) -> tuple[int, int]:
     return record.candidate.k, record.candidate.order
 
 
-def make_record(candidate: CandidateOrder, outcome: Counting | Propagation | SearchOutcome
-                ) -> ScanRecord:
-    """The record of a refuting or searched decision of candidate, for fresh
-    and resumed records alike, through the result each answers.
+def make_record(candidate: CandidateOrder,
+                outcome: ClosedForm | Counting | Propagation | SearchOutcome) -> ScanRecord:
+    """The record of candidate decided by outcome, any route's decision,
+    for fresh and resumed records alike, through the result each answers.
 
-    A found splitter set is re-verified into a certificate, and the record
-    keeps the certificate's canonical splitters. A proof of nonexistence at
-    a trivial order raises RuntimeError naming its route: a splitting always
-    exists there, so either that route or the claim is unsound. An unknown
-    result raises ValueError.
+    A found splitter set, a closed form's or a search's, is re-verified
+    into a certificate, and the record keeps the certificate's canonical
+    splitters. A proof of nonexistence at a trivial order raises
+    RuntimeError naming its route: a splitting always exists there, so
+    either that route or the claim is unsound. An unknown result raises
+    ValueError.
     """
     k, order = candidate.k, candidate.order
     if outcome.result == FOUND:
@@ -302,21 +297,17 @@ def decide(candidate: CandidateOrder, config: SearchConfig,
            search: Callable[[SearchConfig], SearchOutcome]) -> ScanRecord:
     """A candidate's record from the first proof route that decides it.
 
-    A trivial order gets its ClosedForm and trivial_certificate, with no
-    sieve and no search. Otherwise the sieve's Counting decides a candidate
-    it refutes, then the Propagation of search.propagate, whose
-    work config's budget pays for; a candidate neither refutes gets
-    search(left), left being config with the time that propagation left.
-    Each decision but the closed form's goes through make_record. When
+    A trivial order gets its ClosedForm, with no sieve and no search.
+    Otherwise the sieve's Counting decides a candidate it refutes, then the
+    Propagation of search.propagate, whose work config's budget pays for; a
+    candidate neither refutes gets search(left), left being config with the
+    time that propagation left. Every decision goes through make_record. When
     propagation runs out of time, the record is a resource_limit search
     outcome of no nodes, its stats' reason time_limit.
     """
     k, order = candidate.k, candidate.order
     if candidate.trivial:
-        form = ORDER_K_PLUS_1 if candidate.n == 1 else ORDER_2K_PLUS_1
-        certificate = trivial_certificate(k, form)
-        return ScanRecord(candidate, ClosedForm(tuple(s for (s,) in certificate.splitters)),
-                          certificate)
+        return make_record(candidate, ClosedForm((1,) if candidate.n == 1 else (1, 2 * k)))
     counting = sieve(candidate)
     if counting is not None:
         return make_record(candidate, counting)

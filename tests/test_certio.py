@@ -246,12 +246,10 @@ def test_streamed_report_is_the_document_text(tmp_path):
     reports = [scan(1, 30), ScanReport(3, 7, None, SearchConfig(), ()), scan(8, 8, n_max=13),
                ScanReport(2, 2, 4, SearchConfig(), (violation,))]
     for i, report in enumerate(reports):
-        text = certio.dumps_document(certio.scan_report_to_doc(report))
-        assert "".join(certio.scan_report_chunks(report)) == text
-        certio.write_chunks(tmp_path / f"{i}.json", certio.scan_report_chunks(report))
-        assert (tmp_path / f"{i}.json").read_bytes() == text.encode()
+        doc = certio.scan_report_to_doc(report)
+        certio.write_document(tmp_path / f"{i}.json", doc)
+        assert (tmp_path / f"{i}.json").read_bytes() == certio.dumps_document(doc).encode()
     desk = (tmp_path / "0.json").read_bytes()
-    assert len(desk) > 8192  # above the file buffer, so the desk report takes many writes
     assert hashlib.sha256(desk).hexdigest() == DESK_SCAN_SHA256
     assert '"records": []' in (tmp_path / "1.json").read_text()
     assert '"n_max": 13' in (tmp_path / "2.json").read_text()
@@ -950,16 +948,6 @@ def test_report_reader_names_a_later_record_that_differs(report_45, index):
         certio.scan_report_from_doc(doc)
 
 
-def test_streamed_report_holds_one_record_beside_the_buffer(report_45, tmp_path):
-    # the file object's buffer, and one record's document and text beside
-    # it; rendering the whole document first took four times the text,
-    # 0.8 MB here
-    path = tmp_path / "report.json"
-    _, peak = _traced_peak(certio.write_chunks, path, certio.scan_report_chunks(report_45))
-    assert path.read_text() == certio.dumps_document(certio.scan_report_to_doc(report_45))
-    assert peak <= 32 * 1024
-
-
 _BOX_250 = [(0, 249), (0, 249)]
 
 
@@ -1080,7 +1068,7 @@ def test_interrupted_write_keeps_old_document(tmp_path, monkeypatch):
 
 def test_write_chunks_keeps_the_old_file_when_its_chunks_fail(tmp_path):
     path = tmp_path / "report.json"
-    certio.write_text(path, "old\n")
+    certio.write_chunks(path, ["old\n"])
 
     def chunks():
         yield "x" * (1 << 14)  # above the file buffer, so a write reaches the temp file
@@ -1098,7 +1086,7 @@ def test_write_chunks_round_trips_long_non_ascii_text(tmp_path):
     text = "aé€😀\n" * (1 << 12)
     assert len(text.encode()) > 8192
     path = tmp_path / "text.txt"
-    certio.write_text(path, text)
+    certio.write_chunks(path, [text])
     assert path.read_bytes() == text.encode()
     certio.write_chunks(path, [text[:3], "", text[3:], "tail"])
     assert path.read_bytes() == (text + "tail").encode()
@@ -1106,13 +1094,13 @@ def test_write_chunks_round_trips_long_non_ascii_text(tmp_path):
     assert path.read_bytes() == text.encode()
 
 
-def test_write_text_mode_follows_the_umask(tmp_path):
+def test_write_chunks_mode_follows_the_umask(tmp_path):
     path = tmp_path / "report.json"
     previous = os.umask(0o022)
     try:
-        certio.write_text(path, "old\n")
+        certio.write_chunks(path, ["old\n"])
         path.chmod(0o600)  # a replaced file takes the temp file's mode, not its own
-        certio.write_text(path, "é€😀\n")
+        certio.write_chunks(path, ["é€😀\n"])
     finally:
         os.umask(previous)
     assert path.stat().st_mode & 0o777 == 0o644

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import importlib
 import json
@@ -52,7 +53,9 @@ from abelsplit.search import (
     propagate,
     search_splitter,
 )
-from abelsplit.splitting import ORDER_2K_PLUS_1, MultiplierSet, trivial_certificate
+from abelsplit.splitting import (
+    ORDER_2K_PLUS_1, ORDER_K_PLUS_1, MultiplierSet, trivial_certificate,
+)
 
 scanlib = importlib.import_module("abelsplit.scan")  # the package re-exports scan()
 
@@ -311,6 +314,17 @@ def test_found_at_trivial_orders():
         if order in (k + 1, 2 * k + 1):
             assert record.outcome.result == FOUND
             assert record.verdict == TRIVIAL_EXPECTED
+    # every trivial order up to k = 300 takes its closed form, whose
+    # certificate is trivial_certificate's: none is refuted
+    trivial = [c for c in scanlib.iter_candidates(1, 300) if c.trivial]
+    # k + 1 and 2k + 1 are k-smooth unless prime
+    assert len(trivial) == sum(not sympy.isprime(k * n + 1) for k in range(1, 301) for n in (1, 2))
+    for c in trivial:
+        record = decide(c, SearchConfig(), lambda left: pytest.fail("search asked"))
+        form = ORDER_K_PLUS_1 if c.n == 1 else ORDER_2K_PLUS_1
+        assert record.route == CLOSED_FORM and record.verdict == TRIVIAL_EXPECTED
+        assert record.certificate == trivial_certificate(c.k, form)
+        assert record.outcome.splitters == ((1,) if c.n == 1 else (1, 2 * c.k))
 
 
 def test_counting_records_are_exhausted_by_the_search(desk_scan):
@@ -598,3 +612,28 @@ def test_totals_consistent_with_records():
     assert totals[TRIVIAL_EXPECTED] + totals[CONSISTENT] + totals[VIOLATION] + totals[
         "inconclusive"
     ] == len(report.records)
+
+
+def _scan_record_calls(path: Path) -> list[str]:
+    """A "<file>: <owner>" line per ScanRecord(...) call in the module at
+    path, the owner being the top-level def or class around the call, or
+    <module> outside them."""
+    calls = []
+    for top in ast.parse(path.read_text(encoding="utf-8")).body:
+        owner = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "ScanRecord":
+                    calls.append(f"{path.name}: {owner}")
+    return calls
+
+
+def test_only_make_record_builds_a_scan_record():
+    # every record, fresh or read back, passes make_record's checks: the
+    # re-verified certificate of a found splitter set and the refusal of a
+    # refuted trivial order
+    package = Path(__file__).resolve().parents[1] / "src" / "abelsplit"
+    calls = [call for path in sorted(package.glob("*.py")) for call in _scan_record_calls(path)]
+    assert calls and set(calls) == {"scan.py: make_record"}

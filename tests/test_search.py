@@ -115,6 +115,21 @@ def test_search_is_deterministic():
     assert a.stats.max_depth == b.stats.max_depth
 
 
+@pytest.mark.parametrize("order, k, nodes, max_depth, rows", [
+    (2401, 48, 66, 6, 119),
+    (14641, 120, 2065, 8, 438),
+    (15625, 124, 123, 7, 450),
+])
+def test_family_search_trees_are_pinned(order, k, nodes, max_depth, rows):
+    # (k+1)^2 family records at the default budgets: a change to the
+    # engine that grows or shrinks these trees must pin them again
+    out = run(order, k)
+    stats = out.stats
+    assert (out.result, stats.nodes, stats.max_depth, stats.rows) == (
+        EXHAUSTED, nodes, max_depth, rows)
+    assert stats.reason is None
+
+
 def test_resource_limit_by_nodes():
     out = run(5, 2, node_limit=1)
     assert out.result == RESOURCE_LIMIT
