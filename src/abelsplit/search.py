@@ -8,10 +8,11 @@ source, _row_source, and one engine, _exact_covers, serve both the
 first-solution search and the all-solutions enumeration. The engine branches
 on the lowest uncovered bit and tries candidates in the given row order, so
 every outcome is deterministic. It asks for a bit's rows the first time it
-branches on that bit, and the source builds only the orbits that hold that
-bit's residue. propagate, which the scan runs before a search, finds the
-rows holding a residue the same way (_rows_holding) but builds no orbit: it
-refutes by forced rows and a dead residue, or gives up.
+branches on that bit. The source looks only at the splitters whose orbit
+holds that bit's residue, keeps each one's lowest bit, and builds a mask
+only for a row it yields. propagate, which the scan runs before a search,
+finds the rows holding a residue the same way (_rows_holding) but builds no
+mask: it refutes by forced rows and a dead residue, or gives up.
 
 search_splitter lays the bits out in branch order: the root residue first,
 which is the first multiplier's (residue 1 for M = {1..k}), then the others
@@ -121,12 +122,16 @@ def _row_source(
 
     order[i] is the residue at bit i, with order[0] = 0. The mask of s is
     the OR of the bits of m*s mod n over m in residues. A splitter whose
-    orbit hits 0 (bit 0 set) or repeats a residue (fewer bits than
-    residues) can never appear in a splitting and gets no row. Only the
-    splitters whose orbit holds x = order[b] are looked at, those of
-    _rows_holding(x) bar s = 0. Each splitter's mask is built once. Each
-    table entry and orbit element is one unit of work; the clock is read
-    each time the work passes a multiple of _TIME_STRIDE.
+    orbit hits 0 (bit 0) or repeats a residue (fewer bits than residues)
+    can never appear in a splitting and gets no row. Only the splitters
+    whose orbit holds x = order[b] are looked at, those of _rows_holding(x)
+    bar s = 0. The source keeps the lowest bit of each splitter it has
+    looked at, 0 for a dirty one, and skips a splitter whose lowest bit is
+    not b, so the bits may be asked in any order. It builds a mask only for
+    a row it yields, in a bytearray of n // 8 + 1 bytes read as one int, so
+    in O(k + n/8). Each table entry and orbit element looked at is one unit
+    of work; the clock is read each time the work passes a multiple of
+    _TIME_STRIDE.
     """
     pos = [0] * n  # the bit table: residue order[i] is at bit i
     for i in range(1, n):
@@ -134,7 +139,7 @@ def _row_source(
     budget.spend(n)
     holding = _rows_holding(n, residues)
     k = len(residues)
-    masks: dict[int, int] = {}  # splitter -> mask, 0 when the orbit is dirty
+    lowest: dict[int, int] = {}  # splitter -> its orbit's lowest bit, 0 when dirty
 
     def rows_at(b: int) -> Iterator[tuple[int, int]]:
         splitters: set[int] = set()
@@ -142,17 +147,16 @@ def _row_source(
             splitters.update(solutions)
         splitters.discard(0)
         for s in sorted(splitters):
-            mask = masks.get(s)
-            if mask is None:
-                mask = 0
-                for m in residues:
-                    mask |= 1 << pos[m * s % n]
-                if mask & 1 or mask.bit_count() < k:
-                    mask = 0
-                masks[s] = mask
-                budget.spend(k)
-            if mask and (mask & -mask) >> b == 1:
-                yield s, mask
+            if lowest.get(s, b) != b:  # its row, if it is clean, is at another bit
+                continue
+            bits = {pos[m * s % n] for m in residues}
+            low = lowest[s] = min(bits) if len(bits) == k else 0
+            budget.spend(k)
+            if low == b:
+                buf = bytearray(n // 8 + 1)
+                for i in bits:
+                    buf[i >> 3] |= 1 << (i & 7)
+                yield s, int.from_bytes(buf, "little")
 
     return rows_at
 

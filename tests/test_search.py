@@ -130,6 +130,28 @@ def test_family_search_trees_are_pinned(order, k, nodes, max_depth, rows):
     assert stats.reason is None
 
 
+def test_search_memory_follows_the_rows_it_keeps():
+    # What a search must hold is its rows' masks, at most N/8 bytes each
+    # beside a tuple and a label, and its O(N) tables: the branch order and
+    # the bit table (a list entry and an int per residue each, 72 bytes),
+    # the engine's list of rows per bit and the lowest bit of each splitter
+    # looked at. 128 bytes a residue covers the tables. A source that keeps
+    # a mask for every splitter it looks at holds about three per row: 16.5
+    # million bytes here, against the 14.2 million allowed
+    n, k = 59049, 242
+    G, M = Z(n), MultiplierSet.interval(k)
+    config = SearchConfig(node_limit=20, time_limit_s=None)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = search_splitter(G, M, config)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert (out.result, out.stats.nodes, out.stats.rows) == (RESOURCE_LIMIT, 20, 890)
+    assert peak < out.stats.rows * (n // 8 + 100) + 128 * n
+
+
 def test_resource_limit_by_nodes():
     out = run(5, 2, node_limit=1)
     assert out.result == RESOURCE_LIMIT
@@ -227,23 +249,26 @@ def test_time_limit_holds_in_the_cover_loop():
 
 @st.composite
 def row_source_cases(draw):
-    """n, 1..6 residues of 0..n-1 (zeros and repeats allowed) and a bit
-    order: residue 0 at bit 0, the others shuffled."""
+    """n, 1..6 residues of 0..n-1 (zeros and repeats allowed), a bit
+    order (residue 0 at bit 0, the others shuffled) and the order in which
+    bits 1..n-1 are asked, each once: the engine asks out of ascending
+    order once it backtracks."""
     n = draw(st.integers(2, 60))
     residues = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=6))
     order = [0] + draw(st.permutations(range(1, n)))
-    return n, residues, order
+    asked = draw(st.permutations(range(1, n)))
+    return n, residues, order, asked
 
 
 @given(row_source_cases())
 def test_row_source_matches_eager_rows(case):
-    n, residues, order = case
+    n, residues, order, asked = case
     bit = [0] * n
     for i in range(1, n):
         bit[order[i]] = 1 << i
     eager = eager_orbit_rows(n, residues, bit)
     rows_at = _row_source(n, residues, order, _Budget(SearchConfig(time_limit_s=None), 0.0))
-    for b in range(1, n):
+    for b in asked:
         assert list(rows_at(b)) == rows_by_lowest_bit(eager)(b), b
 
 
