@@ -10,15 +10,14 @@ Every document carries FORMAT_VERSION, 6 since a scan's documents list
 only the records the counting sieve leaves. A scan report lists the
 records of the closed_form, propagation and search routes and counts
 every route in routes, counting included; a reader enumerates the range
-and runs the sieve again for the rest. A listed record's document holds
+and counts the sieve's refutations again. A listed record's document holds
 k, n, verdict and route, then the keys of its route only: a closed_form
 record its splitters, a propagation record propagation {steps: [[x, s],
 ...], dead: x}, and a search record result, nodes, max_depth, rows and
 splitters, and the reason of a resource_limit result.
 A scan journal is a scan's checkpoint: a header line with the scan's
-config, then one line per finished record the report would list, the
-compact JSON of its record document, so a checkpoint costs one record
-whatever the size of the scan, and a sieve record's costs nothing.
+config, then one line per finished record, the compact JSON of its record
+document, so a checkpoint costs one record whatever the size of the scan.
 Scan report documents deliberately exclude wall-clock data; timing appears
 only in the tabular export's millis column, which is diagnostic: it is
 empty for a searched record restored through a resume, and 0 for a record
@@ -58,6 +57,7 @@ from .groups import FiniteAbelianGroup
 from .record import replace
 from .scan import (
     CLOSED_FORM,
+    CONSISTENT,
     COUNTING,
     PROPAGATION,
     SEARCH,
@@ -339,11 +339,10 @@ def search_result_doc(order: int, multipliers: MultiplierSet, outcome: SearchOut
 # -- scan reports ------------------------------------------------------------
 
 def _record_doc(record: ScanRecord) -> dict:
-    """The document of a record the report and journal list, which no
-    record of the sieve is: k, n, verdict and route, then the keys of the
-    route's decision: a ClosedForm's splitters, a Propagation as
-    propagation {steps, dead}, or the search's result,
-    nodes, max_depth, rows and splitters, and the reason of a
+    """The document of a record the report and journal list: k, n, verdict
+    and route, then the keys of the route's decision: a ClosedForm's
+    splitters, a Propagation as propagation {steps, dead}, or the search's
+    result, nodes, max_depth, rows and splitters, and the reason of a
     resource_limit result; a violation also embeds its certificate."""
     outcome, route = record.outcome, record.route
     doc = {"k": record.candidate.k, "n": record.candidate.n, "verdict": record.verdict,
@@ -364,12 +363,6 @@ def _record_doc(record: ScanRecord) -> dict:
         if record.verdict == VIOLATION:
             doc["certificate"] = certificate_to_doc(record.certificate)
     return doc
-
-
-def _listed(report: ScanReport) -> Iterator[ScanRecord]:
-    """The records of report that its documents list: all but the sieve's,
-    which a reader derives again from the range."""
-    return (record for record in report.records if record.route != COUNTING)
 
 
 def check_propagation(k: int, order: int, proof: Propagation) -> None:
@@ -451,7 +444,7 @@ def _record_from_doc(doc, candidate: CandidateOrder | None, config: SearchConfig
 
     if candidate is None:
         raise DocumentError(f"record k={doc['k']} n={doc['n']} is not a scan candidate")
-    if sieve(candidate) is not None:
+    if sieve(candidate):
         raise DocumentError(f"record k={candidate.k} n={candidate.n} is a candidate the counting "
                             f"sieve refutes, which abelsplit does not list")
     with _parsing("scan record"):
@@ -471,28 +464,26 @@ def _range_records(config: ScanReport, listed: dict,
     candidates (iter_candidates). listed maps the (k, n) of each record a
     document lists to an item of it; the walk pops the item at each
     candidate and takes read(candidate, item), which rebuilds the record
-    and checks it against its item, and takes the sieve's record of a
-    candidate with none. A candidate with none that the sieve leaves is a
-    record the document lacks: a complete document, a report, is refused
-    with DocumentError naming the first, and a partial one, a journal,
-    passes over it, for a resumed scan to decide. Last, the first key the
-    walk left, which no candidate has, gets read(None, item), which
-    refuses it. The table of largest prime factors is built only as far as
-    the walk gets."""
-    records = []
+    and checks it against its item, and counts a candidate with none that
+    the sieve refutes as sieved. One with none that the sieve leaves is a
+    record the document lacks: a complete document, a
+    report, is refused with DocumentError naming the first, and a partial
+    one, a journal, passes over it, for a resumed scan to decide. Last, the
+    first key the walk left, which no candidate has, gets read(None, item),
+    which refuses it. The table of largest prime factors is built only as
+    far as the walk gets."""
+    records, sieved = [], 0
     for candidate in iter_candidates(config.k_min, config.k_max, config.n_max):
         item = listed.pop((candidate.k, candidate.n), None)
         if item is not None:
             records.append(read(candidate, item))
-            continue
-        counting = sieve(candidate)
-        if counting is not None:
-            records.append(make_record(candidate, counting))
+        elif sieve(candidate):
+            sieved += 1
         elif complete:
             raise DocumentError(f"scan_report lacks the candidate k={candidate.k} n={candidate.n}")
     if listed:
         read(None, listed[min(listed)])
-    return replace(config, records=tuple(records))
+    return replace(config, records=tuple(records), sieved=sieved)
 
 
 def _config_doc(report: ScanReport) -> dict:
@@ -529,15 +520,14 @@ def _scan_report_doc(report: ScanReport, records) -> dict:
 
 
 def scan_report_to_doc(report: ScanReport) -> dict:
-    return _scan_report_doc(report, [_record_doc(r) for r in _listed(report)])
+    return _scan_report_doc(report, [_record_doc(r) for r in report.records])
 
 
 def scan_report_from_doc(doc: dict) -> ScanReport:
     """Parse a scan report: DocumentError unless its config makes a
     ScanReport and a SearchConfig, its records are exactly the candidates
-    of that range the sieve leaves, ascending, abelsplit writes exactly doc
-    for the records rebuilt from them and the sieve's records of the rest
-    of the range, and its routes count the latter as counting.
+    of that range the sieve leaves, ascending, and abelsplit writes exactly
+    doc for the records rebuilt from them and the rest of the range sieved.
 
     The config is read first (_config_from_doc), so a range that breaks
     check_scan_range is refused before any walk, as a journal's is. The
@@ -589,10 +579,9 @@ def _journal_head_doc(report: ScanReport) -> dict:
 
 
 def journal_lines(report: ScanReport) -> Iterator[str]:
-    """A journal line per listed record of report, in its order: the
-    compact JSON (sort_keys=True) of the record's document. A sieve record
-    has none."""
-    for r in _listed(report):
+    """A journal line per record of report, in its order: the compact JSON
+    (sort_keys=True) of the record's document."""
+    for r in report.records:
         yield _text(_record_doc(r)) + "\n"
 
 
@@ -604,9 +593,9 @@ def journal_chunks(report: ScanReport) -> Iterator[str]:
 
 
 def read_journal(path) -> ScanReport | None:
-    """The header's config with the record of every other line and the
-    sieve's record of every candidate of the range it refutes, in (k, N)
-    order, or None for a journal whose header line is not whole. A last
+    """The header's config with the record of every other line, in (k, N)
+    order, and the count of the range's candidates the sieve refutes as
+    sieved, or None for a journal whose header line is not whole. A last
     line without its newline was cut short by a kill and is dropped.
 
     DocumentError, naming the line, unless each line is byte for byte what
@@ -657,24 +646,35 @@ def read_journal(path) -> ScanReport | None:
 
 
 def scan_report_table_lines(report: ScanReport) -> Iterator[str]:
-    """Flat tabular export, one CSV line at a time. millis is wall-clock per
-    record and diagnostic; it is the one column not covered by the
-    byte-identity guarantee, and it is empty for a searched record read back
-    from a document, which keeps no time. Only the search route searches,
-    so a closed_form, counting or propagation record shows 0 nodes and 0
-    millis."""
+    """Flat tabular export, one CSV line at a time, from one walk of the
+    range that looks up, by (k, n), the record at each candidate and writes
+    the sieve's line for one with none. ValueError once those outnumber
+    report.sieved, as in a journal cut short, whose pending candidates the
+    sieve did not refute, or after the walk for a record of no candidate.
+    millis is wall-clock per record and diagnostic; it is the one column not
+    covered by the byte-identity guarantee, and it is empty for a searched
+    record read back from a document, which keeps no time. Only the search
+    route searches, so every other line shows 0 nodes and 0 millis."""
     yield "k,n,N,factorization,verdict,route,nodes,millis\n"
-    for r in report.records:
-        fac = "*".join(
-            f"{p}^{e}" if e > 1 else f"{p}" for p, e in r.candidate.smoothness_witness
-        ) or "1"
-        if r.route != SEARCH:
-            nodes, millis = 0, 0
+    listed, unlisted = {(r.candidate.k, r.candidate.n): r for r in report.records}, 0
+    for c in iter_candidates(report.k_min, report.k_max, report.n_max):
+        fac = "*".join(f"{p}^{e}" if e > 1 else f"{p}" for p, e in c.smoothness_witness) or "1"
+        r = listed.pop((c.k, c.n), None)
+        verdict, route, nodes, millis = CONSISTENT, COUNTING, 0, 0
+        if r is None:
+            unlisted += 1
+            if unlisted > report.sieved:
+                raise ValueError(f"scan report lacks the candidate k={c.k} n={c.n}: it counts "
+                                 f"{report.sieved} sieved, fewer than the candidates it lacks")
         else:
-            nodes, elapsed_s = r.outcome.stats.nodes, r.outcome.stats.elapsed_s
-            millis = "" if elapsed_s is None else round(elapsed_s * 1000)
-        yield (f"{r.candidate.k},{r.candidate.n},{r.candidate.order},"
-               f"{fac},{r.verdict},{r.route},{nodes},{millis}\n")
+            verdict, route = r.verdict, r.route
+            if route == SEARCH:
+                nodes, elapsed_s = r.outcome.stats.nodes, r.outcome.stats.elapsed_s
+                millis = "" if elapsed_s is None else round(elapsed_s * 1000)
+        yield f"{c.k},{c.n},{c.order},{fac},{verdict},{route},{nodes},{millis}\n"
+    if listed:
+        k, n = min(listed)
+        raise ValueError(f"record k={k} n={n} is not a scan candidate")
 
 
 def scan_report_table(report: ScanReport) -> str:

@@ -99,8 +99,8 @@ def search(order, k, out, node_limit, time_limit_s) -> None:
 
 def scan(k_min, k_max, n_max, jobs, out_dir, resume, node_limit, time_limit_s) -> None:
     """Scan candidate orders for every k in [k-min, k-max], journaling each
-    record but the sieve's as it finishes; --resume continues from the
-    journal (.jsonl)."""
+    record as it finishes, the sieve's refutations having none; --resume
+    continues from the journal (.jsonl)."""
     base = ScanReport(k_min, k_max, n_max, searchlib.SearchConfig(node_limit, time_limit_s), ())
     if jobs is not None and jobs < 1:  # checked here, as jobs or os.cpu_count() would hide a 0
         _fail_usage(f"--jobs must be >= 1, got {jobs}")

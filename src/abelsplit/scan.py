@@ -13,17 +13,17 @@ that route's decision:
    certificate of splitting.trivial_certificate.
 2. counting: the counting sieve (counting.counting_witness) refutes a
    candidate whose stratum identities have no nonnegative integer
-   solution; its decision is a Counting(p, stratum).
+   solution; it gets no record, and a report only counts it, in sieved.
 3. propagation: forced rows and a dead residue near -1 (search.propagate)
    refute the candidate; its decision is a Propagation(steps, dead).
 4. search: the exact-cover search decides the rest; its decision is its
    SearchOutcome.
 
-Every decision answers result, a ClosedForm always FOUND and a Counting or
-Propagation always EXHAUSTED, so the one verdict rule and every reader of
-results read each route alike. The scan expects splittings exactly at the
-trivial orders; a splitting the search finds anywhere else is a violation,
-kept with a re-verified certificate.
+Every decision answers result, a ClosedForm always FOUND and a Propagation
+always EXHAUSTED, so the one verdict rule and every reader of results read
+each route alike. The scan expects splittings exactly at the trivial
+orders; a splitting the search finds anywhere else is a violation, kept
+with a re-verified certificate.
 
 A scan enumerates its candidates with iter_candidates, in (k, N) order,
 from a table of largest prime factors: an order is a candidate when its
@@ -189,17 +189,6 @@ class ClosedForm(Record):
     result = FOUND
 
 
-class Counting(Record):
-    """The counting sieve's decision: the identity of stratum `stratum` at
-    the prime p has no nonnegative integer solution, which proves that no
-    splitter set exists. Its result is therefore EXHAUSTED, as a search's
-    that walked its whole tree."""
-
-    __slots__ = ("p", "stratum")
-
-    result = EXHAUSTED
-
-
 class Propagation(Record):
     """The propagation decision of search.propagate: steps are the (residue,
     forced row) pairs in the order they were forced, and no live row holds
@@ -211,15 +200,16 @@ class Propagation(Record):
     result = EXHAUSTED
 
 
-_ROUTES = {ClosedForm: CLOSED_FORM, Counting: COUNTING, Propagation: PROPAGATION}
+_ROUTES = {ClosedForm: CLOSED_FORM, Propagation: PROPAGATION}
 
 
 class ScanRecord(Record):
     """One candidate, the decision of the route that decided it, and the
     certificate of a found splitter set (None otherwise). The decision is a
-    ClosedForm, a Counting, a Propagation or the search's SearchOutcome.
-    Each answers result, so the verdict below, ScanReport.totals, the
-    inequality checks and the benchmark's gate read every route alike.
+    ClosedForm, a Propagation or the search's SearchOutcome; a candidate the
+    counting sieve refutes has no record. Each answers result, so the
+    verdict below, ScanReport.totals, the inequality checks and the
+    benchmark's gate read every route alike.
     route and verdict are read off the decision, so no record can hold a
     verdict its decision contradicts; every record, fresh or read back, is
     built by make_record."""
@@ -227,14 +217,14 @@ class ScanRecord(Record):
     __slots__ = ("candidate", "outcome", "certificate")
 
     def __init__(self, candidate: CandidateOrder,
-                 outcome: ClosedForm | Counting | Propagation | SearchOutcome,
+                 outcome: ClosedForm | Propagation | SearchOutcome,
                  certificate: SplittingCertificate | None = None) -> None:
         self._fill(candidate, outcome, certificate)
 
     @property
     def route(self) -> str:
-        """The proof route of the decision: closed_form, counting,
-        propagation or search."""
+        """The proof route of the decision: closed_form, propagation or
+        search."""
         return _ROUTES.get(type(self.outcome), SEARCH)
 
     @property
@@ -254,7 +244,7 @@ def scan_order(record: ScanRecord) -> tuple[int, int]:
 
 
 def make_record(candidate: CandidateOrder,
-                outcome: ClosedForm | Counting | Propagation | SearchOutcome) -> ScanRecord:
+                outcome: ClosedForm | Propagation | SearchOutcome) -> ScanRecord:
     """The record of candidate decided by outcome, any route's decision,
     for fresh and resumed records alike, through the result each answers.
 
@@ -281,36 +271,29 @@ def make_record(candidate: CandidateOrder,
     return record
 
 
-def sieve(candidate: CandidateOrder) -> Counting | None:
-    """The counting sieve's decision on candidate: the Counting of
-    counting_witness when it refutes the candidate, None when it does not
-    or when the order is trivial, which the closed form decides first. The
-    scan lists the candidates it leaves; the readers run it again on the
-    rest of the range."""
-    if candidate.trivial:
-        return None
-    witness = counting_witness(candidate.k, candidate.order, candidate.smoothness_witness)
-    return None if witness is None else Counting(*witness)
+def sieve(candidate: CandidateOrder) -> bool:
+    """Whether counting_witness refutes candidate; never at a trivial order,
+    which the closed form decides. scan() counts the candidates it refutes
+    and the readers those a document does not list."""
+    return not candidate.trivial and counting_witness(
+        candidate.k, candidate.order, candidate.smoothness_witness) is not None
 
 
 def decide(candidate: CandidateOrder, config: SearchConfig,
            search: Callable[[SearchConfig], SearchOutcome]) -> ScanRecord:
-    """A candidate's record from the first proof route that decides it.
+    """The record of a candidate the sieve leaves, from the first proof
+    route that decides it; scan() and the readers sieve first.
 
-    A trivial order gets its ClosedForm, with no sieve and no search.
-    Otherwise the sieve's Counting decides a candidate it refutes, then the
-    Propagation of search.propagate, whose work config's budget pays for; a
-    candidate neither refutes gets search(left), left being config with the
-    time that propagation left. Every decision goes through make_record. When
-    propagation runs out of time, the record is a resource_limit search
-    outcome of no nodes, its stats' reason time_limit.
+    A trivial order gets its ClosedForm, with no search. Otherwise the
+    Propagation of search.propagate, whose work config's budget pays for,
+    decides a candidate it refutes; any other gets search(left), left being
+    config with the time that propagation left. Every decision goes through
+    make_record. When propagation runs out of time, the record is a
+    resource_limit search outcome of no nodes, its stats' reason time_limit.
     """
     k, order = candidate.k, candidate.order
     if candidate.trivial:
         return make_record(candidate, ClosedForm((1,) if candidate.n == 1 else (1, 2 * k)))
-    counting = sieve(candidate)
-    if counting is not None:
-        return make_record(candidate, counting)
     start = time.monotonic()
     try:
         steps, dead = propagate(order, k, config, start)
@@ -347,35 +330,41 @@ def check_ascending(keys: list[tuple[int, int]]) -> None:
 
 
 class ScanReport(Record):
-    """A scan's range, the SearchConfig of its searches and its records,
-    which must ascend strictly by (k, N), else ValueError names the first
-    out of place; a report of no records is its scan's configuration. A
-    range that breaks check_scan_range raises its error. n_max of None
-    means the per-k default bound of 2k, which already over-covers the
-    range where purely singular splittings can exist."""
+    """A scan's range, the SearchConfig of its searches, its records, which
+    must ascend strictly by (k, N), else ValueError names the first out of
+    place, and sieved, the number of candidates the sieve refuted, which
+    have no record: an int >= 0, else ValueError. A report of neither is
+    its scan's configuration. A range that breaks check_scan_range raises
+    its error. n_max of None means the per-k default bound of 2k, which
+    already over-covers the range where purely singular splittings can
+    exist."""
 
-    __slots__ = ("k_min", "k_max", "n_max", "config", "records")
+    __slots__ = ("k_min", "k_max", "n_max", "config", "records", "sieved")
 
     def __init__(self, k_min: int, k_max: int, n_max: int | None, config: SearchConfig,
-                 records: tuple[ScanRecord, ...]) -> None:
+                 records: tuple[ScanRecord, ...], sieved: int = 0) -> None:
         check_scan_range(k_min, k_max, n_max)
         check_ascending([(r.candidate.k, r.candidate.n) for r in records])
-        self._fill(k_min, k_max, n_max, config, records)
+        if type(sieved) is not int or sieved < 0:
+            raise ValueError(f"sieved must be an int >= 0, got {sieved!r}")
+        self._fill(k_min, k_max, n_max, config, records, sieved)
 
     @property
     def routes(self) -> dict[str, int]:
-        """The number of records of each proof route, every route named."""
+        """The number of candidates each proof route decided, every route
+        named; counting reads sieved."""
         counts = dict.fromkeys((CLOSED_FORM, COUNTING, PROPAGATION, SEARCH), 0)
         for record in self.records:
             counts[record.route] += 1
+        counts[COUNTING] = self.sieved
         return counts
 
     @property
     def totals(self) -> dict[str, int]:
-        counts = {TRIVIAL_EXPECTED: 0, CONSISTENT: 0, VIOLATION: 0, INCONCLUSIVE: 0}
+        counts = {TRIVIAL_EXPECTED: 0, CONSISTENT: self.sieved, VIOLATION: 0, INCONCLUSIVE: 0}
         for record in self.records:
             counts[record.verdict] += 1
-        counts["records"] = len(self.records)
+        counts["records"] = len(self.records) + self.sieved
         # a found splitting gets exactly one of these two verdicts
         counts["found"] = counts[TRIVIAL_EXPECTED] + counts[VIOLATION]
         return counts
@@ -400,42 +389,45 @@ def scan(
     resume: ScanReport | None = None,
     checkpoint: Callable[[ScanReport], None] | None = None,
 ) -> ScanReport:
-    """Decide every candidate order for every k in [k_min, k_max], each by
-    the first proof route that decides it (decide).
+    """Decide every candidate order for every k in [k_min, k_max]: count
+    those the sieve refutes, and decide the rest (decide).
 
     Records are independent tasks; with jobs > 1 they run in a process pool
     of at most one worker per pending record. The scan first builds base,
     its report of no records, so a bad range raises ValueError, as does
     jobs < 1. resume takes a previously written (possibly partial) report
     of base's range and config, whose completed records are skipped. One
-    walk of the range (iter_candidates) takes each candidate's resumed
-    record by (k, n) and queues every other candidate; a resumed record
-    that is no candidate of this scan, or whose candidate differs from the
-    one the walk found, raises ValueError before any candidate is decided.
-    checkpoint, when given, is called once per finished record, in the
-    order records finish, with base holding that record alone. The result
-    holds the resumed and the finished records sorted by scan_order, so
-    parallel and serial runs produce the same report.
+    walk of the range (iter_candidates) counts each candidate the sieve
+    refutes, takes each other one's resumed record by (k, n) and queues the
+    rest; a resumed record left over, of no candidate of this scan, of one
+    the sieve refutes or of one that differs from the walk's, raises
+    ValueError before any candidate is searched or checkpointed. checkpoint,
+    when given, is called once per record the scan decides, in the order
+    records finish, with base holding that record alone. The result holds
+    the resumed and the finished records sorted by scan_order, so parallel
+    and serial runs produce the same report.
     """
     base = ScanReport(k_min, k_max, n_max, config, ())
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     resumed: dict[tuple[int, int], ScanRecord] = {}
     if resume is not None:
-        theirs = replace(resume, records=())
+        theirs = replace(resume, records=(), sieved=0)
         if theirs != base:
             raise ValueError(f"resume parameters {theirs} do not match scan parameters {base}")
         resumed = {(r.candidate.k, r.candidate.n): r for r in resume.records}
-    records, pending = [], []
+    sieved, records, pending = 0, [], []
     for c in iter_candidates(k_min, k_max, n_max):
-        record = resumed.get((c.k, c.n))
-        if record is None or record.candidate != c:
-            pending.append((c, config))
-        else:
+        if sieve(c):
+            sieved += 1
+        elif (record := resumed.get((c.k, c.n))) is not None and record.candidate == c:
             records.append(resumed.pop((c.k, c.n)))
-    if resumed:  # what the walk left: records of no candidate, or misfactored
+        else:
+            pending.append((c, config))
+    if resumed:  # what the walk left: records of no candidate, misfactored or sieved
         c = resumed[min(resumed)].candidate
-        raise ValueError(f"resumed record k={c.k} N={c.order} is not a scan candidate")
+        raise ValueError(f"resumed record k={c.k} N={c.order} is not a scan candidate "
+                         f"the sieve leaves")
 
     def take(record: ScanRecord) -> None:
         records.append(record)
@@ -451,7 +443,7 @@ def scan(
     else:
         for task in pending:
             take(_scan_one(task))
-    return replace(base, records=tuple(sorted(records, key=scan_order)))
+    return replace(base, records=tuple(sorted(records, key=scan_order)), sieved=sieved)
 
 
 def check_k_le_n_minus_2(report: ScanReport) -> bool:

@@ -63,7 +63,7 @@ from math import gcd, prod
 from abelsplit.certio import DocumentError, tiling_export_text
 from abelsplit.counting import KDecomposition, StratificationProfile, TwReport
 from abelsplit.groups import FiniteAbelianGroup, factorize, is_prime, p_adic_valuation
-from abelsplit.scan import CandidateOrder, ClosedForm, Counting, Propagation
+from abelsplit.scan import CandidateOrder, ClosedForm, Propagation
 from abelsplit.search import SearchConfig, _Budget, _exact_covers, _row_source
 from abelsplit.splitting import MultiplierSet, SplittingCertificate, VerificationReport
 from abelsplit.tiling import (
@@ -705,9 +705,8 @@ def tw_pairwise_disjoint_by_pairs(cert: SplittingCertificate, report: TwReport) 
 
 
 def record_document_by_hand(record) -> dict:
-    """A listed scan record's document, built from the record's candidate
-    and decision as README's File formats section describes it; a record of
-    the counting sieve is not listed, and raises ValueError. The verdict
+    """A scan record's document, built from the record's candidate and
+    decision as README's File formats section describes it. The verdict
     follows from the decision's result, a found splitting being expected
     at n = 1 and 2 (N = k + 1 and 2k + 1). A violation record embeds its
     certificate, whose classification is worked out here by trial division:
@@ -717,8 +716,6 @@ def record_document_by_hand(record) -> dict:
                "exhausted_no_solution": "conjecture_consistent",
                "resource_limit": "inconclusive"}[outcome.result]
     doc = {"k": record.candidate.k, "n": n, "verdict": verdict}
-    if isinstance(outcome, Counting):
-        raise ValueError("a sieve record is not listed, so it has no document")
     if isinstance(outcome, ClosedForm):
         doc["route"] = "closed_form"
         doc["splitters"] = list(outcome.splitters)

@@ -94,13 +94,12 @@ def test_record_documents_agree_with_the_hand_built_oracle():
     candidate = CandidateOrder(2, 4, 9, ((3, 2),))
     violation = make_record(candidate, search_splitter(Z(9), MultiplierSet.interval(2)))
     desk = scan(1, 30)
-    assert len(desk.records) == 210
-    assert {r.route for r in desk.records} == {"closed_form", "counting", "propagation", "search"}
+    assert (len(desk.records), desk.sieved) == (55, 155)
+    assert {r.route for r in desk.records} == {"closed_form", "propagation", "search"}
     assert any(r.outcome.result == FOUND for r in desk.records)
     for report in (desk, ScanReport(2, 2, 4, SearchConfig(), (violation,))):
         doc = certio.scan_report_to_doc(report)
-        plain = dict(doc, records=[record_document_by_hand(r) for r in report.records
-                                   if r.route != "counting"])
+        plain = dict(doc, records=[record_document_by_hand(r) for r in report.records])
         assert json.dumps(doc, sort_keys=True) == json.dumps(plain, sort_keys=True)
         assert certio.dumps_document(doc) == canonical_json(plain)
         # each document is built fresh: changing one changes no later one
@@ -110,7 +109,7 @@ def test_record_documents_agree_with_the_hand_built_oracle():
 
 
 def test_desk_records_carry_only_their_routes_keys():
-    # the sieve's 155 records are counted, not listed
+    # the sieve's 155 refutations are counted, not listed
     doc = certio.scan_report_to_doc(scan(1, 30))
     keys = {"closed_form": {"k", "n", "verdict", "route", "splitters"},
             "propagation": {"k", "n", "verdict", "route", "propagation"},
@@ -184,10 +183,10 @@ def test_checkpoints_render_each_record_once(tmp_path, monkeypatch):
             journal.writelines(certio.journal_lines(one))
 
     report = scan(1, 8, checkpoint=append)
-    assert len(report.records) == 17  # so 17 checkpoints, of one record each
-    # a sieve record is rendered by none: its checkpoint appends nothing
-    each_once = Counter((r.candidate.k, r.candidate.order) for r in report.records
-                        if r.route != "counting")
+    # 11 records, so 11 checkpoints of one record each; the 6 candidates the
+    # sieve refutes have no record, and neither a checkpoint
+    assert (len(report.records), report.sieved) == (11, 6)
+    each_once = Counter((r.candidate.k, r.candidate.order) for r in report.records)
     assert len(each_once) == 11 and rendered == each_once
     # the final report renders each record once more
     text = certio.dumps_document(certio.scan_report_to_doc(report))
@@ -203,8 +202,8 @@ def _no_records(k_min, k_max):
 
 def test_last_checkpoint_of_the_desk_scan_is_pinned(tmp_path):
     # the journal as the last checkpoint leaves it, serial and parallel: its
-    # header once, then one line per record but the sieve's, in the order
-    # they finished
+    # header once, then one line per record, in the order they finished;
+    # the sieve's 155 refutations have none
     head = json.dumps({"config": {"k_max": 30, "k_min": 1, "n_max": None,
                                   "node_limit": 10**8, "time_limit_s": 60.0},
                        "format_version": 6, "kind": "scan_journal"}, sort_keys=True) + "\n"
@@ -213,7 +212,7 @@ def test_last_checkpoint_of_the_desk_scan_is_pinned(tmp_path):
         finished = []
 
         def checkpoint(one):
-            finished.extend(r for r in one.records if r.route != "counting")
+            finished.extend(one.records)
             journal.writelines(certio.journal_lines(one))
 
         with open(path, "w") as journal:
@@ -221,7 +220,8 @@ def test_last_checkpoint_of_the_desk_scan_is_pinned(tmp_path):
             report = scan(1, 30, jobs=jobs, checkpoint=checkpoint)
         lines = path.read_text().splitlines(keepends=True)
         assert lines[0] == head and head not in lines[1:]
-        assert len(lines[1:]) == len(finished) == 55 and len(report.records) == 210
+        assert len(lines[1:]) == len(finished) == len(report.records) == 55
+        assert report.sieved == 155 and report.totals["records"] == 210
         assert lines[1:] == [
             json.dumps(certio._record_doc(r), sort_keys=True) + "\n" for r in finished]
         merged = certio.dumps_document(certio.scan_report_to_doc(certio.read_journal(path)))
@@ -499,9 +499,8 @@ def test_scan_report_names_the_first_candidate_it_lacks(dropped):
     # the range beside the records can tell that one is missing; the index
     # is among the eight records the report lists
     report = scan(5, 8)
-    listed = [r for r in report.records if r.route != "counting"]
-    assert len(listed) == 8
-    gone = listed[dropped].candidate
+    assert len(report.records) == 8
+    gone = report.records[dropped].candidate
     records = tuple(r for r in report.records if r.candidate != gone)
     doc = certio.scan_report_to_doc(replace(report, records=records))
     with pytest.raises(certio.DocumentError,
@@ -680,11 +679,14 @@ def test_report_reader_names_a_damaged_record_before_a_missing_candidate():
 
 
 def test_scan_report_table_shape():
+    # a line per candidate: the 5 records of k = 24, n <= 26, and the
+    # sieve's line for each of the 4 candidates it refutes
     report = scan(24, 24, n_max=26)
     table = certio.scan_report_table(report)
     lines = table.strip().splitlines()
     assert lines[0] == "k,n,N,factorization,verdict,route,nodes,millis"
-    assert len(lines) == 1 + len(report.records) == 10
+    assert (len(report.records), report.sieved) == (5, 4)
+    assert len(lines) == 1 + len(report.records) + report.sieved == 10
     # only the search searches: it shows its nodes and its time, every
     # other route 0 and 0
     assert lines[1] == "24,1,25,5^2,trivial_expected,closed_form,0,0"
@@ -693,6 +695,40 @@ def test_scan_report_table_shape():
     assert lines[7].split(",")[:4] == ["24", "16", "385", "5*7*11"]
     searched, millis = lines[-1].rsplit(",", 1)
     assert searched == "24,26,625,5^4,conjecture_consistent,search,2" and millis.isdigit()
+
+
+def _without_millis(table: str) -> str:
+    return "".join(line.rsplit(",", 1)[0] + "\n" for line in table.splitlines())
+
+
+def test_desk_table_is_pinned_but_for_millis():
+    # one line per candidate, 210 under the header, taken when the report
+    # kept a record per candidate: the walk of the range writes the same
+    # lines from 55 records and 155 sieved
+    table = certio.scan_report_table(scan(1, 30))
+    assert table.count("\n") == 211
+    assert hashlib.sha256(_without_millis(table).encode()).hexdigest() == (
+        "75c04787f85f146b4f8832c56386978db595a8940e01dc2ae0f3b82958240200")
+
+
+def test_a_partial_report_has_no_table(tmp_path):
+    # a journal cut short holds the sieved count of its whole range, but
+    # not every record the sieve leaves: its pending candidates are no
+    # sieve refutations, so the table refuses them rather than write
+    # counting; a report that counts them all writes every line
+    report = scan(5, 8)
+    path = tmp_path / "scan.jsonl"
+    head, *lines = certio.journal_chunks(report)
+    path.write_text(head + "".join(lines[:3]))
+    partial = certio.read_journal(path)
+    assert (len(partial.records), partial.sieved) == (3, 6)
+    with pytest.raises(ValueError, match="^scan report lacks the candidate k=8 n=1: it counts "
+                                         "6 sieved, fewer than the candidates it lacks$"):
+        certio.scan_report_table(partial)
+    assert certio.scan_report_table(report).count("\n") == 1 + 8 + 6
+    foreign = replace(report, records=report.records + scan(9, 9, n_max=1).records)
+    with pytest.raises(ValueError, match="^record k=9 n=1 is not a scan candidate$"):
+        certio.scan_report_table(foreign)
 
 
 def test_attestation_and_partial_docs():
@@ -918,24 +954,26 @@ def test_a_range_past_the_table_is_refused_before_any_table(tmp_path, monkeypatc
 
 @pytest.fixture(scope="module")
 def report_45():
-    """scan(1, 45): 467 records, 94 of them listed in an 18,987-byte
-    report."""
+    """scan(1, 45): 467 candidates, 94 records listed in an 18,987-byte
+    report and 373 the sieve refutes."""
     return scan(1, 45)
 
 
 def test_report_reader_builds_no_second_document(report_45):
     # the records are compared with their written form as they are rebuilt,
     # a few at a time, so no document tree or text of the whole report is
-    # built beside them. The reader returns every record, the sieve's 373
-    # among them, which the text does not hold, so the peak is bounded by
-    # what those records take alone (a copy of them, unpickled) and three
-    # times the text: about 0.20 MB, against a bound of 0.19 + 0.06 MB
+    # built beside them. The reader returns the 94 listed records and only
+    # counts the sieve's 373 refutations, so the peak is bounded by the
+    # listed records (a copy of them, unpickled), the walk's table of
+    # largest prime factors up to the order 4,051 and three times the text:
+    # about 0.12 MB, against a bound of 0.06 + 0.03 + 0.06 MB
     doc = certio.scan_report_to_doc(report_45)
     text = certio.dumps_document(doc)
     read, peak = _traced_peak(certio.scan_report_from_doc, doc)
     assert certio.dumps_document(certio.scan_report_to_doc(read)) == text
     _, records = _traced_peak(pickle.loads, pickle.dumps(report_45.records))
-    assert peak <= records + 3 * len(text)
+    _, table = _traced_peak(scanlib.largest_prime_factors, 2 * 45**2 + 1)
+    assert peak <= records + table + 3 * len(text)
 
 
 @pytest.mark.parametrize("index", [16, -1])  # a record amid the report, the last

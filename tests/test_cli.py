@@ -288,10 +288,9 @@ class Killed(Exception):
 def _kill_at_checkpoint(monkeypatch, call, torn=False):
     """Make the scan's journal append die at checkpoint number call, the
     call-th record finished, before it writes anything; with torn, the
-    checkpoint before it writes only the first half of its line. A sieve
-    record's checkpoint appends nothing, and the header, written with no
-    records, passes. Returns the list of the lines appended before the
-    kill, each as written."""
+    checkpoint before it writes only the first half of its line. The
+    header, written with no records, passes. Returns the list of the lines
+    appended before the kill, each as written."""
     journal_lines = certio.journal_lines
     calls, appended = [], []
 
@@ -302,9 +301,8 @@ def _kill_at_checkpoint(monkeypatch, call, torn=False):
         if len(calls) == call:
             raise Killed
         text = "".join(journal_lines(report))
-        if text:
-            appended.append(text[:len(text) // 2] if torn and len(calls) == call - 1 else text)
-        return appended[-1:] if text else []
+        appended.append(text[:len(text) // 2] if torn and len(calls) == call - 1 else text)
+        return appended[-1:]
 
     monkeypatch.setattr(certio, "journal_lines", dying)
     return appended
@@ -317,12 +315,12 @@ def test_scan_killed_after_checkpoint_resumes_to_identical_report(runner, tmp_pa
     expected = (tmp_path / "whole" / "scan_k1-8.json").read_bytes()
     expected_journal = (tmp_path / "whole" / "scan_k1-8.jsonl").read_text()
 
-    # the run dies at its eighth checkpoint, of (8, 7), after the seventh,
-    # of (25, 6), wrote half its line: the header and four whole lines,
-    # then a cut one; the fifth and sixth, of the sieve's (16, 5) and
-    # (36, 5), append nothing
+    # the run dies at its sixth checkpoint, of (8, 7), after the fifth, of
+    # (25, 6), wrote half its line: the header and four whole lines, then a
+    # cut one; the sieve's (16, 5) and (36, 5) between them have no
+    # checkpoint
     with monkeypatch.context() as patch:
-        _kill_at_checkpoint(patch, 8, torn=True)
+        _kill_at_checkpoint(patch, 6, torn=True)
         cut = runner.invoke(main, args + [str(tmp_path / "cut")])
     assert cut.exit_code == 2
     assert cut.stderr.splitlines()[-1] == "error: internal error: Killed"
@@ -339,7 +337,9 @@ def test_scan_killed_after_checkpoint_resumes_to_identical_report(runner, tmp_pa
     assert not list((tmp_path / "cut").glob(".*"))  # no temp file left behind
 
 
-@pytest.mark.parametrize("cut", [1, 105, 209])
+# the desk scan keeps 55 records: the cuts fall after its first, about
+# half of them and all but the last
+@pytest.mark.parametrize("cut", [1, 27, 54])
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_scan_killed_after_a_record_resumes_to_the_pinned_report(
         runner, tmp_path, monkeypatch, jobs, cut):
@@ -349,7 +349,7 @@ def test_scan_killed_after_a_record_resumes_to_the_pinned_report(
         killed = runner.invoke(main, args)
     assert killed.exit_code == 2
     journal = tmp_path / "scan_k1-30.jsonl"
-    # a line for each record finished but the sieve's
+    # a line for each record finished
     assert journal.read_text().splitlines(keepends=True)[1:] == appended
     assert 1 <= len(appended) <= cut
 
@@ -363,9 +363,9 @@ def test_scan_killed_after_a_record_resumes_to_the_pinned_report(
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_scan_resumed_from_three_journal_lines_matches_uninterrupted(runner, tmp_path, jobs):
-    # the journal lists no sieve record, so a resume from its first three
-    # record lines decides every other candidate again, the sieve's
-    # included; the report is the same bytes and the table the same lines
+    # the journal lists no sieve refutation, so a resume from its first
+    # three record lines decides every other record again and counts the
+    # sieve's refutations again; the report is the same bytes and the table the same lines
     # but for millis, which a restored search leaves empty
     args = ["scan", "--k-min", "1", "--k-max", "30", "--jobs", jobs, "--out-dir"]
     assert runner.invoke(main, args + [str(tmp_path / "whole")]).exit_code == 0
@@ -418,7 +418,8 @@ def test_fresh_scan_truncates_an_old_journal(runner, tmp_path):
     )
     assert result.exit_code == 0
     assert len(journal.read_text().splitlines()) == 1 + 2
-    assert len(certio.read_journal(journal).records) == 4
+    read = certio.read_journal(journal)
+    assert (len(read.records), read.sieved) == (2, 2)
 
 
 def _journal_lines(runner, out_dir, k_max=6, options=()):
@@ -429,8 +430,8 @@ def _journal_lines(runner, out_dir, k_max=6, options=()):
 
 
 # line 1 of the k 5..6 journal is its header, and lines 2 and 3 hold its
-# records but the sieve's, n = 1 for k = 5 and n = 4 for k = 6, in (k, N)
-# order, as a serial scan finishes them
+# records, n = 1 for k = 5 and n = 4 for k = 6, in (k, N) order, as a
+# serial scan finishes them; the sieve refutes n = 3 and 7 for k = 5
 
 @pytest.mark.parametrize("damage, message", [
     (lambda lines, other: lines.__setitem__(2, lines[2].replace(

@@ -84,13 +84,17 @@ def test_desk_scan_body_passes_its_gate_with_a_phase_per_record(workloads, tmp_p
     with workloads.traced(tracer):
         workloads.scan_body("desk_scan", inputs, 1, tmp_path / "traced", gate, lambda: None)
     metrics = workloads.layer_metrics(tracer)
-    assert metrics["scan.records"] == metrics["certio.checkpoint_writes"] == 210
+    # a checkpoint per record the scan keeps: the sieve's 155 refutations
+    # of the 210 candidates have none
+    assert metrics["scan.records"] == metrics["certio.checkpoint_writes"] == 55
 
     (tmp_path / "plain").mkdir()
     result = workloads.scan_body(
         "desk_scan", inputs, 1, tmp_path / "plain", gate, lambda: marks.append(None))
-    assert gate.failures == [] and gate.attempted > 2 * 210
-    assert len(marks) == workloads.DESK_RECORDS == 210
+    # per body: 4 checks of the totals, which count all 210 candidates, 1 per
+    # record, 1 of the inequalities, 1 of the resume and 3 per found record
+    assert gate.failures == [] and gate.attempted == 2 * (4 + 55 + 1 + 1 + 3 * 32) == 314
+    assert len(marks) == 55 and workloads.DESK_RECORDS == 210
     report = (tmp_path / "plain" / "scan_k1-30.json").read_bytes()
     assert hashlib.sha256(report).hexdigest() == DESK_SCAN_SHA256
     assert result["digest"] == hashlib.sha256(b"scan_k1-30.json\0" + report).hexdigest()

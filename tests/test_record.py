@@ -9,7 +9,7 @@ import pytest
 from abelsplit.counting import abcde_profile, decompose_k, stratify, tw_disjointness_check
 from abelsplit.groups import FiniteAbelianGroup
 from abelsplit.record import Record, replace
-from abelsplit.scan import CLOSED_FORM, COUNTING, PROPAGATION, CandidateOrder, scan
+from abelsplit.scan import CLOSED_FORM, PROPAGATION, CandidateOrder, scan
 from abelsplit.search import SearchConfig, search_splitter
 from abelsplit.splitting import (
     ORDER_2K_PLUS_1,
@@ -30,7 +30,6 @@ def _samples():
     """One record of each class, built the way the library builds it, with
     the fields its repr lists, in order."""
     report = scan(1, 8)
-    counted = next(r for r in report.records if r.route == COUNTING)
     closed = next(r for r in report.records if r.route == CLOSED_FORM)
     propagated = next(r for r in report.records if r.route == PROPAGATION)
     cert = trivial_certificate(4)
@@ -51,10 +50,9 @@ def _samples():
         (cert, ("group", "multipliers", "splitters")),
         (CandidateOrder(5, 3, 16, ((2, 4),)), ("k", "n", "order", "smoothness_witness")),
         (closed.outcome, ("splitters",)),
-        (counted.outcome, ("p", "stratum")),
         (propagated.outcome, ("steps", "dead")),
-        (counted, ("candidate", "outcome", "certificate")),
-        (report, ("k_min", "k_max", "n_max", "config", "records")),
+        (propagated, ("candidate", "outcome", "certificate")),
+        (report, ("k_min", "k_max", "n_max", "config", "records", "sieved")),
         (decompose_k(8, 3, 1), ("k", "p", "m", "beta", "d", "m_prime")),
         (stratify(trivial_certificate(8), 3), ("p", "alpha", "g_counts", "s_counts")),
         (abcde_profile(10, 3), ("k", "p", "card_a", "card_b", "card_c", "card_d", "card_e",
@@ -75,7 +73,7 @@ SAMPLES = _samples()
 
 def test_every_record_class_has_a_sample():
     classes = [type(record) for record, _ in SAMPLES]
-    assert len(set(classes)) == len(classes) == 22
+    assert len(set(classes)) == len(classes) == 21
     assert set(classes) == set(Record.__subclasses__())
 
 

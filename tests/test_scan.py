@@ -7,13 +7,16 @@ import os
 import pickle
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from itertools import islice
 from pathlib import Path
 
 import pytest
 import sympy
-from helpers import candidates_by_trial_division
+from helpers import candidate_order, candidates_by_trial_division
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from abelsplit import certio
 from abelsplit.counting import counting_witness
@@ -30,7 +33,6 @@ from abelsplit.scan import (
     VIOLATION,
     CandidateOrder,
     ClosedForm,
-    Counting,
     Propagation,
     ScanRecord,
     ScanReport,
@@ -43,6 +45,7 @@ from abelsplit.scan import (
     largest_prime_factors,
     purely_singular_candidates,
     scan,
+    sieve,
 )
 from abelsplit.search import (
     EXHAUSTED,
@@ -83,12 +86,13 @@ def test_candidate_order_is_a_frozen_slotted_dataclass():
 
 
 def test_scan_record_is_a_frozen_slotted_dataclass():
-    # k = 24, n <= 26 holds a record of each route, a closed form's with its
-    # certificate
-    records = scan(24, 24, n_max=26).records
+    # k = 24, n <= 26 holds a record of each route but the sieve's, which
+    # keeps none, and a closed form's with its certificate
+    report = scan(24, 24, n_max=26)
+    records = report.records
     routes = {(r.route, r.certificate is not None) for r in records}
-    assert routes == {(CLOSED_FORM, True), (COUNTING, False), (PROPAGATION, False),
-                      (SEARCH, False)}
+    assert routes == {(CLOSED_FORM, True), (PROPAGATION, False), (SEARCH, False)}
+    assert report.sieved == report.routes[COUNTING] == 4
     for record in records:
         assert not hasattr(record, "__dict__")
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -106,8 +110,9 @@ def _as_written(record):
 
 
 def test_a_record_of_every_route_round_trips(tmp_path):
-    # a closed form's, a counting, a propagation and a searched record,
-    # through the report document, the journal and pickle
+    # a closed form's, a propagation and a searched record, through the
+    # report document, the journal and pickle; the sieve's refutations are
+    # counted alike by both readers
     report = scan(24, 24, n_max=26)
     journal = tmp_path / "scan.jsonl"
     journal.write_text("".join(certio.journal_chunks(report)))
@@ -116,8 +121,7 @@ def test_a_record_of_every_route_round_trips(tmp_path):
     first = {}
     for i, record in enumerate(report.records):
         first.setdefault((record.route, record.outcome.result), i)
-    assert set(first) == {(CLOSED_FORM, FOUND), (COUNTING, EXHAUSTED), (PROPAGATION, EXHAUSTED),
-                          (SEARCH, EXHAUSTED)}
+    assert set(first) == {(CLOSED_FORM, FOUND), (PROPAGATION, EXHAUSTED), (SEARCH, EXHAUSTED)}
     for i in first.values():
         record = report.records[i]
         pairs = [(pickle.loads(pickle.dumps(record)), record)]
@@ -133,9 +137,12 @@ def test_a_record_of_every_route_round_trips(tmp_path):
         if key[0] != SEARCH:
             assert decide(record.candidate, SearchConfig(),
                           lambda left: pytest.fail("decided before the search")) == record
-    counted = report.records[first[COUNTING, EXHAUSTED]]
-    c = counted.candidate
-    assert counted.outcome == Counting(*counting_witness(c.k, c.order, c.smoothness_witness))
+    refuted = [c for c in scanlib.iter_candidates(24, 24, 26) if not c.trivial
+               and counting_witness(c.k, c.order, c.smoothness_witness) is not None]
+    assert len(refuted) == report.sieved == 4
+    assert not set(refuted) & {r.candidate for r in report.records}
+    assert certio.scan_report_from_doc(certio.scan_report_to_doc(report)).sieved == 4
+    assert certio.read_journal(journal).sieved == 4
     closed = report.records[first[CLOSED_FORM, FOUND]]
     assert closed.outcome == ClosedForm((1,)) and closed.certificate == trivial_certificate(24)
 
@@ -152,12 +159,14 @@ def test_a_refuted_trivial_order_names_its_route(monkeypatch):
     assert record.certificate == trivial_certificate(3, ORDER_2K_PLUS_1)
     monkeypatch.undo()
     refutations = [(SEARCH, SearchOutcome(EXHAUSTED, None, SearchStats(1, 1, 0.0))),
-                   (COUNTING, Counting(7, 1)), (PROPAGATION, Propagation((), 4))]
+                   (PROPAGATION, Propagation((), 4))]
     for route, outcome in refutations:
         with pytest.raises(RuntimeError, match=(
                 f"^the {route} route refutes trivial order 7 for k=3$")):
             make_record(z7, outcome)
-    # a report claiming such a refutation, of N = 4 for k = 3, is refused
+    # the sieve never refutes one, and a report claiming it did, of N = 4
+    # for k = 3, is refused
+    assert not sieve(z7)
     (record,) = doc["records"]
     del record["splitters"]
     record.update(verdict=CONSISTENT, route=COUNTING, counting={"p": 2, "stratum": 1})
@@ -273,14 +282,15 @@ def test_scan_and_candidates_reject_bad_ranges():
 def test_scan_k8():
     report = scan(8, 8, n_max=13)
     by_order = {r.candidate.order: r for r in report.records}
-    assert set(by_order) == {9, 25, 49, 81, 105}
+    # the sieve refutes 25 and 105, which keep no record
+    assert set(by_order) == {9, 49, 81} and report.sieved == 2
     assert by_order[9].verdict == TRIVIAL_EXPECTED
     assert by_order[9].outcome.splitters == (1,)
-    for order in (25, 49, 81, 105):
+    for order in (49, 81):
         assert by_order[order].verdict == CONSISTENT
         assert by_order[order].outcome.result == EXHAUSTED
     assert overall_verdict(report.totals) == "consistent"
-    assert report.totals["found"] == 1
+    assert report.totals["found"] == 1 and report.totals[CONSISTENT] == 4
 
 
 def test_scan_k24_n1():
@@ -328,22 +338,23 @@ def test_found_at_trivial_orders():
 
 
 def test_counting_records_are_exhausted_by_the_search(desk_scan):
-    # the sieve's refutations of scan(1, 30), re-decided by plain search;
-    # the 32 trivial orders take their closed form, and propagation leaves
-    # the search one record, (625, 24)
-    routes = Counter(r.route for r in desk_scan.records)
-    assert routes == {COUNTING: 155, CLOSED_FORM: 32, PROPAGATION: 22, SEARCH: 1}
+    # the sieve's refutations of scan(1, 30), which keep no record, found
+    # again by a walk of the range and re-decided by plain search; the 32
+    # trivial orders take their closed form, and propagation leaves the
+    # search one record, (625, 24)
+    assert desk_scan.routes == {COUNTING: 155, CLOSED_FORM: 32, PROPAGATION: 22, SEARCH: 1}
+    assert desk_scan.sieved == 155 and len(desk_scan.records) == 55
     assert all(r.outcome.result == FOUND for r in desk_scan.records if r.route == CLOSED_FORM)
     (searched,) = [r for r in desk_scan.records if r.route == SEARCH]
     assert (searched.candidate.order, searched.candidate.k) == (625, 24)
     assert searched.outcome.stats.nodes == 2
-    counted = [r for r in desk_scan.records if r.route == COUNTING]
+    counted = [c for c in scanlib.iter_candidates(1, 30) if sieve(c)]
+    assert len(counted) == 155
+    assert not set(counted) & {r.candidate for r in desk_scan.records}
     nodes = 0
-    for record in counted:
-        k, order = record.candidate.k, record.candidate.order
-        assert type(record.outcome) is Counting and record.verdict == CONSISTENT
-        outcome = search_splitter(FiniteAbelianGroup.cyclic(order), MultiplierSet.interval(k))
-        assert outcome.result == EXHAUSTED, (k, order)
+    for c in counted:
+        outcome = search_splitter(FiniteAbelianGroup.cyclic(c.order), MultiplierSet.interval(c.k))
+        assert outcome.result == EXHAUSTED, (c.k, c.order)
         nodes += outcome.stats.nodes
     assert nodes == 26_098
 
@@ -414,23 +425,34 @@ def test_scan_report_checks_its_range(params, error):
 
 
 def test_scan_report_refuses_records_out_of_order():
-    # the k 5..6 records: n = 1, 3 and 7 for k = 5, then n = 4 for k = 6
-    records = scan(5, 6).records
+    # the k 5..7 records: n = 1 for k = 5, n = 4 for k = 6, then n = 1, 2
+    # and 9 for k = 7
+    records = scan(5, 7).records
 
     def report(held):
-        return ScanReport(5, 6, None, SearchConfig(), tuple(held))
+        return ScanReport(5, 7, None, SearchConfig(), tuple(held))
 
-    with pytest.raises(ValueError, match="^record k=5 n=7 comes after k=6 n=4$"):
+    with pytest.raises(ValueError, match="^record k=7 n=2 comes after k=7 n=9$"):
         report(records[::-1])
-    with pytest.raises(ValueError, match="^record k=5 n=3 comes after k=5 n=7$"):
+    with pytest.raises(ValueError, match="^record k=6 n=4 comes after k=7 n=1$"):
         report((records[0], records[2], records[1], records[3]))
-    with pytest.raises(ValueError, match="^scan report holds a record twice: k=5 n=3$"):
-        report(records[:2] + records[1:])
     with pytest.raises(ValueError, match="^scan report holds a record twice: k=6 n=4$"):
+        report(records[:2] + records[1:])
+    with pytest.raises(ValueError, match="^scan report holds a record twice: k=7 n=9$"):
         report(records + records[-1:])
     assert report(()).records == ()
     assert report(records[1:2]).records == records[1:2]
     assert report(records).records == records
+
+
+def test_scan_report_refuses_a_bad_sieved_count():
+    # routes and totals add sieved to what the records count, so a count
+    # that is no int >= 0 would write a report no scan makes
+    records = scan(5, 6).records
+    for bad in (-3, 2.5, True, None):
+        with pytest.raises(ValueError, match=f"^sieved must be an int >= 0, got {bad!r}$"):
+            ScanReport(5, 6, None, SearchConfig(), records, bad)
+    assert ScanReport(5, 6, None, SearchConfig(), records, 2).totals["records"] == 4
 
 
 def test_resume_skips_completed_records():
@@ -444,9 +466,9 @@ def test_resume_skips_completed_records():
 
 @pytest.mark.parametrize("kept", [
     lambda records: records[::2],
-    lambda records: [r for r in records if r.route != COUNTING],
+    lambda records: [r for r in records if r.route != CLOSED_FORM],
     lambda records: records[:len(records) // 2],
-], ids=["every_other", "listed", "first_half"])
+], ids=["every_other", "refutations", "first_half"])
 def test_resumed_from_a_subset_writes_the_same_report(kept):
     full = scan(5, 8)
     subset = replace(full, records=tuple(kept(list(full.records))))
@@ -471,7 +493,7 @@ def test_resume_rejects_records_outside_the_task_set(monkeypatch):
         return ScanReport(full.k_min, full.k_max, full.n_max, full.config, tuple(records))
 
     foreign = scan(8, 8, n_max=1).records[0]  # k = 8 lies outside 5..6
-    # both refusals come before any candidate is decided
+    # every refusal comes before any candidate is decided
     monkeypatch.setattr(scanlib, "_scan_one", lambda task: pytest.fail("a candidate was decided"))
     with pytest.raises(ValueError, match="not a scan candidate"):
         scan(5, 6, resume=resume_with(full.records + (foreign,)))
@@ -481,9 +503,16 @@ def test_resume_rejects_records_outside_the_task_set(monkeypatch):
     )
     with pytest.raises(ValueError, match="not a scan candidate"):
         scan(5, 6, resume=resume_with((misfactored,) + full.records[1:]))
+    # the sieve refutes N = 16 for k = 5, so no record of it is resumed,
+    # whatever its route
+    z16 = CandidateOrder(5, 3, 16, ((2, 4),))
+    searched = make_record(z16, SearchOutcome(EXHAUSTED, None, SearchStats(1, 1, 0.0)))
+    with pytest.raises(ValueError, match="^resumed record k=5 N=16 is not a scan candidate "
+                                         "the sieve leaves$"):
+        scan(5, 6, resume=resume_with(full.records[:1] + (searched,) + full.records[1:]))
     # a resume cannot repeat a record: its ScanReport refuses one, naming it
-    with pytest.raises(ValueError, match="^scan report holds a record twice: k=5 n=3$"):
-        resume_with(full.records[:2] + full.records[1:])
+    with pytest.raises(ValueError, match="^scan report holds a record twice: k=6 n=4$"):
+        resume_with(full.records + full.records[1:])
 
 
 def test_make_record_rules():
@@ -519,13 +548,15 @@ def test_pool_is_no_larger_than_the_pending_work(monkeypatch):
 
     monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
     doc = lambda report: certio.dumps_document(certio.scan_report_to_doc(report))
-    serial = scan(5, 6, jobs=1)
-    assert len(serial.records) == 4 and sizes == []
-    assert doc(scan(5, 6, jobs=64)) == doc(serial)
-    assert sizes == [4]
+    # the sieve refutes 6 of scan(5, 8)'s 14 candidates, which never reach
+    # the pool
+    serial = scan(5, 8, jobs=1)
+    assert len(serial.records) == 8 and serial.sieved == 6 and sizes == []
+    assert doc(scan(5, 8, jobs=64)) == doc(serial)
+    assert sizes == [8]
     first = replace(serial, records=serial.records[:1])
-    assert doc(scan(5, 6, jobs=64, resume=first)) == doc(serial)
-    assert sizes == [4, 3]
+    assert doc(scan(5, 8, jobs=64, resume=first)) == doc(serial)
+    assert sizes == [8, 7]
 
 
 def test_importing_the_cli_leaves_multiprocessing_unloaded():
@@ -539,9 +570,12 @@ def test_importing_the_cli_leaves_multiprocessing_unloaded():
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_checkpoint_called_per_record(jobs):
+    # k = 8 has five candidates; the sieve refutes two, which are not
+    # checkpointed
     seen = []
     report = scan(8, 8, jobs=jobs, checkpoint=seen.append)
-    assert [len(one.records) for one in seen] == [1, 1, 1, 1, 1]
+    assert report.sieved == 2 and all(one.sieved == 0 for one in seen)
+    assert [len(one.records) for one in seen] == [1, 1, 1]
     params = lambda rep: (rep.k_min, rep.k_max, rep.n_max, rep.config)
     assert all(params(one) == params(report) for one in seen)
     in_order = lambda r: (r.candidate.k, r.candidate.order)
@@ -550,7 +584,7 @@ def test_checkpoint_called_per_record(jobs):
     seen.clear()
     resumed = scan(8, 8, jobs=jobs, checkpoint=seen.append,
                    resume=replace(report, records=report.records[:2]))
-    assert [len(one.records) for one in seen] == [1, 1, 1]
+    assert [len(one.records) for one in seen] == [1]
     assert sorted(r.candidate.order for one in seen for r in one.records) == [
         r.candidate.order for r in resumed.records[2:]
     ]
@@ -606,12 +640,77 @@ def test_a_budget_limited_record_keeps_its_reason(tmp_path):
 
 
 def test_totals_consistent_with_records():
+    # every candidate counts once: the 13 records and the 10 the sieve refutes
     report = scan(1, 10)
     totals = report.totals
-    assert totals["records"] == len(report.records)
+    assert (len(report.records), report.sieved) == (13, 10)
+    assert totals["records"] == len(report.records) + report.sieved == 23
     assert totals[TRIVIAL_EXPECTED] + totals[CONSISTENT] + totals[VIOLATION] + totals[
         "inconclusive"
-    ] == len(report.records)
+    ] == totals["records"]
+    assert totals[CONSISTENT] == report.sieved + sum(
+        r.verdict == CONSISTENT for r in report.records)
+
+
+def test_the_scan_decides_only_the_candidates_the_sieve_leaves(monkeypatch):
+    # scan(1, 30) hands decide the 55 of its 210 candidates that the sieve
+    # leaves, trivial orders included, and counts the 155 it refutes
+    decided = []
+    scan_one = scanlib._scan_one
+    monkeypatch.setattr(scanlib, "_scan_one",
+                        lambda task: decided.append(task[0]) or scan_one(task))
+    report = scan(1, 30)
+    assert len(decided) == 55
+    assert len(report.records) == 55 and report.sieved == 155
+    assert report.totals["records"] == 210
+    assert not any(sieve(c) for c in decided)
+
+
+def _held(fn, *args):
+    """fn(*args) and the bytes allocated in the call that are still held
+    once it returns: what its result keeps."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_report_holds_only_the_records_it_lists():
+    # scan(1, 100) has 2,294 candidates: the sieve refutes 2,063, which keep
+    # no record, so the report and its read-back copy hold 231 records,
+    # about 0.23 MB each; one record per candidate held about 1.1 MB
+    report, held = _held(scan, 1, 100)
+    assert held < 500_000
+    doc = certio.scan_report_to_doc(report)
+    back, held = _held(certio.scan_report_from_doc, doc)
+    assert held < 500_000
+    assert (len(report.records), report.sieved) == (231, 2_063)
+    assert certio.scan_report_to_doc(back) == doc and back.sieved == 2_063
+
+
+@settings(max_examples=25)
+@given(k_min=st.integers(1, 40), width=st.integers(0, 39), n_max=st.none() | st.integers(1, 80))
+def test_the_sieve_counts_what_the_oracle_refutes(k_min, width, n_max):
+    # the oracle: every N = n*k + 1 of the range factored by trial division
+    # (candidate_order), refuted when counting_witness finds a stratum
+    # identity without a solution; the walk, the table and sieve() take no
+    # part in it
+    k_max = min(40, k_min + width)
+    candidates = [c for k in range(k_min, k_max + 1)
+                  for n in range(1, (2 * k if n_max is None else n_max) + 1)
+                  if (c := candidate_order(k, n)) is not None]
+    refuted = [c for c in candidates if not c.trivial
+               and counting_witness(c.k, c.order, c.smoothness_witness) is not None]
+    serial = scan(k_min, k_max, n_max)
+    assert serial.routes[COUNTING] == serial.sieved == len(refuted)
+    assert serial.totals["records"] == len(candidates)
+    assert [r.candidate for r in serial.records] == [c for c in candidates if c not in refuted]
+    parallel = scan(k_min, k_max, n_max, jobs=2)
+    assert replace(parallel, records=tuple(map(_as_written, parallel.records))) == replace(
+        serial, records=tuple(map(_as_written, serial.records)))
 
 
 def _scan_record_calls(path: Path) -> list[str]:
