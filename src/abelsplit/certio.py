@@ -647,30 +647,29 @@ def read_journal(path) -> ScanReport | None:
 
 def scan_report_table_lines(report: ScanReport) -> Iterator[str]:
     """Flat tabular export, one CSV line at a time, from one walk of the
-    range that looks up, by (k, n), the record at each candidate and writes
-    the sieve's line for one with none. ValueError once those outnumber
-    report.sieved, as in a journal cut short, whose pending candidates the
-    sieve did not refute, or after the walk for a record of no candidate.
+    range. A candidate gets the line of its record, looked up by (k, n);
+    one with none gets the counting line if the sieve refutes it, the rule
+    the readers apply (_range_records). ValueError names the first the
+    sieve leaves, before its line, as in a journal cut short, whose pending
+    candidates await a resumed scan; after the walk, it names a record of
+    no candidate.
     millis is wall-clock per record and diagnostic; it is the one column not
     covered by the byte-identity guarantee, and it is empty for a searched
     record read back from a document, which keeps no time. Only the search
     route searches, so every other line shows 0 nodes and 0 millis."""
     yield "k,n,N,factorization,verdict,route,nodes,millis\n"
-    listed, unlisted = {(r.candidate.k, r.candidate.n): r for r in report.records}, 0
+    listed = {(r.candidate.k, r.candidate.n): r for r in report.records}
     for c in iter_candidates(report.k_min, report.k_max, report.n_max):
         fac = "*".join(f"{p}^{e}" if e > 1 else f"{p}" for p, e in c.smoothness_witness) or "1"
         r = listed.pop((c.k, c.n), None)
         verdict, route, nodes, millis = CONSISTENT, COUNTING, 0, 0
-        if r is None:
-            unlisted += 1
-            if unlisted > report.sieved:
-                raise ValueError(f"scan report lacks the candidate k={c.k} n={c.n}: it counts "
-                                 f"{report.sieved} sieved, fewer than the candidates it lacks")
-        else:
+        if r is not None:
             verdict, route = r.verdict, r.route
             if route == SEARCH:
                 nodes, elapsed_s = r.outcome.stats.nodes, r.outcome.stats.elapsed_s
                 millis = "" if elapsed_s is None else round(elapsed_s * 1000)
+        elif not sieve(c):
+            raise ValueError(f"scan report lacks the candidate k={c.k} n={c.n}")
         yield f"{c.k},{c.n},{c.order},{fac},{verdict},{route},{nodes},{millis}\n"
     if listed:
         k, n = min(listed)

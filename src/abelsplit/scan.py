@@ -273,8 +273,9 @@ def make_record(candidate: CandidateOrder,
 
 def sieve(candidate: CandidateOrder) -> bool:
     """Whether counting_witness refutes candidate; never at a trivial order,
-    which the closed form decides. scan() counts the candidates it refutes
-    and the readers those a document does not list."""
+    which the closed form decides. scan() counts the candidates it refutes,
+    and the readers and the CSV writer ask it about each candidate a
+    report does not list."""
     return not candidate.trivial and counting_witness(
         candidate.k, candidate.order, candidate.smoothness_witness) is not None
 

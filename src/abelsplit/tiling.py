@@ -23,7 +23,7 @@ distinct values met, never with a span the input controls.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from math import prod
+from math import gcd, prod
 
 from .record import Record
 from .splitting import SplittingCertificate
@@ -98,21 +98,6 @@ class LatticeHom(Record):
         return sum(c * w for c, w in zip(point, self.weights)) % self.modulus
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """g, x, y with g = a*x + b*y and g >= 0."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        return -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
 class IntegerLattice(Record):
     """Full-rank sublattice of Z^n held as a column-HNF basis matrix."""
 
@@ -176,13 +161,17 @@ def kernel_lattice(hom: LatticeHom) -> IntegerLattice:
     diagonal entry g_{j-1} / g_j. The pass keeps coefficients coef with
     g_{j-1} = sum coef_i w_i (mod N), so -(w_j / g_j) * coef fills the
     entries above the diagonal, which are then reduced against the earlier
-    columns.
+    columns. The Bezout step g_j = x g_{j-1} + y w_j takes y, the inverse
+    of w_j / g_j modulo g_{j-1} / g_j, from three-argument pow, and x from
+    the division that is then exact.
     """
     n, modulus = len(hom.weights), hom.modulus
     cols: list[list[int]] = []
     g, coef = modulus, [0] * n
     for j, w in enumerate(hom.weights):
-        h, x, y = _xgcd(g, w)
+        h = gcd(g, w)
+        y = pow(w // h, -1, g // h)
+        x = (h - w * y) // g
         col = [-(w // h) * c for c in coef[:j]] + [g // h] + [0] * (n - j - 1)
         for i in range(j - 1, -1, -1):
             q = col[i] // cols[i][i]

@@ -6,7 +6,8 @@ statistics, the coprime counter and the stratification walk every element
 where the library counts in closed form, the counting sieve's oracle solves
 the whole strata system in Fractions from those walked counts where the
 library solves it top down in ints, and the SNF tiling check
-diagonalizes a lattice basis where the library evaluates a weight map.
+diagonalizes a lattice basis, with its own extended Euclid, where the
+library evaluates a weight map and builds its kernel from gcd and pow.
 The element-wise verifier reduces, sorts and checks splitters one tuple
 product at a time, the way verification worked before it accepted a
 splitting in one pass over all products.
@@ -16,8 +17,9 @@ The all-splittings oracle tries every multiplier set against every
 splitter set with plain sets, where the library solves one side as exact
 cover once per unit orbit of the other.
 The one exception, the natural-order search, runs the library's row
-source and engine on purpose: it checks the branch order and the rule
-fixing 1 in S, so it lays bit x out for residue x, keeps its own
+source and engine on purpose (_row_source, _Budget and _exact_covers, the
+only private names imported here): it checks the branch order and the
+rule fixing 1 in S, so it lays bit x out for residue x, keeps its own
 deduplication by orbit, and drops those two.
 The document oracle is the json.dumps call that certio's hand-written
 writer replaces, the record document oracle builds a scan record's
@@ -73,7 +75,6 @@ from abelsplit.tiling import (
     Matrix,
     TilingCertificate,
     TranslateView,
-    _xgcd,
     kernel_lattice,
     semi_cross,
 )
@@ -451,6 +452,15 @@ def factor_with_sieve(n: int, spf: list[int]) -> list[tuple[int, int]]:
     return out
 
 
+def _extended_euclid(a: int, b: int) -> tuple[int, int, int]:
+    """g, x, y with g = gcd(a, b) = a*x + b*y, by the recursive extended
+    Euclid, where kernel_lattice takes its Bezout coefficients from pow."""
+    if b == 0:
+        return abs(a), (1 if a >= 0 else -1), 0
+    g, x, y = _extended_euclid(b, a % b)
+    return g, y, x - (a // b) * y
+
+
 def _diagonalize(matrix: Matrix) -> tuple[list[list[int]], list[int]]:
     """U*A*V = diag for unimodular U, V; returns (U, positive diagonal).
 
@@ -476,7 +486,7 @@ def _diagonalize(matrix: Matrix) -> tuple[list[list[int]], list[int]]:
                     row[t], row[j0] = row[j0], row[t]
             for i in range(t + 1, n):
                 if a[i][t]:
-                    g, x, y = _xgcd(a[t][t], a[i][t])
+                    g, x, y = _extended_euclid(a[t][t], a[i][t])
                     p_, q_ = a[t][t] // g, a[i][t] // g
                     for c in range(n):
                         at, ai = a[t][c], a[i][c]
@@ -488,7 +498,7 @@ def _diagonalize(matrix: Matrix) -> tuple[list[list[int]], list[int]]:
                         u[i][c] = -q_ * ut + p_ * ui
             for j in range(t + 1, n):
                 if a[t][j]:
-                    g, x, y = _xgcd(a[t][t], a[t][j])
+                    g, x, y = _extended_euclid(a[t][t], a[t][j])
                     p_, q_ = a[t][t] // g, a[t][j] // g
                     for r in range(n):
                         rt, rj = a[r][t], a[r][j]

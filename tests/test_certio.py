@@ -6,20 +6,24 @@ import json
 import os
 import pickle
 import re
+import tempfile
 import time
 import tracemalloc
 from collections import Counter
 from itertools import groupby
+from pathlib import Path
 
 import pytest
 from helpers import (
-    DEEP_TEXT, DESK_SCAN_SHA256, LONG_INT_TEXT, canonical_json, live_rows_by_orbits,
-    parse_tiling_export_by_lines, propagation_refutes_by_orbits, record_document_by_hand,
+    DEEP_TEXT, DESK_SCAN_SHA256, LONG_INT_TEXT, candidate_order, canonical_json,
+    live_rows_by_orbits, parse_tiling_export_by_lines, propagation_refutes_by_orbits,
+    record_document_by_hand,
 )
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from abelsplit import certio
+from abelsplit.counting import counting_witness
 from abelsplit.groups import FiniteAbelianGroup
 from abelsplit.record import replace
 from abelsplit.scan import VIOLATION, CandidateOrder, Propagation, ScanReport, make_record, scan
@@ -717,18 +721,88 @@ def test_a_partial_report_has_no_table(tmp_path):
     # sieve refutations, so the table refuses them rather than write
     # counting; a report that counts them all writes every line
     report = scan(5, 8)
-    path = tmp_path / "scan.jsonl"
-    head, *lines = certio.journal_chunks(report)
-    path.write_text(head + "".join(lines[:3]))
-    partial = certio.read_journal(path)
+    partial = _cut_journal(report, 3, tmp_path / "scan.jsonl")
     assert (len(partial.records), partial.sieved) == (3, 6)
-    with pytest.raises(ValueError, match="^scan report lacks the candidate k=8 n=1: it counts "
-                                         "6 sieved, fewer than the candidates it lacks$"):
+    with pytest.raises(ValueError, match="^scan report lacks the candidate k=7 n=2$"):
         certio.scan_report_table(partial)
     assert certio.scan_report_table(report).count("\n") == 1 + 8 + 6
     foreign = replace(report, records=report.records + scan(9, 9, n_max=1).records)
     with pytest.raises(ValueError, match="^record k=9 n=1 is not a scan candidate$"):
         certio.scan_report_table(foreign)
+
+
+def _cut_journal(report: ScanReport, kept: int, path) -> ScanReport:
+    """The report read back from report's journal cut after its first kept
+    record lines."""
+    head, *lines = certio.journal_chunks(report)
+    path.write_text(head + "".join(lines[:kept]))
+    return certio.read_journal(path)
+
+
+def _lines_before_refusal(report: ScanReport) -> tuple[list[str], str]:
+    """The table lines report yields, millis dropped, one at a time, and
+    the message of the ValueError that ends them."""
+    lines = []
+    with pytest.raises(ValueError) as refusal:
+        for line in certio.scan_report_table_lines(report):
+            lines.append(_without_millis(line))
+    return lines, str(refusal.value)
+
+
+def test_a_cut_journal_writes_no_wrong_line_before_its_refusal(tmp_path):
+    # the walk of scan(5, 8) meets the trivial order 15 (k=7 n=2), the first
+    # candidate the three kept records lack, after 5 candidates: each line
+    # before the refusal is the complete table's, and neither 15 nor the
+    # propagation record (7, 9) after it gets a counting line
+    report = scan(5, 8)
+    complete = _without_millis(certio.scan_report_table(report)).splitlines(keepends=True)
+    lines, message = _lines_before_refusal(_cut_journal(report, 3, tmp_path / "scan.jsonl"))
+    assert lines == complete[:len(lines)] and len(lines) == 1 + 5
+    assert message == "scan report lacks the candidate k=7 n=2"
+
+
+def _oracle_line(c: CandidateOrder, record) -> str:
+    """c's table line, millis dropped: counting when the oracle refutes c,
+    else the line of its record."""
+    fac = "*".join(f"{p}^{e}" if e > 1 else f"{p}" for p, e in c.smoothness_witness) or "1"
+    if record is None:
+        return f"{c.k},{c.n},{c.order},{fac},conjecture_consistent,counting,0\n"
+    nodes = record.outcome.stats.nodes if record.route == "search" else 0
+    return f"{c.k},{c.n},{c.order},{fac},{record.verdict},{record.route},{nodes}\n"
+
+
+@settings(max_examples=25)
+@given(k_min=st.integers(1, 40), width=st.integers(0, 39), n_max=st.none() | st.integers(1, 80),
+       cut=st.floats(0, 1))
+def test_scan_table_agrees_with_the_oracle(k_min, width, n_max, cut):
+    # the oracle: every N = n*k + 1 of the range factored by trial division
+    # (candidate_order), a counting line when counting_witness refutes it,
+    # else the line of the record the scan keeps for it
+    k_max = min(40, k_min + width)
+    candidates = [c for k in range(k_min, k_max + 1)
+                  for n in range(1, (2 * k if n_max is None else n_max) + 1)
+                  if (c := candidate_order(k, n)) is not None]
+    left = [c for c in candidates if c.trivial
+            or counting_witness(c.k, c.order, c.smoothness_witness) is None]
+    report = scan(k_min, k_max, n_max)
+    records = {r.candidate: r for r in report.records}
+    assert list(records) == left
+    table = ["k,n,N,factorization,verdict,route,nodes\n"] + [
+        _oracle_line(c, records.get(c)) for c in candidates]
+    assert _without_millis(certio.scan_report_table(report)).splitlines(keepends=True) == table
+    # a journal cut short: every line up to the first candidate it lacks
+    # that the oracle leaves, then the refusal naming it
+    kept = round(cut * len(report.records))
+    with tempfile.TemporaryDirectory() as scratch:
+        partial = _cut_journal(report, kept, Path(scratch) / "scan.jsonl")
+    if kept == len(report.records):
+        assert _without_millis(certio.scan_report_table(partial)).splitlines(
+            keepends=True) == table
+        return
+    lacked = left[kept]
+    lines, message = _lines_before_refusal(partial)
+    assert lines == table[:1 + candidates.index(lacked)]
+    assert message == f"scan report lacks the candidate k={lacked.k} n={lacked.n}"
 
 
 def test_attestation_and_partial_docs():
