@@ -9,8 +9,9 @@ that route's decision:
 
 1. closed_form: a trivial order, N = k + 1 or 2k + 1, splits by S = {1} or
    S = {1, N - 1}, with no sieve and no search; its decision is a
-   ClosedForm of those splitters, which make_record verifies into the
-   certificate of splitting.trivial_certificate.
+   ClosedForm of those splitters, which make_record verifies. The record
+   keeps only them, and builds the certificate of
+   splitting.trivial_certificate from them each time it is read.
 2. counting: the counting sieve (counting.counting_witness) refutes a
    candidate whose stratum identities have no nonnegative integer
    solution; it gets no record, and a report only counts it, in sieved.
@@ -23,7 +24,7 @@ Every decision answers result, a ClosedForm always FOUND and a Propagation
 always EXHAUSTED, so the one verdict rule and every reader of results read
 each route alike. The scan expects splittings exactly at the trivial
 orders; a splitting the search finds anywhere else is a violation, kept
-with a re-verified certificate.
+as re-verified splitters, whose certificate its record builds when read.
 
 A scan enumerates its candidates with iter_candidates, in (k, N) order,
 from a table of largest prime factors: an order is a candidate when its
@@ -204,22 +205,28 @@ _ROUTES = {ClosedForm: CLOSED_FORM, Propagation: PROPAGATION}
 
 
 class ScanRecord(Record):
-    """One candidate, the decision of the route that decided it, and the
-    certificate of a found splitter set (None otherwise). The decision is a
-    ClosedForm, a Propagation or the search's SearchOutcome; a candidate the
-    counting sieve refutes has no record. Each answers result, so the
-    verdict below, ScanReport.totals, the inequality checks and the
-    benchmark's gate read every route alike.
-    route and verdict are read off the decision, so no record can hold a
-    verdict its decision contradicts; every record, fresh or read back, is
-    built by make_record."""
+    """One candidate and the decision of the route that decided it. The
+    decision is a ClosedForm, a Propagation or the search's SearchOutcome;
+    a candidate the counting sieve refutes has no record. Each answers
+    result, so the verdict below, ScanReport.totals, the inequality checks
+    and the benchmark's gate read every route alike.
+    route, verdict and certificate are read off the decision, so no record
+    can hold a verdict its decision contradicts, nor keep a certificate it
+    can build again; every record, fresh or read back, is built by
+    make_record."""
 
-    __slots__ = ("candidate", "outcome", "certificate")
+    __slots__ = ("candidate", "outcome")
 
-    def __init__(self, candidate: CandidateOrder,
-                 outcome: ClosedForm | Propagation | SearchOutcome,
-                 certificate: SplittingCertificate | None = None) -> None:
-        self._fill(candidate, outcome, certificate)
+    @property
+    def certificate(self) -> SplittingCertificate | None:
+        """The certificate of a found splitter set, built again on every
+        read from Z_N, {1..k} and the splitters, so NotASplitting if they
+        fail; None for any other outcome."""
+        if self.outcome.result != FOUND:
+            return None
+        return make_certificate(FiniteAbelianGroup.cyclic(self.candidate.order),
+                                MultiplierSet.interval(self.candidate.k),
+                                [(s,) for s in self.outcome.splitters])
 
     @property
     def route(self) -> str:
@@ -238,31 +245,22 @@ class ScanRecord(Record):
         return CONSISTENT if result == EXHAUSTED else INCONCLUSIVE
 
 
-def scan_order(record: ScanRecord) -> tuple[int, int]:
-    """The key of the order a scan's records are listed in: (k, N)."""
-    return record.candidate.k, record.candidate.order
-
-
 def make_record(candidate: CandidateOrder,
                 outcome: ClosedForm | Propagation | SearchOutcome) -> ScanRecord:
     """The record of candidate decided by outcome, any route's decision,
     for fresh and resumed records alike, through the result each answers.
 
     A found splitter set, a closed form's or a search's, is re-verified
-    into a certificate, and the record keeps the certificate's canonical
-    splitters. A proof of nonexistence at a trivial order raises
-    RuntimeError naming its route: a splitting always exists there, so
-    either that route or the claim is unsound. An unknown result raises
-    ValueError.
+    through the record's certificate, and the record keeps the
+    certificate's canonical splitters, not the certificate. A proof of
+    nonexistence at a trivial order raises RuntimeError naming its route:
+    a splitting always exists there, so either that route or the claim is
+    unsound. An unknown result raises ValueError.
     """
     k, order = candidate.k, candidate.order
     if outcome.result == FOUND:
-        certificate = make_certificate(
-            FiniteAbelianGroup.cyclic(order), MultiplierSet.interval(k),
-            [(s,) for s in outcome.splitters],
-        )
-        outcome = replace(outcome, splitters=tuple(s for (s,) in certificate.splitters))
-        return ScanRecord(candidate, outcome, certificate)
+        splitters = ScanRecord(candidate, outcome).certificate.splitters
+        return ScanRecord(candidate, replace(outcome, splitters=tuple(s for (s,) in splitters)))
     if outcome.result not in (EXHAUSTED, RESOURCE_LIMIT):
         raise ValueError(f"unknown search result {outcome.result!r}")
     record = ScanRecord(candidate, outcome)
@@ -405,8 +403,8 @@ def scan(
     ValueError before any candidate is searched or checkpointed. checkpoint,
     when given, is called once per record the scan decides, in the order
     records finish, with base holding that record alone. The result holds
-    the resumed and the finished records sorted by scan_order, so parallel
-    and serial runs produce the same report.
+    the resumed and the finished records sorted by (k, n), so parallel and
+    serial runs produce the same report.
     """
     base = ScanReport(k_min, k_max, n_max, config, ())
     if jobs < 1:
@@ -426,9 +424,8 @@ def scan(
         else:
             pending.append((c, config))
     if resumed:  # what the walk left: records of no candidate, misfactored or sieved
-        c = resumed[min(resumed)].candidate
-        raise ValueError(f"resumed record k={c.k} N={c.order} is not a scan candidate "
-                         f"the sieve leaves")
+        k, n = min(resumed)
+        raise ValueError(f"resumed record k={k} n={n} is not a scan candidate the sieve leaves")
 
     def take(record: ScanRecord) -> None:
         records.append(record)
@@ -444,7 +441,8 @@ def scan(
     else:
         for task in pending:
             take(_scan_one(task))
-    return replace(base, records=tuple(sorted(records, key=scan_order)), sieved=sieved)
+    records.sort(key=lambda r: (r.candidate.k, r.candidate.n))
+    return replace(base, records=tuple(records), sieved=sieved)
 
 
 def check_k_le_n_minus_2(report: ScanReport) -> bool:

@@ -59,6 +59,7 @@ import json
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, product
 from math import gcd, prod
 
@@ -385,8 +386,10 @@ def _solve_by_fractions(a: list[list[int]], b: list[int]) -> list[Fraction]:
     return [row[n] for row in rows]
 
 
+@cache
 def counting_witness_by_fractions(k: int, order: int) -> tuple[int, int] | None:
-    """counting_witness, from the whole strata system solved in Fractions.
+    """counting_witness, from the whole strata system solved in Fractions,
+    memoized by (k, order), since the scan oracles ask it again and again.
 
     Element counts come from walking Z_order, and multiplier counts from
     walking 1..k. For each prime p of order, ascending, the unknowns are

@@ -16,14 +16,13 @@ from pathlib import Path
 import pytest
 from helpers import (
     DEEP_TEXT, DESK_SCAN_SHA256, LONG_INT_TEXT, candidate_order, canonical_json,
-    live_rows_by_orbits, parse_tiling_export_by_lines, propagation_refutes_by_orbits,
-    record_document_by_hand,
+    counting_witness_by_fractions, live_rows_by_orbits, parse_tiling_export_by_lines,
+    propagation_refutes_by_orbits, record_document_by_hand,
 )
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from abelsplit import certio
-from abelsplit.counting import counting_witness
 from abelsplit.groups import FiniteAbelianGroup
 from abelsplit.record import replace
 from abelsplit.scan import VIOLATION, CandidateOrder, Propagation, ScanReport, make_record, scan
@@ -776,14 +775,15 @@ def _oracle_line(c: CandidateOrder, record) -> str:
        cut=st.floats(0, 1))
 def test_scan_table_agrees_with_the_oracle(k_min, width, n_max, cut):
     # the oracle: every N = n*k + 1 of the range factored by trial division
-    # (candidate_order), a counting line when counting_witness refutes it,
-    # else the line of the record the scan keeps for it
+    # (candidate_order), a counting line when the strata system solved in
+    # Fractions refutes it (counting_witness_by_fractions), else the line
+    # of the record the scan keeps for it
     k_max = min(40, k_min + width)
     candidates = [c for k in range(k_min, k_max + 1)
                   for n in range(1, (2 * k if n_max is None else n_max) + 1)
                   if (c := candidate_order(k, n)) is not None]
     left = [c for c in candidates if c.trivial
-            or counting_witness(c.k, c.order, c.smoothness_witness) is None]
+            or counting_witness_by_fractions(c.k, c.order) is None]
     report = scan(k_min, k_max, n_max)
     records = {r.candidate: r for r in report.records}
     assert list(records) == left

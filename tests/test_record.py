@@ -51,7 +51,7 @@ def _samples():
         (CandidateOrder(5, 3, 16, ((2, 4),)), ("k", "n", "order", "smoothness_witness")),
         (closed.outcome, ("splitters",)),
         (propagated.outcome, ("steps", "dead")),
-        (propagated, ("candidate", "outcome", "certificate")),
+        (propagated, ("candidate", "outcome")),
         (report, ("k_min", "k_max", "n_max", "config", "records", "sieved")),
         (decompose_k(8, 3, 1), ("k", "p", "m", "beta", "d", "m_prime")),
         (stratify(trivial_certificate(8), 3), ("p", "alpha", "g_counts", "s_counts")),

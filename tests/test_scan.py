@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 import sympy
-from helpers import candidate_order, candidates_by_trial_division
+from helpers import candidate_order, candidates_by_trial_division, counting_witness_by_fractions
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -57,7 +57,7 @@ from abelsplit.search import (
     search_splitter,
 )
 from abelsplit.splitting import (
-    ORDER_2K_PLUS_1, ORDER_K_PLUS_1, MultiplierSet, trivial_certificate,
+    ORDER_2K_PLUS_1, ORDER_K_PLUS_1, MultiplierSet, NotASplitting, trivial_certificate,
 )
 
 scanlib = importlib.import_module("abelsplit.scan")  # the package re-exports scan()
@@ -507,7 +507,7 @@ def test_resume_rejects_records_outside_the_task_set(monkeypatch):
     # whatever its route
     z16 = CandidateOrder(5, 3, 16, ((2, 4),))
     searched = make_record(z16, SearchOutcome(EXHAUSTED, None, SearchStats(1, 1, 0.0)))
-    with pytest.raises(ValueError, match="^resumed record k=5 N=16 is not a scan candidate "
+    with pytest.raises(ValueError, match="^resumed record k=5 n=3 is not a scan candidate "
                                          "the sieve leaves$"):
         scan(5, 6, resume=resume_with(full.records[:1] + (searched,) + full.records[1:]))
     # a resume cannot repeat a record: its ScanReport refuses one, naming it
@@ -681,7 +681,7 @@ def _held(fn, *args):
 def test_a_report_holds_only_the_records_it_lists():
     # scan(1, 100) has 2,294 candidates: the sieve refutes 2,063, which keep
     # no record, so the report and its read-back copy hold 231 records,
-    # about 0.23 MB each; one record per candidate held about 1.1 MB
+    # about 0.14 MB each; one record per candidate held about 1.1 MB
     report, held = _held(scan, 1, 100)
     assert held < 500_000
     doc = certio.scan_report_to_doc(report)
@@ -691,19 +691,42 @@ def test_a_report_holds_only_the_records_it_lists():
     assert certio.scan_report_to_doc(back) == doc and back.sieved == 2_063
 
 
+def test_a_record_keeps_its_splitters_not_its_certificate():
+    # the 163 trivial orders of k = 900..1000: each record keeps its
+    # candidate and its closed form's splitters, about 250 bytes, and builds
+    # its certificate when read; one that kept the certificate held
+    # {1..k} as a tuple of k ints, about 30 kB, 4.97 MB in all
+    trivial = [c for c in scanlib.iter_candidates(900, 1000) if c.trivial]
+    assert len(trivial) == 163
+
+    def decide_all():
+        return [decide(c, SearchConfig(), lambda left: pytest.fail("search asked"))
+                for c in trivial]
+
+    records, held = _held(decide_all)
+    assert held < 500_000
+    for c, record in zip(trivial, records):
+        form = ORDER_K_PLUS_1 if c.n == 1 else ORDER_2K_PLUS_1
+        assert record.certificate == trivial_certificate(c.k, form)
+    # the record is built only from splitters make_record verified
+    order_2k_plus_1 = next(c for c in trivial if c.n == 2)
+    with pytest.raises(NotASplitting):
+        make_record(order_2k_plus_1, ClosedForm((1, 2)))
+
+
 @settings(max_examples=25)
 @given(k_min=st.integers(1, 40), width=st.integers(0, 39), n_max=st.none() | st.integers(1, 80))
 def test_the_sieve_counts_what_the_oracle_refutes(k_min, width, n_max):
     # the oracle: every N = n*k + 1 of the range factored by trial division
-    # (candidate_order), refuted when counting_witness finds a stratum
-    # identity without a solution; the walk, the table and sieve() take no
-    # part in it
+    # (candidate_order), refuted when the strata system solved in Fractions
+    # has no nonnegative integer solution (counting_witness_by_fractions);
+    # the walk, the table, sieve() and counting_witness take no part in it
     k_max = min(40, k_min + width)
     candidates = [c for k in range(k_min, k_max + 1)
                   for n in range(1, (2 * k if n_max is None else n_max) + 1)
                   if (c := candidate_order(k, n)) is not None]
     refuted = [c for c in candidates if not c.trivial
-               and counting_witness(c.k, c.order, c.smoothness_witness) is not None]
+               and counting_witness_by_fractions(c.k, c.order) is not None]
     serial = scan(k_min, k_max, n_max)
     assert serial.routes[COUNTING] == serial.sieved == len(refuted)
     assert serial.totals["records"] == len(candidates)
